@@ -115,7 +115,7 @@ def _isotropic_lines(a: int, b: int, c: int, sigma: int) -> list[tuple[int, int]
 def _line_residue(g: Gram, u: tuple[int, int], sigma: int) -> int:
     # Complete the primitive isotropic u to a basis (u, w); q(w) mod 2*sigma
     # only depends on the line spanned by u.
-    _g, x, y = xgcd_pair(u)
+    _g, x, y = xgcd(*u)
     w = (-y, x)
     bw = (u[0] * g[0][0] + u[1] * g[1][0]) * w[0] + (u[0] * g[0][1] + u[1] * g[1][1]) * w[1]
     assert abs(bw) == sigma
@@ -123,11 +123,11 @@ def _line_residue(g: Gram, u: tuple[int, int], sigma: int) -> int:
     return qw % (2 * sigma)
 
 
-def xgcd_pair(u: tuple[int, int]) -> tuple[int, int, int]:
-    """(g, x, y) with x*u0 + y*u1 == g == gcd(u0, u1)."""
+def xgcd(a: int, b: int) -> tuple[int, int, int]:
+    """Return (g, x, y) with g = gcd(a, b) >= 0 and x*a + y*b == g."""
     x, next_x = 1, 0
     y, next_y = 0, 1
-    g, next_g = u[0], u[1]
+    g, next_g = a, b
     while next_g:
         q = g // next_g
         x, next_x = next_x, x - q * next_x

@@ -9,7 +9,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
-import math
 import os
 import sys
 import traceback
@@ -37,7 +36,6 @@ from .model import (
     moduli_vector,
     mukai_pairing,
     mukai_square,
-    polarization_vector,
     sheaf_vector,
 )
 from .walls import (
@@ -281,18 +279,12 @@ def _check_square_forms(epsilon, k, p, delta) -> dict | None:
 
 def _span_basis_w(params: BNParams) -> tuple[tuple[int, int, int], int, int]:
     """The closed-form complement w = (b/c)(v - e) + L - v with its square
-    and pairing against v, all in ambient coordinates."""
-    ctx = params.context()
-    v = moduli_vector(ctx)
-    e = exceptional_vector(ctx)
-    lvec = polarization_vector()
-    n = params.g + params.k - 1 + params.epsilon
-    a_gcd = math.gcd(ctx.ek_div, n)
-    b_co, c_co = n // a_gcd, ctx.ek_div // a_gcd
-    w = tuple(Fraction(b_co, c_co) * (v[i] - e[i]) + lvec[i] - v[i]
-              for i in range(3))
-    assert all(x.denominator == 1 for x in w)
-    w = tuple(int(x) for x in w)
+    and pairing against v, all in ambient coordinates.  With
+    h = k - 1 + 2*epsilon and n = g + k - 1 + epsilon, b/c = n/(2h),
+    v - e = (0, 0, -2h) and L - v = (-1, 1, h), so w = (-1, 1, h - n)."""
+    v = moduli_vector(params.context())
+    h = params.k - 1 + 2 * params.epsilon
+    w = (-1, 1, h - (params.g + params.k - 1 + params.epsilon))
     return w, mukai_square(w, params.p), mukai_pairing(w, v, params.p)
 
 

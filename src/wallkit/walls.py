@@ -16,13 +16,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt
 
-from . import intmat
+from .binforms import xgcd
 from .model import (
     CurveClass,
     DivisorClass,
     DomainError,
     SurfaceContext,
-    ambient_gram,
     divisor_divisibility,
     embed_divisor,
     moduli_vector,
@@ -85,66 +84,45 @@ def primitive_dual_divisor(curve: CurveClass,
     return d, divisor_divisibility(d, ctx)
 
 
-def _coords_in_basis(vec: tuple[int, int, int],
-                     basis: tuple[tuple[int, int, int], ...]) -> tuple[int, int]:
-    """Integer coordinates of vec in a rank-2 basis of a rank-3 lattice."""
-    b1, b2 = basis
-    for i in range(3):
-        for j in range(i + 1, 3):
-            det = b1[i] * b2[j] - b1[j] * b2[i]
-            if det == 0:
-                continue
-            x_num = vec[i] * b2[j] - vec[j] * b2[i]
-            y_num = b1[i] * vec[j] - b1[j] * vec[i]
-            if x_num % det or y_num % det:
-                break
-            x, y = x_num // det, y_num // det
-            if all(x * b1[t] + y * b2[t] == vec[t] for t in range(3)):
-                return x, y
-            break
-    raise AssertionError(f"{vec} is not an integer combination of {basis}")
-
-
 def saturated_span(divisor: DivisorClass, ctx: SurfaceContext) -> SpanLattice:
     """Saturation T of span{v, D} with D embedded in the rank-3 model.
 
     The result is presented in a basis (w, v) with 0 <= b(w, v) <= q(v)/2,
     which pins the Gram matrix [[q(w), b], [b, q(v)]] uniquely.
+
+    Closed form: v = (1, 0, -h) with h = k - 1 + 2*epsilon, and D = a*L + b*e
+    embeds as d = (b, a, b*h), so d - b*v = (0, a, b*q(v)).  With
+    m = gcd(a, b*q(v)) the saturation is Z*v + Z*w0 for the primitive
+    w0 = (0, a/m, b*q(v)/m), and m is the index of span{v, D} in T.  Then
+    w = +-w0 + t*v is reduced into 0 <= b(w, v) <= q(v)/2.  At the two ties,
+    b(w, v) = 0 (candidates w, -w) and 2*b(w, v) = q(v) (candidates w,
+    v - w), the candidate with the lexicographically smaller (w[1], w[0])
+    is returned.
     """
     if divisor.square(ctx) >= 0:
         raise DomainError(
             f"wall test needs q(D) < 0, got q(D) = {divisor.square(ctx)}")
     v = moduli_vector(ctx)
-    d3 = embed_divisor(divisor, ctx)
-    amb = ambient_gram(ctx)
-    basis, index = intmat.saturate([list(v), list(d3)])
-    rows = tuple(tuple(r) for r in basis)
-    gram_t = intmat.gram_matrix([list(r) for r in rows], amb)
-    vx, vy = _coords_in_basis(v, rows)
-    assert gcd(vx, vy) == 1
-    _, a, b = intmat.xgcd(vx, vy)
-    w0 = (b, -a)  # det [[w0], [v]] = b*vy + a*vx = 1
-
-    def pair(s: tuple[int, int], t: tuple[int, int]) -> int:
-        return sum(s[i] * gram_t[i][j] * t[j] for i in range(2) for j in range(2))
-
-    qv = pair((vx, vy), (vx, vy))
-    b0 = pair(w0, (vx, vy))
-    b_red = b0 % qv
+    b_e, a, _ = embed_divisor(divisor, ctx)
+    qv = ctx.ek_div
+    index = gcd(a, b_e * qv)
+    w0 = (0, a // index, b_e * qv // index)
+    # b(w0, v) = -w0[2]; shift by t*v, t = -floor(b(w0, v) / q(v)).
+    b_red = -w0[2] % qv
+    t = (b_red + w0[2]) // qv
+    w = (t, w0[1], w0[2] + t * v[2])
+    v_minus_w = (1 - w[0], -w[1], v[2] - w[2])
     if 2 * b_red > qv:
-        sign, t = -1, (qv - b_red + b0) // qv
-        b_fin = qv - b_red
-    else:
-        sign, t = 1, (b_red - b0) // qv
-        b_fin = b_red
-    w = (sign * w0[0] + t * vx, sign * w0[1] + t * vy)
-    assert pair(w, (vx, vy)) == b_fin
-    qw = pair(w, w)
-    w3 = tuple(w[0] * rows[0][i] + w[1] * rows[1][i] for i in range(3))
+        w, b_red = v_minus_w, qv - b_red
+    elif b_red == 0 or 2 * b_red == qv:
+        alt = v_minus_w if b_red else (-w[0], -w[1], -w[2])
+        if (alt[1], alt[0]) < (w[1], w[0]):
+            w = alt
+    qw = w[1] * w[1] * ctx.l_square - 2 * w[0] * w[2]
     return SpanLattice(
-        gram=((qw, b_fin), (b_fin, qv)),
+        gram=((qw, b_red), (b_red, qv)),
         v_coords=(0, 1),
-        basis=(w3, v),
+        basis=(w, v),
         index=index,
     )
 
@@ -169,7 +147,7 @@ def _line_solutions(c: tuple[int, int], n: int,
                     gram: Gram2) -> tuple[tuple[int, int], tuple[int, int]]:
     """Particular solution s0 of b(s, v) = n and the primitive direction u
     of the solution line (b(u, v) = 0)."""
-    d, x0, y0 = intmat.xgcd(c[0], c[1])
+    d, x0, y0 = xgcd(c[0], c[1])
     m = n // d
     s0 = (x0 * m, y0 * m)
     u = (-(c[1] // d), c[0] // d)

@@ -3,10 +3,11 @@
 from __future__ import annotations
 
 import random
+from math import gcd
 
 import pytest
 
-from wallkit.binforms import DegenerateFormError, canonical_form, class_id, rank2_isometric
+from wallkit.binforms import DegenerateFormError, canonical_form, class_id, rank2_isometric, xgcd
 
 
 def _conjugate(g, u):
@@ -152,3 +153,19 @@ def test_isotropic_same_disc_separated():
         for _ in range(50):
             u = _random_unimodular2(rng)
             assert canonical_form(g) == canonical_form(_conjugate(g, u))
+
+
+def test_xgcd_identity():
+    cases = [(0, 0), (0, 7), (7, 0), (-4, 6), (12, 18), (7, -3), (-5, -15)]
+    for a, b in cases:
+        g, x, y = xgcd(a, b)
+        assert g == gcd(a, b)
+        assert x * a + y * b == g
+
+
+def test_xgcd_random():
+    rng = random.Random(101)
+    for _ in range(500):
+        a, b = rng.randint(-10**6, 10**6), rng.randint(-10**6, 10**6)
+        g, x, y = xgcd(a, b)
+        assert g == gcd(a, b) and x * a + y * b == g

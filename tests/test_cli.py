@@ -41,6 +41,7 @@ def test_wall_test_record(capsys):
     w = rec["witness"]
     assert set(w) == {"coords", "ambient", "q", "b", "branch"}
     assert w["q"] == -2 and w["branch"] == "case_ii"
+    assert w["coords"] == [-1, 1] and w["ambient"] == [-1, 1, -2]
     assert _frac(rec["q_R"]) == Fraction(-5, 2)
 
 

@@ -4,17 +4,19 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from itertools import product
+from math import gcd
 
 import pytest
 
-from wallkit import intmat
 from wallkit.curves import BNParams, curve_class
 from wallkit.model import (
     CurveClass,
     DivisorClass,
     DomainError,
     SurfaceContext,
-    ambient_gram,
+    embed_divisor,
+    moduli_vector,
     mukai_pairing,
 )
 from wallkit.walls import (
@@ -166,6 +168,21 @@ def test_saturated_span_fixed_grams():
     span, _ = _span_for(6, 1, 4, 0)
     assert span.gram == ((0, 2), (2, 6))
 
+    # tie orientation: at b(w, v) = 0 and at 2*b(w, v) = q(v) the basis vector
+    # is the candidate with the lexicographically smaller (w[1], w[0])
+    span, _ = _span_for(2, 0, 2, 0)
+    assert span.basis[0] == (2, -1, 1)
+
+    span, _ = _span_for(3, 0, 2, 0)
+    assert span.basis[0] == (2, -1, 2)
+    assert span.gram == ((-4, 0), (0, 2))
+
+    span = saturated_span(DivisorClass(0, 1), SurfaceContext(0, 5, 2))
+    assert span.basis[0] == (0, 0, -1) and span.index == 2
+
+    span = saturated_span(DivisorClass(2, -6), SurfaceContext(0, 6, 4))
+    assert span.basis[0] == (3, -1, 9) and span.index == 2
+
 
 def test_saturated_span_invariants():
     for (p, delta, k, eps) in ((2, 0, 2, 0), (7, 0, 2, 1), (6, 0, 4, 0),
@@ -182,10 +199,103 @@ def test_saturated_span_invariants():
         assert span.v_coords == (0, 1)
         # the recorded basis really has this Gram matrix in the ambient model
         w3, v3 = span.basis
-        amb = ambient_gram(ctx)
-        got = intmat.gram_matrix([list(w3), list(v3)], amb)
+        got = [[mukai_pairing(x, y, ctx.p) for y in (w3, v3)] for x in (w3, v3)]
         assert got == [[qw, b], [b, qv]]
         assert span.index >= 1
+
+
+def _cross(x, y):
+    return (x[1] * y[2] - x[2] * y[1], x[2] * y[0] - x[0] * y[2],
+            x[0] * y[1] - x[1] * y[0])
+
+
+def _dot(x, y):
+    return sum(a * b for a, b in zip(x, y))
+
+
+def _check_saturation(divisor, ctx, box=0):
+    """Independent oracle for saturated_span: T = Z*w + Z*v is the
+    saturation of span{v, d} in Z^3 iff w, v lie in span_Q{v, d} and the
+    2x2 minors of (w, v) are coprime; the index is gcd of the minors of
+    (v, d).  With box > 0 every integer point of [-box, box]^3 in span_Q{v, d}
+    is also checked to be an integer combination of w and v."""
+    span = saturated_span(divisor, ctx)
+    w, v = span.basis
+    d = embed_divisor(divisor, ctx)
+    assert v == moduli_vector(ctx) and span.v_coords == (0, 1)
+    normal = _cross(v, d)
+    assert _dot(w, normal) == 0
+    wv = _cross(w, v)
+    assert gcd(*wv) == 1
+    assert gcd(*normal) == span.index
+    gram = tuple(tuple(mukai_pairing(x, y, ctx.p) for y in (w, v))
+                 for x in (w, v))
+    assert span.gram == gram
+    b, qv = gram[0][1], gram[1][1]
+    assert 0 <= 2 * b <= qv
+    if box:
+        # Cramer's rule on a coordinate plane where (w, v) has a nonzero minor.
+        (i, j), minor = next(((i, j), m) for (i, j), m
+                             in zip(((1, 2), (2, 0), (0, 1)), wv) if m)
+        for x in product(range(-box, box + 1), repeat=3):
+            if _dot(x, normal):
+                continue
+            alpha, ra = divmod(x[i] * v[j] - x[j] * v[i], minor)
+            beta, rb = divmod(w[i] * x[j] - w[j] * x[i], minor)
+            assert ra == rb == 0, (x, span)
+            assert all(alpha * w[t] + beta * v[t] == x[t] for t in range(3))
+    return 2 * b == qv, b == 0
+
+
+def test_saturated_span_oracle_on_grid():
+    spans = boxed = 0
+    for eps in (0, 1):
+        for k in range(2, 9):
+            for p in range(2, 41):
+                for delta in range(p - 2 * eps + 1):
+                    params = BNParams(p, delta, k, eps)
+                    ctx = params.context()
+                    curve = curve_class(params)
+                    if curve.square(ctx) >= 0:
+                        continue
+                    divisor, _ = primitive_dual_divisor(curve, ctx)
+                    box = 4 if k <= 4 and p <= 12 else 0
+                    _check_saturation(divisor, ctx, box)
+                    spans += 1
+                    boxed += bool(box)
+    assert spans == 4162 and boxed > 50
+
+
+def test_saturated_span_oracle_random_large():
+    rng = random.Random(1507)
+    seen = {"half": 0, "zero": 0, "a=0": 0, "imprimitive": 0}
+    checked = 0
+    while checked < 2000:
+        eps = rng.randint(0, 1)
+        k = rng.choice((2, 3, rng.randint(2, 100), rng.randint(2, 10**5)))
+        p = rng.choice((2, rng.randint(2, 50), rng.randint(2, 10**10)))
+        a = rng.choice((0, rng.randint(-30, 30), rng.randint(-10**6, 10**6)))
+        b = rng.randint(-10**6, 10**6)
+        f = rng.choice((1, 1, 2, 3, 12))
+        ctx = SurfaceContext(eps, p, k)
+        divisor = DivisorClass(f * a, f * b)
+        if divisor.square(ctx) >= 0:
+            continue
+        half, zero = _check_saturation(divisor, ctx)
+        checked += 1
+        seen["half"] += half
+        seen["zero"] += zero
+        seen["a=0"] += a == 0
+        seen["imprimitive"] += gcd(f * a, f * b) > 1
+    assert min(seen.values()) >= 50, seen
+
+    # the brute-force box check on small contexts, imprimitive classes too
+    for eps, k, p in product((0, 1), range(2, 5), range(2, 13, 5)):
+        ctx = SurfaceContext(eps, p, k)
+        for a, b in product(range(-4, 5), range(1, 5)):
+            divisor = DivisorClass(a, b)
+            if divisor.square(ctx) < 0:
+                _check_saturation(divisor, ctx, box=4)
 
 
 def test_saturated_span_rejects_nonnegative_square():
