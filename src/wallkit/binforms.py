@@ -108,7 +108,8 @@ def _isotropic_lines(a: int, b: int, c: int, sigma: int) -> list[tuple[int, int]
         lines = [(1, 0), _primitive(-c, 2 * b)]
     else:
         lines = [_primitive(-b + sigma, a), _primitive(-b - sigma, a)]
-    assert lines[0] != lines[1]
+    if lines[0] == lines[1]:
+        raise AssertionError(f"isotropic lines coincide for {(a, b, c)}")
     return lines
 
 
@@ -118,7 +119,8 @@ def _line_residue(g: Gram, u: tuple[int, int], sigma: int) -> int:
     _g, x, y = xgcd(*u)
     w = (-y, x)
     bw = (u[0] * g[0][0] + u[1] * g[1][0]) * w[0] + (u[0] * g[0][1] + u[1] * g[1][1]) * w[1]
-    assert abs(bw) == sigma
+    if abs(bw) != sigma:
+        raise AssertionError(f"b(u, w) = {bw}, expected +-{sigma}")
     qw = g[0][0] * w[0] * w[0] + 2 * g[0][1] * w[0] * w[1] + g[1][1] * w[1] * w[1]
     return qw % (2 * sigma)
 

@@ -16,7 +16,7 @@ from typing import IO, Iterable
 
 from . import binforms
 from .curves import BNParams, curve_class, curve_square, exists_pencil
-from .model import DomainError
+from .model import DomainError, fraction_str
 from .walls import wall_test
 
 Gram = tuple[tuple[int, int], tuple[int, int]]
@@ -169,10 +169,6 @@ def classification_complete(k: int, epsilon: int) -> bool:
     return is_prime_power(k - 1 + 2 * epsilon)
 
 
-def _fraction_str(x: Fraction) -> str:
-    return f"{x.numerator}/{x.denominator}"
-
-
 def entry_record(entry: CatalogEntry) -> dict:
     gram = entry.gram
     return {
@@ -181,7 +177,7 @@ def entry_record(entry: CatalogEntry) -> dict:
         "p": entry.p,
         "delta": entry.delta,
         "gram": [gram[0][0], gram[0][1], gram[1][0], gram[1][1]],
-        "q_R": _fraction_str(entry.q_curve),
+        "q_R": fraction_str(entry.q_curve),
         "is_wall": entry.is_wall,
         "witness": list(entry.witness) if entry.witness is not None else None,
         "isometry_class_id": entry.class_id,

@@ -1,0 +1,160 @@
+"""Consistency checks shared by `wallkit scan` and the acceptance gates.
+
+A `Point` wraps one parameter set (epsilon, k, p, delta) and computes
+pencil existence, the curve square and the wall verdict at most once each,
+on first use, so a check that needs none of them costs none of them.
+
+`CHECKS` maps each check name to a function `point -> None | (ok, payload)`:
+`None` means the check does not apply at the point, and `payload` is a
+JSON-ready dict that `scan` copies into its record.
+"""
+
+from __future__ import annotations
+
+from functools import cached_property
+
+from .curves import (
+    BNParams,
+    SquareReport,
+    curve_class,
+    curve_square,
+    exists_pencil,
+    exists_pencil_via_rho,
+    minimal_square_bound,
+)
+from .model import (
+    DomainError,
+    exceptional_vector,
+    fraction_str,
+    moduli_dim,
+    moduli_vector,
+    mukai_pairing,
+    mukai_square,
+    sheaf_vector,
+)
+from .walls import WallVerdict, box_witnesses, wall_test
+
+# The box oracle is only run on spans with |disc| up to this limit.
+ORACLE_DISC_LIMIT = 200
+
+Result = tuple[bool, dict] | None
+
+
+class Point:
+    """One parameter set; pencil, square and verdict are computed lazily."""
+
+    def __init__(self, epsilon: int, k: int, p: int, delta: int) -> None:
+        self.params = BNParams(p, delta, k, epsilon)
+
+    @cached_property
+    def pencil(self) -> bool:
+        return exists_pencil(self.params)
+
+    @cached_property
+    def square(self) -> SquareReport:
+        return curve_square(self.params)
+
+    @cached_property
+    def verdict(self) -> WallVerdict:
+        return wall_test(curve_class(self.params), self.params.context())
+
+
+def _wall_square(pt: Point) -> Result:
+    """Wall verdict == (q(R) < 0) wherever the pencil exists."""
+    if not pt.pencil:
+        return None
+    q_r, is_wall = pt.square.value, pt.verdict.is_wall
+    return is_wall == (q_r < 0), {"q_R": fraction_str(q_r), "is_wall": is_wall}
+
+
+def _exists_routes(pt: Point) -> Result:
+    """Direct existence bound == Brill-Noether route."""
+    exists = pt.pencil
+    return exists == exists_pencil_via_rho(pt.params), {"exists": exists}
+
+
+def _square_forms(pt: Point) -> Result:
+    """Square formula == rho/beta rewrite, and beta lies in (-h, h]."""
+    report, h = pt.square, pt.params.half_div
+    ok = report.value == report.rewritten and -h < report.beta <= h
+    return ok, {"q_R": fraction_str(report.value)}
+
+
+def _dual_lattice(pt: Point) -> Result:
+    """q(w), b(w, v) and disc<v, w> match the saturation where q(R) < 0.
+
+    w is the closed-form complement (b/c)(v - e) + L - v in ambient
+    coordinates.  With h = k - 1 + 2*epsilon and n = g + k - 1 + epsilon,
+    b/c = n/(2h), v - e = (0, 0, -2h) and L - v = (-1, 1, h), so
+    w = (-1, 1, h - n).
+    """
+    if pt.square.value >= 0:
+        return None
+    prm = pt.params
+    w = (-1, 1, prm.half_div - (prm.g + prm.k - 1 + prm.epsilon))
+    v = moduli_vector(prm.context())
+    qw, bwv = mukai_square(w, prm.p), mukai_pairing(w, v, prm.p)
+    t = pt.verdict.t_gram
+    ok = (qw == 2 * prm.delta - 2 + 2 * prm.epsilon
+          and bwv == prm.g - prm.k + 1 - 3 * prm.epsilon
+          and t[0][0] * t[1][1] - t[0][1] * t[1][0]
+          == qw * mukai_square(v, prm.p) - bwv * bwv)
+    return ok, {}
+
+
+def _min_square(pt: Point) -> Result:
+    """Wherever the pencil exists, q(R) equals -(k+3-2e)/2 exactly at
+    p = a(a+1)h + e, delta = a(a-1)h; on walls q(R) is at least that bound."""
+    if not pt.pencil:
+        return None
+    prm, q_r = pt.params, pt.square.value
+    bound = minimal_square_bound(prm.k, prm.epsilon)
+    a, h = prm.alpha, prm.half_div
+    at_char = (prm.p == a * (a + 1) * h + prm.epsilon
+               and prm.delta == a * (a - 1) * h)
+    ok = (q_r == bound) == at_char
+    if not pt.verdict.is_wall:
+        return ok, {"is_wall": False}
+    return ok and q_r >= bound, {"is_wall": True, "q_R": fraction_str(q_r)}
+
+
+def _witness_oracle(pt: Point) -> Result:
+    """Witness enumeration == box oracle on spans with small |disc|."""
+    if not pt.pencil or pt.square.value >= 0:
+        return None
+    verdict = pt.verdict
+    g = verdict.t_gram
+    disc = g[0][0] * g[1][1] - g[0][1] * g[1][0]
+    if abs(disc) > ORACLE_DISC_LIMIT:
+        return None
+    slow = box_witnesses([list(r) for r in g], verdict.span.v_coords,
+                         pt.params.epsilon)
+    return (verdict.witnesses == tuple(slow),
+            {"disc": disc, "n_witnesses": len(verdict.witnesses)})
+
+
+def _moduli_dim(pt: Point) -> Result:
+    """moduli_dim == q(v) + 2 where that is >= 0 (DomainError otherwise),
+    and v + e, v - e are divisible by 2 and by q(v) in the rank-3 model."""
+    prm = pt.params
+    chi, vec = sheaf_vector(prm.p, prm.delta, prm.k, prm.epsilon)
+    expected = mukai_square(vec, prm.p) + 2
+    try:
+        ok = moduli_dim(prm.p, prm.delta, prm.k, prm.epsilon) == expected
+    except DomainError:
+        ok = expected < 0
+    ctx = prm.context()
+    ok = ok and all((a + b) % 2 == 0 and (a - b) % ctx.ek_div == 0
+                    for a, b in zip(moduli_vector(ctx), exceptional_vector(ctx)))
+    return ok, {"chi": chi}
+
+
+CHECKS = {
+    "wall-square": _wall_square,
+    "exists-routes": _exists_routes,
+    "square-forms": _square_forms,
+    "dual-lattice": _dual_lattice,
+    "min-square": _min_square,
+    "witness-oracle": _witness_oracle,
+    "moduli-dim": _moduli_dim,
+}

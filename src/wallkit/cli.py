@@ -12,11 +12,11 @@ import json
 import os
 import sys
 import traceback
-from fractions import Fraction
 from typing import IO, Iterator
 
 from . import catalog as catalog_mod
 from . import subvarieties as sub_mod
+from .checks import CHECKS, Point
 from .curves import (
     BNParams,
     bn_dims,
@@ -24,37 +24,13 @@ from .curves import (
     curve_square,
     dual_divisor,
     exists_pencil,
-    exists_pencil_via_rho,
-    minimal_square_bound,
 )
-from .model import (
-    DomainError,
-    SurfaceContext,
-    ambient_gram,
-    exceptional_vector,
-    moduli_dim,
-    moduli_vector,
-    mukai_pairing,
-    mukai_square,
-    sheaf_vector,
-)
-from .walls import (
-    WallVerdict,
-    box_witnesses,
-    enumerate_witnesses,
-    primitive_dual_divisor,
-    saturated_span,
-    wall_test,
-)
-
-
-def _frac(x) -> str:
-    f = Fraction(x)
-    return f"{f.numerator}/{f.denominator}"
+from .model import DomainError, fraction_str
+from .walls import WallVerdict, primitive_dual_divisor, wall_test
 
 
 def _divisor_json(d) -> dict:
-    return {"l": _frac(d.l), "e": _frac(d.e)}
+    return {"l": fraction_str(d.l), "e": fraction_str(d.e)}
 
 
 def _curve_json(c) -> dict:
@@ -86,7 +62,7 @@ def _descriptor_json(desc: sub_mod.SubvarietyDescriptor) -> dict:
         "base_dim": desc.base_dim,
         "total_dim": desc.total_dim,
         "line": _curve_json(desc.line_class),
-        "q_line": _frac(desc.line_square),
+        "q_line": fraction_str(desc.line_square),
         "p": desc.p,
         "k": desc.k,
         "epsilon": desc.epsilon,
@@ -134,12 +110,12 @@ def _cmd_wall_test(args) -> int:
     record = {
         "epsilon": args.epsilon, "k": args.k, "p": args.p, "delta": args.delta,
         "curve": _curve_json(curve_class(params)),
-        "q_R": _frac(curve_square(params).value),
+        "q_R": fraction_str(curve_square(params).value),
         "is_wall": verdict.is_wall,
         "branch": verdict.branch,
         "divisor": _divisor_json(verdict.divisor),
         "divisor_div": verdict.divisor_div,
-        "q_D": _frac(verdict.q_divisor),
+        "q_D": fraction_str(verdict.q_divisor),
         "t_gram": _flat_gram(verdict.t_gram) if verdict.t_gram else None,
         "witness": _witness_json(verdict),
     }
@@ -161,7 +137,7 @@ def _cmd_class(args) -> int:
         "dual_divisor": _divisor_json(dual_divisor(params)),
         "primitive_divisor": _divisor_json(primitive),
         "divisor_div": div,
-        "q_R": _frac(curve_square(params).value),
+        "q_R": fraction_str(curve_square(params).value),
     }
     with _open_output(args.output) as out:
         _emit(record, out)
@@ -185,8 +161,8 @@ def _cmd_square(args) -> int:
     params = BNParams(args.p, args.delta, args.k, args.epsilon)
     report = curve_square(params)
     record = {
-        "q_R": _frac(report.value),
-        "rewritten": _frac(report.rewritten),
+        "q_R": fraction_str(report.value),
+        "rewritten": fraction_str(report.rewritten),
         "minimal": report.minimal,
         "alpha": report.alpha,
         "beta": report.beta,
@@ -240,7 +216,7 @@ def _cmd_lagrangian(args) -> int:
     record = {
         "p": p,
         "delta": delta,
-        "q_R": _frac(desc.line_square),
+        "q_R": fraction_str(desc.line_square),
         "moduli_dim": desc.moduli_space_dim,
         "bound_satisfied": sub_mod.bundle_bound_holds(p, delta, args.k,
                                                       args.epsilon),
@@ -252,126 +228,6 @@ def _cmd_lagrangian(args) -> int:
 
 
 # ---------------------------------------------------------------- scans
-
-def _check_wall_square(epsilon, k, p, delta) -> dict | None:
-    params = BNParams(p, delta, k, epsilon)
-    if not exists_pencil(params):
-        return None
-    q_r = curve_square(params).value
-    verdict = wall_test(curve_class(params), params.context())
-    return {"q_R": _frac(q_r), "is_wall": verdict.is_wall,
-            "consistent": verdict.is_wall == (q_r < 0)}
-
-
-def _check_exists_routes(epsilon, k, p, delta) -> dict | None:
-    params = BNParams(p, delta, k, epsilon)
-    a, b = exists_pencil(params), exists_pencil_via_rho(params)
-    return {"exists": a, "consistent": a == b}
-
-
-def _check_square_forms(epsilon, k, p, delta) -> dict | None:
-    params = BNParams(p, delta, k, epsilon)
-    report = curve_square(params)
-    h = k - 1 + 2 * epsilon
-    ok = report.value == report.rewritten and -h < report.beta <= h
-    return {"q_R": _frac(report.value), "consistent": ok}
-
-
-def _span_basis_w(params: BNParams) -> tuple[tuple[int, int, int], int, int]:
-    """The closed-form complement w = (b/c)(v - e) + L - v with its square
-    and pairing against v, all in ambient coordinates.  With
-    h = k - 1 + 2*epsilon and n = g + k - 1 + epsilon, b/c = n/(2h),
-    v - e = (0, 0, -2h) and L - v = (-1, 1, h), so w = (-1, 1, h - n)."""
-    v = moduli_vector(params.context())
-    h = params.k - 1 + 2 * params.epsilon
-    w = (-1, 1, h - (params.g + params.k - 1 + params.epsilon))
-    return w, mukai_square(w, params.p), mukai_pairing(w, v, params.p)
-
-
-def _check_dual_lattice(epsilon, k, p, delta) -> dict | None:
-    params = BNParams(p, delta, k, epsilon)
-    if curve_square(params).value >= 0:
-        return None
-    ctx = params.context()
-    w, qw, bwv = _span_basis_w(params)
-    ok = (qw == 2 * delta - 2 + 2 * epsilon
-          and bwv == params.g - k + 1 - 3 * epsilon)
-    primitive, _ = primitive_dual_divisor(curve_class(params), ctx)
-    span = saturated_span(primitive, ctx)
-    g = span.gram
-    disc_span = g[0][0] * g[1][1] - g[0][1] * g[1][0]
-    qv = mukai_square(moduli_vector(ctx), p)
-    disc_w = qw * qv - bwv * bwv
-    ok = ok and disc_span == disc_w
-    return {"consistent": ok}
-
-
-def _check_min_square(epsilon, k, p, delta) -> dict | None:
-    params = BNParams(p, delta, k, epsilon)
-    if not exists_pencil(params):
-        return None
-    q_r = curve_square(params).value
-    verdict = wall_test(curve_class(params), params.context())
-    if not verdict.is_wall:
-        return {"is_wall": False, "consistent": True}
-    bound = minimal_square_bound(k, epsilon)
-    h = k - 1 + 2 * epsilon
-    alpha = params.alpha
-    at_char = (p == alpha * (alpha + 1) * h + epsilon
-               and delta == alpha * (alpha - 1) * h)
-    ok = q_r >= bound and (q_r == bound) == at_char
-    return {"is_wall": True, "q_R": _frac(q_r), "consistent": ok}
-
-
-def _check_witness_oracle(epsilon, k, p, delta, disc_limit=200) -> dict | None:
-    params = BNParams(p, delta, k, epsilon)
-    if not exists_pencil(params):
-        return None
-    if curve_square(params).value >= 0:
-        return None
-    ctx = params.context()
-    primitive, _ = primitive_dual_divisor(curve_class(params), ctx)
-    span = saturated_span(primitive, ctx)
-    g = span.gram
-    disc = g[0][0] * g[1][1] - g[0][1] * g[1][0]
-    if abs(disc) > disc_limit:
-        return None
-    gram = [list(r) for r in g]
-    fast = enumerate_witnesses(gram, span.v_coords, epsilon)
-    slow = box_witnesses(gram, span.v_coords, epsilon)
-    ok = fast == slow
-    return {"disc": disc, "n_witnesses": len(fast), "consistent": ok}
-
-
-def _check_moduli_dim(epsilon, k, p, delta) -> dict | None:
-    chi, vec = sheaf_vector(p, delta, k, epsilon)
-    expected = mukai_square(vec, p) + 2
-    if expected >= 0:
-        ok = moduli_dim(p, delta, k, epsilon) == expected
-    else:
-        try:
-            moduli_dim(p, delta, k, epsilon)
-            ok = False
-        except DomainError:
-            ok = True
-    ctx = SurfaceContext(epsilon, p, k)
-    v, e = moduli_vector(ctx), exceptional_vector(ctx)
-    half = tuple((v[i] + e[i]) % 2 for i in range(3))
-    frac = tuple((v[i] - e[i]) % ctx.ek_div for i in range(3))
-    ok = ok and not any(half) and not any(frac)
-    return {"chi": chi, "consistent": ok}
-
-
-_CHECKS = {
-    "wall-square": _check_wall_square,
-    "exists-routes": _check_exists_routes,
-    "square-forms": _check_square_forms,
-    "dual-lattice": _check_dual_lattice,
-    "min-square": _check_min_square,
-    "witness-oracle": _check_witness_oracle,
-    "moduli-dim": _check_moduli_dim,
-}
-
 
 def _scan_points(args) -> Iterator[tuple[int, int, int, int]]:
     e_lo, e_hi = _parse_range(args.epsilon, "epsilon")
@@ -397,32 +253,35 @@ def _scan_points(args) -> Iterator[tuple[int, int, int, int]]:
 
 def _cmd_scan(args) -> int:
     if args.check == "all":
-        names = list(_CHECKS)
-    elif args.check in _CHECKS:
+        names = list(CHECKS)
+    elif args.check in CHECKS:
         names = [args.check]
     else:
         raise DomainError(
             f"unknown check {args.check!r}; choose from "
-            f"{', '.join([*_CHECKS, 'all'])}")
+            f"{', '.join([*CHECKS, 'all'])}")
     with _open_output(args.output) as out:
         for epsilon, k, p, delta in _scan_points(args):
-            merged: dict = {}
-            consistent = True
-            applied = False
+            point = Point(epsilon, k, p, delta)
+            record: dict = {"epsilon": epsilon, "k": k, "p": p, "delta": delta}
+            applied, failed = False, []
             for name in names:
-                result = _CHECKS[name](epsilon, k, p, delta)
+                result = CHECKS[name](point)
                 if result is None:
                     continue
                 applied = True
-                consistent = consistent and result.pop("consistent")
+                ok, payload = result
+                if not ok:
+                    failed.append(name)
                 if len(names) == 1:
-                    merged.update(result)
+                    record.update(payload)
                 else:
-                    merged[name] = result or True
+                    record[name] = payload or True
             if not applied:
                 continue
-            record = {"epsilon": epsilon, "k": k, "p": p, "delta": delta,
-                      **merged, "consistent": consistent}
+            if failed:
+                record["failed"] = failed
+            record["consistent"] = not failed
             _emit(record, out)
     return 0
 

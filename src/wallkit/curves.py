@@ -139,8 +139,10 @@ def curve_square(params: BNParams) -> SquareReport:
                and params.delta == a * (a - 1) * half)
     # The bound is attained exactly at the parameters above, provided the
     # pencil exists; without existence the value can touch the bound anyway.
-    if exists_pencil(params):
-        assert minimal == (value == minimal_square_bound(params.k, eps))
+    if exists_pencil(params) and minimal != (
+            value == minimal_square_bound(params.k, eps)):
+        raise AssertionError(f"minimality flag {minimal} disagrees with "
+                             f"the bound at {params}: {value}")
     return SquareReport(value, rewritten, minimal, a, b, rho)
 
 

@@ -29,6 +29,12 @@ class DomainError(ValueError):
     """Input violates an operation's contract (maps to CLI exit code 2)."""
 
 
+def fraction_str(x) -> str:
+    """Exact "num/den" text of a rational, as written in every JSON record."""
+    f = Fraction(x)
+    return f"{f.numerator}/{f.denominator}"
+
+
 @dataclass(frozen=True)
 class SurfaceContext:
     epsilon: int
@@ -152,5 +158,6 @@ def moduli_dim(p: int, delta: int, k: int, epsilon: int) -> int:
     if dim < 0:
         raise DomainError(
             f"moduli space is empty: 2p - 4*chi + 8(1 - epsilon) = {dim} < 0")
-    assert dim == mukai_square(vec, p) + 2
+    if dim != mukai_square(vec, p) + 2:
+        raise AssertionError(f"moduli dimension {dim} != q(v) + 2 at {vec}")
     return dim

@@ -33,8 +33,9 @@ class SubvarietyDescriptor:
     moduli_space_dim: int | None = None
 
     def __post_init__(self) -> None:
-        assert self.total_dim == self.fiber_dim + self.base_dim
-        assert self.total_dim + self.codim == 2 * self.k
+        if (self.total_dim != self.fiber_dim + self.base_dim
+                or self.total_dim + self.codim != 2 * self.k):
+            raise AssertionError(f"inconsistent dimensions in {self}")
 
 
 def _validate(p: int, k: int, epsilon: int) -> None:
@@ -70,7 +71,9 @@ def bundle_locus(p: int, delta: int, k: int,
     params = BNParams(p, delta, k, epsilon)
     line = curve_class(params)
     # base accounts for the nodes and (epsilon=1) the Albanese correction
-    assert base == moduli_dim(p, delta, k, epsilon) + 2 * delta - 2 * epsilon
+    if base != moduli_dim(p, delta, k, epsilon) + 2 * delta - 2 * epsilon:
+        raise AssertionError(f"bundle base dimension {base} disagrees with "
+                             f"the moduli dimension at {params}")
     return SubvarietyDescriptor(
         source="proj_bundle", codim=r, fiber_dim=r, base_dim=base,
         total_dim=2 * k - r, line_class=line,
@@ -146,9 +149,11 @@ def lagrangian_plane(k: int, epsilon: int) -> tuple[int, int, SubvarietyDescript
     _validate(p, k, epsilon)
     params = BNParams(p, delta, k, epsilon)
     report = curve_square(params)
-    assert report.value == minimal_square_bound(k, epsilon) and report.minimal
+    if report.value != minimal_square_bound(k, epsilon) or not report.minimal:
+        raise AssertionError(f"curve square is not minimal at {params}")
     dim_m = moduli_dim(p, delta, k, epsilon)
-    assert dim_m == 2 * epsilon
+    if dim_m != 2 * epsilon:
+        raise AssertionError(f"moduli dimension {dim_m} != {2 * epsilon}")
     desc = SubvarietyDescriptor(
         source="proj_bundle", codim=k, fiber_dim=k, base_dim=0,
         total_dim=k, line_class=curve_class(params),

@@ -143,15 +143,11 @@ def _check_span_signature(gram: Gram2, v: tuple[int, int]) -> int:
     return qv
 
 
-def _line_solutions(c: tuple[int, int], n: int,
-                    gram: Gram2) -> tuple[tuple[int, int], tuple[int, int]]:
-    """Particular solution s0 of b(s, v) = n and the primitive direction u
-    of the solution line (b(u, v) = 0)."""
+def _line_start(c: tuple[int, int], n: int) -> tuple[int, int]:
+    """Particular solution s0 of b(s, v) = n, where c = b(-, v)."""
     d, x0, y0 = xgcd(c[0], c[1])
     m = n // d
-    s0 = (x0 * m, y0 * m)
-    u = (-(c[1] // d), c[0] // d)
-    return s0, u
+    return x0 * m, y0 * m
 
 
 def _q_of(gram: Gram2, s: tuple[int, int]) -> int:
@@ -182,14 +178,17 @@ def enumerate_witnesses(gram: Gram2, v: tuple[int, int],
     qv = _check_span_signature(gram, v)
     c = _pairing_with(gram, v)
     d = gcd(c[0], c[1])
+    # Every solution line of b(s, v) = n runs along the same primitive u.
+    u = (-(c[1] // d), c[0] // d)
+    qu = _q_of(gram, u)
+    if qu >= 0:
+        raise AssertionError(f"q(u) = {qu} must be negative on v-perp")
     found: list[Witness] = []
 
     for n in range(1, qv):
         if n % d:
             continue
-        s0, u = _line_solutions(c, n, gram)
-        qu = _q_of(gram, u)
-        assert qu < 0
+        s0 = _line_start(c, n)
         b0 = sum(s0[i] * gram[i][j] * u[j] for i in range(2) for j in range(2))
         q0 = _q_of(gram, s0)
         lo, hi = max(0, 2 * n - qv), n - 1
@@ -205,8 +204,7 @@ def enumerate_witnesses(gram: Gram2, v: tuple[int, int],
         for n in range(0, qv // 2 + 1):
             if n % d:
                 continue
-            s0, u = _line_solutions(c, n, gram)
-            qu = _q_of(gram, u)
+            s0 = _line_start(c, n)
             b0 = sum(s0[i] * gram[i][j] * u[j]
                      for i in range(2) for j in range(2))
             q0 = _q_of(gram, s0)

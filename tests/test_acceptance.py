@@ -2,8 +2,11 @@
 
 Each criterion sweeps its full parameter grid with exact arithmetic,
 prints one PASS/FAIL gate line, and the wrapping test asserts the
-expected verdict.  Two gates are expected to FAIL, and their failure
-patterns are pinned down exactly so any drift is caught:
+expected verdict and the exact detail text of that line.  Criteria 1, 3-7
+and 10 run the consistency checks of `wallkit.checks`, the same ones
+`wallkit scan` runs, and keep only their own counts and pins.  Two gates
+are expected to FAIL, and their failure patterns are pinned down exactly
+so any drift is caught:
 
 * Criterion 2: the delta-shifted lattice family [[2d-2+2e, h], [h, 2h]]
   taken at fixed p = 2k-2+5e matches the computed saturation only at
@@ -21,36 +24,28 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from functools import cache
 
 from wallkit import (
     BNParams,
     DomainError,
     SurfaceContext,
-    box_witnesses,
     bundle_bound_holds,
     bundle_locus,
     chi_value,
     curve_class,
     curve_square,
-    enumerate_witnesses,
-    exceptional_vector,
-    exists_pencil,
-    exists_pencil_via_rho,
     generate_catalog,
     lagrangian_plane,
     minimal_square_bound,
     moduli_dim,
-    moduli_vector,
-    mukai_pairing,
-    mukai_square,
     nodal_family_loci,
     primitive_dual_divisor,
     realize_gram,
     saturated_span,
     seed_lattice,
-    sheaf_vector,
-    wall_test,
 )
+from wallkit.checks import CHECKS, Point
 
 EPS_RANGE = (0, 1)
 K_RANGE = range(2, 9)
@@ -58,10 +53,32 @@ P_MAX = 40
 
 GATE_LINES: list[str] = []
 
-_EXPECTED = {1: True, 2: False, 3: True, 4: True, 5: True, 6: True,
-             7: True, 8: True, 9: True, 10: True, 11: False}
-
-_GRID: list | None = None
+_EXPECTED = {
+    1: (True, "wall verdict == (q(R) < 0) at all 7750 admissible grid points "
+              "(446 walls), no exceptions"),
+    2: (False, "fixed-p delta-shifted family matches saturation only at "
+               "delta=0 (96/96 delta>=1 points differ, true off-diagonal "
+               "h-delta); fixed-genus variant matches 16/16"),
+    3: (True, "q(R) >= -(k+3-2e)/2 on all 446 walls; equality exactly at the "
+              "31 points p=a(a+1)h+e, delta=a(a-1)h"),
+    4: (True, "direct bound == Brill-Noether route at all 11466 grid points"),
+    5: (True, "square formula == rho/beta rewrite and beta in (-h, h] at all "
+              "11466 grid points"),
+    6: (True, "q(w), b(w,v) and disc<v,w> match the saturation at all 446 "
+              "negative-square points"),
+    7: (True, "witness enumeration == box oracle (bit and full set) on all "
+              "122 lattices with |disc| <= 200"),
+    8: (True, "all 338 entries verify (56 walls, 282 flagged nonnegative); "
+              "realize_gram inverts 100 samples"),
+    9: (True, "all 327 nodal loci map via k' = p-5e-3d+2-r to a bundle locus "
+              "with the same r and line coefficient"),
+    10: (True, "moduli_dim == q(v)+2 (8232 defined of 11466 points, "
+               "DomainError otherwise); half-sum integrality holds; "
+               "dim M == 2e at p=2(k-1)+5e"),
+    11: (False, "chi == delta+k+1 and q(R) == -(k+3-2e)/2 at all 18 points, "
+                "but the bundle-existence bound fails at exactly "
+                "(k, epsilon) = (2, 1) where chi = 3 < 4"),
+}
 
 
 def _gate(n: int, ok: bool, detail: str) -> None:
@@ -78,32 +95,27 @@ def _raises_domain_error(fn) -> bool:
     return False
 
 
-def _full_points():
-    for eps in EPS_RANGE:
-        for k in K_RANGE:
-            for p in range(2, P_MAX + 1):
-                for delta in range(0, p - 2 * eps + 1):
-                    yield eps, k, p, delta
+@cache
+def _points() -> list[Point]:
+    """Every grid point, each computing its pencil, square and verdict once."""
+    return [Point(eps, k, p, delta)
+            for eps in EPS_RANGE for k in K_RANGE
+            for p in range(2, P_MAX + 1)
+            for delta in range(0, p - 2 * eps + 1)]
 
 
-def _grid() -> list:
-    """All admissible points (pencil exists) with square report and verdict."""
-    global _GRID
-    if _GRID is None:
-        rows = []
-        for eps in EPS_RANGE:
-            for k in K_RANGE:
-                for p in range(2, P_MAX + 1):
-                    ctx = SurfaceContext(eps, p, k)
-                    for delta in range(0, p - 2 * eps + 1):
-                        params = BNParams(p, delta, k, eps)
-                        if not exists_pencil(params):
-                            continue
-                        rep = curve_square(params)
-                        verdict = wall_test(curve_class(params), ctx)
-                        rows.append((eps, k, p, delta, params, rep, verdict))
-        _GRID = rows
-    return _GRID
+@cache
+def _grid() -> list[Point]:
+    """The admissible grid points: those where the pencil exists."""
+    return [pt for pt in _points() if pt.pencil]
+
+
+def _applies(name: str, pt: Point) -> bool:
+    """Run one shared check; it must hold wherever it applies."""
+    result = CHECKS[name](pt)
+    if result is not None:
+        assert result[0], (name, pt.params)
+    return result is not None
 
 
 def _span_gram(p: int, delta: int, k: int, eps: int):
@@ -115,10 +127,8 @@ def _span_gram(p: int, delta: int, k: int, eps: int):
 
 def _criterion_1() -> tuple[bool, str]:
     rows = _grid()
-    walls = 0
-    for eps, k, p, delta, params, rep, verdict in rows:
-        assert verdict.is_wall == (rep.value < 0), (eps, k, p, delta)
-        walls += verdict.is_wall
+    assert all(_applies("wall-square", pt) for pt in rows)
+    walls = sum(pt.verdict.is_wall for pt in rows)
     assert len(rows) == 7750 and walls == 446
     return True, (f"wall verdict == (q(R) < 0) at all {len(rows)} admissible "
                   f"grid points ({walls} walls), no exceptions")
@@ -206,81 +216,40 @@ def _criterion_2() -> tuple[bool, str]:
 
 
 def _criterion_3() -> tuple[bool, str]:
-    equality = 0
-    for eps, k, p, delta, params, rep, verdict in _grid():
-        h = k - 1 + 2 * eps
-        bound = minimal_square_bound(k, eps)
-        if verdict.is_wall:
-            assert rep.value >= bound, (eps, k, p, delta)
-        a = params.alpha
-        characterized = (p == a * (a + 1) * h + eps
-                         and delta == a * (a - 1) * h)
-        assert (rep.value == bound) == characterized, (eps, k, p, delta)
-        equality += characterized
+    assert all(_applies("min-square", pt) for pt in _grid())
+    equality = sum(pt.square.minimal for pt in _grid())
     return True, (f"q(R) >= -(k+3-2e)/2 on all 446 walls; equality exactly "
                   f"at the {equality} points p=a(a+1)h+e, delta=a(a-1)h")
 
 
 def _criterion_4() -> tuple[bool, str]:
-    n = 0
-    for eps, k, p, delta in _full_points():
-        params = BNParams(p, delta, k, eps)
-        assert exists_pencil(params) == exists_pencil_via_rho(params), \
-            (eps, k, p, delta)
-        n += 1
+    n = sum(_applies("exists-routes", pt) for pt in _points())
     return True, f"direct bound == Brill-Noether route at all {n} grid points"
 
 
 def _criterion_5() -> tuple[bool, str]:
-    n = 0
-    for eps, k, p, delta in _full_points():
-        params = BNParams(p, delta, k, eps)
-        rep = curve_square(params)
-        h = k - 1 + 2 * eps
-        assert rep.value == rep.rewritten, (eps, k, p, delta)
-        assert -h < rep.beta <= h, (eps, k, p, delta)
-        n += 1
+    n = sum(_applies("square-forms", pt) for pt in _points())
     return True, (f"square formula == rho/beta rewrite and beta in (-h, h] "
                   f"at all {n} grid points")
 
 
 def _criterion_6() -> tuple[bool, str]:
-    n = 0
-    for eps, k, p, delta, params, rep, verdict in _grid():
-        if rep.value >= 0:
-            continue
-        h = k - 1 + 2 * eps
-        g = p - delta
-        w = (-1, 1, h - (g + k - 1 + eps))
-        v = (1, 0, -h)
-        assert mukai_square(w, p) == 2 * delta - 2 + 2 * eps, (eps, k, p, delta)
-        assert mukai_pairing(w, v, p) == g - k + 1 - 3 * eps, (eps, k, p, delta)
-        t = verdict.t_gram
-        disc_span = t[0][0] * t[1][1] - t[0][1] ** 2
-        disc_vw = mukai_square(w, p) * 2 * h - mukai_pairing(w, v, p) ** 2
-        assert disc_vw == disc_span, (eps, k, p, delta)
-        n += 1
+    n = sum(_applies("dual-lattice", pt) for pt in _grid())
     assert n == 446
     return True, (f"q(w), b(w,v) and disc<v,w> match the saturation at all "
                   f"{n} negative-square points")
 
 
 def _criterion_7() -> tuple[bool, str]:
+    # One grid point per distinct span lattice.
     spans = {}
-    for eps, k, p, delta, params, rep, verdict in _grid():
-        if verdict.span is None:
-            continue
-        t = verdict.t_gram
-        if abs(t[0][0] * t[1][1] - t[0][1] ** 2) > 200:
-            continue
-        spans.setdefault((eps, t), verdict.span)
-    for (eps, t), span in spans.items():
-        fast = enumerate_witnesses(span.gram, span.v_coords, eps)
-        slow = box_witnesses(span.gram, span.v_coords, eps)
-        assert fast == slow, (eps, t)
-    assert len(spans) == 122
+    for pt in _grid():
+        if pt.verdict.span is not None:
+            spans.setdefault((pt.params.epsilon, pt.verdict.t_gram), pt)
+    n = sum(_applies("witness-oracle", pt) for pt in spans.values())
+    assert n == 122
     return True, (f"witness enumeration == box oracle (bit and full set) on "
-                  f"all {len(spans)} lattices with |disc| <= 200")
+                  f"all {n} lattices with |disc| <= 200")
 
 
 def _criterion_8() -> tuple[bool, str]:
@@ -327,29 +296,19 @@ def _criterion_9() -> tuple[bool, str]:
 
 
 def _criterion_10() -> tuple[bool, str]:
-    n = defined = 0
+    points = _points()
+    assert all(_applies("moduli-dim", pt) for pt in points)
+    defined = 0
+    for pt in points:
+        prm = pt.params
+        defined += not _raises_domain_error(
+            lambda: moduli_dim(prm.p, prm.delta, prm.k, prm.epsilon))
     for eps in EPS_RANGE:
         for k in K_RANGE:
-            for p in range(2, P_MAX + 1):
-                ctx = SurfaceContext(eps, p, k)
-                v, e = moduli_vector(ctx), exceptional_vector(ctx)
-                assert all((a + b) % 2 == 0 for a, b in zip(v, e))
-                assert all((a - b) % ctx.ek_div == 0 for a, b in zip(v, e))
-                for delta in range(0, p - 2 * eps + 1):
-                    chi, vec = sheaf_vector(p, delta, k, eps)
-                    want = mukai_square(vec, p) + 2
-                    n += 1
-                    if want < 0:
-                        assert _raises_domain_error(
-                            lambda: moduli_dim(p, delta, k, eps))
-                        continue
-                    assert moduli_dim(p, delta, k, eps) == want
-                    defined += 1
-            p_lag = 2 * (k - 1) + 5 * eps
-            assert moduli_dim(p_lag, 0, k, eps) == 2 * eps
-    return True, (f"moduli_dim == q(v)+2 ({defined} defined of {n} points, "
-                  f"DomainError otherwise); half-sum integrality holds; "
-                  f"dim M == 2e at p=2(k-1)+5e")
+            assert moduli_dim(2 * (k - 1) + 5 * eps, 0, k, eps) == 2 * eps
+    return True, (f"moduli_dim == q(v)+2 ({defined} defined of {len(points)} "
+                  f"points, DomainError otherwise); half-sum integrality "
+                  f"holds; dim M == 2e at p=2(k-1)+5e")
 
 
 def _criterion_11() -> tuple[bool, str]:
@@ -370,83 +329,65 @@ def _criterion_11() -> tuple[bool, str]:
                    "(k, epsilon) = (2, 1) where chi = 3 < 4")
 
 
+def _verdict(n: int) -> tuple[bool, str]:
+    ok, detail = globals()[f"_criterion_{n}"]()
+    _gate(n, ok, detail)
+    return ok, detail
+
+
 def test_criterion_01_flagship_equivalence():
-    ok, detail = _criterion_1()
-    _gate(1, ok, detail)
-    assert ok is _EXPECTED[1]
+    assert _verdict(1) == _EXPECTED[1]
 
 
 def test_criterion_02_lattice_families():
-    ok, detail = _criterion_2()
-    _gate(2, ok, detail)
-    assert ok is _EXPECTED[2]
+    assert _verdict(2) == _EXPECTED[2]
 
 
 def test_criterion_03_minimal_square_bound():
-    ok, detail = _criterion_3()
-    _gate(3, ok, detail)
-    assert ok is _EXPECTED[3]
+    assert _verdict(3) == _EXPECTED[3]
 
 
 def test_criterion_04_existence_routes():
-    ok, detail = _criterion_4()
-    _gate(4, ok, detail)
-    assert ok is _EXPECTED[4]
+    assert _verdict(4) == _EXPECTED[4]
 
 
 def test_criterion_05_square_rewrite():
-    ok, detail = _criterion_5()
-    _gate(5, ok, detail)
-    assert ok is _EXPECTED[5]
+    assert _verdict(5) == _EXPECTED[5]
 
 
 def test_criterion_06_span_basis_identities():
-    ok, detail = _criterion_6()
-    _gate(6, ok, detail)
-    assert ok is _EXPECTED[6]
+    assert _verdict(6) == _EXPECTED[6]
 
 
 def test_criterion_07_witness_oracle():
-    ok, detail = _criterion_7()
-    _gate(7, ok, detail)
-    assert ok is _EXPECTED[7]
+    assert _verdict(7) == _EXPECTED[7]
 
 
 def test_criterion_08_catalog_round_trip():
-    ok, detail = _criterion_8()
-    _gate(8, ok, detail)
-    assert ok is _EXPECTED[8]
+    assert _verdict(8) == _EXPECTED[8]
 
 
 def test_criterion_09_nodal_bundle_mapping():
-    ok, detail = _criterion_9()
-    _gate(9, ok, detail)
-    assert ok is _EXPECTED[9]
+    assert _verdict(9) == _EXPECTED[9]
 
 
 def test_criterion_10_moduli_consistency():
-    ok, detail = _criterion_10()
-    _gate(10, ok, detail)
-    assert ok is _EXPECTED[10]
+    assert _verdict(10) == _EXPECTED[10]
 
 
 def test_criterion_11_lagrangian_detection():
-    ok, detail = _criterion_11()
-    _gate(11, ok, detail)
-    assert ok is _EXPECTED[11]
+    assert _verdict(11) == _EXPECTED[11]
 
 
 def _run_all() -> int:
     status = 0
     for n in sorted(_EXPECTED):
-        fn = globals()[f"_criterion_{n}"]
         try:
-            ok, detail = fn()
+            result = _verdict(n)
         except Exception as exc:
-            ok, detail = False, f"internal error: {exc!r}"
-        _gate(n, ok, detail)
-        if ok is not _EXPECTED[n]:
-            status = 1
+            result = False, f"internal error: {exc!r}"
+            _gate(n, *result)
+        status |= result != _EXPECTED[n]
     return status
 
 

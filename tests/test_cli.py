@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+from wallkit import checks
 from wallkit.cli import main
 
 
@@ -176,15 +177,35 @@ def test_scan_streaming_order_and_consistency(capsys):
     assert all(r["consistent"] for r in recs)
 
 
-def test_scan_single_point_all_checks(capsys):
-    rc, out, _ = _run(capsys, "scan", "--epsilon", "1", "--k", "2",
-                      "--p", "7", "--delta", "0", "--check", "all")
+def test_scan_single_point_all_checks(capsys, monkeypatch):
+    argv = ("scan", "--epsilon", "1", "--k", "2", "--p", "7", "--delta", "0",
+            "--check", "all")
+    rc, out, _ = _run(capsys, *argv)
     assert rc == 0
     (rec,) = _records(out)
-    assert rec["consistent"] is True
+    assert rec["consistent"] is True and "failed" not in rec
     for name in ("wall-square", "exists-routes", "square-forms",
                  "dual-lattice", "min-square", "witness-oracle", "moduli-dim"):
         assert name in rec
+
+    monkeypatch.setitem(checks.CHECKS, "dual-lattice", lambda pt: (False, {}))
+    rc, out, _ = _run(capsys, *argv)
+    assert rc == 0
+    (rec,) = _records(out)
+    assert rec["failed"] == ["dual-lattice"] and rec["consistent"] is False
+    assert list(rec)[-2:] == ["failed", "consistent"]
+
+
+def test_scan_computes_only_what_the_check_needs(capsys, monkeypatch):
+    def no_wall_test(*args, **kwargs):
+        raise RuntimeError("wall_test called")
+
+    monkeypatch.setattr(checks, "wall_test", no_wall_test)
+    argv = ("scan", "--epsilon", "0..1", "--k", "2..3", "--p", "2..8")
+    rc, out, err = _run(capsys, *argv, "--check", "exists-routes")
+    assert rc == 0 and err == "" and _records(out)
+    rc, _, err = _run(capsys, *argv, "--check", "wall-square")
+    assert rc == 1 and "wall_test called" in err
 
 
 def test_scan_skips_points_without_pencils(capsys):
