@@ -172,6 +172,11 @@ def rank2_isometric(g1: Gram, g2: Gram) -> bool:
     return canonical_form(g1) == canonical_form(g2)
 
 
+def form_id(form: tuple) -> str:
+    """String identifier of a canonical form, as returned by class_id."""
+    return ":".join(str(part) for part in form)
+
+
 def class_id(g: Gram) -> str:
     """Stable string identifier for the isometry class of a Gram matrix."""
-    return ":".join(str(part) for part in canonical_form(g))
+    return form_id(canonical_form(g))

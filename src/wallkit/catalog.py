@@ -58,21 +58,20 @@ def genus_move(gram: Gram, p: int, delta: int) -> tuple[Gram, int, int]:
     return ((a, b - 1), (b - 1, c)), p - 1, delta
 
 
-def _entry_for(gram: Gram, p: int, delta: int, k: int,
-               epsilon: int) -> CatalogEntry:
-    params = BNParams(p, delta, k, epsilon)
+def _entry_for(params: BNParams, gram: Gram,
+               form: tuple | None) -> CatalogEntry:
+    """Entry of a state whose canonical form (None: degenerate) is known.
+
+    A wall entry is verified when its saturation has the same canonical
+    form as the move-generated gram, i.e. when the two are isometric.
+    """
     q_r = curve_square(params).value
-    try:
-        class_id = binforms.class_id([list(r) for r in gram])
-    except binforms.DegenerateFormError:
-        class_id = None
+    class_id = binforms.form_id(form) if form is not None else None
+    k, epsilon, p, delta = params.k, params.epsilon, params.p, params.delta
     if q_r < 0:
         verdict = wall_test(curve_class(params), params.context())
-        verified = (verdict.is_wall
-                    and verdict.t_gram is not None
-                    and binforms.rank2_isometric(
-                        [list(r) for r in verdict.t_gram],
-                        [list(r) for r in gram]))
+        verified = (verdict.is_wall and binforms.canonical_form(
+            [list(r) for r in verdict.t_gram]) == form)
         return CatalogEntry(epsilon, k, p, delta, gram, q_r,
                             verdict.is_wall, verdict.witness_ambient,
                             class_id, verified)
@@ -107,18 +106,23 @@ def generate_catalog(k: int, epsilon: int, p_min: int = 2,
         gram, p, _ = genus_move(gram, p, 0)
     states.sort(key=lambda s: (s[2], -s[1]))
 
+    # A state is classified before its entry is built, so a state whose
+    # isometry class is already listed costs no square and no wall test.
     entries: list[CatalogEntry] = []
     seen: set = set()
     for g, pp, d in states:
-        if not exists_pencil(BNParams(pp, d, k, epsilon)):
+        params = BNParams(pp, d, k, epsilon)
+        if not exists_pencil(params):
             continue
-        entry = _entry_for(g, pp, d, k, epsilon)
-        key = entry.class_id if entry.class_id is not None \
-            else ("degenerate", entry.gram)
+        try:
+            form = binforms.canonical_form([list(r) for r in g])
+        except binforms.DegenerateFormError:
+            form = None
+        key = form if form is not None else ("degenerate", g)
         if key in seen:
             continue
         seen.add(key)
-        entries.append(entry)
+        entries.append(_entry_for(params, g, form))
     return entries
 
 

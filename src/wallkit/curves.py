@@ -123,27 +123,33 @@ def minimal_square_bound(k: int, epsilon: int) -> Fraction:
 
 
 def curve_square(params: BNParams) -> SquareReport:
-    """Exact square of curve_class(params) in its two equivalent forms."""
-    n = params.g + params.k - 1 + params.epsilon
-    denom = 2 * params.half_div
-    value = 2 * (params.p - 1) - Fraction(n * n, denom)
+    """Exact square of curve_class(params) in its two equivalent forms.
+
+    Both forms are computed as integer numerators over the common
+    denominator 2h (h = half_div) and compared as integers; one Fraction
+    is built, at the end, and serves as both.
+    """
+    h, eps = params.half_div, params.epsilon
+    denom = 2 * h
+    n = params.g + params.k - 1 + eps
+    value = 2 * (params.p - 1) * denom - n * n
     a, b, rho = params.alpha, params.beta, params.rho
-    eps = params.epsilon
-    rewritten = (2 * (rho + eps * a * (a + 2) + eps - 1)
-                 - Fraction(b * b, denom))
+    rewritten = 2 * (rho + eps * a * (a + 2) + eps - 1) * denom - b * b
     if value != rewritten:
         raise AssertionError(
-            f"square formulas disagree at {params}: {value} != {rewritten}")
-    half = params.half_div
-    minimal = (params.p == a * (a + 1) * half + eps
-               and params.delta == a * (a - 1) * half)
+            f"square formulas disagree at {params}: "
+            f"{Fraction(value, denom)} != {Fraction(rewritten, denom)}")
+    minimal = (params.p == a * (a + 1) * h + eps
+               and params.delta == a * (a - 1) * h)
     # The bound is attained exactly at the parameters above, provided the
     # pencil exists; without existence the value can touch the bound anyway.
+    # Over 2h the bound -(k + 3 - 2*epsilon)/2 reads -(k + 3 - 2*epsilon)*h.
     if exists_pencil(params) and minimal != (
-            value == minimal_square_bound(params.k, eps)):
+            value == -(params.k + 3 - 2 * eps) * h):
         raise AssertionError(f"minimality flag {minimal} disagrees with "
-                             f"the bound at {params}: {value}")
-    return SquareReport(value, rewritten, minimal, a, b, rho)
+                             f"the bound at {params}: {Fraction(value, denom)}")
+    square = Fraction(value, denom)
+    return SquareReport(square, square, minimal, a, b, rho)
 
 
 def is_wall_by_square(params: BNParams) -> bool:

@@ -23,7 +23,6 @@ from .model import (
     DomainError,
     SurfaceContext,
     divisor_divisibility,
-    embed_divisor,
     moduli_vector,
 )
 
@@ -72,6 +71,11 @@ class WallVerdict:
         return self.span.gram if self.span is not None else None
 
 
+def _square(a: int, b: int, ctx: SurfaceContext) -> int:
+    """q(a*L + b*e) for integers a, b."""
+    return a * a * ctx.l_square - b * b * ctx.ek_div
+
+
 def primitive_dual_divisor(curve: CurveClass,
                            ctx: SurfaceContext) -> tuple[DivisorClass, int]:
     """Primitive integral divisor class D proportional to the curve class,
@@ -80,7 +84,7 @@ def primitive_dual_divisor(curve: CurveClass,
     if x == 0 and y == 0:
         raise DomainError("curve class must be nonzero")
     g = gcd(ctx.ek_div * x, y)
-    d = DivisorClass(Fraction(ctx.ek_div * x, g), Fraction(y, g))
+    d = DivisorClass(ctx.ek_div * x // g, y // g)
     return d, divisor_divisibility(d, ctx)
 
 
@@ -99,14 +103,22 @@ def saturated_span(divisor: DivisorClass, ctx: SurfaceContext) -> SpanLattice:
     v - w), the candidate with the lexicographically smaller (w[1], w[0])
     is returned.
     """
-    if divisor.square(ctx) >= 0:
+    if not divisor.is_integral:
         raise DomainError(
-            f"wall test needs q(D) < 0, got q(D) = {divisor.square(ctx)}")
+            f"divisor class must be integral to embed (got {divisor})")
+    a, b = divisor.l.numerator, divisor.e.numerator
+    q_d = _square(a, b, ctx)
+    if q_d >= 0:
+        raise DomainError(f"wall test needs q(D) < 0, got q(D) = {q_d}")
+    return _saturate(a, b, ctx)
+
+
+def _saturate(a: int, b: int, ctx: SurfaceContext) -> SpanLattice:
+    """Closed form of saturated_span for D = a*L + b*e with q(D) < 0."""
     v = moduli_vector(ctx)
-    b_e, a, _ = embed_divisor(divisor, ctx)
     qv = ctx.ek_div
-    index = gcd(a, b_e * qv)
-    w0 = (0, a // index, b_e * qv // index)
+    index = gcd(a, b * qv)
+    w0 = (0, a // index, b * qv // index)
     # b(w0, v) = -w0[2]; shift by t*v, t = -floor(b(w0, v) / q(v)).
     b_red = -w0[2] % qv
     t = (b_red + w0[2]) // qv
@@ -280,11 +292,12 @@ def wall_test(obj: CurveClass | DivisorClass, ctx: SurfaceContext,
     else:
         divisor = primitive_integral_divisor(obj, ctx)
         div = divisor_divisibility(divisor, ctx)
-    q_d = divisor.square(ctx)
+    a, b = divisor.l.numerator, divisor.e.numerator
+    q_d = _square(a, b, ctx)
     if q_d >= 0:
-        return WallVerdict(False, "nonnegative-square", divisor, div, q_d,
-                           None, (), None)
-    span = saturated_span(divisor, ctx)
+        return WallVerdict(False, "nonnegative-square", divisor, div,
+                           Fraction(q_d), None, (), None)
+    span = _saturate(a, b, ctx)
     gram = [list(r) for r in span.gram]
     witnesses = tuple(enumerate_witnesses(gram, span.v_coords, ctx.epsilon))
     agrees = None
@@ -297,5 +310,5 @@ def wall_test(obj: CurveClass | DivisorClass, ctx: SurfaceContext,
         ambient = tuple(s[0] * span.basis[0][i] + s[1] * span.basis[1][i]
                         for i in range(3))
     branch = witnesses[0].branch if witnesses else None
-    return WallVerdict(bool(witnesses), branch, divisor, div, q_d, span,
-                       witnesses, ambient, agrees)
+    return WallVerdict(bool(witnesses), branch, divisor, div, Fraction(q_d),
+                       span, witnesses, ambient, agrees)

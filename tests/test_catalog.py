@@ -9,8 +9,9 @@ import random
 
 import pytest
 
-from wallkit.binforms import rank2_isometric
+from wallkit.binforms import DegenerateFormError, class_id, rank2_isometric
 from wallkit.catalog import (
+    CatalogEntry,
     classification_complete,
     delta_move,
     entry_record,
@@ -21,7 +22,14 @@ from wallkit.catalog import (
     realize_gram,
     seed_lattice,
 )
+from wallkit.curves import (
+    BNParams,
+    curve_class,
+    curve_square,
+    exists_pencil,
+)
 from wallkit.model import DomainError
+from wallkit.walls import wall_test
 
 
 def test_seed_examples():
@@ -211,3 +219,75 @@ def test_catalog_grams_are_pairwise_distinct_up_to_isometry():
         for b in nondeg[i + 1:]:
             assert not rank2_isometric(
                 [list(r) for r in a.gram], [list(r) for r in b.gram])
+
+
+def _reference_entry(gram, params):
+    q_r = curve_square(params).value
+    try:
+        cid = class_id([list(r) for r in gram])
+    except DegenerateFormError:
+        cid = None
+    if q_r < 0:
+        verdict = wall_test(curve_class(params), params.context())
+        verified = (verdict.is_wall
+                    and verdict.t_gram is not None
+                    and rank2_isometric([list(r) for r in verdict.t_gram],
+                                        [list(r) for r in gram]))
+        return CatalogEntry(params.epsilon, params.k, params.p, params.delta,
+                            gram, q_r, verdict.is_wall,
+                            verdict.witness_ambient, cid, verified)
+    return CatalogEntry(params.epsilon, params.k, params.p, params.delta,
+                        gram, q_r, False, None, cid, False,
+                        note="not a wall (square >= 0)")
+
+
+def _reference_catalog(k, epsilon, p_min=2, p_max=None, delta_max=None):
+    """Reference catalog: every move-generated state with a pencil gets its
+    full entry (square, wall test, class id, rank2_isometric check), and
+    only then are repeated isometry classes dropped."""
+    seed_gram, seed_p, _ = seed_lattice(k, epsilon)
+    if p_max is None or p_max > seed_p:
+        p_max = seed_p
+    states = []
+    gram, p = seed_gram, seed_p
+    while p >= max(p_min, 2):
+        if p <= p_max:
+            top = p - 2 * epsilon if delta_max is None \
+                else min(delta_max, p - 2 * epsilon)
+            state = (gram, p, 0)
+            while state[2] <= top:
+                states.append(state)
+                state = delta_move(*state)
+        gram, p, _ = genus_move(gram, p, 0)
+    states.sort(key=lambda s: (s[2], -s[1]))
+    entries, seen = [], set()
+    for g, pp, d in states:
+        params = BNParams(pp, d, k, epsilon)
+        if not exists_pencil(params):
+            continue
+        entry = _reference_entry(g, params)
+        key = entry.class_id if entry.class_id is not None \
+            else ("degenerate", entry.gram)
+        if key not in seen:
+            seen.add(key)
+            entries.append(entry)
+    return entries
+
+
+@pytest.mark.parametrize("epsilon", (0, 1))
+def test_generate_matches_reference_catalog(epsilon):
+    ranges = ({}, {"p_min": 4}, {"p_max": 9}, {"delta_max": 2},
+              {"p_min": 3, "p_max": 14, "delta_max": 5},
+              {"p_min": 12}, {"delta_max": 0})
+    kept = degenerate = walls = 0
+    for k in range(2, 13):
+        for kwargs in ranges:
+            got = generate_catalog(k, epsilon, **kwargs)
+            assert got == _reference_catalog(k, epsilon, **kwargs), \
+                (k, kwargs)
+            kept += len(got)
+            degenerate += sum(e.class_id is None for e in got)
+            walls += sum(e.is_wall for e in got)
+    # walls (verified) and non-walls (unverified) and degenerate grams all
+    # take part in the comparison
+    assert kept > 1000 and walls > 500 and degenerate > 50

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 from fractions import Fraction
 
@@ -254,3 +255,47 @@ def test_rational_strings_roundtrip(capsys):
         value = _frac(rec["q_R"])
         assert _frac(rec["rewritten"]) == value
         assert rec["q_R"].count("/") == 1
+
+
+# sha256 of stdout, pinned so that a speed-up cannot change a byte of output.
+_CATALOG_SHA256 = {
+    (0, 2): "7322682b8d5fb61602da1b108064e3ea8e2e4b965ae0ff0febc9a1b09e64a0d7",
+    (0, 3): "737089ab9060dbe5bff08524d7f10d3b1f6fc82f08d16f347da740dbe91f7263",
+    (0, 4): "459e918f615e7ab8cc4658870d2f55a11aafbe0a536a6f2b3a9e4cbcca5139f1",
+    (0, 5): "587f3e6f8e335875f99c47791fe72941824e3292a5990bc67b7056ef1c6758dc",
+    (0, 6): "3e0cfc30d941f63bda2e3681012e87b86897e6bf36ebf0f37a939242f5191032",
+    (0, 7): "31d7274f9f384f49fd25c51beaaff42efd2d5a6556f1d8885cd45aa1c3ca5894",
+    (0, 8): "2ea14677f8e009f448250f6959e18ed1bf7162de44b7d777875ec0ccd057c117",
+    (0, 9): "5b8e741893347724753b9930575353f7ae9653327b4ba01ff7d65a15b5477ade",
+    (0, 10): "2d79aa5ce7de3ec2d2a0d4ba38eb6653a633980de9963bca37b086a3e00d4599",
+    (0, 11): "030e82ac9cab76344c48a15926bd35f735dec7719779fc5718f2bc7b44262705",
+    (0, 12): "93231c7a5ccb0d5cda3c793448256cd704875c18df3e5e81da0f1ebc0c82a7ee",
+    (1, 2): "0efcdefde8c8626774292915900c13d97e46a4803d2fe9d6e9a8482865daac54",
+    (1, 3): "cab87dda387f45518fd5e549a07c21eca4317d2174c17dd5c550a813d47d1260",
+    (1, 4): "f5f848fe535e85d6e4a8c4897eecae65dc47671059bcd97f85532fdb8d0c288f",
+    (1, 5): "552f44436ef3f5d1841b09fd104059dd606a505ecec9854a5c585e5ba6bf632b",
+    (1, 6): "2e30bbc6e389d64738447bc9803ba2dc278112d1a228000efec3fd8a32cf23db",
+    (1, 7): "024a0ebca6f59a4bf757575c5e6cda73d6c691a7a2e72d3bb2e9a69c9bbdf118",
+    (1, 8): "6585625647e48eac5a6bf222d928cba2a4fa6d1aaf2593803a8b3b6fd6c9d7f8",
+    (1, 9): "1fa3399c8d7f6e91e5a544819cb9c17ae5dca3d96e84c1f823206b2a286ad71f",
+    (1, 10): "9eaf343acd9ae0dbda9dbeed3e01f66f31bc9fed76880aacbcae56e0582c5f44",
+    (1, 11): "58c93054f2d0ab73e9464cc546ae5709ee2afb1fda066649457561154349177e",
+    (1, 12): "1b4b7f5e686e30d19fcb7e4573b9c4beb254dd3b8226f93ebc428e77ac5470d2",
+}
+_SCAN_SHA256 = "200d46c5adca8dbb34022238fb5e888e906ccdc027c4c12f32f735a2e24e3df8"
+
+
+@pytest.mark.parametrize("epsilon, k", sorted(_CATALOG_SHA256))
+def test_catalog_stdout_is_pinned(capsys, epsilon, k):
+    rc, out, err = _run(capsys, "catalog", "--epsilon", str(epsilon),
+                        "--k", str(k))
+    assert rc == 0 and err == ""
+    digest = hashlib.sha256(out.encode()).hexdigest()
+    assert digest == _CATALOG_SHA256[epsilon, k]
+
+
+def test_scan_stdout_is_pinned(capsys):
+    rc, out, err = _run(capsys, "scan", "--k", "2..4", "--p", "2..20",
+                        "--check", "all")
+    assert rc == 0 and err == ""
+    assert hashlib.sha256(out.encode()).hexdigest() == _SCAN_SHA256

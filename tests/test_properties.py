@@ -1,0 +1,86 @@
+"""Property tests of the integer square path at large parameters
+(k <= 1e5, p <= 1e10), each against a Fraction reference."""
+
+from __future__ import annotations
+
+from fractions import Fraction
+from unittest import mock
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from wallkit.curves import (
+    BNParams,
+    bn_rho,
+    curve_class,
+    curve_square,
+    exists_pencil,
+    minimal_square_bound,
+)
+from wallkit.walls import primitive_dual_divisor, wall_test
+
+K_MAX, P_MAX = 10**5, 10**10
+
+_settings = settings(derandomize=True, database=None, deadline=None,
+                     max_examples=300)
+
+
+@st.composite
+def _random_params(draw):
+    eps = draw(st.integers(0, 1))
+    k = draw(st.integers(2, K_MAX))
+    p = draw(st.integers(2, P_MAX))
+    delta = draw(st.integers(0, p - 2 * eps))
+    return BNParams(p, delta, k, eps)
+
+
+@st.composite
+def _minimal_params(draw):
+    """The points p = a(a+1)h + eps, delta = a(a-1)h where the square
+    attains -(k + 3 - 2*eps)/2 (a <= 300 keeps p below 1e10)."""
+    eps = draw(st.integers(0, 1))
+    k = draw(st.integers(2, K_MAX))
+    a = draw(st.integers(1, 300))
+    h = k - 1 + 2 * eps
+    return BNParams(a * (a + 1) * h + eps, a * (a - 1) * h, k, eps)
+
+
+_params = st.one_of(_random_params(), _minimal_params())
+
+
+@_settings
+@given(_params)
+def test_curve_square_matches_fraction_reference(params):
+    p, delta, k, eps = params.p, params.delta, params.k, params.epsilon
+    h = k - 1 + 2 * eps
+    alpha = (p - delta - eps) // (2 * h)
+    beta = (2 * alpha + 1) * h - p + delta + eps
+    rho = bn_rho(p, alpha, (k + eps) * alpha + delta)
+    value = 2 * (p - 1) - Fraction((p - delta + k - 1 + eps) ** 2, 2 * h)
+    rewritten = (2 * (rho + eps * alpha * (alpha + 2) + eps - 1)
+                 - Fraction(beta * beta, 2 * h))
+    minimal = (p == alpha * (alpha + 1) * h + eps
+               and delta == alpha * (alpha - 1) * h)
+
+    report = curve_square(params)
+    assert type(report.value) is Fraction and type(report.rewritten) is Fraction
+    assert report == (value, rewritten, minimal, alpha, beta, rho)
+    assert value == curve_class(params).square(params.context())
+    if exists_pencil(params):
+        assert minimal == (value == minimal_square_bound(k, eps))
+
+
+@_settings
+@given(_params)
+def test_wall_test_q_divisor_is_divisor_square(params):
+    ctx = params.context()
+    curve = curve_class(params)
+    # q(D) does not depend on the witnesses; skipping the O(q(v)) line walk
+    # keeps each example O(1) at k up to 1e5.
+    with mock.patch("wallkit.walls.enumerate_witnesses", return_value=[]):
+        verdict = wall_test(curve, ctx)
+    assert type(verdict.q_divisor) is Fraction
+    assert verdict.q_divisor == verdict.divisor.square(ctx)
+    assert (verdict.divisor, verdict.divisor_div) == \
+        primitive_dual_divisor(curve, ctx)
+    assert (verdict.span is None) == (verdict.q_divisor >= 0)
