@@ -14,9 +14,11 @@ isometric iff the forms are equivalent under GL2(Z).  Three regimes:
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from math import gcd, isqrt
 
-Gram = list[list[int]]
+# A 2x2 Gram matrix, read only as g[i][j]: rows may be tuples or lists.
+Gram = Sequence[Sequence[int]]
 
 _MAX_REDUCTION_STEPS = 100000
 

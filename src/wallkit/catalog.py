@@ -9,17 +9,15 @@ off-diagonal - 1).
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import IO, Iterable
 
 from . import binforms
+from .binforms import Gram
 from .curves import BNParams, curve_class, curve_square, exists_pencil
-from .model import DomainError, fraction_str
+from .model import DomainError, fraction_str, write_records
 from .walls import wall_test
-
-Gram = tuple[tuple[int, int], tuple[int, int]]
 
 
 @dataclass(frozen=True)
@@ -70,8 +68,8 @@ def _entry_for(params: BNParams, gram: Gram,
     k, epsilon, p, delta = params.k, params.epsilon, params.p, params.delta
     if q_r < 0:
         verdict = wall_test(curve_class(params), params.context())
-        verified = (verdict.is_wall and binforms.canonical_form(
-            [list(r) for r in verdict.t_gram]) == form)
+        verified = (verdict.is_wall
+                    and binforms.canonical_form(verdict.t_gram) == form)
         return CatalogEntry(epsilon, k, p, delta, gram, q_r,
                             verdict.is_wall, verdict.witness_ambient,
                             class_id, verified)
@@ -86,7 +84,9 @@ def generate_catalog(k: int, epsilon: int, p_min: int = 2,
 
     Range violations (p < 2 or delta > p - 2*epsilon) prune eagerly: both
     moves shrink p - delta, so an invalid state never becomes valid again.
-    The pencil-existence bound is checked per entry after generation.
+    No state needs the pencil-existence check: every state has p at most
+    the seed's 2h + epsilon (h = k - 1 + 2*epsilon), so alpha <= 1 and the
+    bound alpha*(p - delta - epsilon - (alpha+1)*h) is <= 0 <= delta.
     """
     seed_gram, seed_p, _ = seed_lattice(k, epsilon)
     if p_max is None or p_max > seed_p:
@@ -111,18 +111,15 @@ def generate_catalog(k: int, epsilon: int, p_min: int = 2,
     entries: list[CatalogEntry] = []
     seen: set = set()
     for g, pp, d in states:
-        params = BNParams(pp, d, k, epsilon)
-        if not exists_pencil(params):
-            continue
         try:
-            form = binforms.canonical_form([list(r) for r in g])
+            form = binforms.canonical_form(g)
         except binforms.DegenerateFormError:
             form = None
         key = form if form is not None else ("degenerate", g)
         if key in seen:
             continue
         seen.add(key)
-        entries.append(_entry_for(params, g, form))
+        entries.append(_entry_for(BNParams(pp, d, k, epsilon), g, form))
     return entries
 
 
@@ -148,7 +145,7 @@ def realize_gram(target: Gram, k: int, epsilon: int) -> tuple[int, int] | None:
         return None
     verdict = wall_test(curve_class(params), params.context())
     if verdict.t_gram is None or not binforms.rank2_isometric(
-            [list(r) for r in verdict.t_gram], [list(r) for r in target]):
+            verdict.t_gram, target):
         return None
     return p, delta
 
@@ -189,8 +186,4 @@ def entry_record(entry: CatalogEntry) -> dict:
 
 
 def export_catalog(entries: Iterable[CatalogEntry], stream: IO[str]) -> int:
-    count = 0
-    for entry in entries:
-        stream.write(json.dumps(entry_record(entry)) + "\n")
-        count += 1
-    return count
+    return write_records(map(entry_record, entries), stream)

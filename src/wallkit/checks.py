@@ -1,8 +1,12 @@
 """Consistency checks shared by `wallkit scan` and the acceptance gates.
 
-A `Point` wraps one parameter set (epsilon, k, p, delta) and computes
-pencil existence, the curve square and the wall verdict at most once each,
-on first use, so a check that needs none of them costs none of them.
+A `Point` wraps one parameter set (epsilon, k, p, delta) and computes the
+curve class, pencil existence, the curve square and the wall verdict at
+most once each, on first use, so a check (or a CLI subcommand) that needs
+none of them costs none of them.
+
+`oracle_agrees` is the one comparison of a verdict's witnesses with the
+box oracle; `wall-test --oracle` and the `witness-oracle` check both use it.
 
 `CHECKS` maps each check name to a function `point -> None | (ok, payload)`:
 `None` means the check does not apply at the point, and `payload` is a
@@ -23,6 +27,7 @@ from .curves import (
     minimal_square_bound,
 )
 from .model import (
+    CurveClass,
     DomainError,
     exceptional_vector,
     fraction_str,
@@ -32,19 +37,26 @@ from .model import (
     mukai_square,
     sheaf_vector,
 )
-from .walls import WallVerdict, box_witnesses, wall_test
+from .walls import WallVerdict, box_radius, box_witnesses, wall_test
 
-# The box oracle is only run on spans with |disc| up to this limit.
+# The witness-oracle check only applies to spans with |disc| up to this limit.
 ORACLE_DISC_LIMIT = 200
+# The box oracle only runs on boxes of at most this radius: its cost grows
+# with the radius squared, and radius 200 takes about 0.1 s.
+ORACLE_RADIUS_LIMIT = 200
 
 Result = tuple[bool, dict] | None
 
 
 class Point:
-    """One parameter set; pencil, square and verdict are computed lazily."""
+    """One parameter set; everything derived from it is computed lazily."""
 
     def __init__(self, epsilon: int, k: int, p: int, delta: int) -> None:
         self.params = BNParams(p, delta, k, epsilon)
+
+    @cached_property
+    def curve(self) -> CurveClass:
+        return curve_class(self.params)
 
     @cached_property
     def pencil(self) -> bool:
@@ -56,7 +68,20 @@ class Point:
 
     @cached_property
     def verdict(self) -> WallVerdict:
-        return wall_test(curve_class(self.params), self.params.context())
+        return wall_test(self.curve, self.params.context())
+
+
+def oracle_agrees(verdict: WallVerdict, epsilon: int) -> bool | None:
+    """Whether the verdict's witnesses equal those of the box oracle; None
+    when there is no span (q(D) >= 0) or its box radius exceeds
+    ORACLE_RADIUS_LIMIT."""
+    span = verdict.span
+    if span is None:
+        return None
+    gram, v = span.gram, span.v_coords
+    if box_radius(gram, v) > ORACLE_RADIUS_LIMIT:
+        return None
+    return verdict.witnesses == tuple(box_witnesses(gram, v, epsilon))
 
 
 def _wall_square(pt: Point) -> Result:
@@ -119,7 +144,8 @@ def _min_square(pt: Point) -> Result:
 
 
 def _witness_oracle(pt: Point) -> Result:
-    """Witness enumeration == box oracle on spans with small |disc|."""
+    """Witness enumeration == box oracle on spans with small |disc| and a
+    box within ORACLE_RADIUS_LIMIT."""
     if not pt.pencil or pt.square.value >= 0:
         return None
     verdict = pt.verdict
@@ -127,10 +153,10 @@ def _witness_oracle(pt: Point) -> Result:
     disc = g[0][0] * g[1][1] - g[0][1] * g[1][0]
     if abs(disc) > ORACLE_DISC_LIMIT:
         return None
-    slow = box_witnesses([list(r) for r in g], verdict.span.v_coords,
-                         pt.params.epsilon)
-    return (verdict.witnesses == tuple(slow),
-            {"disc": disc, "n_witnesses": len(verdict.witnesses)})
+    agrees = oracle_agrees(verdict, pt.params.epsilon)
+    if agrees is None:
+        return None
+    return agrees, {"disc": disc, "n_witnesses": len(verdict.witnesses)}
 
 
 def _moduli_dim(pt: Point) -> Result:

@@ -1,5 +1,10 @@
 """Command-line front end: single queries, catalog export, and grid scans.
 
+Every subcommand has one handler that checks its arguments and returns its
+records (`scan` returns a generator, so its records stream); `main` owns
+the output: it alone opens `--output` (or uses stdout) and writes the
+records as JSON lines through `model.write_records`.
+
 All numeric output is exact; rationals are serialized as "num/den" strings.
 Exit codes: 0 success, 2 domain/validation error, 1 internal error.
 """
@@ -8,25 +13,17 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import json
 import os
 import sys
 import traceback
-from typing import IO, Iterator
+from typing import IO, Iterable, Iterator
 
 from . import catalog as catalog_mod
 from . import subvarieties as sub_mod
-from .checks import CHECKS, Point
-from .curves import (
-    BNParams,
-    bn_dims,
-    curve_class,
-    curve_square,
-    dual_divisor,
-    exists_pencil,
-)
-from .model import DomainError, fraction_str
-from .walls import WallVerdict, primitive_dual_divisor, wall_test
+from .checks import CHECKS, Point, oracle_agrees
+from .curves import bn_dims, dual_divisor
+from .model import DomainError, fraction_str, write_records
+from .walls import WallVerdict, primitive_dual_divisor
 
 
 def _divisor_json(d) -> dict:
@@ -97,20 +94,19 @@ def _open_output(path: str | None) -> contextlib.AbstractContextManager[IO[str]]
     return open(path, "w", encoding="utf-8")
 
 
-def _emit(record: dict, out: IO[str]) -> None:
-    out.write(json.dumps(record) + "\n")
-
-
 # ---------------------------------------------------------------- commands
 
-def _cmd_wall_test(args) -> int:
-    params = BNParams(args.p, args.delta, args.k, args.epsilon)
-    ctx = params.context()
-    verdict = wall_test(curve_class(params), ctx, with_oracle=args.oracle)
+def _point(args) -> Point:
+    return Point(args.epsilon, args.k, args.p, args.delta)
+
+
+def _cmd_wall_test(args) -> list[dict]:
+    pt = _point(args)
+    verdict = pt.verdict
     record = {
         "epsilon": args.epsilon, "k": args.k, "p": args.p, "delta": args.delta,
-        "curve": _curve_json(curve_class(params)),
-        "q_R": fraction_str(curve_square(params).value),
+        "curve": _curve_json(pt.curve),
+        "q_R": fraction_str(pt.square.value),
         "is_wall": verdict.is_wall,
         "branch": verdict.branch,
         "divisor": _divisor_json(verdict.divisor),
@@ -120,100 +116,74 @@ def _cmd_wall_test(args) -> int:
         "witness": _witness_json(verdict),
     }
     if args.oracle:
-        record["oracle_agrees"] = verdict.oracle_agrees
-    with _open_output(args.output) as out:
-        _emit(record, out)
-    return 0
+        record["oracle_agrees"] = oracle_agrees(verdict, args.epsilon)
+    return [record]
 
 
-def _cmd_class(args) -> int:
-    params = BNParams(args.p, args.delta, args.k, args.epsilon)
-    ctx = params.context()
-    curve = curve_class(params)
-    primitive, div = primitive_dual_divisor(curve, ctx)
-    record = {
+def _cmd_class(args) -> list[dict]:
+    pt = _point(args)
+    primitive, div = primitive_dual_divisor(pt.curve, pt.params.context())
+    return [{
         "epsilon": args.epsilon, "k": args.k, "p": args.p, "delta": args.delta,
-        "curve": _curve_json(curve),
-        "dual_divisor": _divisor_json(dual_divisor(params)),
+        "curve": _curve_json(pt.curve),
+        "dual_divisor": _divisor_json(dual_divisor(pt.params)),
         "primitive_divisor": _divisor_json(primitive),
         "divisor_div": div,
-        "q_R": fraction_str(curve_square(params).value),
-    }
-    with _open_output(args.output) as out:
-        _emit(record, out)
-    return 0
+        "q_R": fraction_str(pt.square.value),
+    }]
 
 
-def _cmd_exists(args) -> int:
-    params = BNParams(args.p, args.delta, args.k, args.epsilon)
-    ok = exists_pencil(params)
-    record = {"exists": ok, "alpha": params.alpha}
-    if ok:
-        locus, pencils = bn_dims(params)
-        record["locus_dim"] = locus
-        record["pencil_dim"] = pencils
-    with _open_output(args.output) as out:
-        _emit(record, out)
-    return 0
+def _cmd_exists(args) -> list[dict]:
+    pt = _point(args)
+    record = {"exists": pt.pencil, "alpha": pt.params.alpha}
+    if pt.pencil:
+        record["locus_dim"], record["pencil_dim"] = bn_dims(pt.params)
+    return [record]
 
 
-def _cmd_square(args) -> int:
-    params = BNParams(args.p, args.delta, args.k, args.epsilon)
-    report = curve_square(params)
-    record = {
+def _cmd_square(args) -> list[dict]:
+    report = _point(args).square
+    return [{
         "q_R": fraction_str(report.value),
         "rewritten": fraction_str(report.rewritten),
         "minimal": report.minimal,
         "alpha": report.alpha,
         "beta": report.beta,
         "rho": report.rho,
-    }
-    with _open_output(args.output) as out:
-        _emit(record, out)
-    return 0
+    }]
 
 
-def _cmd_catalog(args) -> int:
+def _cmd_catalog(args) -> Iterable[dict]:
     entries = catalog_mod.generate_catalog(
         args.k, args.epsilon, p_min=args.p_min,
         p_max=args.p_max, delta_max=args.delta_max)
-    with _open_output(args.output) as out:
-        catalog_mod.export_catalog(entries, out)
-    return 0
+    return map(catalog_mod.entry_record, entries)
 
 
-def _cmd_coisotropic(args) -> int:
+def _cmd_coisotropic(args) -> list[dict]:
     if args.family is None and args.delta is None:
         raise DomainError("coisotropic needs either --delta or --family")
-    with _open_output(args.output) as out:
-        if args.delta is not None:
-            desc = sub_mod.bundle_locus(args.p, args.delta, args.k,
-                                        args.epsilon)
-            record = {
-                "found": desc is not None,
-                "chi": sub_mod.chi_value(args.p, args.delta, args.k,
-                                         args.epsilon),
-                "bound_satisfied": sub_mod.bundle_bound_holds(
-                    args.p, args.delta, args.k, args.epsilon),
-                "descriptor": _descriptor_json(desc) if desc else None,
-            }
-            _emit(record, out)
-        elif args.family == "nodal":
-            for r, delta, desc in sub_mod.nodal_family_loci(
-                    args.p, args.k, args.epsilon):
-                _emit({"r": r, "delta": delta,
-                       "descriptor": _descriptor_json(desc)}, out)
-        else:
+    if args.delta is not None:
+        desc = sub_mod.bundle_locus(args.p, args.delta, args.k, args.epsilon)
+        return [{
+            "found": desc is not None,
+            "chi": sub_mod.chi_value(args.p, args.delta, args.k, args.epsilon),
+            "bound_satisfied": sub_mod.bundle_bound_holds(
+                args.p, args.delta, args.k, args.epsilon),
+            "descriptor": _descriptor_json(desc) if desc else None,
+        }]
+    if args.family == "nodal":
+        return [{"r": r, "delta": delta, "descriptor": _descriptor_json(desc)}
+                for r, delta, desc in sub_mod.nodal_family_loci(
+                    args.p, args.k, args.epsilon)]
+    return [{"r": r, "k_prime": k_prime, "descriptor": _descriptor_json(desc)}
             for r, k_prime, desc in sub_mod.series_family_loci(
-                    args.p, args.k, args.epsilon):
-                _emit({"r": r, "k_prime": k_prime,
-                       "descriptor": _descriptor_json(desc)}, out)
-    return 0
+                args.p, args.k, args.epsilon)]
 
 
-def _cmd_lagrangian(args) -> int:
+def _cmd_lagrangian(args) -> list[dict]:
     p, delta, desc = sub_mod.lagrangian_plane(args.k, args.epsilon)
-    record = {
+    return [{
         "p": p,
         "delta": delta,
         "q_R": fraction_str(desc.line_square),
@@ -221,15 +191,13 @@ def _cmd_lagrangian(args) -> int:
         "bound_satisfied": sub_mod.bundle_bound_holds(p, delta, args.k,
                                                       args.epsilon),
         "descriptor": _descriptor_json(desc),
-    }
-    with _open_output(args.output) as out:
-        _emit(record, out)
-    return 0
+    }]
 
 
 # ---------------------------------------------------------------- scans
 
 def _scan_points(args) -> Iterator[tuple[int, int, int, int]]:
+    """Check the scan ranges now; the grid points follow lazily."""
     e_lo, e_hi = _parse_range(args.epsilon, "epsilon")
     k_lo, k_hi = _parse_range(args.k, "k")
     p_lo, p_hi = _parse_range(args.p, "p")
@@ -239,19 +207,42 @@ def _scan_points(args) -> Iterator[tuple[int, int, int, int]]:
         raise DomainError(f"k must satisfy k >= 2, got {args.k!r}")
     if p_lo < 2:
         raise DomainError(f"p must satisfy p >= 2, got {args.p!r}")
-    d_bounds = _parse_range(args.delta, "delta") if args.delta else None
-    for epsilon in range(e_lo, e_hi + 1):
-        for k in range(k_lo, k_hi + 1):
-            for p in range(p_lo, p_hi + 1):
-                d_lo, d_hi = 0, p - 2 * epsilon
-                if d_bounds:
-                    d_lo = max(d_lo, d_bounds[0])
-                    d_hi = min(d_hi, d_bounds[1])
-                for delta in range(d_lo, d_hi + 1):
-                    yield epsilon, k, p, delta
+    # Without --delta every delta up to p - 2*epsilon <= p_hi is scanned.
+    d_lo, d_hi = (_parse_range(args.delta, "delta") if args.delta
+                  else (0, p_hi))
+    return ((epsilon, k, p, delta)
+            for epsilon in range(e_lo, e_hi + 1)
+            for k in range(k_lo, k_hi + 1)
+            for p in range(p_lo, p_hi + 1)
+            for delta in range(max(0, d_lo), min(d_hi, p - 2 * epsilon) + 1))
 
 
-def _cmd_scan(args) -> int:
+def _scan_records(points, names: list[str]) -> Iterator[dict]:
+    for epsilon, k, p, delta in points:
+        point = Point(epsilon, k, p, delta)
+        record: dict = {"epsilon": epsilon, "k": k, "p": p, "delta": delta}
+        applied, failed = False, []
+        for name in names:
+            result = CHECKS[name](point)
+            if result is None:
+                continue
+            applied = True
+            ok, payload = result
+            if not ok:
+                failed.append(name)
+            if len(names) == 1:
+                record.update(payload)
+            else:
+                record[name] = payload or True
+        if not applied:
+            continue
+        if failed:
+            record["failed"] = failed
+        record["consistent"] = not failed
+        yield record
+
+
+def _cmd_scan(args) -> Iterator[dict]:
     if args.check == "all":
         names = list(CHECKS)
     elif args.check in CHECKS:
@@ -260,41 +251,52 @@ def _cmd_scan(args) -> int:
         raise DomainError(
             f"unknown check {args.check!r}; choose from "
             f"{', '.join([*CHECKS, 'all'])}")
-    with _open_output(args.output) as out:
-        for epsilon, k, p, delta in _scan_points(args):
-            point = Point(epsilon, k, p, delta)
-            record: dict = {"epsilon": epsilon, "k": k, "p": p, "delta": delta}
-            applied, failed = False, []
-            for name in names:
-                result = CHECKS[name](point)
-                if result is None:
-                    continue
-                applied = True
-                ok, payload = result
-                if not ok:
-                    failed.append(name)
-                if len(names) == 1:
-                    record.update(payload)
-                else:
-                    record[name] = payload or True
-            if not applied:
-                continue
-            if failed:
-                record["failed"] = failed
-            record["consistent"] = not failed
-            _emit(record, out)
-    return 0
+    return _scan_records(_scan_points(args), names)
 
 
 # ---------------------------------------------------------------- parser
 
-def _add_point_args(sub, with_delta=True) -> None:
-    sub.add_argument("--epsilon", type=int, required=True, choices=(0, 1))
-    sub.add_argument("--k", type=int, required=True)
-    sub.add_argument("--p", type=int, required=True)
-    if with_delta:
-        sub.add_argument("--delta", type=int, required=True)
-    sub.add_argument("--output", default=None)
+# Every option, declared once; a subcommand lists the ones it takes.
+_OPTIONS = {
+    "--epsilon": dict(type=int, required=True, choices=(0, 1)),
+    "--k": dict(type=int, required=True),
+    "--p": dict(type=int, required=True),
+    "--delta": dict(type=int, required=True),
+    "--oracle": dict(action="store_true",
+                     help="cross-check witnesses against box enumeration"),
+    "--p-min": dict(type=int, default=2),
+    "--p-max": dict(type=int, default=None),
+    "--delta-max": dict(type=int, default=None),
+    "--family": dict(choices=("nodal", "series"), default=None),
+    "--check": dict(required=True),
+    "--output": dict(default=None),
+}
+_POINT_OPTIONS = ("--epsilon", "--k", "--p", "--delta", "--output")
+
+# (name, help, handler, options in usage order); a (flag, kwargs) pair
+# replaces the shared declaration of that flag for one subcommand.
+_COMMANDS = (
+    ("wall-test", "decide whether a curve class spans a wall",
+     _cmd_wall_test, (*_POINT_OPTIONS, "--oracle")),
+    ("class", "curve class and its dual divisors",
+     _cmd_class, _POINT_OPTIONS),
+    ("exists", "pencil existence and dimensions",
+     _cmd_exists, _POINT_OPTIONS),
+    ("square", "curve square in both printed forms",
+     _cmd_square, _POINT_OPTIONS),
+    ("catalog", "wall-lattice catalog (JSON lines)", _cmd_catalog,
+     ("--epsilon", "--k", "--p-min", "--p-max", "--delta-max", "--output")),
+    ("coisotropic", "coisotropic subvariety numerics", _cmd_coisotropic,
+     ("--epsilon", "--k", "--p", ("--delta", dict(type=int, default=None)),
+      "--family", "--output")),
+    ("lagrangian", "Lagrangian plane parameters", _cmd_lagrangian,
+     ("--epsilon", "--k", "--output")),
+    # scan takes N or LO..HI ranges, parsed by _parse_range.
+    ("scan", "stream per-point consistency records", _cmd_scan,
+     (("--epsilon", dict(default="0..1")), ("--k", dict(required=True)),
+      ("--p", dict(required=True)), ("--delta", dict(default=None)),
+      "--check", "--output")),
+)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -303,73 +305,30 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact wall-divisor decisions on Hilbert schemes of "
                     "points and generalised Kummer manifolds.")
     subs = parser.add_subparsers(dest="command", required=True)
-
-    s = subs.add_parser("wall-test", help="decide whether a curve class "
-                                          "spans a wall")
-    _add_point_args(s)
-    s.add_argument("--oracle", action="store_true",
-                   help="cross-check witnesses against box enumeration")
-    s.set_defaults(func=_cmd_wall_test)
-
-    s = subs.add_parser("class", help="curve class and its dual divisors")
-    _add_point_args(s)
-    s.set_defaults(func=_cmd_class)
-
-    s = subs.add_parser("exists", help="pencil existence and dimensions")
-    _add_point_args(s)
-    s.set_defaults(func=_cmd_exists)
-
-    s = subs.add_parser("square", help="curve square in both printed forms")
-    _add_point_args(s)
-    s.set_defaults(func=_cmd_square)
-
-    s = subs.add_parser("catalog", help="wall-lattice catalog (JSON lines)")
-    s.add_argument("--epsilon", type=int, required=True, choices=(0, 1))
-    s.add_argument("--k", type=int, required=True)
-    s.add_argument("--p-min", type=int, default=2)
-    s.add_argument("--p-max", type=int, default=None)
-    s.add_argument("--delta-max", type=int, default=None)
-    s.add_argument("--output", default=None)
-    s.set_defaults(func=_cmd_catalog)
-
-    s = subs.add_parser("coisotropic", help="coisotropic subvariety numerics")
-    s.add_argument("--epsilon", type=int, required=True, choices=(0, 1))
-    s.add_argument("--k", type=int, required=True)
-    s.add_argument("--p", type=int, required=True)
-    s.add_argument("--delta", type=int, default=None)
-    s.add_argument("--family", choices=("nodal", "series"), default=None)
-    s.add_argument("--output", default=None)
-    s.set_defaults(func=_cmd_coisotropic)
-
-    s = subs.add_parser("lagrangian", help="Lagrangian plane parameters")
-    s.add_argument("--epsilon", type=int, required=True, choices=(0, 1))
-    s.add_argument("--k", type=int, required=True)
-    s.add_argument("--output", default=None)
-    s.set_defaults(func=_cmd_lagrangian)
-
-    s = subs.add_parser("scan", help="stream per-point consistency records")
-    s.add_argument("--epsilon", default="0..1")
-    s.add_argument("--k", required=True)
-    s.add_argument("--p", required=True)
-    s.add_argument("--delta", default=None)
-    s.add_argument("--check", required=True)
-    s.add_argument("--output", default=None)
-    s.set_defaults(func=_cmd_scan)
-
+    for name, help_text, handler, options in _COMMANDS:
+        sub = subs.add_parser(name, help=help_text)
+        for option in options:
+            flag, kwargs = (option if isinstance(option, tuple)
+                            else (option, _OPTIONS[option]))
+            sub.add_argument(flag, **kwargs)
+        sub.set_defaults(func=handler)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one subcommand and write its records to --output or stdout."""
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        records = args.func(args)
+        with _open_output(args.output) as out:
+            write_records(records, out)
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception:
         traceback.print_exc()
         return 1
+    return 0
 
 
 if __name__ == "__main__":

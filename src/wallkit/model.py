@@ -18,9 +18,12 @@ both are orthogonal to L, q(v) = 2k - 2 + 4*epsilon = -q(e) and <v, e> = 0.
 
 from __future__ import annotations
 
+import json
+from collections.abc import Iterable
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
+from typing import IO
 
 Triple = tuple[int, int, int]
 
@@ -33,6 +36,14 @@ def fraction_str(x) -> str:
     """Exact "num/den" text of a rational, as written in every JSON record."""
     f = Fraction(x)
     return f"{f.numerator}/{f.denominator}"
+
+
+def write_records(records: Iterable[dict], stream: IO[str]) -> int:
+    """Write each record as one JSON line, as it comes; return the count."""
+    count = 0
+    for count, record in enumerate(records, 1):
+        stream.write(json.dumps(record) + "\n")
+    return count
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt
 
-from .binforms import xgcd
+from .binforms import Gram, xgcd
 from .model import (
     CurveClass,
     DivisorClass,
@@ -25,8 +25,6 @@ from .model import (
     divisor_divisibility,
     moduli_vector,
 )
-
-Gram2 = list[list[int]]
 
 
 @dataclass(frozen=True)
@@ -44,7 +42,7 @@ class Witness:
 class SpanLattice:
     """Saturation of span{v, D}, presented in a basis (w, v)."""
 
-    gram: tuple[tuple[int, int], tuple[int, int]]
+    gram: Gram
     v_coords: tuple[int, int]
     basis: tuple[tuple[int, int, int], tuple[int, int, int]]
     index: int               # index of span{v, D} inside its saturation
@@ -60,14 +58,13 @@ class WallVerdict:
     span: SpanLattice | None
     witnesses: tuple[Witness, ...]
     witness_ambient: tuple[int, int, int] | None
-    oracle_agrees: bool | None = None
 
     @property
     def witness(self) -> Witness | None:
         return self.witnesses[0] if self.witnesses else None
 
     @property
-    def t_gram(self) -> tuple[tuple[int, int], tuple[int, int]] | None:
+    def t_gram(self) -> Gram | None:
         return self.span.gram if self.span is not None else None
 
 
@@ -139,12 +136,12 @@ def _saturate(a: int, b: int, ctx: SurfaceContext) -> SpanLattice:
     )
 
 
-def _pairing_with(gram: Gram2, v: tuple[int, int]) -> tuple[int, int]:
+def _pairing_with(gram: Gram, v: tuple[int, int]) -> tuple[int, int]:
     return (gram[0][0] * v[0] + gram[0][1] * v[1],
             gram[1][0] * v[0] + gram[1][1] * v[1])
 
 
-def _check_span_signature(gram: Gram2, v: tuple[int, int]) -> int:
+def _check_span_signature(gram: Gram, v: tuple[int, int]) -> int:
     det = gram[0][0] * gram[1][1] - gram[0][1] * gram[1][0]
     if det >= 0:
         raise DomainError(f"span lattice must be hyperbolic, det = {det}")
@@ -162,7 +159,7 @@ def _line_start(c: tuple[int, int], n: int) -> tuple[int, int]:
     return x0 * m, y0 * m
 
 
-def _q_of(gram: Gram2, s: tuple[int, int]) -> int:
+def _q_of(gram: Gram, s: tuple[int, int]) -> int:
     return (gram[0][0] * s[0] + 2 * gram[0][1] * s[1]) * s[0] + gram[1][1] * s[1] * s[1]
 
 
@@ -178,7 +175,7 @@ def _ts_with_q_at_least(qu: int, b0: int, q0: int, lo: int) -> range:
     return range(t_min, t_max + 1)
 
 
-def enumerate_witnesses(gram: Gram2, v: tuple[int, int],
+def enumerate_witnesses(gram: Gram, v: tuple[int, int],
                         epsilon: int) -> list[Witness]:
     """All witnesses in the rank-2 lattice (complete, exact).
 
@@ -237,22 +234,30 @@ def _witness_conditions(qs: int, n: int, qv: int, epsilon: int) -> str | None:
     return None
 
 
-def box_witnesses(gram: Gram2, v: tuple[int, int], epsilon: int,
+def box_radius(gram: Gram, v: tuple[int, int]) -> int:
+    """Half-width of a box around 0 that provably contains every witness."""
+    qv = _check_span_signature(gram, v)
+    c = _pairing_with(gram, v)
+    d = gcd(c[0], c[1])
+    u = (-(c[1] // d), c[0] // d)
+    qu = _q_of(gram, u)
+    bound = 0
+    for i in range(2):
+        num = (qv + 2) * u[i] * u[i]
+        beta_i = isqrt((num + abs(qu) - 1) // abs(qu)) + 1
+        bound = max(bound, abs(v[i]) + beta_i)
+    return 2 * bound
+
+
+def box_witnesses(gram: Gram, v: tuple[int, int], epsilon: int,
                   radius: int | None = None) -> list[Witness]:
-    """Brute-force witness search over a box that provably contains all
-    witnesses; serves as an independent oracle for enumerate_witnesses."""
+    """Brute-force witness search over the box [-radius, radius]^2, by
+    default of box_radius, which provably contains all witnesses; serves as
+    an independent oracle for enumerate_witnesses."""
     qv = _check_span_signature(gram, v)
     c = _pairing_with(gram, v)
     if radius is None:
-        d = gcd(c[0], c[1])
-        u = (-(c[1] // d), c[0] // d)
-        qu = _q_of(gram, u)
-        bound = 0
-        for i in range(2):
-            num = (qv + 2) * u[i] * u[i]
-            beta_i = isqrt((num + abs(qu) - 1) // abs(qu)) + 1
-            bound = max(bound, abs(v[i]) + beta_i)
-        radius = 2 * bound
+        radius = box_radius(gram, v)
     found = []
     for x in range(-radius, radius + 1):
         for y in range(-radius, radius + 1):
@@ -284,8 +289,8 @@ def mbm_bound_check(curve: CurveClass, ctx: SurfaceContext) -> bool:
     return curve.square(ctx) >= bound
 
 
-def wall_test(obj: CurveClass | DivisorClass, ctx: SurfaceContext,
-              with_oracle: bool = False) -> WallVerdict:
+def wall_test(obj: CurveClass | DivisorClass,
+              ctx: SurfaceContext) -> WallVerdict:
     """Decide whether the (divisor dual to the) given class spans a wall."""
     if isinstance(obj, CurveClass):
         divisor, div = primitive_dual_divisor(obj, ctx)
@@ -298,12 +303,8 @@ def wall_test(obj: CurveClass | DivisorClass, ctx: SurfaceContext,
         return WallVerdict(False, "nonnegative-square", divisor, div,
                            Fraction(q_d), None, (), None)
     span = _saturate(a, b, ctx)
-    gram = [list(r) for r in span.gram]
-    witnesses = tuple(enumerate_witnesses(gram, span.v_coords, ctx.epsilon))
-    agrees = None
-    if with_oracle:
-        agrees = witnesses == tuple(box_witnesses(gram, span.v_coords,
-                                                  ctx.epsilon))
+    witnesses = tuple(enumerate_witnesses(span.gram, span.v_coords,
+                                          ctx.epsilon))
     ambient = None
     if witnesses:
         s = witnesses[0].coords
@@ -311,4 +312,4 @@ def wall_test(obj: CurveClass | DivisorClass, ctx: SurfaceContext,
                         for i in range(3))
     branch = witnesses[0].branch if witnesses else None
     return WallVerdict(bool(witnesses), branch, divisor, div, Fraction(q_d),
-                       span, witnesses, ambient, agrees)
+                       span, witnesses, ambient)

@@ -4,12 +4,15 @@ from __future__ import annotations
 
 import hashlib
 import json
+import shlex
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from wallkit import checks
 from wallkit.cli import main
+from wallkit.walls import box_radius
 
 
 def _run(capsys, *argv):
@@ -299,3 +302,149 @@ def test_scan_stdout_is_pinned(capsys):
                         "--check", "all")
     assert rc == 0 and err == ""
     assert hashlib.sha256(out.encode()).hexdigest() == _SCAN_SHA256
+
+
+def _point_argvs(*command):
+    for epsilon in (0, 1):
+        for k in (2, 3, 4):
+            for p in range(2, 13):
+                for delta in range(p - 2 * epsilon + 1):
+                    yield (*command[:1], "--epsilon", str(epsilon),
+                           "--k", str(k), "--p", str(p),
+                           "--delta", str(delta), *command[1:])
+
+
+def _family_argvs(family):
+    for epsilon in (0, 1):
+        for k in (2, 3, 4):
+            for p in range(2, 13):
+                yield ("coisotropic", "--epsilon", str(epsilon), "--k", str(k),
+                       "--p", str(p), "--family", family)
+
+
+# Every argv of a pinned subcommand over e in {0, 1}, 2 <= k <= 4,
+# 2 <= p <= 12 and 0 <= delta <= p - 2e.
+_PIN_ARGVS = {
+    "wall-test": lambda: _point_argvs("wall-test"),
+    "wall-test --oracle": lambda: _point_argvs("wall-test", "--oracle"),
+    "class": lambda: _point_argvs("class"),
+    "exists": lambda: _point_argvs("exists"),
+    "square": lambda: _point_argvs("square"),
+    "coisotropic --delta": lambda: _point_argvs("coisotropic"),
+    "coisotropic --family nodal": lambda: _family_argvs("nodal"),
+    "coisotropic --family series": lambda: _family_argvs("series"),
+    "lagrangian": lambda: (("lagrangian", "--epsilon", str(epsilon),
+                            "--k", str(k))
+                           for epsilon in (0, 1) for k in (2, 3, 4)),
+}
+
+
+def _pin_digest(capsys, argvs) -> str:
+    """sha256 over the exit code and stdout of each argv in turn."""
+    digest = hashlib.sha256()
+    for argv in argvs:
+        rc = main(list(argv))
+        out, _ = capsys.readouterr()
+        digest.update(f"{rc}\n{out}".encode())
+    return digest.hexdigest()
+
+
+# Computed before the handlers were routed through one output path.
+_PIN_SHA256 = {
+    "wall-test": "9e4d83db9d5c8ac389af83abde36c64a60b1468d12dd41d8c06dbf3ce0e39c38",
+    "wall-test --oracle": "fd4fa2f51d95f3c6bd4767f3df180ac1a5f90dce78561af8bd46ed98b7c448d3",
+    "class": "2c4206c87ece066de7568b45f5895f6eb7ea2fc53ade3c6424eb0687a3204f0f",
+    "exists": "65758736352ea5ce5327a1c947b07ba13344113d0d0fb2eff7a4ec216c9b48bc",
+    "square": "5a4092ca897ec8093decebd27a691ed63d1932c712f99a6d3ba947cd4033c69f",
+    "coisotropic --delta": "c5199e78bc255400c003aaafa27ef3bd2ed1d4521ad469f7e545bd6a409798df",
+    "coisotropic --family nodal": "0c9a68f00ed57229efd4fbc593ba6c9fb03f146413a14906caa5740ce33c2d78",
+    "coisotropic --family series": "8f8c0c3abc4513e6099cc567e1305f3d9fe532b49aef80075219eca0ccc52a14",
+    "lagrangian": "6fcb3190d42412db312e31cdacf5c29794a8cad1d4b963adc0f5271619e9842e",
+}
+
+
+@pytest.mark.parametrize("command", list(_PIN_SHA256))
+def test_subcommand_stdout_is_pinned(capsys, command):
+    assert _pin_digest(capsys, _PIN_ARGVS[command]()) == _PIN_SHA256[command]
+
+
+def test_scan_witness_oracle_skips_a_box_beyond_the_limit(capsys):
+    # |disc| = 8 passes the disc limit, but the box radius is 3578; the
+    # check does not apply, so the scan finishes and prints nothing.
+    span = checks.Point(0, 2000, 552, 452).verdict.span
+    assert box_radius(span.gram, span.v_coords) > checks.ORACLE_RADIUS_LIMIT
+    argv = ("scan", "--epsilon", "0", "--k", "2000", "--p", "552",
+            "--delta", "452", "--check")
+    assert _run(capsys, *argv, "witness-oracle") == (0, "", "")
+    rc, out, _ = _run(capsys, *argv, "wall-square")
+    assert rc == 0 and _records(out)[0]["consistent"] is True
+
+
+def test_wall_test_oracle_beyond_the_limit_is_null(capsys):
+    # Box radius 4660: the record is the plain wall-test record followed
+    # by "oracle_agrees": null.
+    rc, out, err = _run(capsys, "wall-test", "--epsilon", "0", "--k", "100000",
+                        "--p", "198148", "--delta", "16619", "--oracle")
+    assert rc == 0 and err == ""
+    (rec,) = _records(out)
+    assert list(rec)[-2:] == ["witness", "oracle_agrees"]
+    assert rec["oracle_agrees"] is None
+    assert rec["is_wall"] is True and rec["t_gram"] == [33236, 81530,
+                                                        81530, 199998]
+    assert rec["witness"] == {"coords": [-49, 20], "ambient": [69, -49, 6894941],
+                              "q": 36, "b": 4990, "branch": "case_i"}
+
+
+@pytest.mark.parametrize("argv", [
+    pytest.param(("wall-test", "--epsilon", "0", "--k", "2", "--p", "2",
+                  "--delta", "0", "--oracle"), id="wall-test"),
+    pytest.param(("class", "--epsilon", "0", "--k", "3", "--p", "4",
+                  "--delta", "0"), id="class"),
+    pytest.param(("exists", "--epsilon", "0", "--k", "3", "--p", "4",
+                  "--delta", "0"), id="exists"),
+    pytest.param(("square", "--epsilon", "1", "--k", "4", "--p", "9",
+                  "--delta", "1"), id="square"),
+    pytest.param(("catalog", "--epsilon", "1", "--k", "3"), id="catalog"),
+    pytest.param(("coisotropic", "--epsilon", "0", "--k", "4", "--p", "8",
+                  "--delta", "1"), id="coisotropic-delta"),
+    pytest.param(("coisotropic", "--epsilon", "0", "--k", "8", "--p", "14",
+                  "--family", "nodal"), id="coisotropic-family"),
+    pytest.param(("lagrangian", "--epsilon", "1", "--k", "2"),
+                 id="lagrangian"),
+    pytest.param(("scan", "--k", "2..3", "--p", "2..8", "--check", "all"),
+                 id="scan"),
+])
+def test_output_file_holds_the_stdout_bytes(capsys, tmp_path, argv):
+    rc, expected, _ = _run(capsys, *argv)
+    assert rc == 0 and expected
+    target = tmp_path / "out.jsonl"
+    assert _run(capsys, *argv, "--output", str(target)) == (0, "", "")
+    assert target.read_bytes() == expected.encode()
+
+
+def _readme_cli_examples() -> list[str]:
+    """The `wallkit ...` lines of the fenced bash block under `## CLI`."""
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    section = readme.read_text(encoding="utf-8").split("\n## CLI\n", 1)[1]
+    block = section.split("```bash\n", 1)[1].split("```", 1)[0]
+    return [line for line in block.splitlines() if line.startswith("wallkit ")]
+
+
+@pytest.mark.parametrize("line", _readme_cli_examples())
+def test_readme_cli_example_runs(capsys, tmp_path, monkeypatch, line):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("WALLKIT_OUTPUT_DIR", str(tmp_path))
+    argv = shlex.split(line)[1:]
+    rc, out, err = _run(capsys, *argv)
+    assert rc == 0 and err == ""
+    if "--output" in argv:
+        assert out == ""
+        out = (tmp_path / argv[argv.index("--output") + 1]).read_text()
+    lines = out.splitlines()
+    assert lines and all(isinstance(json.loads(x), dict) for x in lines)
+
+
+def test_readme_lists_every_subcommand():
+    listed = {shlex.split(line)[1] for line in _readme_cli_examples()}
+    assert listed == {"wall-test", "class", "exists", "square", "catalog",
+                      "coisotropic", "lagrangian", "scan"}

@@ -1,5 +1,6 @@
-"""Property tests of the integer square path at large parameters
-(k <= 1e5, p <= 1e10), each against a Fraction reference."""
+"""Property tests at large parameters (k <= 1e5, p <= 1e10): the integer
+square path against a Fraction reference, and pencil existence on every
+catalog state."""
 
 from __future__ import annotations
 
@@ -84,3 +85,22 @@ def test_wall_test_q_divisor_is_divisor_square(params):
     assert (verdict.divisor, verdict.divisor_div) == \
         primitive_dual_divisor(curve, ctx)
     assert (verdict.span is None) == (verdict.q_divisor >= 0)
+
+
+@st.composite
+def _catalog_params(draw):
+    """A state the catalog can reach: 2 <= p <= 2k - 2 + 5*eps (the seed p)
+    and 0 <= delta <= p - 2*eps."""
+    eps = draw(st.integers(0, 1))
+    k = draw(st.integers(2, K_MAX))
+    p = draw(st.integers(2, 2 * k - 2 + 5 * eps))
+    delta = draw(st.integers(0, p - 2 * eps))
+    return BNParams(p, delta, k, eps)
+
+
+@_settings
+@given(_catalog_params())
+def test_every_catalog_state_has_a_pencil(params):
+    # Why generate_catalog needs no existence filter: alpha <= 1 here.
+    assert params.alpha <= 1
+    assert exists_pencil(params)

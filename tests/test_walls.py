@@ -9,6 +9,8 @@ from math import gcd
 
 import pytest
 
+from wallkit.binforms import canonical_form
+from wallkit.checks import oracle_agrees
 from wallkit.curves import BNParams, curve_class
 from wallkit.model import (
     CurveClass,
@@ -113,6 +115,23 @@ def test_box_radius_is_saturating():
         for eps in (0, 1):
             base = box_witnesses(gram, v, eps)
             assert box_witnesses(gram, v, eps, radius=25) == base
+
+
+def test_list_and_tuple_grams_agree():
+    # Gram matrices are only read as g[i][j], so rows may be lists or tuples.
+    count = 0
+    for a, b, c in product(range(-6, 3, 2), range(0, 5), range(2, 9, 2)):
+        if a * c - b * b >= 0:
+            continue
+        as_list, as_tuple = [[a, b], [b, c]], ((a, b), (b, c))
+        assert canonical_form(as_list) == canonical_form(as_tuple)
+        for eps in (0, 1):
+            assert (enumerate_witnesses(as_list, (0, 1), eps)
+                    == enumerate_witnesses(as_tuple, (0, 1), eps))
+            assert (box_witnesses(as_list, (0, 1), eps)
+                    == box_witnesses(as_tuple, (0, 1), eps))
+            count += 1
+    assert count >= 50
 
 
 def test_primitive_dual_divisor_examples():
@@ -306,7 +325,7 @@ def test_saturated_span_rejects_nonnegative_square():
 
 def test_wall_test_fixed_verdicts():
     params = BNParams(2, 0, 2, 0)
-    verdict = wall_test(curve_class(params), params.context(), with_oracle=True)
+    verdict = wall_test(curve_class(params), params.context())
     assert verdict.is_wall
     assert verdict.branch == "case_ii"
     assert (verdict.divisor.l, verdict.divisor.e) == (2, -3)
@@ -314,16 +333,16 @@ def test_wall_test_fixed_verdicts():
     assert verdict.q_divisor == -10
     assert verdict.t_gram == ((-2, 1), (1, 2))
     assert verdict.witness is not None and verdict.witness.q == -2
-    assert verdict.oracle_agrees is True
+    assert oracle_agrees(verdict, 0) is True
     # ambient witness must have the recorded square and pairing with v
     amb = verdict.witness_ambient
     assert mukai_pairing(amb, amb, 2) == verdict.witness.q
 
     params = BNParams(7, 0, 2, 1)
-    verdict = wall_test(curve_class(params), params.context(), with_oracle=True)
+    verdict = wall_test(curve_class(params), params.context())
     assert verdict.is_wall and verdict.branch == "case_i"
     assert verdict.t_gram == ((0, 3), (3, 6))
-    assert verdict.oracle_agrees is True
+    assert oracle_agrees(verdict, 1) is True
 
     # positive square: immediate negative verdict, no span
     ctx = SurfaceContext(0, 5, 2)
