@@ -30,7 +30,6 @@ from .curves import (
     dual_divisor,
     exists_pencil,
     exists_pencil_via_rho,
-    is_wall_by_square,
     minimal_square_bound,
 )
 from .model import (
@@ -64,7 +63,6 @@ from .walls import (
     Witness,
     box_witnesses,
     enumerate_witnesses,
-    mbm_bound_check,
     primitive_dual_divisor,
     primitive_integral_divisor,
     saturated_span,
@@ -111,9 +109,7 @@ __all__ = [
     "generate_catalog",
     "genus_move",
     "is_prime_power",
-    "is_wall_by_square",
     "lagrangian_plane",
-    "mbm_bound_check",
     "minimal_square_bound",
     "moduli_dim",
     "moduli_vector",

@@ -5,6 +5,10 @@ records (`scan` returns a generator, so its records stream); `main` owns
 the output: it alone opens `--output` (or uses stdout) and writes the
 records as JSON lines through `model.write_records`.
 
+`main` builds a fresh parser on every call and keeps none; when the first
+argument names a subcommand, it declares only that subcommand's options
+(help and error text stay those of the full tree).
+
 All numeric output is exact; rationals are serialized as "num/den" strings.
 Exit codes: 0 success, 2 domain/validation error, 1 internal error.
 """
@@ -91,7 +95,10 @@ def _open_output(path: str | None) -> contextlib.AbstractContextManager[IO[str]]
         base = os.environ.get("WALLKIT_OUTPUT_DIR")
         if base:
             path = os.path.join(base, path)
-    return open(path, "w", encoding="utf-8")
+    try:
+        return open(path, "w", encoding="utf-8")
+    except OSError as exc:
+        raise DomainError(f"cannot write {path}: {exc.strerror}") from None
 
 
 # ---------------------------------------------------------------- commands
@@ -299,13 +306,20 @@ _COMMANDS = (
 )
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The argument parser; given a subcommand name, only that subcommand's
+    subparser and options are declared."""
     parser = argparse.ArgumentParser(
         prog="wallkit",
         description="Exact wall-divisor decisions on Hilbert schemes of "
                     "points and generalised Kummer manifolds.")
-    subs = parser.add_subparsers(dest="command", required=True)
-    for name, help_text, handler, options in _COMMANDS:
+    commands = [spec for spec in _COMMANDS if spec[0] == command]
+    # With one subcommand declared, the metavar keeps the full usage line.
+    metavar = ("{" + ",".join(name for name, *_ in _COMMANDS) + "}"
+               if commands else None)
+    subs = parser.add_subparsers(dest="command", required=True,
+                                 metavar=metavar)
+    for name, help_text, handler, options in commands or _COMMANDS:
         sub = subs.add_parser(name, help=help_text)
         for option in options:
             flag, kwargs = (option if isinstance(option, tuple)
@@ -317,7 +331,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     """Run one subcommand and write its records to --output or stdout."""
-    args = build_parser().parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = build_parser(argv[0] if argv else None).parse_args(argv)
     try:
         records = args.func(args)
         with _open_output(args.output) as out:

@@ -150,12 +150,3 @@ def curve_square(params: BNParams) -> SquareReport:
                              f"the bound at {params}: {Fraction(value, denom)}")
     square = Fraction(value, denom)
     return SquareReport(square, square, minimal, a, b, rho)
-
-
-def is_wall_by_square(params: BNParams) -> bool:
-    """Wall decision by the sign of the square (valid when the pencil exists)."""
-    if not exists_pencil(params):
-        raise DomainError(
-            f"square criterion needs an existing pencil at (p, delta, k, epsilon)="
-            f"({params.p}, {params.delta}, {params.k}, {params.epsilon})")
-    return curve_square(params).value < 0

@@ -283,12 +283,6 @@ def primitive_integral_divisor(divisor: DivisorClass,
     return DivisorClass(Fraction(x, g), Fraction(y, g))
 
 
-def mbm_bound_check(curve: CurveClass, ctx: SurfaceContext) -> bool:
-    """Exact comparison q(R) >= -(k + 3 - 2*epsilon)/2."""
-    bound = Fraction(-(ctx.k + 3 - 2 * ctx.epsilon), 2)
-    return curve.square(ctx) >= bound
-
-
 def wall_test(obj: CurveClass | DivisorClass,
               ctx: SurfaceContext) -> WallVerdict:
     """Decide whether the (divisor dual to the) given class spans a wall."""

@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import argparse
 import hashlib
 import json
 import shlex
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -448,3 +450,141 @@ def test_readme_lists_every_subcommand():
     listed = {shlex.split(line)[1] for line in _readme_cli_examples()}
     assert listed == {"wall-test", "class", "exists", "square", "catalog",
                       "coisotropic", "lagrangian", "scan"}
+
+
+_POINT = ("--epsilon", "0", "--k", "2", "--p", "2", "--delta", "0")
+_SQUARE_ARGV = ("square", *_POINT)
+# A full option set of each subcommand, in usage order.
+_FULL_OPTIONS = {
+    "wall-test": (*_POINT, "--output", "out.json", "--oracle"),
+    "class": (*_POINT, "--output", "out.json"),
+    "exists": (*_POINT, "--output", "out.json"),
+    "square": (*_POINT, "--output", "out.json"),
+    "catalog": ("--epsilon", "0", "--k", "2", "--p-min", "2", "--p-max", "6",
+                "--delta-max", "2", "--output", "out.json"),
+    "coisotropic": (*_POINT, "--family", "nodal", "--output", "out.json"),
+    "lagrangian": ("--epsilon", "0", "--k", "2", "--output", "out.json"),
+    "scan": ("--epsilon", "0..1", *_POINT[2:], "--check", "all",
+             "--output", "out.json"),
+}
+
+# Help, usage and error paths of the argument parser.
+_ARGPARSE_CASES = {
+    "no-argv": (),
+    "-h": ("-h",),
+    "--help": ("--help",),
+    "unknown-command": ("frobnicate",),
+    "abbreviated-command": ("wall", "--epsilon", "0", "--k", "2"),
+    "option-before-command": ("--k", "2", "scan"),
+    **{f"{name} --help": (name, "--help") for name in _FULL_OPTIONS},
+    **{f"{name} bare": (name,) for name in _FULL_OPTIONS},
+    **{f"{name} stray": (name, "stray") for name in _FULL_OPTIONS},
+    **{f"{name} --bogus": (name, *options, "--bogus")
+       for name, options in _FULL_OPTIONS.items()},
+    "abbreviated-option": ("wall-test", *_POINT, "--ora"),
+    "bad-epsilon-choice": ("square", "--epsilon", "3", "--k", "2", "--p", "2",
+                           "--delta", "0"),
+    "bad-family": ("coisotropic", "--epsilon", "0", "--k", "2", "--p", "2",
+                   "--family", "cusp"),
+    "non-integer-k": ("class", "--epsilon", "0", "--k", "two", "--p", "2",
+                      "--delta", "0"),
+}
+
+
+def _outcome_digest(capsys, argv) -> str:
+    """sha256 over the exit code, stdout and stderr of main(argv)."""
+    try:
+        rc = main(list(argv))
+    except SystemExit as exc:
+        rc = exc.code
+    out, err = capsys.readouterr()
+    return hashlib.sha256(f"{rc}\0{out}\0{err}".encode()).hexdigest()
+
+
+# Computed with COLUMNS=80 before main declared only the invoked
+# subcommand's options.
+_ARGPARSE_SHA256 = {
+    "no-argv": "fbf5ff4f289bc7917f21684c5a6b60bc59455696c05b2b6eddd01992fadc343a",
+    "-h": "5b3d0952c0d8edf9c9bf944f922ac2b7288b9978ce2b8111f57297aee6053470",
+    "--help": "5b3d0952c0d8edf9c9bf944f922ac2b7288b9978ce2b8111f57297aee6053470",
+    "unknown-command": "997de77b5c6a7c63bd72a6eff009c429fb27ab4375f3a332a6572fd560b960bb",
+    "abbreviated-command": "48935a992177f6e108be4f86f168af6829e850b87a02defb34e4b28e9d3b8629",
+    "option-before-command": "8036081d75055535f365bce8b6dbaba7b5282424c9f2d417d0ef55735a4f150d",
+    "wall-test --help": "359197184d7c6203972a752ddaba3e228ee1553094eb55488d9cf2f161626588",
+    "class --help": "ccb159100a7cefa60fe3f082be0913feca3e5d525016d10d325786414e0dc3fb",
+    "exists --help": "64025abbc8964074622c6adc25400bac1c0e948c9ad37413ba493262ca74b3f2",
+    "square --help": "c08dce6b35fcb238f5d842852fb93e17a39482e01915825e7688aee798950ddb",
+    "catalog --help": "6ed7c948cdfdc4d00f9320981d82e5ed81c400ee9eb69c3200cfe3ea1c61fcea",
+    "coisotropic --help": "a5ec65544470b263bd11e9b5ccc789559bda81b63a4e88cb6153fcc6621a35c3",
+    "lagrangian --help": "3b01abd24f3e29318ae9fad53107fee747c95a03631445d14551435cd002c4d7",
+    "scan --help": "7d98501a32bb8dfc567419ed150b67d75d60a40e0f860af91099a18b61a7816e",
+    "wall-test bare": "3849461e909a3d85efb887d95621dcebec74530fa16e73520523f5d5d3a51e64",
+    "class bare": "2ee2113cd978ac6628356ab790d15649815ae254d9e92071f22c14452870af3c",
+    "exists bare": "be5c4e6a8cbbba3622f6bc63aa39dc92a472f16212ad908c202ff1c1b63bcf7d",
+    "square bare": "6ea4f52b717521bd8c7ada0013bcb03e37b4937a2ca16f1a2e3d2a7765ddadac",
+    "catalog bare": "49e0304899e43e5ffe47747472ee195657d168d5eb1a1838ebec7fbc2b3e250f",
+    "coisotropic bare": "bc2b35ccdc7af3fcb71cf2ee320e3b4fd58bcc81eba75534ad53164f793902ff",
+    "lagrangian bare": "00a0beee75cf13ed7baeea07ba251b18f5fbc53f725919ecbfdafd1101bd4c58",
+    "scan bare": "21fa2bbbc91f56be08cea5b47e2e2506d3312ef286bd0a457794b1a763586853",
+    "wall-test stray": "3849461e909a3d85efb887d95621dcebec74530fa16e73520523f5d5d3a51e64",
+    "class stray": "2ee2113cd978ac6628356ab790d15649815ae254d9e92071f22c14452870af3c",
+    "exists stray": "be5c4e6a8cbbba3622f6bc63aa39dc92a472f16212ad908c202ff1c1b63bcf7d",
+    "square stray": "6ea4f52b717521bd8c7ada0013bcb03e37b4937a2ca16f1a2e3d2a7765ddadac",
+    "catalog stray": "49e0304899e43e5ffe47747472ee195657d168d5eb1a1838ebec7fbc2b3e250f",
+    "coisotropic stray": "bc2b35ccdc7af3fcb71cf2ee320e3b4fd58bcc81eba75534ad53164f793902ff",
+    "lagrangian stray": "00a0beee75cf13ed7baeea07ba251b18f5fbc53f725919ecbfdafd1101bd4c58",
+    "scan stray": "21fa2bbbc91f56be08cea5b47e2e2506d3312ef286bd0a457794b1a763586853",
+    "wall-test --bogus": "2a69b22236819720b79f2b0913ad029fa3fe3b80e52461e5f192efd2d62eecc1",
+    "class --bogus": "2a69b22236819720b79f2b0913ad029fa3fe3b80e52461e5f192efd2d62eecc1",
+    "exists --bogus": "2a69b22236819720b79f2b0913ad029fa3fe3b80e52461e5f192efd2d62eecc1",
+    "square --bogus": "2a69b22236819720b79f2b0913ad029fa3fe3b80e52461e5f192efd2d62eecc1",
+    "catalog --bogus": "2a69b22236819720b79f2b0913ad029fa3fe3b80e52461e5f192efd2d62eecc1",
+    "coisotropic --bogus": "2a69b22236819720b79f2b0913ad029fa3fe3b80e52461e5f192efd2d62eecc1",
+    "lagrangian --bogus": "2a69b22236819720b79f2b0913ad029fa3fe3b80e52461e5f192efd2d62eecc1",
+    "scan --bogus": "2a69b22236819720b79f2b0913ad029fa3fe3b80e52461e5f192efd2d62eecc1",
+    "abbreviated-option": "e185edb2d70ef3c4174373ae2f3508d910a205bee1fe24030ca7dd4fab5de3b6",
+    "bad-epsilon-choice": "eabfcbf6c656d68afc77dd4f416596206bb443d7963fa0886a118a5717298d96",
+    "bad-family": "adef0da3bef01592030c6b6f424b87565e7652abaada9c9d53c2ca061f04d56a",
+    "non-integer-k": "ec783ddfa6bb0d5f3dcd7ee17c05e2390286b43958d379879863b1917400bdd1",
+}
+
+
+@pytest.mark.parametrize("case", list(_ARGPARSE_CASES))
+def test_argparse_surface_is_pinned(capsys, tmp_path, monkeypatch, case):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("COLUMNS", "80")
+    digest = _outcome_digest(capsys, _ARGPARSE_CASES[case])
+    assert digest == _ARGPARSE_SHA256[case]
+
+
+@pytest.mark.parametrize("missing_dir", [True, False],
+                         ids=["missing-directory", "directory"])
+def test_unwritable_output_is_a_user_error(capsys, tmp_path, missing_dir):
+    target = tmp_path / "absent" / "x.json" if missing_dir else tmp_path
+    reason = "No such file or directory" if missing_dir else "Is a directory"
+    rc, out, err = _run(capsys, *_SQUARE_ARGV, "--output", str(target))
+    assert (rc, out) == (2, "")
+    assert err == f"error: cannot write {target}: {reason}\n"
+
+
+def test_main_reads_sys_argv_without_argv(capsys, monkeypatch):
+    expected = _run(capsys, *_SQUARE_ARGV)
+    monkeypatch.setattr(sys, "argv", ["wallkit", *_SQUARE_ARGV])
+    rc = main()
+    assert (rc, *capsys.readouterr()) == expected
+
+
+def test_main_declares_only_the_invoked_subcommand(capsys, monkeypatch):
+    declared = []
+    add_argument = argparse.ArgumentParser.add_argument
+
+    def spy(self, *flags, **kwargs):
+        declared.append(flags)
+        return add_argument(self, *flags, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "add_argument", spy)
+    assert _run(capsys, "wall-test", *_POINT)[0] == 0
+    help_flags = [("-h", "--help")] * 2  # the top-level and wall-test parsers
+    options = [(flag,) for flag in _FULL_OPTIONS["wall-test"]
+               if flag.startswith("--")]
+    assert sorted(declared) == sorted(help_flags + options)

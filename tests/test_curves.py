@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from wallkit.checks import CHECKS, Point
 from wallkit.curves import (
     BNParams,
     bn_dims,
@@ -15,7 +16,6 @@ from wallkit.curves import (
     dual_divisor,
     exists_pencil,
     exists_pencil_via_rho,
-    is_wall_by_square,
     minimal_square_bound,
 )
 from wallkit.model import CurveClass, DomainError
@@ -170,10 +170,12 @@ def test_minimal_characterization_parameters():
 
 
 def test_is_wall_by_square():
-    assert is_wall_by_square(BNParams(2, 0, 2, 0))
-    assert not is_wall_by_square(BNParams(6, 6, 2, 0))
-    with pytest.raises(DomainError):
-        is_wall_by_square(BNParams(6, 0, 2, 0))
+    wall_square = CHECKS["wall-square"]
+    assert wall_square(Point(0, 2, 2, 0)) == (
+        True, {"q_R": "-5/2", "is_wall": True})
+    assert wall_square(Point(0, 2, 6, 6)) == (
+        True, {"q_R": "19/2", "is_wall": False})
+    assert wall_square(Point(0, 2, 6, 0)) is None  # no pencil
 
 
 def test_square_value_is_genus_formula():

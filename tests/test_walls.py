@@ -11,7 +11,7 @@ import pytest
 
 from wallkit.binforms import canonical_form
 from wallkit.checks import oracle_agrees
-from wallkit.curves import BNParams, curve_class
+from wallkit.curves import BNParams, curve_class, minimal_square_bound
 from wallkit.model import (
     CurveClass,
     DivisorClass,
@@ -25,7 +25,6 @@ from wallkit.walls import (
     Witness,
     box_witnesses,
     enumerate_witnesses,
-    mbm_bound_check,
     primitive_dual_divisor,
     primitive_integral_divisor,
     saturated_span,
@@ -395,7 +394,8 @@ def test_wall_verdict_agrees_with_square_sign_on_sample():
 
 def test_mbm_bound_check():
     ctx = SurfaceContext(0, 2, 2)
-    assert mbm_bound_check(CurveClass(1, -3), ctx)   # q = -5/2, the bound
-    assert not mbm_bound_check(CurveClass(1, -50), ctx)
+    bound = minimal_square_bound(2, 0)
+    assert CurveClass(1, -3).square(ctx) == bound == Fraction(-5, 2)
+    assert CurveClass(1, -50).square(ctx) < bound
     kum = SurfaceContext(1, 7, 2)
-    assert mbm_bound_check(CurveClass(1, -9), kum)   # q = -3/2, the bound
+    assert CurveClass(1, -9).square(kum) == minimal_square_bound(2, 1)
