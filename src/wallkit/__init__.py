@@ -7,15 +7,19 @@ is used anywhere.
 
 from __future__ import annotations
 
-from .binforms import DegenerateFormError, canonical_form, class_id, rank2_isometric
+from .binforms import (
+    DegenerateFormError,
+    ReductionBudgetError,
+    canonical_form,
+    class_id,
+    rank2_isometric,
+)
 from .catalog import (
     CatalogEntry,
     classification_complete,
-    delta_move,
     entry_record,
     export_catalog,
     generate_catalog,
-    genus_move,
     is_prime_power,
     realize_gram,
     seed_lattice,
@@ -37,15 +41,12 @@ from .model import (
     DivisorClass,
     DomainError,
     SurfaceContext,
-    ambient_gram,
     divisor_divisibility,
-    embed_divisor,
     exceptional_vector,
     moduli_dim,
     moduli_vector,
     mukai_pairing,
     mukai_square,
-    polarization_vector,
     sheaf_vector,
 )
 from .subvarieties import (
@@ -78,13 +79,13 @@ __all__ = [
     "DegenerateFormError",
     "DivisorClass",
     "DomainError",
+    "ReductionBudgetError",
     "SpanLattice",
     "SquareReport",
     "SubvarietyDescriptor",
     "SurfaceContext",
     "WallVerdict",
     "Witness",
-    "ambient_gram",
     "bn_dims",
     "bn_rho",
     "box_witnesses",
@@ -96,10 +97,8 @@ __all__ = [
     "classification_complete",
     "curve_class",
     "curve_square",
-    "delta_move",
     "divisor_divisibility",
     "dual_divisor",
-    "embed_divisor",
     "entry_record",
     "enumerate_witnesses",
     "exceptional_vector",
@@ -107,7 +106,6 @@ __all__ = [
     "exists_pencil_via_rho",
     "export_catalog",
     "generate_catalog",
-    "genus_move",
     "is_prime_power",
     "lagrangian_plane",
     "minimal_square_bound",
@@ -116,7 +114,6 @@ __all__ = [
     "mukai_pairing",
     "mukai_square",
     "nodal_family_loci",
-    "polarization_vector",
     "primitive_dual_divisor",
     "primitive_integral_divisor",
     "rank2_isometric",

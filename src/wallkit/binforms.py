@@ -17,6 +17,8 @@ from __future__ import annotations
 from collections.abc import Sequence
 from math import gcd, isqrt
 
+from .model import DomainError
+
 # A 2x2 Gram matrix, read only as g[i][j]: rows may be tuples or lists.
 Gram = Sequence[Sequence[int]]
 
@@ -25,6 +27,17 @@ _MAX_REDUCTION_STEPS = 100000
 
 class DegenerateFormError(ValueError):
     """The Gram matrix is singular; no isometry class is defined."""
+
+
+class ReductionBudgetError(DomainError, RuntimeError):
+    """An indefinite form needs more than _MAX_REDUCTION_STEPS reduction
+    steps, or has a longer reduced cycle, so no canonical form is computed.
+
+    The canonical form needs the whole reduced cycle, whose length can grow
+    like sqrt(|disc|); at |disc| near 1e10 the cap is reached.  It is a
+    DomainError (CLI exit 2) and also a RuntimeError, so callers that catch
+    RuntimeError still catch it.
+    """
 
 
 def _check_gram(g: Gram) -> tuple[int, int, int]:
@@ -83,7 +96,9 @@ def _indef_cycle(a: int, b: int, c: int, d: int) -> list[tuple[int, int, int]]:
         a, b, c = _indef_rho(a, b, c, d, s)
         steps += 1
         if steps > _MAX_REDUCTION_STEPS:
-            raise RuntimeError("indefinite reduction did not terminate")
+            raise ReductionBudgetError(
+                f"indefinite reduction of discriminant {d} exceeds "
+                f"{_MAX_REDUCTION_STEPS} steps")
     first = (a, b, c)
     cycle = [first]
     while True:
@@ -92,7 +107,9 @@ def _indef_cycle(a: int, b: int, c: int, d: int) -> list[tuple[int, int, int]]:
             return cycle
         cycle.append((a, b, c))
         if len(cycle) > _MAX_REDUCTION_STEPS:
-            raise RuntimeError("reduced cycle did not close")
+            raise ReductionBudgetError(
+                f"reduced cycle of discriminant {d} exceeds "
+                f"{_MAX_REDUCTION_STEPS} forms")
 
 
 def _primitive(x: int, y: int) -> tuple[int, int]:
@@ -182,3 +199,8 @@ def form_id(form: tuple) -> str:
 def class_id(g: Gram) -> str:
     """Stable string identifier for the isometry class of a Gram matrix."""
     return form_id(canonical_form(g))
+
+
+def flat_gram(g: Gram) -> list[int]:
+    """The four entries in row order, as a JSON record lists a Gram."""
+    return [g[0][0], g[0][1], g[1][0], g[1][1]]

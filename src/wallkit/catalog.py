@@ -2,9 +2,10 @@
 
 Each entry records a Gram matrix [[q(w), b], [b, q(v)]] together with the
 parameters (p, delta) realizing it, the curve square, and the wall verdict.
-Two moves generate the catalog from the seed: adding a node (delta + 1,
+Two moves reach the catalog from the seed: adding a node (delta + 1,
 top-left + 2, off-diagonal - 1) and dropping the genus (p - 1,
-off-diagonal - 1).
+off-diagonal - 1).  The state they reach at (p, delta) has the closed form
+`state_gram`, which `realize_gram` inverts.
 """
 
 from __future__ import annotations
@@ -39,21 +40,8 @@ def seed_lattice(k: int, epsilon: int) -> tuple[Gram, int, int]:
     """Seed Gram with its realizing (p, delta) = (2k-2+5*epsilon, 0)."""
     if k < 2 or epsilon not in (0, 1):
         raise DomainError(f"need k >= 2 and epsilon in {{0, 1}}, got ({k}, {epsilon})")
-    h = k - 1 + 2 * epsilon
-    gram = ((-2 + 2 * epsilon, h), (h, 2 * h))
-    return gram, 2 * k - 2 + 5 * epsilon, 0
-
-
-def delta_move(gram: Gram, p: int, delta: int) -> tuple[Gram, int, int]:
-    """One extra node: top-left + 2, off-diagonal - 1, same p."""
-    (a, b), (_, c) = gram
-    return ((a + 2, b - 1), (b - 1, c)), p, delta + 1
-
-
-def genus_move(gram: Gram, p: int, delta: int) -> tuple[Gram, int, int]:
-    """One genus lower: off-diagonal - 1, same delta."""
-    (a, b), (_, c) = gram
-    return ((a, b - 1), (b - 1, c)), p - 1, delta
+    p = 2 * k - 2 + 5 * epsilon
+    return state_gram(p, 0, k, epsilon), p, 0
 
 
 def _entry_for(params: BNParams, gram: Gram,
@@ -82,50 +70,50 @@ def generate_catalog(k: int, epsilon: int, p_min: int = 2,
                      delta_max: int | None = None) -> list[CatalogEntry]:
     """All move-reachable entries within the ranges, one per isometry class.
 
-    Range violations (p < 2 or delta > p - 2*epsilon) prune eagerly: both
-    moves shrink p - delta, so an invalid state never becomes valid again.
+    The moves reach every (p, delta) with 2 <= p <= seed p and
+    0 <= delta <= p - 2*epsilon; the states in range are taken by delta
+    ascending, then p descending, each with its `state_gram`.
     No state needs the pencil-existence check: every state has p at most
     the seed's 2h + epsilon (h = k - 1 + 2*epsilon), so alpha <= 1 and the
     bound alpha*(p - delta - epsilon - (alpha+1)*h) is <= 0 <= delta.
     """
-    seed_gram, seed_p, _ = seed_lattice(k, epsilon)
-    if p_max is None or p_max > seed_p:
-        p_max = seed_p
-    p_min = max(p_min, 2)
-    states = []
-    p = seed_p
-    gram: Gram = seed_gram
-    while p >= p_min:
-        if p <= p_max:
-            # delta-chain at this genus
-            g, pp, d = gram, p, 0
-            while d <= (p - 2 * epsilon if delta_max is None
-                        else min(delta_max, p - 2 * epsilon)):
-                states.append((g, pp, d))
-                g, pp, d = delta_move(g, pp, d)
-        gram, p, _ = genus_move(gram, p, 0)
-    states.sort(key=lambda s: (s[2], -s[1]))
+    _, seed_p, _ = seed_lattice(k, epsilon)
+    p_top = seed_p if p_max is None else min(p_max, seed_p)
+    p_low = max(p_min, 2)
+    d_top = p_top - 2 * epsilon
+    if delta_max is not None:
+        d_top = min(delta_max, d_top)
+    states = ((state_gram(p, delta, k, epsilon), p, delta)
+              for delta in range(d_top + 1)
+              for p in range(p_top, max(p_low, delta + 2 * epsilon) - 1, -1))
 
     # A state is classified before its entry is built, so a state whose
     # isometry class is already listed costs no square and no wall test.
     entries: list[CatalogEntry] = []
     seen: set = set()
-    for g, pp, d in states:
+    for gram, p, delta in states:
         try:
-            form = binforms.canonical_form(g)
+            form = binforms.canonical_form(gram)
         except binforms.DegenerateFormError:
             form = None
-        key = form if form is not None else ("degenerate", g)
+        key = form if form is not None else ("degenerate", gram)
         if key in seen:
             continue
         seen.add(key)
-        entries.append(_entry_for(BNParams(pp, d, k, epsilon), g, form))
+        entries.append(_entry_for(BNParams(p, delta, k, epsilon), gram, form))
     return entries
 
 
+def state_gram(p: int, delta: int, k: int, epsilon: int) -> Gram:
+    """Gram [[2*delta - 2 + 2*epsilon, b], [b, 2h]] of the catalog state at
+    (p, delta), with b = p - delta - k + 1 - 3*epsilon, h = k - 1 + 2*epsilon."""
+    b = p - delta - k + 1 - 3 * epsilon
+    return ((2 * delta - 2 + 2 * epsilon, b), (b, 2 * (k - 1 + 2 * epsilon)))
+
+
 def realize_gram(target: Gram, k: int, epsilon: int) -> tuple[int, int] | None:
-    """Invert the move arithmetic: (p, delta) whose saturation is isometric
-    to the target, verified by reconstruction; None when unrealizable."""
+    """Invert `state_gram`: (p, delta) whose saturation is isometric to the
+    target, verified by reconstruction; None when unrealizable."""
     (a, b), (b2, c) = target
     if b != b2:
         raise DomainError(f"gram must be symmetric, got {target}")
@@ -171,13 +159,12 @@ def classification_complete(k: int, epsilon: int) -> bool:
 
 
 def entry_record(entry: CatalogEntry) -> dict:
-    gram = entry.gram
     return {
         "epsilon": entry.epsilon,
         "k": entry.k,
         "p": entry.p,
         "delta": entry.delta,
-        "gram": [gram[0][0], gram[0][1], gram[1][0], gram[1][1]],
+        "gram": binforms.flat_gram(entry.gram),
         "q_R": fraction_str(entry.q_curve),
         "is_wall": entry.is_wall,
         "witness": list(entry.witness) if entry.witness is not None else None,

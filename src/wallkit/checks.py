@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from functools import cached_property
 
+from .catalog import state_gram
 from .curves import (
     BNParams,
     SquareReport,
@@ -106,7 +107,8 @@ def _square_forms(pt: Point) -> Result:
 
 
 def _dual_lattice(pt: Point) -> Result:
-    """q(w), b(w, v) and disc<v, w> match the saturation where q(R) < 0.
+    """q(w) and b(w, v) are the catalog's `state_gram` entries, and
+    disc<v, w> matches the saturation, where q(R) < 0.
 
     w is the closed-form complement (b/c)(v - e) + L - v in ambient
     coordinates.  With h = k - 1 + 2*epsilon and n = g + k - 1 + epsilon,
@@ -119,9 +121,9 @@ def _dual_lattice(pt: Point) -> Result:
     w = (-1, 1, prm.half_div - (prm.g + prm.k - 1 + prm.epsilon))
     v = moduli_vector(prm.context())
     qw, bwv = mukai_square(w, prm.p), mukai_pairing(w, v, prm.p)
+    (q_stated, b_stated), _ = state_gram(prm.p, prm.delta, prm.k, prm.epsilon)
     t = pt.verdict.t_gram
-    ok = (qw == 2 * prm.delta - 2 + 2 * prm.epsilon
-          and bwv == prm.g - prm.k + 1 - 3 * prm.epsilon
+    ok = (qw == q_stated and bwv == b_stated
           and t[0][0] * t[1][1] - t[0][1] * t[1][0]
           == qw * mukai_square(v, prm.p) - bwv * bwv)
     return ok, {}

@@ -10,20 +10,21 @@ argument names a subcommand, it declares only that subcommand's options
 (help and error text stay those of the full tree).
 
 All numeric output is exact; rationals are serialized as "num/den" strings.
-Exit codes: 0 success, 2 domain/validation error, 1 internal error.
+Exit codes: 0 success, 2 domain/validation error (an `--output` file that
+cannot be opened, written or closed included), 1 internal error.
 """
 
 from __future__ import annotations
 
 import argparse
-import contextlib
 import os
 import sys
 import traceback
-from typing import IO, Iterable, Iterator
+from typing import Iterable, Iterator
 
 from . import catalog as catalog_mod
 from . import subvarieties as sub_mod
+from .binforms import flat_gram
 from .checks import CHECKS, Point, oracle_agrees
 from .curves import bn_dims, dual_divisor
 from .model import DomainError, fraction_str, write_records
@@ -36,10 +37,6 @@ def _divisor_json(d) -> dict:
 
 def _curve_json(c) -> dict:
     return {"l": c.l, "r": c.r}
-
-
-def _flat_gram(gram) -> list[int]:
-    return [gram[0][0], gram[0][1], gram[1][0], gram[1][1]]
 
 
 def _witness_json(verdict: WallVerdict) -> dict | None:
@@ -88,15 +85,19 @@ def _parse_range(text: str, name: str) -> tuple[int, int]:
     return lo, hi
 
 
-def _open_output(path: str | None) -> contextlib.AbstractContextManager[IO[str]]:
+def _write_output(records: Iterable[dict], path: str | None) -> None:
+    """Write the records to stdout, or to the --output file; a file that
+    cannot be opened, written or closed is a user error."""
     if path is None:
-        return contextlib.nullcontext(sys.stdout)
+        write_records(records, sys.stdout)
+        return
     if not os.path.isabs(path):
         base = os.environ.get("WALLKIT_OUTPUT_DIR")
         if base:
             path = os.path.join(base, path)
     try:
-        return open(path, "w", encoding="utf-8")
+        with open(path, "w", encoding="utf-8") as out:
+            write_records(records, out)
     except OSError as exc:
         raise DomainError(f"cannot write {path}: {exc.strerror}") from None
 
@@ -119,7 +120,7 @@ def _cmd_wall_test(args) -> list[dict]:
         "divisor": _divisor_json(verdict.divisor),
         "divisor_div": verdict.divisor_div,
         "q_D": fraction_str(verdict.q_divisor),
-        "t_gram": _flat_gram(verdict.t_gram) if verdict.t_gram else None,
+        "t_gram": flat_gram(verdict.t_gram) if verdict.t_gram else None,
         "witness": _witness_json(verdict),
     }
     if args.oracle:
@@ -335,9 +336,7 @@ def main(argv: list[str] | None = None) -> int:
         argv = sys.argv[1:]
     args = build_parser(argv[0] if argv else None).parse_args(argv)
     try:
-        records = args.func(args)
-        with _open_output(args.output) as out:
-            write_records(records, out)
+        _write_output(args.func(args), args.output)
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

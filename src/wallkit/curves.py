@@ -27,12 +27,11 @@ class BNParams:
     epsilon: int
 
     def __post_init__(self) -> None:
-        ctx = self.context()  # validates epsilon, p, k
+        self.context()  # validates epsilon, p, k
         if not 0 <= self.delta <= self.p - 2 * self.epsilon:
             raise DomainError(
                 "constraint violated: 0 <= delta <= p - 2*epsilon "
                 f"(got delta={self.delta}, p={self.p}, epsilon={self.epsilon})")
-        del ctx
 
     def context(self) -> SurfaceContext:
         return SurfaceContext(self.epsilon, self.p, self.k)
@@ -104,8 +103,7 @@ def curve_class(params: BNParams) -> CurveClass:
 
 def dual_divisor(params: BNParams) -> DivisorClass:
     """Rational divisor class dual to curve_class under q."""
-    n = params.g + params.k - 1 + params.epsilon
-    return DivisorClass(Fraction(1), Fraction(-n, 2 * params.half_div))
+    return curve_class(params).as_divisor(params.context())
 
 
 class SquareReport(NamedTuple):

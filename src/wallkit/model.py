@@ -114,11 +114,6 @@ def mukai_square(x: Triple, p: int):
     return mukai_pairing(x, x, p)
 
 
-def ambient_gram(ctx: SurfaceContext) -> list[list[int]]:
-    """Gram matrix of the rank-3 model in the basis (u0, L, u2)."""
-    return [[0, 0, -1], [0, ctx.l_square, 0], [-1, 0, 0]]
-
-
 def moduli_vector(ctx: SurfaceContext) -> Triple:
     """The vector v cutting out H^2 of the moduli space; q(v) = ek_div."""
     return (1, 0, 1 - 2 * ctx.epsilon - ctx.k)
@@ -127,19 +122,6 @@ def moduli_vector(ctx: SurfaceContext) -> Triple:
 def exceptional_vector(ctx: SurfaceContext) -> Triple:
     """Image of the exceptional divisor class e in the rank-3 model."""
     return (1, 0, ctx.k - 1 + 2 * ctx.epsilon)
-
-
-def polarization_vector() -> Triple:
-    return (0, 1, 0)
-
-
-def embed_divisor(d: DivisorClass, ctx: SurfaceContext) -> Triple:
-    """Rank-3 image of an integral divisor class (lands in v-perp)."""
-    if not d.is_integral:
-        raise DomainError(f"divisor class must be integral to embed (got {d})")
-    a, b = int(d.l), int(d.e)
-    ek = exceptional_vector(ctx)
-    return (b * ek[0], a, b * ek[2])
 
 
 def divisor_divisibility(d: DivisorClass, ctx: SurfaceContext) -> int:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .curves import BNParams, curve_class, curve_square, minimal_square_bound
-from .model import CurveClass, DomainError, SurfaceContext, moduli_dim, sheaf_vector
+from .model import CurveClass, SurfaceContext, moduli_dim, sheaf_vector
 
 
 @dataclass(frozen=True)
@@ -38,10 +38,6 @@ class SubvarietyDescriptor:
             raise AssertionError(f"inconsistent dimensions in {self}")
 
 
-def _validate(p: int, k: int, epsilon: int) -> None:
-    SurfaceContext(epsilon, p, k)
-
-
 def chi_value(p: int, delta: int, k: int, epsilon: int) -> int:
     chi, _ = sheaf_vector(p, delta, k, epsilon)
     return chi
@@ -58,28 +54,22 @@ def bundle_locus(p: int, delta: int, k: int,
     """Projective-bundle locus covered by curves of class R: a P^{chi-2*delta-1}
     bundle over a symplectic base of dimension 2(k+1+2*delta-chi); None when
     the chi window fails."""
-    _validate(p, k, epsilon)
-    if not 0 <= delta <= p - 2 * epsilon:
-        raise DomainError(
-            f"constraint violated: 0 <= delta <= p - 2*epsilon "
-            f"(got delta={delta}, p={p}, epsilon={epsilon})")
+    params = BNParams(p, delta, k, epsilon)  # validates every argument
     if not bundle_bound_holds(p, delta, k, epsilon):
         return None
     chi = chi_value(p, delta, k, epsilon)
     r = chi - 2 * delta - 1
     base = 2 * (k + 1 + 2 * delta - chi)
-    params = BNParams(p, delta, k, epsilon)
-    line = curve_class(params)
+    dim_m = moduli_dim(p, delta, k, epsilon)
     # base accounts for the nodes and (epsilon=1) the Albanese correction
-    if base != moduli_dim(p, delta, k, epsilon) + 2 * delta - 2 * epsilon:
+    if base != dim_m + 2 * delta - 2 * epsilon:
         raise AssertionError(f"bundle base dimension {base} disagrees with "
                              f"the moduli dimension at {params}")
     return SubvarietyDescriptor(
         source="proj_bundle", codim=r, fiber_dim=r, base_dim=base,
-        total_dim=2 * k - r, line_class=line,
+        total_dim=2 * k - r, line_class=curve_class(params),
         line_square=curve_square(params).value,
-        p=p, k=k, epsilon=epsilon, delta=delta,
-        moduli_space_dim=moduli_dim(p, delta, k, epsilon))
+        p=p, k=k, epsilon=epsilon, delta=delta, moduli_space_dim=dim_m)
 
 
 def _ceil_div(a: int, b: int) -> int:
@@ -91,7 +81,7 @@ def nodal_family_loci(p: int, k: int,
     """All (r, delta) supporting a codimension-r subvariety covered by nodal
     curves pushed forward from a smaller Hilbert scheme; lines have class
     L - [2(p-2*delta-2*epsilon)-r+1]*r_k."""
-    _validate(p, k, epsilon)
+    ctx = SurfaceContext(epsilon, p, k)
     m = p - 5 * epsilon
     # r <= min{2k-5-m/2, m/2+1}, resolved by exact halving
     r_top = min(2 * k - 5 - _ceil_div(m, 2), m // 2 + 1)
@@ -112,7 +102,7 @@ def nodal_family_loci(p: int, k: int,
                 source="severi_family", codim=r, fiber_dim=r,
                 base_dim=2 * (k - r), total_dim=2 * k - r,
                 line_class=line,
-                line_square=line.square(SurfaceContext(epsilon, p, k)),
+                line_square=line.square(ctx),
                 p=p, k=k, epsilon=epsilon, delta=delta,
                 k_prime=m - 3 * delta + 2 - r)
             out.append((r, delta, desc))
@@ -124,7 +114,7 @@ def series_family_loci(p: int, k: int,
     """All (r, k') supporting a codimension-r subvariety from relative
     symmetric products; lines have class L - [2(k'+epsilon)-r-1]*r_k and the
     rational quotient of the subvariety has dimension 2(k-r)."""
-    _validate(p, k, epsilon)
+    ctx = SurfaceContext(epsilon, p, k)
     out = []
     for r in range(1, k - epsilon + 1):
         for k_prime in range(r + epsilon, min(k, p + r - epsilon) + 1):
@@ -134,7 +124,7 @@ def series_family_loci(p: int, k: int,
                 source="sym_prod", codim=r, fiber_dim=r,
                 base_dim=2 * (k - r), total_dim=2 * k - r,
                 line_class=line,
-                line_square=line.square(SurfaceContext(epsilon, p, k)),
+                line_square=line.square(ctx),
                 p=p, k=k, epsilon=epsilon,
                 delta=p - (k_prime - r + epsilon), k_prime=k_prime)
             out.append((r, k_prime, desc))
@@ -146,7 +136,6 @@ def lagrangian_plane(k: int, epsilon: int) -> tuple[int, int, SubvarietyDescript
     attains the minimal square and moves as a line in an embedded P^k."""
     p = 2 * (k - 1) + 5 * epsilon
     delta = 0
-    _validate(p, k, epsilon)
     params = BNParams(p, delta, k, epsilon)
     report = curve_square(params)
     if report.value != minimal_square_bound(k, epsilon) or not report.minimal:

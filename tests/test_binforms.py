@@ -7,7 +7,15 @@ from math import gcd
 
 import pytest
 
-from wallkit.binforms import DegenerateFormError, canonical_form, class_id, rank2_isometric, xgcd
+from wallkit.binforms import (
+    DegenerateFormError,
+    ReductionBudgetError,
+    canonical_form,
+    class_id,
+    rank2_isometric,
+    xgcd,
+)
+from wallkit.model import DomainError
 
 
 def _conjugate(g, u):
@@ -54,6 +62,15 @@ def test_degenerate_raises():
         canonical_form([[2, 2], [2, 2]])
     with pytest.raises(DegenerateFormError):
         class_id([[0, 0], [0, 5]])
+
+
+def test_reduction_budget_is_a_typed_domain_error():
+    # The saturated span at (epsilon, k, p, delta) = (1, 685, 10029960,
+    # 7683196) has a reduced cycle longer than the step cap.
+    with pytest.raises(ReductionBudgetError) as info:
+        class_id(((-3996351748, 43), (43, 1372)))
+    assert isinstance(info.value, DomainError)
+    assert isinstance(info.value, RuntimeError)
 
 
 def test_canonical_form_is_conjugation_invariant():

@@ -13,14 +13,13 @@ from wallkit.binforms import DegenerateFormError, class_id, rank2_isometric
 from wallkit.catalog import (
     CatalogEntry,
     classification_complete,
-    delta_move,
     entry_record,
     export_catalog,
     generate_catalog,
-    genus_move,
     is_prime_power,
     realize_gram,
     seed_lattice,
+    state_gram,
 )
 from wallkit.curves import (
     BNParams,
@@ -30,6 +29,19 @@ from wallkit.curves import (
 )
 from wallkit.model import DomainError
 from wallkit.walls import wall_test
+
+
+# The two moves, kept here as the reference for the closed-form states.
+def delta_move(gram, p, delta):
+    """One extra node: top-left + 2, off-diagonal - 1, same p."""
+    (a, b), (_, c) = gram
+    return ((a + 2, b - 1), (b - 1, c)), p, delta + 1
+
+
+def genus_move(gram, p, delta):
+    """One genus lower: off-diagonal - 1, same delta."""
+    (a, b), (_, c) = gram
+    return ((a, b - 1), (b - 1, c)), p - 1, delta
 
 
 def test_seed_examples():
@@ -76,6 +88,7 @@ def test_moves_track_parameters():
         gram, p, delta = state
         assert p == p0 - j and delta == i
         assert gram == ((2 * i - 2 + 2 * eps, h - i - j), (h - i - j, 2 * h))
+        assert state_gram(p, delta, k, eps) == gram
 
 
 def test_generate_contains_verified_seed():
@@ -278,7 +291,8 @@ def _reference_catalog(k, epsilon, p_min=2, p_max=None, delta_max=None):
 def test_generate_matches_reference_catalog(epsilon):
     ranges = ({}, {"p_min": 4}, {"p_max": 9}, {"delta_max": 2},
               {"p_min": 3, "p_max": 14, "delta_max": 5},
-              {"p_min": 12}, {"delta_max": 0})
+              {"p_min": 12}, {"delta_max": 0}, {"p_max": 1},
+              {"p_min": 10**6}, {"delta_max": -1}, {"delta_max": 10**6})
     kept = degenerate = walls = 0
     for k in range(2, 13):
         for kwargs in ranges:

@@ -557,11 +557,18 @@ def test_argparse_surface_is_pinned(capsys, tmp_path, monkeypatch, case):
     assert digest == _ARGPARSE_SHA256[case]
 
 
-@pytest.mark.parametrize("missing_dir", [True, False],
-                         ids=["missing-directory", "directory"])
-def test_unwritable_output_is_a_user_error(capsys, tmp_path, missing_dir):
-    target = tmp_path / "absent" / "x.json" if missing_dir else tmp_path
-    reason = "No such file or directory" if missing_dir else "Is a directory"
+@pytest.mark.parametrize("case", ["missing-directory", "directory",
+                                  "full-device"])
+def test_unwritable_output_is_a_user_error(capsys, tmp_path, case):
+    # A failed open, and a failed write or close (/dev/full), exit 2.
+    target, reason = {
+        "missing-directory": (tmp_path / "absent" / "x.json",
+                              "No such file or directory"),
+        "directory": (tmp_path, "Is a directory"),
+        "full-device": (Path("/dev/full"), "No space left on device"),
+    }[case]
+    if case == "full-device" and not target.exists():
+        pytest.skip("no /dev/full on this system")
     rc, out, err = _run(capsys, *_SQUARE_ARGV, "--output", str(target))
     assert (rc, out) == (2, "")
     assert err == f"error: cannot write {target}: {reason}\n"

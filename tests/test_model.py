@@ -13,17 +13,15 @@ from wallkit.model import (
     DivisorClass,
     DomainError,
     SurfaceContext,
-    ambient_gram,
     divisor_divisibility,
-    embed_divisor,
     exceptional_vector,
     moduli_dim,
     moduli_vector,
     mukai_pairing,
     mukai_square,
-    polarization_vector,
     sheaf_vector,
 )
+from wallkit.walls import saturated_span
 
 
 def _contexts():
@@ -62,7 +60,7 @@ def test_pairing_is_symmetric_bilinear():
 def test_pairing_matches_gram_matrix():
     rng = random.Random(159)
     for ctx in _contexts():
-        gram = ambient_gram(ctx)
+        gram = [[0, 0, -1], [0, 2 * ctx.p - 2, 0], [-1, 0, 0]]
         for _ in range(3):
             x = [rng.randint(-5, 5) for _ in range(3)]
             y = [rng.randint(-5, 5) for _ in range(3)]
@@ -75,7 +73,7 @@ def test_distinguished_vectors():
     for ctx in _contexts():
         v = moduli_vector(ctx)
         e = exceptional_vector(ctx)
-        lvec = polarization_vector()
+        lvec = (0, 1, 0)
         assert mukai_square(v, ctx.p) == ctx.ek_div
         assert mukai_square(e, ctx.p) == -ctx.ek_div
         assert mukai_pairing(v, e, ctx.p) == 0
@@ -87,15 +85,31 @@ def test_distinguished_vectors():
 
 
 def test_embed_divisor_preserves_square_and_lands_in_v_perp():
+    # a*L + b*e embeds as (b, a, b*h), h = k - 1 + 2*epsilon; when
+    # q < 0 the image lies in the saturated span Z*w + Z*v.
     rng = random.Random(265)
     for ctx in _contexts():
+        h = ctx.k - 1 + 2 * ctx.epsilon
+        v = moduli_vector(ctx)
         for _ in range(3):
-            d = DivisorClass(rng.randint(-5, 5), rng.randint(-5, 5))
-            x = embed_divisor(d, ctx)
+            a, b = rng.randint(-5, 5), rng.randint(-5, 5)
+            d = DivisorClass(a, b)
+            x = (b, a, b * h)
             assert mukai_square(x, ctx.p) == d.square(ctx)
-            assert mukai_pairing(x, moduli_vector(ctx), ctx.p) == 0
+            assert mukai_pairing(x, v, ctx.p) == 0
+            if d.square(ctx) >= 0:
+                continue
+            w = saturated_span(d, ctx).basis[0]
+            (qw, bwv), (_, qv) = [[mukai_pairing(y, z, ctx.p) for z in (w, v)]
+                                  for y in (w, v)]
+            bxw, bxv = mukai_pairing(x, w, ctx.p), mukai_pairing(x, v, ctx.p)
+            det = qw * qv - bwv * bwv
+            s, rs = divmod(bxw * qv - bxv * bwv, det)
+            t, rt = divmod(qw * bxv - bwv * bxw, det)
+            assert rs == rt == 0
+            assert tuple(s * w[i] + t * v[i] for i in range(3)) == x
     with pytest.raises(DomainError):
-        embed_divisor(DivisorClass(Fraction(1, 2), 0), SurfaceContext(0, 4, 3))
+        saturated_span(DivisorClass(Fraction(1, 2), 0), SurfaceContext(0, 4, 3))
 
 
 def test_divisibility_examples():

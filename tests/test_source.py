@@ -19,3 +19,36 @@ def test_no_bare_assert_in_package():
              for node in ast.walk(ast.parse(path.read_text(), str(path)))
              if isinstance(node, ast.Assert)]
     assert found == []
+
+
+def _bench_names() -> set[str]:
+    """The wallkit names the benchmark binds: the values of `LAYERS` in
+    bench/run.py and every `lib.get("...")` in bench/workloads.py."""
+    bench = Path(__file__).resolve().parent.parent / "bench"
+    run = ast.parse((bench / "run.py").read_text())
+    layers = next(node.value for node in ast.walk(run)
+                  if isinstance(node, ast.Assign)
+                  and any(isinstance(t, ast.Name) and t.id == "LAYERS"
+                          for t in node.targets))
+    names = {ast.literal_eval(value) for value in layers.values}
+    workloads = ast.parse((bench / "workloads.py").read_text())
+    names |= {node.args[0].value for node in ast.walk(workloads)
+              if isinstance(node, ast.Call)
+              and isinstance(node.func, ast.Attribute)
+              and node.func.attr == "get"
+              and isinstance(node.func.value, ast.Name)
+              and node.func.value.id == "lib"}
+    return names
+
+
+def test_benchmark_binds_only_exported_names():
+    # A name missing from __all__ shows up in the benchmark as an "absent"
+    # layer with zero counts, not as an error.
+    names = _bench_names()
+    assert len(names) >= 12
+    assert sorted(names - set(wallkit.__all__)) == []
+
+
+def test_all_is_unique_and_resolves():
+    assert len(wallkit.__all__) == len(set(wallkit.__all__))
+    assert [n for n in wallkit.__all__ if not hasattr(wallkit, n)] == []

@@ -17,7 +17,6 @@ from wallkit.model import (
     DivisorClass,
     DomainError,
     SurfaceContext,
-    embed_divisor,
     moduli_vector,
     mukai_pairing,
 )
@@ -239,7 +238,9 @@ def _check_saturation(divisor, ctx, box=0):
     is also checked to be an integer combination of w and v."""
     span = saturated_span(divisor, ctx)
     w, v = span.basis
-    d = embed_divisor(divisor, ctx)
+    # a*L + b*e embeds as (b, a, b*h) with h = k - 1 + 2*epsilon.
+    h = ctx.k - 1 + 2 * ctx.epsilon
+    d = (int(divisor.e), int(divisor.l), int(divisor.e) * h)
     assert v == moduli_vector(ctx) and span.v_coords == (0, 1)
     normal = _cross(v, d)
     assert _dot(w, normal) == 0
