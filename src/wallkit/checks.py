@@ -43,7 +43,8 @@ from .walls import WallVerdict, box_radius, box_witnesses, wall_test
 # The witness-oracle check only applies to spans with |disc| up to this limit.
 ORACLE_DISC_LIMIT = 200
 # The box oracle only runs on boxes of at most this radius: its cost grows
-# with the radius squared, and radius 200 takes about 0.1 s.
+# with the radius squared, and radius 200 takes about 0.03 s (Python 3.11,
+# 2-vCPU Xeon VM).
 ORACLE_RADIUS_LIMIT = 200
 
 Result = tuple[bool, dict] | None

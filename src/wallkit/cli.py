@@ -5,18 +5,20 @@ records (`scan` returns a generator, so its records stream); `main` owns
 the output: it alone opens `--output` (or uses stdout) and writes the
 records as JSON lines through `model.write_records`.
 
-`main` builds a fresh parser on every call and keeps none; when the first
-argument names a subcommand, it declares only that subcommand's options
-(help and error text stay those of the full tree).
+`main` builds each parser once and keeps it: one per subcommand, declaring
+only its options (help and error text stay those of the full tree), and the
+full tree for any other argv.  Each parse gets a fresh namespace.
 
 All numeric output is exact; rationals are serialized as "num/den" strings.
 Exit codes: 0 success, 2 domain/validation error (an `--output` file that
-cannot be opened, written or closed included), 1 internal error.
+cannot be opened, written or closed, or a closed or full stdout, included),
+1 internal error.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 import traceback
@@ -87,9 +89,18 @@ def _parse_range(text: str, name: str) -> tuple[int, int]:
 
 def _write_output(records: Iterable[dict], path: str | None) -> None:
     """Write the records to stdout, or to the --output file; a file that
-    cannot be opened, written or closed is a user error."""
+    cannot be opened, written or closed, or a closed or full stdout, is a
+    user error."""
     if path is None:
-        write_records(records, sys.stdout)
+        try:
+            write_records(records, sys.stdout)
+            sys.stdout.flush()
+        except OSError as exc:
+            # Else the flush at exit fails again on what is still buffered.
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+            raise DomainError(f"cannot write stdout: {exc.strerror}") from None
         return
     if not os.path.isabs(path):
         base = os.environ.get("WALLKIT_OUTPUT_DIR")
@@ -330,11 +341,18 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     return parser
 
 
+_COMMAND_NAMES = frozenset(name for name, *_ in _COMMANDS)
+# main passes only one of _COMMAND_NAMES or None (the full tree), so at most
+# len(_COMMANDS) + 1 parsers are kept.
+_parser = functools.cache(build_parser)
+
+
 def main(argv: list[str] | None = None) -> int:
     """Run one subcommand and write its records to --output or stdout."""
     if argv is None:
         argv = sys.argv[1:]
-    args = build_parser(argv[0] if argv else None).parse_args(argv)
+    command = argv[0] if argv and argv[0] in _COMMAND_NAMES else None
+    args = _parser(command).parse_args(argv)
     try:
         _write_output(args.func(args), args.output)
     except DomainError as exc:

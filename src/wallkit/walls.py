@@ -226,14 +226,6 @@ def enumerate_witnesses(gram: Gram, v: tuple[int, int],
     return found
 
 
-def _witness_conditions(qs: int, n: int, qv: int, epsilon: int) -> str | None:
-    if 0 <= qs < n and 2 * n <= qv + qs:
-        return "case_i"
-    if epsilon == 0 and qs == -2 and 0 <= 2 * n <= qv:
-        return "case_ii"
-    return None
-
-
 def box_radius(gram: Gram, v: tuple[int, int]) -> int:
     """Half-width of a box around 0 that provably contains every witness."""
     qv = _check_span_signature(gram, v)
@@ -255,18 +247,22 @@ def box_witnesses(gram: Gram, v: tuple[int, int], epsilon: int,
     default of box_radius, which provably contains all witnesses; serves as
     an independent oracle for enumerate_witnesses."""
     qv = _check_span_signature(gram, v)
-    c = _pairing_with(gram, v)
+    c0, c1 = _pairing_with(gram, v)
     if radius is None:
         radius = box_radius(gram, v)
+    (a, b), (_, c) = gram
     found = []
-    for x in range(-radius, radius + 1):
-        for y in range(-radius, radius + 1):
-            s = (x, y)
-            qs = _q_of(gram, s)
-            n = c[0] * x + c[1] * y
-            branch = _witness_conditions(qs, n, qv, epsilon)
-            if branch is not None:
-                found.append(Witness(s, qs, n, branch))
+    coords = range(-radius, radius + 1)
+    for x in coords:
+        # q(x, y) = a*x^2 + (2*b*x + c*y)*y and b((x, y), v) = c0*x + c1*y.
+        qx, bx, nx = a * x * x, 2 * b * x, c0 * x
+        for y in coords:
+            qs = qx + (bx + c * y) * y
+            n = nx + c1 * y
+            if 0 <= qs < n and 2 * n <= qv + qs:
+                found.append(Witness((x, y), qs, n, "case_i"))
+            elif qs == -2 and epsilon == 0 and 0 <= 2 * n <= qv:
+                found.append(Witness((x, y), qs, n, "case_ii"))
     found.sort(key=Witness.sort_key)
     return found
 

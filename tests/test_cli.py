@@ -5,15 +5,18 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
 import shlex
+import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
+import wallkit
 from wallkit import checks
-from wallkit.cli import main
+from wallkit.cli import _COMMANDS, _parser, main
 from wallkit.walls import box_radius
 
 
@@ -590,8 +593,57 @@ def test_main_declares_only_the_invoked_subcommand(capsys, monkeypatch):
         return add_argument(self, *flags, **kwargs)
 
     monkeypatch.setattr(argparse.ArgumentParser, "add_argument", spy)
+    _parser.cache_clear()
     assert _run(capsys, "wall-test", *_POINT)[0] == 0
     help_flags = [("-h", "--help")] * 2  # the top-level and wall-test parsers
     options = [(flag,) for flag in _FULL_OPTIONS["wall-test"]
                if flag.startswith("--")]
     assert sorted(declared) == sorted(help_flags + options)
+    # The second call reuses the kept parser.
+    declared.clear()
+    assert _run(capsys, "wall-test", *_POINT)[0] == 0
+    assert declared == []
+
+
+def test_parser_cache_is_bounded(capsys):
+    _parser.cache_clear()
+    for i in range(50):
+        _outcome_digest(capsys, (f"command-{i}",))
+    for name, *_ in _COMMANDS:
+        _outcome_digest(capsys, (name, "--bogus"))
+    # One parser per subcommand, and one full tree for every unknown name.
+    assert _parser.cache_info().currsize == len(_COMMANDS) + 1
+
+
+def test_kept_parsers_hold_no_state(capsys, tmp_path, monkeypatch):
+    # The same argv sequence gives the same bytes on a warm cache as on a
+    # cleared one.
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("COLUMNS", "80")
+    sequence = [
+        ("scan", "--k", "2", "--p", "2..4", "--check", "all", "--bogus"),
+        ("--help",),
+        ("scan", "--k", "2", "--p", "2..6", "--check", "all"),
+        ("scan", "--epsilon", "2", "--k", "2", "--p", "2", "--check", "all"),
+    ]
+    _parser.cache_clear()
+    cold = [_outcome_digest(capsys, argv) for argv in sequence]
+    warm = [_outcome_digest(capsys, argv) for argv in sequence]
+    assert warm == cold
+    assert len(set(cold)) == len(sequence)
+
+
+def test_closed_stdout_is_a_user_error():
+    # As with `wallkit catalog ... | head -c 100`: the reader leaves after
+    # 100 bytes of the ~220 KB output, which exceeds the pipe's buffer.
+    env = {**os.environ,
+           "PYTHONPATH": str(Path(wallkit.__file__).resolve().parents[1])}
+    argv = [sys.executable, "-m", "wallkit.cli", "catalog", "--epsilon", "0",
+            "--k", "30"]
+    with subprocess.Popen(argv, stdout=subprocess.PIPE,
+                          stderr=subprocess.PIPE, env=env) as proc:
+        assert len(proc.stdout.read(100)) == 100
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=60) == 2
+    assert err == b"error: cannot write stdout: Broken pipe\n"

@@ -52,3 +52,26 @@ def test_benchmark_binds_only_exported_names():
 def test_all_is_unique_and_resolves():
     assert len(wallkit.__all__) == len(set(wallkit.__all__))
     assert [n for n in wallkit.__all__ if not hasattr(wallkit, n)] == []
+
+
+def _called_names(node: ast.AST) -> set[str]:
+    return {call.func.id if isinstance(call.func, ast.Name) else call.func.attr
+            for call in ast.walk(node) if isinstance(call, ast.Call)
+            and isinstance(call.func, (ast.Name, ast.Attribute))}
+
+
+def test_box_oracle_shares_no_code_with_the_enumerator():
+    # box_witnesses is the independent oracle for enumerate_witnesses, so
+    # neither it nor any walls.py function it reaches may use the line walk.
+    tree = ast.parse((SRC / "walls.py").read_text())
+    functions = {node.name: node for node in tree.body
+                 if isinstance(node, ast.FunctionDef)}
+    reached, todo = set(), ["box_witnesses"]
+    while todo:
+        name = todo.pop()
+        reached.add(name)
+        todo += [n for n in _called_names(functions[name])
+                 if n in functions and n not in reached]
+    assert "box_radius" in reached
+    banned = {"enumerate_witnesses", "_line_start", "_ts_with_q_at_least"}
+    assert sorted(reached & banned) == []

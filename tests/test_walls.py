@@ -8,6 +8,8 @@ from itertools import product
 from math import gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wallkit.binforms import canonical_form
 from wallkit.checks import oracle_agrees
@@ -22,6 +24,7 @@ from wallkit.model import (
 )
 from wallkit.walls import (
     Witness,
+    box_radius,
     box_witnesses,
     enumerate_witnesses,
     primitive_dual_divisor,
@@ -113,6 +116,61 @@ def test_box_radius_is_saturating():
         for eps in (0, 1):
             base = box_witnesses(gram, v, eps)
             assert box_witnesses(gram, v, eps, radius=25) == base
+
+
+def _reference_box(gram, v, epsilon, radius):
+    """The box oracle as a plain double loop over [-radius, radius]^2, kept
+    only as the reference for box_witnesses."""
+    def q(s):
+        return (gram[0][0] * s[0] + 2 * gram[0][1] * s[1]) * s[0] \
+            + gram[1][1] * s[1] * s[1]
+
+    def branch(qs, n, qv):
+        if 0 <= qs < n and 2 * n <= qv + qs:
+            return "case_i"
+        if epsilon == 0 and qs == -2 and 0 <= 2 * n <= qv:
+            return "case_ii"
+        return None
+
+    qv = q(v)
+    c = (gram[0][0] * v[0] + gram[0][1] * v[1],
+         gram[1][0] * v[0] + gram[1][1] * v[1])
+    found = []
+    for x in range(-radius, radius + 1):
+        for y in range(-radius, radius + 1):
+            qs, n = q((x, y)), c[0] * x + c[1] * y
+            if (kind := branch(qs, n, qv)) is not None:
+                found.append(Witness((x, y), qs, n, kind))
+    found.sort(key=Witness.sort_key)
+    return found
+
+
+@st.composite
+def _hyperbolic_spans(draw):
+    """A hyperbolic gram with v = (0, 1) or (1, 0) of positive square."""
+    v = draw(st.sampled_from([(0, 1), (1, 0)]))
+    qv = draw(st.integers(1, 60))
+    b = draw(st.integers(-qv, qv))
+    # q(w) >= -2 and small is where w, or v - w, tends to be a witness.
+    qw = draw((st.integers(-2, qv) | st.integers(-qv * qv, qv))
+              .filter(lambda q: q * qv < b * b))
+    a, c = (qw, qv) if v == (0, 1) else (qv, qw)
+    return [[a, b], [b, c]], v
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(_hyperbolic_spans(), st.integers(0, 40), st.integers(0, 1))
+def test_box_witnesses_match_the_reference_loop(span, radius, eps):
+    gram, v = span
+    full = enumerate_witnesses(gram, v, eps)
+    # The drawn radius, and every radius that puts a witness on the border.
+    radii = {radius} | {max(map(abs, w.coords)) for w in full}
+    for r in sorted(r for r in radii if r <= 40):
+        box = box_witnesses(gram, v, eps, radius=r)
+        assert box == _reference_box(gram, v, eps, r)
+        assert box == [w for w in full if max(map(abs, w.coords)) <= r]
+    if box_radius(gram, v) <= 40:
+        assert box_witnesses(gram, v, eps) == full
 
 
 def test_list_and_tuple_grams_agree():
