@@ -54,7 +54,7 @@ def _entry_for(params: BNParams, gram: Gram,
     q_r = curve_square(params).value
     class_id = binforms.form_id(form) if form is not None else None
     k, epsilon, p, delta = params.k, params.epsilon, params.p, params.delta
-    if q_r < 0:
+    if q_r.numerator < 0:
         verdict = wall_test(curve_class(params), params.context())
         verified = (verdict.is_wall
                     and binforms.canonical_form(verdict.t_gram) == form)

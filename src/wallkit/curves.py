@@ -7,7 +7,7 @@ curves have genus g = p - delta and carry pencils of degree k + epsilon.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -21,44 +21,42 @@ def bn_rho(p: int, r: int, d: int) -> int:
 
 @dataclass(frozen=True)
 class BNParams:
+    """One parameter set, validated; the quantities derived from it are
+    computed once, at construction."""
+
     p: int
     delta: int
     k: int
     epsilon: int
+    # Derived, not part of equality or repr.
+    half_div: int = field(init=False, repr=False, compare=False)
+    g: int = field(init=False, repr=False, compare=False)  # geometric genus
+    alpha: int = field(init=False, repr=False, compare=False)
+    # beta lies in (-half_div, half_div] for every admissible parameter set.
+    beta: int = field(init=False, repr=False, compare=False)
+    rho: int = field(init=False, repr=False, compare=False)
+    _context: SurfaceContext = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        self.context()  # validates epsilon, p, k
+        # SurfaceContext validates epsilon, p and k.
+        ctx = SurfaceContext(self.epsilon, self.p, self.k)
         if not 0 <= self.delta <= self.p - 2 * self.epsilon:
             raise DomainError(
                 "constraint violated: 0 <= delta <= p - 2*epsilon "
                 f"(got delta={self.delta}, p={self.p}, epsilon={self.epsilon})")
+        h = self.k - 1 + 2 * self.epsilon
+        g = self.p - self.delta
+        a = (g - self.epsilon) // (2 * h)
+        for name, value in (
+                ("half_div", h), ("g", g), ("alpha", a),
+                ("beta", (2 * a + 1) * h - g + self.epsilon),
+                ("rho", bn_rho(self.p, a, (self.k + self.epsilon) * a
+                               + self.delta)),
+                ("_context", ctx)):
+            object.__setattr__(self, name, value)
 
     def context(self) -> SurfaceContext:
-        return SurfaceContext(self.epsilon, self.p, self.k)
-
-    @property
-    def g(self) -> int:
-        """Geometric genus of the nodal curves."""
-        return self.p - self.delta
-
-    @property
-    def half_div(self) -> int:
-        return self.k - 1 + 2 * self.epsilon
-
-    @property
-    def alpha(self) -> int:
-        return (self.p - self.delta - self.epsilon) // (2 * self.half_div)
-
-    @property
-    def beta(self) -> int:
-        # Lies in (-half_div, half_div] for every admissible parameter set.
-        return ((2 * self.alpha + 1) * self.half_div
-                - self.p + self.delta + self.epsilon)
-
-    @property
-    def rho(self) -> int:
-        a = self.alpha
-        return bn_rho(self.p, a, (self.k + self.epsilon) * a + self.delta)
+        return self._context
 
 
 def exists_pencil(params: BNParams) -> bool:

@@ -34,7 +34,7 @@ class DomainError(ValueError):
 
 def fraction_str(x) -> str:
     """Exact "num/den" text of a rational, as written in every JSON record."""
-    f = Fraction(x)
+    f = x if isinstance(x, Fraction) else Fraction(x)
     return f"{f.numerator}/{f.denominator}"
 
 

@@ -12,8 +12,10 @@ re-derives witness sets independently of the line-by-line enumeration.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import gcd, isqrt
 
 from .binforms import Gram, xgcd
@@ -50,18 +52,34 @@ class SpanLattice:
 
 @dataclass(frozen=True)
 class WallVerdict:
-    is_wall: bool
-    branch: str | None       # witness branch; "nonnegative-square" when q >= 0
     divisor: DivisorClass    # primitive integral representative
     divisor_div: int
     q_divisor: Fraction
-    span: SpanLattice | None
-    witnesses: tuple[Witness, ...]
+    span: SpanLattice | None  # None when q(D) >= 0
+    epsilon: int
+    witness: Witness | None  # the least witness
     witness_ambient: tuple[int, int, int] | None
 
     @property
-    def witness(self) -> Witness | None:
-        return self.witnesses[0] if self.witnesses else None
+    def is_wall(self) -> bool:
+        return self.witness is not None
+
+    @property
+    def branch(self) -> str | None:
+        """Witness branch; "nonnegative-square" when q(D) >= 0."""
+        if self.span is None:
+            return "nonnegative-square"
+        return self.witness.branch if self.witness is not None else None
+
+    @cached_property
+    def witnesses(self) -> tuple[Witness, ...]:
+        """Every witness, sorted; enumerated on first read, since the
+        verdict itself needs only the least one."""
+        if self.witness is None:
+            return ()
+        span = self.span
+        return tuple(enumerate_witnesses(span.gram, span.v_coords,
+                                         self.epsilon))
 
     @property
     def t_gram(self) -> Gram | None:
@@ -175,15 +193,10 @@ def _ts_with_q_at_least(qu: int, b0: int, q0: int, lo: int) -> range:
     return range(t_min, t_max + 1)
 
 
-def enumerate_witnesses(gram: Gram, v: tuple[int, int],
-                        epsilon: int) -> list[Witness]:
-    """All witnesses in the rank-2 lattice (complete, exact).
-
-    Works line by line: for each admissible value n of b(s, v), the set
-    {s : b(s, v) = n} is s0 + Z*u with q negative on u, so q restricted to
-    the line is a downward parabola and each q-window cuts out finitely
-    many integer points.
-    """
+def _witness_walk(gram: Gram, v: tuple[int, int],
+                  epsilon: int) -> Iterator[Witness]:
+    """Witnesses in `Witness.sort_key` order, one line b(s, v) = n at a time:
+    case (i) lines by ascending n, then case (ii) lines, each line sorted."""
     qv = _check_span_signature(gram, v)
     c = _pairing_with(gram, v)
     d = gcd(c[0], c[1])
@@ -192,38 +205,44 @@ def enumerate_witnesses(gram: Gram, v: tuple[int, int],
     qu = _q_of(gram, u)
     if qu >= 0:
         raise AssertionError(f"q(u) = {qu} must be negative on v-perp")
-    found: list[Witness] = []
+    # Line n = m*d starts at s0 = m*s1, so b(s0, u) = m*b1 and q(s0) = m^2*q1.
+    s1 = _line_start(c, d)
+    cu = _pairing_with(gram, u)
+    b1, q1 = s1[0] * cu[0] + s1[1] * cu[1], _q_of(gram, s1)
 
-    for n in range(1, qv):
-        if n % d:
-            continue
-        s0 = _line_start(c, n)
-        b0 = sum(s0[i] * gram[i][j] * u[j] for i in range(2) for j in range(2))
-        q0 = _q_of(gram, s0)
-        lo, hi = max(0, 2 * n - qv), n - 1
-        if lo > hi:
-            continue
+    def line(m: int, lo: int, hi: int, branch: str) -> list[Witness]:
+        b0, q0 = m * b1, m * m * q1
+        found = []
         for t in _ts_with_q_at_least(qu, b0, q0, lo):
             qs = qu * t * t + 2 * b0 * t + q0
             if lo <= qs <= hi:
-                s = (s0[0] + t * u[0], s0[1] + t * u[1])
-                found.append(Witness(s, qs, n, "case_i"))
+                s = (m * s1[0] + t * u[0], m * s1[1] + t * u[1])
+                found.append(Witness(s, qs, m * d, branch))
+        found.sort(key=Witness.sort_key)
+        return found
 
+    for m, n in enumerate(range(d, qv, d), 1):
+        yield from line(m, max(0, 2 * n - qv), n - 1, "case_i")
     if epsilon == 0:
-        for n in range(0, qv // 2 + 1):
-            if n % d:
-                continue
-            s0 = _line_start(c, n)
-            b0 = sum(s0[i] * gram[i][j] * u[j]
-                     for i in range(2) for j in range(2))
-            q0 = _q_of(gram, s0)
-            for t in _ts_with_q_at_least(qu, b0, q0, -2):
-                if qu * t * t + 2 * b0 * t + q0 == -2:
-                    s = (s0[0] + t * u[0], s0[1] + t * u[1])
-                    found.append(Witness(s, -2, n, "case_ii"))
+        for m in range(qv // 2 // d + 1):
+            yield from line(m, -2, -2, "case_ii")
 
-    found.sort(key=Witness.sort_key)
-    return found
+
+def enumerate_witnesses(gram: Gram, v: tuple[int, int],
+                        epsilon: int) -> list[Witness]:
+    """All witnesses in the rank-2 lattice (complete, exact), sorted by
+    `Witness.sort_key`.
+
+    Works line by line: for each admissible value n of b(s, v), the set
+    {s : b(s, v) = n} is s0 + Z*u with q negative on u, so q restricted to
+    the line is a downward parabola and each q-window cuts out finitely
+    many integer points.  Every line starts at a multiple of one particular
+    solution, so the walk costs O(1) per line: O(q(v)/d) lines in all, with
+    d = gcd(b(-, v)).  `wall_test` reads the same walk lazily and stops at
+    the least witness's line; non-walls and walls with only case (ii)
+    witnesses still walk all O(q(v)/d) lines.
+    """
+    return list(_witness_walk(gram, v, epsilon))
 
 
 def box_radius(gram: Gram, v: tuple[int, int]) -> int:
@@ -290,16 +309,14 @@ def wall_test(obj: CurveClass | DivisorClass,
     a, b = divisor.l.numerator, divisor.e.numerator
     q_d = _square(a, b, ctx)
     if q_d >= 0:
-        return WallVerdict(False, "nonnegative-square", divisor, div,
-                           Fraction(q_d), None, (), None)
+        return WallVerdict(divisor, div, Fraction(q_d), None, ctx.epsilon,
+                           None, None)
     span = _saturate(a, b, ctx)
-    witnesses = tuple(enumerate_witnesses(span.gram, span.v_coords,
-                                          ctx.epsilon))
+    witness = next(_witness_walk(span.gram, span.v_coords, ctx.epsilon), None)
     ambient = None
-    if witnesses:
-        s = witnesses[0].coords
+    if witness is not None:
+        s = witness.coords
         ambient = tuple(s[0] * span.basis[0][i] + s[1] * span.basis[1][i]
                         for i in range(3))
-    branch = witnesses[0].branch if witnesses else None
-    return WallVerdict(bool(witnesses), branch, divisor, div, Fraction(q_d),
-                       span, witnesses, ambient)
+    return WallVerdict(divisor, div, Fraction(q_d), span, ctx.epsilon,
+                       witness, ambient)

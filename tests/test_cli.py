@@ -15,7 +15,7 @@ from pathlib import Path
 import pytest
 
 import wallkit
-from wallkit import checks
+from wallkit import checks, walls
 from wallkit.cli import _COMMANDS, _parser, main
 from wallkit.walls import box_radius
 
@@ -215,6 +215,25 @@ def test_scan_computes_only_what_the_check_needs(capsys, monkeypatch):
     assert rc == 0 and err == "" and _records(out)
     rc, _, err = _run(capsys, *argv, "--check", "wall-square")
     assert rc == 1 and "wall_test called" in err
+
+
+def test_verdicts_stop_at_the_least_witness(capsys, monkeypatch):
+    # Only the full witness set (WallVerdict.witnesses, read by the oracle)
+    # needs enumerate_witnesses; verdicts and catalog entries stop at the
+    # least witness.
+    def no_full_walk(*args, **kwargs):
+        raise RuntimeError("full witness walk")
+
+    monkeypatch.setattr(walls, "enumerate_witnesses", no_full_walk)
+    for p, delta in ((2, 0), (6, 6), (40, 3)):
+        rc, out, err = _run(capsys, "wall-test", "--epsilon", "0", "--k", "2",
+                            "--p", str(p), "--delta", str(delta))
+        assert rc == 0 and err == "" and _records(out)
+    rc, out, err = _run(capsys, "catalog", "--epsilon", "0", "--k", "12")
+    assert rc == 0 and err == "" and _records(out)
+    rc, _, err = _run(capsys, "wall-test", "--oracle", "--epsilon", "0",
+                      "--k", "2", "--p", "2", "--delta", "0")
+    assert rc == 1 and "full witness walk" in err
 
 
 def test_scan_skips_points_without_pencils(capsys):

@@ -5,13 +5,13 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from itertools import product
-from math import gcd
+from math import gcd, isqrt
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wallkit.binforms import canonical_form
+from wallkit.binforms import canonical_form, xgcd
 from wallkit.checks import oracle_agrees
 from wallkit.curves import BNParams, curve_class, minimal_square_bound
 from wallkit.model import (
@@ -171,6 +171,103 @@ def test_box_witnesses_match_the_reference_loop(span, radius, eps):
         assert box == [w for w in full if max(map(abs, w.coords)) <= r]
     if box_radius(gram, v) <= 40:
         assert box_witnesses(gram, v, eps) == full
+
+
+def _reference_enumerate(gram, v, epsilon):
+    """The line walk as it was before it became lazy: one particular
+    solution per line and a global sort, kept only as the reference for
+    enumerate_witnesses."""
+    def q(s):
+        return (gram[0][0] * s[0] + 2 * gram[0][1] * s[1]) * s[0] \
+            + gram[1][1] * s[1] * s[1]
+
+    def ts_with_q_at_least(qu, b0, q0, lo):
+        disc = b0 * b0 - qu * (q0 - lo)
+        if disc < 0:
+            return range(0)
+        r = isqrt(disc)
+        return range((-b0 + r) // qu - 2, (-b0 - r) // qu + 3)
+
+    qv = q(v)
+    c = (gram[0][0] * v[0] + gram[0][1] * v[1],
+         gram[1][0] * v[0] + gram[1][1] * v[1])
+    d, x0, y0 = xgcd(c[0], c[1])
+    u = (-(c[1] // d), c[0] // d)
+    qu = q(u)
+    found = []
+    windows = [(n, max(0, 2 * n - qv), n - 1, "case_i") for n in range(1, qv)]
+    if epsilon == 0:
+        windows += [(n, -2, -2, "case_ii") for n in range(qv // 2 + 1)]
+    for n, lo, hi, branch in windows:
+        if n % d:
+            continue
+        s0 = (x0 * (n // d), y0 * (n // d))
+        b0 = sum(s0[i] * gram[i][j] * u[j] for i in range(2) for j in range(2))
+        q0 = q(s0)
+        for t in ts_with_q_at_least(qu, b0, q0, lo):
+            qs = qu * t * t + 2 * b0 * t + q0
+            if lo <= qs <= hi:
+                s = (s0[0] + t * u[0], s0[1] + t * u[1])
+                found.append(Witness(s, qs, n, branch))
+    found.sort(key=Witness.sort_key)
+    return found
+
+
+# For each v, a unimodular Q with Q*v = (0, 1): the gram Q^T G0 Q in the new
+# coordinates carries the (w, v)-basis gram G0 with v at the given coords.
+_TO_V = {(0, 1): ((1, 0), (0, 1)), (1, 0): ((0, 1), (1, 0)),
+         (1, 1): ((1, -1), (0, 1)), (1, 2): ((2, -1), (1, 0))}
+
+
+@st.composite
+def _large_spans(draw):
+    """A hyperbolic gram with q(v) <= 1e4 and v in (0,1)/(1,0)/(1,1)/(1,2);
+    a factor of d = gcd(b(-, v)) is drawn first, so that d > 1 is common."""
+    v = draw(st.sampled_from(sorted(_TO_V)))
+    d = draw(st.sampled_from([1, 2, 3, 4, 6, 12]) | st.integers(2, 100))
+    qv = d * draw(st.integers(1, 10**4 // d))
+    b = d * draw(st.integers(-(qv // d), qv // d))
+    qw = draw((st.integers(-2, 2 * qv) | st.integers(-qv * qv, qv))
+              .filter(lambda q: q * qv < b * b))
+    g0, q = ((qw, b), (b, qv)), _TO_V[v]
+    gram = [[sum(q[a][i] * g0[a][c] * q[c][j] for a in range(2)
+                 for c in range(2)) for j in range(2)] for i in range(2)]
+    return gram, v
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(_large_spans(), st.integers(0, 1))
+def test_witness_walk_matches_the_reference_walk(span, eps):
+    gram, v = span
+    assert enumerate_witnesses(gram, v, eps) == _reference_enumerate(gram, v, eps)
+
+
+@st.composite
+def _wall_test_params(draw):
+    """Parameters with q(v) = 2(k - 1 + 2*epsilon) <= 1e4; p up to the seed
+    p = 2k - 2 + 5*epsilon is where the walls are."""
+    eps = draw(st.integers(0, 1))
+    k = draw(st.integers(2, 60) | st.integers(2, 5000 - 2 * eps))
+    p = draw(st.integers(2, 2 * k - 2 + 5 * eps) | st.integers(2, 10**6))
+    delta = draw(st.integers(0, p - 2 * eps))
+    return BNParams(p, delta, k, eps)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=100)
+@given(_wall_test_params())
+def test_wall_test_reads_the_least_witness_of_the_walk(params):
+    ctx = params.context()
+    verdict = wall_test(curve_class(params), ctx)
+    witness = verdict.witness
+    if verdict.span is None:
+        assert witness is None and verdict.witnesses == ()
+        return
+    gram, v = verdict.span.gram, verdict.span.v_coords
+    full = enumerate_witnesses(gram, v, ctx.epsilon)
+    assert witness == (full[0] if full else None)
+    assert verdict.is_wall == bool(full)
+    assert verdict.branch == (full[0].branch if full else None)
+    assert verdict.witnesses == tuple(full)
 
 
 def test_list_and_tuple_grams_agree():
