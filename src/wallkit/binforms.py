@@ -7,7 +7,7 @@ isometric iff the forms are equivalent under GL2(Z).  Three regimes:
 * definite (det > 0): classical Gauss reduction, unique reduced triple;
 * indefinite anisotropic (det < 0, -det not a square): reduced-cycle method,
   canonical representative = lexicographic minimum over the cycles of the
-  form and its middle-sign flip;
+  form and its middle-sign flip, both read off one walk of the form's cycle;
 * indefinite isotropic (-det a perfect square sigma^2): classified by the
   pair of residues q(w) mod 2*sigma attached to the two isotropic lines.
 """
@@ -41,7 +41,7 @@ class ReductionBudgetError(DomainError, RuntimeError):
 
 
 def _check_gram(g: Gram) -> tuple[int, int, int]:
-    if len(g) != 2 or any(len(row) != 2 for row in g):
+    if len(g) != 2 or len(g[0]) != 2 or len(g[1]) != 2:
         raise ValueError("expected a 2x2 Gram matrix")
     a, b, b2, c = g[0][0], g[0][1], g[1][0], g[1][1]
     if b != b2:
@@ -177,9 +177,12 @@ def canonical_form(g: Gram) -> tuple:
         residues = sorted(_line_residue(g, u, sigma)
                           for u in _isotropic_lines(a, b, c, sigma))
         return ("isotropic", sigma, residues[0], residues[1])
-    best = min(min(_indef_cycle(a, 2 * b, c, d)),
-               min(_indef_cycle(a, -2 * b, c, d)))
-    return ("indef",) + best
+    # The flipped form (a, -b, c) is properly equivalent to (c, b, a), and
+    # (c, b, a) is reduced exactly when (a, b, c) is; as each proper class
+    # has one cycle of reduced forms, the flipped class's cycle is this
+    # cycle with every triple read backwards.
+    cycle = _indef_cycle(a, 2 * b, c, d)
+    return ("indef",) + min(min(cycle), min([t[::-1] for t in cycle]))
 
 
 def rank2_isometric(g1: Gram, g2: Gram) -> bool:
@@ -193,7 +196,7 @@ def rank2_isometric(g1: Gram, g2: Gram) -> bool:
 
 def form_id(form: tuple) -> str:
     """String identifier of a canonical form, as returned by class_id."""
-    return ":".join(str(part) for part in form)
+    return ":".join(map(str, form))
 
 
 def class_id(g: Gram) -> str:

@@ -10,19 +10,17 @@ off-diagonal - 1).  The state they reach at (p, delta) has the closed form
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import IO, Iterable
+from typing import IO, Iterable, NamedTuple
 
 from . import binforms
 from .binforms import Gram
-from .curves import BNParams, curve_class, curve_square, exists_pencil
+from .curves import BNParams, _square, curve_class, curve_square, exists_pencil
 from .model import DomainError, fraction_str, write_records
 from .walls import wall_test
 
 
-@dataclass(frozen=True)
-class CatalogEntry:
+class CatalogEntry(NamedTuple):
     epsilon: int
     k: int
     p: int
@@ -44,27 +42,6 @@ def seed_lattice(k: int, epsilon: int) -> tuple[Gram, int, int]:
     return state_gram(p, 0, k, epsilon), p, 0
 
 
-def _entry_for(params: BNParams, gram: Gram,
-               form: tuple | None) -> CatalogEntry:
-    """Entry of a state whose canonical form (None: degenerate) is known.
-
-    A wall entry is verified when its saturation has the same canonical
-    form as the move-generated gram, i.e. when the two are isometric.
-    """
-    q_r = curve_square(params).value
-    class_id = binforms.form_id(form) if form is not None else None
-    k, epsilon, p, delta = params.k, params.epsilon, params.p, params.delta
-    if q_r.numerator < 0:
-        verdict = wall_test(curve_class(params), params.context())
-        verified = (verdict.is_wall
-                    and binforms.canonical_form(verdict.t_gram) == form)
-        return CatalogEntry(epsilon, k, p, delta, gram, q_r,
-                            verdict.is_wall, verdict.witness_ambient,
-                            class_id, verified)
-    return CatalogEntry(epsilon, k, p, delta, gram, q_r, False, None,
-                        class_id, False, note="not a wall (square >= 0)")
-
-
 def generate_catalog(k: int, epsilon: int, p_min: int = 2,
                      p_max: int | None = None,
                      delta_max: int | None = None) -> list[CatalogEntry]:
@@ -73,9 +50,17 @@ def generate_catalog(k: int, epsilon: int, p_min: int = 2,
     The moves reach every (p, delta) with 2 <= p <= seed p and
     0 <= delta <= p - 2*epsilon; the states in range are taken by delta
     ascending, then p descending, each with its `state_gram`.
+
+    Validation happens once per catalog: `seed_lattice` checks k and
+    epsilon, and the loop bounds give every state 2 <= p and
+    0 <= delta <= p - 2*epsilon, which is all that `BNParams` checks.  So
+    q(R) comes from the unvalidated integer `curves._square`, and
+    `BNParams` is built only for the walls' wall test (q(R) < 0).
     No state needs the pencil-existence check: every state has p at most
     the seed's 2h + epsilon (h = k - 1 + 2*epsilon), so alpha <= 1 and the
     bound alpha*(p - delta - epsilon - (alpha+1)*h) is <= 0 <= delta.
+    A wall entry is verified when its saturation has the same canonical
+    form as the state's gram, i.e. when the two are isometric.
     """
     _, seed_p, _ = seed_lattice(k, epsilon)
     p_top = seed_p if p_max is None else min(p_max, seed_p)
@@ -83,24 +68,37 @@ def generate_catalog(k: int, epsilon: int, p_min: int = 2,
     d_top = p_top - 2 * epsilon
     if delta_max is not None:
         d_top = min(delta_max, d_top)
-    states = ((state_gram(p, delta, k, epsilon), p, delta)
-              for delta in range(d_top + 1)
-              for p in range(p_top, max(p_low, delta + 2 * epsilon) - 1, -1))
 
     # A state is classified before its entry is built, so a state whose
     # isometry class is already listed costs no square and no wall test.
     entries: list[CatalogEntry] = []
     seen: set = set()
-    for gram, p, delta in states:
-        try:
-            form = binforms.canonical_form(gram)
-        except binforms.DegenerateFormError:
-            form = None
-        key = form if form is not None else ("degenerate", gram)
-        if key in seen:
-            continue
-        seen.add(key)
-        entries.append(_entry_for(BNParams(p, delta, k, epsilon), gram, form))
+    for delta in range(d_top + 1):
+        for p in range(p_top, max(p_low, delta + 2 * epsilon) - 1, -1):
+            gram = state_gram(p, delta, k, epsilon)
+            try:
+                form = binforms.canonical_form(gram)
+            except binforms.DegenerateFormError:
+                form = None
+            key = form if form is not None else ("degenerate", gram)
+            if key in seen:
+                continue
+            seen.add(key)
+            value, denom, _ = _square(p, delta, k, epsilon)
+            q_r = Fraction(value, denom)
+            class_id = binforms.form_id(form) if form is not None else None
+            if value >= 0:
+                entries.append(CatalogEntry(
+                    epsilon, k, p, delta, gram, q_r, False, None, class_id,
+                    False, "not a wall (square >= 0)"))
+                continue
+            params = BNParams(p, delta, k, epsilon)
+            verdict = wall_test(curve_class(params), params.context())
+            verified = (verdict.is_wall
+                        and binforms.canonical_form(verdict.t_gram) == form)
+            entries.append(CatalogEntry(
+                epsilon, k, p, delta, gram, q_r, verdict.is_wall,
+                verdict.witness_ambient, class_id, verified))
     return entries
 
 

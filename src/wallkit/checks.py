@@ -15,8 +15,6 @@ JSON-ready dict that `scan` copies into its record.
 
 from __future__ import annotations
 
-from functools import cached_property
-
 from .catalog import state_gram
 from .curves import (
     BNParams,
@@ -50,25 +48,42 @@ ORACLE_RADIUS_LIMIT = 200
 Result = tuple[bool, dict] | None
 
 
+class _computed_once:
+    """`functools.cached_property` without its lock, as in Python 3.12: the
+    first read computes the value and stores it in the instance's __dict__,
+    which later reads find before this (non-data) descriptor.  Python 3.11's
+    version takes an RLock on every first read, and a scan point makes four."""
+
+    def __init__(self, func) -> None:
+        self.func = func
+        self.name = func.__name__
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.func(obj)
+        return value
+
+
 class Point:
     """One parameter set; everything derived from it is computed lazily."""
 
     def __init__(self, epsilon: int, k: int, p: int, delta: int) -> None:
         self.params = BNParams(p, delta, k, epsilon)
 
-    @cached_property
+    @_computed_once
     def curve(self) -> CurveClass:
         return curve_class(self.params)
 
-    @cached_property
+    @_computed_once
     def pencil(self) -> bool:
         return exists_pencil(self.params)
 
-    @cached_property
+    @_computed_once
     def square(self) -> SquareReport:
         return curve_square(self.params)
 
-    @cached_property
+    @_computed_once
     def verdict(self) -> WallVerdict:
         return wall_test(self.curve, self.params.context())
 

@@ -19,6 +19,54 @@ def bn_rho(p: int, r: int, d: int) -> int:
     return p - (r + 1) * (p - d + r)
 
 
+def _derived(p: int, delta: int, k: int,
+             epsilon: int) -> tuple[int, int, int, int, int]:
+    """(half_div, g, alpha, beta, rho) of a parameter set, unvalidated."""
+    h = k - 1 + 2 * epsilon
+    g = p - delta
+    a = (g - epsilon) // (2 * h)
+    return (h, g, a, (2 * a + 1) * h - g + epsilon,
+            bn_rho(p, a, (k + epsilon) * a + delta))
+
+
+def _pencil_bound(p: int, delta: int, epsilon: int, h: int, a: int) -> int:
+    """alpha*(p - delta - epsilon - (alpha+1)*half_div); the pencil exists
+    exactly when delta is at least this bound."""
+    return a * (p - delta - epsilon - h * (a + 1))
+
+
+def _square(p: int, delta: int, k: int, epsilon: int) -> tuple[int, int, bool]:
+    """q(R) of the parameter set as (numerator, denominator 2*half_div),
+    not reduced, and whether it attains the minimal-square bound.
+
+    Both forms of the square are computed as numerators over 2h
+    (h = half_div) and compared as integers, and the minimality flag is
+    checked against the bound wherever the pencil exists; a disagreement
+    raises AssertionError.  The parameters are not validated.
+    """
+    h, g, a, b, rho = _derived(p, delta, k, epsilon)
+    denom = 2 * h
+    n = g + k - 1 + epsilon
+    value = 2 * (p - 1) * denom - n * n
+    rewritten = 2 * (rho + epsilon * a * (a + 2) + epsilon - 1) * denom - b * b
+    if value != rewritten:
+        raise AssertionError(
+            f"square formulas disagree at BNParams(p={p}, delta={delta}, "
+            f"k={k}, epsilon={epsilon}): "
+            f"{Fraction(value, denom)} != {Fraction(rewritten, denom)}")
+    minimal = p == a * (a + 1) * h + epsilon and delta == a * (a - 1) * h
+    # The bound is attained exactly at the parameters above, provided the
+    # pencil exists; without existence the value can touch the bound anyway.
+    # Over 2h the bound -(k + 3 - 2*epsilon)/2 reads -(k + 3 - 2*epsilon)*h.
+    if (delta >= _pencil_bound(p, delta, epsilon, h, a)
+            and minimal != (value == -(k + 3 - 2 * epsilon) * h)):
+        raise AssertionError(
+            f"minimality flag {minimal} disagrees with the bound at "
+            f"BNParams(p={p}, delta={delta}, k={k}, epsilon={epsilon}): "
+            f"{Fraction(value, denom)}")
+    return value, denom, minimal
+
+
 @dataclass(frozen=True)
 class BNParams:
     """One parameter set, validated; the quantities derived from it are
@@ -44,15 +92,9 @@ class BNParams:
             raise DomainError(
                 "constraint violated: 0 <= delta <= p - 2*epsilon "
                 f"(got delta={self.delta}, p={self.p}, epsilon={self.epsilon})")
-        h = self.k - 1 + 2 * self.epsilon
-        g = self.p - self.delta
-        a = (g - self.epsilon) // (2 * h)
-        for name, value in (
-                ("half_div", h), ("g", g), ("alpha", a),
-                ("beta", (2 * a + 1) * h - g + self.epsilon),
-                ("rho", bn_rho(self.p, a, (self.k + self.epsilon) * a
-                               + self.delta)),
-                ("_context", ctx)):
+        for name, value in zip(
+                ("half_div", "g", "alpha", "beta", "rho", "_context"),
+                _derived(self.p, self.delta, self.k, self.epsilon) + (ctx,)):
             object.__setattr__(self, name, value)
 
     def context(self) -> SurfaceContext:
@@ -62,10 +104,8 @@ class BNParams:
 def exists_pencil(params: BNParams) -> bool:
     """Existence of delta-nodal curves whose normalizations carry a pencil
     of degree k + epsilon: delta >= alpha*(p - delta - epsilon - (alpha+1)*half_div)."""
-    a = params.alpha
-    bound = a * (params.p - params.delta - params.epsilon
-                 - params.half_div * (a + 1))
-    return params.delta >= bound
+    return params.delta >= _pencil_bound(params.p, params.delta, params.epsilon,
+                                         params.half_div, params.alpha)
 
 
 def exists_pencil_via_rho(params: BNParams, l_max: int | None = None) -> bool:
@@ -121,28 +161,11 @@ def minimal_square_bound(k: int, epsilon: int) -> Fraction:
 def curve_square(params: BNParams) -> SquareReport:
     """Exact square of curve_class(params) in its two equivalent forms.
 
-    Both forms are computed as integer numerators over the common
-    denominator 2h (h = half_div) and compared as integers; one Fraction
-    is built, at the end, and serves as both.
+    `_square` computes and cross-checks both forms in integers; one
+    Fraction is built, at the end, and serves as both.
     """
-    h, eps = params.half_div, params.epsilon
-    denom = 2 * h
-    n = params.g + params.k - 1 + eps
-    value = 2 * (params.p - 1) * denom - n * n
-    a, b, rho = params.alpha, params.beta, params.rho
-    rewritten = 2 * (rho + eps * a * (a + 2) + eps - 1) * denom - b * b
-    if value != rewritten:
-        raise AssertionError(
-            f"square formulas disagree at {params}: "
-            f"{Fraction(value, denom)} != {Fraction(rewritten, denom)}")
-    minimal = (params.p == a * (a + 1) * h + eps
-               and params.delta == a * (a - 1) * h)
-    # The bound is attained exactly at the parameters above, provided the
-    # pencil exists; without existence the value can touch the bound anyway.
-    # Over 2h the bound -(k + 3 - 2*epsilon)/2 reads -(k + 3 - 2*epsilon)*h.
-    if exists_pencil(params) and minimal != (
-            value == -(params.k + 3 - 2 * eps) * h):
-        raise AssertionError(f"minimality flag {minimal} disagrees with "
-                             f"the bound at {params}: {Fraction(value, denom)}")
+    value, denom, minimal = _square(params.p, params.delta, params.k,
+                                    params.epsilon)
     square = Fraction(value, denom)
-    return SquareReport(square, square, minimal, a, b, rho)
+    return SquareReport(square, square, minimal, params.alpha, params.beta,
+                        params.rho)

@@ -3,19 +3,27 @@
 from __future__ import annotations
 
 import random
-from math import gcd
+from math import gcd, isqrt
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from wallkit.binforms import (
     DegenerateFormError,
     ReductionBudgetError,
+    _check_gram,
+    _indef_cycle,
     canonical_form,
     class_id,
     rank2_isometric,
     xgcd,
 )
+from wallkit.catalog import state_gram
 from wallkit.model import DomainError
+
+_settings = settings(derandomize=True, database=None, deadline=None,
+                     max_examples=100)
 
 
 def _conjugate(g, u):
@@ -186,3 +194,84 @@ def test_xgcd_random():
         a, b = rng.randint(-10**6, 10**6), rng.randint(-10**6, 10**6)
         g, x, y = xgcd(a, b)
         assert g == gcd(a, b) and x * a + y * b == g
+
+
+def _reference_canonical_form(g):
+    """canonical_form with the cycles of an anisotropic indefinite form and
+    of its middle-sign flip walked one after the other."""
+    a, b, c = _check_gram(g)
+    det = a * c - b * b
+    if det > 0 or isqrt(-det) ** 2 == -det:
+        return canonical_form(g)
+    d = -4 * det
+    return ("indef",) + min(min(_indef_cycle(a, 2 * b, c, d)),
+                            min(_indef_cycle(a, -2 * b, c, d)))
+
+
+@st.composite
+def _anisotropic_grams(draw):
+    a = draw(st.integers(-1000, 1000))
+    b = draw(st.integers(-1000, 1000))
+    c = draw(st.integers(-1000, 1000))
+    minus_det = b * b - a * c
+    assume(0 < minus_det <= 10**6 and isqrt(minus_det) ** 2 != minus_det)
+    return ((a, b), (b, c))
+
+
+@_settings
+@given(_anisotropic_grams())
+def test_one_cycle_walk_matches_the_two_walk_reference(g):
+    assert canonical_form(g) == _reference_canonical_form(g)
+
+
+def test_one_cycle_walk_matches_on_every_catalog_state():
+    indefinite = 0
+    for epsilon in (0, 1):
+        for k in range(2, 31):
+            for p in range(2, 2 * k - 1 + 5 * epsilon):
+                for delta in range(p - 2 * epsilon + 1):
+                    g = state_gram(p, delta, k, epsilon)
+                    try:
+                        form = canonical_form(g)
+                    except DegenerateFormError:
+                        continue
+                    assert form == _reference_canonical_form(g), g
+                    indefinite += form[0] == "indef"
+    assert indefinite > 2000
+
+
+# Generators of GL2(Z): S, T and the reflection diag(1, -1).
+_MOVES = (((0, -1), (1, 0)), ((1, 1), (0, 1)), ((1, 0), (0, -1)))
+
+
+@st.composite
+def _regime_grams(draw):
+    regime = draw(st.sampled_from(("definite", "isotropic", "anisotropic")))
+    if regime == "definite":
+        a = draw(st.integers(1, 500))
+        c = draw(st.integers(1, 500))
+        b = draw(st.integers(-isqrt(a * c - 1), isqrt(a * c - 1)))
+        sign = draw(st.sampled_from((1, -1)))
+        return ((sign * a, sign * b), (sign * b, sign * c))
+    if regime == "isotropic":
+        # (r x + s y)(t x + u y) with rt + su even is a form with even
+        # middle coefficient; it is nondegenerate when ru != st.
+        r, s, t, u = (draw(st.integers(-30, 30)) for _ in range(4))
+        assume((r * u + s * t) % 2 == 0 and r * u != s * t)
+        b = (r * u + s * t) // 2
+        return ((r * t, b), (b, s * u))
+    return draw(_anisotropic_grams())
+
+
+@_settings
+@given(_regime_grams(), st.lists(st.integers(0, 2), min_size=1, max_size=20))
+def test_class_id_is_invariant_under_gl2z_words(g, word):
+    m = [[1, 0], [0, 1]]
+    for move in word:
+        x = _MOVES[move]
+        m = [[m[0][0] * x[0][0] + m[0][1] * x[1][0],
+              m[0][0] * x[0][1] + m[0][1] * x[1][1]],
+             [m[1][0] * x[0][0] + m[1][1] * x[1][0],
+              m[1][0] * x[0][1] + m[1][1] * x[1][1]]]
+    # _conjugate(g, m) is m^T g m.
+    assert class_id(_conjugate(g, m)) == class_id(g)

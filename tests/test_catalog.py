@@ -9,6 +9,7 @@ import random
 
 import pytest
 
+from wallkit import catalog
 from wallkit.binforms import DegenerateFormError, class_id, rank2_isometric
 from wallkit.catalog import (
     CatalogEntry,
@@ -305,3 +306,54 @@ def test_generate_matches_reference_catalog(epsilon):
     # walls (verified) and non-walls (unverified) and degenerate grams all
     # take part in the comparison
     assert kept > 1000 and walls > 500 and degenerate > 50
+
+
+def test_integer_square_matches_the_object_path():
+    # generate_catalog validates once and takes q(R) from integers; every
+    # entry's parameters must still pass BNParams and give the same square
+    # through curve_square.
+    runs = [(k, epsilon, {}) for epsilon in (0, 1) for k in range(2, 31)]
+    runs += [(k, epsilon, kwargs) for epsilon in (0, 1) for k in (7, 20)
+             for kwargs in ({"p_min": 5}, {"p_max": 12}, {"delta_max": 3},
+                            {"p_min": 4, "p_max": 30, "delta_max": 10})]
+    checked = 0
+    for k, epsilon, kwargs in runs:
+        for e in generate_catalog(k, epsilon, **kwargs):
+            params = BNParams(e.p, e.delta, k, epsilon)
+            assert curve_square(params).value == e.q_curve, (k, kwargs, e)
+            checked += 1
+    assert checked > 29659
+
+
+def test_generate_builds_params_for_walls_only(monkeypatch):
+    built = []
+
+    def counting(*args):
+        built.append(args)
+        return BNParams(*args)
+
+    monkeypatch.setattr(catalog, "BNParams", counting)
+    entries = generate_catalog(12, 0)
+    walls = [(e.p, e.delta, 12, 0) for e in entries if e.q_curve < 0]
+    assert walls and len(walls) < len(entries)
+    assert built == walls
+
+
+def test_catalog_entry_shape_is_pinned():
+    assert CatalogEntry._fields == (
+        "epsilon", "k", "p", "delta", "gram", "q_curve", "is_wall",
+        "witness", "class_id", "verified", "note")
+    assert CatalogEntry._field_defaults == {"note": None}
+    entries = generate_catalog(4, 0)
+    wall = entries[0]
+    flat = next(e for e in entries if not e.is_wall)
+    assert repr(wall) == (
+        "CatalogEntry(epsilon=0, k=4, p=6, delta=0, gram=((-2, 3), (3, 6)), "
+        "q_curve=Fraction(-7, 2), is_wall=True, witness=(-1, 1, -6), "
+        "class_id='indef:-2:6:6', verified=True, note=None)")
+    assert repr(flat) == (
+        "CatalogEntry(epsilon=0, k=4, p=4, delta=1, gram=((0, 0), (0, 6)), "
+        "q_curve=Fraction(0, 1), is_wall=False, witness=None, class_id=None, "
+        "verified=False, note='not a wall (square >= 0)')")
+    # A NamedTuple: iterable, and equal to the plain tuple of its fields.
+    assert wall == tuple(wall) and list(flat)[-1] == flat.note

@@ -13,6 +13,7 @@ import random
 from collections import Counter
 from math import isqrt
 
+from wallkit import checks
 from wallkit.checks import CHECKS, Point
 
 
@@ -46,3 +47,20 @@ def test_checks_hold_at_large_parameters():
     for name in CHECKS:
         if name != "witness-oracle":
             assert applied[name] >= 20, (name, applied)
+
+
+def test_point_computes_each_field_once(monkeypatch):
+    calls: Counter = Counter()
+    for name in ("curve_class", "exists_pencil", "curve_square", "wall_test"):
+        def counted(*args, _name=name, _fn=getattr(checks, name)):
+            calls[_name] += 1
+            return _fn(*args)
+        monkeypatch.setattr(checks, name, counted)
+    first, second = Point(0, 4, 6, 0), Point(0, 4, 6, 1)
+    for pt in (first, second, first, second):
+        for check in CHECKS.values():
+            check(pt)
+    assert calls == {"curve_class": 2, "exists_pencil": 2,
+                     "curve_square": 2, "wall_test": 2}
+    assert first.square is first.square
+    assert first.square != second.square
