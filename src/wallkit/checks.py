@@ -1,9 +1,11 @@
 """Consistency checks shared by `wallkit scan` and the acceptance gates.
 
 A `Point` wraps one parameter set (epsilon, k, p, delta) and computes the
-curve class, pencil existence, the curve square and the wall verdict at
-most once each, on first use, so a check (or a CLI subcommand) that needs
-none of them costs none of them.
+curve class, pencil existence, the curve square, its "num/den" text and
+the wall verdict at most once each, on first use, so a check (or a CLI
+subcommand) that needs none of them costs none of them.  The square stays
+an integer numerator over 2h (h = k - 1 + 2*epsilon) and the verdict's
+divisor and q(D) are integers, so the checks build no Fraction.
 
 `oracle_agrees` is the one comparison of a verdict's witnesses with the
 box oracle; `wall-test --oracle` and the `witness-oracle` check both use it.
@@ -15,21 +17,22 @@ JSON-ready dict that `scan` copies into its record.
 
 from __future__ import annotations
 
+from math import gcd
+
 from .catalog import state_gram
 from .curves import (
     BNParams,
-    SquareReport,
+    Square,
+    _bound_num,
+    _square,
     curve_class,
-    curve_square,
     exists_pencil,
     exists_pencil_via_rho,
-    minimal_square_bound,
 )
 from .model import (
     CurveClass,
     DomainError,
     exceptional_vector,
-    fraction_str,
     moduli_dim,
     moduli_vector,
     mukai_pairing,
@@ -52,7 +55,7 @@ class _computed_once:
     """`functools.cached_property` without its lock, as in Python 3.12: the
     first read computes the value and stores it in the instance's __dict__,
     which later reads find before this (non-data) descriptor.  Python 3.11's
-    version takes an RLock on every first read, and a scan point makes four."""
+    version takes an RLock on every first read, and a scan point makes five."""
 
     def __init__(self, func) -> None:
         self.func = func
@@ -80,8 +83,17 @@ class Point:
         return exists_pencil(self.params)
 
     @_computed_once
-    def square(self) -> SquareReport:
-        return curve_square(self.params)
+    def square(self) -> Square:
+        """q(R) as (num, denom = 2h, minimal), not reduced."""
+        prm = self.params
+        return Square._make(_square(prm.p, prm.delta, prm.k, prm.epsilon))
+
+    @_computed_once
+    def q_r(self) -> str:
+        """q(R) as reduced "num/den" text, as every record prints it."""
+        num, den, _ = self.square
+        g = gcd(num, den)
+        return f"{num // g}/{den // g}"
 
     @_computed_once
     def verdict(self) -> WallVerdict:
@@ -105,8 +117,8 @@ def _wall_square(pt: Point) -> Result:
     """Wall verdict == (q(R) < 0) wherever the pencil exists."""
     if not pt.pencil:
         return None
-    q_r, is_wall = pt.square.value, pt.verdict.is_wall
-    return is_wall == (q_r < 0), {"q_R": fraction_str(q_r), "is_wall": is_wall}
+    is_wall = pt.verdict.is_wall
+    return is_wall == (pt.square.num < 0), {"q_R": pt.q_r, "is_wall": is_wall}
 
 
 def _exists_routes(pt: Point) -> Result:
@@ -116,10 +128,14 @@ def _exists_routes(pt: Point) -> Result:
 
 
 def _square_forms(pt: Point) -> Result:
-    """Square formula == rho/beta rewrite, and beta lies in (-h, h]."""
-    report, h = pt.square, pt.params.half_div
-    ok = report.value == report.rewritten and -h < report.beta <= h
-    return ok, {"q_R": fraction_str(report.value)}
+    """Square formula == rho/beta rewrite, and beta lies in (-h, h].
+
+    The two formulas are compared as integer numerators over 2h inside
+    `curves._square`, which raises AssertionError when they differ; this
+    check reads the square that comparison produced and tests beta's range.
+    """
+    prm = pt.params
+    return -prm.half_div < prm.beta <= prm.half_div, {"q_R": pt.q_r}
 
 
 def _dual_lattice(pt: Point) -> Result:
@@ -131,7 +147,7 @@ def _dual_lattice(pt: Point) -> Result:
     b/c = n/(2h), v - e = (0, 0, -2h) and L - v = (-1, 1, h), so
     w = (-1, 1, h - n).
     """
-    if pt.square.value >= 0:
+    if pt.square.num >= 0:
         return None
     prm = pt.params
     w = (-1, 1, prm.half_div - (prm.g + prm.k - 1 + prm.epsilon))
@@ -150,21 +166,22 @@ def _min_square(pt: Point) -> Result:
     p = a(a+1)h + e, delta = a(a-1)h; on walls q(R) is at least that bound."""
     if not pt.pencil:
         return None
-    prm, q_r = pt.params, pt.square.value
-    bound = minimal_square_bound(prm.k, prm.epsilon)
+    prm, num = pt.params, pt.square.num
     a, h = prm.alpha, prm.half_div
+    # The bound -(k+3-2e)/2 over the square's denominator 2h.
+    bound = _bound_num(prm.k, prm.epsilon) * h
     at_char = (prm.p == a * (a + 1) * h + prm.epsilon
                and prm.delta == a * (a - 1) * h)
-    ok = (q_r == bound) == at_char
+    ok = (num == bound) == at_char
     if not pt.verdict.is_wall:
         return ok, {"is_wall": False}
-    return ok and q_r >= bound, {"is_wall": True, "q_R": fraction_str(q_r)}
+    return ok and num >= bound, {"is_wall": True, "q_R": pt.q_r}
 
 
 def _witness_oracle(pt: Point) -> Result:
     """Witness enumeration == box oracle on spans with small |disc| and a
     box within ORACLE_RADIUS_LIMIT."""
-    if not pt.pencil or pt.square.value >= 0:
+    if not pt.pencil or pt.square.num >= 0:
         return None
     verdict = pt.verdict
     g = verdict.t_gram

@@ -28,7 +28,7 @@ from . import catalog as catalog_mod
 from . import subvarieties as sub_mod
 from .binforms import flat_gram
 from .checks import CHECKS, Point, oracle_agrees
-from .curves import bn_dims, dual_divisor
+from .curves import bn_dims, curve_square, dual_divisor
 from .model import DomainError, fraction_str, write_records
 from .walls import WallVerdict, primitive_dual_divisor
 
@@ -125,7 +125,7 @@ def _cmd_wall_test(args) -> list[dict]:
     record = {
         "epsilon": args.epsilon, "k": args.k, "p": args.p, "delta": args.delta,
         "curve": _curve_json(pt.curve),
-        "q_R": fraction_str(pt.square.value),
+        "q_R": pt.q_r,
         "is_wall": verdict.is_wall,
         "branch": verdict.branch,
         "divisor": _divisor_json(verdict.divisor),
@@ -148,7 +148,7 @@ def _cmd_class(args) -> list[dict]:
         "dual_divisor": _divisor_json(dual_divisor(pt.params)),
         "primitive_divisor": _divisor_json(primitive),
         "divisor_div": div,
-        "q_R": fraction_str(pt.square.value),
+        "q_R": pt.q_r,
     }]
 
 
@@ -161,7 +161,7 @@ def _cmd_exists(args) -> list[dict]:
 
 
 def _cmd_square(args) -> list[dict]:
-    report = _point(args).square
+    report = curve_square(_point(args).params)
     return [{
         "q_R": fraction_str(report.value),
         "rewritten": fraction_str(report.rewritten),

@@ -35,9 +35,26 @@ def _pencil_bound(p: int, delta: int, epsilon: int, h: int, a: int) -> int:
     return a * (p - delta - epsilon - h * (a + 1))
 
 
+class Square(NamedTuple):
+    """The triple `_square` returns, named: q(R) = num/denom with
+    denom = 2*half_div, not reduced, and whether it attains the
+    minimal-square bound."""
+
+    num: int
+    denom: int
+    minimal: bool
+
+
+def _bound_num(k: int, epsilon: int) -> int:
+    """-(k + 3 - 2*epsilon): the minimal-square bound is this over 2, or
+    this times half_div over 2*half_div."""
+    return -(k + 3 - 2 * epsilon)
+
+
 def _square(p: int, delta: int, k: int, epsilon: int) -> tuple[int, int, bool]:
     """q(R) of the parameter set as (numerator, denominator 2*half_div),
-    not reduced, and whether it attains the minimal-square bound.
+    not reduced, and whether it attains the minimal-square bound.  A plain
+    tuple, since the catalog unpacks one per state.
 
     Both forms of the square are computed as numerators over 2h
     (h = half_div) and compared as integers, and the minimality flag is
@@ -57,9 +74,8 @@ def _square(p: int, delta: int, k: int, epsilon: int) -> tuple[int, int, bool]:
     minimal = p == a * (a + 1) * h + epsilon and delta == a * (a - 1) * h
     # The bound is attained exactly at the parameters above, provided the
     # pencil exists; without existence the value can touch the bound anyway.
-    # Over 2h the bound -(k + 3 - 2*epsilon)/2 reads -(k + 3 - 2*epsilon)*h.
     if (delta >= _pencil_bound(p, delta, epsilon, h, a)
-            and minimal != (value == -(k + 3 - 2 * epsilon) * h)):
+            and minimal != (value == _bound_num(k, epsilon) * h)):
         raise AssertionError(
             f"minimality flag {minimal} disagrees with the bound at "
             f"BNParams(p={p}, delta={delta}, k={k}, epsilon={epsilon}): "
@@ -155,7 +171,7 @@ class SquareReport(NamedTuple):
 
 def minimal_square_bound(k: int, epsilon: int) -> Fraction:
     """Lower bound -(k + 3 - 2*epsilon)/2 for squares of wall curve classes."""
-    return Fraction(-(k + 3 - 2 * epsilon), 2)
+    return Fraction(_bound_num(k, epsilon), 2)
 
 
 def curve_square(params: BNParams) -> SquareReport:

@@ -33,9 +33,14 @@ class DomainError(ValueError):
 
 
 def fraction_str(x) -> str:
-    """Exact "num/den" text of a rational, as written in every JSON record."""
-    f = x if isinstance(x, Fraction) else Fraction(x)
-    return f"{f.numerator}/{f.denominator}"
+    """Exact "num/den" text of an int or Fraction, as written in every JSON
+    record; anything without a numerator and denominator (a float, a str)
+    raises TypeError."""
+    try:
+        return f"{x.numerator}/{x.denominator}"
+    except AttributeError:
+        raise TypeError(
+            f"fraction_str needs an int or Fraction, got {x!r}") from None
 
 
 def write_records(records: Iterable[dict], stream: IO[str]) -> int:
@@ -70,22 +75,31 @@ class SurfaceContext:
         return 2 * (self.k - 1 + 2 * self.epsilon)
 
 
+def _exact(x) -> int | Fraction:
+    """An integral value as int, any other rational as Fraction."""
+    f = Fraction(x)
+    return f.numerator if f.denominator == 1 else f
+
+
 @dataclass(frozen=True)
 class DivisorClass:
-    """a*L + b*e with exact rational coefficients."""
+    """a*L + b*e with exact rational coefficients: an integral coefficient
+    is stored as int, any other as Fraction."""
 
-    l: Fraction
-    e: Fraction
+    l: int | Fraction
+    e: int | Fraction
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "l", Fraction(self.l))
-        object.__setattr__(self, "e", Fraction(self.e))
+        if type(self.l) is not int or type(self.e) is not int:
+            object.__setattr__(self, "l", _exact(self.l))
+            object.__setattr__(self, "e", _exact(self.e))
 
     @property
     def is_integral(self) -> bool:
-        return self.l.denominator == 1 and self.e.denominator == 1
+        return type(self.l) is int and type(self.e) is int
 
-    def square(self, ctx: SurfaceContext) -> Fraction:
+    def square(self, ctx: SurfaceContext) -> int | Fraction:
+        """q(D); an int for an integral class."""
         return self.l * self.l * ctx.l_square - self.e * self.e * ctx.ek_div
 
 
@@ -102,7 +116,7 @@ class CurveClass:
                         - self.r * self.r, ctx.ek_div)
 
     def as_divisor(self, ctx: SurfaceContext) -> DivisorClass:
-        return DivisorClass(Fraction(self.l), Fraction(self.r, ctx.ek_div))
+        return DivisorClass(self.l, Fraction(self.r, ctx.ek_div))
 
 
 def mukai_pairing(x: Triple, y: Triple, p: int):
@@ -132,7 +146,7 @@ def divisor_divisibility(d: DivisorClass, ctx: SurfaceContext) -> int:
     """
     if not d.is_integral:
         raise DomainError(f"divisibility requires an integral class (got {d})")
-    return gcd(int(d.l), ctx.ek_div * int(d.e))
+    return gcd(d.l, ctx.ek_div * d.e)
 
 
 def sheaf_vector(p: int, delta: int, k: int, epsilon: int) -> tuple[int, Triple]:

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 from collections.abc import Iterator
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 from math import gcd, isqrt
 
@@ -54,7 +53,7 @@ class SpanLattice:
 class WallVerdict:
     divisor: DivisorClass    # primitive integral representative
     divisor_div: int
-    q_divisor: Fraction
+    q_divisor: int
     span: SpanLattice | None  # None when q(D) >= 0
     epsilon: int
     witness: Witness | None  # the least witness
@@ -94,13 +93,15 @@ def _square(a: int, b: int, ctx: SurfaceContext) -> int:
 def primitive_dual_divisor(curve: CurveClass,
                            ctx: SurfaceContext) -> tuple[DivisorClass, int]:
     """Primitive integral divisor class D proportional to the curve class,
-    together with div(D); D / div(D) is q-dual to the curve."""
+    together with div(D) = gcd(a, q(v)*b) for D = a*L + b*e (as in
+    `divisor_divisibility`); D / div(D) is q-dual to the curve."""
     x, y = curve.l, curve.r
     if x == 0 and y == 0:
         raise DomainError("curve class must be nonzero")
-    g = gcd(ctx.ek_div * x, y)
-    d = DivisorClass(ctx.ek_div * x // g, y // g)
-    return d, divisor_divisibility(d, ctx)
+    qv = ctx.ek_div
+    g = gcd(qv * x, y)
+    a, b = qv * x // g, y // g
+    return DivisorClass(a, b), gcd(a, qv * b)
 
 
 def saturated_span(divisor: DivisorClass, ctx: SurfaceContext) -> SpanLattice:
@@ -121,7 +122,7 @@ def saturated_span(divisor: DivisorClass, ctx: SurfaceContext) -> SpanLattice:
     if not divisor.is_integral:
         raise DomainError(
             f"divisor class must be integral to embed (got {divisor})")
-    a, b = divisor.l.numerator, divisor.e.numerator
+    a, b = divisor.l, divisor.e
     q_d = _square(a, b, ctx)
     if q_d >= 0:
         raise DomainError(f"wall test needs q(D) < 0, got q(D) = {q_d}")
@@ -289,13 +290,16 @@ def box_witnesses(gram: Gram, v: tuple[int, int], epsilon: int,
 def primitive_integral_divisor(divisor: DivisorClass,
                                ctx: SurfaceContext) -> DivisorClass:
     """Primitive integral class positively proportional to the input."""
-    a, b = Fraction(divisor.l), Fraction(divisor.e)
-    if a == 0 and b == 0:
+    x, y = divisor.l, divisor.e
+    if not divisor.is_integral:
+        # Clear the lcm m of the denominators: (x, y) = m * (l, e).
+        dx, dy = x.denominator, y.denominator
+        m = dx * dy // gcd(dx, dy)
+        x, y = x.numerator * (m // dx), y.numerator * (m // dy)
+    if x == 0 and y == 0:
         raise DomainError("divisor class must be nonzero")
-    m = a.denominator * b.denominator // gcd(a.denominator, b.denominator)
-    x, y = int(a * m), int(b * m)
     g = gcd(x, y)
-    return DivisorClass(Fraction(x, g), Fraction(y, g))
+    return DivisorClass(x // g, y // g)
 
 
 def wall_test(obj: CurveClass | DivisorClass,
@@ -306,11 +310,10 @@ def wall_test(obj: CurveClass | DivisorClass,
     else:
         divisor = primitive_integral_divisor(obj, ctx)
         div = divisor_divisibility(divisor, ctx)
-    a, b = divisor.l.numerator, divisor.e.numerator
+    a, b = divisor.l, divisor.e
     q_d = _square(a, b, ctx)
     if q_d >= 0:
-        return WallVerdict(divisor, div, Fraction(q_d), None, ctx.epsilon,
-                           None, None)
+        return WallVerdict(divisor, div, q_d, None, ctx.epsilon, None, None)
     span = _saturate(a, b, ctx)
     witness = next(_witness_walk(span.gram, span.v_coords, ctx.epsilon), None)
     ambient = None
@@ -318,5 +321,5 @@ def wall_test(obj: CurveClass | DivisorClass,
         s = witness.coords
         ambient = tuple(s[0] * span.basis[0][i] + s[1] * span.basis[1][i]
                         for i in range(3))
-    return WallVerdict(divisor, div, Fraction(q_d), span, ctx.epsilon,
-                       witness, ambient)
+    return WallVerdict(divisor, div, q_d, span, ctx.epsilon, witness,
+                       ambient)

@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
+import io
 import json
 import os
 import shlex
@@ -310,6 +312,9 @@ _CATALOG_SHA256 = {
     (1, 12): "1b4b7f5e686e30d19fcb7e4573b9c4beb254dd3b8226f93ebc428e77ac5470d2",
 }
 _SCAN_SHA256 = "200d46c5adca8dbb34022238fb5e888e906ccdc027c4c12f32f735a2e24e3df8"
+# The whole acceptance grid, k <= 8 and p <= 40, both epsilon.
+_GRID_SCAN_SHA256 = \
+    "19233f762feda9b1c378c6061b08d873e2ec912fef84cd5ea50d1faa6077e4df"
 
 
 @pytest.mark.parametrize("epsilon, k", sorted(_CATALOG_SHA256))
@@ -326,6 +331,42 @@ def test_scan_stdout_is_pinned(capsys):
                         "--check", "all")
     assert rc == 0 and err == ""
     assert hashlib.sha256(out.encode()).hexdigest() == _SCAN_SHA256
+
+
+@pytest.fixture(scope="module")
+def grid_scan():
+    """(exit code, stdout, Fraction constructions) of one `scan --check all`
+    over the acceptance grid, run with `Fraction.__new__` counting."""
+    built = [0]
+    original = Fraction.__new__
+
+    def counting(cls, *args, **kwargs):
+        built[0] += 1
+        return original(cls, *args, **kwargs)
+
+    out = io.StringIO()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(Fraction, "__new__", staticmethod(counting))
+        with contextlib.redirect_stdout(out):
+            rc = main(["scan", "--epsilon", "0..1", "--k", "2..8",
+                       "--p", "2..40", "--check", "all"])
+        count = built[0]
+        Fraction(1, 2)
+        # The counter sees a construction, so a zero count means none.
+        assert built[0] == count + 1
+    return rc, out.getvalue(), count
+
+
+def test_grid_scan_stdout_is_pinned(grid_scan):
+    rc, out, _ = grid_scan
+    assert rc == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == _GRID_SCAN_SHA256
+
+
+def test_grid_scan_builds_no_fraction(grid_scan):
+    # q(R), q(D) and the dual divisor stay integers on the scan path.
+    rc, _, built = grid_scan
+    assert rc == 0 and built == 0
 
 
 def _point_argvs(*command):

@@ -15,6 +15,7 @@ from wallkit.model import (
     SurfaceContext,
     divisor_divisibility,
     exceptional_vector,
+    fraction_str,
     moduli_dim,
     moduli_vector,
     mukai_pairing,
@@ -174,3 +175,24 @@ def test_moduli_dim_equals_square_plus_two():
                     else:
                         assert moduli_dim(p, delta, k, epsilon) == expected
                         assert expected % 2 == 0
+
+
+def test_fraction_str_reads_ints_and_fractions_only():
+    assert fraction_str(3) == "3/1"
+    assert fraction_str(Fraction(-6, 4)) == "-3/2"
+    for not_rational in (0.5, "1/2"):
+        with pytest.raises(TypeError):
+            fraction_str(not_rational)
+
+
+def test_integral_divisor_class_holds_ints():
+    ctx = SurfaceContext(0, 4, 3)
+    d = DivisorClass(Fraction(4, 2), -3)
+    assert type(d.l) is int and type(d.e) is int and d.is_integral
+    assert repr(d) == "DivisorClass(l=2, e=-3)"
+    assert d == DivisorClass(2, Fraction(-3)) == DivisorClass(2, -3)
+    assert hash(d) == hash(DivisorClass(2, -3))
+    assert type(d.square(ctx)) is int and d.square(ctx) == 6 * 4 - 9 * 4
+    half = DivisorClass(1, Fraction(-3, 2))
+    assert type(half.l) is int and type(half.e) is Fraction
+    assert not half.is_integral and half.square(ctx) == Fraction(6 - 9)

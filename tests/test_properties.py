@@ -1,24 +1,32 @@
 """Property tests at large parameters (k <= 1e5, p <= 1e10): the integer
-square path against a Fraction reference, and pencil existence on every
-catalog state."""
+square path, and the scan path's integer square and divisor, against
+Fraction references, and pencil existence on every catalog state."""
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 from unittest import mock
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from wallkit.checks import Point
 from wallkit.curves import (
     BNParams,
     bn_rho,
     curve_class,
     curve_square,
+    dual_divisor,
     exists_pencil,
     minimal_square_bound,
 )
-from wallkit.walls import primitive_dual_divisor, wall_test
+from wallkit.model import divisor_divisibility, fraction_str
+from wallkit.walls import (
+    primitive_dual_divisor,
+    primitive_integral_divisor,
+    wall_test,
+)
 
 K_MAX, P_MAX = 10**5, 10**10
 
@@ -81,11 +89,46 @@ def test_wall_test_q_divisor_is_divisor_square(params):
     # to 1e5.
     with mock.patch("wallkit.walls._witness_walk", return_value=iter(())):
         verdict = wall_test(curve, ctx)
-    assert type(verdict.q_divisor) is Fraction
+    assert type(verdict.q_divisor) is int
     assert verdict.q_divisor == verdict.divisor.square(ctx)
     assert (verdict.divisor, verdict.divisor_div) == \
         primitive_dual_divisor(curve, ctx)
     assert (verdict.span is None) == (verdict.q_divisor >= 0)
+
+
+def _reference_primitive_dual_divisor(curve, ctx) -> tuple[Fraction, Fraction]:
+    """The dual divisor (l, r/q(v)) scaled to a primitive integral class
+    with Fraction arithmetic, as the library did before it used integers."""
+    a, b = Fraction(curve.l), Fraction(curve.r, ctx.ek_div)
+    m = a.denominator * b.denominator // gcd(a.denominator, b.denominator)
+    x, y = int(a * m), int(b * m)
+    g = gcd(x, y)
+    return Fraction(x, g), Fraction(y, g)
+
+
+@_settings
+@given(_params)
+def test_scan_path_integers_match_fraction_reference(params):
+    ctx = params.context()
+    pt = Point(params.epsilon, params.k, params.p, params.delta)
+    report = curve_square(params)
+    num, den, minimal = pt.square
+    assert type(num) is int and den == 2 * params.half_div
+    assert Fraction(num, den) == report.value
+    assert pt.q_r == fraction_str(report.value)
+    assert minimal == report.minimal
+    # As in the test above, the witness walk is skipped: it does not touch
+    # the divisor or q(D).
+    with mock.patch("wallkit.walls._witness_walk", return_value=iter(())):
+        verdict = pt.verdict
+    divisor = verdict.divisor
+    assert type(divisor.l) is int and type(divisor.e) is int
+    assert type(verdict.q_divisor) is int
+    assert verdict.q_divisor == divisor.square(ctx)
+    assert verdict.divisor_div == divisor_divisibility(divisor, ctx)
+    assert (divisor.l, divisor.e) == \
+        _reference_primitive_dual_divisor(pt.curve, ctx)
+    assert primitive_integral_divisor(dual_divisor(params), ctx) == divisor
 
 
 @st.composite
