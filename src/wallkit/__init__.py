@@ -16,11 +16,9 @@ from .binforms import (
 )
 from .catalog import (
     CatalogEntry,
-    classification_complete,
     entry_record,
     export_catalog,
     generate_catalog,
-    is_prime_power,
     realize_gram,
     seed_lattice,
 )
@@ -94,7 +92,6 @@ __all__ = [
     "canonical_form",
     "chi_value",
     "class_id",
-    "classification_complete",
     "curve_class",
     "curve_square",
     "divisor_divisibility",
@@ -106,7 +103,6 @@ __all__ = [
     "exists_pencil_via_rho",
     "export_catalog",
     "generate_catalog",
-    "is_prime_power",
     "lagrangian_plane",
     "minimal_square_bound",
     "moduli_dim",

@@ -15,7 +15,7 @@ from typing import IO, Iterable, NamedTuple
 
 from . import binforms
 from .binforms import Gram
-from .curves import BNParams, _square, curve_class, curve_square, exists_pencil
+from .curves import BNParams, _square, curve_class, exists_pencil
 from .model import DomainError, fraction_str, write_records
 from .walls import wall_test
 
@@ -118,7 +118,7 @@ def realize_gram(target: Gram, k: int, epsilon: int) -> tuple[int, int] | None:
     if c != 2 * k - 2 + 4 * epsilon:
         raise DomainError(
             f"corner must equal 2k-2+4*epsilon = {2 * k - 2 + 4 * epsilon}, got {c}")
-    if a % 2 or c % 2:
+    if a % 2:
         raise DomainError(f"diagonal entries must be even, got {target}")
     delta = (a + 2 - 2 * epsilon) // 2
     p = b + delta + k - 1 + 3 * epsilon
@@ -127,33 +127,13 @@ def realize_gram(target: Gram, k: int, epsilon: int) -> tuple[int, int] | None:
     params = BNParams(p, delta, k, epsilon)
     if not exists_pencil(params):
         return None
-    if curve_square(params).value >= 0:
+    if _square(p, delta, k, epsilon)[0] >= 0:
         return None
     verdict = wall_test(curve_class(params), params.context())
     if verdict.t_gram is None or not binforms.rank2_isometric(
             verdict.t_gram, target):
         return None
     return p, delta
-
-
-def is_prime_power(n: int) -> bool:
-    if n < 2:
-        return False
-    for q in range(2, n + 1):
-        if q * q > n:
-            return True  # n itself is prime
-        if n % q == 0:
-            while n % q == 0:
-                n //= q
-            return n == 1
-    return False
-
-
-def classification_complete(k: int, epsilon: int) -> bool:
-    """Whether isometry classes classify walls completely here (the
-    catalog is a full list of wall lattices exactly when k-1+2*epsilon
-    is a prime power)."""
-    return is_prime_power(k - 1 + 2 * epsilon)
 
 
 def entry_record(entry: CatalogEntry) -> dict:

@@ -7,6 +7,11 @@ subcommand) that needs none of them costs none of them.  The square stays
 an integer numerator over 2h (h = k - 1 + 2*epsilon) and the verdict's
 divisor and q(D) are integers, so the checks build no Fraction.
 
+The checks own every comparison of two routes to one number: each computes
+its second route itself and reports a disagreement as a failed check, not
+as an exception.  The `AssertionError`s left in the library guard
+invariants that no check repeats.
+
 `oracle_agrees` is the one comparison of a verdict's witnesses with the
 box oracle; `wall-test --oracle` and the `witness-oracle` check both use it.
 
@@ -24,6 +29,7 @@ from .curves import (
     BNParams,
     Square,
     _bound_num,
+    _rewritten,
     _square,
     curve_class,
     exists_pencil,
@@ -128,14 +134,12 @@ def _exists_routes(pt: Point) -> Result:
 
 
 def _square_forms(pt: Point) -> Result:
-    """Square formula == rho/beta rewrite, and beta lies in (-h, h].
-
-    The two formulas are compared as integer numerators over 2h inside
-    `curves._square`, which raises AssertionError when they differ; this
-    check reads the square that comparison produced and tests beta's range.
-    """
+    """Square formula == rho/beta rewrite, compared as integer numerators
+    over 2h, and beta lies in (-h, h]."""
     prm = pt.params
-    return -prm.half_div < prm.beta <= prm.half_div, {"q_R": pt.q_r}
+    ok = (pt.square.num == _rewritten(prm)
+          and -prm.half_div < prm.beta <= prm.half_div)
+    return ok, {"q_R": pt.q_r}
 
 
 def _dual_lattice(pt: Point) -> Result:
@@ -162,17 +166,15 @@ def _dual_lattice(pt: Point) -> Result:
 
 
 def _min_square(pt: Point) -> Result:
-    """Wherever the pencil exists, q(R) equals -(k+3-2e)/2 exactly at
-    p = a(a+1)h + e, delta = a(a-1)h; on walls q(R) is at least that bound."""
+    """Wherever the pencil exists, q(R) equals -(k+3-2e)/2 exactly where
+    `curves._square` flags the point p = a(a+1)h + e, delta = a(a-1)h; on
+    walls q(R) is at least that bound."""
     if not pt.pencil:
         return None
-    prm, num = pt.params, pt.square.num
-    a, h = prm.alpha, prm.half_div
+    prm, (num, _, minimal) = pt.params, pt.square
     # The bound -(k+3-2e)/2 over the square's denominator 2h.
-    bound = _bound_num(prm.k, prm.epsilon) * h
-    at_char = (prm.p == a * (a + 1) * h + prm.epsilon
-               and prm.delta == a * (a - 1) * h)
-    ok = (num == bound) == at_char
+    bound = _bound_num(prm.k, prm.epsilon) * prm.half_div
+    ok = (num == bound) == minimal
     if not pt.verdict.is_wall:
         return ok, {"is_wall": False}
     return ok and num >= bound, {"is_wall": True, "q_R": pt.q_r}

@@ -29,16 +29,10 @@ def _derived(p: int, delta: int, k: int,
             bn_rho(p, a, (k + epsilon) * a + delta))
 
 
-def _pencil_bound(p: int, delta: int, epsilon: int, h: int, a: int) -> int:
-    """alpha*(p - delta - epsilon - (alpha+1)*half_div); the pencil exists
-    exactly when delta is at least this bound."""
-    return a * (p - delta - epsilon - h * (a + 1))
-
-
 class Square(NamedTuple):
     """The triple `_square` returns, named: q(R) = num/denom with
-    denom = 2*half_div, not reduced, and whether it attains the
-    minimal-square bound."""
+    denom = 2*half_div, not reduced, and whether the parameters are the
+    characteristic point of the minimal-square bound."""
 
     num: int
     denom: int
@@ -53,34 +47,25 @@ def _bound_num(k: int, epsilon: int) -> int:
 
 def _square(p: int, delta: int, k: int, epsilon: int) -> tuple[int, int, bool]:
     """q(R) of the parameter set as (numerator, denominator 2*half_div),
-    not reduced, and whether it attains the minimal-square bound.  A plain
-    tuple, since the catalog unpacks one per state.
-
-    Both forms of the square are computed as numerators over 2h
-    (h = half_div) and compared as integers, and the minimality flag is
-    checked against the bound wherever the pencil exists; a disagreement
-    raises AssertionError.  The parameters are not validated.
+    not reduced, and whether (p, delta) is the characteristic point
+    p = alpha*(alpha+1)*half_div + epsilon, delta = alpha*(alpha-1)*half_div,
+    where q(R) attains the minimal-square bound if the pencil exists.  A
+    plain tuple, since the catalog unpacks one per state.  The parameters
+    are not validated; `wallkit.checks` compares the value with `_rewritten`
+    and the flag with the bound.
     """
-    h, g, a, b, rho = _derived(p, delta, k, epsilon)
-    denom = 2 * h
+    h, g, a, _, _ = _derived(p, delta, k, epsilon)
     n = g + k - 1 + epsilon
-    value = 2 * (p - 1) * denom - n * n
-    rewritten = 2 * (rho + epsilon * a * (a + 2) + epsilon - 1) * denom - b * b
-    if value != rewritten:
-        raise AssertionError(
-            f"square formulas disagree at BNParams(p={p}, delta={delta}, "
-            f"k={k}, epsilon={epsilon}): "
-            f"{Fraction(value, denom)} != {Fraction(rewritten, denom)}")
-    minimal = p == a * (a + 1) * h + epsilon and delta == a * (a - 1) * h
-    # The bound is attained exactly at the parameters above, provided the
-    # pencil exists; without existence the value can touch the bound anyway.
-    if (delta >= _pencil_bound(p, delta, epsilon, h, a)
-            and minimal != (value == _bound_num(k, epsilon) * h)):
-        raise AssertionError(
-            f"minimality flag {minimal} disagrees with the bound at "
-            f"BNParams(p={p}, delta={delta}, k={k}, epsilon={epsilon}): "
-            f"{Fraction(value, denom)}")
-    return value, denom, minimal
+    return (4 * (p - 1) * h - n * n, 2 * h,
+            p == a * (a + 1) * h + epsilon and delta == a * (a - 1) * h)
+
+
+def _rewritten(params: BNParams) -> int:
+    """The Brill-Noether form 2*(rho + epsilon*alpha*(alpha+2) + epsilon - 1)
+    - beta^2/(2*half_div) of q(R), as its numerator over 2*half_div."""
+    a, e = params.alpha, params.epsilon
+    return (4 * (params.rho + e * a * (a + 2) + e - 1) * params.half_div
+            - params.beta * params.beta)
 
 
 @dataclass(frozen=True)
@@ -120,8 +105,9 @@ class BNParams:
 def exists_pencil(params: BNParams) -> bool:
     """Existence of delta-nodal curves whose normalizations carry a pencil
     of degree k + epsilon: delta >= alpha*(p - delta - epsilon - (alpha+1)*half_div)."""
-    return params.delta >= _pencil_bound(params.p, params.delta, params.epsilon,
-                                         params.half_div, params.alpha)
+    a = params.alpha
+    return params.delta >= a * (params.p - params.delta - params.epsilon
+                                - (a + 1) * params.half_div)
 
 
 def exists_pencil_via_rho(params: BNParams, l_max: int | None = None) -> bool:
@@ -175,13 +161,10 @@ def minimal_square_bound(k: int, epsilon: int) -> Fraction:
 
 
 def curve_square(params: BNParams) -> SquareReport:
-    """Exact square of curve_class(params) in its two equivalent forms.
-
-    `_square` computes and cross-checks both forms in integers; one
-    Fraction is built, at the end, and serves as both.
-    """
+    """Exact square of curve_class(params) in its two equivalent forms,
+    each computed by its own formula (`_square` and `_rewritten`)."""
     value, denom, minimal = _square(params.p, params.delta, params.k,
                                     params.epsilon)
-    square = Fraction(value, denom)
-    return SquareReport(square, square, minimal, params.alpha, params.beta,
-                        params.rho)
+    return SquareReport(Fraction(value, denom),
+                        Fraction(_rewritten(params), denom), minimal,
+                        params.alpha, params.beta, params.rho)

@@ -160,11 +160,9 @@ def sheaf_vector(p: int, delta: int, k: int, epsilon: int) -> tuple[int, Triple]
 
 def moduli_dim(p: int, delta: int, k: int, epsilon: int) -> int:
     """Dimension 2p - 4*chi + 8*(1 - epsilon) of the sheaf moduli space."""
-    chi, vec = sheaf_vector(p, delta, k, epsilon)
+    chi, _ = sheaf_vector(p, delta, k, epsilon)
     dim = 2 * p - 4 * chi + 8 * (1 - epsilon)
     if dim < 0:
         raise DomainError(
             f"moduli space is empty: 2p - 4*chi + 8(1 - epsilon) = {dim} < 0")
-    if dim != mukai_square(vec, p) + 2:
-        raise AssertionError(f"moduli dimension {dim} != q(v) + 2 at {vec}")
     return dim

@@ -13,11 +13,9 @@ from wallkit import catalog
 from wallkit.binforms import DegenerateFormError, class_id, rank2_isometric
 from wallkit.catalog import (
     CatalogEntry,
-    classification_complete,
     entry_record,
     export_catalog,
     generate_catalog,
-    is_prime_power,
     realize_gram,
     seed_lattice,
     state_gram,
@@ -184,21 +182,6 @@ def test_realize_none_for_unrealizable_wall_shapes():
     assert realize_gram(((-4, 1), (1, 2)), 2, 0) is None
     # nonnegative curve square
     assert realize_gram(((2, 1), (1, 6)), 4, 0) is None
-
-
-def test_is_prime_power():
-    assert [n for n in range(1, 30) if is_prime_power(n)] == [
-        2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 23, 25, 27, 29]
-
-
-def test_classification_complete():
-    assert not classification_complete(2, 0)   # h = 1
-    assert classification_complete(3, 0)       # h = 2
-    assert classification_complete(2, 1)       # h = 3
-    assert classification_complete(5, 0)       # h = 4
-    assert not classification_complete(7, 0)   # h = 6
-    assert classification_complete(6, 1)       # h = 7
-    assert not classification_complete(11, 1)  # h = 12
 
 
 def test_export_format_and_field_order():

@@ -5,14 +5,26 @@ Here the same checks run at random points with k up to 500 and p up to
 1e8.  Most of delta is drawn near the genus g = p - delta ~ 2*sqrt(h*p),
 where pencils exist and q(R) changes sign, so the checks that need a
 pencil or a negative square apply often.
+
+Each check must also be able to fail: a one-expression defect in a copy of
+the package shows up as that check's "failed" entry in a small scan.
 """
 
 from __future__ import annotations
 
+import json
+import os
 import random
+import shutil
+import subprocess
+import sys
 from collections import Counter
 from math import isqrt
+from pathlib import Path
 
+import pytest
+
+import wallkit
 from wallkit import checks
 from wallkit.checks import CHECKS, Point
 
@@ -64,3 +76,44 @@ def test_point_computes_each_field_once(monkeypatch):
                      "_square": 2, "wall_test": 2}
     assert first.square is first.square
     assert first.square != second.square
+
+
+# One single-expression defect per check: (file, pattern, replacement).
+# Each defect must surface as that check's "failed" entry in a small scan,
+# never as an exception, since the checks own every two-route comparison.
+_MUTATIONS = {
+    "wall-square": ("walls.py", "max(0, 2 * n - qv)", "max(1, 2 * n - qv)"),
+    "exists-routes": ("curves.py", "return params.delta >= a * (",
+                      "return params.delta > a * ("),
+    "dual-lattice": ("catalog.py", "b = p - delta - k + 1 - 3 * epsilon",
+                     "b = p - delta - k + 2 - 3 * epsilon"),
+    "witness-oracle": ("walls.py", "lo <= qs <= hi", "lo <= qs < hi"),
+    "square-forms": ("curves.py", "- params.beta * params.beta)",
+                     "- params.beta * params.beta + 2)"),
+    "min-square": ("curves.py", "p == a * (a + 1) * h + epsilon and",
+                   "p == a * (a + 1) * h + epsilon + 1 and"),
+    "moduli-dim": ("model.py", "dim = 2 * p - 4 * chi + 8 * (1 - epsilon)",
+                   "dim = 2 * p - 4 * chi + 8 * (1 - epsilon) + 2"),
+}
+
+
+@pytest.mark.parametrize("name", list(CHECKS))
+def test_each_check_reports_its_defect(tmp_path, name):
+    filename, pattern, replacement = _MUTATIONS[name]
+    package = tmp_path / "wallkit"
+    shutil.copytree(Path(wallkit.__file__).resolve().parent, package,
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    target = package / filename
+    source = target.read_text()
+    assert source.count(pattern) == 1, (filename, pattern)
+    target.write_text(source.replace(pattern, replacement))
+    env = {**os.environ, "PYTHONPATH": str(tmp_path),
+           "PYTHONDONTWRITEBYTECODE": "1"}
+    run = subprocess.run(
+        [sys.executable, "-m", "wallkit.cli", "scan", "--epsilon", "0..1",
+         "--k", "2..5", "--p", "2..12", "--check", "all"],
+        capture_output=True, text=True, env=env, timeout=60)
+    assert run.returncode == 0, run.stderr
+    failed = {check for line in run.stdout.splitlines()
+              for check in json.loads(line).get("failed", ())}
+    assert name in failed, failed

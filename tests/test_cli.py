@@ -15,6 +15,8 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import wallkit
 from wallkit import checks, walls
@@ -707,3 +709,31 @@ def test_closed_stdout_is_a_user_error():
         err = proc.stderr.read()
         assert proc.wait(timeout=60) == 2
     assert err == b"error: cannot write stdout: Broken pipe\n"
+
+
+@st.composite
+def _point_argv(draw):
+    """One point subcommand with arguments in and just outside its domain:
+    k <= 60 keeps the witness line walk short."""
+    command = draw(st.sampled_from(
+        ("wall-test", "class", "exists", "square", "lagrangian",
+         "coisotropic")))
+    eps, k = draw(st.integers(0, 1)), draw(st.integers(-1, 60))
+    argv = [command, "--epsilon", str(eps), "--k", str(k)]
+    if command == "lagrangian":
+        return argv
+    p = draw(st.integers(-1, 10**4))
+    argv += ["--p", str(p)]
+    if command == "coisotropic" and draw(st.booleans()):
+        return argv + ["--family", draw(st.sampled_from(("nodal", "series")))]
+    return argv + ["--delta", str(draw(st.integers(-2, p + 2)))]
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(_point_argv())
+def test_point_subcommands_exit_0_or_2(argv):
+    # Out-of-domain input is a user error (2), never an internal one (1).
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = main(argv)
+    assert rc in (0, 2), (argv, err.getvalue())

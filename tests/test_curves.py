@@ -145,7 +145,7 @@ def test_square_forms_agree_and_bound_holds_on_grid():
             for p in range(2, 31):
                 for delta in range(0, p - 2 * epsilon + 1):
                     params = BNParams(p, delta, k, epsilon)
-                    rep = curve_square(params)  # raises if the forms differ
+                    rep = curve_square(params)  # two independent formulas
                     assert rep.value == rep.rewritten
                     if exists_pencil(params):
                         assert rep.value >= bound
