@@ -30,8 +30,6 @@ class CatalogEntry(NamedTuple):
     is_wall: bool
     witness: tuple[int, int, int] | None  # ambient coordinates
     class_id: str | None                  # None when the gram is degenerate
-    verified: bool
-    note: str | None = None
 
 
 def seed_lattice(k: int, epsilon: int) -> tuple[Gram, int, int]:
@@ -59,8 +57,8 @@ def generate_catalog(k: int, epsilon: int, p_min: int = 2,
     No state needs the pencil-existence check: every state has p at most
     the seed's 2h + epsilon (h = k - 1 + 2*epsilon), so alpha <= 1 and the
     bound alpha*(p - delta - epsilon - (alpha+1)*h) is <= 0 <= delta.
-    A wall entry is verified when its saturation has the same canonical
-    form as the state's gram, i.e. when the two are isometric.
+    That each wall's saturation is its state's gram is the `dual-lattice`
+    check of `wallkit.checks`, which the catalog does not repeat.
     """
     _, seed_p, _ = seed_lattice(k, epsilon)
     p_top = seed_p if p_max is None else min(p_max, seed_p)
@@ -89,16 +87,13 @@ def generate_catalog(k: int, epsilon: int, p_min: int = 2,
             class_id = binforms.form_id(form) if form is not None else None
             if value >= 0:
                 entries.append(CatalogEntry(
-                    epsilon, k, p, delta, gram, q_r, False, None, class_id,
-                    False, "not a wall (square >= 0)"))
+                    epsilon, k, p, delta, gram, q_r, False, None, class_id))
                 continue
             params = BNParams(p, delta, k, epsilon)
             verdict = wall_test(curve_class(params), params.context())
-            verified = (verdict.is_wall
-                        and binforms.canonical_form(verdict.t_gram) == form)
             entries.append(CatalogEntry(
                 epsilon, k, p, delta, gram, q_r, verdict.is_wall,
-                verdict.witness_ambient, class_id, verified))
+                verdict.witness_ambient, class_id))
     return entries
 
 

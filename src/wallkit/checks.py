@@ -92,7 +92,7 @@ class Point:
     def square(self) -> Square:
         """q(R) as (num, denom = 2h, minimal), not reduced."""
         prm = self.params
-        return Square._make(_square(prm.p, prm.delta, prm.k, prm.epsilon))
+        return _square(prm.p, prm.delta, prm.k, prm.epsilon)
 
     @_computed_once
     def q_r(self) -> str:

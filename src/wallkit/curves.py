@@ -20,19 +20,17 @@ def bn_rho(p: int, r: int, d: int) -> int:
 
 
 def _derived(p: int, delta: int, k: int,
-             epsilon: int) -> tuple[int, int, int, int, int]:
-    """(half_div, g, alpha, beta, rho) of a parameter set, unvalidated."""
+             epsilon: int) -> tuple[int, int, int]:
+    """(half_div, g, alpha) of a parameter set, unvalidated."""
     h = k - 1 + 2 * epsilon
     g = p - delta
-    a = (g - epsilon) // (2 * h)
-    return (h, g, a, (2 * a + 1) * h - g + epsilon,
-            bn_rho(p, a, (k + epsilon) * a + delta))
+    return h, g, (g - epsilon) // (2 * h)
 
 
 class Square(NamedTuple):
-    """The triple `_square` returns, named: q(R) = num/denom with
-    denom = 2*half_div, not reduced, and whether the parameters are the
-    characteristic point of the minimal-square bound."""
+    """q(R) = num/denom with denom = 2*half_div, not reduced, and whether
+    the parameters are the characteristic point of the minimal-square
+    bound."""
 
     num: int
     denom: int
@@ -45,19 +43,18 @@ def _bound_num(k: int, epsilon: int) -> int:
     return -(k + 3 - 2 * epsilon)
 
 
-def _square(p: int, delta: int, k: int, epsilon: int) -> tuple[int, int, bool]:
+def _square(p: int, delta: int, k: int, epsilon: int) -> Square:
     """q(R) of the parameter set as (numerator, denominator 2*half_div),
     not reduced, and whether (p, delta) is the characteristic point
     p = alpha*(alpha+1)*half_div + epsilon, delta = alpha*(alpha-1)*half_div,
-    where q(R) attains the minimal-square bound if the pencil exists.  A
-    plain tuple, since the catalog unpacks one per state.  The parameters
-    are not validated; `wallkit.checks` compares the value with `_rewritten`
-    and the flag with the bound.
+    where q(R) attains the minimal-square bound if the pencil exists.  The
+    parameters are not validated; `wallkit.checks` compares the value with
+    `_rewritten` and the flag with the bound.
     """
-    h, g, a, _, _ = _derived(p, delta, k, epsilon)
+    h, g, a = _derived(p, delta, k, epsilon)
     n = g + k - 1 + epsilon
-    return (4 * (p - 1) * h - n * n, 2 * h,
-            p == a * (a + 1) * h + epsilon and delta == a * (a - 1) * h)
+    return Square(4 * (p - 1) * h - n * n, 2 * h,
+                  p == a * (a + 1) * h + epsilon and delta == a * (a - 1) * h)
 
 
 def _rewritten(params: BNParams) -> int:
@@ -93,9 +90,12 @@ class BNParams:
             raise DomainError(
                 "constraint violated: 0 <= delta <= p - 2*epsilon "
                 f"(got delta={self.delta}, p={self.p}, epsilon={self.epsilon})")
+        h, g, a = _derived(self.p, self.delta, self.k, self.epsilon)
+        beta = (2 * a + 1) * h - g + self.epsilon
+        rho = bn_rho(self.p, a, (self.k + self.epsilon) * a + self.delta)
         for name, value in zip(
                 ("half_div", "g", "alpha", "beta", "rho", "_context"),
-                _derived(self.p, self.delta, self.k, self.epsilon) + (ctx,)):
+                (h, g, a, beta, rho, ctx)):
             object.__setattr__(self, name, value)
 
     def context(self) -> SurfaceContext:

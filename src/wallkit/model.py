@@ -60,10 +60,12 @@ class SurfaceContext:
     def __post_init__(self) -> None:
         if self.epsilon not in (0, 1):
             raise DomainError(f"epsilon must be 0 or 1 (got {self.epsilon})")
-        if self.p < 2:
-            raise DomainError(f"constraint violated: p >= 2 (got p={self.p})")
+        # k before p: `lagrangian` derives p from k, so a bad k must be
+        # named as such.
         if self.k < 2:
             raise DomainError(f"constraint violated: k >= 2 (got k={self.k})")
+        if self.p < 2:
+            raise DomainError(f"constraint violated: p >= 2 (got p={self.p})")
 
     @property
     def l_square(self) -> int:

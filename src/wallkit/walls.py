@@ -25,6 +25,7 @@ from .model import (
     SurfaceContext,
     divisor_divisibility,
     moduli_vector,
+    mukai_square,
 )
 
 
@@ -46,7 +47,7 @@ class SpanLattice:
     gram: Gram
     v_coords: tuple[int, int]
     basis: tuple[tuple[int, int, int], tuple[int, int, int]]
-    index: int               # index of span{v, D} inside its saturation
+    index: int               # index of span{v, D} in its saturation: div(D)
 
 
 @dataclass(frozen=True)
@@ -85,23 +86,18 @@ class WallVerdict:
         return self.span.gram if self.span is not None else None
 
 
-def _square(a: int, b: int, ctx: SurfaceContext) -> int:
-    """q(a*L + b*e) for integers a, b."""
-    return a * a * ctx.l_square - b * b * ctx.ek_div
-
-
 def primitive_dual_divisor(curve: CurveClass,
                            ctx: SurfaceContext) -> tuple[DivisorClass, int]:
     """Primitive integral divisor class D proportional to the curve class,
-    together with div(D) = gcd(a, q(v)*b) for D = a*L + b*e (as in
-    `divisor_divisibility`); D / div(D) is q-dual to the curve."""
+    together with div(D) from `divisor_divisibility`; D / div(D) is q-dual
+    to the curve."""
     x, y = curve.l, curve.r
     if x == 0 and y == 0:
         raise DomainError("curve class must be nonzero")
     qv = ctx.ek_div
     g = gcd(qv * x, y)
-    a, b = qv * x // g, y // g
-    return DivisorClass(a, b), gcd(a, qv * b)
+    divisor = DivisorClass(qv * x // g, y // g)
+    return divisor, divisor_divisibility(divisor, ctx)
 
 
 def saturated_span(divisor: DivisorClass, ctx: SurfaceContext) -> SpanLattice:
@@ -112,28 +108,28 @@ def saturated_span(divisor: DivisorClass, ctx: SurfaceContext) -> SpanLattice:
 
     Closed form: v = (1, 0, -h) with h = k - 1 + 2*epsilon, and D = a*L + b*e
     embeds as d = (b, a, b*h), so d - b*v = (0, a, b*q(v)).  With
-    m = gcd(a, b*q(v)) the saturation is Z*v + Z*w0 for the primitive
-    w0 = (0, a/m, b*q(v)/m), and m is the index of span{v, D} in T.  Then
-    w = +-w0 + t*v is reduced into 0 <= b(w, v) <= q(v)/2.  At the two ties,
-    b(w, v) = 0 (candidates w, -w) and 2*b(w, v) = q(v) (candidates w,
-    v - w), the candidate with the lexicographically smaller (w[1], w[0])
-    is returned.
+    m = gcd(a, b*q(v)) = div(D) the saturation is Z*v + Z*w0 for the
+    primitive w0 = (0, a/m, b*q(v)/m), and m is the index of span{v, D} in
+    T.  Then w = +-w0 + t*v is reduced into 0 <= b(w, v) <= q(v)/2.  At the
+    two ties, b(w, v) = 0 (candidates w, -w) and 2*b(w, v) = q(v)
+    (candidates w, v - w), the candidate with the lexicographically smaller
+    (w[1], w[0]) is returned.
     """
     if not divisor.is_integral:
         raise DomainError(
             f"divisor class must be integral to embed (got {divisor})")
-    a, b = divisor.l, divisor.e
-    q_d = _square(a, b, ctx)
+    q_d = divisor.square(ctx)
     if q_d >= 0:
         raise DomainError(f"wall test needs q(D) < 0, got q(D) = {q_d}")
-    return _saturate(a, b, ctx)
+    return _saturate(divisor.l, divisor.e,
+                     divisor_divisibility(divisor, ctx), ctx)
 
 
-def _saturate(a: int, b: int, ctx: SurfaceContext) -> SpanLattice:
-    """Closed form of saturated_span for D = a*L + b*e with q(D) < 0."""
+def _saturate(a: int, b: int, index: int, ctx: SurfaceContext) -> SpanLattice:
+    """Closed form of saturated_span for D = a*L + b*e with q(D) < 0 and
+    index = div(D)."""
     v = moduli_vector(ctx)
     qv = ctx.ek_div
-    index = gcd(a, b * qv)
     w0 = (0, a // index, b * qv // index)
     # b(w0, v) = -w0[2]; shift by t*v, t = -floor(b(w0, v) / q(v)).
     b_red = -w0[2] % qv
@@ -146,9 +142,8 @@ def _saturate(a: int, b: int, ctx: SurfaceContext) -> SpanLattice:
         alt = v_minus_w if b_red else (-w[0], -w[1], -w[2])
         if (alt[1], alt[0]) < (w[1], w[0]):
             w = alt
-    qw = w[1] * w[1] * ctx.l_square - 2 * w[0] * w[2]
     return SpanLattice(
-        gram=((qw, b_red), (b_red, qv)),
+        gram=((mukai_square(w, ctx.p), b_red), (b_red, qv)),
         v_coords=(0, 1),
         basis=(w, v),
         index=index,
@@ -169,13 +164,6 @@ def _check_span_signature(gram: Gram, v: tuple[int, int]) -> int:
     if qv <= 0:
         raise DomainError(f"distinguished vector must have q > 0, got {qv}")
     return qv
-
-
-def _line_start(c: tuple[int, int], n: int) -> tuple[int, int]:
-    """Particular solution s0 of b(s, v) = n, where c = b(-, v)."""
-    d, x0, y0 = xgcd(c[0], c[1])
-    m = n // d
-    return x0 * m, y0 * m
 
 
 def _q_of(gram: Gram, s: tuple[int, int]) -> int:
@@ -200,14 +188,14 @@ def _witness_walk(gram: Gram, v: tuple[int, int],
     case (i) lines by ascending n, then case (ii) lines, each line sorted."""
     qv = _check_span_signature(gram, v)
     c = _pairing_with(gram, v)
-    d = gcd(c[0], c[1])
-    # Every solution line of b(s, v) = n runs along the same primitive u.
+    # b(s1, v) = d = gcd(c); every solution line of b(s, v) = n runs along
+    # the same primitive u.
+    d, *s1 = xgcd(*c)
     u = (-(c[1] // d), c[0] // d)
     qu = _q_of(gram, u)
     if qu >= 0:
         raise AssertionError(f"q(u) = {qu} must be negative on v-perp")
     # Line n = m*d starts at s0 = m*s1, so b(s0, u) = m*b1 and q(s0) = m^2*q1.
-    s1 = _line_start(c, d)
     cu = _pairing_with(gram, u)
     b1, q1 = s1[0] * cu[0] + s1[1] * cu[1], _q_of(gram, s1)
 
@@ -310,11 +298,10 @@ def wall_test(obj: CurveClass | DivisorClass,
     else:
         divisor = primitive_integral_divisor(obj, ctx)
         div = divisor_divisibility(divisor, ctx)
-    a, b = divisor.l, divisor.e
-    q_d = _square(a, b, ctx)
+    q_d = divisor.square(ctx)
     if q_d >= 0:
         return WallVerdict(divisor, div, q_d, None, ctx.epsilon, None, None)
-    span = _saturate(a, b, ctx)
+    span = _saturate(divisor.l, divisor.e, div, ctx)
     witness = next(_witness_walk(span.gram, span.v_coords, ctx.epsilon), None)
     ambient = None
     if witness is not None:

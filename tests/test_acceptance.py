@@ -2,7 +2,7 @@
 
 Each criterion sweeps its full parameter grid with exact arithmetic,
 prints one PASS/FAIL gate line, and the wrapping test asserts the
-expected verdict and the exact detail text of that line.  Criteria 1, 3-7
+expected verdict and the exact detail text of that line.  Criteria 1, 3-8
 and 10 run the consistency checks of `wallkit.checks`, the same ones
 `wallkit scan` runs, and keep only their own counts and pins.  Two gates
 are expected to FAIL, and their failure patterns are pinned down exactly
@@ -259,12 +259,14 @@ def _criterion_8() -> tuple[bool, str]:
             for e in generate_catalog(k, eps):
                 total += 1
                 if e.q_curve < 0:
-                    assert e.verified and e.is_wall and e.witness is not None
+                    assert e.is_wall and e.witness is not None
+                    assert _applies("dual-lattice",
+                                    Point(eps, k, e.p, e.delta))
                     assert realize_gram(e.gram, k, eps) == (e.p, e.delta)
                     pool.append(e)
                 else:
                     flagged += 1
-                    assert not e.verified and not e.is_wall and e.note
+                    assert not e.is_wall and e.witness is None
     assert (total, len(pool), flagged) == (338, 56, 282)
     rng = random.Random(20260825)
     for e in (rng.choice(pool) for _ in range(100)):

@@ -9,7 +9,7 @@ import random
 
 import pytest
 
-from wallkit import catalog
+from wallkit import binforms, catalog
 from wallkit.binforms import DegenerateFormError, class_id, rank2_isometric
 from wallkit.catalog import (
     CatalogEntry,
@@ -20,6 +20,7 @@ from wallkit.catalog import (
     seed_lattice,
     state_gram,
 )
+from wallkit.checks import CHECKS, Point
 from wallkit.curves import (
     BNParams,
     curve_class,
@@ -28,6 +29,14 @@ from wallkit.curves import (
 )
 from wallkit.model import DomainError
 from wallkit.walls import wall_test
+
+
+def _dual_lattice(entry):
+    """The shared `dual-lattice` check at the entry's parameters: None where
+    q(R) >= 0, else whether the wall's saturation is the state's gram."""
+    result = CHECKS["dual-lattice"](
+        Point(entry.epsilon, entry.k, entry.p, entry.delta))
+    return None if result is None else result[0]
 
 
 # The two moves, kept here as the reference for the closed-form states.
@@ -98,7 +107,7 @@ def test_generate_contains_verified_seed():
         assert len(match) == 1
         e = match[0]
         assert e.p == seed_p and e.delta == 0
-        assert e.is_wall and e.verified
+        assert e.is_wall and _dual_lattice(e)
         assert e.witness is not None
 
 
@@ -108,11 +117,11 @@ def test_generate_wall_entries_all_verified():
         assert entries
         for e in entries:
             if e.q_curve < 0:
-                assert e.is_wall and e.verified, (k, eps, e)
+                assert e.is_wall and _dual_lattice(e), (k, eps, e)
                 assert e.witness is not None
             else:
                 assert not e.is_wall
-                assert e.note == "not a wall (square >= 0)"
+                assert _dual_lattice(e) is None
                 assert e.witness is None
 
 
@@ -137,8 +146,8 @@ def test_generate_contains_flagged_positive_square_entry():
     assert len(flagged) == 1
     e = flagged[0]
     assert (e.p, e.delta) == (6, 2)
-    assert not e.is_wall and not e.verified
-    assert e.note == "not a wall (square >= 0)"
+    assert not e.is_wall and e.witness is None
+    assert e.q_curve >= 0 and _dual_lattice(e) is None
 
 
 def test_realize_examples():
@@ -226,22 +235,20 @@ def _reference_entry(gram, params):
         cid = None
     if q_r < 0:
         verdict = wall_test(curve_class(params), params.context())
-        verified = (verdict.is_wall
-                    and verdict.t_gram is not None
-                    and rank2_isometric([list(r) for r in verdict.t_gram],
-                                        [list(r) for r in gram]))
+        assert rank2_isometric([list(r) for r in verdict.t_gram],
+                               [list(r) for r in gram]), params
         return CatalogEntry(params.epsilon, params.k, params.p, params.delta,
                             gram, q_r, verdict.is_wall,
-                            verdict.witness_ambient, cid, verified)
+                            verdict.witness_ambient, cid)
     return CatalogEntry(params.epsilon, params.k, params.p, params.delta,
-                        gram, q_r, False, None, cid, False,
-                        note="not a wall (square >= 0)")
+                        gram, q_r, False, None, cid)
 
 
 def _reference_catalog(k, epsilon, p_min=2, p_max=None, delta_max=None):
     """Reference catalog: every move-generated state with a pencil gets its
-    full entry (square, wall test, class id, rank2_isometric check), and
-    only then are repeated isometry classes dropped."""
+    full entry (square, wall test, class id), each wall's saturation is
+    checked against its gram with rank2_isometric, and only then are
+    repeated isometry classes dropped."""
     seed_gram, seed_p, _ = seed_lattice(k, epsilon)
     if p_max is None or p_max > seed_p:
         p_max = seed_p
@@ -286,7 +293,7 @@ def test_generate_matches_reference_catalog(epsilon):
             kept += len(got)
             degenerate += sum(e.class_id is None for e in got)
             walls += sum(e.is_wall for e in got)
-    # walls (verified) and non-walls (unverified) and degenerate grams all
+    # walls (saturation checked) and non-walls and degenerate grams all
     # take part in the comparison
     assert kept > 1000 and walls > 500 and degenerate > 50
 
@@ -325,18 +332,47 @@ def test_generate_builds_params_for_walls_only(monkeypatch):
 def test_catalog_entry_shape_is_pinned():
     assert CatalogEntry._fields == (
         "epsilon", "k", "p", "delta", "gram", "q_curve", "is_wall",
-        "witness", "class_id", "verified", "note")
-    assert CatalogEntry._field_defaults == {"note": None}
+        "witness", "class_id")
+    assert CatalogEntry._field_defaults == {}
     entries = generate_catalog(4, 0)
     wall = entries[0]
     flat = next(e for e in entries if not e.is_wall)
     assert repr(wall) == (
         "CatalogEntry(epsilon=0, k=4, p=6, delta=0, gram=((-2, 3), (3, 6)), "
         "q_curve=Fraction(-7, 2), is_wall=True, witness=(-1, 1, -6), "
-        "class_id='indef:-2:6:6', verified=True, note=None)")
+        "class_id='indef:-2:6:6')")
     assert repr(flat) == (
         "CatalogEntry(epsilon=0, k=4, p=4, delta=1, gram=((0, 0), (0, 6)), "
-        "q_curve=Fraction(0, 1), is_wall=False, witness=None, class_id=None, "
-        "verified=False, note='not a wall (square >= 0)')")
+        "q_curve=Fraction(0, 1), is_wall=False, witness=None, class_id=None)")
     # A NamedTuple: iterable, and equal to the plain tuple of its fields.
-    assert wall == tuple(wall) and list(flat)[-1] == flat.note
+    assert wall == tuple(wall) and list(flat)[-1] == flat.class_id
+
+
+def test_dual_lattice_check_holds_on_every_catalog_wall():
+    # The catalog does not compare a wall's saturation with its state's
+    # gram; the shared check does, here on every wall for k <= 30.
+    walls = 0
+    for epsilon in (0, 1):
+        for k in range(2, 31):
+            for e in generate_catalog(k, epsilon):
+                if e.is_wall:
+                    assert _dual_lattice(e), e
+                    walls += 1
+    assert walls == 2423
+
+
+@pytest.mark.parametrize("epsilon", (0, 1))
+def test_generate_classifies_each_state_once(monkeypatch, epsilon):
+    canonical_form, calls = binforms.canonical_form, []
+
+    def counting(gram):
+        calls.append(gram)
+        return canonical_form(gram)
+
+    monkeypatch.setattr(binforms, "canonical_form", counting)
+    k = 12
+    seed_p = seed_lattice(k, epsilon)[1]
+    generate_catalog(k, epsilon)
+    states = [state_gram(p, delta, k, epsilon) for p in range(2, seed_p + 1)
+              for delta in range(p - 2 * epsilon + 1)]
+    assert sorted(calls) == sorted(states)

@@ -179,6 +179,14 @@ def test_lagrangian_record(capsys):
     assert rec["q_R"] == "-3/1"
 
 
+@pytest.mark.parametrize("epsilon, k", [("0", "1"), ("1", "-1")])
+def test_lagrangian_names_k_not_the_derived_p(capsys, epsilon, k):
+    # p = 2(k-1) + 5*epsilon is derived from k, so a bad k is named as k.
+    rc, out, err = _run(capsys, "lagrangian", "--epsilon", epsilon, "--k", k)
+    assert (rc, out) == (2, "")
+    assert err == f"error: constraint violated: k >= 2 (got k={k})\n"
+
+
 def test_scan_streaming_order_and_consistency(capsys):
     rc, out, _ = _run(capsys, "scan", "--epsilon", "0..1", "--k", "2..3",
                       "--p", "2..8", "--check", "exists-routes")
