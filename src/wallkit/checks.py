@@ -9,8 +9,8 @@ divisor and q(D) are integers, so the checks build no Fraction.
 
 The checks own every comparison of two routes to one number: each computes
 its second route itself and reports a disagreement as a failed check, not
-as an exception.  The `AssertionError`s left in the library guard
-invariants that no check repeats.
+as an exception.  The three `AssertionError`s left in the library (one in
+`walls`, two in `binforms`) guard invariants that no check repeats.
 
 `oracle_agrees` is the one comparison of a verdict's witnesses with the
 box oracle; `wall-test --oracle` and the `witness-oracle` check both use it.

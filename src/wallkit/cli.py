@@ -187,8 +187,8 @@ def _cmd_coisotropic(args) -> list[dict]:
         return [{
             "found": desc is not None,
             "chi": sub_mod.chi_value(args.p, args.delta, args.k, args.epsilon),
-            "bound_satisfied": sub_mod.bundle_bound_holds(
-                args.p, args.delta, args.k, args.epsilon),
+            # bundle_locus is None exactly when the chi window fails
+            "bound_satisfied": desc is not None,
             "descriptor": _descriptor_json(desc) if desc else None,
         }]
     if args.family == "nodal":

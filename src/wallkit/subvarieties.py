@@ -3,8 +3,9 @@
 Three families of codimension-r subvarieties covered by rational curves:
 projective-bundle loci over sheaf moduli ("proj_bundle"), pushforwards of
 nodal-curve families ("severi_family"), and relative symmetric products of
-curve families ("sym_prod").  Descriptors record dimensions and line
-classes only; no geometry is constructed.
+curve families ("sym_prod").  Descriptors store the codimension and the
+line class and derive the dimensions and q(line); no geometry is
+constructed.
 """
 
 from __future__ import annotations
@@ -12,19 +13,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .curves import BNParams, curve_class, curve_square, minimal_square_bound
+from .curves import BNParams, curve_class
 from .model import CurveClass, SurfaceContext, moduli_dim, sheaf_vector
 
 
 @dataclass(frozen=True)
 class SubvarietyDescriptor:
+    """A codimension-r locus in the 2k-dimensional manifold, fibred in
+    r-dimensional fibres over a base of dimension 2(k - r)."""
+
     source: str           # "proj_bundle" | "severi_family" | "sym_prod"
     codim: int
-    fiber_dim: int
-    base_dim: int
-    total_dim: int
     line_class: CurveClass
-    line_square: Fraction
     p: int
     k: int
     epsilon: int
@@ -32,10 +32,22 @@ class SubvarietyDescriptor:
     k_prime: int | None = None
     moduli_space_dim: int | None = None
 
-    def __post_init__(self) -> None:
-        if (self.total_dim != self.fiber_dim + self.base_dim
-                or self.total_dim + self.codim != 2 * self.k):
-            raise AssertionError(f"inconsistent dimensions in {self}")
+    @property
+    def fiber_dim(self) -> int:
+        return self.codim
+
+    @property
+    def base_dim(self) -> int:
+        return 2 * (self.k - self.codim)
+
+    @property
+    def total_dim(self) -> int:
+        return 2 * self.k - self.codim
+
+    @property
+    def line_square(self) -> Fraction:
+        return self.line_class.square(
+            SurfaceContext(self.epsilon, self.p, self.k))
 
 
 def chi_value(p: int, delta: int, k: int, epsilon: int) -> int:
@@ -52,24 +64,16 @@ def bundle_bound_holds(p: int, delta: int, k: int, epsilon: int) -> bool:
 def bundle_locus(p: int, delta: int, k: int,
                  epsilon: int) -> SubvarietyDescriptor | None:
     """Projective-bundle locus covered by curves of class R: a P^{chi-2*delta-1}
-    bundle over a symplectic base of dimension 2(k+1+2*delta-chi); None when
-    the chi window fails."""
+    bundle over a symplectic base of dimension 2(k+1+2*delta-chi), which is
+    dim M + 2*delta - 2*epsilon; None when the chi window fails."""
     params = BNParams(p, delta, k, epsilon)  # validates every argument
     if not bundle_bound_holds(p, delta, k, epsilon):
         return None
-    chi = chi_value(p, delta, k, epsilon)
-    r = chi - 2 * delta - 1
-    base = 2 * (k + 1 + 2 * delta - chi)
-    dim_m = moduli_dim(p, delta, k, epsilon)
-    # base accounts for the nodes and (epsilon=1) the Albanese correction
-    if base != dim_m + 2 * delta - 2 * epsilon:
-        raise AssertionError(f"bundle base dimension {base} disagrees with "
-                             f"the moduli dimension at {params}")
+    r = chi_value(p, delta, k, epsilon) - 2 * delta - 1
     return SubvarietyDescriptor(
-        source="proj_bundle", codim=r, fiber_dim=r, base_dim=base,
-        total_dim=2 * k - r, line_class=curve_class(params),
-        line_square=curve_square(params).value,
-        p=p, k=k, epsilon=epsilon, delta=delta, moduli_space_dim=dim_m)
+        source="proj_bundle", codim=r, line_class=curve_class(params),
+        p=p, k=k, epsilon=epsilon, delta=delta,
+        moduli_space_dim=moduli_dim(p, delta, k, epsilon))
 
 
 def _ceil_div(a: int, b: int) -> int:
@@ -81,7 +85,7 @@ def nodal_family_loci(p: int, k: int,
     """All (r, delta) supporting a codimension-r subvariety covered by nodal
     curves pushed forward from a smaller Hilbert scheme; lines have class
     L - [2(p-2*delta-2*epsilon)-r+1]*r_k."""
-    ctx = SurfaceContext(epsilon, p, k)
+    SurfaceContext(epsilon, p, k)  # validates every argument
     m = p - 5 * epsilon
     # r <= min{2k-5-m/2, m/2+1}, resolved by exact halving
     r_top = min(2 * k - 5 - _ceil_div(m, 2), m // 2 + 1)
@@ -97,12 +101,9 @@ def nodal_family_loci(p: int, k: int,
         d_hi = (m + 2 - 2 * r) // 4
         for delta in range(d_lo, d_hi + 1):
             coeff = 2 * (p - 2 * delta - 2 * epsilon) - r + 1
-            line = CurveClass(1, -coeff)
             desc = SubvarietyDescriptor(
-                source="severi_family", codim=r, fiber_dim=r,
-                base_dim=2 * (k - r), total_dim=2 * k - r,
-                line_class=line,
-                line_square=line.square(ctx),
+                source="severi_family", codim=r,
+                line_class=CurveClass(1, -coeff),
                 p=p, k=k, epsilon=epsilon, delta=delta,
                 k_prime=m - 3 * delta + 2 - r)
             out.append((r, delta, desc))
@@ -113,18 +114,15 @@ def series_family_loci(p: int, k: int,
                        epsilon: int) -> list[tuple[int, int, SubvarietyDescriptor]]:
     """All (r, k') supporting a codimension-r subvariety from relative
     symmetric products; lines have class L - [2(k'+epsilon)-r-1]*r_k and the
-    rational quotient of the subvariety has dimension 2(k-r)."""
-    ctx = SurfaceContext(epsilon, p, k)
+    rational quotient of the subvariety is the base, of dimension 2(k-r)."""
+    SurfaceContext(epsilon, p, k)  # validates every argument
     out = []
     for r in range(1, k - epsilon + 1):
         for k_prime in range(r + epsilon, min(k, p + r - epsilon) + 1):
             coeff = 2 * (k_prime + epsilon) - r - 1
-            line = CurveClass(1, -coeff)
             desc = SubvarietyDescriptor(
-                source="sym_prod", codim=r, fiber_dim=r,
-                base_dim=2 * (k - r), total_dim=2 * k - r,
-                line_class=line,
-                line_square=line.square(ctx),
+                source="sym_prod", codim=r,
+                line_class=CurveClass(1, -coeff),
                 p=p, k=k, epsilon=epsilon,
                 delta=p - (k_prime - r + epsilon), k_prime=k_prime)
             out.append((r, k_prime, desc))
@@ -133,19 +131,13 @@ def series_family_loci(p: int, k: int,
 
 def lagrangian_plane(k: int, epsilon: int) -> tuple[int, int, SubvarietyDescriptor]:
     """Parameters (p, delta) = (2(k-1)+5*epsilon, 0) where the curve class
-    attains the minimal square and moves as a line in an embedded P^k."""
+    attains the minimal square -(k+3-2*epsilon)/2 and moves as a line in an
+    embedded P^k; the moduli space there has dimension 2*epsilon."""
     p = 2 * (k - 1) + 5 * epsilon
     delta = 0
-    params = BNParams(p, delta, k, epsilon)
-    report = curve_square(params)
-    if report.value != minimal_square_bound(k, epsilon) or not report.minimal:
-        raise AssertionError(f"curve square is not minimal at {params}")
-    dim_m = moduli_dim(p, delta, k, epsilon)
-    if dim_m != 2 * epsilon:
-        raise AssertionError(f"moduli dimension {dim_m} != {2 * epsilon}")
     desc = SubvarietyDescriptor(
-        source="proj_bundle", codim=k, fiber_dim=k, base_dim=0,
-        total_dim=k, line_class=curve_class(params),
-        line_square=report.value,
-        p=p, k=k, epsilon=epsilon, delta=delta, moduli_space_dim=dim_m)
+        source="proj_bundle", codim=k,
+        line_class=curve_class(BNParams(p, delta, k, epsilon)),
+        p=p, k=k, epsilon=epsilon, delta=delta,
+        moduli_space_dim=moduli_dim(p, delta, k, epsilon))
     return p, delta, desc

@@ -235,18 +235,21 @@ def enumerate_witnesses(gram: Gram, v: tuple[int, int],
 
 
 def box_radius(gram: Gram, v: tuple[int, int]) -> int:
-    """Half-width of a box around 0 that provably contains every witness."""
+    """Half-width of a box around 0 that provably contains every witness.
+
+    Let u span v-perp, so q(u) < 0, and write a witness as
+    s = (n/q(v))*v + lam*u with n = b(s, v).  Every witness has
+    0 <= n <= q(v) and q(s) >= -2, and q(s) = n^2/q(v) + lam^2*q(u), so
+    lam^2*|q(u)| <= q(v) + 2.  Hence |s_i| <= |v_i| + |lam*u_i|, and as s_i
+    is an integer, |s_i| <= |v_i| + isqrt((q(v) + 2)*u_i^2 // |q(u)|).
+    """
     qv = _check_span_signature(gram, v)
     c = _pairing_with(gram, v)
     d = gcd(c[0], c[1])
     u = (-(c[1] // d), c[0] // d)
     qu = _q_of(gram, u)
-    bound = 0
-    for i in range(2):
-        num = (qv + 2) * u[i] * u[i]
-        beta_i = isqrt((num + abs(qu) - 1) // abs(qu)) + 1
-        bound = max(bound, abs(v[i]) + beta_i)
-    return 2 * bound
+    return max(abs(v[i]) + isqrt((qv + 2) * u[i] * u[i] // -qu)
+               for i in range(2))
 
 
 def box_witnesses(gram: Gram, v: tuple[int, int], epsilon: int,

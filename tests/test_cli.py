@@ -444,7 +444,7 @@ def test_subcommand_stdout_is_pinned(capsys, command):
 
 
 def test_scan_witness_oracle_skips_a_box_beyond_the_limit(capsys):
-    # |disc| = 8 passes the disc limit, but the box radius is 3578; the
+    # |disc| = 8 passes the disc limit, but the box radius is 1788; the
     # check does not apply, so the scan finishes and prints nothing.
     span = checks.Point(0, 2000, 552, 452).verdict.span
     assert box_radius(span.gram, span.v_coords) > checks.ORACLE_RADIUS_LIMIT
@@ -456,7 +456,7 @@ def test_scan_witness_oracle_skips_a_box_beyond_the_limit(capsys):
 
 
 def test_wall_test_oracle_beyond_the_limit_is_null(capsys):
-    # Box radius 4660: the record is the plain wall-test record followed
+    # Box radius 2329: the record is the plain wall-test record followed
     # by "oracle_agrees": null.
     rc, out, err = _run(capsys, "wall-test", "--epsilon", "0", "--k", "100000",
                         "--p", "198148", "--delta", "16619", "--oracle")
@@ -741,6 +741,50 @@ def _point_argv(draw):
 @given(_point_argv())
 def test_point_subcommands_exit_0_or_2(argv):
     # Out-of-domain input is a user error (2), never an internal one (1).
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = main(argv)
+    assert rc in (0, 2), (argv, err.getvalue())
+
+
+@st.composite
+def _range_text(draw, lo, hi, broken):
+    """N or LO..HI inside lo..hi; if broken, a range that is malformed,
+    empty or reaches below lo."""
+    a, b = sorted((draw(st.integers(lo, hi)), draw(st.integers(lo, hi))))
+    if not broken:
+        return draw(st.sampled_from((str(a), f"{a}..{b}")))
+    c = lo - draw(st.integers(1, 3))
+    return draw(st.sampled_from((f"{b + 1}..{a}", str(c), f"{c}..{a}", "x",
+                                 f"{a}..", f"..{b}", f"{a}..{b}..", "")))
+
+
+@st.composite
+def _catalog_or_scan_argv(draw):
+    """`catalog` with k <= 12 and free slice bounds, or `scan` over small
+    ranges with at most one option malformed or out of its domain."""
+    if draw(st.booleans()):
+        argv = ["catalog", "--epsilon", str(draw(st.integers(0, 1))),
+                "--k", str(draw(st.integers(-1, 12)))]
+        for flag in ("--p-min", "--p-max", "--delta-max"):
+            if draw(st.booleans()):
+                argv += [flag, str(draw(st.integers(-5, 40)))]
+        return argv
+    broken = draw(st.sampled_from(
+        (None, "--epsilon", "--k", "--p", "--delta", "--check")))
+    argv = ["scan"]
+    for flag, lo, hi in (("--epsilon", 0, 1), ("--k", 2, 4), ("--p", 2, 9),
+                         ("--delta", 0, 9)):
+        if flag != "--delta" or broken == flag or draw(st.booleans()):
+            # The = form lets a value start with "-", as in --delta=-3..-1.
+            argv.append(f"{flag}={draw(_range_text(lo, hi, broken == flag))}")
+    names = ("none", "") if broken == "--check" else (*checks.CHECKS, "all")
+    return argv + [f"--check={draw(st.sampled_from(names))}"]
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(_catalog_or_scan_argv())
+def test_catalog_and_scan_exit_0_or_2(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         rc = main(argv)

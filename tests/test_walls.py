@@ -118,6 +118,26 @@ def test_box_radius_is_saturating():
             assert box_witnesses(gram, v, eps, radius=25) == base
 
 
+# (gram, v, largest max-norm of a witness); epsilon = 0 throughout.  In the
+# first three a witness lies exactly on box_radius.  The first two also need
+# the |v_i| term, at coordinate 0 and 1 respectively.  The last needs the
+# q(v) + 2 and the u_i^2 of the radius.  A smaller radius misses a witness
+# on one of them; a larger one changes nothing, so no test can tell it apart.
+_RADIUS_PINS = (
+    ([[2, -3], [-3, 2]], (1, 0), 2),
+    ([[2, -3], [-3, 2]], (0, 1), 2),
+    ([[0, 1], [1, 2]], (0, 1), 2),
+    ([[1, -4], [-4, 14]], (1, 0), 4),
+)
+
+
+@pytest.mark.parametrize("gram, v, reach", _RADIUS_PINS)
+def test_box_radius_holds_the_witnesses_that_reach_it(gram, v, reach):
+    full = enumerate_witnesses(gram, v, 0)
+    assert max(max(map(abs, w.coords)) for w in full) == reach
+    assert box_witnesses(gram, v, 0) == full
+
+
 def _reference_box(gram, v, epsilon, radius):
     """The box oracle as a plain double loop over [-radius, radius]^2, kept
     only as the reference for box_witnesses."""
