@@ -17,7 +17,7 @@ from . import binforms
 from .binforms import Gram
 from .curves import BNParams, _square, curve_class, exists_pencil
 from .model import DomainError, fraction_str, write_records
-from .walls import wall_test
+from .walls import span_stage, wall_test
 
 
 class CatalogEntry(NamedTuple):
@@ -106,7 +106,8 @@ def state_gram(p: int, delta: int, k: int, epsilon: int) -> Gram:
 
 def realize_gram(target: Gram, k: int, epsilon: int) -> tuple[int, int] | None:
     """Invert `state_gram`: (p, delta) whose saturation is isometric to the
-    target, verified by reconstruction; None when unrealizable."""
+    target, verified by reconstruction; None when unrealizable.  Only the
+    saturation is read, so no witness search runs."""
     (a, b), (b2, c) = target
     if b != b2:
         raise DomainError(f"gram must be symmetric, got {target}")
@@ -124,9 +125,8 @@ def realize_gram(target: Gram, k: int, epsilon: int) -> tuple[int, int] | None:
         return None
     if _square(p, delta, k, epsilon)[0] >= 0:
         return None
-    verdict = wall_test(curve_class(params), params.context())
-    if verdict.t_gram is None or not binforms.rank2_isometric(
-            verdict.t_gram, target):
+    gram = span_stage(curve_class(params), params.context()).t_gram
+    if gram is None or not binforms.rank2_isometric(gram, target):
         return None
     return p, delta
 

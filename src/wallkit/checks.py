@@ -1,11 +1,24 @@
 """Consistency checks shared by `wallkit scan` and the acceptance gates.
 
-A `Point` wraps one parameter set (epsilon, k, p, delta) and computes the
-curve class, pencil existence, the curve square, its "num/den" text and
-the wall verdict at most once each, on first use, so a check (or a CLI
-subcommand) that needs none of them costs none of them.  The square stays
-an integer numerator over 2h (h = k - 1 + 2*epsilon) and the verdict's
-divisor and q(D) are integers, so the checks build no Fraction.
+A `Point` wraps one parameter set (epsilon, k, p, delta) and computes, at
+most once each and on first use, the stages curve -> square -> span ->
+verdict (and pencil existence beside them), so a check (or a CLI
+subcommand) costs only the stages it reads.  `span` is the wall test's
+span stage: the dual divisor, div(D), q(D) and the saturated span T,
+without the witness search.  `verdict` is the witness stage on that same
+span, which walks T's lines up to the least witness.  Which check reads
+which stage:
+
+  wall-square     pencil, square, verdict
+  exists-routes   pencil
+  square-forms    square
+  dual-lattice    square, span
+  min-square      pencil, square, verdict
+  witness-oracle  pencil, square, verdict and its full witness set
+  moduli-dim      none (the parameters only)
+
+The square stays an integer numerator over 2h (h = k - 1 + 2*epsilon) and
+the span's divisor and q(D) are integers, so the checks build no Fraction.
 
 The checks own every comparison of two routes to one number: each computes
 its second route itself and reports a disagreement as a failed check, not
@@ -45,7 +58,14 @@ from .model import (
     mukai_square,
     sheaf_vector,
 )
-from .walls import WallVerdict, box_radius, box_witnesses, wall_test
+from .walls import (
+    SpanStage,
+    WallVerdict,
+    box_radius,
+    box_witnesses,
+    span_stage,
+    witness_stage,
+)
 
 # The witness-oracle check only applies to spans with |disc| up to this limit.
 ORACLE_DISC_LIMIT = 200
@@ -102,8 +122,14 @@ class Point:
         return f"{num // g}/{den // g}"
 
     @_computed_once
+    def span(self) -> SpanStage:
+        """The dual divisor, div(D), q(D) and the saturated span T."""
+        return span_stage(self.curve, self.params.context())
+
+    @_computed_once
     def verdict(self) -> WallVerdict:
-        return wall_test(self.curve, self.params.context())
+        """The wall verdict on `span`: the least-witness search."""
+        return witness_stage(self.span, self.params.epsilon)
 
 
 def oracle_agrees(verdict: WallVerdict, epsilon: int) -> bool | None:
@@ -158,7 +184,7 @@ def _dual_lattice(pt: Point) -> Result:
     v = moduli_vector(prm.context())
     qw, bwv = mukai_square(w, prm.p), mukai_pairing(w, v, prm.p)
     (q_stated, b_stated), _ = state_gram(prm.p, prm.delta, prm.k, prm.epsilon)
-    t = pt.verdict.t_gram
+    t = pt.span.t_gram
     ok = (qw == q_stated and bwv == b_stated
           and t[0][0] * t[1][1] - t[0][1] * t[1][0]
           == qw * mukai_square(v, prm.p) - bwv * bwv)

@@ -16,6 +16,7 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import cached_property
 from math import gcd, isqrt
+from typing import NamedTuple
 
 from .binforms import Gram, xgcd
 from .model import (
@@ -238,17 +239,23 @@ def box_radius(gram: Gram, v: tuple[int, int]) -> int:
     """Half-width of a box around 0 that provably contains every witness.
 
     Let u span v-perp, so q(u) < 0, and write a witness as
-    s = (n/q(v))*v + lam*u with n = b(s, v).  Every witness has
-    0 <= n <= q(v) and q(s) >= -2, and q(s) = n^2/q(v) + lam^2*q(u), so
-    lam^2*|q(u)| <= q(v) + 2.  Hence |s_i| <= |v_i| + |lam*u_i|, and as s_i
-    is an integer, |s_i| <= |v_i| + isqrt((q(v) + 2)*u_i^2 // |q(u)|).
+    s = (n/q(v))*v + lam*u with n = b(s, v), so that
+    lam^2*|q(u)| = n^2/q(v) - q(s).
+      (i)  0 <= q(s) < n <= (q(v) + q(s))/2, so q(s) < q(v) and
+           lam^2*|q(u)| <= (q(v) + q(s))^2/(4*q(v)) - q(s)
+                         = (q(v) - q(s))^2/(4*q(v)) <= q(v)/4.
+      (ii) q(s) = -2 and 0 <= n <= q(v)/2, so
+           lam^2*|q(u)| = n^2/q(v) + 2 <= q(v)/4 + 2.
+    So lam^2*|q(u)| <= (q(v) + 8)/4, and 0 <= n <= q(v) in both cases.
+    Hence |s_i| <= |v_i| + |lam*u_i|, and as s_i is an integer,
+    |s_i| <= |v_i| + isqrt((q(v) + 8)*u_i^2 // (4*|q(u)|)).
     """
     qv = _check_span_signature(gram, v)
     c = _pairing_with(gram, v)
     d = gcd(c[0], c[1])
     u = (-(c[1] // d), c[0] // d)
     qu = _q_of(gram, u)
-    return max(abs(v[i]) + isqrt((qv + 2) * u[i] * u[i] // -qu)
+    return max(abs(v[i]) + isqrt((qv + 8) * u[i] * u[i] // (-4 * qu))
                for i in range(2))
 
 
@@ -293,23 +300,50 @@ def primitive_integral_divisor(divisor: DivisorClass,
     return DivisorClass(x // g, y // g)
 
 
-def wall_test(obj: CurveClass | DivisorClass,
-              ctx: SurfaceContext) -> WallVerdict:
-    """Decide whether the (divisor dual to the) given class spans a wall."""
+class SpanStage(NamedTuple):
+    """What the wall decision knows before its witness search: the
+    primitive integral divisor D, div(D), q(D) and the saturation T of
+    span{v, D} (None when q(D) >= 0)."""
+
+    divisor: DivisorClass
+    divisor_div: int
+    q_divisor: int
+    span: SpanLattice | None
+
+    @property
+    def t_gram(self) -> Gram | None:
+        return self.span.gram if self.span is not None else None
+
+
+def span_stage(obj: CurveClass | DivisorClass,
+               ctx: SurfaceContext) -> SpanStage:
+    """The span stage of `wall_test`: no witness search."""
     if isinstance(obj, CurveClass):
         divisor, div = primitive_dual_divisor(obj, ctx)
     else:
         divisor = primitive_integral_divisor(obj, ctx)
         div = divisor_divisibility(divisor, ctx)
     q_d = divisor.square(ctx)
-    if q_d >= 0:
-        return WallVerdict(divisor, div, q_d, None, ctx.epsilon, None, None)
-    span = _saturate(divisor.l, divisor.e, div, ctx)
-    witness = next(_witness_walk(span.gram, span.v_coords, ctx.epsilon), None)
+    span = _saturate(divisor.l, divisor.e, div, ctx) if q_d < 0 else None
+    return SpanStage(divisor, div, q_d, span)
+
+
+def witness_stage(stage: SpanStage, epsilon: int) -> WallVerdict:
+    """The witness stage of `wall_test`: the verdict on a span stage, which
+    walks the lines of T up to the least witness."""
+    span = stage.span
+    if span is None:
+        return WallVerdict(*stage, epsilon, None, None)
+    witness = next(_witness_walk(span.gram, span.v_coords, epsilon), None)
     ambient = None
     if witness is not None:
         s = witness.coords
         ambient = tuple(s[0] * span.basis[0][i] + s[1] * span.basis[1][i]
                         for i in range(3))
-    return WallVerdict(divisor, div, q_d, span, ctx.epsilon, witness,
-                       ambient)
+    return WallVerdict(*stage, epsilon, witness, ambient)
+
+
+def wall_test(obj: CurveClass | DivisorClass,
+              ctx: SurfaceContext) -> WallVerdict:
+    """Decide whether the (divisor dual to the) given class spans a wall."""
+    return witness_stage(span_stage(obj, ctx), ctx.epsilon)

@@ -63,7 +63,8 @@ def test_checks_hold_at_large_parameters():
 
 def test_point_computes_each_field_once(monkeypatch):
     calls: Counter = Counter()
-    for name in ("curve_class", "exists_pencil", "_square", "wall_test"):
+    for name in ("curve_class", "exists_pencil", "_square", "span_stage",
+                 "witness_stage"):
         def counted(*args, _name=name, _fn=getattr(checks, name)):
             calls[_name] += 1
             return _fn(*args)
@@ -73,7 +74,7 @@ def test_point_computes_each_field_once(monkeypatch):
         for check in CHECKS.values():
             check(pt)
     assert calls == {"curve_class": 2, "exists_pencil": 2,
-                     "_square": 2, "wall_test": 2}
+                     "_square": 2, "span_stage": 2, "witness_stage": 2}
     assert first.square is first.square
     assert first.square != second.square
 

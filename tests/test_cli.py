@@ -217,16 +217,34 @@ def test_scan_single_point_all_checks(capsys, monkeypatch):
     assert list(rec)[-2:] == ["failed", "consistent"]
 
 
-def test_scan_computes_only_what_the_check_needs(capsys, monkeypatch):
-    def no_wall_test(*args, **kwargs):
-        raise RuntimeError("wall_test called")
+def test_scan_computes_only_what_the_check_needs(capsys, monkeypatch, walked,
+                                                grid_scan):
+    def no_witness_search(*args, **kwargs):
+        raise RuntimeError("witness search called")
 
-    monkeypatch.setattr(checks, "wall_test", no_wall_test)
     argv = ("scan", "--epsilon", "0..1", "--k", "2..3", "--p", "2..8")
-    rc, out, err = _run(capsys, *argv, "--check", "exists-routes")
-    assert rc == 0 and err == "" and _records(out)
-    rc, _, err = _run(capsys, *argv, "--check", "wall-square")
-    assert rc == 1 and "wall_test called" in err
+    with monkeypatch.context() as mp:
+        mp.setattr(checks, "witness_stage", no_witness_search)
+        for check in ("exists-routes", "dual-lattice"):
+            rc, out, err = _run(capsys, *argv, "--check", check)
+            assert rc == 0 and err == "" and _records(out)
+        rc, _, err = _run(capsys, *argv, "--check", "wall-square")
+        assert rc == 1 and "witness search called" in err
+
+    # Over the grid, only the checks that read a witness walk lines: the
+    # verdicts at points with a pencil, and the oracle's full witness sets.
+    rc, _, _, lines = grid_scan
+    assert rc == 0 and lines == 5349
+    rc, _, err = _run(capsys, "scan", "--epsilon", "0..1", "--k", "2..8",
+                      "--p", "2..40", "--check", "dual-lattice")
+    assert rc == 0 and err == "" and walked[0] == 0
+    # dual-lattice reads only the saturated span, so at k = 3000 it costs
+    # no walk over the q(v) = 5998 lines of each span.
+    rc, out, err = _run(capsys, "scan", "--epsilon", "0", "--k", "3000",
+                        "--p", "6100..6101", "--delta", "0..200",
+                        "--check", "dual-lattice")
+    assert rc == 0 and err == "" and walked[0] == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == _K3000_DUAL_SHA256
 
 
 def test_verdicts_stop_at_the_least_witness(capsys, monkeypatch):
@@ -325,6 +343,10 @@ _SCAN_SHA256 = "200d46c5adca8dbb34022238fb5e888e906ccdc027c4c12f32f735a2e24e3df8
 # The whole acceptance grid, k <= 8 and p <= 40, both epsilon.
 _GRID_SCAN_SHA256 = \
     "19233f762feda9b1c378c6061b08d873e2ec912fef84cd5ea50d1faa6077e4df"
+# `scan --check dual-lattice` at k = 3000, computed while that check still
+# ran the witness search.
+_K3000_DUAL_SHA256 = \
+    "3d692018e89b5fecec97ecf3aac1ff9e59c218488496c20c0a5ef5e1fde2e075"
 
 
 @pytest.mark.parametrize("epsilon, k", sorted(_CATALOG_SHA256))
@@ -345,18 +367,24 @@ def test_scan_stdout_is_pinned(capsys):
 
 @pytest.fixture(scope="module")
 def grid_scan():
-    """(exit code, stdout, Fraction constructions) of one `scan --check all`
-    over the acceptance grid, run with `Fraction.__new__` counting."""
-    built = [0]
-    original = Fraction.__new__
+    """(exit code, stdout, Fraction constructions, witness-walk lines) of one
+    `scan --check all` over the acceptance grid, run with `Fraction.__new__`
+    and the walk's per-line `walls._ts_with_q_at_least` counting."""
+    built, lines = [0], [0]
+    original, per_line = Fraction.__new__, walls._ts_with_q_at_least
 
     def counting(cls, *args, **kwargs):
         built[0] += 1
         return original(cls, *args, **kwargs)
 
+    def counting_lines(*args):
+        lines[0] += 1
+        return per_line(*args)
+
     out = io.StringIO()
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(Fraction, "__new__", staticmethod(counting))
+        mp.setattr(walls, "_ts_with_q_at_least", counting_lines)
         with contextlib.redirect_stdout(out):
             rc = main(["scan", "--epsilon", "0..1", "--k", "2..8",
                        "--p", "2..40", "--check", "all"])
@@ -364,18 +392,18 @@ def grid_scan():
         Fraction(1, 2)
         # The counter sees a construction, so a zero count means none.
         assert built[0] == count + 1
-    return rc, out.getvalue(), count
+    return rc, out.getvalue(), count, lines[0]
 
 
 def test_grid_scan_stdout_is_pinned(grid_scan):
-    rc, out, _ = grid_scan
+    rc, out, _, _ = grid_scan
     assert rc == 0
     assert hashlib.sha256(out.encode()).hexdigest() == _GRID_SCAN_SHA256
 
 
 def test_grid_scan_builds_no_fraction(grid_scan):
     # q(R), q(D) and the dual divisor stay integers on the scan path.
-    rc, _, built = grid_scan
+    rc, _, built, _ = grid_scan
     assert rc == 0 and built == 0
 
 
@@ -444,7 +472,7 @@ def test_subcommand_stdout_is_pinned(capsys, command):
 
 
 def test_scan_witness_oracle_skips_a_box_beyond_the_limit(capsys):
-    # |disc| = 8 passes the disc limit, but the box radius is 1788; the
+    # |disc| = 8 passes the disc limit, but the box radius is 894; the
     # check does not apply, so the scan finishes and prints nothing.
     span = checks.Point(0, 2000, 552, 452).verdict.span
     assert box_radius(span.gram, span.v_coords) > checks.ORACLE_RADIUS_LIMIT
@@ -456,7 +484,7 @@ def test_scan_witness_oracle_skips_a_box_beyond_the_limit(capsys):
 
 
 def test_wall_test_oracle_beyond_the_limit_is_null(capsys):
-    # Box radius 2329: the record is the plain wall-test record followed
+    # Box radius 1164: the record is the plain wall-test record followed
     # by "oracle_agrees": null.
     rc, out, err = _run(capsys, "wall-test", "--epsilon", "0", "--k", "100000",
                         "--p", "198148", "--delta", "16619", "--oracle")

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 from itertools import product
@@ -30,7 +31,9 @@ from wallkit.walls import (
     primitive_dual_divisor,
     primitive_integral_divisor,
     saturated_span,
+    span_stage,
     wall_test,
+    witness_stage,
 )
 
 
@@ -118,16 +121,21 @@ def test_box_radius_is_saturating():
             assert box_witnesses(gram, v, eps, radius=25) == base
 
 
-# (gram, v, largest max-norm of a witness); epsilon = 0 throughout.  In the
-# first three a witness lies exactly on box_radius.  The first two also need
-# the |v_i| term, at coordinate 0 and 1 respectively.  The last needs the
-# q(v) + 2 and the u_i^2 of the radius.  A smaller radius misses a witness
-# on one of them; a larger one changes nothing, so no test can tell it apart.
+# (gram, v, largest max-norm of a witness); epsilon = 0 throughout.  In all
+# but the fourth a case (ii) witness lies exactly on box_radius.  The first
+# two need the |v_i| term, at coordinate 0 and 1 respectively, and the third
+# the + 8 of (q(v) + 8)/4.  The fourth lies inside the bound but needs the
+# u_i^2 term.  The last two need (q(v) + 8)/4 exactly, with u_i^2 = 4, at
+# coordinate 0 and 1: with q(v) + 7 or a divisor 5 the radius falls to 2.
+# A smaller radius misses a witness on one of them; a larger one changes
+# nothing, so no test can tell it apart.
 _RADIUS_PINS = (
     ([[2, -3], [-3, 2]], (1, 0), 2),
     ([[2, -3], [-3, 2]], (0, 1), 2),
     ([[0, 1], [1, 2]], (0, 1), 2),
     ([[1, -4], [-4, 14]], (1, 0), 4),
+    ([[2, -5], [-5, 10]], (0, 1), 3),
+    ([[10, -5], [-5, 2]], (1, 0), 3),
 )
 
 
@@ -288,6 +296,90 @@ def test_wall_test_reads_the_least_witness_of_the_walk(params):
     assert verdict.is_wall == bool(full)
     assert verdict.branch == (full[0].branch if full else None)
     assert verdict.witnesses == tuple(full)
+
+
+def test_wall_test_is_its_span_stage_then_its_witness_stage():
+    for p, delta, k, eps in ((2, 0, 2, 0), (7, 0, 2, 1), (6, 1, 4, 0),
+                             (5, 0, 300, 0), (2, 0, 5, 0)):
+        params = BNParams(p, delta, k, eps)
+        ctx = params.context()
+        stage = span_stage(curve_class(params), ctx)
+        verdict = wall_test(curve_class(params), ctx)
+        assert witness_stage(stage, eps) == verdict
+        assert (stage.divisor, stage.divisor_div, stage.q_divisor,
+                stage.span, stage.t_gram) == \
+            (verdict.divisor, verdict.divisor_div, verdict.q_divisor,
+             verdict.span, verdict.t_gram)
+        if stage.span is not None:
+            assert stage.span == saturated_span(stage.divisor, ctx)
+
+
+def _lines_to_the_least_witness(verdict) -> int:
+    """The lines the walk visits: with d = gcd(b(-, v)), the (q(v) - 1)/d
+    case (i) lines by ascending n and then, when epsilon = 0, the
+    q(v)/(2d) + 1 case (ii) lines, up to the least witness's line."""
+    (_, b), (_, qv) = verdict.t_gram  # v = (0, 1), so b(-, v) = (b, q(v))
+    d = gcd(b, qv)
+    case_i, witness = (qv - 1) // d, verdict.witness
+    if witness is None:
+        return case_i + (qv // 2 // d + 1 if verdict.epsilon == 0 else 0)
+    if witness.branch == "case_i":
+        return witness.b // d
+    return case_i + witness.b // d + 1
+
+
+# Lines walked by wall_test on two families of walls, (epsilon, p, delta) =
+# (0, 5, 0), T = [[-2, h - 5], [h - 5, 2h]], whose only witnesses are case
+# (ii), and (1, 7, 0), T = [[0, h - 6], [h - 6, 2h]], whose least witness is
+# (1, 0) on line h - 6; h = k - 1 + 2*epsilon.  Both grow linearly in k.
+_FAMILY_LINES = {
+    (0, 30): 41, (0, 300): 446, (0, 3000): 4496,
+    (1, 30): 25, (1, 300): 295, (1, 3000): 2995,
+}
+
+
+def test_witness_walk_lines_on_two_wall_families(walked):
+    got = {}
+    for eps, k in _FAMILY_LINES:
+        params = BNParams(5 + 2 * eps, 0, k, eps)
+        ctx = params.context()
+        stage = span_stage(curve_class(params), ctx)
+        assert walked[0] == 0  # the span stage walks no line
+        verdict = witness_stage(stage, eps)
+        assert verdict.is_wall
+        assert walked[0] == _lines_to_the_least_witness(verdict)
+        got[eps, k], walked[0] = walked[0], 0
+    assert got == _FAMILY_LINES
+
+
+def _tail_spans(n: int, k_max: int):
+    """Seeded large-parameter points: epsilon uniform, k log-uniform in
+    [2, k_max] with one draw per stratum of log k, p log-uniform in
+    [2, 1e10], delta uniform in [0, p - 2*epsilon]."""
+    rng = random.Random(2015)
+    log_k = math.log(k_max / 2)
+    for i in range(n):
+        eps = rng.randint(0, 1)
+        k = max(2, round(2 * math.exp((i + rng.random()) / n * log_k)))
+        p = max(2, round(math.exp(rng.uniform(math.log(2), math.log(1e10)))))
+        yield BNParams(p, rng.randint(0, p - 2 * eps), k, eps)
+
+
+def test_witness_walk_visits_every_line_on_non_walls(walked):
+    # On a non-wall the walk visits all q(v)/d case (i) lines, plus the
+    # q(v)/(2d) case (ii) lines when epsilon = 0.  The pinned total is the
+    # search's cost on these spans, free of machine noise.
+    spans = non_walls = total = 0
+    for params in _tail_spans(60, 10**4):
+        ctx = params.context()
+        stage = span_stage(curve_class(params), ctx)
+        if stage.span is None:
+            continue
+        verdict = witness_stage(stage, params.epsilon)
+        assert walked[0] == _lines_to_the_least_witness(verdict), params
+        spans, non_walls = spans + 1, non_walls + (not verdict.is_wall)
+        total, walked[0] = total + walked[0], 0
+    assert (spans, non_walls, total) == (50, 46, 82527)
 
 
 def test_list_and_tuple_grams_agree():
