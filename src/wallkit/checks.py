@@ -25,8 +25,11 @@ its second route itself and reports a disagreement as a failed check, not
 as an exception.  The three `AssertionError`s left in the library (one in
 `walls`, two in `binforms`) guard invariants that no check repeats.
 
-`oracle_agrees` is the one comparison of a verdict's witnesses with the
-box oracle; `wall-test --oracle` and the `witness-oracle` check both use it.
+`_oracle` is the one comparison of a verdict's witnesses with the box
+oracle; `wall-test --oracle` reads it through `oracle_agrees`, and the
+`witness-oracle` check reads it directly, for the witness count too.  A
+verdict enumerates its full witness set on every read of `witnesses`, so
+each of them reads it once.
 
 `CHECKS` maps each check name to a function `point -> None | (ok, payload)`:
 `None` means the check does not apply at the point, and `payload` is a
@@ -61,6 +64,7 @@ from .model import (
 from .walls import (
     SpanStage,
     WallVerdict,
+    Witness,
     box_radius,
     box_witnesses,
     span_stage,
@@ -132,17 +136,26 @@ class Point:
         return witness_stage(self.span, self.params.epsilon)
 
 
-def oracle_agrees(verdict: WallVerdict, epsilon: int) -> bool | None:
-    """Whether the verdict's witnesses equal those of the box oracle; None
-    when there is no span (q(D) >= 0) or its box radius exceeds
-    ORACLE_RADIUS_LIMIT."""
+def _oracle(verdict: WallVerdict,
+            epsilon: int) -> tuple[bool, tuple[Witness, ...]] | None:
+    """Whether the verdict's witnesses equal those of the box oracle, and
+    the verdict's witnesses (enumerated once); None when there is no span
+    (q(D) >= 0) or its box radius exceeds ORACLE_RADIUS_LIMIT."""
     span = verdict.span
     if span is None:
         return None
     gram, v = span.gram, span.v_coords
     if box_radius(gram, v) > ORACLE_RADIUS_LIMIT:
         return None
-    return verdict.witnesses == tuple(box_witnesses(gram, v, epsilon))
+    witnesses = verdict.witnesses
+    return witnesses == tuple(box_witnesses(gram, v, epsilon)), witnesses
+
+
+def oracle_agrees(verdict: WallVerdict, epsilon: int) -> bool | None:
+    """The first half of `_oracle`: whether the box oracle agrees, or None
+    where it does not run."""
+    result = _oracle(verdict, epsilon)
+    return None if result is None else result[0]
 
 
 def _wall_square(pt: Point) -> Result:
@@ -216,10 +229,11 @@ def _witness_oracle(pt: Point) -> Result:
     disc = g[0][0] * g[1][1] - g[0][1] * g[1][0]
     if abs(disc) > ORACLE_DISC_LIMIT:
         return None
-    agrees = oracle_agrees(verdict, pt.params.epsilon)
-    if agrees is None:
+    result = _oracle(verdict, pt.params.epsilon)
+    if result is None:
         return None
-    return agrees, {"disc": disc, "n_witnesses": len(verdict.witnesses)}
+    agrees, witnesses = result
+    return agrees, {"disc": disc, "n_witnesses": len(witnesses)}
 
 
 def _moduli_dim(pt: Point) -> Result:

@@ -7,7 +7,6 @@ curves have genus g = p - delta and carry pencils of degree k + epsilon.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -65,38 +64,37 @@ def _rewritten(params: BNParams) -> int:
             - params.beta * params.beta)
 
 
-@dataclass(frozen=True)
-class BNParams:
-    """One parameter set, validated; the quantities derived from it are
-    computed once, at construction."""
-
+class _BNFields(NamedTuple):
     p: int
     delta: int
     k: int
     epsilon: int
-    # Derived, not part of equality or repr.
-    half_div: int = field(init=False, repr=False, compare=False)
-    g: int = field(init=False, repr=False, compare=False)  # geometric genus
-    alpha: int = field(init=False, repr=False, compare=False)
-    # beta lies in (-half_div, half_div] for every admissible parameter set.
-    beta: int = field(init=False, repr=False, compare=False)
-    rho: int = field(init=False, repr=False, compare=False)
-    _context: SurfaceContext = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self) -> None:
+
+class BNParams(_BNFields):
+    """One parameter set (p, delta, k, epsilon), validated.  The values
+    derived from it (half_div, the geometric genus g, alpha, beta, rho and
+    the context) are computed once, at construction, and kept as
+    attributes outside the tuple, so equality, hash and repr see only the
+    four parameters.  beta lies in (-half_div, half_div] for every
+    admissible parameter set."""
+
+    def __new__(cls, p: int, delta: int, k: int, epsilon: int) -> BNParams:
         # SurfaceContext validates epsilon, p and k.
-        ctx = SurfaceContext(self.epsilon, self.p, self.k)
-        if not 0 <= self.delta <= self.p - 2 * self.epsilon:
+        ctx = SurfaceContext(epsilon, p, k)
+        if not 0 <= delta <= p - 2 * epsilon:
             raise DomainError(
                 "constraint violated: 0 <= delta <= p - 2*epsilon "
-                f"(got delta={self.delta}, p={self.p}, epsilon={self.epsilon})")
-        h, g, a = _derived(self.p, self.delta, self.k, self.epsilon)
-        beta = (2 * a + 1) * h - g + self.epsilon
-        rho = bn_rho(self.p, a, (self.k + self.epsilon) * a + self.delta)
-        for name, value in zip(
-                ("half_div", "g", "alpha", "beta", "rho", "_context"),
-                (h, g, a, beta, rho, ctx)):
-            object.__setattr__(self, name, value)
+                f"(got delta={delta}, p={p}, epsilon={epsilon})")
+        self = super().__new__(cls, p, delta, k, epsilon)
+        h, g, a = _derived(p, delta, k, epsilon)
+        self.__dict__.update(
+            half_div=h, g=g, alpha=a, beta=(2 * a + 1) * h - g + epsilon,
+            rho=bn_rho(p, a, (k + epsilon) * a + delta), _context=ctx)
+        return self
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"BNParams is immutable: cannot set {name!r}")
 
     def context(self) -> SurfaceContext:
         return self._context

@@ -20,10 +20,9 @@ from __future__ import annotations
 
 import json
 from collections.abc import Iterable
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from typing import IO
+from typing import IO, NamedTuple
 
 Triple = tuple[int, int, int]
 
@@ -51,21 +50,28 @@ def write_records(records: Iterable[dict], stream: IO[str]) -> int:
     return count
 
 
-@dataclass(frozen=True)
-class SurfaceContext:
+class _ContextFields(NamedTuple):
     epsilon: int
     p: int
     k: int
 
-    def __post_init__(self) -> None:
-        if self.epsilon not in (0, 1):
-            raise DomainError(f"epsilon must be 0 or 1 (got {self.epsilon})")
+
+class SurfaceContext(_ContextFields):
+    """The surface type epsilon, the genus p and the number of points k,
+    validated at construction."""
+
+    __slots__ = ()
+
+    def __new__(cls, epsilon: int, p: int, k: int) -> SurfaceContext:
+        if epsilon not in (0, 1):
+            raise DomainError(f"epsilon must be 0 or 1 (got {epsilon})")
         # k before p: `lagrangian` derives p from k, so a bad k must be
         # named as such.
-        if self.k < 2:
-            raise DomainError(f"constraint violated: k >= 2 (got k={self.k})")
-        if self.p < 2:
-            raise DomainError(f"constraint violated: p >= 2 (got p={self.p})")
+        if k < 2:
+            raise DomainError(f"constraint violated: k >= 2 (got k={k})")
+        if p < 2:
+            raise DomainError(f"constraint violated: p >= 2 (got p={p})")
+        return super().__new__(cls, epsilon, p, k)
 
     @property
     def l_square(self) -> int:
@@ -83,18 +89,21 @@ def _exact(x) -> int | Fraction:
     return f.numerator if f.denominator == 1 else f
 
 
-@dataclass(frozen=True)
-class DivisorClass:
-    """a*L + b*e with exact rational coefficients: an integral coefficient
-    is stored as int, any other as Fraction."""
-
+class _DivisorFields(NamedTuple):
     l: int | Fraction
     e: int | Fraction
 
-    def __post_init__(self) -> None:
-        if type(self.l) is not int or type(self.e) is not int:
-            object.__setattr__(self, "l", _exact(self.l))
-            object.__setattr__(self, "e", _exact(self.e))
+
+class DivisorClass(_DivisorFields):
+    """a*L + b*e with exact rational coefficients: an integral coefficient
+    is stored as int, any other as Fraction."""
+
+    __slots__ = ()
+
+    def __new__(cls, l: int | Fraction, e: int | Fraction) -> DivisorClass:
+        if type(l) is not int or type(e) is not int:
+            l, e = _exact(l), _exact(e)
+        return super().__new__(cls, l, e)
 
     @property
     def is_integral(self) -> bool:
@@ -105,8 +114,7 @@ class DivisorClass:
         return self.l * self.l * ctx.l_square - self.e * self.e * ctx.ek_div
 
 
-@dataclass(frozen=True)
-class CurveClass:
+class CurveClass(NamedTuple):
     """a*L + b*r with integer coefficients (r is the exceptional curve class)."""
 
     l: int

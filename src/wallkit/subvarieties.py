@@ -10,15 +10,14 @@ constructed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .curves import BNParams, curve_class
 from .model import CurveClass, SurfaceContext, moduli_dim, sheaf_vector
 
 
-@dataclass(frozen=True)
-class SubvarietyDescriptor:
+class SubvarietyDescriptor(NamedTuple):
     """A codimension-r locus in the 2k-dimensional manifold, fibred in
     r-dimensional fibres over a base of dimension 2(k - r)."""
 

@@ -13,8 +13,6 @@ re-derives witness sets independently of the line-by-line enumeration.
 from __future__ import annotations
 
 from collections.abc import Iterator
-from dataclasses import dataclass
-from functools import cached_property
 from math import gcd, isqrt
 from typing import NamedTuple
 
@@ -30,8 +28,7 @@ from .model import (
 )
 
 
-@dataclass(frozen=True)
-class Witness:
+class Witness(NamedTuple):
     coords: tuple[int, int]  # in the basis carried by the span lattice
     q: int
     b: int                   # pairing with the distinguished vector v
@@ -41,8 +38,7 @@ class Witness:
         return (self.branch, self.b, self.q, self.coords)
 
 
-@dataclass(frozen=True)
-class SpanLattice:
+class SpanLattice(NamedTuple):
     """Saturation of span{v, D}, presented in a basis (w, v)."""
 
     gram: Gram
@@ -51,8 +47,7 @@ class SpanLattice:
     index: int               # index of span{v, D} in its saturation: div(D)
 
 
-@dataclass(frozen=True)
-class WallVerdict:
+class WallVerdict(NamedTuple):
     divisor: DivisorClass    # primitive integral representative
     divisor_div: int
     q_divisor: int
@@ -72,10 +67,10 @@ class WallVerdict:
             return "nonnegative-square"
         return self.witness.branch if self.witness is not None else None
 
-    @cached_property
+    @property
     def witnesses(self) -> tuple[Witness, ...]:
-        """Every witness, sorted; enumerated on first read, since the
-        verdict itself needs only the least one."""
+        """Every witness, sorted.  The verdict itself needs only the least
+        one, so the full set is enumerated on every read: read it once."""
         if self.witness is None:
             return ()
         span = self.span

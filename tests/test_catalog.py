@@ -376,3 +376,20 @@ def test_generate_classifies_each_state_once(monkeypatch, epsilon):
     states = [state_gram(p, delta, k, epsilon) for p in range(2, seed_p + 1)
               for delta in range(p - 2 * epsilon + 1)]
     assert sorted(calls) == sorted(states)
+
+
+def test_catalog_work_is_pinned(monkeypatch):
+    # Work counters, counted by patching the callees from the test, so the
+    # library holds no counter: one canonical form per state in range, and
+    # one wall test per listed entry with q(R) < 0.
+    calls = {"canonical_form": 0, "wall_test": 0}
+    for module, name in ((binforms, "canonical_form"),
+                         (catalog, "wall_test")):
+        def counting(*args, _name=name, _fn=getattr(module, name)):
+            calls[_name] += 1
+            return _fn(*args)
+        monkeypatch.setattr(module, name, counting)
+    for epsilon in (0, 1):
+        for k in range(2, 31):
+            generate_catalog(k, epsilon)
+    assert calls == {"canonical_form": 39672, "wall_test": 2423}

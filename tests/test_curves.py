@@ -18,7 +18,7 @@ from wallkit.curves import (
     exists_pencil_via_rho,
     minimal_square_bound,
 )
-from wallkit.model import CurveClass, DomainError
+from wallkit.model import CurveClass, DomainError, SurfaceContext
 
 
 def test_bn_rho():
@@ -29,17 +29,39 @@ def test_bn_rho():
 
 
 def test_params_validation():
-    with pytest.raises(DomainError):
-        BNParams(4, -1, 3, 0)
-    with pytest.raises(DomainError):
-        BNParams(4, 5, 3, 0)
-    with pytest.raises(DomainError):
-        BNParams(4, 3, 3, 1)  # delta > p - 2
-    with pytest.raises(DomainError):
-        BNParams(1, 0, 3, 0)
-    with pytest.raises(DomainError):
-        BNParams(4, 0, 1, 0)
+    # The context (epsilon, k, p) is checked before delta.
+    for args, text in (
+            ((4, -1, 3, 0), "constraint violated: 0 <= delta <= p - 2*epsilon "
+                            "(got delta=-1, p=4, epsilon=0)"),
+            ((4, 5, 3, 0), "constraint violated: 0 <= delta <= p - 2*epsilon "
+                           "(got delta=5, p=4, epsilon=0)"),
+            # delta > p - 2
+            ((4, 3, 3, 1), "constraint violated: 0 <= delta <= p - 2*epsilon "
+                           "(got delta=3, p=4, epsilon=1)"),
+            ((1, 0, 3, 0), "constraint violated: p >= 2 (got p=1)"),
+            ((4, 0, 1, 0), "constraint violated: k >= 2 (got k=1)"),
+            ((1, 9, 1, 2), "epsilon must be 0 or 1 (got 2)")):
+        with pytest.raises(DomainError) as exc:
+            BNParams(*args)
+        assert str(exc.value) == text
     BNParams(4, 2, 3, 1)  # boundary delta = p - 2*epsilon is allowed
+
+
+def test_params_are_the_tuple_of_their_four_arguments():
+    params = BNParams(8, 1, 4, 0)
+    assert params == BNParams(p=8, delta=1, k=4, epsilon=0)
+    assert params == BNParams(8, 1, epsilon=0, k=4) == (8, 1, 4, 0)
+    assert params != BNParams(8, 2, 4, 0)
+    assert hash(params) == hash(BNParams(p=8, delta=1, k=4, epsilon=0))
+    assert hash(params) == hash((8, 1, 4, 0))
+    assert repr(params) == "BNParams(p=8, delta=1, k=4, epsilon=0)"
+    # The derived quantities are attributes only, computed at construction.
+    assert (params.half_div, params.g, params.alpha) == (3, 7, 1)
+    assert (params.beta, params.rho) == (2, 0)
+    assert params.context() == SurfaceContext(0, 8, 4)
+    for name in ("p", "alpha", "rho"):
+        with pytest.raises(AttributeError):
+            setattr(params, name, 0)
 
 
 def test_alpha_beta_identities():

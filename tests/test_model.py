@@ -33,15 +33,24 @@ def _contexts():
 
 
 def test_context_validation():
-    with pytest.raises(DomainError):
-        SurfaceContext(2, 4, 3)
-    with pytest.raises(DomainError):
-        SurfaceContext(0, 1, 3)
-    with pytest.raises(DomainError):
-        SurfaceContext(0, 4, 1)
+    # epsilon is checked first, then k, then p, each with its own text.
+    for args, text in (
+            ((2, 1, 1), "epsilon must be 0 or 1 (got 2)"),
+            ((0, 1, 1), "constraint violated: k >= 2 (got k=1)"),
+            ((0, 1, 3), "constraint violated: p >= 2 (got p=1)"),
+            ((0, 4, 1), "constraint violated: k >= 2 (got k=1)")):
+        with pytest.raises(DomainError) as exc:
+            SurfaceContext(*args)
+        assert str(exc.value) == text
     ctx = SurfaceContext(0, 4, 3)
     assert ctx.l_square == 6 and ctx.ek_div == 4
     assert SurfaceContext(1, 4, 3).ek_div == 8
+    assert ctx == SurfaceContext(epsilon=0, p=4, k=3)
+    assert hash(ctx) == hash(SurfaceContext(0, 4, 3)) == hash((0, 4, 3))
+    assert ctx != SurfaceContext(0, 4, 4)
+    assert repr(ctx) == "SurfaceContext(epsilon=0, p=4, k=3)"
+    with pytest.raises(AttributeError):
+        ctx.p = 5
 
 
 def test_pairing_is_symmetric_bilinear():
@@ -190,9 +199,24 @@ def test_integral_divisor_class_holds_ints():
     d = DivisorClass(Fraction(4, 2), -3)
     assert type(d.l) is int and type(d.e) is int and d.is_integral
     assert repr(d) == "DivisorClass(l=2, e=-3)"
-    assert d == DivisorClass(2, Fraction(-3)) == DivisorClass(2, -3)
-    assert hash(d) == hash(DivisorClass(2, -3))
+    assert d == DivisorClass(2, Fraction(-3)) == DivisorClass(e=-3, l=2)
+    assert hash(d) == hash(DivisorClass(2, -3)) == hash((2, -3))
+    assert d != DivisorClass(2, 3)
+    with pytest.raises(AttributeError):
+        d.l = 3
     assert type(d.square(ctx)) is int and d.square(ctx) == 6 * 4 - 9 * 4
     half = DivisorClass(1, Fraction(-3, 2))
     assert type(half.l) is int and type(half.e) is Fraction
     assert not half.is_integral and half.square(ctx) == Fraction(6 - 9)
+
+
+def test_classes_are_named_tuples():
+    # Equality and hash within a type are those of the tuple of fields; a
+    # class also equals any tuple with the same entries, so a curve class
+    # and a divisor class with equal coefficients compare equal.
+    c = CurveClass(1, -5)
+    assert c == CurveClass(l=1, r=-5) and c != CurveClass(1, 5)
+    assert hash(c) == hash((1, -5)) and repr(c) == "CurveClass(l=1, r=-5)"
+    assert c == DivisorClass(1, -5) == (1, -5)
+    l, r = c
+    assert (l, r) == (c[0], c[1]) == (c.l, c.r)

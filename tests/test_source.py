@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import wallkit
@@ -12,13 +15,27 @@ SRC = Path(wallkit.__file__).resolve().parent
 
 def test_no_bare_assert_in_package():
     # `python -O` strips assert statements, so invariants raise explicitly.
-    files = sorted(SRC.glob("*.py"))
+    files = sorted(SRC.rglob("*.py"))
     assert files
     found = [f"{path.name}:{node.lineno}"
              for path in files
              for node in ast.walk(ast.parse(path.read_text(), str(path)))
              if isinstance(node, ast.Assert)]
     assert found == []
+
+
+def test_cli_import_loads_no_dataclass_machinery():
+    # Every wallkit process imports the CLI; its value types are named
+    # tuples, so start-up builds no dataclass and loads neither
+    # `dataclasses` nor `inspect` (which `dataclasses` imports).
+    env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
+    run = subprocess.run(
+        [sys.executable, "-S", "-c",
+         "import sys, wallkit.cli; "
+         "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"],
+        capture_output=True, text=True, env=env, timeout=60)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout == "[]\n"
 
 
 def _bench_names() -> set[str]:

@@ -9,6 +9,7 @@ import pytest
 from wallkit.curves import BNParams, curve_square, minimal_square_bound
 from wallkit.model import CurveClass, DomainError, SurfaceContext, moduli_dim
 from wallkit.subvarieties import (
+    SubvarietyDescriptor,
     bundle_bound_holds,
     bundle_locus,
     chi_value,
@@ -40,6 +41,13 @@ def test_bundle_locus_examples():
     assert desc.line_square == Fraction(-8, 3)
     assert desc.moduli_space_dim == 0
     assert desc.source == "proj_bundle"
+    fields = ("proj_bundle", 3, CurveClass(1, -10), 8, 4, 0, 1, None, 0)
+    assert desc == bundle_locus(8, 1, 4, 0)
+    assert desc == SubvarietyDescriptor(
+        source="proj_bundle", codim=3, line_class=CurveClass(1, -10), p=8,
+        k=4, epsilon=0, delta=1, moduli_space_dim=0)
+    assert hash(desc) == hash(fields)
+    assert desc != SubvarietyDescriptor(*fields[:7], 0, 0)
 
     desc = bundle_locus(4, 0, 3, 0)
     assert desc is not None

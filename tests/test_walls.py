@@ -24,6 +24,7 @@ from wallkit.model import (
     mukai_pairing,
 )
 from wallkit.walls import (
+    SpanLattice,
     Witness,
     box_radius,
     box_witnesses,
@@ -604,6 +605,18 @@ def test_wall_test_fixed_verdicts():
     # ambient witness must have the recorded square and pairing with v
     amb = verdict.witness_ambient
     assert mukai_pairing(amb, amb, 2) == verdict.witness.q
+    # Equality and hash are those of the tuple of fields, nested or not.
+    span = SpanLattice(gram=((-2, 1), (1, 2)), v_coords=(0, 1),
+                       basis=((2, -1, 1), (1, 0, -1)), index=2)
+    assert verdict.span == span and hash(verdict.span) == hash(
+        (((-2, 1), (1, 2)), (0, 1), ((2, -1, 1), (1, 0, -1)), 2))
+    assert verdict.witness == Witness((-1, 1), -2, 1, "case_ii")
+    assert hash(verdict.witness) == hash(((-1, 1), -2, 1, "case_ii"))
+    again = wall_test(curve_class(params), params.context())
+    assert again == verdict and hash(again) == hash(
+        (DivisorClass(2, -3), 2, -10, span, 0, verdict.witness, amb))
+    assert again != witness_stage(span_stage(curve_class(params),
+                                             params.context()), 1)
 
     params = BNParams(7, 0, 2, 1)
     verdict = wall_test(curve_class(params), params.context())
