@@ -20,6 +20,11 @@ which stage:
 The square stays an integer numerator over 2h (h = k - 1 + 2*epsilon) and
 the span's divisor and q(D) are integers, so the checks build no Fraction.
 
+The points of one (epsilon, k, p) row share their context (see
+`curves.BNParams`), so what `dual-lattice` and `moduli-dim` read of the
+context alone (v, q(v) and the divisibility of v + e and v - e) is
+computed once per row, in `_row`.
+
 The checks own every comparison of two routes to one number: each computes
 its second route itself and reports a disagreement as a failed check, not
 as an exception.  The three `AssertionError`s left in the library (one in
@@ -39,6 +44,7 @@ JSON-ready dict that `scan` copies into its record.
 from __future__ import annotations
 
 from math import gcd
+from typing import NamedTuple
 
 from .catalog import state_gram
 from .curves import (
@@ -54,6 +60,8 @@ from .curves import (
 from .model import (
     CurveClass,
     DomainError,
+    SurfaceContext,
+    Triple,
     exceptional_vector,
     moduli_dim,
     moduli_vector,
@@ -136,6 +144,33 @@ class Point:
         return witness_stage(self.span, self.params.epsilon)
 
 
+class _Row(NamedTuple):
+    """What the checks read of a context alone: the moduli vector v, its
+    Mukai square q(v), and whether v + e and v - e are divisible by 2 and
+    by q(v) in the rank-3 model."""
+
+    ctx: SurfaceContext
+    v: Triple
+    qv: int
+    v_e_divisible: bool
+
+
+_last_row: _Row | None = None
+
+
+def _row(ctx: SurfaceContext) -> _Row:
+    """The context's `_Row`, computed once for the points of one
+    (epsilon, k, p) row, which share their context object."""
+    global _last_row
+    row = _last_row
+    if row is None or row.ctx is not ctx:
+        v = moduli_vector(ctx)
+        divisible = all((a + b) % 2 == 0 and (a - b) % ctx.ek_div == 0
+                        for a, b in zip(v, exceptional_vector(ctx)))
+        row = _last_row = _Row(ctx, v, mukai_square(v, ctx.p), divisible)
+    return row
+
+
 def _oracle(verdict: WallVerdict,
             epsilon: int) -> tuple[bool, tuple[Witness, ...]] | None:
     """Whether the verdict's witnesses equal those of the box oracle, and
@@ -193,14 +228,14 @@ def _dual_lattice(pt: Point) -> Result:
     if pt.square.num >= 0:
         return None
     prm = pt.params
+    row = _row(prm.context())
     w = (-1, 1, prm.half_div - (prm.g + prm.k - 1 + prm.epsilon))
-    v = moduli_vector(prm.context())
-    qw, bwv = mukai_square(w, prm.p), mukai_pairing(w, v, prm.p)
+    qw, bwv = mukai_square(w, prm.p), mukai_pairing(w, row.v, prm.p)
     (q_stated, b_stated), _ = state_gram(prm.p, prm.delta, prm.k, prm.epsilon)
     t = pt.span.t_gram
     ok = (qw == q_stated and bwv == b_stated
           and t[0][0] * t[1][1] - t[0][1] * t[1][0]
-          == qw * mukai_square(v, prm.p) - bwv * bwv)
+          == qw * row.qv - bwv * bwv)
     return ok, {}
 
 
@@ -246,10 +281,7 @@ def _moduli_dim(pt: Point) -> Result:
         ok = moduli_dim(prm.p, prm.delta, prm.k, prm.epsilon) == expected
     except DomainError:
         ok = expected < 0
-    ctx = prm.context()
-    ok = ok and all((a + b) % 2 == 0 and (a - b) % ctx.ek_div == 0
-                    for a, b in zip(moduli_vector(ctx), exceptional_vector(ctx)))
-    return ok, {"chi": chi}
+    return ok and _row(prm.context()).v_e_divisible, {"chi": chi}
 
 
 CHECKS = {

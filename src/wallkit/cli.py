@@ -227,8 +227,8 @@ def _scan_points(args) -> Iterator[tuple[int, int, int, int]]:
     if p_lo < 2:
         raise DomainError(f"p must satisfy p >= 2, got {args.p!r}")
     # Without --delta every delta up to p - 2*epsilon <= p_hi is scanned.
-    d_lo, d_hi = (_parse_range(args.delta, "delta") if args.delta
-                  else (0, p_hi))
+    d_lo, d_hi = (_parse_range(args.delta, "delta")
+                  if args.delta is not None else (0, p_hi))
     return ((epsilon, k, p, delta)
             for epsilon in range(e_lo, e_hi + 1)
             for k in range(k_lo, k_hi + 1)
@@ -237,19 +237,21 @@ def _scan_points(args) -> Iterator[tuple[int, int, int, int]]:
 
 
 def _scan_records(points, names: list[str]) -> Iterator[dict]:
+    checks = [(name, CHECKS[name]) for name in names]
+    single = len(checks) == 1
     for epsilon, k, p, delta in points:
         point = Point(epsilon, k, p, delta)
         record: dict = {"epsilon": epsilon, "k": k, "p": p, "delta": delta}
         applied, failed = False, []
-        for name in names:
-            result = CHECKS[name](point)
+        for name, check in checks:
+            result = check(point)
             if result is None:
                 continue
             applied = True
             ok, payload = result
             if not ok:
                 failed.append(name)
-            if len(names) == 1:
+            if single:
                 record.update(payload)
             else:
                 record[name] = payload or True

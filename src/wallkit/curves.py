@@ -64,6 +64,23 @@ def _rewritten(params: BNParams) -> int:
             - params.beta * params.beta)
 
 
+# The context of the last parameter set built, so the delta points of one
+# (epsilon, k, p) row, as `scan` makes them, share one validated context.
+_last_context: SurfaceContext | None = None
+
+
+def _shared_context(epsilon: int, p: int, k: int) -> SurfaceContext:
+    """SurfaceContext(epsilon, p, k), reused from the last call with the
+    same arguments.  Only exact ints are kept, so True never stands for 1."""
+    global _last_context
+    if not type(epsilon) is type(p) is type(k) is int:
+        return SurfaceContext(epsilon, p, k)
+    ctx = _last_context
+    if ctx is None or ctx != (epsilon, p, k):
+        ctx = _last_context = SurfaceContext(epsilon, p, k)
+    return ctx
+
+
 class _BNFields(NamedTuple):
     p: int
     delta: int
@@ -80,8 +97,9 @@ class BNParams(_BNFields):
     admissible parameter set."""
 
     def __new__(cls, p: int, delta: int, k: int, epsilon: int) -> BNParams:
-        # SurfaceContext validates epsilon, p and k.
-        ctx = SurfaceContext(epsilon, p, k)
+        # SurfaceContext validates epsilon, p and k; the points of one
+        # (epsilon, k, p) row share it.
+        ctx = _shared_context(epsilon, p, k)
         if not 0 <= delta <= p - 2 * epsilon:
             raise DomainError(
                 "constraint violated: 0 <= delta <= p - 2*epsilon "
@@ -108,19 +126,22 @@ def exists_pencil(params: BNParams) -> bool:
                                 - (a + 1) * params.half_div)
 
 
-def exists_pencil_via_rho(params: BNParams, l_max: int | None = None) -> bool:
+def exists_pencil_via_rho(params: BNParams) -> bool:
     """Same decision through the Brill-Noether inequality
-    rho(p, l, (k+epsilon)*l + delta) + epsilon*l*(l+2) >= 0 for all l >= 0;
-    the left side is minimal at l = alpha, so scanning up to alpha + 2 is
-    exhaustive."""
-    if l_max is None:
-        l_max = params.alpha + 2
-    for l in range(l_max + 1):
-        value = (bn_rho(params.p, l, (params.k + params.epsilon) * l + params.delta)
-                 + params.epsilon * l * (l + 2))
-        if value < 0:
-            return False
-    return True
+    f(l) = rho(p, l, (k+epsilon)*l + delta) + epsilon*l*(l+2) >= 0 for all
+    integers l >= 0.
+
+    With g = p - delta and h = k - 1 + 2*epsilon, expanding `bn_rho` gives
+    f(l) = h*l^2 + (h + epsilon - g)*l + (p - g), a convex quadratic
+    (h >= 1) with its vertex at l* = (g - h - epsilon)/(2h).  A convex
+    function of an integer is least at floor(l*) or floor(l*) + 1, and on
+    l >= 0 at 0 when l* < 0, so those (at most two) values of f decide the
+    inequality for every l >= 0.
+    """
+    p, delta, k, epsilon = params
+    l0 = (params.g - params.half_div - epsilon) // (2 * params.half_div)
+    return all(bn_rho(p, l, (k + epsilon) * l + delta) + epsilon * l * (l + 2)
+               >= 0 for l in range(max(l0, 0), l0 + 2))
 
 
 def bn_dims(params: BNParams) -> tuple[int, int]:

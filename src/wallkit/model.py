@@ -42,11 +42,17 @@ def fraction_str(x) -> str:
             f"fraction_str needs an int or Fraction, got {x!r}") from None
 
 
+# `json.dumps`'s settings without its cycle check: every record is a fresh
+# tree of dicts, lists and scalars, so the bytes are those of `json.dumps`.
+_ENCODER = json.JSONEncoder(check_circular=False)
+
+
 def write_records(records: Iterable[dict], stream: IO[str]) -> int:
     """Write each record as one JSON line, as it comes; return the count."""
     count = 0
+    encode = _ENCODER.encode
     for count, record in enumerate(records, 1):
-        stream.write(json.dumps(record) + "\n")
+        stream.write(encode(record) + "\n")
     return count
 
 
@@ -58,9 +64,10 @@ class _ContextFields(NamedTuple):
 
 class SurfaceContext(_ContextFields):
     """The surface type epsilon, the genus p and the number of points k,
-    validated at construction."""
-
-    __slots__ = ()
+    validated at construction.  l_square = L^2 = 2p - 2 and
+    ek_div = div(e) = -q(e) = q(v) = 2(k - 1 + 2*epsilon) are computed once,
+    at construction, and kept as attributes outside the tuple, so equality,
+    hash and repr see only the three parameters."""
 
     def __new__(cls, epsilon: int, p: int, k: int) -> SurfaceContext:
         if epsilon not in (0, 1):
@@ -71,16 +78,14 @@ class SurfaceContext(_ContextFields):
             raise DomainError(f"constraint violated: k >= 2 (got k={k})")
         if p < 2:
             raise DomainError(f"constraint violated: p >= 2 (got p={p})")
-        return super().__new__(cls, epsilon, p, k)
+        self = super().__new__(cls, epsilon, p, k)
+        self.__dict__.update(l_square=2 * p - 2,
+                             ek_div=2 * (k - 1 + 2 * epsilon))
+        return self
 
-    @property
-    def l_square(self) -> int:
-        return 2 * self.p - 2
-
-    @property
-    def ek_div(self) -> int:
-        # div(e) = -q(e) = q(v) = 2(k - 1 + 2*epsilon)
-        return 2 * (self.k - 1 + 2 * self.epsilon)
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(
+            f"SurfaceContext is immutable: cannot set {name!r}")
 
 
 def _exact(x) -> int | Fraction:

@@ -35,9 +35,8 @@ def _random_point(rng: random.Random) -> Point:
     p = rng.choice((rng.randint(2, 10**4), rng.randint(2, 10**8)))
     h = k - 1 + 2 * eps
     if rng.random() < 0.1:
-        # Anywhere below g = 200h, which keeps the Brill-Noether route
-        # (about g / 2h steps) short.
-        g = rng.randint(0, 200 * h)
+        # Anywhere: the Brill-Noether route is two steps at any g.
+        g = rng.randint(2 * eps, p)
     else:
         g = isqrt(4 * h * p) + rng.randint(-3 * h, 3 * h)
     g = min(max(g, 2 * eps), p)
@@ -77,6 +76,26 @@ def test_point_computes_each_field_once(monkeypatch):
                      "_square": 2, "span_stage": 2, "witness_stage": 2}
     assert first.square is first.square
     assert first.square != second.square
+
+
+def test_context_work_is_once_per_row(monkeypatch):
+    # v, q(v) and the v +- e divisibility depend on the context alone, and
+    # the points of one (epsilon, k, p) row share their context.
+    calls: Counter = Counter()
+    for name in ("moduli_vector", "exceptional_vector"):
+        def counted(*args, _name=name, _fn=getattr(checks, name)):
+            calls[_name] += 1
+            return _fn(*args)
+        monkeypatch.setattr(checks, name, counted)
+    monkeypatch.setattr(checks, "_last_row", None, raising=False)
+    rows = [[Point(eps, 4, 6, delta) for delta in range(6 - 2 * eps + 1)]
+            for eps in (0, 1)]
+    for row in rows:
+        assert len({id(pt.params.context()) for pt in row}) == 1
+        for pt in row:
+            for check in CHECKS.values():
+                check(pt)
+    assert calls == {"moduli_vector": 2, "exceptional_vector": 2}
 
 
 # One single-expression defect per check: (file, pattern, replacement).

@@ -19,8 +19,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import wallkit
-from wallkit import checks, walls
+from wallkit import checks, curves, walls
 from wallkit.cli import _COMMANDS, _parser, main
+from wallkit.model import SurfaceContext
 from wallkit.walls import box_radius
 
 
@@ -233,7 +234,7 @@ def test_scan_computes_only_what_the_check_needs(capsys, monkeypatch, walked,
 
     # Over the grid, only the checks that read a witness walk lines: the
     # verdicts at points with a pencil, and the oracle's full witness sets.
-    rc, _, _, lines = grid_scan
+    rc, _, _, lines, _ = grid_scan
     assert rc == 0 and lines == 5349
     rc, _, err = _run(capsys, "scan", "--epsilon", "0..1", "--k", "2..8",
                       "--p", "2..40", "--check", "dual-lattice")
@@ -290,6 +291,19 @@ def test_error_exit_codes(capsys):
     rc, _, err = _run(capsys, "scan", "--epsilon", "0", "--k", "abc",
                       "--p", "2..4", "--check", "all")
     assert rc == 2 and "malformed" in err
+
+
+@pytest.mark.parametrize("flag", ["--epsilon", "--k", "--p", "--delta"])
+def test_scan_empty_range_is_a_user_error(capsys, flag):
+    # An empty --delta used to scan every delta; like any empty range it
+    # is malformed.
+    argv = {"--epsilon": "0", "--k": "2", "--p": "2..4", "--delta": "0..2"}
+    argv[flag] = ""
+    rc, out, err = _run(capsys, "scan", *(f"{f}={v}" for f, v in argv.items()),
+                        "--check", "all")
+    assert rc == 2 and out == ""
+    assert err == (f"error: malformed range for {flag[2:]}: '' "
+                   "(expected N or LO..HI)\n")
 
 
 def test_argparse_errors_exit_two(capsys):
@@ -367,11 +381,13 @@ def test_scan_stdout_is_pinned(capsys):
 
 @pytest.fixture(scope="module")
 def grid_scan():
-    """(exit code, stdout, Fraction constructions, witness-walk lines) of one
-    `scan --check all` over the acceptance grid, run with `Fraction.__new__`
-    and the walk's per-line `walls._ts_with_q_at_least` counting."""
-    built, lines = [0], [0]
+    """(exit code, stdout, Fraction constructions, witness-walk lines,
+    surface contexts) of one `scan --check all` over the acceptance grid,
+    run with `Fraction.__new__`, the walk's per-line
+    `walls._ts_with_q_at_least` and `SurfaceContext.__new__` counting."""
+    built, lines, contexts = [0], [0], [0]
     original, per_line = Fraction.__new__, walls._ts_with_q_at_least
+    new_context = SurfaceContext.__new__
 
     def counting(cls, *args, **kwargs):
         built[0] += 1
@@ -381,10 +397,17 @@ def grid_scan():
         lines[0] += 1
         return per_line(*args)
 
+    def counting_contexts(cls, *args):
+        contexts[0] += 1
+        return new_context(cls, *args)
+
     out = io.StringIO()
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(Fraction, "__new__", staticmethod(counting))
         mp.setattr(walls, "_ts_with_q_at_least", counting_lines)
+        mp.setattr(SurfaceContext, "__new__", staticmethod(counting_contexts))
+        # Start without a context kept from an earlier test.
+        mp.setattr(curves, "_last_context", None, raising=False)
         with contextlib.redirect_stdout(out):
             rc = main(["scan", "--epsilon", "0..1", "--k", "2..8",
                        "--p", "2..40", "--check", "all"])
@@ -392,19 +415,26 @@ def grid_scan():
         Fraction(1, 2)
         # The counter sees a construction, so a zero count means none.
         assert built[0] == count + 1
-    return rc, out.getvalue(), count, lines[0]
+    return rc, out.getvalue(), count, lines[0], contexts[0]
 
 
 def test_grid_scan_stdout_is_pinned(grid_scan):
-    rc, out, _, _ = grid_scan
+    rc, out, _, _, _ = grid_scan
     assert rc == 0
     assert hashlib.sha256(out.encode()).hexdigest() == _GRID_SCAN_SHA256
 
 
 def test_grid_scan_builds_no_fraction(grid_scan):
     # q(R), q(D) and the dual divisor stay integers on the scan path.
-    rc, _, built, _ = grid_scan
+    rc, _, built, _, _ = grid_scan
     assert rc == 0 and built == 0
+
+
+def test_grid_scan_builds_one_context_per_row(grid_scan):
+    # The 11,466 points lie on 2 * 7 * 39 = 546 (epsilon, k, p) rows, and
+    # the points of a row share one validated context.
+    rc, _, _, _, contexts = grid_scan
+    assert rc == 0 and contexts == 546
 
 
 def _point_argvs(*command):

@@ -3,9 +3,13 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from math import isqrt
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from wallkit import curves
 from wallkit.checks import CHECKS, Point
 from wallkit.curves import (
     BNParams,
@@ -64,6 +68,20 @@ def test_params_are_the_tuple_of_their_four_arguments():
             setattr(params, name, 0)
 
 
+def test_parameter_sets_of_one_row_share_their_context():
+    first = BNParams(9, 0, 3, 0)
+    assert BNParams(9, 4, 3, 0).context() is first.context()
+    other = BNParams(9, 0, 3, 1).context()
+    assert other != first.context()
+    # One entry: a return to the first row validates a new, equal context.
+    again = BNParams(9, 1, 3, 0).context()
+    assert again == first.context() and again is not first.context()
+    # True is never taken for 1, nor 1 for True.
+    assert BNParams(9, 0, 3, True).context().epsilon is True
+    assert type(BNParams(9, 0, 3, 1).context().epsilon) is int
+    assert BNParams(9, 0, 3, True).context().epsilon is True
+
+
 def test_alpha_beta_identities():
     for epsilon in (0, 1):
         for k in range(2, 8):
@@ -97,15 +115,69 @@ def test_exists_routes_agree_on_grid():
                     assert exists_pencil(params) == exists_pencil_via_rho(params)
 
 
-def test_exists_via_rho_longer_scan_changes_nothing():
-    for k in (2, 4):
-        for p in range(2, 25):
-            for delta in (0, 1, p // 2, p):
-                if delta > p:
-                    continue
-                params = BNParams(p, delta, k, 0)
-                assert (exists_pencil_via_rho(params)
-                        == exists_pencil_via_rho(params, l_max=params.alpha + 10))
+def _rho_scan(params: BNParams, l_max: int) -> bool:
+    """Reference for the Brill-Noether route: the inequality at every
+    l = 0..l_max, each through `bn_rho`."""
+    p, delta, k, epsilon = params
+    return all(bn_rho(p, l, (k + epsilon) * l + delta) + epsilon * l * (l + 2)
+               >= 0 for l in range(l_max + 1))
+
+
+def test_exists_via_rho_matches_a_longer_scan():
+    for epsilon in (0, 1):
+        for k in (2, 4):
+            for p in range(2, 25):
+                for delta in (0, 1, p // 2, p):
+                    if delta > p - 2 * epsilon:
+                        continue
+                    params = BNParams(p, delta, k, epsilon)
+                    assert (exists_pencil_via_rho(params)
+                            == _rho_scan(params, params.alpha + 10)), params
+
+
+@st.composite
+def _near_wall_params(draw) -> BNParams:
+    """k <= 1e5 and p <= 1e12, with the genus g = p - delta drawn near
+    2*sqrt(h*p), where pencils start to exist."""
+    epsilon = draw(st.integers(0, 1))
+    k = draw(st.integers(2, 10**5))
+    p = draw(st.integers(2, 10**12))
+    h = k - 1 + 2 * epsilon
+    g = isqrt(4 * h * p) + draw(st.integers(-3 * h, 3 * h))
+    return BNParams(p, p - min(max(g, 2 * epsilon), p), k, epsilon)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(_near_wall_params())
+def test_exists_via_rho_closed_form_at_large_parameters(params):
+    exists = exists_pencil_via_rho(params)
+    assert exists == exists_pencil(params)
+    if params.alpha <= 10**4:
+        assert exists == _rho_scan(params, params.alpha + 10)
+
+
+def test_exists_via_rho_is_constant_work(monkeypatch):
+    # At most two Brill-Noether numbers per point, at any p; a scan over
+    # l = 0..alpha + 2 makes alpha + 3 ~ sqrt(p) where the pencil exists.
+    calls = [0]
+
+    def counted(*args):
+        calls[0] += 1
+        return bn_rho(*args)
+
+    with_pencil = 0
+    for p in (10**2, 10**4, 10**6):
+        for j in range(-3, 4):
+            # BNParams computes rho at construction, outside the count.
+            params = BNParams(p, p - isqrt(4 * p) - j, 2, 0)
+            with monkeypatch.context() as mp:
+                mp.setattr(curves, "bn_rho", counted)
+                calls[0] = 0
+                exists = exists_pencil_via_rho(params)
+            assert exists == exists_pencil(params)
+            assert calls[0] <= 2, (params, calls[0])
+            with_pencil += exists
+    assert with_pencil >= 9
 
 
 def test_bn_dims_examples():
