@@ -133,10 +133,12 @@ def exists_pencil_via_rho(params: BNParams) -> bool:
 
     With g = p - delta and h = k - 1 + 2*epsilon, expanding `bn_rho` gives
     f(l) = h*l^2 + (h + epsilon - g)*l + (p - g), a convex quadratic
-    (h >= 1) with its vertex at l* = (g - h - epsilon)/(2h).  A convex
-    function of an integer is least at floor(l*) or floor(l*) + 1, and on
-    l >= 0 at 0 when l* < 0, so those (at most two) values of f decide the
-    inequality for every l >= 0.
+    (h >= 1) with its vertex at l* = (g - h - epsilon)/(2h).  Over the
+    integers a convex function is least at floor(l*) or floor(l*) + 1, and
+    over l >= 0 at 0 when l* < 0.  As g >= 2*epsilon, l* >= -1/2, so
+    floor(l*) >= -1, and the values of f at the integers from
+    max(floor(l*), 0) to floor(l*) + 1 (one or two) decide the inequality
+    for every l >= 0.
     """
     p, delta, k, epsilon = params
     l0 = (params.g - params.half_div - epsilon) // (2 * params.half_div)
