@@ -1,11 +1,11 @@
 """Consistency checks shared by `wallkit scan` and the acceptance gates.
 
-A `Point` wraps one parameter set (epsilon, k, p, delta) and computes, at
-most once each and on first use, the stages curve -> square -> span ->
-verdict (and pencil existence beside them), so a check (or a CLI
-subcommand) costs only the stages it reads.  `span` is the wall test's
-span stage: the dual divisor, div(D), q(D) and the saturated span T,
-without the witness search.  `verdict` is the witness stage on that same
+A `Point` wraps one parameter set, a delta on an (epsilon, k, p) `Row`,
+and computes, at most once each and on first use, the stages curve ->
+square -> span -> verdict (and pencil existence beside them), so a check
+(or a CLI subcommand) costs only the stages it reads.  `span` is the wall
+test's span stage: the dual divisor, div(D), q(D) and the saturated span
+T, without the witness search.  `verdict` is the witness stage on that same
 span, which walks T's lines up to the least witness.  Which check reads
 which stage:
 
@@ -15,15 +15,17 @@ which stage:
   dual-lattice    square, span
   min-square      pencil, square, verdict
   witness-oracle  pencil, square, verdict and its full witness set
-  moduli-dim      none (the parameters only)
+  moduli-dim      none (the parameters and the row only)
 
 The square stays an integer numerator over 2h (h = k - 1 + 2*epsilon) and
 the span's divisor and q(D) are integers, so the checks build no Fraction.
 
-The points of one (epsilon, k, p) row share their context (see
-`curves.BNParams`), so what `dual-lattice` and `moduli-dim` read of the
-context alone (v, q(v) and the divisibility of v + e and v - e) is
-computed once per row, in `_row`.
+A `Row` builds the validated context of its (epsilon, k, p) row and
+computes, on first read, what `dual-lattice` and `moduli-dim` read of the
+context alone: v, q(v) and the divisibility of v + e and v - e.  Its
+points build their parameters on that context (`BNParams.on`), so the
+delta points of one row share both.  `scan` builds one `Row` per row; the
+point subcommands build one per point and read none of its lazy fields.
 
 The checks own every comparison of two routes to one number: each computes
 its second route itself and reports a disagreement as a failed check, not
@@ -44,7 +46,6 @@ JSON-ready dict that `scan` copies into its record.
 from __future__ import annotations
 
 from math import gcd
-from typing import NamedTuple
 
 from .catalog import state_gram
 from .curves import (
@@ -106,11 +107,36 @@ class _computed_once:
         return value
 
 
-class Point:
-    """One parameter set; everything derived from it is computed lazily."""
+class Row:
+    """One (epsilon, k, p) row: its validated context, and what the checks
+    read of the context alone, computed lazily: the moduli vector v, its
+    Mukai square q(v), and whether v + e and v - e are divisible by 2 and
+    by q(v) in the rank-3 model."""
 
-    def __init__(self, epsilon: int, k: int, p: int, delta: int) -> None:
-        self.params = BNParams(p, delta, k, epsilon)
+    def __init__(self, epsilon: int, k: int, p: int) -> None:
+        self.ctx = SurfaceContext(epsilon, p, k)
+
+    @_computed_once
+    def v(self) -> Triple:
+        return moduli_vector(self.ctx)
+
+    @_computed_once
+    def qv(self) -> int:
+        return mukai_square(self.v, self.ctx.p)
+
+    @_computed_once
+    def v_e_divisible(self) -> bool:
+        return all((a + b) % 2 == 0 and (a - b) % self.ctx.ek_div == 0
+                   for a, b in zip(self.v, exceptional_vector(self.ctx)))
+
+
+class Point:
+    """One parameter set, the point delta of a row; everything derived from
+    it is computed lazily."""
+
+    def __init__(self, row: Row, delta: int) -> None:
+        self.row = row
+        self.params = BNParams.on(row.ctx, delta)
 
     @_computed_once
     def curve(self) -> CurveClass:
@@ -142,33 +168,6 @@ class Point:
     def verdict(self) -> WallVerdict:
         """The wall verdict on `span`: the least-witness search."""
         return witness_stage(self.span, self.params.epsilon)
-
-
-class _Row(NamedTuple):
-    """What the checks read of a context alone: the moduli vector v, its
-    Mukai square q(v), and whether v + e and v - e are divisible by 2 and
-    by q(v) in the rank-3 model."""
-
-    ctx: SurfaceContext
-    v: Triple
-    qv: int
-    v_e_divisible: bool
-
-
-_last_row: _Row | None = None
-
-
-def _row(ctx: SurfaceContext) -> _Row:
-    """The context's `_Row`, computed once for the points of one
-    (epsilon, k, p) row, which share their context object."""
-    global _last_row
-    row = _last_row
-    if row is None or row.ctx is not ctx:
-        v = moduli_vector(ctx)
-        divisible = all((a + b) % 2 == 0 and (a - b) % ctx.ek_div == 0
-                        for a, b in zip(v, exceptional_vector(ctx)))
-        row = _last_row = _Row(ctx, v, mukai_square(v, ctx.p), divisible)
-    return row
 
 
 def _oracle(verdict: WallVerdict,
@@ -227,8 +226,7 @@ def _dual_lattice(pt: Point) -> Result:
     """
     if pt.square.num >= 0:
         return None
-    prm = pt.params
-    row = _row(prm.context())
+    prm, row = pt.params, pt.row
     w = (-1, 1, prm.half_div - (prm.g + prm.k - 1 + prm.epsilon))
     qw, bwv = mukai_square(w, prm.p), mukai_pairing(w, row.v, prm.p)
     (q_stated, b_stated), _ = state_gram(prm.p, prm.delta, prm.k, prm.epsilon)
@@ -281,7 +279,7 @@ def _moduli_dim(pt: Point) -> Result:
         ok = moduli_dim(prm.p, prm.delta, prm.k, prm.epsilon) == expected
     except DomainError:
         ok = expected < 0
-    return ok and _row(prm.context()).v_e_divisible, {"chi": chi}
+    return ok and pt.row.v_e_divisible, {"chi": chi}
 
 
 CHECKS = {

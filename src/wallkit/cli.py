@@ -27,7 +27,7 @@ from typing import Iterable, Iterator
 from . import catalog as catalog_mod
 from . import subvarieties as sub_mod
 from .binforms import flat_gram
-from .checks import CHECKS, Point, oracle_agrees
+from .checks import CHECKS, Point, Row, oracle_agrees
 from .curves import bn_dims, curve_square, dual_divisor
 from .model import DomainError, fraction_str, write_records
 from .walls import WallVerdict, primitive_dual_divisor
@@ -116,7 +116,7 @@ def _write_output(records: Iterable[dict], path: str | None) -> None:
 # ---------------------------------------------------------------- commands
 
 def _point(args) -> Point:
-    return Point(args.epsilon, args.k, args.p, args.delta)
+    return Point(Row(args.epsilon, args.k, args.p), args.delta)
 
 
 def _cmd_wall_test(args) -> list[dict]:
@@ -215,8 +215,9 @@ def _cmd_lagrangian(args) -> list[dict]:
 
 # ---------------------------------------------------------------- scans
 
-def _scan_points(args) -> Iterator[tuple[int, int, int, int]]:
-    """Check the scan ranges now; the grid points follow lazily."""
+def _scan_points(args) -> Iterator[Point]:
+    """Check the scan ranges now; the grid points follow lazily, row by
+    row, and the points of an (epsilon, k, p) row share its `Row`."""
     e_lo, e_hi = _parse_range(args.epsilon, "epsilon")
     k_lo, k_hi = _parse_range(args.k, "k")
     p_lo, p_hi = _parse_range(args.p, "p")
@@ -229,18 +230,21 @@ def _scan_points(args) -> Iterator[tuple[int, int, int, int]]:
     # Without --delta every delta up to p - 2*epsilon <= p_hi is scanned.
     d_lo, d_hi = (_parse_range(args.delta, "delta")
                   if args.delta is not None else (0, p_hi))
-    return ((epsilon, k, p, delta)
-            for epsilon in range(e_lo, e_hi + 1)
+    d_lo = max(0, d_lo)
+    # Only rows with a delta in range, d_lo <= min(d_hi, p - 2*epsilon),
+    # build a Row.
+    rows = ((Row(epsilon, k, p), range(d_lo, min(d_hi, p - 2 * epsilon) + 1))
+            for epsilon in range(e_lo, e_hi + 1) if d_lo <= d_hi
             for k in range(k_lo, k_hi + 1)
-            for p in range(p_lo, p_hi + 1)
-            for delta in range(max(0, d_lo), min(d_hi, p - 2 * epsilon) + 1))
+            for p in range(max(p_lo, d_lo + 2 * epsilon), p_hi + 1))
+    return (Point(row, delta) for row, deltas in rows for delta in deltas)
 
 
 def _scan_records(points, names: list[str]) -> Iterator[dict]:
     checks = [(name, CHECKS[name]) for name in names]
     single = len(checks) == 1
-    for epsilon, k, p, delta in points:
-        point = Point(epsilon, k, p, delta)
+    for point in points:
+        p, delta, k, epsilon = point.params
         record: dict = {"epsilon": epsilon, "k": k, "p": p, "delta": delta}
         applied, failed = False, []
         for name, check in checks:

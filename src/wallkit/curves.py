@@ -64,23 +64,6 @@ def _rewritten(params: BNParams) -> int:
             - params.beta * params.beta)
 
 
-# The context of the last parameter set built, so the delta points of one
-# (epsilon, k, p) row, as `scan` makes them, share one validated context.
-_last_context: SurfaceContext | None = None
-
-
-def _shared_context(epsilon: int, p: int, k: int) -> SurfaceContext:
-    """SurfaceContext(epsilon, p, k), reused from the last call with the
-    same arguments.  Only exact ints are kept, so True never stands for 1."""
-    global _last_context
-    if not type(epsilon) is type(p) is type(k) is int:
-        return SurfaceContext(epsilon, p, k)
-    ctx = _last_context
-    if ctx is None or ctx != (epsilon, p, k):
-        ctx = _last_context = SurfaceContext(epsilon, p, k)
-    return ctx
-
-
 class _BNFields(NamedTuple):
     p: int
     delta: int
@@ -97,9 +80,15 @@ class BNParams(_BNFields):
     admissible parameter set."""
 
     def __new__(cls, p: int, delta: int, k: int, epsilon: int) -> BNParams:
-        # SurfaceContext validates epsilon, p and k; the points of one
-        # (epsilon, k, p) row share it.
-        ctx = _shared_context(epsilon, p, k)
+        return cls.on(SurfaceContext(epsilon, p, k), delta)
+
+    @classmethod
+    def on(cls, ctx: SurfaceContext, delta: int) -> BNParams:
+        """The parameter set of delta on a validated context, which it
+        keeps: the delta points of one (epsilon, k, p) row can share one."""
+        epsilon, p, k = ctx
+        if not isinstance(delta, int):
+            raise DomainError(f"delta must be an integer (got {delta!r})")
         if not 0 <= delta <= p - 2 * epsilon:
             raise DomainError(
                 "constraint violated: 0 <= delta <= p - 2*epsilon "

@@ -70,6 +70,10 @@ class SurfaceContext(_ContextFields):
     hash and repr see only the three parameters."""
 
     def __new__(cls, epsilon: int, p: int, k: int) -> SurfaceContext:
+        # ints only (a bool is one): the package computes with no floats.
+        for name, value in (("epsilon", epsilon), ("k", k), ("p", p)):
+            if not isinstance(value, int):
+                raise DomainError(f"{name} must be an integer (got {value!r})")
         if epsilon not in (0, 1):
             raise DomainError(f"epsilon must be 0 or 1 (got {epsilon})")
         # k before p: `lagrangian` derives p from k, so a bad k must be

@@ -258,11 +258,14 @@ def box_witnesses(gram: Gram, v: tuple[int, int], epsilon: int,
                   radius: int | None = None) -> list[Witness]:
     """Brute-force witness search over the box [-radius, radius]^2, by
     default of box_radius, which provably contains all witnesses; serves as
-    an independent oracle for enumerate_witnesses."""
+    an independent oracle for enumerate_witnesses.  A negative radius is a
+    DomainError, not an empty box without witnesses."""
     qv = _check_span_signature(gram, v)
     c0, c1 = _pairing_with(gram, v)
     if radius is None:
         radius = box_radius(gram, v)
+    elif radius < 0:
+        raise DomainError(f"box radius must be >= 0 (got {radius})")
     (a, b), (_, c) = gram
     found = []
     coords = range(-radius, radius + 1)

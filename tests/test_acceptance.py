@@ -22,9 +22,17 @@ lines; exit status 0 means every gate matched its expected verdict.
 
 from __future__ import annotations
 
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from functools import cache
+from pathlib import Path
+
+if __name__ == "__main__":
+    # Run as a script from a checkout: import the package from its source.
+    sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from wallkit import (
     BNParams,
@@ -45,7 +53,7 @@ from wallkit import (
     saturated_span,
     seed_lattice,
 )
-from wallkit.checks import CHECKS, Point
+from wallkit.checks import CHECKS, Point, Row
 
 EPS_RANGE = (0, 1)
 K_RANGE = range(2, 9)
@@ -81,8 +89,12 @@ _EXPECTED = {
 }
 
 
+def _line(n: int, ok: bool, detail: str) -> str:
+    return f"CRITERION {n}: {'PASS' if ok else 'FAIL'} — {detail}"
+
+
 def _gate(n: int, ok: bool, detail: str) -> None:
-    line = f"CRITERION {n}: {'PASS' if ok else 'FAIL'} — {detail}"
+    line = _line(n, ok, detail)
     GATE_LINES.append(line)
     print(line)
 
@@ -97,11 +109,12 @@ def _raises_domain_error(fn) -> bool:
 
 @cache
 def _points() -> list[Point]:
-    """Every grid point, each computing its pencil, square and verdict once."""
-    return [Point(eps, k, p, delta)
-            for eps in EPS_RANGE for k in K_RANGE
-            for p in range(2, P_MAX + 1)
-            for delta in range(0, p - 2 * eps + 1)]
+    """Every grid point, each computing its pencil, square and verdict once;
+    the points of one (eps, k, p) row share its `Row`."""
+    rows = [Row(eps, k, p) for eps in EPS_RANGE for k in K_RANGE
+            for p in range(2, P_MAX + 1)]
+    return [Point(row, delta) for row in rows
+            for delta in range(0, row.ctx.p - 2 * row.ctx.epsilon + 1)]
 
 
 @cache
@@ -261,7 +274,7 @@ def _criterion_8() -> tuple[bool, str]:
                 if e.q_curve < 0:
                     assert e.is_wall and e.witness is not None
                     assert _applies("dual-lattice",
-                                    Point(eps, k, e.p, e.delta))
+                                    Point(Row(eps, k, e.p), e.delta))
                     assert realize_gram(e.gram, k, eps) == (e.p, e.delta)
                     pool.append(e)
                 else:
@@ -379,6 +392,20 @@ def test_criterion_10_moduli_consistency():
 
 def test_criterion_11_lagrangian_detection():
     assert _verdict(11) == _EXPECTED[11]
+
+
+def test_standalone_run_prints_the_gate_lines():
+    # As the README documents it: from the repo root, with no PYTHONPATH.
+    root = Path(__file__).resolve().parent.parent
+    env = {name: value for name, value in os.environ.items()
+           if name != "PYTHONPATH"}
+    env.update(PYTHONDONTWRITEBYTECODE="1", PYTHONIOENCODING="utf-8")
+    run = subprocess.run([sys.executable, "tests/test_acceptance.py"],
+                         cwd=root, env=env, capture_output=True,
+                         encoding="utf-8", timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout == "".join(f"{_line(n, *_EXPECTED[n])}\n"
+                                 for n in sorted(_EXPECTED))
 
 
 def _run_all() -> int:

@@ -20,7 +20,7 @@ from wallkit.catalog import (
     seed_lattice,
     state_gram,
 )
-from wallkit.checks import CHECKS, Point
+from wallkit.checks import CHECKS, Point, Row
 from wallkit.curves import (
     BNParams,
     curve_class,
@@ -35,7 +35,7 @@ def _dual_lattice(entry):
     """The shared `dual-lattice` check at the entry's parameters: None where
     q(R) >= 0, else whether the wall's saturation is the state's gram."""
     result = CHECKS["dual-lattice"](
-        Point(entry.epsilon, entry.k, entry.p, entry.delta))
+        Point(Row(entry.epsilon, entry.k, entry.p), entry.delta))
     return None if result is None else result[0]
 
 

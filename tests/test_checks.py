@@ -26,7 +26,7 @@ import pytest
 
 import wallkit
 from wallkit import checks
-from wallkit.checks import CHECKS, Point
+from wallkit.checks import CHECKS, Point, Row
 
 
 def _random_point(rng: random.Random) -> Point:
@@ -40,7 +40,7 @@ def _random_point(rng: random.Random) -> Point:
     else:
         g = isqrt(4 * h * p) + rng.randint(-3 * h, 3 * h)
     g = min(max(g, 2 * eps), p)
-    return Point(eps, k, p, p - g)
+    return Point(Row(eps, k, p), p - g)
 
 
 def test_checks_hold_at_large_parameters():
@@ -68,7 +68,8 @@ def test_point_computes_each_field_once(monkeypatch):
             calls[_name] += 1
             return _fn(*args)
         monkeypatch.setattr(checks, name, counted)
-    first, second = Point(0, 4, 6, 0), Point(0, 4, 6, 1)
+    row = Row(0, 4, 6)
+    first, second = Point(row, 0), Point(row, 1)
     for pt in (first, second, first, second):
         for check in CHECKS.values():
             check(pt)
@@ -80,19 +81,18 @@ def test_point_computes_each_field_once(monkeypatch):
 
 def test_context_work_is_once_per_row(monkeypatch):
     # v, q(v) and the v +- e divisibility depend on the context alone, and
-    # the points of one (epsilon, k, p) row share their context.
+    # the points of one (epsilon, k, p) row share their Row and context.
     calls: Counter = Counter()
     for name in ("moduli_vector", "exceptional_vector"):
         def counted(*args, _name=name, _fn=getattr(checks, name)):
             calls[_name] += 1
             return _fn(*args)
         monkeypatch.setattr(checks, name, counted)
-    monkeypatch.setattr(checks, "_last_row", None, raising=False)
-    rows = [[Point(eps, 4, 6, delta) for delta in range(6 - 2 * eps + 1)]
-            for eps in (0, 1)]
-    for row in rows:
-        assert len({id(pt.params.context()) for pt in row}) == 1
-        for pt in row:
+    for eps in (0, 1):
+        row = Row(eps, 4, 6)
+        points = [Point(row, delta) for delta in range(6 - 2 * eps + 1)]
+        assert all(pt.params.context() is row.ctx for pt in points)
+        for pt in points:
             for check in CHECKS.values():
                 check(pt)
     assert calls == {"moduli_vector": 2, "exceptional_vector": 2}

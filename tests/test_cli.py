@@ -19,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import wallkit
-from wallkit import checks, curves, walls
+from wallkit import checks, walls
 from wallkit.cli import _COMMANDS, _parser, main
 from wallkit.model import SurfaceContext
 from wallkit.walls import box_radius
@@ -384,7 +384,9 @@ def grid_scan():
     """(exit code, stdout, Fraction constructions, witness-walk lines,
     surface contexts) of one `scan --check all` over the acceptance grid,
     run with `Fraction.__new__`, the walk's per-line
-    `walls._ts_with_q_at_least` and `SurfaceContext.__new__` counting."""
+    `walls._ts_with_q_at_least` and `SurfaceContext.__new__` counting.  The
+    scan builds one `checks.Row`, and so one context, per (epsilon, k, p)
+    row; the counts need no state reset, as wallkit keeps none."""
     built, lines, contexts = [0], [0], [0]
     original, per_line = Fraction.__new__, walls._ts_with_q_at_least
     new_context = SurfaceContext.__new__
@@ -406,8 +408,6 @@ def grid_scan():
         mp.setattr(Fraction, "__new__", staticmethod(counting))
         mp.setattr(walls, "_ts_with_q_at_least", counting_lines)
         mp.setattr(SurfaceContext, "__new__", staticmethod(counting_contexts))
-        # Start without a context kept from an earlier test.
-        mp.setattr(curves, "_last_context", None, raising=False)
         with contextlib.redirect_stdout(out):
             rc = main(["scan", "--epsilon", "0..1", "--k", "2..8",
                        "--p", "2..40", "--check", "all"])
@@ -432,9 +432,53 @@ def test_grid_scan_builds_no_fraction(grid_scan):
 
 def test_grid_scan_builds_one_context_per_row(grid_scan):
     # The 11,466 points lie on 2 * 7 * 39 = 546 (epsilon, k, p) rows, and
-    # the points of a row share one validated context.
+    # the points of a row share the validated context of its `checks.Row`.
     rc, _, _, _, contexts = grid_scan
     assert rc == 0 and contexts == 546
+
+
+def test_point_subcommands_read_no_row_field(monkeypatch, capsys):
+    # v, q(v) and the v +- e divisibility serve the scan checks only: a
+    # point subcommand builds a `checks.Row` for its context and reads none
+    # of its lazy fields.
+    reads = []
+
+    def counted(name):
+        compute = checks.Row.__dict__[name].func
+
+        def read(row):
+            reads.append(name)
+            return compute(row)
+        return property(read)
+
+    for name in ("v", "qv", "v_e_divisible"):
+        monkeypatch.setattr(checks.Row, name, counted(name))
+    for command in ("wall-test", "wall-test --oracle", "class", "exists",
+                    "square"):
+        for argv in _PIN_ARGVS[command]():
+            assert _run(capsys, *argv)[0] == 0
+    assert reads == []
+    # The counter does see the reads of a scan.
+    assert _run(capsys, "scan", "--epsilon", "0", "--k", "2", "--p", "2",
+                "--check", "all")[0] == 0
+    assert set(reads) == {"v", "qv", "v_e_divisible"}
+
+
+def test_scan_builds_no_row_for_an_empty_delta_range(monkeypatch, capsys):
+    built = []
+    init = checks.Row.__init__
+
+    def counting(row, *args):
+        built.append(args)
+        init(row, *args)
+
+    monkeypatch.setattr(checks.Row, "__init__", counting)
+    rc, out, _ = _run(capsys, "scan", "--epsilon", "0..1", "--k", "2",
+                      "--p", "2..9", "--delta", "6..20", "--check",
+                      "moduli-dim")
+    assert rc == 0 and len(_records(out)) == (1 + 2 + 3 + 4) + (1 + 2)
+    # delta >= 6 needs p - 2*epsilon >= 6.
+    assert built == [(0, 2, p) for p in (6, 7, 8, 9)] + [(1, 2, 8), (1, 2, 9)]
 
 
 def _point_argvs(*command):
@@ -504,7 +548,7 @@ def test_subcommand_stdout_is_pinned(capsys, command):
 def test_scan_witness_oracle_skips_a_box_beyond_the_limit(capsys):
     # |disc| = 8 passes the disc limit, but the box radius is 894; the
     # check does not apply, so the scan finishes and prints nothing.
-    span = checks.Point(0, 2000, 552, 452).verdict.span
+    span = checks.Point(checks.Row(0, 2000, 552), 452).verdict.span
     assert box_radius(span.gram, span.v_coords) > checks.ORACLE_RADIUS_LIMIT
     argv = ("scan", "--epsilon", "0", "--k", "2000", "--p", "552",
             "--delta", "452", "--check")

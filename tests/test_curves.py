@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wallkit import curves
-from wallkit.checks import CHECKS, Point
+from wallkit.checks import CHECKS, Point, Row
 from wallkit.curves import (
     BNParams,
     bn_dims,
@@ -69,17 +69,41 @@ def test_params_are_the_tuple_of_their_four_arguments():
 
 
 def test_parameter_sets_of_one_row_share_their_context():
-    first = BNParams(9, 0, 3, 0)
-    assert BNParams(9, 4, 3, 0).context() is first.context()
-    other = BNParams(9, 0, 3, 1).context()
-    assert other != first.context()
-    # One entry: a return to the first row validates a new, equal context.
-    again = BNParams(9, 1, 3, 0).context()
-    assert again == first.context() and again is not first.context()
-    # True is never taken for 1, nor 1 for True.
+    ctx = SurfaceContext(0, 9, 3)
+    first, second = BNParams.on(ctx, 0), BNParams.on(ctx, 4)
+    assert first.context() is ctx and second.context() is ctx
+    # The same parameter set, with the same derived values, as __new__.
+    built = BNParams(9, 0, 3, 0)
+    assert first == built and first.__dict__ == built.__dict__
+    # Parameter sets built separately have equal contexts, not one.
+    assert built.context() == ctx and built.context() is not ctx
+    assert BNParams(9, 4, 3, 0).context() is not built.context()
+    for delta in (-1, 10):
+        with pytest.raises(DomainError, match="0 <= delta <= p - 2"):
+            BNParams.on(ctx, delta)
+    with pytest.raises(DomainError, match="0 <= delta <= p - 2"):
+        BNParams.on(SurfaceContext(1, 9, 3), 8)
+    # A bool is an int, and is kept as given.
     assert BNParams(9, 0, 3, True).context().epsilon is True
-    assert type(BNParams(9, 0, 3, 1).context().epsilon) is int
-    assert BNParams(9, 0, 3, True).context().epsilon is True
+
+
+_VALID = {"p": 9, "delta": 4, "k": 3, "epsilon": 1}
+
+
+@pytest.mark.parametrize("kind", [float, Fraction, str])
+@pytest.mark.parametrize("name", list(_VALID))
+def test_non_integer_parameters_are_domain_errors(name, kind):
+    # An in-range value of the wrong type, e.g. p = 9.0: rejected before
+    # it can reach gcd or range as a bare TypeError.
+    args = {**_VALID, name: kind(_VALID[name])}
+    message = f"^{name} must be an integer"
+    with pytest.raises(DomainError, match=message):
+        BNParams(**args)
+    with pytest.raises(DomainError, match=message):
+        if name == "delta":
+            BNParams.on(SurfaceContext(1, 9, 3), args["delta"])
+        else:
+            SurfaceContext(args["epsilon"], args["p"], args["k"])
 
 
 def test_alpha_beta_identities():
@@ -265,11 +289,11 @@ def test_minimal_characterization_parameters():
 
 def test_is_wall_by_square():
     wall_square = CHECKS["wall-square"]
-    assert wall_square(Point(0, 2, 2, 0)) == (
+    assert wall_square(Point(Row(0, 2, 2), 0)) == (
         True, {"q_R": "-5/2", "is_wall": True})
-    assert wall_square(Point(0, 2, 6, 6)) == (
+    assert wall_square(Point(Row(0, 2, 6), 6)) == (
         True, {"q_R": "19/2", "is_wall": False})
-    assert wall_square(Point(0, 2, 6, 0)) is None  # no pencil
+    assert wall_square(Point(Row(0, 2, 6), 0)) is None  # no pencil
 
 
 def test_square_value_is_genus_formula():

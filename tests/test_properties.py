@@ -11,7 +11,7 @@ from unittest import mock
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wallkit.checks import Point
+from wallkit.checks import Point, Row
 from wallkit.curves import (
     BNParams,
     bn_rho,
@@ -110,7 +110,7 @@ def _reference_primitive_dual_divisor(curve, ctx) -> tuple[Fraction, Fraction]:
 @given(_params)
 def test_scan_path_integers_match_fraction_reference(params):
     ctx = params.context()
-    pt = Point(params.epsilon, params.k, params.p, params.delta)
+    pt = Point(Row(params.epsilon, params.k, params.p), params.delta)
     report = curve_square(params)
     num, den, minimal = pt.square
     assert type(num) is int and den == 2 * params.half_div

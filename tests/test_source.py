@@ -13,15 +13,25 @@ import wallkit
 SRC = Path(wallkit.__file__).resolve().parent
 
 
-def test_no_bare_assert_in_package():
-    # `python -O` strips assert statements, so invariants raise explicitly.
+def _statements(kind: type[ast.stmt]) -> list[str]:
+    """`file:line` of every `kind` statement in the package source."""
     files = sorted(SRC.rglob("*.py"))
     assert files
-    found = [f"{path.name}:{node.lineno}"
-             for path in files
-             for node in ast.walk(ast.parse(path.read_text(), str(path)))
-             if isinstance(node, ast.Assert)]
-    assert found == []
+    return [f"{path.name}:{node.lineno}"
+            for path in files
+            for node in ast.walk(ast.parse(path.read_text(), str(path)))
+            if isinstance(node, kind)]
+
+
+def test_no_bare_assert_in_package():
+    # `python -O` strips assert statements, so invariants raise explicitly.
+    assert _statements(ast.Assert) == []
+
+
+def test_no_global_statement_in_package():
+    # No hidden module state: what one call leaves behind cannot change
+    # what a later call computes.
+    assert _statements(ast.Global) == []
 
 
 def test_cli_import_loads_no_dataclass_machinery():

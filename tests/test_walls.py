@@ -122,6 +122,15 @@ def test_box_radius_is_saturating():
             assert box_witnesses(gram, v, eps, radius=25) == base
 
 
+def test_box_witnesses_rejects_a_negative_radius():
+    # An empty box would report "no witnesses" for a span that has some.
+    gram, v = [[2, -3], [-3, 2]], (1, 0)
+    assert box_witnesses(gram, v, 0, radius=0) == []
+    assert box_witnesses(gram, v, 0, radius=2) != []
+    with pytest.raises(DomainError, match="radius must be >= 0"):
+        box_witnesses(gram, v, 0, radius=-1)
+
+
 # (gram, v, largest max-norm of a witness); epsilon = 0 throughout.  In all
 # but the fourth a case (ii) witness lies exactly on box_radius.  The first
 # two need the |v_i| term, at coordinate 0 and 1 respectively, and the third
