@@ -10,7 +10,13 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import NamedTuple
 
-from .model import CurveClass, DivisorClass, DomainError, SurfaceContext
+from .model import (
+    CurveClass,
+    DivisorClass,
+    DomainError,
+    SurfaceContext,
+    _make_through_new,
+)
 
 
 def bn_rho(p: int, r: int, d: int) -> int:
@@ -99,6 +105,8 @@ class BNParams(_BNFields):
             half_div=h, g=g, alpha=a, beta=(2 * a + 1) * h - g + epsilon,
             rho=bn_rho(p, a, (k + epsilon) * a + delta), _context=ctx)
         return self
+
+    _make = classmethod(_make_through_new)
 
     def __setattr__(self, name: str, value) -> None:
         raise AttributeError(f"BNParams is immutable: cannot set {name!r}")

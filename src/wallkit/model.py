@@ -56,6 +56,13 @@ def write_records(records: Iterable[dict], stream: IO[str]) -> int:
     return count
 
 
+def _make_through_new(cls, iterable):
+    """namedtuple's `_make`, and `_replace`, which calls it, build through
+    `tuple.__new__`; as a class's `_make`, this sends both through the
+    class's own `__new__`, which validates or normalises."""
+    return cls(*iterable)
+
+
 class _ContextFields(NamedTuple):
     epsilon: int
     p: int
@@ -87,6 +94,8 @@ class SurfaceContext(_ContextFields):
                              ek_div=2 * (k - 1 + 2 * epsilon))
         return self
 
+    _make = classmethod(_make_through_new)
+
     def __setattr__(self, name: str, value) -> None:
         raise AttributeError(
             f"SurfaceContext is immutable: cannot set {name!r}")
@@ -113,6 +122,8 @@ class DivisorClass(_DivisorFields):
         if type(l) is not int or type(e) is not int:
             l, e = _exact(l), _exact(e)
         return super().__new__(cls, l, e)
+
+    _make = classmethod(_make_through_new)
 
     @property
     def is_integral(self) -> bool:

@@ -167,15 +167,19 @@ def _q_of(gram: Gram, s: tuple[int, int]) -> int:
 
 
 def _ts_with_q_at_least(qu: int, b0: int, q0: int, lo: int) -> range:
-    """Integer t with q(s0 + t*u) >= lo; qu < 0 so this is a bounded range."""
-    # q(s0 + t*u) = qu*t^2 + 2*b0*t + q0
+    """Exactly the integers t with q(s0 + t*u) >= lo; qu < 0 so this is a
+    bounded range.
+
+    With A = -qu > 0, q(s0 + t*u) = qu*t^2 + 2*b0*t + q0 >= lo is
+    (A*t - b0)^2 <= disc = b0^2 - qu*(q0 - lo).  A*t - b0 is an integer, so
+    this holds iff |A*t - b0| <= r = isqrt(disc), that is iff
+    ceil((b0 - r)/A) <= t <= floor((b0 + r)/A).
+    """
     disc = b0 * b0 - qu * (q0 - lo)
     if disc < 0:
         return range(0)
-    r = isqrt(disc)
-    t_min = (-b0 + r) // qu - 2
-    t_max = (-b0 - r) // qu + 2
-    return range(t_min, t_max + 1)
+    r, a = isqrt(disc), -qu
+    return range(-((r - b0) // a), (b0 + r) // a + 1)
 
 
 def _witness_walk(gram: Gram, v: tuple[int, int],
@@ -195,22 +199,30 @@ def _witness_walk(gram: Gram, v: tuple[int, int],
     cu = _pairing_with(gram, u)
     b1, q1 = s1[0] * cu[0] + s1[1] * cu[1], _q_of(gram, s1)
 
-    def line(m: int, lo: int, hi: int, branch: str) -> list[Witness]:
+    def line(m: int, ts: range, hi: int, branch: str) -> list[Witness]:
+        """Line m's witnesses, sorted: the points s0 + t*u with t in ts,
+        which all reach the window's lower end, and q <= hi."""
         b0, q0 = m * b1, m * m * q1
         found = []
-        for t in _ts_with_q_at_least(qu, b0, q0, lo):
+        for t in ts:
             qs = qu * t * t + 2 * b0 * t + q0
-            if lo <= qs <= hi:
+            if qs <= hi:
                 s = (m * s1[0] + t * u[0], m * s1[1] + t * u[1])
                 found.append(Witness(s, qs, m * d, branch))
         found.sort(key=Witness.sort_key)
         return found
 
+    # One exact t-range per line; most are empty and cost nothing more.
     for m, n in enumerate(range(d, qv, d), 1):
-        yield from line(m, max(0, 2 * n - qv), n - 1, "case_i")
+        lo = 2 * n - qv  # case (i) needs q(s) >= max(0, 2n - q(v))
+        ts = _ts_with_q_at_least(qu, m * b1, m * m * q1, lo if lo > 0 else 0)
+        if ts:
+            yield from line(m, ts, n - 1, "case_i")
     if epsilon == 0:
         for m in range(qv // 2 // d + 1):
-            yield from line(m, -2, -2, "case_ii")
+            ts = _ts_with_q_at_least(qu, m * b1, m * m * q1, -2)
+            if ts:
+                yield from line(m, ts, -2, "case_ii")
 
 
 def enumerate_witnesses(gram: Gram, v: tuple[int, int],
@@ -222,10 +234,12 @@ def enumerate_witnesses(gram: Gram, v: tuple[int, int],
     {s : b(s, v) = n} is s0 + Z*u with q negative on u, so q restricted to
     the line is a downward parabola and each q-window cuts out finitely
     many integer points.  Every line starts at a multiple of one particular
-    solution, so the walk costs O(1) per line: O(q(v)/d) lines in all, with
-    d = gcd(b(-, v)).  `wall_test` reads the same walk lazily and stops at
-    the least witness's line; non-walls and walls with only case (ii)
-    witnesses still walk all O(q(v)/d) lines.
+    solution, so the walk costs O(1) per line: one isqrt gives the exact
+    range of t with q >= the window's lower end, and only a line with a
+    point in that range builds and sorts a list.  That is O(q(v)/d) lines
+    in all, with d = gcd(b(-, v)).  `wall_test` reads the same walk lazily
+    and stops at the least witness's line; non-walls and walls with only
+    case (ii) witnesses still walk all O(q(v)/d) lines.
     """
     return list(_witness_walk(gram, v, epsilon))
 

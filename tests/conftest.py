@@ -9,18 +9,21 @@ from wallkit import walls
 
 @pytest.fixture
 def walked(monkeypatch):
-    """Counts the lines b(s, v) = n the witness walk visits: it calls
-    `walls._ts_with_q_at_least` once per line, so the count needs no counter
-    in the walk itself."""
-    lines = [0]
+    """[lines, t values]: the lines b(s, v) = n the witness walk visits and
+    the candidate points t it is handed on them.  The walk calls
+    `walls._ts_with_q_at_least` once per line and tests only the t in the
+    range it returns, so the counts need no counter in the walk itself."""
+    counts = [0, 0]
     original = walls._ts_with_q_at_least
 
     def counting(*args):
-        lines[0] += 1
-        return original(*args)
+        ts = original(*args)
+        counts[0] += 1
+        counts[1] += len(ts)
+        return ts
 
     monkeypatch.setattr(walls, "_ts_with_q_at_least", counting)
-    return lines
+    return counts
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

@@ -102,12 +102,12 @@ def test_context_work_is_once_per_row(monkeypatch):
 # Each defect must surface as that check's "failed" entry in a small scan,
 # never as an exception, since the checks own every two-route comparison.
 _MUTATIONS = {
-    "wall-square": ("walls.py", "max(0, 2 * n - qv)", "max(1, 2 * n - qv)"),
+    "wall-square": ("walls.py", "lo if lo > 0 else 0", "lo if lo > 0 else 1"),
     "exists-routes": ("curves.py", "return params.delta >= a * (",
                       "return params.delta > a * ("),
     "dual-lattice": ("catalog.py", "b = p - delta - k + 1 - 3 * epsilon",
                      "b = p - delta - k + 2 - 3 * epsilon"),
-    "witness-oracle": ("walls.py", "lo <= qs <= hi", "lo <= qs < hi"),
+    "witness-oracle": ("walls.py", "if qs <= hi:", "if qs < hi:"),
     "square-forms": ("curves.py", "- params.beta * params.beta)",
                      "- params.beta * params.beta + 2)"),
     "min-square": ("curves.py", "p == a * (a + 1) * h + epsilon and",

@@ -234,8 +234,9 @@ def test_scan_computes_only_what_the_check_needs(capsys, monkeypatch, walked,
 
     # Over the grid, only the checks that read a witness walk lines: the
     # verdicts at points with a pencil, and the oracle's full witness sets.
+    # The 5,349 lines hold 2,957 candidate points t.
     rc, _, _, lines, _ = grid_scan
-    assert rc == 0 and lines == 5349
+    assert rc == 0 and lines == (5349, 2957)
     rc, _, err = _run(capsys, "scan", "--epsilon", "0..1", "--k", "2..8",
                       "--p", "2..40", "--check", "dual-lattice")
     assert rc == 0 and err == "" and walked[0] == 0
@@ -381,13 +382,14 @@ def test_scan_stdout_is_pinned(capsys):
 
 @pytest.fixture(scope="module")
 def grid_scan():
-    """(exit code, stdout, Fraction constructions, witness-walk lines,
-    surface contexts) of one `scan --check all` over the acceptance grid,
-    run with `Fraction.__new__`, the walk's per-line
-    `walls._ts_with_q_at_least` and `SurfaceContext.__new__` counting.  The
-    scan builds one `checks.Row`, and so one context, per (epsilon, k, p)
-    row; the counts need no state reset, as wallkit keeps none."""
-    built, lines, contexts = [0], [0], [0]
+    """(exit code, stdout, Fraction constructions, witness-walk lines and
+    their candidate points t, surface contexts) of one `scan --check all`
+    over the acceptance grid, run with `Fraction.__new__`, the walk's
+    per-line `walls._ts_with_q_at_least` and `SurfaceContext.__new__`
+    counting.  The scan builds one `checks.Row`, and so one context, per
+    (epsilon, k, p) row; the counts need no state reset, as wallkit keeps
+    none."""
+    built, lines, contexts = [0], [0, 0], [0]
     original, per_line = Fraction.__new__, walls._ts_with_q_at_least
     new_context = SurfaceContext.__new__
 
@@ -396,8 +398,10 @@ def grid_scan():
         return original(cls, *args, **kwargs)
 
     def counting_lines(*args):
+        ts = per_line(*args)
         lines[0] += 1
-        return per_line(*args)
+        lines[1] += len(ts)
+        return ts
 
     def counting_contexts(cls, *args):
         contexts[0] += 1
@@ -415,7 +419,7 @@ def grid_scan():
         Fraction(1, 2)
         # The counter sees a construction, so a zero count means none.
         assert built[0] == count + 1
-    return rc, out.getvalue(), count, lines[0], contexts[0]
+    return rc, out.getvalue(), count, tuple(lines), contexts[0]
 
 
 def test_grid_scan_stdout_is_pinned(grid_scan):

@@ -68,6 +68,22 @@ def test_params_are_the_tuple_of_their_four_arguments():
             setattr(params, name, 0)
 
 
+def test_replace_and_make_go_through_new():
+    # namedtuple's own `_replace` and `_make` skip `__new__`: they would
+    # build an out-of-domain parameter set without its derived values.
+    params = BNParams(9, 0, 3, 0)
+    for bad in ({"delta": 100}, {"delta": -1}, {"k": 1}, {"epsilon": 2}):
+        with pytest.raises(DomainError):
+            params._replace(**bad)
+    with pytest.raises(DomainError):
+        BNParams._make((9, 10, 3, 0))
+    built = BNParams(9, 1, 3, 0)
+    for other in (params._replace(delta=1), BNParams._make((9, 1, 3, 0))):
+        assert other == built and other.__dict__ == built.__dict__
+        assert (other.alpha, other.beta, other.rho) == (2, 2, -3)
+        assert other.context() == SurfaceContext(0, 9, 3)
+
+
 def test_parameter_sets_of_one_row_share_their_context():
     ctx = SurfaceContext(0, 9, 3)
     first, second = BNParams.on(ctx, 0), BNParams.on(ctx, 4)

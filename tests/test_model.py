@@ -220,3 +220,23 @@ def test_classes_are_named_tuples():
     assert c == DivisorClass(1, -5) == (1, -5)
     l, r = c
     assert (l, r) == (c[0], c[1]) == (c.l, c.r)
+
+
+def test_replace_and_make_go_through_new():
+    # namedtuple's own `_replace` and `_make` skip `__new__`, so they would
+    # build an unvalidated context without its derived attributes.
+    ctx = SurfaceContext(0, 9, 3)
+    for bad in ({"epsilon": 5.5, "k": -1}, {"k": 1}, {"p": 1}):
+        with pytest.raises(DomainError):
+            ctx._replace(**bad)
+    with pytest.raises(DomainError):
+        SurfaceContext._make((2, 9, 3))
+    for other in (ctx._replace(epsilon=1, k=5), SurfaceContext._make((1, 9, 5))):
+        assert other == SurfaceContext(1, 9, 5)
+        assert (other.l_square, other.ek_div) == (16, 12)
+    assert ctx._replace() == ctx and ctx._replace().ek_div == 4
+    # DivisorClass normalises in `__new__`: an integral Fraction is an int.
+    d = DivisorClass(1, Fraction(1, 2))._replace(e=Fraction(4, 2))
+    assert d == DivisorClass(1, 2) and type(d.e) is int and d.is_integral
+    made = DivisorClass._make((Fraction(6, 3), Fraction(1, 3)))
+    assert type(made.l) is int and type(made.e) is Fraction

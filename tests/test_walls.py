@@ -9,9 +9,10 @@ from itertools import product
 from math import gcd, isqrt
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from wallkit import walls
 from wallkit.binforms import canonical_form, xgcd
 from wallkit.checks import oracle_agrees
 from wallkit.curves import BNParams, curve_class, minimal_square_bound
@@ -251,6 +252,37 @@ def _reference_enumerate(gram, v, epsilon):
     return found
 
 
+@st.composite
+def _parabolas(draw):
+    """(qu, b0, q0, lo) of a line with q(t) = qu*t^2 + 2*b0*t + q0, qu < 0:
+    any such line, or one whose t-range is the single point t0, as
+    b0 = A*t0 and q0 = lo - A*t0^2 + e with A = -qu and 0 <= e < A make
+    disc = A*e < A^2 (e = 0 is disc == 0); lo = -2 is case (ii)."""
+    a = draw(st.integers(1, 100))
+    lo = draw(st.just(-2) | st.integers(0, 100))
+    if draw(st.booleans()):
+        t0 = draw(st.integers(-50, 50))
+        return -a, a * t0, lo - a * t0 * t0 + draw(st.integers(0, a - 1)), lo
+    return -a, draw(st.integers(-500, 500)), draw(st.integers(-5000, 5000)), lo
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(_parabolas())
+@example((-1, 0, -5, 0))        # disc < 0: no t
+@example((-3, 6, -12, 0))       # disc == 0: t = 2 only
+@example((-3, 6, -10, 0))       # disc = 6 > 0, still t = 2 only
+@example((-4, -7, 3, -2))       # case (ii): q(t) >= -2 on t = -3..0
+def test_t_range_is_exact(line):
+    # If q(t) >= lo then |A*t - b0| <= r, so |t| <= |b0|/A + r: the brute
+    # window holds the whole range.
+    qu, b0, q0, lo = line
+    a, disc = -qu, b0 * b0 - qu * (q0 - lo)
+    w = abs(b0) // a + (isqrt(disc) if disc > 0 else 0) + 3
+    want = [t for t in range(-w, w + 1) if qu * t * t + 2 * b0 * t + q0 >= lo]
+    got = walls._ts_with_q_at_least(qu, b0, q0, lo)
+    assert got.step == 1 and list(got) == want
+
+
 # For each v, a unimodular Q with Q*v = (0, 1): the gram Q^T G0 Q in the new
 # coordinates carries the (w, v)-basis gram G0 with v at the given coords.
 _TO_V = {(0, 1): ((1, 0), (0, 1)), (1, 0): ((0, 1), (1, 0)),
@@ -346,20 +378,29 @@ _FAMILY_LINES = {
     (0, 30): 41, (0, 300): 446, (0, 3000): 4496,
     (1, 30): 25, (1, 300): 295, (1, 3000): 2995,
 }
+# The candidate points t on those lines: a line's t-range holds exactly the
+# t with q(s) at or above the window's lower end, so almost every line is
+# empty.  At epsilon = 0 one case (i) line has a point with q(s) above its
+# window, and the least witness's line has the other.
+_FAMILY_TS = {
+    (0, 30): 2, (0, 300): 2, (0, 3000): 2,
+    (1, 30): 1, (1, 300): 1, (1, 3000): 1,
+}
 
 
 def test_witness_walk_lines_on_two_wall_families(walked):
-    got = {}
+    lines, ts = {}, {}
     for eps, k in _FAMILY_LINES:
         params = BNParams(5 + 2 * eps, 0, k, eps)
         ctx = params.context()
         stage = span_stage(curve_class(params), ctx)
-        assert walked[0] == 0  # the span stage walks no line
+        assert walked == [0, 0]  # the span stage walks no line
         verdict = witness_stage(stage, eps)
         assert verdict.is_wall
         assert walked[0] == _lines_to_the_least_witness(verdict)
-        got[eps, k], walked[0] = walked[0], 0
-    assert got == _FAMILY_LINES
+        lines[eps, k], ts[eps, k] = walked
+        walked[:] = [0, 0]
+    assert lines == _FAMILY_LINES and ts == _FAMILY_TS
 
 
 def _tail_spans(n: int, k_max: int):
@@ -377,19 +418,20 @@ def _tail_spans(n: int, k_max: int):
 
 def test_witness_walk_visits_every_line_on_non_walls(walked):
     # On a non-wall the walk visits all q(v)/d case (i) lines, plus the
-    # q(v)/(2d) case (ii) lines when epsilon = 0.  The pinned total is the
-    # search's cost on these spans, free of machine noise.
-    spans = non_walls = total = 0
+    # q(v)/(2d) case (ii) lines when epsilon = 0.  The pinned totals are the
+    # search's cost on these spans, free of machine noise: the lines, and
+    # the candidate points t on them.
+    spans = non_walls = 0
     for params in _tail_spans(60, 10**4):
         ctx = params.context()
         stage = span_stage(curve_class(params), ctx)
         if stage.span is None:
             continue
+        lines = walked[0]
         verdict = witness_stage(stage, params.epsilon)
-        assert walked[0] == _lines_to_the_least_witness(verdict), params
+        assert walked[0] - lines == _lines_to_the_least_witness(verdict), params
         spans, non_walls = spans + 1, non_walls + (not verdict.is_wall)
-        total, walked[0] = total + walked[0], 0
-    assert (spans, non_walls, total) == (50, 46, 82527)
+    assert (spans, non_walls, *walked) == (50, 46, 82527, 31)
 
 
 def test_list_and_tuple_grams_agree():
