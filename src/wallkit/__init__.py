@@ -19,6 +19,7 @@ from .catalog import (
     entry_record,
     export_catalog,
     generate_catalog,
+    iter_catalog,
     realize_gram,
     seed_lattice,
 )
@@ -103,6 +104,7 @@ __all__ = [
     "exists_pencil_via_rho",
     "export_catalog",
     "generate_catalog",
+    "iter_catalog",
     "lagrangian_plane",
     "minimal_square_bound",
     "moduli_dim",

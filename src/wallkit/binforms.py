@@ -40,15 +40,17 @@ class ReductionBudgetError(DomainError, RuntimeError):
     """
 
 
-def _check_gram(g: Gram) -> tuple[int, int, int]:
+def _check_gram(g: Gram) -> tuple[int, int, int, int]:
+    """(a, b, c, det) of a symmetric nondegenerate [[a, b], [b, c]]."""
     if len(g) != 2 or len(g[0]) != 2 or len(g[1]) != 2:
         raise ValueError("expected a 2x2 Gram matrix")
     a, b, b2, c = g[0][0], g[0][1], g[1][0], g[1][1]
     if b != b2:
         raise ValueError("Gram matrix must be symmetric")
-    if a * c - b * b == 0:
+    det = a * c - b * b
+    if det == 0:
         raise DegenerateFormError("Gram matrix is degenerate")
-    return a, b, c
+    return a, b, c, det
 
 
 def _reduce_definite(a: int, b: int, c: int) -> tuple[int, int, int]:
@@ -132,15 +134,17 @@ def _isotropic_lines(a: int, b: int, c: int, sigma: int) -> list[tuple[int, int]
     return lines
 
 
-def _line_residue(g: Gram, u: tuple[int, int], sigma: int) -> int:
-    # Complete the primitive isotropic u to a basis (u, w); q(w) mod 2*sigma
-    # only depends on the line spanned by u.
+def _line_residue(a: int, b: int, c: int, u: tuple[int, int],
+                  sigma: int) -> int:
+    # Complete the primitive isotropic u to a basis (u, w) of the lattice
+    # with Gram [[a, b], [b, c]]; q(w) mod 2*sigma only depends on the line
+    # spanned by u.
     _g, x, y = xgcd(*u)
-    w = (-y, x)
-    bw = (u[0] * g[0][0] + u[1] * g[1][0]) * w[0] + (u[0] * g[0][1] + u[1] * g[1][1]) * w[1]
+    w0, w1 = -y, x
+    bw = (u[0] * a + u[1] * b) * w0 + (u[0] * b + u[1] * c) * w1
     if abs(bw) != sigma:
         raise AssertionError(f"b(u, w) = {bw}, expected +-{sigma}")
-    qw = g[0][0] * w[0] * w[0] + 2 * g[0][1] * w[0] * w[1] + g[1][1] * w[1] * w[1]
+    qw = a * w0 * w0 + 2 * b * w0 * w1 + c * w1 * w1
     return qw % (2 * sigma)
 
 
@@ -160,43 +164,49 @@ def xgcd(a: int, b: int) -> tuple[int, int, int]:
 
 
 def canonical_form(g: Gram) -> tuple:
-    """Canonical invariant of the GL2(Z) isometry class of a Gram matrix.
+    """Canonical invariant of the GL2(Z) isometry class of a Gram matrix:
+    a 4-tuple, the regime's name and three integers.
 
     Two nondegenerate symmetric 2x2 integer matrices are isometric iff their
     canonical forms are equal.
     """
-    a, b, c = _check_gram(g)
-    delta = a * c - b * b
-    if delta > 0:
+    return _canonical(*_check_gram(g))
+
+
+def _canonical(a: int, b: int, c: int, det: int) -> tuple:
+    """`canonical_form` of [[a, b], [b, c]] with det = ac - b^2 != 0,
+    computed on the integers without checking them: for callers that build
+    a symmetric Gram and test det themselves."""
+    if det > 0:
         if a > 0:
-            return ("posdef",) + _reduce_definite(a, 2 * b, c)
-        return ("negdef",) + _reduce_definite(-a, -2 * b, -c)
-    d = -4 * delta  # form discriminant (2b)^2 - 4ac > 0
-    sigma = isqrt(-delta)
-    if sigma * sigma == -delta:
-        residues = sorted(_line_residue(g, u, sigma)
-                          for u in _isotropic_lines(a, b, c, sigma))
-        return ("isotropic", sigma, residues[0], residues[1])
+            return ("posdef", *_reduce_definite(a, 2 * b, c))
+        return ("negdef", *_reduce_definite(-a, -2 * b, -c))
+    sigma = isqrt(-det)
+    if sigma * sigma == -det:
+        r0, r1 = sorted(_line_residue(a, b, c, u, sigma)
+                        for u in _isotropic_lines(a, b, c, sigma))
+        return ("isotropic", sigma, r0, r1)
     # The flipped form (a, -b, c) is properly equivalent to (c, b, a), and
     # (c, b, a) is reduced exactly when (a, b, c) is; as each proper class
     # has one cycle of reduced forms, the flipped class's cycle is this
-    # cycle with every triple read backwards.
-    cycle = _indef_cycle(a, 2 * b, c, d)
-    return ("indef",) + min(min(cycle), min([t[::-1] for t in cycle]))
+    # cycle with every triple read backwards.  -4*det is the discriminant
+    # (2b)^2 - 4ac of the form.
+    cycle = _indef_cycle(a, 2 * b, c, -4 * det)
+    return ("indef", *min(min(cycle), min([t[::-1] for t in cycle])))
 
 
 def rank2_isometric(g1: Gram, g2: Gram) -> bool:
     """Decide whether two nondegenerate 2x2 Gram matrices are isometric."""
-    a1, b1, c1 = _check_gram(g1)
-    a2, b2, c2 = _check_gram(g2)
-    if a1 * c1 - b1 * b1 != a2 * c2 - b2 * b2:
+    ints1, ints2 = _check_gram(g1), _check_gram(g2)
+    if ints1[3] != ints2[3]:
         return False
-    return canonical_form(g1) == canonical_form(g2)
+    return _canonical(*ints1) == _canonical(*ints2)
 
 
 def form_id(form: tuple) -> str:
-    """String identifier of a canonical form, as returned by class_id."""
-    return ":".join(map(str, form))
+    """String identifier of a canonical form, as returned by class_id: its
+    four fields joined by colons."""
+    return "%s:%s:%s:%s" % form
 
 
 def class_id(g: Gram) -> str:

@@ -10,13 +10,19 @@ off-diagonal - 1).  The state they reach at (p, delta) has the closed form
 
 from __future__ import annotations
 
-from fractions import Fraction
-from typing import IO, Iterable, NamedTuple
+from typing import IO, Iterable, Iterator, NamedTuple
 
 from . import binforms
 from .binforms import Gram
-from .curves import BNParams, _square, curve_class, exists_pencil
-from .model import DomainError, fraction_str, write_records
+from .curves import (
+    BNParams,
+    Square,
+    _square,
+    curve_class,
+    exists_pencil,
+    square_str,
+)
+from .model import DomainError, SurfaceContext, write_records
 from .walls import span_stage, wall_test
 
 
@@ -26,7 +32,7 @@ class CatalogEntry(NamedTuple):
     p: int
     delta: int
     gram: Gram
-    q_curve: Fraction
+    q_curve: Square                       # q(R) = num/denom, not reduced
     is_wall: bool
     witness: tuple[int, int, int] | None  # ambient coordinates
     class_id: str | None                  # None when the gram is degenerate
@@ -43,58 +49,82 @@ def seed_lattice(k: int, epsilon: int) -> tuple[Gram, int, int]:
 def generate_catalog(k: int, epsilon: int, p_min: int = 2,
                      p_max: int | None = None,
                      delta_max: int | None = None) -> list[CatalogEntry]:
-    """All move-reachable entries within the ranges, one per isometry class.
+    """The entries of `iter_catalog`, as a list."""
+    return list(iter_catalog(k, epsilon, p_min, p_max, delta_max))
+
+
+def iter_catalog(k: int, epsilon: int, p_min: int = 2,
+                 p_max: int | None = None,
+                 delta_max: int | None = None) -> Iterator[CatalogEntry]:
+    """All move-reachable entries within the ranges, one per isometry
+    class, each yielded as soon as it is built.  The arguments are checked
+    now: k and epsilon by `seed_lattice`, and an empty range (p_max below
+    max(p_min, 2), or delta_max below 0) is a DomainError.
 
     The moves reach every (p, delta) with 2 <= p <= seed p and
     0 <= delta <= p - 2*epsilon; the states in range are taken by delta
-    ascending, then p descending, each with its `state_gram`.
-
-    Validation happens once per catalog: `seed_lattice` checks k and
-    epsilon, and the loop bounds give every state 2 <= p and
-    0 <= delta <= p - 2*epsilon, which is all that `BNParams` checks.  So
-    q(R) comes from the unvalidated integer `curves._square`, and
-    `BNParams` is built only for the walls' wall test (q(R) < 0).
-    No state needs the pencil-existence check: every state has p at most
-    the seed's 2h + epsilon (h = k - 1 + 2*epsilon), so alpha <= 1 and the
-    bound alpha*(p - delta - epsilon - (alpha+1)*h) is <= 0 <= delta.
-    That each wall's saturation is its state's gram is the `dual-lattice`
-    check of `wallkit.checks`, which the catalog does not repeat.
+    ascending, then p descending.  These bounds are all that `BNParams`
+    checks, so q(R) is the unvalidated integer `curves._square`, and
+    parameters are built only for the walls' wall test (q(R) < 0), on one
+    context per p.  No
+    state needs the pencil-existence check: p is at most the seed's
+    2h + epsilon (h = k - 1 + 2*epsilon), so alpha <= 1 and the bound
+    alpha*(p - delta - epsilon - (alpha+1)*h) is <= 0 <= delta.  That each
+    wall's saturation is its state's gram is the `dual-lattice` check of
+    `wallkit.checks`, which the catalog does not repeat.
     """
     _, seed_p, _ = seed_lattice(k, epsilon)
-    p_top = seed_p if p_max is None else min(p_max, seed_p)
     p_low = max(p_min, 2)
+    if p_max is not None and p_max < p_low:
+        raise DomainError(
+            f"empty p range: p_max {p_max} < max(p_min, 2) = {p_low}")
+    if delta_max is not None and delta_max < 0:
+        raise DomainError(f"delta_max must be at least 0 (got {delta_max})")
+    p_top = seed_p if p_max is None else min(p_max, seed_p)
     d_top = p_top - 2 * epsilon
     if delta_max is not None:
         d_top = min(delta_max, d_top)
+    return _entries(k, epsilon, p_low, p_top, d_top)
 
-    # A state is classified before its entry is built, so a state whose
-    # isometry class is already listed costs no square and no wall test.
-    entries: list[CatalogEntry] = []
-    seen: set = set()
+
+def _entries(k: int, epsilon: int, p_low: int, p_top: int,
+             d_top: int) -> Iterator[CatalogEntry]:
+    # The state at (p, delta) has the `state_gram` [[a, b], [b, c]].  It is
+    # classified from these integers first, so a state whose class is
+    # listed costs no Gram, no square and no wall test.  A degenerate state
+    # (det = 0) has no class and is always listed: no two states share
+    # both a (one per delta) and b (one per p in a delta row).
+    canonical, form_id = binforms._canonical, binforms.form_id
+    c = 2 * (k - 1 + 2 * epsilon)
+    contexts: dict[int, SurfaceContext] = {}
+    seen: set[tuple] = set()
     for delta in range(d_top + 1):
+        a = 2 * delta - 2 + 2 * epsilon
+        ac, b_off = a * c, delta + k - 1 + 3 * epsilon
         for p in range(p_top, max(p_low, delta + 2 * epsilon) - 1, -1):
-            gram = state_gram(p, delta, k, epsilon)
-            try:
-                form = binforms.canonical_form(gram)
-            except binforms.DegenerateFormError:
-                form = None
-            key = form if form is not None else ("degenerate", gram)
-            if key in seen:
+            b = p - b_off
+            det = ac - b * b
+            if det:
+                form = canonical(a, b, c, det)
+                if form in seen:
+                    continue
+                seen.add(form)
+                class_id = form_id(form)
+            else:
+                class_id = None
+            gram = ((a, b), (b, c))
+            square = _square(p, delta, k, epsilon)
+            if square.num >= 0:
+                yield CatalogEntry(epsilon, k, p, delta, gram, square, False,
+                                   None, class_id)
                 continue
-            seen.add(key)
-            value, denom, _ = _square(p, delta, k, epsilon)
-            q_r = Fraction(value, denom)
-            class_id = binforms.form_id(form) if form is not None else None
-            if value >= 0:
-                entries.append(CatalogEntry(
-                    epsilon, k, p, delta, gram, q_r, False, None, class_id))
-                continue
-            params = BNParams(p, delta, k, epsilon)
-            verdict = wall_test(curve_class(params), params.context())
-            entries.append(CatalogEntry(
-                epsilon, k, p, delta, gram, q_r, verdict.is_wall,
-                verdict.witness_ambient, class_id))
-    return entries
+            ctx = contexts.get(p)
+            if ctx is None:
+                ctx = contexts[p] = SurfaceContext(epsilon, p, k)
+            verdict = wall_test(curve_class(BNParams.on(ctx, delta)), ctx)
+            yield CatalogEntry(epsilon, k, p, delta, gram, square,
+                               verdict.is_wall, verdict.witness_ambient,
+                               class_id)
 
 
 def state_gram(p: int, delta: int, k: int, epsilon: int) -> Gram:
@@ -138,7 +168,7 @@ def entry_record(entry: CatalogEntry) -> dict:
         "p": entry.p,
         "delta": entry.delta,
         "gram": binforms.flat_gram(entry.gram),
-        "q_R": fraction_str(entry.q_curve),
+        "q_R": square_str(entry.q_curve),
         "is_wall": entry.is_wall,
         "witness": list(entry.witness) if entry.witness is not None else None,
         "isometry_class_id": entry.class_id,

@@ -45,8 +45,6 @@ JSON-ready dict that `scan` copies into its record.
 
 from __future__ import annotations
 
-from math import gcd
-
 from .catalog import state_gram
 from .curves import (
     BNParams,
@@ -57,6 +55,7 @@ from .curves import (
     curve_class,
     exists_pencil,
     exists_pencil_via_rho,
+    square_str,
 )
 from .model import (
     CurveClass,
@@ -155,9 +154,7 @@ class Point:
     @_computed_once
     def q_r(self) -> str:
         """q(R) as reduced "num/den" text, as every record prints it."""
-        num, den, _ = self.square
-        g = gcd(num, den)
-        return f"{num // g}/{den // g}"
+        return square_str(self.square)
 
     @_computed_once
     def span(self) -> SpanStage:

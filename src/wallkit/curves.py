@@ -8,6 +8,7 @@ curves have genus g = p - delta and carry pencils of degree k + epsilon.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 from typing import NamedTuple
 
 from .model import (
@@ -40,6 +41,13 @@ class Square(NamedTuple):
     num: int
     denom: int
     minimal: bool
+
+
+def square_str(square: Square) -> str:
+    """q(R) as reduced "num/den" text, as every record prints it."""
+    num, den, _ = square
+    g = gcd(num, den)
+    return f"{num // g}/{den // g}"
 
 
 def _bound_num(k: int, epsilon: int) -> int:

@@ -271,7 +271,7 @@ def _criterion_8() -> tuple[bool, str]:
         for k in range(2, 7):
             for e in generate_catalog(k, eps):
                 total += 1
-                if e.q_curve < 0:
+                if e.q_curve.num < 0:
                     assert e.is_wall and e.witness is not None
                     assert _applies("dual-lattice",
                                     Point(Row(eps, k, e.p), e.delta))

@@ -199,8 +199,7 @@ def test_xgcd_random():
 def _reference_canonical_form(g):
     """canonical_form with the cycles of an anisotropic indefinite form and
     of its middle-sign flip walked one after the other."""
-    a, b, c = _check_gram(g)
-    det = a * c - b * b
+    a, b, c, det = _check_gram(g)
     if det > 0 or isqrt(-det) ** 2 == -det:
         return canonical_form(g)
     d = -4 * det

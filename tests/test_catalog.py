@@ -6,16 +6,24 @@ from __future__ import annotations
 import io
 import json
 import random
+from fractions import Fraction
 
 import pytest
 
 from wallkit import binforms, catalog
-from wallkit.binforms import DegenerateFormError, class_id, rank2_isometric
+from wallkit.binforms import (
+    DegenerateFormError,
+    canonical_form,
+    class_id,
+    form_id,
+    rank2_isometric,
+)
 from wallkit.catalog import (
     CatalogEntry,
     entry_record,
     export_catalog,
     generate_catalog,
+    iter_catalog,
     realize_gram,
     seed_lattice,
     state_gram,
@@ -23,11 +31,12 @@ from wallkit.catalog import (
 from wallkit.checks import CHECKS, Point, Row
 from wallkit.curves import (
     BNParams,
+    Square,
     curve_class,
     curve_square,
     exists_pencil,
 )
-from wallkit.model import DomainError
+from wallkit.model import DomainError, SurfaceContext, fraction_str
 from wallkit.walls import wall_test
 
 
@@ -116,7 +125,7 @@ def test_generate_wall_entries_all_verified():
         entries = generate_catalog(k, eps)
         assert entries
         for e in entries:
-            if e.q_curve < 0:
+            if e.q_curve.num < 0:
                 assert e.is_wall and _dual_lattice(e), (k, eps, e)
                 assert e.witness is not None
             else:
@@ -147,7 +156,7 @@ def test_generate_contains_flagged_positive_square_entry():
     e = flagged[0]
     assert (e.p, e.delta) == (6, 2)
     assert not e.is_wall and e.witness is None
-    assert e.q_curve >= 0 and _dual_lattice(e) is None
+    assert e.q_curve.num >= 0 and _dual_lattice(e) is None
 
 
 def test_realize_examples():
@@ -173,7 +182,7 @@ def test_realize_inverts_catalog_entries():
     pool = []
     for k, eps in ((2, 0), (3, 0), (4, 0), (2, 1)):
         for e in generate_catalog(k, eps):
-            if e.q_curve < 0:
+            if e.q_curve.num < 0:
                 pool.append((e, k, eps))
     assert len(pool) >= 10
     sample = [rng.choice(pool) for _ in range(100)]
@@ -228,7 +237,10 @@ def test_catalog_grams_are_pairwise_distinct_up_to_isometry():
 
 
 def _reference_entry(gram, params):
-    q_r = curve_square(params).value
+    report = curve_square(params)
+    q_r, denom = report.value, 2 * params.half_div
+    square = Square((q_r * denom).numerator, denom, report.minimal)
+    assert Fraction(square.num, denom) == q_r
     try:
         cid = class_id([list(r) for r in gram])
     except DegenerateFormError:
@@ -238,10 +250,10 @@ def _reference_entry(gram, params):
         assert rank2_isometric([list(r) for r in verdict.t_gram],
                                [list(r) for r in gram]), params
         return CatalogEntry(params.epsilon, params.k, params.p, params.delta,
-                            gram, q_r, verdict.is_wall,
+                            gram, square, verdict.is_wall,
                             verdict.witness_ambient, cid)
     return CatalogEntry(params.epsilon, params.k, params.p, params.delta,
-                        gram, q_r, False, None, cid)
+                        gram, square, False, None, cid)
 
 
 def _reference_catalog(k, epsilon, p_min=2, p_max=None, delta_max=None):
@@ -282,8 +294,8 @@ def _reference_catalog(k, epsilon, p_min=2, p_max=None, delta_max=None):
 def test_generate_matches_reference_catalog(epsilon):
     ranges = ({}, {"p_min": 4}, {"p_max": 9}, {"delta_max": 2},
               {"p_min": 3, "p_max": 14, "delta_max": 5},
-              {"p_min": 12}, {"delta_max": 0}, {"p_max": 1},
-              {"p_min": 10**6}, {"delta_max": -1}, {"delta_max": 10**6})
+              {"p_min": 12}, {"delta_max": 0}, {"p_max": 2},
+              {"p_min": 10**6}, {"delta_max": 10**6})
     kept = degenerate = walls = 0
     for k in range(2, 13):
         for kwargs in ranges:
@@ -298,35 +310,174 @@ def test_generate_matches_reference_catalog(epsilon):
     assert kept > 1000 and walls > 500 and degenerate > 50
 
 
+# The slices of the catalog that the differential tests compare.
+_SLICES = ({"p_min": 5}, {"p_max": 12}, {"delta_max": 3},
+           {"p_min": 4, "p_max": 30, "delta_max": 10})
+
+
 def test_integer_square_matches_the_object_path():
     # generate_catalog validates once and takes q(R) from integers; every
-    # entry's parameters must still pass BNParams and give the same square
-    # through curve_square.
+    # entry's parameters must still pass BNParams and give the same square,
+    # flag and record text through curve_square.
     runs = [(k, epsilon, {}) for epsilon in (0, 1) for k in range(2, 31)]
     runs += [(k, epsilon, kwargs) for epsilon in (0, 1) for k in (7, 20)
-             for kwargs in ({"p_min": 5}, {"p_max": 12}, {"delta_max": 3},
-                            {"p_min": 4, "p_max": 30, "delta_max": 10})]
+             for kwargs in _SLICES]
     checked = 0
     for k, epsilon, kwargs in runs:
         for e in generate_catalog(k, epsilon, **kwargs):
             params = BNParams(e.p, e.delta, k, epsilon)
-            assert curve_square(params).value == e.q_curve, (k, kwargs, e)
+            report = curve_square(params)
+            num, denom, minimal = e.q_curve
+            assert type(num) is int and denom == 2 * params.half_div
+            assert Fraction(num, denom) == report.value, (k, kwargs, e)
+            assert minimal == report.minimal, (k, kwargs, e)
+            assert entry_record(e)["q_R"] == fraction_str(report.value)
             checked += 1
     assert checked > 29659
 
 
-def test_generate_builds_params_for_walls_only(monkeypatch):
-    built = []
+def _catalog_the_old_way(k, epsilon, p_min=2, p_max=None, delta_max=None):
+    """The catalog as it was built before it streamed on integers: a Gram
+    per state (`state_gram`), its checked `canonical_form`, q(R) as a
+    Fraction, and a full `BNParams` per wall for `wall_test`.  Its entries
+    hold q(R) as that Fraction."""
+    _, seed_p, _ = seed_lattice(k, epsilon)
+    p_top = seed_p if p_max is None else min(p_max, seed_p)
+    d_top = p_top - 2 * epsilon
+    if delta_max is not None:
+        d_top = min(delta_max, d_top)
+    entries, seen = [], set()
+    for delta in range(d_top + 1):
+        for p in range(p_top, max(p_min, 2, delta + 2 * epsilon) - 1, -1):
+            gram = state_gram(p, delta, k, epsilon)
+            try:
+                form = canonical_form(gram)
+            except DegenerateFormError:
+                form = None
+            key = form if form is not None else ("degenerate", gram)
+            if key in seen:
+                continue
+            seen.add(key)
+            params = BNParams(p, delta, k, epsilon)
+            q_r = curve_square(params).value
+            cid = ":".join(map(str, form)) if form is not None else None
+            if q_r >= 0:
+                entries.append(CatalogEntry(epsilon, k, p, delta, gram, q_r,
+                                            False, None, cid))
+                continue
+            verdict = wall_test(curve_class(params), params.context())
+            entries.append(CatalogEntry(
+                epsilon, k, p, delta, gram, q_r, verdict.is_wall,
+                verdict.witness_ambient, cid))
+    return entries
+
+
+@pytest.mark.parametrize("epsilon", (0, 1))
+def test_streamed_catalog_matches_the_old_way(epsilon):
+    compared = 0
+    for k in range(2, 13):
+        for kwargs in ({}, *_SLICES):
+            old = _catalog_the_old_way(k, epsilon, **kwargs)
+            new = list(iter_catalog(k, epsilon, **kwargs))
+            assert len(new) == len(old), (k, kwargs)
+            for got, want in zip(new, old):
+                num, denom, _ = got.q_curve
+                assert got._replace(q_curve=Fraction(num, denom)) == want
+                record = entry_record(got)
+                assert record["q_R"] == fraction_str(want.q_curve)
+                assert record["gram"] == [*want.gram[0], *want.gram[1]]
+            compared += len(new)
+    assert compared > 1500
+
+
+def test_form_id_joins_the_four_fields():
+    # Every canonical form up to k = 30 is a 4-tuple, and its id is the
+    # fields joined by colons; the catalog's class ids are those of the
+    # checked canonical_form of its grams.
+    forms = 0
+    for epsilon in (0, 1):
+        for k in range(2, 31):
+            for e in generate_catalog(k, epsilon):
+                if e.class_id is None:
+                    continue
+                form = canonical_form(e.gram)
+                assert len(form) == 4
+                assert form_id(form) == ":".join(map(str, form)) == e.class_id
+                forms += 1
+    assert forms == 29659 - 89
+
+
+def test_generate_catalog_returns_a_list():
+    # The list of what iter_catalog streams: callers may take its length
+    # and iterate it more than once.
+    entries = generate_catalog(5, 1, delta_max=4)
+    assert type(entries) is list
+    assert entries == list(iter_catalog(5, 1, delta_max=4))
+
+
+@pytest.mark.parametrize("args, kwargs", [
+    ((1, 0), {}), ((4, 2), {}), ((4, 0), {"p_max": 1}),
+    ((4, 0), {"p_max": -5}), ((4, 0), {"p_min": 0, "p_max": 1}),
+    ((4, 0), {"delta_max": -1}), ((4, 0), {"p_min": 5, "p_max": 3})])
+def test_bad_arguments_raise_before_the_first_entry(args, kwargs):
+    # iter_catalog checks its arguments when called, not when the first
+    # entry is asked for, so the CLI exits 2 before it opens --output.
+    with pytest.raises(DomainError):
+        iter_catalog(*args, **kwargs)
+
+
+def test_first_entry_needs_constant_work(monkeypatch):
+    # iter_catalog streams: written as it comes, its first record follows
+    # one classified state, at any k, not the ~1.49*k^2 entries of the
+    # whole catalog.
+    core, calls, first = binforms._canonical, [], []
+
+    class Stop(Exception):
+        pass
+
+    class FirstLine:
+        def write(self, text):
+            first.append((len(calls), json.loads(text)))
+            raise Stop
 
     def counting(*args):
-        built.append(args)
-        return BNParams(*args)
+        calls.append(args)
+        return core(*args)
 
-    monkeypatch.setattr(catalog, "BNParams", counting)
+    monkeypatch.setattr(binforms, "_canonical", counting)
+    for k in (10, 1000):
+        calls.clear()
+        with pytest.raises(Stop):
+            export_catalog(iter_catalog(k, 0), FirstLine())
+    assert [(n, rec["k"], rec["p"], rec["delta"]) for n, rec in first] == [
+        (1, 10, 18, 0), (1, 1000, 1998, 0)]
+
+
+def test_generate_builds_params_for_walls_only(monkeypatch):
+    # Parameters are built only for the walls (q(R) < 0), each with
+    # `BNParams.on` on the context of its p, which the walls of one p
+    # share: one SurfaceContext per distinct wall p, one `on` per wall.
+    contexts, built = [], []
+    new_context, on = SurfaceContext.__new__, BNParams.on.__func__
+
+    def counting_contexts(cls, *args):
+        contexts.append(args)
+        return new_context(cls, *args)
+
+    def counting_on(cls, ctx, delta):
+        built.append((ctx.p, delta))
+        return on(cls, ctx, delta)
+
+    monkeypatch.setattr(SurfaceContext, "__new__",
+                        staticmethod(counting_contexts))
+    monkeypatch.setattr(BNParams, "on", classmethod(counting_on))
     entries = generate_catalog(12, 0)
-    walls = [(e.p, e.delta, 12, 0) for e in entries if e.q_curve < 0]
+    walls = [(e.p, e.delta) for e in entries if e.q_curve.num < 0]
     assert walls and len(walls) < len(entries)
     assert built == walls
+    wall_ps = sorted({p for p, _ in walls})
+    assert len(wall_ps) < len(walls)
+    assert sorted(contexts) == [(0, p, 12) for p in wall_ps]
 
 
 def test_catalog_entry_shape_is_pinned():
@@ -339,11 +490,12 @@ def test_catalog_entry_shape_is_pinned():
     flat = next(e for e in entries if not e.is_wall)
     assert repr(wall) == (
         "CatalogEntry(epsilon=0, k=4, p=6, delta=0, gram=((-2, 3), (3, 6)), "
-        "q_curve=Fraction(-7, 2), is_wall=True, witness=(-1, 1, -6), "
-        "class_id='indef:-2:6:6')")
+        "q_curve=Square(num=-21, denom=6, minimal=True), is_wall=True, "
+        "witness=(-1, 1, -6), class_id='indef:-2:6:6')")
     assert repr(flat) == (
         "CatalogEntry(epsilon=0, k=4, p=4, delta=1, gram=((0, 0), (0, 6)), "
-        "q_curve=Fraction(0, 1), is_wall=False, witness=None, class_id=None)")
+        "q_curve=Square(num=0, denom=6, minimal=False), is_wall=False, "
+        "witness=None, class_id=None)")
     # A NamedTuple: iterable, and equal to the plain tuple of its fields.
     assert wall == tuple(wall) and list(flat)[-1] == flat.class_id
 
@@ -361,35 +513,49 @@ def test_dual_lattice_check_holds_on_every_catalog_wall():
     assert walls == 2423
 
 
+def _counting_core(monkeypatch):
+    """The arguments of every call of the integer canonical form, which the
+    catalog calls on each nondegenerate state's (a, b, c, det)."""
+    core, calls = binforms._canonical, []
+
+    def counting(*args):
+        calls.append(args)
+        return core(*args)
+
+    monkeypatch.setattr(binforms, "_canonical", counting)
+    return calls
+
+
 @pytest.mark.parametrize("epsilon", (0, 1))
 def test_generate_classifies_each_state_once(monkeypatch, epsilon):
-    canonical_form, calls = binforms.canonical_form, []
-
-    def counting(gram):
-        calls.append(gram)
-        return canonical_form(gram)
-
-    monkeypatch.setattr(binforms, "canonical_form", counting)
+    # One integer canonical form per nondegenerate state; a degenerate
+    # state (det = 0) is never classified.
+    calls = _counting_core(monkeypatch)
     k = 12
     seed_p = seed_lattice(k, epsilon)[1]
     generate_catalog(k, epsilon)
-    states = [state_gram(p, delta, k, epsilon) for p in range(2, seed_p + 1)
-              for delta in range(p - 2 * epsilon + 1)]
-    assert sorted(calls) == sorted(states)
+    states = [(a, b, c, a * c - b * b) for p in range(2, seed_p + 1)
+              for delta in range(p - 2 * epsilon + 1)
+              for (a, b), (_, c) in [state_gram(p, delta, k, epsilon)]]
+    assert sorted(calls) == sorted(s for s in states if s[3])
+    assert len(calls) < len(states)
 
 
 def test_catalog_work_is_pinned(monkeypatch):
     # Work counters, counted by patching the callees from the test, so the
-    # library holds no counter: one canonical form per state in range, and
-    # one wall test per listed entry with q(R) < 0.
-    calls = {"canonical_form": 0, "wall_test": 0}
-    for module, name in ((binforms, "canonical_form"),
-                         (catalog, "wall_test")):
-        def counting(*args, _name=name, _fn=getattr(module, name)):
-            calls[_name] += 1
-            return _fn(*args)
-        monkeypatch.setattr(module, name, counting)
+    # library holds no counter: one canonical form per nondegenerate state
+    # in range (39,672 states, 89 of them degenerate), and one wall test
+    # per listed entry with q(R) < 0.
+    calls = _counting_core(monkeypatch)
+    walls = []
+    wall_test_ = catalog.wall_test
+
+    def counting(*args):
+        walls.append(args)
+        return wall_test_(*args)
+
+    monkeypatch.setattr(catalog, "wall_test", counting)
     for epsilon in (0, 1):
         for k in range(2, 31):
             generate_catalog(k, epsilon)
-    assert calls == {"canonical_form": 39672, "wall_test": 2423}
+    assert (len(calls), len(walls)) == (39672 - 89, 2423)

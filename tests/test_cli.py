@@ -307,6 +307,20 @@ def test_scan_empty_range_is_a_user_error(capsys, flag):
                    "(expected N or LO..HI)\n")
 
 
+@pytest.mark.parametrize("bounds", [
+    ("--p-max", "-5"), ("--p-max", "1"), ("--delta-max", "-1"),
+    ("--p-min", "5", "--p-max", "3")])
+def test_catalog_empty_range_is_a_user_error(capsys, tmp_path, bounds):
+    # As for scan: an impossible slice exits 2, and no --output file is
+    # created, because the catalog checks its ranges before it streams.
+    argv = ("catalog", "--epsilon", "0", "--k", "4", *bounds)
+    rc, out, err = _run(capsys, *argv)
+    assert rc == 2 and out == "" and err.startswith("error: ")
+    target = tmp_path / "cat.jsonl"
+    assert _run(capsys, *argv, "--output", str(target)) == (2, "", err)
+    assert not target.exists()
+
+
 def test_argparse_errors_exit_two(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["wall-test", "--epsilon", "0", "--k", "2"])

@@ -104,3 +104,16 @@ def test_box_oracle_shares_no_code_with_the_enumerator():
     # A renamed walk helper must not slip past the guard.
     assert banned <= functions.keys()
     assert sorted(reached & banned) == []
+
+
+def test_catalog_imports_nothing_from_fractions():
+    # The catalog streams on plain integers: q(R) stays a `curves.Square`,
+    # so its module neither imports `fractions` nor names from it.
+    tree = ast.parse((SRC / "catalog.py").read_text())
+    imported = [alias.name for node in ast.walk(tree)
+                if isinstance(node, ast.Import) for alias in node.names]
+    imported += [node.module for node in ast.walk(tree)
+                 if isinstance(node, ast.ImportFrom)]
+    assert imported
+    assert [name for name in imported
+            if name and name.split(".")[0] == "fractions"] == []
