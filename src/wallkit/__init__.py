@@ -16,7 +16,7 @@ from .binforms import (
 )
 from .catalog import (
     CatalogEntry,
-    entry_record,
+    entry_line,
     export_catalog,
     generate_catalog,
     iter_catalog,
@@ -97,7 +97,7 @@ __all__ = [
     "curve_square",
     "divisor_divisibility",
     "dual_divisor",
-    "entry_record",
+    "entry_line",
     "enumerate_witnesses",
     "exceptional_vector",
     "exists_pencil",

@@ -161,19 +161,29 @@ def realize_gram(target: Gram, k: int, epsilon: int) -> tuple[int, int] | None:
     return p, delta
 
 
-def entry_record(entry: CatalogEntry) -> dict:
-    return {
-        "epsilon": entry.epsilon,
-        "k": entry.k,
-        "p": entry.p,
-        "delta": entry.delta,
-        "gram": binforms.flat_gram(entry.gram),
-        "q_R": square_str(entry.q_curve),
-        "is_wall": entry.is_wall,
-        "witness": list(entry.witness) if entry.witness is not None else None,
-        "isometry_class_id": entry.class_id,
-    }
+# A record has a fixed shape, so each line is one template filled from the
+# entry: the bytes of `json.dumps` of the field dict, in field order.  A
+# class id is a regime name and three integers joined by colons, so it
+# needs no JSON escaping.
+_LINE = ('{"epsilon": %d, "k": %d, "p": %d, "delta": %d, '
+         '"gram": [%d, %d, %d, %d], "q_R": "%s", "is_wall": %s, '
+         '"witness": %s, "isometry_class_id": %s}')
+
+
+def entry_line(entry: CatalogEntry) -> str:
+    """The entry's JSON record as one line of text, without the newline:
+    epsilon, k, p, delta, the gram's four entries in row order, q(R) as
+    reduced "num/den" text, is_wall, the witness's ambient coordinates and
+    the class id (null when absent)."""
+    (epsilon, k, p, delta, ((a, b), (b2, c)), square, is_wall, witness,
+     class_id) = entry
+    return _LINE % (
+        epsilon, k, p, delta, a, b, b2, c, square_str(square),
+        "true" if is_wall else "false",
+        "null" if witness is None else "[%d, %d, %d]" % witness,
+        "null" if class_id is None else '"%s"' % class_id)
 
 
 def export_catalog(entries: Iterable[CatalogEntry], stream: IO[str]) -> int:
-    return write_records(map(entry_record, entries), stream)
+    """Write each entry's `entry_line` to the stream; return the count."""
+    return write_records(map(entry_line, entries), stream)

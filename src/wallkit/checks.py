@@ -34,9 +34,9 @@ as an exception.  The three `AssertionError`s left in the library (one in
 
 `_oracle` is the one comparison of a verdict's witnesses with the box
 oracle; `wall-test --oracle` reads it through `oracle_agrees`, and the
-`witness-oracle` check reads it directly, for the witness count too.  A
-verdict enumerates its full witness set on every read of `witnesses`, so
-each of them reads it once.
+`witness-oracle` check reads it directly, for the witness count too.  It
+is the one caller of `enumerate_witnesses`: a verdict holds only the least
+witness, and `_oracle` enumerates the full set once per call.
 
 `CHECKS` maps each check name to a function `point -> None | (ok, payload)`:
 `None` means the check does not apply at the point, and `payload` is a
@@ -75,6 +75,7 @@ from .walls import (
     Witness,
     box_radius,
     box_witnesses,
+    enumerate_witnesses,
     span_stage,
     witness_stage,
 )
@@ -178,7 +179,9 @@ def _oracle(verdict: WallVerdict,
     gram, v = span.gram, span.v_coords
     if box_radius(gram, v) > ORACLE_RADIUS_LIMIT:
         return None
-    witnesses = verdict.witnesses
+    # No least witness means no witnesses: the full walk runs only on walls.
+    witnesses = (() if verdict.witness is None
+                 else tuple(enumerate_witnesses(gram, v, epsilon)))
     return witnesses == tuple(box_witnesses(gram, v, epsilon)), witnesses
 
 

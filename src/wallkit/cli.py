@@ -1,9 +1,10 @@
 """Command-line front end: single queries, catalog export, and grid scans.
 
 Every subcommand has one handler that checks its arguments and returns its
-records (`scan` returns a generator, so its records stream); `main` owns
-the output: it alone opens `--output` (or uses stdout) and writes the
-records as JSON lines through `model.write_records`.
+records (`scan` returns a generator, so its records stream); the catalog
+handler returns its records already rendered, one `catalog.entry_line` per
+entry.  `main` owns the output: it alone opens `--output` (or uses stdout)
+and writes the records as JSON lines through `model.write_records`.
 
 `main` builds each parser once and keeps it: one per subcommand, declaring
 only its options (help and error text stay those of the full tree), and the
@@ -87,7 +88,7 @@ def _parse_range(text: str, name: str) -> tuple[int, int]:
     return lo, hi
 
 
-def _write_output(records: Iterable[dict], path: str | None) -> None:
+def _write_output(records: Iterable[dict | str], path: str | None) -> None:
     """Write the records to stdout, or to the --output file; a file that
     cannot be opened, written or closed, or a closed or full stdout, is a
     user error."""
@@ -172,11 +173,11 @@ def _cmd_square(args) -> list[dict]:
     }]
 
 
-def _cmd_catalog(args) -> Iterable[dict]:
+def _cmd_catalog(args) -> Iterable[str]:
     entries = catalog_mod.generate_catalog(
         args.k, args.epsilon, p_min=args.p_min,
         p_max=args.p_max, delta_max=args.delta_max)
-    return map(catalog_mod.entry_record, entries)
+    return map(catalog_mod.entry_line, entries)
 
 
 def _cmd_coisotropic(args) -> list[dict]:

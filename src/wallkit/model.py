@@ -47,12 +47,16 @@ def fraction_str(x) -> str:
 _ENCODER = json.JSONEncoder(check_circular=False)
 
 
-def write_records(records: Iterable[dict], stream: IO[str]) -> int:
-    """Write each record as one JSON line, as it comes; return the count."""
+def write_records(records: Iterable[dict | str], stream: IO[str]) -> int:
+    """Write each record as one line, as it comes; return the count.  A
+    record that is a str is already its JSON text and is written as it is;
+    any other is JSON-encoded."""
     count = 0
     encode = _ENCODER.encode
     for count, record in enumerate(records, 1):
-        stream.write(encode(record) + "\n")
+        if not isinstance(record, str):
+            record = encode(record)
+        stream.write(record + "\n")
     return count
 
 

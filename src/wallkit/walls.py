@@ -68,16 +68,6 @@ class WallVerdict(NamedTuple):
         return self.witness.branch if self.witness is not None else None
 
     @property
-    def witnesses(self) -> tuple[Witness, ...]:
-        """Every witness, sorted.  The verdict itself needs only the least
-        one, so the full set is enumerated on every read: read it once."""
-        if self.witness is None:
-            return ()
-        span = self.span
-        return tuple(enumerate_witnesses(span.gram, span.v_coords,
-                                         self.epsilon))
-
-    @property
     def t_gram(self) -> Gram | None:
         return self.span.gram if self.span is not None else None
 

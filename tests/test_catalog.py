@@ -6,6 +6,7 @@ from __future__ import annotations
 import io
 import json
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -20,7 +21,7 @@ from wallkit.binforms import (
 )
 from wallkit.catalog import (
     CatalogEntry,
-    entry_record,
+    entry_line,
     export_catalog,
     generate_catalog,
     iter_catalog,
@@ -35,9 +36,26 @@ from wallkit.curves import (
     curve_class,
     curve_square,
     exists_pencil,
+    square_str,
 )
 from wallkit.model import DomainError, SurfaceContext, fraction_str
 from wallkit.walls import wall_test
+
+
+def entry_record(entry):
+    """The entry's record as a dict, in field order: the reference whose
+    `json.dumps` `entry_line` must equal byte for byte."""
+    return {
+        "epsilon": entry.epsilon,
+        "k": entry.k,
+        "p": entry.p,
+        "delta": entry.delta,
+        "gram": binforms.flat_gram(entry.gram),
+        "q_R": square_str(entry.q_curve),
+        "is_wall": entry.is_wall,
+        "witness": list(entry.witness) if entry.witness is not None else None,
+        "isometry_class_id": entry.class_id,
+    }
 
 
 def _dual_lattice(entry):
@@ -225,6 +243,35 @@ def test_entry_record_fraction_strings():
     entries = generate_catalog(2, 0)
     rec = entry_record(entries[0])
     assert rec["q_R"] == "-5/2"
+    assert json.loads(entry_line(entries[0]))["q_R"] == "-5/2"
+
+
+# A class id is a regime name and three integers joined by colons: no
+# character that JSON escapes, so `entry_line` quotes it as it is.
+_CLASS_ID = re.compile(r"^(posdef|negdef|indef|isotropic)(:-?\d+){3}$")
+
+
+def test_entry_line_is_json_dumps_of_its_record():
+    # Over the benchmark's range, 2 <= k <= 30 and both epsilon: walls and
+    # non-walls, null and present witnesses and class ids.
+    lines = ids = 0
+    regimes, nulls = set(), [0, 0]
+    for epsilon in (0, 1):
+        for k in range(2, 31):
+            for e in generate_catalog(k, epsilon):
+                assert entry_line(e) == json.dumps(entry_record(e)), e
+                lines += 1
+                nulls[0] += e.witness is None
+                if e.class_id is None:
+                    nulls[1] += 1
+                    continue
+                assert _CLASS_ID.match(e.class_id), e.class_id
+                regimes.add(e.class_id.split(":")[0])
+                ids += 1
+    assert (lines, ids) == (29659, 29659 - 89)
+    assert 0 < nulls[0] < lines and nulls[1] == 89
+    # The corner q(v) = 2h is positive, so no gram is negative definite.
+    assert regimes == {"posdef", "indef", "isotropic"}
 
 
 def test_catalog_grams_are_pairwise_distinct_up_to_isometry():
@@ -302,6 +349,8 @@ def test_generate_matches_reference_catalog(epsilon):
             got = generate_catalog(k, epsilon, **kwargs)
             assert got == _reference_catalog(k, epsilon, **kwargs), \
                 (k, kwargs)
+            assert ([entry_line(e) for e in got]
+                    == [json.dumps(entry_record(e)) for e in got]), (k, kwargs)
             kept += len(got)
             degenerate += sum(e.class_id is None for e in got)
             walls += sum(e.is_wall for e in got)

@@ -19,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import wallkit
-from wallkit import checks, walls
+from wallkit import checks, model, walls
 from wallkit.cli import _COMMANDS, _parser, main
 from wallkit.model import SurfaceContext
 from wallkit.walls import box_radius
@@ -250,13 +250,15 @@ def test_scan_computes_only_what_the_check_needs(capsys, monkeypatch, walked,
 
 
 def test_verdicts_stop_at_the_least_witness(capsys, monkeypatch):
-    # Only the full witness set (WallVerdict.witnesses, read by the oracle)
-    # needs enumerate_witnesses; verdicts and catalog entries stop at the
-    # least witness.
+    # Only the oracle's full witness set (`checks._oracle` calls
+    # enumerate_witnesses) walks every line; verdicts and catalog entries
+    # stop at the least witness.  Both names are patched, so a verdict that
+    # reached the full walk through `walls` would fail too.
     def no_full_walk(*args, **kwargs):
         raise RuntimeError("full witness walk")
 
     monkeypatch.setattr(walls, "enumerate_witnesses", no_full_walk)
+    monkeypatch.setattr(checks, "enumerate_witnesses", no_full_walk)
     for p, delta in ((2, 0), (6, 6), (40, 3)):
         rc, out, err = _run(capsys, "wall-test", "--epsilon", "0", "--k", "2",
                             "--p", str(p), "--delta", str(delta))
@@ -392,6 +394,29 @@ def test_scan_stdout_is_pinned(capsys):
                         "--check", "all")
     assert rc == 0 and err == ""
     assert hashlib.sha256(out.encode()).hexdigest() == _SCAN_SHA256
+
+
+def test_catalog_lines_bypass_the_json_encoder(capsys, monkeypatch):
+    # `catalog` hands `write_records` lines already rendered by
+    # `catalog.entry_line`, so nothing is JSON-encoded; a `scan` record is
+    # a dict, encoded once.  The bytes are the pinned ones either way.
+    encoder, encoded = model._ENCODER, [0]
+
+    class Counting:
+        def encode(self, record):
+            encoded[0] += 1
+            return encoder.encode(record)
+
+    monkeypatch.setattr(model, "_ENCODER", Counting())
+    rc, out, err = _run(capsys, "catalog", "--epsilon", "1", "--k", "12")
+    assert rc == 0 and err == "" and len(out.splitlines()) > 100
+    assert hashlib.sha256(out.encode()).hexdigest() == _CATALOG_SHA256[1, 12]
+    assert encoded[0] == 0
+    rc, out, err = _run(capsys, "scan", "--k", "2..4", "--p", "2..20",
+                        "--check", "all")
+    assert rc == 0 and err == ""
+    assert hashlib.sha256(out.encode()).hexdigest() == _SCAN_SHA256
+    assert encoded[0] == len(out.splitlines()) > 0
 
 
 @pytest.fixture(scope="module")

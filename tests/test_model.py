@@ -3,6 +3,7 @@ rank-3 pairing model."""
 
 from __future__ import annotations
 
+import io
 import random
 from fractions import Fraction
 
@@ -21,6 +22,7 @@ from wallkit.model import (
     mukai_pairing,
     mukai_square,
     sheaf_vector,
+    write_records,
 )
 from wallkit.walls import saturated_span
 
@@ -192,6 +194,17 @@ def test_fraction_str_reads_ints_and_fractions_only():
     for not_rational in (0.5, "1/2"):
         with pytest.raises(TypeError):
             fraction_str(not_rational)
+
+
+def test_write_records_writes_a_str_as_its_line():
+    # A str is written as it is, plus a newline (not JSON-encoded into a
+    # quoted string); any other record is encoded like `json.dumps`.
+    out = io.StringIO()
+    records = iter(['{"a": 1}', {"b": [1, None], "c": True}, "not json"])
+    assert write_records(records, out) == 3
+    assert out.getvalue() == (
+        '{"a": 1}\n{"b": [1, null], "c": true}\nnot json\n')
+    assert write_records(iter(()), out) == 0
 
 
 def test_integral_divisor_class_holds_ints():
