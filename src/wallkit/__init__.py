@@ -33,7 +33,6 @@ from .curves import (
     dual_divisor,
     exists_pencil,
     exists_pencil_via_rho,
-    minimal_square_bound,
 )
 from .model import (
     CurveClass,
@@ -106,7 +105,6 @@ __all__ = [
     "generate_catalog",
     "iter_catalog",
     "lagrangian_plane",
-    "minimal_square_bound",
     "moduli_dim",
     "moduli_vector",
     "mukai_pairing",

@@ -33,8 +33,10 @@ as an exception.  The three `AssertionError`s left in the library (one in
 `walls`, two in `binforms`) guard invariants that no check repeats.
 
 `_oracle` is the one comparison of a verdict's witnesses with the box
-oracle; `wall-test --oracle` reads it through `oracle_agrees`, and the
-`witness-oracle` check reads it directly, for the witness count too.  It
+oracle, and its one rule for where the oracle runs: on a span whose box
+radius is at most `ORACLE_RADIUS_LIMIT`.  `wall-test --oracle` reads it
+through `oracle_agrees`, and the `witness-oracle` check reads it directly,
+for the witness count too, at every point with a pencil and q(R) < 0.  It
 is the one caller of `enumerate_witnesses`: a verdict holds only the least
 witness, and `_oracle` enumerates the full set once per call.
 
@@ -80,8 +82,6 @@ from .walls import (
     witness_stage,
 )
 
-# The witness-oracle check only applies to spans with |disc| up to this limit.
-ORACLE_DISC_LIMIT = 200
 # The box oracle only runs on boxes of at most this radius: its cost grows
 # with the radius squared, and radius 200 takes about 0.03 s (Python 3.11,
 # 2-vCPU Xeon VM).
@@ -253,15 +253,14 @@ def _min_square(pt: Point) -> Result:
 
 
 def _witness_oracle(pt: Point) -> Result:
-    """Witness enumeration == box oracle on spans with small |disc| and a
-    box within ORACLE_RADIUS_LIMIT."""
+    """Witness enumeration == box oracle wherever the pencil exists,
+    q(R) < 0 and `_oracle` runs, the rule `wall-test --oracle` uses: the
+    box radius is at most ORACLE_RADIUS_LIMIT, whatever |disc| is."""
     if not pt.pencil or pt.square.num >= 0:
         return None
     verdict = pt.verdict
     g = verdict.t_gram
     disc = g[0][0] * g[1][1] - g[0][1] * g[1][0]
-    if abs(disc) > ORACLE_DISC_LIMIT:
-        return None
     result = _oracle(verdict, pt.params.epsilon)
     if result is None:
         return None

@@ -181,11 +181,6 @@ class SquareReport(NamedTuple):
     rho: int
 
 
-def minimal_square_bound(k: int, epsilon: int) -> Fraction:
-    """Lower bound -(k + 3 - 2*epsilon)/2 for squares of wall curve classes."""
-    return Fraction(_bound_num(k, epsilon), 2)
-
-
 def curve_square(params: BNParams) -> SquareReport:
     """Exact square of curve_class(params) in its two equivalent forms,
     each computed by its own formula (`_square` and `_rewritten`)."""

@@ -44,7 +44,6 @@ class SpanLattice(NamedTuple):
     gram: Gram
     v_coords: tuple[int, int]
     basis: tuple[tuple[int, int, int], tuple[int, int, int]]
-    index: int               # index of span{v, D} in its saturation: div(D)
 
 
 class WallVerdict(NamedTuple):
@@ -52,7 +51,6 @@ class WallVerdict(NamedTuple):
     divisor_div: int
     q_divisor: int
     span: SpanLattice | None  # None when q(D) >= 0
-    epsilon: int
     witness: Witness | None  # the least witness
     witness_ambient: tuple[int, int, int] | None
 
@@ -87,7 +85,10 @@ def primitive_dual_divisor(curve: CurveClass,
 
 
 def saturated_span(divisor: DivisorClass, ctx: SurfaceContext) -> SpanLattice:
-    """Saturation T of span{v, D} with D embedded in the rank-3 model.
+    """Saturation T of span{v, D} with D embedded in the rank-3 model: the
+    span of `span_stage`, which first replaces D by the primitive integral
+    class on its ray, so D, 3*D and D/2 give the same T.  A DomainError
+    when q(D) >= 0.
 
     The result is presented in a basis (w, v) with 0 <= b(w, v) <= q(v)/2,
     which pins the Gram matrix [[q(w), b], [b, q(v)]] uniquely.
@@ -101,14 +102,11 @@ def saturated_span(divisor: DivisorClass, ctx: SurfaceContext) -> SpanLattice:
     (candidates w, v - w), the candidate with the lexicographically smaller
     (w[1], w[0]) is returned.
     """
-    if not divisor.is_integral:
+    stage = span_stage(divisor, ctx)
+    if stage.span is None:
         raise DomainError(
-            f"divisor class must be integral to embed (got {divisor})")
-    q_d = divisor.square(ctx)
-    if q_d >= 0:
-        raise DomainError(f"wall test needs q(D) < 0, got q(D) = {q_d}")
-    return _saturate(divisor.l, divisor.e,
-                     divisor_divisibility(divisor, ctx), ctx)
+            f"wall test needs q(D) < 0, got q(D) = {stage.q_divisor}")
+    return stage.span
 
 
 def _saturate(a: int, b: int, index: int, ctx: SurfaceContext) -> SpanLattice:
@@ -132,7 +130,6 @@ def _saturate(a: int, b: int, index: int, ctx: SurfaceContext) -> SpanLattice:
         gram=((mukai_square(w, ctx.p), b_red), (b_red, qv)),
         v_coords=(0, 1),
         basis=(w, v),
-        index=index,
     )
 
 
@@ -335,14 +332,14 @@ def witness_stage(stage: SpanStage, epsilon: int) -> WallVerdict:
     walks the lines of T up to the least witness."""
     span = stage.span
     if span is None:
-        return WallVerdict(*stage, epsilon, None, None)
+        return WallVerdict(*stage, None, None)
     witness = next(_witness_walk(span.gram, span.v_coords, epsilon), None)
     ambient = None
     if witness is not None:
         s = witness.coords
         ambient = tuple(s[0] * span.basis[0][i] + s[1] * span.basis[1][i]
                         for i in range(3))
-    return WallVerdict(*stage, epsilon, witness, ambient)
+    return WallVerdict(*stage, witness, ambient)
 
 
 def wall_test(obj: CurveClass | DivisorClass,

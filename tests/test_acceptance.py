@@ -45,7 +45,6 @@ from wallkit import (
     curve_square,
     generate_catalog,
     lagrangian_plane,
-    minimal_square_bound,
     moduli_dim,
     nodal_family_loci,
     primitive_dual_divisor,
@@ -259,8 +258,13 @@ def _criterion_7() -> tuple[bool, str]:
     for pt in _grid():
         if pt.verdict.span is not None:
             spans.setdefault((pt.params.epsilon, pt.verdict.t_gram), pt)
-    n = sum(_applies("witness-oracle", pt) for pt in spans.values())
+    grams = [pt.verdict.t_gram for pt in spans.values()
+             if _applies("witness-oracle", pt)]
+    n = len(grams)
     assert n == 122
+    # The check has no |disc| limit of its own; the line's "|disc| <= 200"
+    # is checked here (the largest on the grid is 81).
+    assert max(abs(a * c - b * b) for (a, b), (_, c) in grams) == 81
     return True, (f"witness enumeration == box oracle (bit and full set) on "
                   f"all {n} lattices with |disc| <= 200")
 
@@ -333,7 +337,7 @@ def _criterion_11() -> tuple[bool, str]:
             p, delta, desc = lagrangian_plane(k, eps)
             chi = chi_value(p, delta, k, eps)
             assert chi == delta + k + 1, (k, eps)
-            assert desc.line_square == minimal_square_bound(k, eps)
+            assert desc.line_square == Fraction(-(k + 3 - 2 * eps), 2)
             assert (desc.codim, desc.total_dim) == (k, k)
             if not bundle_bound_holds(p, delta, k, eps):
                 failures.append((k, eps))

@@ -589,8 +589,8 @@ def test_subcommand_stdout_is_pinned(capsys, command):
 
 
 def test_scan_witness_oracle_skips_a_box_beyond_the_limit(capsys):
-    # |disc| = 8 passes the disc limit, but the box radius is 894; the
-    # check does not apply, so the scan finishes and prints nothing.
+    # |disc| = 8, but the box radius is 894, beyond ORACLE_RADIUS_LIMIT;
+    # the check does not apply, so the scan finishes and prints nothing.
     span = checks.Point(checks.Row(0, 2000, 552), 452).verdict.span
     assert box_radius(span.gram, span.v_coords) > checks.ORACLE_RADIUS_LIMIT
     argv = ("scan", "--epsilon", "0", "--k", "2000", "--p", "552",
@@ -598,6 +598,20 @@ def test_scan_witness_oracle_skips_a_box_beyond_the_limit(capsys):
     assert _run(capsys, *argv, "witness-oracle") == (0, "", "")
     rc, out, _ = _run(capsys, *argv, "wall-square")
     assert rc == 0 and _records(out)[0]["consistent"] is True
+
+
+def test_witness_oracle_has_one_rule_in_scan_and_wall_test(capsys):
+    # Box radius 1 and |disc| = 221: the radius is the only limit, so both
+    # oracle entries run the box here.
+    span = checks.Point(checks.Row(0, 14, 26), 0).verdict.span
+    assert box_radius(span.gram, span.v_coords) == 1
+    point = ("--epsilon", "0", "--k", "14", "--p", "26", "--delta", "0")
+    assert _run(capsys, "scan", *point, "--check", "witness-oracle") == (
+        0, '{"epsilon": 0, "k": 14, "p": 26, "delta": 0, "disc": -221, '
+           '"n_witnesses": 2, "consistent": true}\n', "")
+    rc, out, err = _run(capsys, "wall-test", *point, "--oracle")
+    assert rc == 0 and err == ""
+    assert _records(out)[0]["oracle_agrees"] is True
 
 
 def test_wall_test_oracle_beyond_the_limit_is_null(capsys):

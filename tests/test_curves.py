@@ -20,7 +20,6 @@ from wallkit.curves import (
     dual_divisor,
     exists_pencil,
     exists_pencil_via_rho,
-    minimal_square_bound,
 )
 from wallkit.model import CurveClass, DomainError, SurfaceContext
 
@@ -265,17 +264,28 @@ def test_square_examples():
     assert rep.minimal
 
 
+def _minimal_square_bound(k: int, epsilon: int) -> Fraction:
+    """The lower bound -(k + 3 - 2*epsilon)/2 for squares of wall curve
+    classes, computed here apart from `curves`."""
+    return Fraction(-(k + 3 - 2 * epsilon), 2)
+
+
 def test_minimal_square_bound_values():
-    assert minimal_square_bound(2, 0) == Fraction(-5, 2)
-    assert minimal_square_bound(3, 0) == -3
-    assert minimal_square_bound(2, 1) == Fraction(-3, 2)
-    assert minimal_square_bound(10, 0) == Fraction(-13, 2)
+    # q(R) at the characteristic point alpha = 1 (p = 2h + epsilon,
+    # delta = 0), which attains the bound.
+    for k, epsilon, value in ((2, 0, Fraction(-5, 2)), (3, 0, -3),
+                              (2, 1, Fraction(-3, 2)),
+                              (10, 0, Fraction(-13, 2))):
+        h = k - 1 + 2 * epsilon
+        rep = curve_square(BNParams(2 * h + epsilon, 0, k, epsilon))
+        assert rep.minimal
+        assert rep.value == _minimal_square_bound(k, epsilon) == value
 
 
 def test_square_forms_agree_and_bound_holds_on_grid():
     for epsilon in (0, 1):
         for k in range(2, 7):
-            bound = minimal_square_bound(k, epsilon)
+            bound = _minimal_square_bound(k, epsilon)
             for p in range(2, 31):
                 for delta in range(0, p - 2 * epsilon + 1):
                     params = BNParams(p, delta, k, epsilon)
@@ -300,7 +310,7 @@ def test_minimal_characterization_parameters():
                 assert exists_pencil(params)
                 rep = curve_square(params)
                 assert rep.minimal
-                assert rep.value == minimal_square_bound(k, epsilon)
+                assert rep.value == _minimal_square_bound(k, epsilon)
 
 
 def test_is_wall_by_square():

@@ -120,7 +120,7 @@ def test_embed_divisor_preserves_square_and_lands_in_v_perp():
             t, rt = divmod(qw * bxv - bwv * bxw, det)
             assert rs == rt == 0
             assert tuple(s * w[i] + t * v[i] for i in range(3)) == x
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError):  # q(L/2) = 3/2 >= 0
         saturated_span(DivisorClass(Fraction(1, 2), 0), SurfaceContext(0, 4, 3))
 
 

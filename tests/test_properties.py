@@ -19,7 +19,6 @@ from wallkit.curves import (
     curve_square,
     dual_divisor,
     exists_pencil,
-    minimal_square_bound,
 )
 from wallkit.model import divisor_divisibility, fraction_str
 from wallkit.walls import (
@@ -76,7 +75,7 @@ def test_curve_square_matches_fraction_reference(params):
     assert report == (value, rewritten, minimal, alpha, beta, rho)
     assert value == curve_class(params).square(params.context())
     if exists_pencil(params):
-        assert minimal == (value == minimal_square_bound(k, eps))
+        assert minimal == (value == Fraction(-(k + 3 - 2 * eps), 2))
 
 
 @_settings

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from wallkit.curves import BNParams, curve_square, minimal_square_bound
+from wallkit.curves import BNParams, curve_square
 from wallkit.model import CurveClass, DomainError, SurfaceContext, moduli_dim
 from wallkit.subvarieties import (
     SubvarietyDescriptor,
@@ -208,7 +208,7 @@ def test_lagrangian_plane_structure():
             assert desc.moduli_space_dim == 2 * eps
             h = k - 1 + 2 * eps
             assert desc.line_class == CurveClass(1, -3 * h)
-            assert desc.line_square == minimal_square_bound(k, eps)
+            assert desc.line_square == Fraction(-(k + 3 - 2 * eps), 2)
             assert curve_square(BNParams(p, delta, k, eps)).minimal
             # chi sits at the very top of the bundle window
             assert chi_value(p, delta, k, eps) == delta + k + 1

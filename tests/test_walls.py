@@ -15,12 +15,13 @@ from hypothesis import strategies as st
 from wallkit import walls
 from wallkit.binforms import canonical_form, xgcd
 from wallkit.checks import _oracle, oracle_agrees
-from wallkit.curves import BNParams, curve_class, minimal_square_bound
+from wallkit.curves import BNParams, curve_class
 from wallkit.model import (
     CurveClass,
     DivisorClass,
     DomainError,
     SurfaceContext,
+    divisor_divisibility,
     moduli_vector,
     mukai_pairing,
 )
@@ -358,7 +359,7 @@ def test_wall_test_is_its_span_stage_then_its_witness_stage():
             assert stage.span == saturated_span(stage.divisor, ctx)
 
 
-def _lines_to_the_least_witness(verdict) -> int:
+def _lines_to_the_least_witness(verdict, epsilon: int) -> int:
     """The lines the walk visits: with d = gcd(b(-, v)), the (q(v) - 1)/d
     case (i) lines by ascending n and then, when epsilon = 0, the
     q(v)/(2d) + 1 case (ii) lines, up to the least witness's line."""
@@ -366,7 +367,7 @@ def _lines_to_the_least_witness(verdict) -> int:
     d = gcd(b, qv)
     case_i, witness = (qv - 1) // d, verdict.witness
     if witness is None:
-        return case_i + (qv // 2 // d + 1 if verdict.epsilon == 0 else 0)
+        return case_i + (qv // 2 // d + 1 if epsilon == 0 else 0)
     if witness.branch == "case_i":
         return witness.b // d
     return case_i + witness.b // d + 1
@@ -399,7 +400,7 @@ def test_witness_walk_lines_on_two_wall_families(walked):
         assert walked == [0, 0]  # the span stage walks no line
         verdict = witness_stage(stage, eps)
         assert verdict.is_wall
-        assert walked[0] == _lines_to_the_least_witness(verdict)
+        assert walked[0] == _lines_to_the_least_witness(verdict, eps)
         lines[eps, k], ts[eps, k] = walked
         walked[:] = [0, 0]
     assert lines == _FAMILY_LINES and ts == _FAMILY_TS
@@ -431,7 +432,8 @@ def test_witness_walk_visits_every_line_on_non_walls(walked):
             continue
         lines = walked[0]
         verdict = witness_stage(stage, params.epsilon)
-        assert walked[0] - lines == _lines_to_the_least_witness(verdict), params
+        assert walked[0] - lines == _lines_to_the_least_witness(
+            verdict, params.epsilon), params
         spans, non_walls = spans + 1, non_walls + (not verdict.is_wall)
     assert (spans, non_walls, *walked) == (50, 46, 82527, 31)
 
@@ -493,9 +495,9 @@ def _span_for(p, delta, k, epsilon):
 
 
 def test_saturated_span_fixed_grams():
-    span, _ = _span_for(2, 0, 2, 0)
+    span, ctx = _span_for(2, 0, 2, 0)
     assert span.gram == ((-2, 1), (1, 2))
-    assert span.index == 2
+    assert divisor_divisibility(DivisorClass(2, -3), ctx) == 2
 
     span, _ = _span_for(7, 0, 2, 1)
     assert span.gram == ((0, 3), (3, 6))
@@ -515,11 +517,16 @@ def test_saturated_span_fixed_grams():
     assert span.basis[0] == (2, -1, 2)
     assert span.gram == ((-4, 0), (0, 2))
 
-    span = saturated_span(DivisorClass(0, 1), SurfaceContext(0, 5, 2))
-    assert span.basis[0] == (0, 0, -1) and span.index == 2
+    ctx = SurfaceContext(0, 5, 2)
+    stage = span_stage(DivisorClass(0, 1), ctx)
+    assert stage.span == saturated_span(DivisorClass(0, 1), ctx)
+    assert stage.span.basis[0] == (0, 0, -1) and stage.divisor_div == 2
 
-    span = saturated_span(DivisorClass(2, -6), SurfaceContext(0, 6, 4))
-    assert span.basis[0] == (3, -1, 9) and span.index == 2
+    # D = (2, -6) is imprimitive: span{v, D} has index div(D) = 2 in T.
+    ctx = SurfaceContext(0, 6, 4)
+    span = saturated_span(DivisorClass(2, -6), ctx)
+    assert span.basis[0] == (3, -1, 9)
+    assert divisor_divisibility(DivisorClass(2, -6), ctx) == 2
 
 
 def test_saturated_span_invariants():
@@ -539,7 +546,8 @@ def test_saturated_span_invariants():
         w3, v3 = span.basis
         got = [[mukai_pairing(x, y, ctx.p) for y in (w3, v3)] for x in (w3, v3)]
         assert got == [[qw, b], [b, qv]]
-        assert span.index >= 1
+        stage = span_stage(curve_class(params), ctx)
+        assert stage.span == span and stage.divisor_div >= 1
 
 
 def _cross(x, y):
@@ -567,7 +575,7 @@ def _check_saturation(divisor, ctx, box=0):
     assert _dot(w, normal) == 0
     wv = _cross(w, v)
     assert gcd(*wv) == 1
-    assert gcd(*normal) == span.index
+    assert gcd(*normal) == divisor_divisibility(divisor, ctx)
     gram = tuple(tuple(mukai_pairing(x, y, ctx.p) for y in (w, v))
                  for x in (w, v))
     assert span.gram == gram
@@ -644,6 +652,21 @@ def test_saturated_span_rejects_nonnegative_square():
         saturated_span(DivisorClass(1, 0), ctx)  # q = 10 > 0
 
 
+def test_saturated_span_is_one_per_ray():
+    # saturated_span is the span of span_stage, which takes the primitive
+    # integral class on the ray of D: D, 3*D and D/2 share one saturation,
+    # rational D included.
+    ctx = SurfaceContext(0, 2, 2)
+    d = DivisorClass(Fraction(1, 2), -1)
+    assert d.square(ctx) < 0
+    scaled = (d, DivisorClass(Fraction(3, 2), -3),
+              DivisorClass(Fraction(1, 4), Fraction(-1, 2)))
+    spans = {saturated_span(c, ctx) for c in scaled}
+    assert spans == {span_stage(DivisorClass(1, -2), ctx).span}
+    with pytest.raises(DomainError):
+        saturated_span(DivisorClass(Fraction(1, 2), 0), ctx)  # q > 0
+
+
 def test_wall_test_fixed_verdicts():
     params = BNParams(2, 0, 2, 0)
     verdict = wall_test(curve_class(params), params.context())
@@ -660,14 +683,14 @@ def test_wall_test_fixed_verdicts():
     assert mukai_pairing(amb, amb, 2) == verdict.witness.q
     # Equality and hash are those of the tuple of fields, nested or not.
     span = SpanLattice(gram=((-2, 1), (1, 2)), v_coords=(0, 1),
-                       basis=((2, -1, 1), (1, 0, -1)), index=2)
+                       basis=((2, -1, 1), (1, 0, -1)))
     assert verdict.span == span and hash(verdict.span) == hash(
-        (((-2, 1), (1, 2)), (0, 1), ((2, -1, 1), (1, 0, -1)), 2))
+        (((-2, 1), (1, 2)), (0, 1), ((2, -1, 1), (1, 0, -1))))
     assert verdict.witness == Witness((-1, 1), -2, 1, "case_ii")
     assert hash(verdict.witness) == hash(((-1, 1), -2, 1, "case_ii"))
     again = wall_test(curve_class(params), params.context())
     assert again == verdict and hash(again) == hash(
-        (DivisorClass(2, -3), 2, -10, span, 0, verdict.witness, amb))
+        (DivisorClass(2, -3), 2, -10, span, verdict.witness, amb))
     assert again != witness_stage(span_stage(curve_class(params),
                                              params.context()), 1)
 
@@ -728,8 +751,8 @@ def test_wall_verdict_agrees_with_square_sign_on_sample():
 
 def test_mbm_bound_check():
     ctx = SurfaceContext(0, 2, 2)
-    bound = minimal_square_bound(2, 0)
+    bound = Fraction(-(2 + 3 - 2 * 0), 2)
     assert CurveClass(1, -3).square(ctx) == bound == Fraction(-5, 2)
     assert CurveClass(1, -50).square(ctx) < bound
     kum = SurfaceContext(1, 7, 2)
-    assert CurveClass(1, -9).square(kum) == minimal_square_bound(2, 1)
+    assert CurveClass(1, -9).square(kum) == Fraction(-(2 + 3 - 2 * 1), 2)
