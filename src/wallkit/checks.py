@@ -40,9 +40,12 @@ for the witness count too, at every point with a pencil and q(R) < 0.  It
 is the one caller of `enumerate_witnesses`: a verdict holds only the least
 witness, and `_oracle` enumerates the full set once per call.
 
-`CHECKS` maps each check name to a function `point -> None | (ok, payload)`:
-`None` means the check does not apply at the point, and `payload` is a
-JSON-ready dict that `scan` copies into its record.
+`CHECKS` maps each check name to a function `point -> None | (ok, members)`:
+`None` means the check does not apply at the point, and `members` is the
+JSON text of the check's fields, as `json.dumps` writes the members of an
+object (`'"q_R": "-5/2", "is_wall": true'`), or "" when it has none.  `scan`
+writes it into its record as it is.  The text needs no escaping: q(R) is
+"num/den" digits and every other value is an int or a bool.
 """
 
 from __future__ import annotations
@@ -87,7 +90,10 @@ from .walls import (
 # 2-vCPU Xeon VM).
 ORACLE_RADIUS_LIMIT = 200
 
-Result = tuple[bool, dict] | None
+Result = tuple[bool, str] | None
+
+# A bool as JSON text: _JSON_BOOL[flag].
+_JSON_BOOL = ("false", "true")
 
 
 class _computed_once:
@@ -197,13 +203,15 @@ def _wall_square(pt: Point) -> Result:
     if not pt.pencil:
         return None
     is_wall = pt.verdict.is_wall
-    return is_wall == (pt.square.num < 0), {"q_R": pt.q_r, "is_wall": is_wall}
+    return (is_wall == (pt.square.num < 0),
+            '"q_R": "%s", "is_wall": %s' % (pt.q_r, _JSON_BOOL[is_wall]))
 
 
 def _exists_routes(pt: Point) -> Result:
     """Direct existence bound == Brill-Noether route."""
     exists = pt.pencil
-    return exists == exists_pencil_via_rho(pt.params), {"exists": exists}
+    return (exists == exists_pencil_via_rho(pt.params),
+            '"exists": %s' % _JSON_BOOL[exists])
 
 
 def _square_forms(pt: Point) -> Result:
@@ -212,7 +220,7 @@ def _square_forms(pt: Point) -> Result:
     prm = pt.params
     ok = (pt.square.num == _rewritten(prm)
           and -prm.half_div < prm.beta <= prm.half_div)
-    return ok, {"q_R": pt.q_r}
+    return ok, '"q_R": "%s"' % pt.q_r
 
 
 def _dual_lattice(pt: Point) -> Result:
@@ -234,7 +242,7 @@ def _dual_lattice(pt: Point) -> Result:
     ok = (qw == q_stated and bwv == b_stated
           and t[0][0] * t[1][1] - t[0][1] * t[1][0]
           == qw * row.qv - bwv * bwv)
-    return ok, {}
+    return ok, ""
 
 
 def _min_square(pt: Point) -> Result:
@@ -248,8 +256,8 @@ def _min_square(pt: Point) -> Result:
     bound = _bound_num(prm.k, prm.epsilon) * prm.half_div
     ok = (num == bound) == minimal
     if not pt.verdict.is_wall:
-        return ok, {"is_wall": False}
-    return ok and num >= bound, {"is_wall": True, "q_R": pt.q_r}
+        return ok, '"is_wall": false'
+    return ok and num >= bound, '"is_wall": true, "q_R": "%s"' % pt.q_r
 
 
 def _witness_oracle(pt: Point) -> Result:
@@ -259,13 +267,13 @@ def _witness_oracle(pt: Point) -> Result:
     if not pt.pencil or pt.square.num >= 0:
         return None
     verdict = pt.verdict
-    g = verdict.t_gram
-    disc = g[0][0] * g[1][1] - g[0][1] * g[1][0]
     result = _oracle(verdict, pt.params.epsilon)
     if result is None:
         return None
     agrees, witnesses = result
-    return agrees, {"disc": disc, "n_witnesses": len(witnesses)}
+    g = verdict.t_gram
+    disc = g[0][0] * g[1][1] - g[0][1] * g[1][0]
+    return agrees, '"disc": %d, "n_witnesses": %d' % (disc, len(witnesses))
 
 
 def _moduli_dim(pt: Point) -> Result:
@@ -278,7 +286,7 @@ def _moduli_dim(pt: Point) -> Result:
         ok = moduli_dim(prm.p, prm.delta, prm.k, prm.epsilon) == expected
     except DomainError:
         ok = expected < 0
-    return ok and pt.row.v_e_divisible, {"chi": chi}
+    return ok and pt.row.v_e_divisible, '"chi": %d' % chi
 
 
 CHECKS = {

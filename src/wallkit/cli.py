@@ -1,10 +1,13 @@
 """Command-line front end: single queries, catalog export, and grid scans.
 
 Every subcommand has one handler that checks its arguments and returns its
-records (`scan` returns a generator, so its records stream); the catalog
-handler returns its records already rendered, one `catalog.entry_line` per
-entry.  `main` owns the output: it alone opens `--output` (or uses stdout)
-and writes the records as JSON lines through `model.write_records`.
+records (`scan` returns a generator, so its records stream).  The point
+subcommands return dicts, which `model.write_records` JSON-encodes; `catalog`
+and `scan` return their records already rendered as JSON text, one
+`catalog.entry_line` per entry and one `_scan_records` line per point, so
+they build no dict and run no JSON encoder.  `main` owns the output: it alone
+opens `--output` (or uses stdout) and writes the records as JSON lines
+through `model.write_records`.
 
 `main` builds each parser once and keeps it: one per subcommand, declaring
 only its options (help and error text stay those of the full tree), and the
@@ -241,34 +244,47 @@ def _scan_points(args) -> Iterator[Point]:
     return (Point(row, delta) for row, deltas in rows for delta in deltas)
 
 
-def _scan_records(points, names: list[str]) -> Iterator[dict]:
-    checks = [(name, CHECKS[name]) for name in names]
-    single = len(checks) == 1
+# The head of a scan record's JSON line.  The lines are rendered as text,
+# in the bytes `json.dumps` gives: no escaping is needed, as the check names
+# are fixed ASCII and the checks' members text needs none (see
+# `wallkit.checks`).
+_SCAN_HEAD = '{"epsilon": %d, "k": %d, "p": %d, "delta": %d'
+
+
+def _scan_records(points, names: list[str]) -> Iterator[str]:
+    """One JSON line per point where some check applies.  Under several
+    checks each applied one is a member named after it: an object holding
+    its members text, or true when that is empty.  A single check's members
+    join the record's own.  An optional "failed" list and "consistent"
+    end the line."""
+    single = len(names) == 1
+    checks = [(name, ', "%s": ' % name, CHECKS[name]) for name in names]
     for point in points:
         p, delta, k, epsilon = point.params
-        record: dict = {"epsilon": epsilon, "k": k, "p": p, "delta": delta}
+        line = _SCAN_HEAD % (epsilon, k, p, delta)
         applied, failed = False, []
-        for name, check in checks:
+        for name, key, check in checks:
             result = check(point)
             if result is None:
                 continue
             applied = True
-            ok, payload = result
+            ok, members = result
             if not ok:
                 failed.append(name)
             if single:
-                record.update(payload)
+                if members:
+                    line += ", " + members
             else:
-                record[name] = payload or True
+                line += key + ("{%s}" % members if members else "true")
         if not applied:
             continue
         if failed:
-            record["failed"] = failed
-        record["consistent"] = not failed
-        yield record
+            line += ', "failed": ["%s"]' % '", "'.join(failed)
+        yield line + (', "consistent": false}' if failed
+                      else ', "consistent": true}')
 
 
-def _cmd_scan(args) -> Iterator[dict]:
+def _cmd_scan(args) -> Iterator[str]:
     if args.check == "all":
         names = list(CHECKS)
     elif args.check in CHECKS:

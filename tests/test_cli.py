@@ -210,7 +210,7 @@ def test_scan_single_point_all_checks(capsys, monkeypatch):
                  "dual-lattice", "min-square", "witness-oracle", "moduli-dim"):
         assert name in rec
 
-    monkeypatch.setitem(checks.CHECKS, "dual-lattice", lambda pt: (False, {}))
+    monkeypatch.setitem(checks.CHECKS, "dual-lattice", lambda pt: (False, ""))
     rc, out, _ = _run(capsys, *argv)
     assert rc == 0
     (rec,) = _records(out)
@@ -398,8 +398,9 @@ def test_scan_stdout_is_pinned(capsys):
 
 def test_catalog_lines_bypass_the_json_encoder(capsys, monkeypatch):
     # `catalog` hands `write_records` lines already rendered by
-    # `catalog.entry_line`, so nothing is JSON-encoded; a `scan` record is
-    # a dict, encoded once.  The bytes are the pinned ones either way.
+    # `catalog.entry_line`, and `scan` lines rendered by `_scan_records`
+    # from the checks' members text, so nothing is JSON-encoded.  The bytes
+    # are the pinned ones.
     encoder, encoded = model._ENCODER, [0]
 
     class Counting:
@@ -416,7 +417,7 @@ def test_catalog_lines_bypass_the_json_encoder(capsys, monkeypatch):
                         "--check", "all")
     assert rc == 0 and err == ""
     assert hashlib.sha256(out.encode()).hexdigest() == _SCAN_SHA256
-    assert encoded[0] == len(out.splitlines()) > 0
+    assert encoded[0] == 0
 
 
 @pytest.fixture(scope="module")
@@ -948,3 +949,63 @@ def test_catalog_and_scan_exit_0_or_2(argv):
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         rc = main(argv)
     assert rc in (0, 2), (argv, err.getvalue())
+
+
+@st.composite
+def _scan_argv(draw):
+    """`scan` over small ranges inside the domain, with or without
+    --delta, under any of the eight --check values."""
+    argv = ["scan"]
+    for flag, lo, hi in (("--epsilon", 0, 1), ("--k", 2, 12), ("--p", 2, 30),
+                         ("--delta", 0, 30)):
+        if flag != "--delta" or draw(st.booleans()):
+            a = draw(st.integers(lo, hi))
+            b = min(hi, a + draw(st.integers(0, 3)))
+            argv += [flag, draw(st.sampled_from((str(a), f"{a}..{b}")))]
+    return argv + ["--check", draw(st.sampled_from((*checks.CHECKS, "all")))]
+
+
+def _assert_canonical_lines(out: str) -> list[dict]:
+    """Each line is the bytes `json.dumps` gives for the record it holds."""
+    records = []
+    for line in out.splitlines():
+        record = json.loads(line)
+        assert json.dumps(record) == line, line
+        records.append(record)
+    return records
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(_scan_argv())
+def test_scan_lines_are_their_records_json(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = main(argv)
+    assert rc == 0, (argv, err.getvalue())
+    for record in _assert_canonical_lines(out.getvalue()):
+        assert record["consistent"] is True and "failed" not in record
+
+
+@pytest.mark.parametrize("check", ["all", "exists-routes", "dual-lattice"])
+def test_scan_failed_list_is_its_records_json(capsys, monkeypatch, check):
+    # Two failing checks, one with members text and one without; a single
+    # check names only itself.
+    monkeypatch.setitem(checks.CHECKS, "exists-routes",
+                        lambda pt: (False, '"exists": true'))
+    monkeypatch.setitem(checks.CHECKS, "dual-lattice", lambda pt: (False, ""))
+    rc, out, err = _run(capsys, "scan", "--epsilon", "0..1", "--k", "2..3",
+                        "--p", "2..6", "--check", check)
+    assert rc == 0 and err == ""
+    records = _assert_canonical_lines(out)
+    expected = (["exists-routes", "dual-lattice"] if check == "all"
+                else [check])
+    assert records and all(r["failed"] == expected for r in records)
+    assert all(r["consistent"] is False for r in records)
+    assert all(list(r)[-2:] == ["failed", "consistent"] for r in records)
+    if check == "all":
+        assert all(r["exists-routes"] == {"exists": True}
+                   and r["dual-lattice"] is True for r in records)
+    elif check == "exists-routes":
+        assert all(r["exists"] is True for r in records)
+    else:
+        assert all(len(r) == 6 for r in records)

@@ -316,9 +316,9 @@ def test_minimal_characterization_parameters():
 def test_is_wall_by_square():
     wall_square = CHECKS["wall-square"]
     assert wall_square(Point(Row(0, 2, 2), 0)) == (
-        True, {"q_R": "-5/2", "is_wall": True})
+        True, '"q_R": "-5/2", "is_wall": true')
     assert wall_square(Point(Row(0, 2, 6), 6)) == (
-        True, {"q_R": "19/2", "is_wall": False})
+        True, '"q_R": "19/2", "is_wall": false')
     assert wall_square(Point(Row(0, 2, 6), 0)) is None  # no pencil
 
 
