@@ -169,10 +169,22 @@ def _ts_with_q_at_least(qu: int, b0: int, q0: int, lo: int) -> range:
     return range(-((r - b0) // a), (b0 + r) // a + 1)
 
 
+def _walk_lines(qv: int, d: int, epsilon: int) -> tuple[range, range, range]:
+    """The walk's lines, each as the m of its value n = m*d of b(s, v): the
+    case (i) lines 0 < n <= q(v)/2, whose window starts at q = 0, and
+    q(v)/2 < n < q(v), whose window starts at q = 2n - q(v); then the case
+    (ii) lines 0 <= n <= q(v)/2 (none when epsilon = 1)."""
+    half = qv // 2 // d
+    return (range(1, half + 1), range(half + 1, (qv - 1) // d + 1),
+            range(half + 1 if epsilon == 0 else 0))
+
+
 def _witness_walk(gram: Gram, v: tuple[int, int],
                   epsilon: int) -> Iterator[Witness]:
     """Witnesses in `Witness.sort_key` order, one line b(s, v) = n at a time:
-    case (i) lines by ascending n, then case (ii) lines, each line sorted."""
+    case (i) lines by ascending n, then case (ii) lines, each line sorted.
+    Each line costs an O(1) integer test; only a line with a candidate
+    point computes its exact t-range."""
     qv = _check_span_signature(gram, v)
     c = _pairing_with(gram, v)
     # b(s1, v) = d = gcd(c); every solution line of b(s, v) = n runs along
@@ -186,30 +198,39 @@ def _witness_walk(gram: Gram, v: tuple[int, int],
     cu = _pairing_with(gram, u)
     b1, q1 = s1[0] * cu[0] + s1[1] * cu[1], _q_of(gram, s1)
 
-    def line(m: int, ts: range, hi: int, branch: str) -> list[Witness]:
-        """Line m's witnesses, sorted: the points s0 + t*u with t in ts,
-        which all reach the window's lower end, and q <= hi."""
-        b0, q0 = m * b1, m * m * q1
+    def line(m: int, branch: str) -> list[Witness]:
+        """Line m's witnesses, sorted: the points s0 + t*u in the window."""
+        b0, q0, n = m * b1, m * m * q1, m * d
+        if branch == "case_i":
+            lo, hi = max(0, 2 * n - qv), n - 1
+        else:
+            lo = hi = -2
         found = []
-        for t in ts:
+        for t in _ts_with_q_at_least(qu, b0, q0, lo):
             qs = qu * t * t + 2 * b0 * t + q0
             if qs <= hi:
                 s = (m * s1[0] + t * u[0], m * s1[1] + t * u[1])
-                found.append(Witness(s, qs, m * d, branch))
+                found.append(Witness(s, qs, n, branch))
         found.sort(key=Witness.sort_key)
         return found
 
-    # One exact t-range per line; most are empty and cost nothing more.
-    for m, n in enumerate(range(d, qv, d), 1):
-        lo = 2 * n - qv  # case (i) needs q(s) >= max(0, 2n - q(v))
-        ts = _ts_with_q_at_least(qu, m * b1, m * m * q1, lo if lo > 0 else 0)
-        if ts:
-            yield from line(m, ts, n - 1, "case_i")
-    if epsilon == 0:
-        for m in range(qv // 2 // d + 1):
-            ts = _ts_with_q_at_least(qu, m * b1, m * m * q1, -2)
-            if ts:
-                yield from line(m, ts, -2, "case_ii")
+    # With A = -q(u), line m has a t with q >= lo iff the multiple A*t
+    # nearest b0 = m*b1, at distance rho, lies within isqrt(disc) of b0 (see
+    # `_ts_with_q_at_least`), that is iff rho^2 <= disc.  Here disc =
+    # m^2*e - A*lo with e = b1^2 - q(u)*q1, written m*(m*e - f) + g for the
+    # lo of each group of lines.  Only a line that passes computes its exact
+    # t-range; on the large spans almost none do.
+    a, e = -qu, b1 * b1 - qu * q1
+    near, far, lines_ii = _walk_lines(qv, d, epsilon)
+    for lines, f, g, branch in ((near, 0, 0, "case_i"),
+                                (far, 2 * a * d, a * qv, "case_i"),
+                                (lines_ii, 0, 2 * a, "case_ii")):
+        for m in lines:
+            rho = m * b1 % a
+            if rho + rho > a:
+                rho = a - rho
+            if rho * rho <= m * (m * e - f) + g:
+                yield from line(m, branch)
 
 
 def enumerate_witnesses(gram: Gram, v: tuple[int, int],
@@ -221,12 +242,13 @@ def enumerate_witnesses(gram: Gram, v: tuple[int, int],
     {s : b(s, v) = n} is s0 + Z*u with q negative on u, so q restricted to
     the line is a downward parabola and each q-window cuts out finitely
     many integer points.  Every line starts at a multiple of one particular
-    solution, so the walk costs O(1) per line: one isqrt gives the exact
-    range of t with q >= the window's lower end, and only a line with a
-    point in that range builds and sorts a list.  That is O(q(v)/d) lines
-    in all, with d = gcd(b(-, v)).  `wall_test` reads the same walk lazily
-    and stops at the least witness's line; non-walls and walls with only
-    case (ii) witnesses still walk all O(q(v)/d) lines.
+    solution, so the walk costs O(1) per line: an integer test, one residue
+    mod |q(u)| and one comparison of squares, tells whether the line has a
+    t with q >= the window's lower end, and only a line that has one
+    computes its exact t-range and builds and sorts a list.  That is still
+    O(q(v)/d) lines in all, with d = gcd(b(-, v)).  `wall_test` reads the
+    same walk lazily and stops at the least witness's line; non-walls and
+    walls with only case (ii) witnesses still walk all O(q(v)/d) lines.
     """
     return list(_witness_walk(gram, v, epsilon))
 

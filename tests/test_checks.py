@@ -102,7 +102,8 @@ def test_context_work_is_once_per_row(monkeypatch):
 # Each defect must surface as that check's "failed" entry in a small scan,
 # never as an exception, since the checks own every two-route comparison.
 _MUTATIONS = {
-    "wall-square": ("walls.py", "lo if lo > 0 else 0", "lo if lo > 0 else 1"),
+    "wall-square": ("walls.py", "rho * rho <= m * (m * e - f) + g",
+                    "rho * rho < m * (m * e - f) + g"),
     "exists-routes": ("curves.py", "return params.delta >= a * (",
                       "return params.delta > a * ("),
     "dual-lattice": ("catalog.py", "b = p - delta - k + 1 - 3 * epsilon",

@@ -234,9 +234,10 @@ def test_scan_computes_only_what_the_check_needs(capsys, monkeypatch, walked,
 
     # Over the grid, only the checks that read a witness walk lines: the
     # verdicts at points with a pencil, and the oracle's full witness sets.
-    # The 5,349 lines hold 2,957 candidate points t.
+    # The 5,349 lines hold 2,957 candidate points t, on the 2,484 lines
+    # that compute their exact t-range.
     rc, _, _, lines, _ = grid_scan
-    assert rc == 0 and lines == (5349, 2957)
+    assert rc == 0 and lines == (5349, 2957, 2484)
     rc, _, err = _run(capsys, "scan", "--epsilon", "0..1", "--k", "2..8",
                       "--p", "2..40", "--check", "dual-lattice")
     assert rc == 0 and err == "" and walked[0] == 0
@@ -421,27 +422,20 @@ def test_catalog_lines_bypass_the_json_encoder(capsys, monkeypatch):
 
 
 @pytest.fixture(scope="module")
-def grid_scan():
-    """(exit code, stdout, Fraction constructions, witness-walk lines and
-    their candidate points t, surface contexts) of one `scan --check all`
-    over the acceptance grid, run with `Fraction.__new__`, the walk's
-    per-line `walls._ts_with_q_at_least` and `SurfaceContext.__new__`
-    counting.  The scan builds one `checks.Row`, and so one context, per
-    (epsilon, k, p) row; the counts need no state reset, as wallkit keeps
-    none."""
-    built, lines, contexts = [0], [0, 0], [0]
-    original, per_line = Fraction.__new__, walls._ts_with_q_at_least
-    new_context = SurfaceContext.__new__
+def grid_scan(walk_counter):
+    """(exit code, stdout, Fraction constructions, the witness walk's
+    [lines, t values, exact ranges] counts, surface contexts) of one
+    `scan --check all` over the acceptance grid, run with
+    `Fraction.__new__`, the walk (`conftest.count_walk`) and
+    `SurfaceContext.__new__` counting.  The scan builds one `checks.Row`,
+    and so one context, per (epsilon, k, p) row; the counts need no state
+    reset, as wallkit keeps none."""
+    built, contexts = [0], [0]
+    original, new_context = Fraction.__new__, SurfaceContext.__new__
 
     def counting(cls, *args, **kwargs):
         built[0] += 1
         return original(cls, *args, **kwargs)
-
-    def counting_lines(*args):
-        ts = per_line(*args)
-        lines[0] += 1
-        lines[1] += len(ts)
-        return ts
 
     def counting_contexts(cls, *args):
         contexts[0] += 1
@@ -450,7 +444,7 @@ def grid_scan():
     out = io.StringIO()
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(Fraction, "__new__", staticmethod(counting))
-        mp.setattr(walls, "_ts_with_q_at_least", counting_lines)
+        lines = walk_counter(mp)
         mp.setattr(SurfaceContext, "__new__", staticmethod(counting_contexts))
         with contextlib.redirect_stdout(out):
             rc = main(["scan", "--epsilon", "0..1", "--k", "2..8",

@@ -7,6 +7,7 @@ import random
 from fractions import Fraction
 from itertools import product
 from math import gcd, isqrt
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -213,10 +214,12 @@ def test_box_witnesses_match_the_reference_loop(span, radius, eps):
         assert box_witnesses(gram, v, eps) == full
 
 
-def _reference_enumerate(gram, v, epsilon):
+def _reference_walk(gram, v, epsilon):
     """The line walk as it was before it became lazy: one particular
     solution per line and a global sort, kept only as the reference for
-    enumerate_witnesses."""
+    enumerate_witnesses.  Returns the sorted witnesses and, in walk order,
+    the lines (q(u), b0, q(s0), lo) that hold a t with q >= lo, the
+    window's lower end: the lines whose exact t-range the walk computes."""
     def q(s):
         return (gram[0][0] * s[0] + 2 * gram[0][1] * s[1]) * s[0] \
             + gram[1][1] * s[1] * s[1]
@@ -234,7 +237,7 @@ def _reference_enumerate(gram, v, epsilon):
     d, x0, y0 = xgcd(c[0], c[1])
     u = (-(c[1] // d), c[0] // d)
     qu = q(u)
-    found = []
+    found, lines = [], []
     windows = [(n, max(0, 2 * n - qv), n - 1, "case_i") for n in range(1, qv)]
     if epsilon == 0:
         windows += [(n, -2, -2, "case_ii") for n in range(qv // 2 + 1)]
@@ -244,13 +247,17 @@ def _reference_enumerate(gram, v, epsilon):
         s0 = (x0 * (n // d), y0 * (n // d))
         b0 = sum(s0[i] * gram[i][j] * u[j] for i in range(2) for j in range(2))
         q0 = q(s0)
+        reached = False
         for t in ts_with_q_at_least(qu, b0, q0, lo):
             qs = qu * t * t + 2 * b0 * t + q0
+            reached = reached or qs >= lo
             if lo <= qs <= hi:
                 s = (s0[0] + t * u[0], s0[1] + t * u[1])
                 found.append(Witness(s, qs, n, branch))
+        if reached:
+            lines.append((qu, b0, q0, lo))
     found.sort(key=Witness.sort_key)
-    return found
+    return found, lines
 
 
 @st.composite
@@ -306,11 +313,38 @@ def _large_spans(draw):
     return gram, v
 
 
+# Boundaries of the walk's per-line test rho^2 <= disc, where rho is the
+# distance from b0 to the nearest multiple of A = -q(u).  Both sides are
+# b0^2 mod A, so a line misses by a multiple of A; rho^2 = disc + 1 needs
+# A = 1, and then q(v) = d leaves only the line n = 0, where disc = 2.
+# rho = 0 needs q(v)/d | m, which leaves only that line n = 0 too.
 @settings(derandomize=True, database=None, deadline=None, max_examples=150)
 @given(_large_spans(), st.integers(0, 1))
+# rho^2 = disc: one point t on line n = 1, at the window's lower end.
+@example((((2, -3), (-3, 4)), (0, 1)), 0)    # case (i), q = 0: rho = 1, A = 4
+@example((((0, -3), (-3, 4)), (0, 1)), 0)    # case (ii): rho = 9, A = 36
+# rho^2 = disc + A: line n = 1 just misses its window.
+@example((((-1, -1), (-1, 2)), (0, 1)), 1)   # case (i): 9 = 3 + 6
+@example((((-3, -1), (-1, 2)), (0, 1)), 0)   # case (ii): 49 = 35 + 14
+# b1 < 0: b0 = -1 lies just below 0, so rho = A - (b0 mod A) = 1.
+@example((((0, -1), (-1, 4)), (0, 1)), 1)    # case (i), A = 4
+@example((((-2, -1), (-1, 4)), (0, 1)), 0)   # case (ii): b0 = -9, A = 36
+# rho = 0: A = 12 divides b0 = 0 on line n = 0; q = 0 there, no witness.
+@example((((2, -5), (-5, 12)), (0, 1)), 0)
 def test_witness_walk_matches_the_reference_walk(span, eps):
     gram, v = span
-    assert enumerate_witnesses(gram, v, eps) == _reference_enumerate(gram, v, eps)
+    calls, exact = [], walls._ts_with_q_at_least
+
+    def recording(*args):
+        calls.append(args)
+        return exact(*args)
+
+    with mock.patch.object(walls, "_ts_with_q_at_least", recording):
+        got = enumerate_witnesses(gram, v, eps)
+    want, lines = _reference_walk(gram, v, eps)
+    assert got == want
+    # The per-line test passes exactly the lines with a candidate point.
+    assert calls == lines
 
 
 @st.composite
@@ -389,21 +423,27 @@ _FAMILY_TS = {
     (0, 30): 2, (0, 300): 2, (0, 3000): 2,
     (1, 30): 1, (1, 300): 1, (1, 3000): 1,
 }
+# The lines that compute their exact t-range: those with a candidate point.
+_FAMILY_RANGES = {
+    (0, 30): 2, (0, 300): 2, (0, 3000): 2,
+    (1, 30): 1, (1, 300): 1, (1, 3000): 1,
+}
 
 
 def test_witness_walk_lines_on_two_wall_families(walked):
-    lines, ts = {}, {}
+    lines, ts, ranges = {}, {}, {}
     for eps, k in _FAMILY_LINES:
         params = BNParams(5 + 2 * eps, 0, k, eps)
         ctx = params.context()
         stage = span_stage(curve_class(params), ctx)
-        assert walked == [0, 0]  # the span stage walks no line
+        assert walked == [0, 0, 0]  # the span stage walks no line
         verdict = witness_stage(stage, eps)
         assert verdict.is_wall
         assert walked[0] == _lines_to_the_least_witness(verdict, eps)
-        lines[eps, k], ts[eps, k] = walked
-        walked[:] = [0, 0]
+        lines[eps, k], ts[eps, k], ranges[eps, k] = walked
+        walked[:] = [0, 0, 0]
     assert lines == _FAMILY_LINES and ts == _FAMILY_TS
+    assert ranges == _FAMILY_RANGES
 
 
 def _tail_spans(n: int, k_max: int):
@@ -422,8 +462,9 @@ def _tail_spans(n: int, k_max: int):
 def test_witness_walk_visits_every_line_on_non_walls(walked):
     # On a non-wall the walk visits all q(v)/d case (i) lines, plus the
     # q(v)/(2d) case (ii) lines when epsilon = 0.  The pinned totals are the
-    # search's cost on these spans, free of machine noise: the lines, and
-    # the candidate points t on them.
+    # search's cost on these spans, free of machine noise: the lines, the
+    # candidate points t on them, and the lines that compute their exact
+    # t-range.
     spans = non_walls = 0
     for params in _tail_spans(60, 10**4):
         ctx = params.context()
@@ -435,7 +476,7 @@ def test_witness_walk_visits_every_line_on_non_walls(walked):
         assert walked[0] - lines == _lines_to_the_least_witness(
             verdict, params.epsilon), params
         spans, non_walls = spans + 1, non_walls + (not verdict.is_wall)
-    assert (spans, non_walls, *walked) == (50, 46, 82527, 31)
+    assert (spans, non_walls, *walked) == (50, 46, 82527, 31, 31)
 
 
 def test_list_and_tuple_grams_agree():
