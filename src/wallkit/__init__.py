@@ -1,8 +1,9 @@
 """Exact-arithmetic wall-divisor decisions for Hilbert schemes of points
 on K3 surfaces and for generalised Kummer manifolds.
 
-Everything is computed over the integers and rationals; no floating point
-is used anywhere.
+Everything is computed with integers: a rational is an integer numerator
+over a known denominator (`Ratio`), and no floating point is used
+anywhere.
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ from .curves import (
     bn_rho,
     curve_class,
     curve_square,
-    dual_divisor,
     exists_pencil,
     exists_pencil_via_rho,
 )
@@ -38,6 +38,7 @@ from .model import (
     CurveClass,
     DivisorClass,
     DomainError,
+    Ratio,
     SurfaceContext,
     divisor_divisibility,
     exceptional_vector,
@@ -77,6 +78,7 @@ __all__ = [
     "DegenerateFormError",
     "DivisorClass",
     "DomainError",
+    "Ratio",
     "ReductionBudgetError",
     "SpanLattice",
     "SquareReport",
@@ -95,7 +97,6 @@ __all__ = [
     "curve_class",
     "curve_square",
     "divisor_divisibility",
-    "dual_divisor",
     "entry_line",
     "enumerate_witnesses",
     "exceptional_vector",

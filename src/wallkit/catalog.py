@@ -20,9 +20,8 @@ from .curves import (
     _square,
     curve_class,
     exists_pencil,
-    square_str,
 )
-from .model import DomainError, SurfaceContext, write_records
+from .model import DomainError, SurfaceContext, ratio_str, write_records
 from .walls import span_stage, wall_test
 
 
@@ -32,7 +31,7 @@ class CatalogEntry(NamedTuple):
     p: int
     delta: int
     gram: Gram
-    q_curve: Square                       # q(R) = num/denom, not reduced
+    q_curve: Square                       # q(R) over 2h, not reduced
     is_wall: bool
     witness: tuple[int, int, int] | None  # ambient coordinates
     class_id: str | None                  # None when the gram is degenerate
@@ -114,7 +113,7 @@ def _entries(k: int, epsilon: int, p_low: int, p_top: int,
                 class_id = None
             gram = ((a, b), (b, c))
             square = _square(p, delta, k, epsilon)
-            if square.num >= 0:
+            if square.numerator >= 0:
                 yield CatalogEntry(epsilon, k, p, delta, gram, square, False,
                                    None, class_id)
                 continue
@@ -178,7 +177,7 @@ def entry_line(entry: CatalogEntry) -> str:
     (epsilon, k, p, delta, ((a, b), (b2, c)), square, is_wall, witness,
      class_id) = entry
     return _LINE % (
-        epsilon, k, p, delta, a, b, b2, c, square_str(square),
+        epsilon, k, p, delta, a, b, b2, c, ratio_str(square),
         "true" if is_wall else "false",
         "null" if witness is None else "[%d, %d, %d]" % witness,
         "null" if class_id is None else '"%s"' % class_id)

@@ -18,7 +18,7 @@ which stage:
   moduli-dim      none (the parameters and the row only)
 
 The square stays an integer numerator over 2h (h = k - 1 + 2*epsilon) and
-the span's divisor and q(D) are integers, so the checks build no Fraction.
+the span's divisor and q(D) are integers, so every check compares ints.
 
 A `Row` builds the validated context of its (epsilon, k, p) row and
 computes, on first read, what `dual-lattice` and `moduli-dim` read of the
@@ -60,7 +60,6 @@ from .curves import (
     curve_class,
     exists_pencil,
     exists_pencil_via_rho,
-    square_str,
 )
 from .model import (
     CurveClass,
@@ -72,6 +71,7 @@ from .model import (
     moduli_vector,
     mukai_pairing,
     mukai_square,
+    ratio_str,
     sheaf_vector,
 )
 from .walls import (
@@ -154,14 +154,14 @@ class Point:
 
     @_computed_once
     def square(self) -> Square:
-        """q(R) as (num, denom = 2h, minimal), not reduced."""
+        """q(R) as (numerator, denominator = 2h, minimal), not reduced."""
         prm = self.params
         return _square(prm.p, prm.delta, prm.k, prm.epsilon)
 
     @_computed_once
     def q_r(self) -> str:
         """q(R) as reduced "num/den" text, as every record prints it."""
-        return square_str(self.square)
+        return ratio_str(self.square)
 
     @_computed_once
     def span(self) -> SpanStage:
@@ -203,7 +203,7 @@ def _wall_square(pt: Point) -> Result:
     if not pt.pencil:
         return None
     is_wall = pt.verdict.is_wall
-    return (is_wall == (pt.square.num < 0),
+    return (is_wall == (pt.square.numerator < 0),
             '"q_R": "%s", "is_wall": %s' % (pt.q_r, _JSON_BOOL[is_wall]))
 
 
@@ -218,7 +218,7 @@ def _square_forms(pt: Point) -> Result:
     """Square formula == rho/beta rewrite, compared as integer numerators
     over 2h, and beta lies in (-h, h]."""
     prm = pt.params
-    ok = (pt.square.num == _rewritten(prm)
+    ok = (pt.square.numerator == _rewritten(prm)
           and -prm.half_div < prm.beta <= prm.half_div)
     return ok, '"q_R": "%s"' % pt.q_r
 
@@ -232,7 +232,7 @@ def _dual_lattice(pt: Point) -> Result:
     b/c = n/(2h), v - e = (0, 0, -2h) and L - v = (-1, 1, h), so
     w = (-1, 1, h - n).
     """
-    if pt.square.num >= 0:
+    if pt.square.numerator >= 0:
         return None
     prm, row = pt.params, pt.row
     w = (-1, 1, prm.half_div - (prm.g + prm.k - 1 + prm.epsilon))
@@ -264,7 +264,7 @@ def _witness_oracle(pt: Point) -> Result:
     """Witness enumeration == box oracle wherever the pencil exists,
     q(R) < 0 and `_oracle` runs, the rule `wall-test --oracle` uses: the
     box radius is at most ORACLE_RADIUS_LIMIT, whatever |disc| is."""
-    if not pt.pencil or pt.square.num >= 0:
+    if not pt.pencil or pt.square.numerator >= 0:
         return None
     verdict = pt.verdict
     result = _oracle(verdict, pt.params.epsilon)

@@ -13,7 +13,9 @@ through `model.write_records`.
 only its options (help and error text stay those of the full tree), and the
 full tree for any other argv.  Each parse gets a fresh namespace.
 
-All numeric output is exact; rationals are serialized as "num/den" strings.
+All numeric output is exact: a rational is kept as an integer numerator
+over a known denominator and written as reduced "num/den" text
+(`model.ratio_str`).
 Exit codes: 0 success, 2 domain/validation error (an `--output` file that
 cannot be opened, written or closed, or a closed or full stdout, included),
 1 internal error.
@@ -32,13 +34,13 @@ from . import catalog as catalog_mod
 from . import subvarieties as sub_mod
 from .binforms import flat_gram
 from .checks import CHECKS, Point, Row, oracle_agrees
-from .curves import bn_dims, curve_square, dual_divisor
-from .model import DomainError, fraction_str, write_records
+from .curves import bn_dims, curve_square
+from .model import DomainError, Ratio, ratio_str, write_records
 from .walls import WallVerdict, primitive_dual_divisor
 
 
 def _divisor_json(d) -> dict:
-    return {"l": fraction_str(d.l), "e": fraction_str(d.e)}
+    return {"l": ratio_str(d.l), "e": ratio_str(d.e)}
 
 
 def _curve_json(c) -> dict:
@@ -66,7 +68,7 @@ def _descriptor_json(desc: sub_mod.SubvarietyDescriptor) -> dict:
         "base_dim": desc.base_dim,
         "total_dim": desc.total_dim,
         "line": _curve_json(desc.line_class),
-        "q_line": fraction_str(desc.line_square),
+        "q_line": ratio_str(desc.line_square),
         "p": desc.p,
         "k": desc.k,
         "epsilon": desc.epsilon,
@@ -134,7 +136,7 @@ def _cmd_wall_test(args) -> list[dict]:
         "branch": verdict.branch,
         "divisor": _divisor_json(verdict.divisor),
         "divisor_div": verdict.divisor_div,
-        "q_D": fraction_str(verdict.q_divisor),
+        "q_D": ratio_str(verdict.q_divisor),
         "t_gram": flat_gram(verdict.t_gram) if verdict.t_gram else None,
         "witness": _witness_json(verdict),
     }
@@ -145,11 +147,14 @@ def _cmd_wall_test(args) -> list[dict]:
 
 def _cmd_class(args) -> list[dict]:
     pt = _point(args)
-    primitive, div = primitive_dual_divisor(pt.curve, pt.params.context())
+    ctx, curve = pt.row.ctx, pt.curve
+    primitive, div = primitive_dual_divisor(curve, ctx)
     return [{
         "epsilon": args.epsilon, "k": args.k, "p": args.p, "delta": args.delta,
-        "curve": _curve_json(pt.curve),
-        "dual_divisor": _divisor_json(dual_divisor(pt.params)),
+        "curve": _curve_json(curve),
+        # The dual of l*L + r*r_k is l*L + (r/div(e))*e.
+        "dual_divisor": {"l": ratio_str(curve.l),
+                         "e": ratio_str(Ratio(curve.r, ctx.ek_div))},
         "primitive_divisor": _divisor_json(primitive),
         "divisor_div": div,
         "q_R": pt.q_r,
@@ -167,8 +172,8 @@ def _cmd_exists(args) -> list[dict]:
 def _cmd_square(args) -> list[dict]:
     report = curve_square(_point(args).params)
     return [{
-        "q_R": fraction_str(report.value),
-        "rewritten": fraction_str(report.rewritten),
+        "q_R": ratio_str(report.value),
+        "rewritten": ratio_str(report.rewritten),
         "minimal": report.minimal,
         "alpha": report.alpha,
         "beta": report.beta,
@@ -209,7 +214,7 @@ def _cmd_lagrangian(args) -> list[dict]:
     return [{
         "p": p,
         "delta": delta,
-        "q_R": fraction_str(desc.line_square),
+        "q_R": ratio_str(desc.line_square),
         "moduli_dim": desc.moduli_space_dim,
         "bound_satisfied": sub_mod.bundle_bound_holds(p, delta, args.k,
                                                       args.epsilon),

@@ -7,14 +7,12 @@ curves have genus g = p - delta and carry pencils of degree k + epsilon.
 
 from __future__ import annotations
 
-from fractions import Fraction
-from math import gcd
 from typing import NamedTuple
 
 from .model import (
     CurveClass,
-    DivisorClass,
     DomainError,
+    Ratio,
     SurfaceContext,
     _make_through_new,
 )
@@ -34,20 +32,13 @@ def _derived(p: int, delta: int, k: int,
 
 
 class Square(NamedTuple):
-    """q(R) = num/denom with denom = 2*half_div, not reduced, and whether
-    the parameters are the characteristic point of the minimal-square
-    bound."""
+    """q(R) = numerator/denominator with denominator = 2*half_div, not
+    reduced, as in a `model.Ratio`, and whether the parameters are the
+    characteristic point of the minimal-square bound."""
 
-    num: int
-    denom: int
+    numerator: int
+    denominator: int
     minimal: bool
-
-
-def square_str(square: Square) -> str:
-    """q(R) as reduced "num/den" text, as every record prints it."""
-    num, den, _ = square
-    g = gcd(num, den)
-    return f"{num // g}/{den // g}"
 
 
 def _bound_num(k: int, epsilon: int) -> int:
@@ -167,14 +158,9 @@ def curve_class(params: BNParams) -> CurveClass:
     return CurveClass(1, -(params.g + params.k - 1 + params.epsilon))
 
 
-def dual_divisor(params: BNParams) -> DivisorClass:
-    """Rational divisor class dual to curve_class under q."""
-    return curve_class(params).as_divisor(params.context())
-
-
 class SquareReport(NamedTuple):
-    value: Fraction
-    rewritten: Fraction  # Brill-Noether form of the same number
+    value: Ratio         # q(R) over 2*half_div, not reduced
+    rewritten: Ratio     # Brill-Noether form of the same number
     minimal: bool        # q equals the lower bound -(k + 3 - 2*epsilon)/2
     alpha: int
     beta: int
@@ -183,9 +169,9 @@ class SquareReport(NamedTuple):
 
 def curve_square(params: BNParams) -> SquareReport:
     """Exact square of curve_class(params) in its two equivalent forms,
-    each computed by its own formula (`_square` and `_rewritten`)."""
+    each computed by its own formula (`_square` and `_rewritten`), both
+    over 2*half_div."""
     value, denom, minimal = _square(params.p, params.delta, params.k,
                                     params.epsilon)
-    return SquareReport(Fraction(value, denom),
-                        Fraction(_rewritten(params), denom), minimal,
-                        params.alpha, params.beta, params.rho)
+    return SquareReport(Ratio(value, denom), Ratio(_rewritten(params), denom),
+                        minimal, params.alpha, params.beta, params.rho)

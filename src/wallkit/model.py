@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import json
 from collections.abc import Iterable
-from fractions import Fraction
 from math import gcd
 from typing import IO, NamedTuple
 
@@ -31,15 +30,26 @@ class DomainError(ValueError):
     """Input violates an operation's contract (maps to CLI exit code 2)."""
 
 
-def fraction_str(x) -> str:
-    """Exact "num/den" text of an int or Fraction, as written in every JSON
-    record; anything without a numerator and denominator (a float, a str)
-    raises TypeError."""
+class Ratio(NamedTuple):
+    """The rational numerator/denominator as two ints, not reduced; the
+    denominator is positive.  A tuple: `==` and `<` compare the pairs, not
+    the values."""
+
+    numerator: int
+    denominator: int
+
+
+def ratio_str(x) -> str:
+    """Reduced "num/den" text of an int, a `Ratio` or a `curves.Square`, as
+    written in every JSON record; anything without a numerator and
+    denominator (a float, a str, None) raises TypeError."""
     try:
-        return f"{x.numerator}/{x.denominator}"
+        num, den = x.numerator, x.denominator
     except AttributeError:
-        raise TypeError(
-            f"fraction_str needs an int or Fraction, got {x!r}") from None
+        raise TypeError(f"ratio_str needs an int, a Ratio or a Square, "
+                        f"got {x!r}") from None
+    g = gcd(num, den)
+    return f"{num // g}/{den // g}"
 
 
 # `json.dumps`'s settings without its cycle check: every record is a fresh
@@ -63,7 +73,7 @@ def write_records(records: Iterable[dict | str], stream: IO[str]) -> int:
 def _make_through_new(cls, iterable):
     """namedtuple's `_make`, and `_replace`, which calls it, build through
     `tuple.__new__`; as a class's `_make`, this sends both through the
-    class's own `__new__`, which validates or normalises."""
+    class's own `__new__`, which validates."""
     return cls(*iterable)
 
 
@@ -105,36 +115,28 @@ class SurfaceContext(_ContextFields):
             f"SurfaceContext is immutable: cannot set {name!r}")
 
 
-def _exact(x) -> int | Fraction:
-    """An integral value as int, any other rational as Fraction."""
-    f = Fraction(x)
-    return f.numerator if f.denominator == 1 else f
-
-
 class _DivisorFields(NamedTuple):
-    l: int | Fraction
-    e: int | Fraction
+    l: int
+    e: int
 
 
 class DivisorClass(_DivisorFields):
-    """a*L + b*e with exact rational coefficients: an integral coefficient
-    is stored as int, any other as Fraction."""
+    """a*L + b*e with integer coefficients; any other coefficient is a
+    DomainError.  A rational class is given as a positive integral
+    multiple of it."""
 
     __slots__ = ()
 
-    def __new__(cls, l: int | Fraction, e: int | Fraction) -> DivisorClass:
-        if type(l) is not int or type(e) is not int:
-            l, e = _exact(l), _exact(e)
+    def __new__(cls, l: int, e: int) -> DivisorClass:
+        if not (isinstance(l, int) and isinstance(e, int)):
+            raise DomainError(
+                f"divisor coefficients must be integers (got {l!r}, {e!r})")
         return super().__new__(cls, l, e)
 
     _make = classmethod(_make_through_new)
 
-    @property
-    def is_integral(self) -> bool:
-        return type(self.l) is int and type(self.e) is int
-
-    def square(self, ctx: SurfaceContext) -> int | Fraction:
-        """q(D); an int for an integral class."""
+    def square(self, ctx: SurfaceContext) -> int:
+        """q(D)."""
         return self.l * self.l * ctx.l_square - self.e * self.e * ctx.ek_div
 
 
@@ -144,21 +146,19 @@ class CurveClass(NamedTuple):
     l: int
     r: int
 
-    def square(self, ctx: SurfaceContext) -> Fraction:
-        # q extends to the curve lattice through e = ek_div * r.
-        return Fraction(self.l * self.l * ctx.l_square * ctx.ek_div
-                        - self.r * self.r, ctx.ek_div)
-
-    def as_divisor(self, ctx: SurfaceContext) -> DivisorClass:
-        return DivisorClass(self.l, Fraction(self.r, ctx.ek_div))
+    def square(self, ctx: SurfaceContext) -> Ratio:
+        """q(C) over div(e): q extends to the curve lattice through
+        e = ek_div * r."""
+        return Ratio(self.l * self.l * ctx.l_square * ctx.ek_div
+                     - self.r * self.r, ctx.ek_div)
 
 
-def mukai_pairing(x: Triple, y: Triple, p: int):
-    """Pairing of rank-3 triples; exact (int or Fraction)."""
+def mukai_pairing(x: Triple, y: Triple, p: int) -> int:
+    """Pairing of rank-3 integer triples."""
     return x[1] * y[1] * (2 * p - 2) - x[0] * y[2] - x[2] * y[0]
 
 
-def mukai_square(x: Triple, p: int):
+def mukai_square(x: Triple, p: int) -> int:
     return mukai_pairing(x, x, p)
 
 
@@ -178,8 +178,6 @@ def divisor_divisibility(d: DivisorClass, ctx: SurfaceContext) -> int:
     The surface lattice is unimodular and L is primitive there, so the
     pairing ideal of a*L + b*e is generated by gcd(a, ek_div * b).
     """
-    if not d.is_integral:
-        raise DomainError(f"divisibility requires an integral class (got {d})")
     return gcd(d.l, ctx.ek_div * d.e)
 
 

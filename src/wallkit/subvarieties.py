@@ -10,11 +10,10 @@ constructed.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import NamedTuple
 
 from .curves import BNParams, curve_class
-from .model import CurveClass, SurfaceContext, moduli_dim, sheaf_vector
+from .model import CurveClass, Ratio, SurfaceContext, moduli_dim, sheaf_vector
 
 
 class SubvarietyDescriptor(NamedTuple):
@@ -44,7 +43,8 @@ class SubvarietyDescriptor(NamedTuple):
         return 2 * self.k - self.codim
 
     @property
-    def line_square(self) -> Fraction:
+    def line_square(self) -> Ratio:
+        """q(line) over div(e), not reduced."""
         return self.line_class.square(
             SurfaceContext(self.epsilon, self.p, self.k))
 

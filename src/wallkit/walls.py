@@ -87,8 +87,8 @@ def primitive_dual_divisor(curve: CurveClass,
 def saturated_span(divisor: DivisorClass, ctx: SurfaceContext) -> SpanLattice:
     """Saturation T of span{v, D} with D embedded in the rank-3 model: the
     span of `span_stage`, which first replaces D by the primitive integral
-    class on its ray, so D, 3*D and D/2 give the same T.  A DomainError
-    when q(D) >= 0.
+    class on its ray, so every positive integral multiple of D gives the
+    same T.  A DomainError when q(D) >= 0.
 
     The result is presented in a basis (w, v) with 0 <= b(w, v) <= q(v)/2,
     which pins the Gram matrix [[q(w), b], [b, q(v)]] uniquely.
@@ -310,11 +310,6 @@ def primitive_integral_divisor(divisor: DivisorClass,
                                ctx: SurfaceContext) -> DivisorClass:
     """Primitive integral class positively proportional to the input."""
     x, y = divisor.l, divisor.e
-    if not divisor.is_integral:
-        # Clear the lcm m of the denominators: (x, y) = m * (l, e).
-        dx, dy = x.denominator, y.denominator
-        m = dx * dy // gcd(dx, dy)
-        x, y = x.numerator * (m // dx), y.numerator * (m // dy)
     if x == 0 and y == 0:
         raise DomainError("divisor class must be nonzero")
     g = gcd(x, y)

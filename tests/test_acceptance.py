@@ -156,8 +156,8 @@ def _criterion_2() -> tuple[bool, str]:
             gram, p_s, d_s = seed_lattice(k, eps)
             assert tuple(map(tuple, gram)) == want and (p_s, d_s) == (p0, 0)
             assert _span_gram(p0, 0, k, eps) == want
-            assert curve_square(BNParams(p0, 0, k, eps)).value == \
-                -Fraction(k + 3 - 2 * eps, 2)
+            assert Fraction(*curve_square(BNParams(p0, 0, k, eps)).value) \
+                == -Fraction(k + 3 - 2 * eps, 2)
 
     # Family 2: genus shifted down by a, 1 <= a <= h.
     domain_edges, degenerate_edges, f2_matched = [], [], 0
@@ -172,7 +172,7 @@ def _criterion_2() -> tuple[bool, str]:
                     domain_edges.append((eps, k, a))
                     assert _raises_domain_error(lambda: BNParams(p, 0, k, eps))
                     continue
-                sq = curve_square(BNParams(p, 0, k, eps)).value
+                sq = Fraction(*curve_square(BNParams(p, 0, k, eps)).value)
                 if sq >= 0:
                     degenerate_edges.append((eps, k, a))
                     assert sq == 0 and (eps, a) == (1, h)
@@ -193,7 +193,7 @@ def _criterion_2() -> tuple[bool, str]:
             p0 = 2 * k - 2 + 5 * eps
             for delta in range(0, min(p0 - 2 * eps, 8) + 1):
                 stated = ((2 * delta - 2 + 2 * eps, h), (h, 2 * h))
-                sq = curve_square(BNParams(p0, delta, k, eps)).value
+                sq = Fraction(*curve_square(BNParams(p0, delta, k, eps)).value)
                 actual = None if sq >= 0 else _span_gram(p0, delta, k, eps)
                 if delta == 0:
                     assert actual == stated, (eps, k)
@@ -216,7 +216,8 @@ def _criterion_2() -> tuple[bool, str]:
             delta = 1
             while 4 * delta < k + 3 - 2 * eps:
                 stated = ((2 * delta - 2 + 2 * eps, h), (h, 2 * h))
-                assert curve_square(BNParams(p0 + delta, delta, k, eps)).value < 0
+                sq = curve_square(BNParams(p0 + delta, delta, k, eps)).value
+                assert sq.numerator < 0
                 assert _span_gram(p0 + delta, delta, k, eps) == stated
                 corr += 1
                 delta += 1
@@ -275,7 +276,7 @@ def _criterion_8() -> tuple[bool, str]:
         for k in range(2, 7):
             for e in generate_catalog(k, eps):
                 total += 1
-                if e.q_curve.num < 0:
+                if e.q_curve.numerator < 0:
                     assert e.is_wall and e.witness is not None
                     assert _applies("dual-lattice",
                                     Point(Row(eps, k, e.p), e.delta))
@@ -337,7 +338,8 @@ def _criterion_11() -> tuple[bool, str]:
             p, delta, desc = lagrangian_plane(k, eps)
             chi = chi_value(p, delta, k, eps)
             assert chi == delta + k + 1, (k, eps)
-            assert desc.line_square == Fraction(-(k + 3 - 2 * eps), 2)
+            assert (Fraction(*desc.line_square)
+                    == Fraction(-(k + 3 - 2 * eps), 2))
             assert (desc.codim, desc.total_dim) == (k, k)
             if not bundle_bound_holds(p, delta, k, eps):
                 failures.append((k, eps))

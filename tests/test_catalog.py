@@ -36,10 +36,16 @@ from wallkit.curves import (
     curve_class,
     curve_square,
     exists_pencil,
-    square_str,
 )
-from wallkit.model import DomainError, SurfaceContext, fraction_str
+from wallkit.model import DomainError, SurfaceContext
 from wallkit.walls import wall_test
+
+
+def _fraction_text(x) -> str:
+    """Reduced "num/den" text of a value with a numerator and a
+    denominator, through Fraction: the reference for `model.ratio_str`."""
+    f = Fraction(x.numerator, x.denominator)
+    return f"{f.numerator}/{f.denominator}"
 
 
 def entry_record(entry):
@@ -51,7 +57,7 @@ def entry_record(entry):
         "p": entry.p,
         "delta": entry.delta,
         "gram": binforms.flat_gram(entry.gram),
-        "q_R": square_str(entry.q_curve),
+        "q_R": _fraction_text(entry.q_curve),
         "is_wall": entry.is_wall,
         "witness": list(entry.witness) if entry.witness is not None else None,
         "isometry_class_id": entry.class_id,
@@ -143,7 +149,7 @@ def test_generate_wall_entries_all_verified():
         entries = generate_catalog(k, eps)
         assert entries
         for e in entries:
-            if e.q_curve.num < 0:
+            if e.q_curve.numerator < 0:
                 assert e.is_wall and _dual_lattice(e), (k, eps, e)
                 assert e.witness is not None
             else:
@@ -174,7 +180,7 @@ def test_generate_contains_flagged_positive_square_entry():
     e = flagged[0]
     assert (e.p, e.delta) == (6, 2)
     assert not e.is_wall and e.witness is None
-    assert e.q_curve.num >= 0 and _dual_lattice(e) is None
+    assert e.q_curve.numerator >= 0 and _dual_lattice(e) is None
 
 
 def test_realize_examples():
@@ -200,7 +206,7 @@ def test_realize_inverts_catalog_entries():
     pool = []
     for k, eps in ((2, 0), (3, 0), (4, 0), (2, 1)):
         for e in generate_catalog(k, eps):
-            if e.q_curve.num < 0:
+            if e.q_curve.numerator < 0:
                 pool.append((e, k, eps))
     assert len(pool) >= 10
     sample = [rng.choice(pool) for _ in range(100)]
@@ -285,9 +291,9 @@ def test_catalog_grams_are_pairwise_distinct_up_to_isometry():
 
 def _reference_entry(gram, params):
     report = curve_square(params)
-    q_r, denom = report.value, 2 * params.half_div
+    q_r, denom = Fraction(*report.value), 2 * params.half_div
     square = Square((q_r * denom).numerator, denom, report.minimal)
-    assert Fraction(square.num, denom) == q_r
+    assert Fraction(square.numerator, denom) == q_r
     try:
         cid = class_id([list(r) for r in gram])
     except DegenerateFormError:
@@ -378,9 +384,11 @@ def test_integer_square_matches_the_object_path():
             report = curve_square(params)
             num, denom, minimal = e.q_curve
             assert type(num) is int and denom == 2 * params.half_div
-            assert Fraction(num, denom) == report.value, (k, kwargs, e)
+            assert Fraction(num, denom) == Fraction(*report.value), \
+                (k, kwargs, e)
             assert minimal == report.minimal, (k, kwargs, e)
-            assert entry_record(e)["q_R"] == fraction_str(report.value)
+            assert (json.loads(entry_line(e))["q_R"]
+                    == _fraction_text(report.value))
             checked += 1
     assert checked > 29659
 
@@ -408,7 +416,7 @@ def _catalog_the_old_way(k, epsilon, p_min=2, p_max=None, delta_max=None):
                 continue
             seen.add(key)
             params = BNParams(p, delta, k, epsilon)
-            q_r = curve_square(params).value
+            q_r = Fraction(*curve_square(params).value)
             cid = ":".join(map(str, form)) if form is not None else None
             if q_r >= 0:
                 entries.append(CatalogEntry(epsilon, k, p, delta, gram, q_r,
@@ -433,7 +441,7 @@ def test_streamed_catalog_matches_the_old_way(epsilon):
                 num, denom, _ = got.q_curve
                 assert got._replace(q_curve=Fraction(num, denom)) == want
                 record = entry_record(got)
-                assert record["q_R"] == fraction_str(want.q_curve)
+                assert record["q_R"] == _fraction_text(want.q_curve)
                 assert record["gram"] == [*want.gram[0], *want.gram[1]]
             compared += len(new)
     assert compared > 1500
@@ -521,7 +529,7 @@ def test_generate_builds_params_for_walls_only(monkeypatch):
                         staticmethod(counting_contexts))
     monkeypatch.setattr(BNParams, "on", classmethod(counting_on))
     entries = generate_catalog(12, 0)
-    walls = [(e.p, e.delta) for e in entries if e.q_curve.num < 0]
+    walls = [(e.p, e.delta) for e in entries if e.q_curve.numerator < 0]
     assert walls and len(walls) < len(entries)
     assert built == walls
     wall_ps = sorted({p for p, _ in walls})
@@ -539,11 +547,13 @@ def test_catalog_entry_shape_is_pinned():
     flat = next(e for e in entries if not e.is_wall)
     assert repr(wall) == (
         "CatalogEntry(epsilon=0, k=4, p=6, delta=0, gram=((-2, 3), (3, 6)), "
-        "q_curve=Square(num=-21, denom=6, minimal=True), is_wall=True, "
+        "q_curve=Square(numerator=-21, denominator=6, minimal=True), "
+        "is_wall=True, "
         "witness=(-1, 1, -6), class_id='indef:-2:6:6')")
     assert repr(flat) == (
         "CatalogEntry(epsilon=0, k=4, p=4, delta=1, gram=((0, 0), (0, 6)), "
-        "q_curve=Square(num=0, denom=6, minimal=False), is_wall=False, "
+        "q_curve=Square(numerator=0, denominator=6, minimal=False), "
+        "is_wall=False, "
         "witness=None, class_id=None)")
     # A NamedTuple: iterable, and equal to the plain tuple of its fields.
     assert wall == tuple(wall) and list(flat)[-1] == flat.class_id

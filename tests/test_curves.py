@@ -17,11 +17,17 @@ from wallkit.curves import (
     bn_rho,
     curve_class,
     curve_square,
-    dual_divisor,
     exists_pencil,
     exists_pencil_via_rho,
 )
-from wallkit.model import CurveClass, DomainError, SurfaceContext
+from wallkit.model import (
+    CurveClass,
+    DivisorClass,
+    DomainError,
+    Ratio,
+    SurfaceContext,
+    ratio_str,
+)
 
 
 def test_bn_rho():
@@ -228,39 +234,47 @@ def test_bn_dims_examples():
 
 
 def test_curve_class_and_dual_divisor():
+    # The dual of l*L + r*r_k is l*L + (r/div(e))*e: here L - (3/2)*e.
     params = BNParams(4, 0, 3, 0)
-    assert curve_class(params) == CurveClass(1, -6)
-    d = dual_divisor(params)
-    assert (d.l, d.e) == (1, Fraction(-3, 2))
-    # dual divisor has the same square as the curve class
     ctx = params.context()
-    assert d.square(ctx) == curve_class(params).square(ctx)
+    curve = curve_class(params)
+    assert curve == CurveClass(1, -6) and ctx.ek_div == 4
+    assert ratio_str(Ratio(curve.r, ctx.ek_div)) == "-3/2"
+    # div(e) times the dual is integral, with div(e)^2 times its square,
+    # and the dual has the same square as the curve class.
+    dual = DivisorClass(ctx.ek_div * curve.l, curve.r)
+    assert (Fraction(dual.square(ctx), ctx.ek_div ** 2)
+            == Fraction(*curve.square(ctx)) == -3)
 
     params = BNParams(2, 0, 2, 0)
-    assert curve_class(params) == CurveClass(1, -3)
-    assert dual_divisor(params).e == Fraction(-3, 2)
+    curve = curve_class(params)
+    assert curve == CurveClass(1, -3)
+    assert ratio_str(Ratio(curve.r, params.context().ek_div)) == "-3/2"
 
 
 def test_square_examples():
     rep = curve_square(BNParams(2, 0, 2, 0))
-    assert rep.value == Fraction(-5, 2)
+    assert Fraction(*rep.value) == Fraction(-5, 2)
     assert rep.minimal
     assert (rep.alpha, rep.beta, rep.rho) == (1, 1, 0)
 
     rep = curve_square(BNParams(4, 0, 3, 0))
-    assert rep.value == -3
+    # Both forms over 2h = 4, not reduced.
+    assert rep.value == rep.rewritten == Ratio(-12, 4)
+    assert type(rep.value) is Ratio and type(rep.rewritten) is Ratio
+    assert Fraction(*rep.value) == -3
     assert rep.minimal
 
     rep = curve_square(BNParams(6, 6, 2, 0))
-    assert rep.value == Fraction(19, 2)
+    assert Fraction(*rep.value) == Fraction(19, 2)
     assert not rep.minimal
 
     rep = curve_square(BNParams(8, 1, 4, 0))
-    assert rep.value == Fraction(-8, 3)
+    assert Fraction(*rep.value) == Fraction(-8, 3)
     assert not rep.minimal
 
     rep = curve_square(BNParams(7, 0, 2, 1))
-    assert rep.value == Fraction(-3, 2)
+    assert Fraction(*rep.value) == Fraction(-3, 2)
     assert rep.minimal
 
 
@@ -279,7 +293,7 @@ def test_minimal_square_bound_values():
         h = k - 1 + 2 * epsilon
         rep = curve_square(BNParams(2 * h + epsilon, 0, k, epsilon))
         assert rep.minimal
-        assert rep.value == _minimal_square_bound(k, epsilon) == value
+        assert Fraction(*rep.value) == _minimal_square_bound(k, epsilon) == value
 
 
 def test_square_forms_agree_and_bound_holds_on_grid():
@@ -290,10 +304,10 @@ def test_square_forms_agree_and_bound_holds_on_grid():
                 for delta in range(0, p - 2 * epsilon + 1):
                     params = BNParams(p, delta, k, epsilon)
                     rep = curve_square(params)  # two independent formulas
-                    assert rep.value == rep.rewritten
+                    assert Fraction(*rep.value) == Fraction(*rep.rewritten)
                     if exists_pencil(params):
-                        assert rep.value >= bound
-                        assert rep.minimal == (rep.value == bound)
+                        assert Fraction(*rep.value) >= bound
+                        assert rep.minimal == (Fraction(*rep.value) == bound)
 
 
 def test_minimal_characterization_parameters():
@@ -310,7 +324,7 @@ def test_minimal_characterization_parameters():
                 assert exists_pencil(params)
                 rep = curve_square(params)
                 assert rep.minimal
-                assert rep.value == _minimal_square_bound(k, epsilon)
+                assert Fraction(*rep.value) == _minimal_square_bound(k, epsilon)
 
 
 def test_is_wall_by_square():
@@ -333,4 +347,4 @@ def test_square_value_is_genus_formula():
                     params = BNParams(p, delta, k, epsilon)
                     n = p - delta + k - 1 + epsilon
                     expected = 2 * p - 2 - Fraction(n * n, 2 * (k - 1 + 2 * epsilon))
-                    assert curve_square(params).value == expected
+                    assert Fraction(*curve_square(params).value) == expected

@@ -9,18 +9,20 @@ from fractions import Fraction
 
 import pytest
 
+from wallkit.curves import Square
 from wallkit.model import (
     CurveClass,
     DivisorClass,
     DomainError,
+    Ratio,
     SurfaceContext,
     divisor_divisibility,
     exceptional_vector,
-    fraction_str,
     moduli_dim,
     moduli_vector,
     mukai_pairing,
     mukai_square,
+    ratio_str,
     sheaf_vector,
     write_records,
 )
@@ -120,8 +122,8 @@ def test_embed_divisor_preserves_square_and_lands_in_v_perp():
             t, rt = divmod(qw * bxv - bwv * bxw, det)
             assert rs == rt == 0
             assert tuple(s * w[i] + t * v[i] for i in range(3)) == x
-    with pytest.raises(DomainError):  # q(L/2) = 3/2 >= 0
-        saturated_span(DivisorClass(Fraction(1, 2), 0), SurfaceContext(0, 4, 3))
+    with pytest.raises(DomainError):  # q(L) = 6 >= 0
+        saturated_span(DivisorClass(1, 0), SurfaceContext(0, 4, 3))
 
 
 def test_divisibility_examples():
@@ -154,7 +156,12 @@ def test_curve_square_matches_divisor_square():
     for ctx in _contexts():
         for _ in range(3):
             c = CurveClass(rng.randint(-5, 5), rng.randint(-9, 9))
-            assert c.square(ctx) == c.as_divisor(ctx).square(ctx)
+            # The dual of c is l*L + (r/div(e))*e; div(e) times it is
+            # integral, with div(e)^2 times its square.
+            num, den = c.square(ctx)
+            assert den == ctx.ek_div
+            dual = DivisorClass(ctx.ek_div * c.l, c.r)
+            assert num * ctx.ek_div == dual.square(ctx)
 
 
 def test_sheaf_vector_examples():
@@ -188,12 +195,24 @@ def test_moduli_dim_equals_square_plus_two():
                         assert expected % 2 == 0
 
 
-def test_fraction_str_reads_ints_and_fractions_only():
-    assert fraction_str(3) == "3/1"
-    assert fraction_str(Fraction(-6, 4)) == "-3/2"
-    for not_rational in (0.5, "1/2"):
+def test_ratio_str_reduces_ints_ratios_and_squares_only():
+    assert ratio_str(3) == "3/1" and ratio_str(-4) == "-4/1"
+    assert ratio_str(0) == ratio_str(Ratio(0, 6)) == "0/1"
+    assert ratio_str(Ratio(-6, 4)) == "-3/2" and ratio_str(Ratio(5, 1)) == "5/1"
+    assert ratio_str(Square(-21, 6, True)) == "-7/2"
+    assert ratio_str(Square(12, 6, False)) == "2/1"
+    for not_rational in (0.5, 2.0, "1/2", None):
         with pytest.raises(TypeError):
-            fraction_str(not_rational)
+            ratio_str(not_rational)
+
+
+def test_ratio_is_the_unreduced_pair():
+    # A Ratio is a tuple: equality compares the pairs, not the values, so
+    # the tests compare values through Fraction.
+    r = Ratio(-6, 4)
+    assert (r.numerator, r.denominator) == tuple(r) == (-6, 4)
+    assert repr(r) == "Ratio(numerator=-6, denominator=4)"
+    assert r != Ratio(-3, 2) and Fraction(*r) == Fraction(*Ratio(-3, 2))
 
 
 def test_write_records_writes_a_str_as_its_line():
@@ -209,18 +228,30 @@ def test_write_records_writes_a_str_as_its_line():
 
 def test_integral_divisor_class_holds_ints():
     ctx = SurfaceContext(0, 4, 3)
-    d = DivisorClass(Fraction(4, 2), -3)
-    assert type(d.l) is int and type(d.e) is int and d.is_integral
+    d = DivisorClass(2, -3)
     assert repr(d) == "DivisorClass(l=2, e=-3)"
-    assert d == DivisorClass(2, Fraction(-3)) == DivisorClass(e=-3, l=2)
-    assert hash(d) == hash(DivisorClass(2, -3)) == hash((2, -3))
+    assert d == DivisorClass(e=-3, l=2)
+    assert hash(d) == hash((2, -3))
     assert d != DivisorClass(2, 3)
     with pytest.raises(AttributeError):
         d.l = 3
     assert type(d.square(ctx)) is int and d.square(ctx) == 6 * 4 - 9 * 4
-    half = DivisorClass(1, Fraction(-3, 2))
-    assert type(half.l) is int and type(half.e) is Fraction
-    assert not half.is_integral and half.square(ctx) == Fraction(6 - 9)
+
+
+@pytest.mark.parametrize("coefficient", [Fraction(4, 2), Fraction(-3, 2),
+                                         2.0, 0.5, "2", None])
+def test_divisor_class_rejects_non_integers(coefficient):
+    # Integral or not, a Fraction is no coefficient: a rational class is
+    # given as an integral multiple of it.
+    for args in ((coefficient, 1), (1, coefficient)):
+        with pytest.raises(DomainError):
+            DivisorClass(*args)
+        with pytest.raises(DomainError):
+            DivisorClass._make(args)
+    with pytest.raises(DomainError):
+        DivisorClass(1, 2)._replace(e=coefficient)
+    with pytest.raises(DomainError):
+        DivisorClass(1, 2)._replace(l=coefficient)
 
 
 def test_classes_are_named_tuples():
@@ -248,8 +279,9 @@ def test_replace_and_make_go_through_new():
         assert other == SurfaceContext(1, 9, 5)
         assert (other.l_square, other.ek_div) == (16, 12)
     assert ctx._replace() == ctx and ctx._replace().ek_div == 4
-    # DivisorClass normalises in `__new__`: an integral Fraction is an int.
-    d = DivisorClass(1, Fraction(1, 2))._replace(e=Fraction(4, 2))
-    assert d == DivisorClass(1, 2) and type(d.e) is int and d.is_integral
-    made = DivisorClass._make((Fraction(6, 3), Fraction(1, 3)))
-    assert type(made.l) is int and type(made.e) is Fraction
+    # DivisorClass checks its coefficients in `__new__`.
+    assert DivisorClass(1, 3)._replace(e=2) == DivisorClass._make((1, 2))
+    with pytest.raises(DomainError):
+        DivisorClass(1, 3)._replace(e=Fraction(4, 2))
+    with pytest.raises(DomainError):
+        DivisorClass._make((Fraction(6, 3), 1))

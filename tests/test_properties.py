@@ -1,9 +1,13 @@
 """Property tests at large parameters (k <= 1e5, p <= 1e10): the integer
-square path, and the scan path's integer square and divisor, against
-Fraction references, and pencil existence on every catalog state."""
+square path, the scan path's integer square and divisor, and the `class`
+record's dual divisor, against Fraction references, and pencil existence
+on every catalog state."""
 
 from __future__ import annotations
 
+import contextlib
+import io
+import json
 from fractions import Fraction
 from math import gcd
 from unittest import mock
@@ -12,15 +16,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wallkit.checks import Point, Row
+from wallkit.cli import main
 from wallkit.curves import (
     BNParams,
     bn_rho,
     curve_class,
     curve_square,
-    dual_divisor,
     exists_pencil,
 )
-from wallkit.model import divisor_divisibility, fraction_str
+from wallkit.model import DivisorClass, Ratio, divisor_divisibility
 from wallkit.walls import (
     primitive_dual_divisor,
     primitive_integral_divisor,
@@ -71,9 +75,11 @@ def test_curve_square_matches_fraction_reference(params):
                and delta == alpha * (alpha - 1) * h)
 
     report = curve_square(params)
-    assert type(report.value) is Fraction and type(report.rewritten) is Fraction
-    assert report == (value, rewritten, minimal, alpha, beta, rho)
-    assert value == curve_class(params).square(params.context())
+    assert type(report.value) is Ratio and type(report.rewritten) is Ratio
+    assert report.value.denominator == report.rewritten.denominator == 2 * h
+    assert (Fraction(*report.value), Fraction(*report.rewritten),
+            *report[2:]) == (value, rewritten, minimal, alpha, beta, rho)
+    assert value == Fraction(*curve_class(params).square(params.context()))
     if exists_pencil(params):
         assert minimal == (value == Fraction(-(k + 3 - 2 * eps), 2))
 
@@ -113,8 +119,9 @@ def test_scan_path_integers_match_fraction_reference(params):
     report = curve_square(params)
     num, den, minimal = pt.square
     assert type(num) is int and den == 2 * params.half_div
-    assert Fraction(num, den) == report.value
-    assert pt.q_r == fraction_str(report.value)
+    q_r = Fraction(*report.value)
+    assert Fraction(num, den) == q_r
+    assert pt.q_r == f"{q_r.numerator}/{q_r.denominator}"
     assert minimal == report.minimal
     # As in the test above, the witness walk is skipped: it does not touch
     # the divisor or q(D).
@@ -127,7 +134,28 @@ def test_scan_path_integers_match_fraction_reference(params):
     assert verdict.divisor_div == divisor_divisibility(divisor, ctx)
     assert (divisor.l, divisor.e) == \
         _reference_primitive_dual_divisor(pt.curve, ctx)
-    assert primitive_integral_divisor(dual_divisor(params), ctx) == divisor
+    # The dual divisor l*L + (r/2h)*e, given as 2h times itself.
+    curve = pt.curve
+    dual = DivisorClass(2 * params.half_div * curve.l, curve.r)
+    assert primitive_integral_divisor(dual, ctx) == divisor
+
+
+@_settings
+@given(_params)
+def test_class_record_dual_divisor_matches_fraction_reference(params):
+    # The `class` record writes the dual of l*L + r*r_k, l*L + (r/2h)*e,
+    # from the curve class; the reference is the Fraction r/2h.
+    p, delta, k, eps = params
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        rc = main(["class", "--epsilon", str(eps), "--k", str(k),
+                   "--p", str(p), "--delta", str(delta)])
+    assert rc == 0
+    record = json.loads(out.getvalue())
+    curve = curve_class(params)
+    e = Fraction(curve.r, 2 * params.half_div)
+    assert record["dual_divisor"] == {
+        "l": f"{curve.l}/1", "e": f"{e.numerator}/{e.denominator}"}
 
 
 @st.composite

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import ast
+import importlib.util
 import os
 import subprocess
 import sys
@@ -34,18 +35,31 @@ def test_no_global_statement_in_package():
     assert _statements(ast.Global) == []
 
 
+def _loaded_by_cli_import(names: set[str]) -> str:
+    """Which of the named modules `import wallkit.cli` loads in a fresh
+    interpreter without the site module, as the printed sorted list."""
+    env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
+    run = subprocess.run(
+        [sys.executable, "-S", "-c",
+         f"import sys, wallkit.cli; print(sorted({names!r} & set(sys.modules)))"],
+        capture_output=True, text=True, env=env, timeout=60)
+    assert run.returncode == 0, run.stderr
+    return run.stdout
+
+
 def test_cli_import_loads_no_dataclass_machinery():
     # Every wallkit process imports the CLI; its value types are named
     # tuples, so start-up builds no dataclass and loads neither
     # `dataclasses` nor `inspect` (which `dataclasses` imports).
-    env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
-    run = subprocess.run(
-        [sys.executable, "-S", "-c",
-         "import sys, wallkit.cli; "
-         "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"],
-        capture_output=True, text=True, env=env, timeout=60)
-    assert run.returncode == 0, run.stderr
-    assert run.stdout == "[]\n"
+    assert _loaded_by_cli_import({"dataclasses", "inspect"}) == "[]\n"
+
+
+def test_cli_import_loads_no_rational_machinery():
+    # A rational is an integer pair (`model.Ratio`), so start-up loads
+    # neither `fractions` nor what it imports: `decimal` (and its C
+    # module `_decimal`) and `numbers`.
+    assert _loaded_by_cli_import(
+        {"fractions", "decimal", "_decimal", "numbers"}) == "[]\n"
 
 
 def _bench_names() -> set[str]:
@@ -138,14 +152,63 @@ def test_box_oracle_shares_no_code_with_the_enumerator():
     assert sorted(reached & banned) == []
 
 
-def test_catalog_imports_nothing_from_fractions():
-    # The catalog streams on plain integers: q(R) stays a `curves.Square`,
-    # so its module neither imports `fractions` nor names from it.
-    tree = ast.parse((SRC / "catalog.py").read_text())
-    imported = [alias.name for node in ast.walk(tree)
-                if isinstance(node, ast.Import) for alias in node.names]
-    imported += [node.module for node in ast.walk(tree)
-                 if isinstance(node, ast.ImportFrom)]
-    assert imported
-    assert [name for name in imported
-            if name and name.split(".")[0] == "fractions"] == []
+def test_package_imports_nothing_from_fractions():
+    # Every rational is an integer numerator over a known denominator
+    # (`model.Ratio`, `curves.Square`), so no module imports `fractions`
+    # or names from it.
+    files = sorted(SRC.rglob("*.py"))
+    assert len(files) >= 9
+    imported = []
+    for path in files:
+        tree = ast.parse(path.read_text(), str(path))
+        imported += [(path.name, alias.name) for node in ast.walk(tree)
+                     if isinstance(node, ast.Import) for alias in node.names]
+        imported += [(path.name, node.module) for node in ast.walk(tree)
+                     if isinstance(node, ast.ImportFrom)]
+    assert {name for name, _ in imported} == {path.name for path in files}
+    assert [(name, module) for name, module in imported
+            if module and module.split(".")[0] == "fractions"] == []
+
+
+def _code_lines_script():
+    path = Path(__file__).resolve().parent / "code_lines.py"
+    spec = importlib.util.spec_from_file_location("code_lines", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+# Eight code lines: blank lines, comments and the three docstrings do not
+# count; a string that is not a docstring and a bracketed continuation do,
+# line by line.
+_SNIPPET = '''"""Module docstring,
+over two lines."""
+
+import os  # a trailing comment
+
+
+def f(x):
+    """Function docstring."""
+    # a comment line
+    y = (x +
+         1)
+    return """not a
+docstring"""
+
+
+class C:
+    """Class docstring."""
+
+    z = 1
+'''
+
+
+def test_code_lines_counts_a_fixed_snippet(tmp_path, capsys):
+    script = _code_lines_script()
+    assert script.code_lines(_SNIPPET) == 8
+    assert script.code_lines('"""Only a docstring."""\n') == 0
+    (tmp_path / "b.py").write_text(_SNIPPET)
+    (tmp_path / "a.py").write_text("x = 1\n\n# note\n")
+    (tmp_path / "notes.txt").write_text("x = 1\n")
+    assert script.main([str(tmp_path)]) == 0
+    assert capsys.readouterr().out == "1 a.py\n8 b.py\n9 total\n"

@@ -7,7 +7,13 @@ from fractions import Fraction
 import pytest
 
 from wallkit.curves import BNParams, curve_square
-from wallkit.model import CurveClass, DomainError, SurfaceContext, moduli_dim
+from wallkit.model import (
+    CurveClass,
+    DomainError,
+    Ratio,
+    SurfaceContext,
+    moduli_dim,
+)
 from wallkit.subvarieties import (
     SubvarietyDescriptor,
     bundle_bound_holds,
@@ -38,7 +44,9 @@ def test_bundle_locus_examples():
     assert desc is not None
     assert (desc.codim, desc.fiber_dim, desc.base_dim, desc.total_dim) == (3, 3, 2, 5)
     assert desc.line_class == CurveClass(1, -10)
-    assert desc.line_square == Fraction(-8, 3)
+    # q(line) over div(e) = 6, not reduced.
+    assert desc.line_square == Ratio(-16, 6)
+    assert Fraction(*desc.line_square) == Fraction(-8, 3)
     assert desc.moduli_space_dim == 0
     assert desc.source == "proj_bundle"
     fields = ("proj_bundle", 3, CurveClass(1, -10), 8, 4, 0, 1, None, 0)
@@ -184,18 +192,18 @@ def test_series_family_ranges():
 def test_lagrangian_plane_examples():
     p, delta, desc = lagrangian_plane(3, 0)
     assert (p, delta) == (4, 0)
-    assert desc.line_square == -3
+    assert Fraction(*desc.line_square) == -3
     assert (desc.codim, desc.fiber_dim, desc.base_dim, desc.total_dim) == (3, 3, 0, 3)
     assert desc.moduli_space_dim == 0
 
     p, delta, desc = lagrangian_plane(2, 1)
     assert (p, delta) == (7, 0)
-    assert desc.line_square == Fraction(-3, 2)
+    assert Fraction(*desc.line_square) == Fraction(-3, 2)
     assert desc.moduli_space_dim == 2
 
     p, delta, desc = lagrangian_plane(4, 0)
     assert (p, delta) == (6, 0)
-    assert desc.line_square == Fraction(-7, 2)
+    assert Fraction(*desc.line_square) == Fraction(-7, 2)
 
 
 def test_lagrangian_plane_structure():
@@ -208,7 +216,7 @@ def test_lagrangian_plane_structure():
             assert desc.moduli_space_dim == 2 * eps
             h = k - 1 + 2 * eps
             assert desc.line_class == CurveClass(1, -3 * h)
-            assert desc.line_square == Fraction(-(k + 3 - 2 * eps), 2)
+            assert Fraction(*desc.line_square) == Fraction(-(k + 3 - 2 * eps), 2)
             assert curve_square(BNParams(p, delta, k, eps)).minimal
             # chi sits at the very top of the bundle window
             assert chi_value(p, delta, k, eps) == delta + k + 1

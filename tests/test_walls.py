@@ -517,8 +517,7 @@ def test_primitive_dual_divisor_examples():
 
 def test_primitive_integral_divisor():
     ctx = SurfaceContext(0, 2, 2)
-    d = primitive_integral_divisor(
-        DivisorClass(Fraction(1, 2), Fraction(-3, 4)), ctx)
+    d = primitive_integral_divisor(DivisorClass(6, -9), ctx)
     assert (d.l, d.e) == (2, -3)
     d = primitive_integral_divisor(DivisorClass(4, -6), ctx)
     assert (d.l, d.e) == (2, -3)
@@ -575,7 +574,7 @@ def test_saturated_span_invariants():
                                (6, 1, 4, 0), (3, 1, 2, 0), (8, 1, 4, 0),
                                (12, 2, 5, 0), (9, 1, 3, 1)):
         params = BNParams(p, delta, k, eps)
-        if curve_class(params).square(params.context()) >= 0:
+        if curve_class(params).square(params.context()).numerator >= 0:
             continue
         span, ctx = _span_for(p, delta, k, eps)
         (qw, b), (b2, qv) = span.gram
@@ -645,7 +644,7 @@ def test_saturated_span_oracle_on_grid():
                     params = BNParams(p, delta, k, eps)
                     ctx = params.context()
                     curve = curve_class(params)
-                    if curve.square(ctx) >= 0:
+                    if curve.square(ctx).numerator >= 0:
                         continue
                     divisor, _ = primitive_dual_divisor(curve, ctx)
                     box = 4 if k <= 4 and p <= 12 else 0
@@ -695,17 +694,20 @@ def test_saturated_span_rejects_nonnegative_square():
 
 def test_saturated_span_is_one_per_ray():
     # saturated_span is the span of span_stage, which takes the primitive
-    # integral class on the ray of D: D, 3*D and D/2 share one saturation,
-    # rational D included.
+    # integral class on the ray of D: D, 2*D, 3*D and 6*D share one
+    # saturation and one verdict.  A rational class such as D/2 is given as
+    # one of these integral multiples; as a coefficient it is a DomainError.
     ctx = SurfaceContext(0, 2, 2)
-    d = DivisorClass(Fraction(1, 2), -1)
+    d = DivisorClass(1, -2)
     assert d.square(ctx) < 0
-    scaled = (d, DivisorClass(Fraction(3, 2), -3),
-              DivisorClass(Fraction(1, 4), Fraction(-1, 2)))
+    scaled = [DivisorClass(m * d.l, m * d.e) for m in (1, 2, 3, 6)]
     spans = {saturated_span(c, ctx) for c in scaled}
-    assert spans == {span_stage(DivisorClass(1, -2), ctx).span}
+    assert spans == {span_stage(d, ctx).span}
+    assert len({wall_test(c, ctx) for c in scaled}) == 1
     with pytest.raises(DomainError):
-        saturated_span(DivisorClass(Fraction(1, 2), 0), ctx)  # q > 0
+        saturated_span(DivisorClass(2, 0), ctx)  # q > 0
+    with pytest.raises(DomainError):
+        saturated_span(DivisorClass(Fraction(1, 2), -1), ctx)
 
 
 def test_wall_test_fixed_verdicts():
@@ -753,12 +755,14 @@ def test_wall_test_fixed_verdicts():
 def test_wall_test_on_divisor_inputs_and_scaling():
     ctx = SurfaceContext(0, 2, 2)
     for d in (DivisorClass(2, -3), DivisorClass(4, -6),
-              DivisorClass(Fraction(1, 2), Fraction(-3, 4)),
-              DivisorClass(-2, 3)):
+              DivisorClass(6, -9), DivisorClass(-2, 3)):
         verdict = wall_test(d, ctx)
         assert verdict.is_wall
         assert abs(verdict.divisor.l) == 2 and abs(verdict.divisor.e) == 3
         assert verdict.q_divisor == -10
+    # (1/2)*L - (3/4)*e is given as 4 times itself, (2, -3), not as Fractions.
+    with pytest.raises(DomainError):
+        wall_test(DivisorClass(Fraction(1, 2), Fraction(-3, 4)), ctx)
 
 
 def test_wall_test_negation_invariance():
@@ -787,13 +791,16 @@ def test_wall_verdict_agrees_with_square_sign_on_sample():
         ctx = params.context()
         q_r = curve_class(params).square(ctx)
         verdict = wall_test(curve_class(params), ctx)
-        assert verdict.is_wall == (q_r < 0), (p, delta, k, epsilon)
+        assert verdict.is_wall == (q_r.numerator < 0), (p, delta, k, epsilon)
 
 
 def test_mbm_bound_check():
     ctx = SurfaceContext(0, 2, 2)
     bound = Fraction(-(2 + 3 - 2 * 0), 2)
-    assert CurveClass(1, -3).square(ctx) == bound == Fraction(-5, 2)
-    assert CurveClass(1, -50).square(ctx) < bound
+    # q(C) over div(e) = 2, not reduced.
+    assert CurveClass(1, -3).square(ctx) == (-5, 2)
+    assert Fraction(*CurveClass(1, -3).square(ctx)) == bound == Fraction(-5, 2)
+    assert Fraction(*CurveClass(1, -50).square(ctx)) < bound
     kum = SurfaceContext(1, 7, 2)
-    assert CurveClass(1, -9).square(kum) == Fraction(-(2 + 3 - 2 * 1), 2)
+    assert (Fraction(*CurveClass(1, -9).square(kum))
+            == Fraction(-(2 + 3 - 2 * 1), 2))
