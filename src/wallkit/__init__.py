@@ -21,7 +21,6 @@ from .catalog import (
     export_catalog,
     generate_catalog,
     iter_catalog,
-    realize_gram,
     seed_lattice,
 )
 from .curves import (
@@ -114,7 +113,6 @@ __all__ = [
     "primitive_dual_divisor",
     "primitive_integral_divisor",
     "rank2_isometric",
-    "realize_gram",
     "saturated_span",
     "seed_lattice",
     "series_family_loci",

@@ -5,7 +5,7 @@ parameters (p, delta) realizing it, the curve square, and the wall verdict.
 Two moves reach the catalog from the seed: adding a node (delta + 1,
 top-left + 2, off-diagonal - 1) and dropping the genus (p - 1,
 off-diagonal - 1).  The state they reach at (p, delta) has the closed form
-`state_gram`, which `realize_gram` inverts.
+`state_gram`.
 """
 
 from __future__ import annotations
@@ -14,15 +14,9 @@ from typing import IO, Iterable, Iterator, NamedTuple
 
 from . import binforms
 from .binforms import Gram
-from .curves import (
-    BNParams,
-    Square,
-    _square,
-    curve_class,
-    exists_pencil,
-)
-from .model import DomainError, SurfaceContext, ratio_str, write_records
-from .walls import span_stage, wall_test
+from .curves import BNParams, _square, curve_class
+from .model import DomainError, Ratio, SurfaceContext, ratio_str, write_records
+from .walls import wall_test
 
 
 class CatalogEntry(NamedTuple):
@@ -31,7 +25,7 @@ class CatalogEntry(NamedTuple):
     p: int
     delta: int
     gram: Gram
-    q_curve: Square                       # q(R) over 2h, not reduced
+    q_curve: Ratio                        # q(R) over 2h, not reduced
     is_wall: bool
     witness: tuple[int, int, int] | None  # ambient coordinates
     class_id: str | None                  # None when the gram is degenerate
@@ -131,33 +125,6 @@ def state_gram(p: int, delta: int, k: int, epsilon: int) -> Gram:
     (p, delta), with b = p - delta - k + 1 - 3*epsilon, h = k - 1 + 2*epsilon."""
     b = p - delta - k + 1 - 3 * epsilon
     return ((2 * delta - 2 + 2 * epsilon, b), (b, 2 * (k - 1 + 2 * epsilon)))
-
-
-def realize_gram(target: Gram, k: int, epsilon: int) -> tuple[int, int] | None:
-    """Invert `state_gram`: (p, delta) whose saturation is isometric to the
-    target, verified by reconstruction; None when unrealizable.  Only the
-    saturation is read, so no witness search runs."""
-    (a, b), (b2, c) = target
-    if b != b2:
-        raise DomainError(f"gram must be symmetric, got {target}")
-    if c != 2 * k - 2 + 4 * epsilon:
-        raise DomainError(
-            f"corner must equal 2k-2+4*epsilon = {2 * k - 2 + 4 * epsilon}, got {c}")
-    if a % 2:
-        raise DomainError(f"diagonal entries must be even, got {target}")
-    delta = (a + 2 - 2 * epsilon) // 2
-    p = b + delta + k - 1 + 3 * epsilon
-    if delta < 0 or p < 2 or delta > p - 2 * epsilon:
-        return None
-    params = BNParams(p, delta, k, epsilon)
-    if not exists_pencil(params):
-        return None
-    if _square(p, delta, k, epsilon)[0] >= 0:
-        return None
-    gram = span_stage(curve_class(params), params.context()).t_gram
-    if gram is None or not binforms.rank2_isometric(gram, target):
-        return None
-    return p, delta
 
 
 # A record has a fixed shape, so each line is one template filled from the

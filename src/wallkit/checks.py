@@ -17,8 +17,11 @@ which stage:
   witness-oracle  pencil, square, verdict and its full witness set
   moduli-dim      none (the parameters and the row only)
 
-The square stays an integer numerator over 2h (h = k - 1 + 2*epsilon) and
-the span's divisor and q(D) are integers, so every check compares ints.
+The square is a `model.Ratio`, an integer numerator over 2h
+(h = k - 1 + 2*epsilon), and the span's divisor and q(D) are integers, so
+every check compares ints.  Whether a point is the characteristic point of
+the minimal-square bound is a predicate on its parameters
+(`curves._minimal_point`), which only `min-square` reads.
 
 A `Row` builds the validated context of its (epsilon, k, p) row and
 computes, on first read, what `dual-lattice` and `moduli-dim` read of the
@@ -53,8 +56,8 @@ from __future__ import annotations
 from .catalog import state_gram
 from .curves import (
     BNParams,
-    Square,
     _bound_num,
+    _minimal_point,
     _rewritten,
     _square,
     curve_class,
@@ -64,6 +67,7 @@ from .curves import (
 from .model import (
     CurveClass,
     DomainError,
+    Ratio,
     SurfaceContext,
     Triple,
     exceptional_vector,
@@ -153,8 +157,8 @@ class Point:
         return exists_pencil(self.params)
 
     @_computed_once
-    def square(self) -> Square:
-        """q(R) as (numerator, denominator = 2h, minimal), not reduced."""
+    def square(self) -> Ratio:
+        """q(R) as (numerator, denominator = 2h), not reduced."""
         prm = self.params
         return _square(prm.p, prm.delta, prm.k, prm.epsilon)
 
@@ -246,15 +250,15 @@ def _dual_lattice(pt: Point) -> Result:
 
 
 def _min_square(pt: Point) -> Result:
-    """Wherever the pencil exists, q(R) equals -(k+3-2e)/2 exactly where
-    `curves._square` flags the point p = a(a+1)h + e, delta = a(a-1)h; on
+    """Wherever the pencil exists, q(R) equals -(k+3-2e)/2 exactly at the
+    point p = a(a+1)h + e, delta = a(a-1)h (`curves._minimal_point`); on
     walls q(R) is at least that bound."""
     if not pt.pencil:
         return None
-    prm, (num, _, minimal) = pt.params, pt.square
+    prm, num = pt.params, pt.square.numerator
     # The bound -(k+3-2e)/2 over the square's denominator 2h.
     bound = _bound_num(prm.k, prm.epsilon) * prm.half_div
-    ok = (num == bound) == minimal
+    ok = (num == bound) == _minimal_point(prm)
     if not pt.verdict.is_wall:
         return ok, '"is_wall": false'
     return ok and num >= bound, '"is_wall": true, "q_R": "%s"' % pt.q_r

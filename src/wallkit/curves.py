@@ -23,42 +23,21 @@ def bn_rho(p: int, r: int, d: int) -> int:
     return p - (r + 1) * (p - d + r)
 
 
-def _derived(p: int, delta: int, k: int,
-             epsilon: int) -> tuple[int, int, int]:
-    """(half_div, g, alpha) of a parameter set, unvalidated."""
-    h = k - 1 + 2 * epsilon
-    g = p - delta
-    return h, g, (g - epsilon) // (2 * h)
-
-
-class Square(NamedTuple):
-    """q(R) = numerator/denominator with denominator = 2*half_div, not
-    reduced, as in a `model.Ratio`, and whether the parameters are the
-    characteristic point of the minimal-square bound."""
-
-    numerator: int
-    denominator: int
-    minimal: bool
-
-
 def _bound_num(k: int, epsilon: int) -> int:
     """-(k + 3 - 2*epsilon): the minimal-square bound is this over 2, or
     this times half_div over 2*half_div."""
     return -(k + 3 - 2 * epsilon)
 
 
-def _square(p: int, delta: int, k: int, epsilon: int) -> Square:
-    """q(R) of the parameter set as (numerator, denominator 2*half_div),
-    not reduced, and whether (p, delta) is the characteristic point
-    p = alpha*(alpha+1)*half_div + epsilon, delta = alpha*(alpha-1)*half_div,
-    where q(R) attains the minimal-square bound if the pencil exists.  The
+def _square(p: int, delta: int, k: int, epsilon: int) -> Ratio:
+    """q(R) = 2(p - 1) - n^2/(2*half_div) of the parameter set, with
+    n = p - delta + k - 1 + epsilon, over 2*half_div and not reduced.  The
     parameters are not validated; `wallkit.checks` compares the value with
-    `_rewritten` and the flag with the bound.
+    `_rewritten`.
     """
-    h, g, a = _derived(p, delta, k, epsilon)
-    n = g + k - 1 + epsilon
-    return Square(4 * (p - 1) * h - n * n, 2 * h,
-                  p == a * (a + 1) * h + epsilon and delta == a * (a - 1) * h)
+    h = k - 1 + 2 * epsilon
+    n = p - delta + k - 1 + epsilon
+    return Ratio(4 * (p - 1) * h - n * n, 2 * h)
 
 
 def _rewritten(params: BNParams) -> int:
@@ -99,7 +78,8 @@ class BNParams(_BNFields):
                 "constraint violated: 0 <= delta <= p - 2*epsilon "
                 f"(got delta={delta}, p={p}, epsilon={epsilon})")
         self = super().__new__(cls, p, delta, k, epsilon)
-        h, g, a = _derived(p, delta, k, epsilon)
+        h, g = k - 1 + 2 * epsilon, p - delta
+        a = (g - epsilon) // (2 * h)
         self.__dict__.update(
             half_div=h, g=g, alpha=a, beta=(2 * a + 1) * h - g + epsilon,
             rho=bn_rho(p, a, (k + epsilon) * a + delta), _context=ctx)
@@ -112,6 +92,15 @@ class BNParams(_BNFields):
 
     def context(self) -> SurfaceContext:
         return self._context
+
+
+def _minimal_point(params: BNParams) -> bool:
+    """Whether the parameters are the characteristic point
+    p = alpha*(alpha+1)*half_div + epsilon, delta = alpha*(alpha-1)*half_div,
+    where q(R) attains the minimal-square bound if the pencil exists."""
+    a, h, epsilon = params.alpha, params.half_div, params.epsilon
+    return (params.p == a * (a + 1) * h + epsilon
+            and params.delta == a * (a - 1) * h)
 
 
 def exists_pencil(params: BNParams) -> bool:
@@ -171,7 +160,7 @@ def curve_square(params: BNParams) -> SquareReport:
     """Exact square of curve_class(params) in its two equivalent forms,
     each computed by its own formula (`_square` and `_rewritten`), both
     over 2*half_div."""
-    value, denom, minimal = _square(params.p, params.delta, params.k,
-                                    params.epsilon)
-    return SquareReport(Ratio(value, denom), Ratio(_rewritten(params), denom),
-                        minimal, params.alpha, params.beta, params.rho)
+    value = _square(params.p, params.delta, params.k, params.epsilon)
+    return SquareReport(value, Ratio(_rewritten(params), value.denominator),
+                        _minimal_point(params), params.alpha, params.beta,
+                        params.rho)

@@ -40,13 +40,13 @@ class Ratio(NamedTuple):
 
 
 def ratio_str(x) -> str:
-    """Reduced "num/den" text of an int, a `Ratio` or a `curves.Square`, as
-    written in every JSON record; anything without a numerator and
-    denominator (a float, a str, None) raises TypeError."""
+    """Reduced "num/den" text of an int or a `Ratio`, as written in every
+    JSON record; anything without a numerator and denominator (a float, a
+    str, None) raises TypeError."""
     try:
         num, den = x.numerator, x.denominator
     except AttributeError:
-        raise TypeError(f"ratio_str needs an int, a Ratio or a Square, "
+        raise TypeError(f"ratio_str needs an int or a Ratio, "
                         f"got {x!r}") from None
     g = gcd(num, den)
     return f"{num // g}/{den // g}"

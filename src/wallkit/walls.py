@@ -306,8 +306,7 @@ def box_witnesses(gram: Gram, v: tuple[int, int], epsilon: int,
     return found
 
 
-def primitive_integral_divisor(divisor: DivisorClass,
-                               ctx: SurfaceContext) -> DivisorClass:
+def primitive_integral_divisor(divisor: DivisorClass) -> DivisorClass:
     """Primitive integral class positively proportional to the input."""
     x, y = divisor.l, divisor.e
     if x == 0 and y == 0:
@@ -337,7 +336,7 @@ def span_stage(obj: CurveClass | DivisorClass,
     if isinstance(obj, CurveClass):
         divisor, div = primitive_dual_divisor(obj, ctx)
     else:
-        divisor = primitive_integral_divisor(obj, ctx)
+        divisor = primitive_integral_divisor(obj)
         div = divisor_divisibility(divisor, ctx)
     q_d = divisor.square(ctx)
     span = _saturate(divisor.l, divisor.e, div, ctx) if q_d < 0 else None

@@ -43,16 +43,18 @@ from wallkit import (
     chi_value,
     curve_class,
     curve_square,
+    exists_pencil,
     generate_catalog,
     lagrangian_plane,
     moduli_dim,
     nodal_family_loci,
     primitive_dual_divisor,
-    realize_gram,
+    rank2_isometric,
     saturated_span,
     seed_lattice,
 )
 from wallkit.checks import CHECKS, Point, Row
+from wallkit.walls import span_stage
 
 EPS_RANGE = (0, 1)
 K_RANGE = range(2, 9)
@@ -230,7 +232,11 @@ def _criterion_2() -> tuple[bool, str]:
 
 def _criterion_3() -> tuple[bool, str]:
     assert all(_applies("min-square", pt) for pt in _grid())
-    equality = sum(pt.square.minimal for pt in _grid())
+    # The check holds at every point, so q(R) meets the bound exactly at
+    # the characteristic points.
+    equality = sum(Fraction(*pt.square)
+                   == -Fraction(pt.params.k + 3 - 2 * pt.params.epsilon, 2)
+                   for pt in _grid())
     return True, (f"q(R) >= -(k+3-2e)/2 on all 446 walls; equality exactly "
                   f"at the {equality} points p=a(a+1)h+e, delta=a(a-1)h")
 
@@ -268,6 +274,23 @@ def _criterion_7() -> tuple[bool, str]:
     assert max(abs(a * c - b * b) for (a, b), (_, c) in grams) == 81
     return True, (f"witness enumeration == box oracle (bit and full set) on "
                   f"all {n} lattices with |disc| <= 200")
+
+
+def realize_gram(target, k: int, epsilon: int) -> tuple[int, int] | None:
+    """Invert the catalog's `state_gram` [[2d - 2 + 2e, b], [b, 2h]]: the
+    (p, delta) of the wall whose saturation is isometric to the target,
+    verified by reconstruction; None when there is none.  Only the
+    saturation is read, so no witness search runs."""
+    (a, b), _ = target
+    delta = (a + 2 - 2 * epsilon) // 2
+    p = b + delta + k - 1 + 3 * epsilon
+    if delta < 0 or p < 2 or delta > p - 2 * epsilon:
+        return None
+    params = BNParams(p, delta, k, epsilon)
+    if not exists_pencil(params) or curve_square(params).value.numerator >= 0:
+        return None
+    gram = span_stage(curve_class(params), params.context()).t_gram
+    return (p, delta) if rank2_isometric(gram, target) else None
 
 
 def _criterion_8() -> tuple[bool, str]:

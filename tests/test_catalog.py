@@ -25,20 +25,20 @@ from wallkit.catalog import (
     export_catalog,
     generate_catalog,
     iter_catalog,
-    realize_gram,
     seed_lattice,
     state_gram,
 )
 from wallkit.checks import CHECKS, Point, Row
 from wallkit.curves import (
     BNParams,
-    Square,
     curve_class,
     curve_square,
     exists_pencil,
 )
-from wallkit.model import DomainError, SurfaceContext
+from wallkit.model import DomainError, Ratio, SurfaceContext
 from wallkit.walls import wall_test
+
+from test_acceptance import realize_gram
 
 
 def _fraction_text(x) -> str:
@@ -192,15 +192,6 @@ def test_realize_examples():
     assert realize_gram(((-2, 3), (3, 6)), 4, 0) == (6, 0)
 
 
-def test_realize_validation():
-    with pytest.raises(DomainError):
-        realize_gram(((-2, 1), (2, 2)), 2, 0)  # asymmetric
-    with pytest.raises(DomainError):
-        realize_gram(((-2, 1), (1, 4)), 2, 0)  # wrong corner for k=2
-    with pytest.raises(DomainError):
-        realize_gram(((1, 0), (0, 2)), 2, 0)   # odd diagonal
-
-
 def test_realize_inverts_catalog_entries():
     rng = random.Random(646)
     pool = []
@@ -292,7 +283,7 @@ def test_catalog_grams_are_pairwise_distinct_up_to_isometry():
 def _reference_entry(gram, params):
     report = curve_square(params)
     q_r, denom = Fraction(*report.value), 2 * params.half_div
-    square = Square((q_r * denom).numerator, denom, report.minimal)
+    square = Ratio((q_r * denom).numerator, denom)
     assert Fraction(square.numerator, denom) == q_r
     try:
         cid = class_id([list(r) for r in gram])
@@ -372,8 +363,8 @@ _SLICES = ({"p_min": 5}, {"p_max": 12}, {"delta_max": 3},
 
 def test_integer_square_matches_the_object_path():
     # generate_catalog validates once and takes q(R) from integers; every
-    # entry's parameters must still pass BNParams and give the same square,
-    # flag and record text through curve_square.
+    # entry's parameters must still pass BNParams and give the same square
+    # and record text through curve_square.
     runs = [(k, epsilon, {}) for epsilon in (0, 1) for k in range(2, 31)]
     runs += [(k, epsilon, kwargs) for epsilon in (0, 1) for k in (7, 20)
              for kwargs in _SLICES]
@@ -382,11 +373,10 @@ def test_integer_square_matches_the_object_path():
         for e in generate_catalog(k, epsilon, **kwargs):
             params = BNParams(e.p, e.delta, k, epsilon)
             report = curve_square(params)
-            num, denom, minimal = e.q_curve
+            num, denom = e.q_curve
             assert type(num) is int and denom == 2 * params.half_div
             assert Fraction(num, denom) == Fraction(*report.value), \
                 (k, kwargs, e)
-            assert minimal == report.minimal, (k, kwargs, e)
             assert (json.loads(entry_line(e))["q_R"]
                     == _fraction_text(report.value))
             checked += 1
@@ -438,8 +428,7 @@ def test_streamed_catalog_matches_the_old_way(epsilon):
             new = list(iter_catalog(k, epsilon, **kwargs))
             assert len(new) == len(old), (k, kwargs)
             for got, want in zip(new, old):
-                num, denom, _ = got.q_curve
-                assert got._replace(q_curve=Fraction(num, denom)) == want
+                assert got._replace(q_curve=Fraction(*got.q_curve)) == want
                 record = entry_record(got)
                 assert record["q_R"] == _fraction_text(want.q_curve)
                 assert record["gram"] == [*want.gram[0], *want.gram[1]]
@@ -547,12 +536,12 @@ def test_catalog_entry_shape_is_pinned():
     flat = next(e for e in entries if not e.is_wall)
     assert repr(wall) == (
         "CatalogEntry(epsilon=0, k=4, p=6, delta=0, gram=((-2, 3), (3, 6)), "
-        "q_curve=Square(numerator=-21, denominator=6, minimal=True), "
+        "q_curve=Ratio(numerator=-21, denominator=6), "
         "is_wall=True, "
         "witness=(-1, 1, -6), class_id='indef:-2:6:6')")
     assert repr(flat) == (
         "CatalogEntry(epsilon=0, k=4, p=4, delta=1, gram=((0, 0), (0, 6)), "
-        "q_curve=Square(numerator=0, denominator=6, minimal=False), "
+        "q_curve=Ratio(numerator=0, denominator=6), "
         "is_wall=False, "
         "witness=None, class_id=None)")
     # A NamedTuple: iterable, and equal to the plain tuple of its fields.

@@ -111,8 +111,8 @@ _MUTATIONS = {
     "witness-oracle": ("walls.py", "if qs <= hi:", "if qs < hi:"),
     "square-forms": ("curves.py", "- params.beta * params.beta)",
                      "- params.beta * params.beta + 2)"),
-    "min-square": ("curves.py", "p == a * (a + 1) * h + epsilon and",
-                   "p == a * (a + 1) * h + epsilon + 1 and"),
+    "min-square": ("curves.py", "params.p == a * (a + 1) * h + epsilon",
+                   "params.p == a * (a + 1) * h + epsilon + 1"),
     "moduli-dim": ("model.py", "dim = 2 * p - 4 * chi + 8 * (1 - epsilon)",
                    "dim = 2 * p - 4 * chi + 8 * (1 - epsilon) + 2"),
 }

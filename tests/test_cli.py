@@ -236,7 +236,7 @@ def test_scan_computes_only_what_the_check_needs(capsys, monkeypatch, walked,
     # verdicts at points with a pencil, and the oracle's full witness sets.
     # The 5,349 lines hold 2,957 candidate points t, on the 2,484 lines
     # that compute their exact t-range.
-    rc, _, _, lines, _ = grid_scan
+    rc, _, lines, _ = grid_scan
     assert rc == 0 and lines == (5349, 2957, 2484)
     rc, _, err = _run(capsys, "scan", "--epsilon", "0..1", "--k", "2..8",
                       "--p", "2..40", "--check", "dual-lattice")
@@ -423,19 +423,14 @@ def test_catalog_lines_bypass_the_json_encoder(capsys, monkeypatch):
 
 @pytest.fixture(scope="module")
 def grid_scan(walk_counter):
-    """(exit code, stdout, Fraction constructions, the witness walk's
-    [lines, t values, exact ranges] counts, surface contexts) of one
-    `scan --check all` over the acceptance grid, run with
-    `Fraction.__new__`, the walk (`conftest.count_walk`) and
+    """(exit code, stdout, the witness walk's [lines, t values, exact
+    ranges] counts, surface contexts) of one `scan --check all` over the
+    acceptance grid, run with the walk (`conftest.count_walk`) and
     `SurfaceContext.__new__` counting.  The scan builds one `checks.Row`,
     and so one context, per (epsilon, k, p) row; the counts need no state
     reset, as wallkit keeps none."""
-    built, contexts = [0], [0]
-    original, new_context = Fraction.__new__, SurfaceContext.__new__
-
-    def counting(cls, *args, **kwargs):
-        built[0] += 1
-        return original(cls, *args, **kwargs)
+    contexts = [0]
+    new_context = SurfaceContext.__new__
 
     def counting_contexts(cls, *args):
         contexts[0] += 1
@@ -443,35 +438,24 @@ def grid_scan(walk_counter):
 
     out = io.StringIO()
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(Fraction, "__new__", staticmethod(counting))
         lines = walk_counter(mp)
         mp.setattr(SurfaceContext, "__new__", staticmethod(counting_contexts))
         with contextlib.redirect_stdout(out):
             rc = main(["scan", "--epsilon", "0..1", "--k", "2..8",
                        "--p", "2..40", "--check", "all"])
-        count = built[0]
-        Fraction(1, 2)
-        # The counter sees a construction, so a zero count means none.
-        assert built[0] == count + 1
-    return rc, out.getvalue(), count, tuple(lines), contexts[0]
+    return rc, out.getvalue(), tuple(lines), contexts[0]
 
 
 def test_grid_scan_stdout_is_pinned(grid_scan):
-    rc, out, _, _, _ = grid_scan
+    rc, out, _, _ = grid_scan
     assert rc == 0
     assert hashlib.sha256(out.encode()).hexdigest() == _GRID_SCAN_SHA256
-
-
-def test_grid_scan_builds_no_fraction(grid_scan):
-    # q(R), q(D) and the dual divisor stay integers on the scan path.
-    rc, _, built, _, _ = grid_scan
-    assert rc == 0 and built == 0
 
 
 def test_grid_scan_builds_one_context_per_row(grid_scan):
     # The 11,466 points lie on 2 * 7 * 39 = 546 (epsilon, k, p) rows, and
     # the points of a row share the validated context of its `checks.Row`.
-    rc, _, _, _, contexts = grid_scan
+    rc, _, _, contexts = grid_scan
     assert rc == 0 and contexts == 546
 
 

@@ -9,7 +9,7 @@ from fractions import Fraction
 
 import pytest
 
-from wallkit.curves import Square
+from wallkit.curves import _square
 from wallkit.model import (
     CurveClass,
     DivisorClass,
@@ -199,8 +199,9 @@ def test_ratio_str_reduces_ints_ratios_and_squares_only():
     assert ratio_str(3) == "3/1" and ratio_str(-4) == "-4/1"
     assert ratio_str(0) == ratio_str(Ratio(0, 6)) == "0/1"
     assert ratio_str(Ratio(-6, 4)) == "-3/2" and ratio_str(Ratio(5, 1)) == "5/1"
-    assert ratio_str(Square(-21, 6, True)) == "-7/2"
-    assert ratio_str(Square(12, 6, False)) == "2/1"
+    # Curve squares, over 2h = 6 (k = 4, epsilon = 0) and not reduced.
+    assert ratio_str(_square(6, 0, 4, 0)) == "-7/2"
+    assert ratio_str(_square(5, 2, 4, 0)) == "2/1"
     for not_rational in (0.5, 2.0, "1/2", None):
         with pytest.raises(TypeError):
             ratio_str(not_rational)

@@ -117,12 +117,14 @@ def test_scan_path_integers_match_fraction_reference(params):
     ctx = params.context()
     pt = Point(Row(params.epsilon, params.k, params.p), params.delta)
     report = curve_square(params)
-    num, den, minimal = pt.square
+    num, den = pt.square
     assert type(num) is int and den == 2 * params.half_div
     q_r = Fraction(*report.value)
     assert Fraction(num, den) == q_r
     assert pt.q_r == f"{q_r.numerator}/{q_r.denominator}"
-    assert minimal == report.minimal
+    if pt.pencil:
+        bound = Fraction(-(params.k + 3 - 2 * params.epsilon), 2)
+        assert report.minimal == (q_r == bound)
     # As in the test above, the witness walk is skipped: it does not touch
     # the divisor or q(D).
     with mock.patch("wallkit.walls._witness_walk", return_value=iter(())):
@@ -137,7 +139,7 @@ def test_scan_path_integers_match_fraction_reference(params):
     # The dual divisor l*L + (r/2h)*e, given as 2h times itself.
     curve = pt.curve
     dual = DivisorClass(2 * params.half_div * curve.l, curve.r)
-    assert primitive_integral_divisor(dual, ctx) == divisor
+    assert primitive_integral_divisor(dual) == divisor
 
 
 @_settings

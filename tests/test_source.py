@@ -110,15 +110,30 @@ def _uses(tree: ast.Module) -> set[str]:
 
 
 def test_every_export_is_used_in_the_package_or_the_benchmark():
-    # An export that only the tests call is API to delete.  The one
-    # exception is `realize_gram`, the documented inverse of
-    # `catalog.state_gram`, which gate 8 exercises.
+    # An export that only the tests call is API to delete.
     used = set().union(*(_uses(ast.parse(path.read_text(), str(path)))
                          for path in SRC.rglob("*.py")
                          if path.name != "__init__.py"))
     unused = set(wallkit.__all__) - used
     assert "class_id" in unused  # catalog's field and variable are no use
-    assert sorted(unused - _bench_names()) == ["realize_gram"]
+    assert sorted(unused - _bench_names()) == []
+
+
+def test_ratio_is_the_one_rational_class():
+    # One integer rational: no class but `model.Ratio` declares both a
+    # numerator and a denominator field.
+    rationals = []
+    for path in sorted(SRC.rglob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.ClassDef):
+                continue
+            fields = {item.target.id for item in node.body
+                      if isinstance(item, ast.AnnAssign)
+                      and isinstance(item.target, ast.Name)}
+            if {"numerator", "denominator"} <= fields:
+                rationals.append((path.name, node.name))
+    assert rationals == [("model.py", "Ratio")]
 
 
 def test_all_is_unique_and_resolves():
@@ -154,8 +169,7 @@ def test_box_oracle_shares_no_code_with_the_enumerator():
 
 def test_package_imports_nothing_from_fractions():
     # Every rational is an integer numerator over a known denominator
-    # (`model.Ratio`, `curves.Square`), so no module imports `fractions`
-    # or names from it.
+    # (`model.Ratio`), so no module imports `fractions` or names from it.
     files = sorted(SRC.rglob("*.py"))
     assert len(files) >= 9
     imported = []

@@ -516,15 +516,14 @@ def test_primitive_dual_divisor_examples():
 
 
 def test_primitive_integral_divisor():
-    ctx = SurfaceContext(0, 2, 2)
-    d = primitive_integral_divisor(DivisorClass(6, -9), ctx)
+    d = primitive_integral_divisor(DivisorClass(6, -9))
     assert (d.l, d.e) == (2, -3)
-    d = primitive_integral_divisor(DivisorClass(4, -6), ctx)
+    d = primitive_integral_divisor(DivisorClass(4, -6))
     assert (d.l, d.e) == (2, -3)
-    d = primitive_integral_divisor(DivisorClass(-4, 6), ctx)
+    d = primitive_integral_divisor(DivisorClass(-4, 6))
     assert (d.l, d.e) == (-2, 3)  # direction is preserved, not flipped
     with pytest.raises(DomainError):
-        primitive_integral_divisor(DivisorClass(0, 0), ctx)
+        primitive_integral_divisor(DivisorClass(0, 0))
 
 
 def _span_for(p, delta, k, epsilon):
