@@ -65,7 +65,6 @@ from .walls import (
     primitive_dual_divisor,
     primitive_integral_divisor,
     saturated_span,
-    wall_test,
 )
 
 __version__ = "0.1.0"
@@ -117,5 +116,4 @@ __all__ = [
     "seed_lattice",
     "series_family_loci",
     "sheaf_vector",
-    "wall_test",
 ]

@@ -5,7 +5,8 @@ parameters (p, delta) realizing it, the curve square, and the wall verdict.
 Two moves reach the catalog from the seed: adding a node (delta + 1,
 top-left + 2, off-diagonal - 1) and dropping the genus (p - 1,
 off-diagonal - 1).  The state they reach at (p, delta) has the closed form
-`state_gram`.
+`state_gram`, the Gram of the basis (`state_vector`, v) of the ambient
+rank-3 model.
 """
 
 from __future__ import annotations
@@ -14,9 +15,9 @@ from typing import IO, Iterable, Iterator, NamedTuple
 
 from . import binforms
 from .binforms import Gram
-from .curves import BNParams, _square, curve_class
+from .curves import _square
 from .model import DomainError, Ratio, SurfaceContext, ratio_str, write_records
-from .walls import wall_test
+from .walls import _least_witness, _normal_basis
 
 
 class CatalogEntry(NamedTuple):
@@ -57,14 +58,18 @@ def iter_catalog(k: int, epsilon: int, p_min: int = 2,
     The moves reach every (p, delta) with 2 <= p <= seed p and
     0 <= delta <= p - 2*epsilon; the states in range are taken by delta
     ascending, then p descending.  These bounds are all that `BNParams`
-    checks, so q(R) is the unvalidated integer `curves._square`, and
-    parameters are built only for the walls' wall test (q(R) < 0), on one
-    context per p.  No
+    checks, so q(R) is the unvalidated integer `curves._square`, and no
+    parameters are built.  No
     state needs the pencil-existence check: p is at most the seed's
     2h + epsilon (h = k - 1 + 2*epsilon), so alpha <= 1 and the bound
-    alpha*(p - delta - epsilon - (alpha+1)*h) is <= 0 <= delta.  That each
-    wall's saturation is its state's gram is the `dual-lattice` check of
-    `wallkit.checks`, which the catalog does not repeat.
+    alpha*(p - delta - epsilon - (alpha+1)*h) is <= 0 <= delta.
+
+    A wall (q(R) < 0) is searched on its state's own basis: `state_vector`
+    and v, reduced to the saturation's normal basis by `walls._normal_basis`
+    on one context per p, so no curve class, dual divisor or verdict is
+    built.  That this basis spans the saturation T of span{v, D} is the
+    `dual-lattice` check of `wallkit.checks`, which the catalog does not
+    repeat.
     """
     _, seed_p, _ = seed_lattice(k, epsilon)
     p_low = max(p_min, 2)
@@ -84,9 +89,13 @@ def _entries(k: int, epsilon: int, p_low: int, p_top: int,
              d_top: int) -> Iterator[CatalogEntry]:
     # The state at (p, delta) has the `state_gram` [[a, b], [b, c]].  It is
     # classified from these integers first, so a state whose class is
-    # listed costs no Gram, no square and no wall test.  A degenerate state
-    # (det = 0) has no class and is always listed: no two states share
-    # both a (one per delta) and b (one per p in a delta row).
+    # listed costs no Gram, no square and no wall search.  A degenerate
+    # state (det = 0) has no class and is always listed: no two states
+    # share both a (one per delta) and b (one per p in a delta row).  A
+    # nondegenerate state with b_mirror <= b < 0, where b_mirror is minus
+    # the row's first b, is not classified at all: x -> -x maps it onto
+    # (a, -b, c), the state at p - 2b, which this row took earlier, so its
+    # class is listed.
     canonical, form_id = binforms._canonical, binforms.form_id
     c = 2 * (k - 1 + 2 * epsilon)
     contexts: dict[int, SurfaceContext] = {}
@@ -94,10 +103,13 @@ def _entries(k: int, epsilon: int, p_low: int, p_top: int,
     for delta in range(d_top + 1):
         a = 2 * delta - 2 + 2 * epsilon
         ac, b_off = a * c, delta + k - 1 + 3 * epsilon
+        b_mirror = b_off - p_top
         for p in range(p_top, max(p_low, delta + 2 * epsilon) - 1, -1):
             b = p - b_off
             det = ac - b * b
             if det:
+                if b_mirror <= b < 0:
+                    continue
                 form = canonical(a, b, c, det)
                 if form in seen:
                     continue
@@ -114,10 +126,11 @@ def _entries(k: int, epsilon: int, p_low: int, p_top: int,
             ctx = contexts.get(p)
             if ctx is None:
                 ctx = contexts[p] = SurfaceContext(epsilon, p, k)
-            verdict = wall_test(curve_class(BNParams.on(ctx, delta)), ctx)
+            witness, ambient = _least_witness(
+                _normal_basis(state_vector(p, delta, k, epsilon), ctx),
+                epsilon)
             yield CatalogEntry(epsilon, k, p, delta, gram, square,
-                               verdict.is_wall, verdict.witness_ambient,
-                               class_id)
+                               witness is not None, ambient, class_id)
 
 
 def state_gram(p: int, delta: int, k: int, epsilon: int) -> Gram:
@@ -125,6 +138,15 @@ def state_gram(p: int, delta: int, k: int, epsilon: int) -> Gram:
     (p, delta), with b = p - delta - k + 1 - 3*epsilon, h = k - 1 + 2*epsilon."""
     b = p - delta - k + 1 - 3 * epsilon
     return ((2 * delta - 2 + 2 * epsilon, b), (b, 2 * (k - 1 + 2 * epsilon)))
+
+
+def state_vector(p: int, delta: int, k: int,
+                 epsilon: int) -> tuple[int, int, int]:
+    """The state's basis vector w = (-1, 1, h - n) of the ambient rank-3
+    model, n = p - delta + k - 1 + epsilon: q(w) and b(w, v) are the
+    `state_gram` entries, and where q(R) < 0, (w, v) is a basis of the
+    saturation of span{v, D}."""
+    return (-1, 1, delta + epsilon - p)
 
 
 # A record has a fixed shape, so each line is one template filled from the

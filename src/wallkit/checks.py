@@ -53,7 +53,7 @@ writes it into its record as it is.  The text needs no escaping: q(R) is
 
 from __future__ import annotations
 
-from .catalog import state_gram
+from .catalog import state_gram, state_vector
 from .curves import (
     BNParams,
     _bound_num,
@@ -229,17 +229,18 @@ def _square_forms(pt: Point) -> Result:
 
 def _dual_lattice(pt: Point) -> Result:
     """q(w) and b(w, v) are the catalog's `state_gram` entries, and
-    disc<v, w> matches the saturation, where q(R) < 0.
+    disc<v, w> matches the saturation, where q(R) < 0: so (w, v), the basis
+    the catalog searches on, spans T.
 
-    w is the closed-form complement (b/c)(v - e) + L - v in ambient
-    coordinates.  With h = k - 1 + 2*epsilon and n = g + k - 1 + epsilon,
-    b/c = n/(2h), v - e = (0, 0, -2h) and L - v = (-1, 1, h), so
-    w = (-1, 1, h - n).
+    w is the catalog's `state_vector`, the closed-form complement
+    (b/c)(v - e) + L - v in ambient coordinates.  With
+    h = k - 1 + 2*epsilon and n = g + k - 1 + epsilon, b/c = n/(2h),
+    v - e = (0, 0, -2h) and L - v = (-1, 1, h), so w = (-1, 1, h - n).
     """
     if pt.square.numerator >= 0:
         return None
     prm, row = pt.params, pt.row
-    w = (-1, 1, prm.half_div - (prm.g + prm.k - 1 + prm.epsilon))
+    w = state_vector(prm.p, prm.delta, prm.k, prm.epsilon)
     qw, bwv = mukai_square(w, prm.p), mukai_pairing(w, row.v, prm.p)
     (q_stated, b_stated), _ = state_gram(prm.p, prm.delta, prm.k, prm.epsilon)
     t = pt.span.t_gram

@@ -22,6 +22,7 @@ from .model import (
     DivisorClass,
     DomainError,
     SurfaceContext,
+    Triple,
     divisor_divisibility,
     moduli_vector,
     mukai_square,
@@ -100,7 +101,11 @@ def saturated_span(divisor: DivisorClass, ctx: SurfaceContext) -> SpanLattice:
     T.  Then w = +-w0 + t*v is reduced into 0 <= b(w, v) <= q(v)/2.  At the
     two ties, b(w, v) = 0 (candidates w, -w) and 2*b(w, v) = q(v)
     (candidates w, v - w), the candidate with the lexicographically smaller
-    (w[1], w[0]) is returned.
+    (w[1], w[0]) is returned.  That reduction is `_normal_basis`, which
+    takes any basis (w, v) of T.  The catalog hands it its state's own
+    basis vector (`catalog.state_vector`) in place of w0, so it builds no
+    divisor; that this vector and v span T is the `dual-lattice` check of
+    `wallkit.checks`.
     """
     stage = span_stage(divisor, ctx)
     if stage.span is None:
@@ -111,14 +116,25 @@ def saturated_span(divisor: DivisorClass, ctx: SurfaceContext) -> SpanLattice:
 
 def _saturate(a: int, b: int, index: int, ctx: SurfaceContext) -> SpanLattice:
     """Closed form of saturated_span for D = a*L + b*e with q(D) < 0 and
-    index = div(D)."""
+    index = div(D): w0 = (0, a/m, b*q(v)/m), m = index, reduced by
+    `_normal_basis`."""
+    return _normal_basis((0, a // index, b * ctx.ek_div // index), ctx)
+
+
+def _normal_basis(w: Triple, ctx: SurfaceContext) -> SpanLattice:
+    """The lattice Z*w + Z*v in the basis (w', v) that `saturated_span`
+    returns: w' = +-w + t*v with 0 <= b(w', v) <= q(v)/2, and at the two
+    ties the candidate with the lexicographically smaller (w'[1], w'[0]).
+    w is an ambient triple with (w, v) a basis of the lattice, so every
+    s*w + t*v with s = +-1 gives the same result."""
     v = moduli_vector(ctx)
     qv = ctx.ek_div
-    w0 = (0, a // index, b * qv // index)
-    # b(w0, v) = -w0[2]; shift by t*v, t = -floor(b(w0, v) / q(v)).
-    b_red = -w0[2] % qv
-    t = (b_red + w0[2]) // qv
-    w = (t, w0[1], w0[2] + t * v[2])
+    # v = (1, 0, v[2]), so b(w, v) = -w[0]*v[2] - w[2]; shift by t*v into
+    # 0 <= b(w, v) < q(v).
+    b_w = -w[0] * v[2] - w[2]
+    b_red = b_w % qv
+    t = (b_red - b_w) // qv
+    w = (w[0] + t, w[1], w[2] + t * v[2])
     v_minus_w = (1 - w[0], -w[1], v[2] - w[2])
     if 2 * b_red > qv:
         w, b_red = v_minus_w, qv - b_red
@@ -246,7 +262,7 @@ def enumerate_witnesses(gram: Gram, v: tuple[int, int],
     mod |q(u)| and one comparison of squares, tells whether the line has a
     t with q >= the window's lower end, and only a line that has one
     computes its exact t-range and builds and sorts a list.  That is still
-    O(q(v)/d) lines in all, with d = gcd(b(-, v)).  `wall_test` reads the
+    O(q(v)/d) lines in all, with d = gcd(b(-, v)).  `witness_stage` reads the
     same walk lazily and stops at the least witness's line; non-walls and
     walls with only case (ii) witnesses still walk all O(q(v)/d) lines.
     """
@@ -332,7 +348,9 @@ class SpanStage(NamedTuple):
 
 def span_stage(obj: CurveClass | DivisorClass,
                ctx: SurfaceContext) -> SpanStage:
-    """The span stage of `wall_test`: no witness search."""
+    """The span stage of the wall decision (dual divisor, div(D), q(D) and
+    the saturation T): no witness search.  `witness_stage` on it decides
+    whether the class spans a wall."""
     if isinstance(obj, CurveClass):
         divisor, div = primitive_dual_divisor(obj, ctx)
     else:
@@ -343,22 +361,22 @@ def span_stage(obj: CurveClass | DivisorClass,
     return SpanStage(divisor, div, q_d, span)
 
 
-def witness_stage(stage: SpanStage, epsilon: int) -> WallVerdict:
-    """The witness stage of `wall_test`: the verdict on a span stage, which
-    walks the lines of T up to the least witness."""
-    span = stage.span
-    if span is None:
-        return WallVerdict(*stage, None, None)
+def _least_witness(span: SpanLattice,
+                   epsilon: int) -> tuple[Witness | None, Triple | None]:
+    """The least witness of the span, which walks its lines up to that
+    witness, and the witness's ambient coordinates; (None, None) when T has
+    no witness."""
     witness = next(_witness_walk(span.gram, span.v_coords, epsilon), None)
-    ambient = None
-    if witness is not None:
-        s = witness.coords
-        ambient = tuple(s[0] * span.basis[0][i] + s[1] * span.basis[1][i]
-                        for i in range(3))
-    return WallVerdict(*stage, witness, ambient)
+    if witness is None:
+        return None, None
+    (x, y), (w, v) = witness.coords, span.basis
+    return witness, (x * w[0] + y * v[0], x * w[1] + y * v[1],
+                     x * w[2] + y * v[2])
 
 
-def wall_test(obj: CurveClass | DivisorClass,
-              ctx: SurfaceContext) -> WallVerdict:
-    """Decide whether the (divisor dual to the) given class spans a wall."""
-    return witness_stage(span_stage(obj, ctx), ctx.epsilon)
+def witness_stage(stage: SpanStage, epsilon: int) -> WallVerdict:
+    """The witness stage of the wall decision: the verdict on a span stage,
+    with the least witness of `_least_witness`."""
+    if stage.span is None:
+        return WallVerdict(*stage, None, None)
+    return WallVerdict(*stage, *_least_witness(stage.span, epsilon))

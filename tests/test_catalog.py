@@ -8,8 +8,11 @@ import json
 import random
 import re
 from fractions import Fraction
+from math import isqrt
 
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from wallkit import binforms, catalog
 from wallkit.binforms import (
@@ -27,18 +30,21 @@ from wallkit.catalog import (
     iter_catalog,
     seed_lattice,
     state_gram,
+    state_vector,
 )
 from wallkit.checks import CHECKS, Point, Row
 from wallkit.curves import (
     BNParams,
+    _square,
     curve_class,
     curve_square,
     exists_pencil,
 )
-from wallkit.model import DomainError, Ratio, SurfaceContext
-from wallkit.walls import wall_test
+from wallkit.model import DomainError, Ratio, SurfaceContext, moduli_vector
+from wallkit.walls import _normal_basis, span_stage
 
 from test_acceptance import realize_gram
+from test_walls import wall_test
 
 
 def _fraction_text(x) -> str:
@@ -500,9 +506,10 @@ def test_first_entry_needs_constant_work(monkeypatch):
 
 
 def test_generate_builds_params_for_walls_only(monkeypatch):
-    # Parameters are built only for the walls (q(R) < 0), each with
-    # `BNParams.on` on the context of its p, which the walls of one p
-    # share: one SurfaceContext per distinct wall p, one `on` per wall.
+    # No parameters are built at all: a wall is searched on its state's
+    # basis, on the context of its p, which the walls of one p share: one
+    # SurfaceContext per distinct wall p.  Every BNParams is built through
+    # `BNParams.on`.
     contexts, built = [], []
     new_context, on = SurfaceContext.__new__, BNParams.on.__func__
 
@@ -520,7 +527,7 @@ def test_generate_builds_params_for_walls_only(monkeypatch):
     entries = generate_catalog(12, 0)
     walls = [(e.p, e.delta) for e in entries if e.q_curve.numerator < 0]
     assert walls and len(walls) < len(entries)
-    assert built == walls
+    assert built == []
     wall_ps = sorted({p for p, _ in walls})
     assert len(wall_ps) < len(walls)
     assert sorted(contexts) == [(0, p, 12) for p in wall_ps]
@@ -576,34 +583,87 @@ def _counting_core(monkeypatch):
 
 @pytest.mark.parametrize("epsilon", (0, 1))
 def test_generate_classifies_each_state_once(monkeypatch, epsilon):
-    # One integer canonical form per nondegenerate state; a degenerate
-    # state (det = 0) is never classified.
+    # One integer canonical form per nondegenerate state, except the
+    # mirrors: a state whose b is negative while -b is a b of its delta row
+    # is never classified, and its class is that of (a, -b, c), which the
+    # row classified earlier.  A degenerate state (det = 0) is never
+    # classified.
     calls = _counting_core(monkeypatch)
     k = 12
     seed_p = seed_lattice(k, epsilon)[1]
     generate_catalog(k, epsilon)
-    states = [(a, b, c, a * c - b * b) for p in range(2, seed_p + 1)
-              for delta in range(p - 2 * epsilon + 1)
-              for (a, b), (_, c) in [state_gram(p, delta, k, epsilon)]]
-    assert sorted(calls) == sorted(s for s in states if s[3])
-    assert len(calls) < len(states)
+    states, mirrors = [], []
+    for delta in range(seed_p - 2 * epsilon + 1):
+        row = [state_gram(p, delta, k, epsilon)
+               for p in range(max(2, delta + 2 * epsilon), seed_p + 1)]
+        row_bs = {b for (_, b), _ in row}
+        for (a, b), (_, c) in row:
+            state = (a, b, c, a * c - b * b)
+            if state[3]:
+                (mirrors if b < 0 and -b in row_bs else states).append(state)
+    assert sorted(calls) == sorted(states)
+    assert mirrors and len(calls) < len(states) + len(mirrors)
+    for a, b, c, _ in mirrors:
+        assert (canonical_form(((a, b), (b, c)))
+                == canonical_form(((a, -b), (-b, c))))
 
 
 def test_catalog_work_is_pinned(monkeypatch):
     # Work counters, counted by patching the callees from the test, so the
     # library holds no counter: one canonical form per nondegenerate state
-    # in range (39,672 states, 89 of them degenerate), and one wall test
-    # per listed entry with q(R) < 0.
+    # in range that is not a mirror (39,672 states, 89 of them degenerate,
+    # 9,849 mirrors), and one least-witness search per listed entry with
+    # q(R) < 0.
     calls = _counting_core(monkeypatch)
     walls = []
-    wall_test_ = catalog.wall_test
+    least_witness = catalog._least_witness
 
     def counting(*args):
         walls.append(args)
-        return wall_test_(*args)
+        return least_witness(*args)
 
-    monkeypatch.setattr(catalog, "wall_test", counting)
+    monkeypatch.setattr(catalog, "_least_witness", counting)
     for epsilon in (0, 1):
         for k in range(2, 31):
             generate_catalog(k, epsilon)
-    assert (len(calls), len(walls)) == (39672 - 89, 2423)
+    assert (len(calls), len(walls)) == (39672 - 89 - 9849, 2423)
+
+
+@st.composite
+def _wall_points(draw):
+    """(epsilon, k, p, delta) with q(R) < 0, at k up to 1e6 and p up to
+    1e12: with h = k - 1 + 2*epsilon and n = p - delta + k - 1 + epsilon,
+    q(R) < 0 iff n^2 > 4(p - 1)h, that is iff n > isqrt(4(p - 1)h)."""
+    eps = draw(st.integers(0, 1))
+    k = draw(st.integers(2, 60) | st.integers(2, 10**6))
+    p = draw(st.integers(2, 2 * k - 2 + 5 * eps) | st.integers(2, 10**12))
+    h = k - 1 + 2 * eps
+    d_max = min(p - 2 * eps, p + k - 2 + eps - isqrt(4 * (p - 1) * h))
+    assume(d_max >= 0)
+    return eps, k, p, draw(st.integers(0, d_max))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(_wall_points(), st.integers(-10**6, 10**6))
+@example((0, 3, 2, 0), 5)   # b(w, v) = 0: the tie w, -w
+@example((0, 2, 2, 0), -3)  # 2*b(w, v) = q(v): the tie w, v - w
+def test_state_vector_gives_the_saturation_basis(point, t):
+    # The catalog searches a wall on (state_vector, v).  That vector lies
+    # in span_Q{v, D}, and reduced to the normal basis it gives exactly the
+    # span stage's saturation, gram and basis, from any s*w + t*v, s = +-1.
+    eps, k, p, delta = point
+    assert _square(p, delta, k, eps).numerator < 0
+    ctx = SurfaceContext(eps, p, k)
+    h = k - 1 + 2 * eps
+    w, v = state_vector(p, delta, k, eps), moduli_vector(ctx)
+    stage = span_stage(curve_class(BNParams.on(ctx, delta)), ctx)
+    d = (stage.divisor.e, stage.divisor.l, stage.divisor.e * h)
+    assert (w[0] * (v[1] * d[2] - v[2] * d[1])
+            - w[1] * (v[0] * d[2] - v[2] * d[0])
+            + w[2] * (v[0] * d[1] - v[1] * d[0])) == 0
+    span = _normal_basis(w, ctx)
+    assert span == stage.span
+    for s in (1, -1):
+        for shift in (0, 1, -1, t):
+            moved = tuple(s * wi + shift * vi for wi, vi in zip(w, v))
+            assert _normal_basis(moved, ctx) == span, (s, shift)

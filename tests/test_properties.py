@@ -25,11 +25,9 @@ from wallkit.curves import (
     exists_pencil,
 )
 from wallkit.model import DivisorClass, Ratio, divisor_divisibility
-from wallkit.walls import (
-    primitive_dual_divisor,
-    primitive_integral_divisor,
-    wall_test,
-)
+from wallkit.walls import primitive_dual_divisor, primitive_integral_divisor
+
+from test_walls import wall_test
 
 K_MAX, P_MAX = 10**5, 10**10
 

@@ -36,9 +36,13 @@ from wallkit.walls import (
     primitive_integral_divisor,
     saturated_span,
     span_stage,
-    wall_test,
     witness_stage,
 )
+
+
+def wall_test(obj, ctx):
+    """The wall decision as the CLI runs it: span stage, then witness stage."""
+    return witness_stage(span_stage(obj, ctx), ctx.epsilon)
 
 
 def _coords(ws):
