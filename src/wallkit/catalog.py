@@ -16,7 +16,7 @@ from typing import IO, Iterable, Iterator, NamedTuple
 from . import binforms
 from .binforms import Gram
 from .curves import _square
-from .model import DomainError, Ratio, SurfaceContext, ratio_str, write_records
+from .model import DomainError, Ratio, ratio_str, write_records
 from .walls import _least_witness, _normal_basis
 
 
@@ -66,8 +66,8 @@ def iter_catalog(k: int, epsilon: int, p_min: int = 2,
 
     A wall (q(R) < 0) is searched on its state's own basis: `state_vector`
     and v, reduced to the saturation's normal basis by `walls._normal_basis`
-    on one context per p, so no curve class, dual divisor or verdict is
-    built.  That this basis spans the saturation T of span{v, D} is the
+    from p and h alone, so no context, curve class, dual divisor or verdict
+    is built.  That this basis spans the saturation T of span{v, D} is the
     `dual-lattice` check of `wallkit.checks`, which the catalog does not
     repeat.
     """
@@ -97,8 +97,8 @@ def _entries(k: int, epsilon: int, p_low: int, p_top: int,
     # (a, -b, c), the state at p - 2b, which this row took earlier, so its
     # class is listed.
     canonical, form_id = binforms._canonical, binforms.form_id
-    c = 2 * (k - 1 + 2 * epsilon)
-    contexts: dict[int, SurfaceContext] = {}
+    h = k - 1 + 2 * epsilon
+    c = 2 * h
     seen: set[tuple] = set()
     for delta in range(d_top + 1):
         a = 2 * delta - 2 + 2 * epsilon
@@ -123,11 +123,8 @@ def _entries(k: int, epsilon: int, p_low: int, p_top: int,
                 yield CatalogEntry(epsilon, k, p, delta, gram, square, False,
                                    None, class_id)
                 continue
-            ctx = contexts.get(p)
-            if ctx is None:
-                ctx = contexts[p] = SurfaceContext(epsilon, p, k)
             witness, ambient = _least_witness(
-                _normal_basis(state_vector(p, delta, k, epsilon), ctx),
+                _normal_basis(state_vector(p, delta, k, epsilon), p, h),
                 epsilon)
             yield CatalogEntry(epsilon, k, p, delta, gram, square,
                                witness is not None, ambient, class_id)

@@ -36,7 +36,7 @@ from .binforms import flat_gram
 from .checks import CHECKS, Point, Row, oracle_agrees
 from .curves import bn_dims, curve_square
 from .model import DomainError, Ratio, ratio_str, write_records
-from .walls import WallVerdict, primitive_dual_divisor
+from .walls import WallVerdict
 
 
 def _divisor_json(d) -> dict:
@@ -147,16 +147,15 @@ def _cmd_wall_test(args) -> list[dict]:
 
 def _cmd_class(args) -> list[dict]:
     pt = _point(args)
-    ctx, curve = pt.row.ctx, pt.curve
-    primitive, div = primitive_dual_divisor(curve, ctx)
+    ctx, curve, span = pt.row.ctx, pt.curve, pt.span
     return [{
         "epsilon": args.epsilon, "k": args.k, "p": args.p, "delta": args.delta,
         "curve": _curve_json(curve),
         # The dual of l*L + r*r_k is l*L + (r/div(e))*e.
         "dual_divisor": {"l": ratio_str(curve.l),
                          "e": ratio_str(Ratio(curve.r, ctx.ek_div))},
-        "primitive_divisor": _divisor_json(primitive),
-        "divisor_div": div,
+        "primitive_divisor": _divisor_json(span.divisor),
+        "divisor_div": span.divisor_div,
         "q_R": pt.q_r,
     }]
 

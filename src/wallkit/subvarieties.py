@@ -56,7 +56,10 @@ def chi_value(p: int, delta: int, k: int, epsilon: int) -> int:
 
 def bundle_bound_holds(p: int, delta: int, k: int, epsilon: int) -> bool:
     """max{2*delta+2, 4*epsilon} <= chi <= delta + k + 1."""
-    chi = chi_value(p, delta, k, epsilon)
+    return _chi_window(chi_value(p, delta, k, epsilon), delta, k, epsilon)
+
+
+def _chi_window(chi: int, delta: int, k: int, epsilon: int) -> bool:
     return max(2 * delta + 2, 4 * epsilon) <= chi <= delta + k + 1
 
 
@@ -66,11 +69,17 @@ def bundle_locus(p: int, delta: int, k: int,
     bundle over a symplectic base of dimension 2(k+1+2*delta-chi), which is
     dim M + 2*delta - 2*epsilon; None when the chi window fails."""
     params = BNParams(p, delta, k, epsilon)  # validates every argument
-    if not bundle_bound_holds(p, delta, k, epsilon):
+    chi = chi_value(p, delta, k, epsilon)
+    if not _chi_window(chi, delta, k, epsilon):
         return None
-    r = chi_value(p, delta, k, epsilon) - 2 * delta - 1
+    return _proj_bundle(params, chi - 2 * delta - 1)
+
+
+def _proj_bundle(params: BNParams, codim: int) -> SubvarietyDescriptor:
+    """The projective-bundle descriptor of codimension codim at params."""
+    p, delta, k, epsilon = params
     return SubvarietyDescriptor(
-        source="proj_bundle", codim=r, line_class=curve_class(params),
+        source="proj_bundle", codim=codim, line_class=curve_class(params),
         p=p, k=k, epsilon=epsilon, delta=delta,
         moduli_space_dim=moduli_dim(p, delta, k, epsilon))
 
@@ -131,12 +140,9 @@ def series_family_loci(p: int, k: int,
 def lagrangian_plane(k: int, epsilon: int) -> tuple[int, int, SubvarietyDescriptor]:
     """Parameters (p, delta) = (2(k-1)+5*epsilon, 0) where the curve class
     attains the minimal square -(k+3-2*epsilon)/2 and moves as a line in an
-    embedded P^k; the moduli space there has dimension 2*epsilon."""
+    embedded P^k; the moduli space there has dimension 2*epsilon.  It is
+    `bundle_locus`'s descriptor without the chi window (which fails at
+    (k, epsilon) = (2, 1)): chi = k + 1 there, so the codimension
+    chi - 2*delta - 1 is k."""
     p = 2 * (k - 1) + 5 * epsilon
-    delta = 0
-    desc = SubvarietyDescriptor(
-        source="proj_bundle", codim=k,
-        line_class=curve_class(BNParams(p, delta, k, epsilon)),
-        p=p, k=k, epsilon=epsilon, delta=delta,
-        moduli_space_dim=moduli_dim(p, delta, k, epsilon))
-    return p, delta, desc
+    return p, 0, _proj_bundle(BNParams(p, 0, k, epsilon), k)

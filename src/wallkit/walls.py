@@ -24,7 +24,6 @@ from .model import (
     SurfaceContext,
     Triple,
     divisor_divisibility,
-    moduli_vector,
     mukai_square,
 )
 
@@ -75,13 +74,11 @@ def primitive_dual_divisor(curve: CurveClass,
                            ctx: SurfaceContext) -> tuple[DivisorClass, int]:
     """Primitive integral divisor class D proportional to the curve class,
     together with div(D) from `divisor_divisibility`; D / div(D) is q-dual
-    to the curve."""
-    x, y = curve.l, curve.r
-    if x == 0 and y == 0:
-        raise DomainError("curve class must be nonzero")
-    qv = ctx.ek_div
-    g = gcd(qv * x, y)
-    divisor = DivisorClass(qv * x // g, y // g)
+    to the curve.  The curve l*L + r*r_k is the integral divisor
+    div(e)*l*L + r*e over div(e), so D is `primitive_integral_divisor` of
+    that divisor's pair (div(e)*l, r), which builds no class for it: the
+    divisor and div(D) of `span_stage` on the curve."""
+    divisor = primitive_integral_divisor((ctx.ek_div * curve.l, curve.r))
     return divisor, divisor_divisibility(divisor, ctx)
 
 
@@ -92,20 +89,8 @@ def saturated_span(divisor: DivisorClass, ctx: SurfaceContext) -> SpanLattice:
     same T.  A DomainError when q(D) >= 0.
 
     The result is presented in a basis (w, v) with 0 <= b(w, v) <= q(v)/2,
-    which pins the Gram matrix [[q(w), b], [b, q(v)]] uniquely.
-
-    Closed form: v = (1, 0, -h) with h = k - 1 + 2*epsilon, and D = a*L + b*e
-    embeds as d = (b, a, b*h), so d - b*v = (0, a, b*q(v)).  With
-    m = gcd(a, b*q(v)) = div(D) the saturation is Z*v + Z*w0 for the
-    primitive w0 = (0, a/m, b*q(v)/m), and m is the index of span{v, D} in
-    T.  Then w = +-w0 + t*v is reduced into 0 <= b(w, v) <= q(v)/2.  At the
-    two ties, b(w, v) = 0 (candidates w, -w) and 2*b(w, v) = q(v)
-    (candidates w, v - w), the candidate with the lexicographically smaller
-    (w[1], w[0]) is returned.  That reduction is `_normal_basis`, which
-    takes any basis (w, v) of T.  The catalog hands it its state's own
-    basis vector (`catalog.state_vector`) in place of w0, so it builds no
-    divisor; that this vector and v span T is the `dual-lattice` check of
-    `wallkit.checks`.
+    which pins the Gram matrix [[q(w), b], [b, q(v)]] uniquely; `span_stage`
+    gives the closed form and `_normal_basis` the tie rules.
     """
     stage = span_stage(divisor, ctx)
     if stage.span is None:
@@ -114,28 +99,21 @@ def saturated_span(divisor: DivisorClass, ctx: SurfaceContext) -> SpanLattice:
     return stage.span
 
 
-def _saturate(a: int, b: int, index: int, ctx: SurfaceContext) -> SpanLattice:
-    """Closed form of saturated_span for D = a*L + b*e with q(D) < 0 and
-    index = div(D): w0 = (0, a/m, b*q(v)/m), m = index, reduced by
-    `_normal_basis`."""
-    return _normal_basis((0, a // index, b * ctx.ek_div // index), ctx)
-
-
-def _normal_basis(w: Triple, ctx: SurfaceContext) -> SpanLattice:
-    """The lattice Z*w + Z*v in the basis (w', v) that `saturated_span`
-    returns: w' = +-w + t*v with 0 <= b(w', v) <= q(v)/2, and at the two
-    ties the candidate with the lexicographically smaller (w'[1], w'[0]).
-    w is an ambient triple with (w, v) a basis of the lattice, so every
-    s*w + t*v with s = +-1 gives the same result."""
-    v = moduli_vector(ctx)
-    qv = ctx.ek_div
-    # v = (1, 0, v[2]), so b(w, v) = -w[0]*v[2] - w[2]; shift by t*v into
-    # 0 <= b(w, v) < q(v).
-    b_w = -w[0] * v[2] - w[2]
+def _normal_basis(w: Triple, p: int, h: int) -> SpanLattice:
+    """The lattice Z*w + Z*v at genus p, v = (1, 0, -h) with q(v) = 2h, in
+    the basis (w', v) that `span_stage` returns: w' = +-w + t*v with
+    0 <= b(w', v) <= q(v)/2, and at the two ties, b(w', v) = 0 (candidates
+    w', -w') and 2*b(w', v) = q(v) (candidates w', v - w'), the candidate
+    with the lexicographically smaller (w'[1], w'[0]).  w is an ambient
+    triple with (w, v) a basis of the lattice, so every s*w + t*v with
+    s = +-1 gives the same result."""
+    qv = 2 * h
+    # b(w, v) = w[0]*h - w[2]; shift by t*v into 0 <= b(w, v) < q(v).
+    b_w = w[0] * h - w[2]
     b_red = b_w % qv
     t = (b_red - b_w) // qv
-    w = (w[0] + t, w[1], w[2] + t * v[2])
-    v_minus_w = (1 - w[0], -w[1], v[2] - w[2])
+    w = (w[0] + t, w[1], w[2] - t * h)
+    v_minus_w = (1 - w[0], -w[1], -h - w[2])
     if 2 * b_red > qv:
         w, b_red = v_minus_w, qv - b_red
     elif b_red == 0 or 2 * b_red == qv:
@@ -143,9 +121,9 @@ def _normal_basis(w: Triple, ctx: SurfaceContext) -> SpanLattice:
         if (alt[1], alt[0]) < (w[1], w[0]):
             w = alt
     return SpanLattice(
-        gram=((mukai_square(w, ctx.p), b_red), (b_red, qv)),
+        gram=((mukai_square(w, p), b_red), (b_red, qv)),
         v_coords=(0, 1),
-        basis=(w, v),
+        basis=(w, (1, 0, -h)),
     )
 
 
@@ -155,6 +133,9 @@ def _pairing_with(gram: Gram, v: tuple[int, int]) -> tuple[int, int]:
 
 
 def _check_span_signature(gram: Gram, v: tuple[int, int]) -> int:
+    if (len(gram) != 2 or len(gram[0]) != 2 or len(gram[1]) != 2
+            or gram[0][1] != gram[1][0]):
+        raise DomainError(f"span gram must be a symmetric 2x2 matrix: {gram}")
     det = gram[0][0] * gram[1][1] - gram[0][1] * gram[1][0]
     if det >= 0:
         raise DomainError(f"span lattice must be hyperbolic, det = {det}")
@@ -293,18 +274,14 @@ def box_radius(gram: Gram, v: tuple[int, int]) -> int:
                for i in range(2))
 
 
-def box_witnesses(gram: Gram, v: tuple[int, int], epsilon: int,
-                  radius: int | None = None) -> list[Witness]:
-    """Brute-force witness search over the box [-radius, radius]^2, by
-    default of box_radius, which provably contains all witnesses; serves as
-    an independent oracle for enumerate_witnesses.  A negative radius is a
-    DomainError, not an empty box without witnesses."""
+def box_witnesses(gram: Gram, v: tuple[int, int],
+                  epsilon: int) -> list[Witness]:
+    """Brute-force witness search over the box [-r, r]^2 with
+    r = box_radius, which provably contains all witnesses; serves as an
+    independent oracle for enumerate_witnesses."""
     qv = _check_span_signature(gram, v)
     c0, c1 = _pairing_with(gram, v)
-    if radius is None:
-        radius = box_radius(gram, v)
-    elif radius < 0:
-        raise DomainError(f"box radius must be >= 0 (got {radius})")
+    radius = box_radius(gram, v)
     (a, b), (_, c) = gram
     found = []
     coords = range(-radius, radius + 1)
@@ -322,9 +299,10 @@ def box_witnesses(gram: Gram, v: tuple[int, int], epsilon: int,
     return found
 
 
-def primitive_integral_divisor(divisor: DivisorClass) -> DivisorClass:
-    """Primitive integral class positively proportional to the input."""
-    x, y = divisor.l, divisor.e
+def primitive_integral_divisor(divisor: tuple[int, int]) -> DivisorClass:
+    """Primitive integral class positively proportional to a*L + b*e, given
+    as a `DivisorClass` or as its integer pair (a, b)."""
+    x, y = divisor
     if x == 0 and y == 0:
         raise DomainError("divisor class must be nonzero")
     g = gcd(x, y)
@@ -350,14 +328,27 @@ def span_stage(obj: CurveClass | DivisorClass,
                ctx: SurfaceContext) -> SpanStage:
     """The span stage of the wall decision (dual divisor, div(D), q(D) and
     the saturation T): no witness search.  `witness_stage` on it decides
-    whether the class spans a wall."""
+    whether the class spans a wall.  A curve class is taken as its integral
+    divisor's pair, as in `primitive_dual_divisor`, so both kinds of class
+    reach D through `primitive_integral_divisor`.
+
+    Closed form of T: v = (1, 0, -h) with h = k - 1 + 2*epsilon, and the
+    primitive D = a*L + b*e embeds as d = (b, a, b*h), so
+    d - b*v = (0, a, b*q(v)).  With m = gcd(a, b*q(v)) = div(D) the
+    saturation is Z*v + Z*w0 for the primitive w0 = (0, a/m, b*q(v)/m), and
+    m is the index of span{v, D} in T.  `_normal_basis` reduces (w0, v) to
+    the basis that `saturated_span` returns.  The catalog hands
+    `_normal_basis` its state's own basis vector (`catalog.state_vector`)
+    in place of w0, so it builds no divisor; that this vector and v span T
+    is the `dual-lattice` check of `wallkit.checks`.
+    """
     if isinstance(obj, CurveClass):
-        divisor, div = primitive_dual_divisor(obj, ctx)
-    else:
-        divisor = primitive_integral_divisor(obj)
-        div = divisor_divisibility(divisor, ctx)
-    q_d = divisor.square(ctx)
-    span = _saturate(divisor.l, divisor.e, div, ctx) if q_d < 0 else None
+        obj = (ctx.ek_div * obj.l, obj.r)
+    divisor = primitive_integral_divisor(obj)
+    div = divisor_divisibility(divisor, ctx)
+    q_d, qv = divisor.square(ctx), ctx.ek_div
+    span = (_normal_basis((0, divisor.l // div, divisor.e * qv // div),
+                          ctx.p, qv // 2) if q_d < 0 else None)
     return SpanStage(divisor, div, q_d, span)
 
 

@@ -340,18 +340,23 @@ def _reference_catalog(k, epsilon, p_min=2, p_max=None, delta_max=None):
     return entries
 
 
+# The slices of the catalog that the differential tests compare.
+_SLICES = ({"p_min": 5}, {"p_max": 12}, {"delta_max": 3},
+           {"p_min": 4, "p_max": 30, "delta_max": 10})
+
+
 @pytest.mark.parametrize("epsilon", (0, 1))
 def test_generate_matches_reference_catalog(epsilon):
     ranges = ({}, {"p_min": 4}, {"p_max": 9}, {"delta_max": 2},
               {"p_min": 3, "p_max": 14, "delta_max": 5},
               {"p_min": 12}, {"delta_max": 0}, {"p_max": 2},
-              {"p_min": 10**6}, {"delta_max": 10**6})
+              {"p_min": 10**6}, {"delta_max": 10**6}, *_SLICES)
     kept = degenerate = walls = 0
     for k in range(2, 13):
         for kwargs in ranges:
             got = generate_catalog(k, epsilon, **kwargs)
-            assert got == _reference_catalog(k, epsilon, **kwargs), \
-                (k, kwargs)
+            assert got == _reference_catalog(k, epsilon, **kwargs) \
+                == list(iter_catalog(k, epsilon, **kwargs)), (k, kwargs)
             assert ([entry_line(e) for e in got]
                     == [json.dumps(entry_record(e)) for e in got]), (k, kwargs)
             kept += len(got)
@@ -360,11 +365,6 @@ def test_generate_matches_reference_catalog(epsilon):
     # walls (saturation checked) and non-walls and degenerate grams all
     # take part in the comparison
     assert kept > 1000 and walls > 500 and degenerate > 50
-
-
-# The slices of the catalog that the differential tests compare.
-_SLICES = ({"p_min": 5}, {"p_max": 12}, {"delta_max": 3},
-           {"p_min": 4, "p_max": 30, "delta_max": 10})
 
 
 def test_integer_square_matches_the_object_path():
@@ -387,59 +387,6 @@ def test_integer_square_matches_the_object_path():
                     == _fraction_text(report.value))
             checked += 1
     assert checked > 29659
-
-
-def _catalog_the_old_way(k, epsilon, p_min=2, p_max=None, delta_max=None):
-    """The catalog as it was built before it streamed on integers: a Gram
-    per state (`state_gram`), its checked `canonical_form`, q(R) as a
-    Fraction, and a full `BNParams` per wall for `wall_test`.  Its entries
-    hold q(R) as that Fraction."""
-    _, seed_p, _ = seed_lattice(k, epsilon)
-    p_top = seed_p if p_max is None else min(p_max, seed_p)
-    d_top = p_top - 2 * epsilon
-    if delta_max is not None:
-        d_top = min(delta_max, d_top)
-    entries, seen = [], set()
-    for delta in range(d_top + 1):
-        for p in range(p_top, max(p_min, 2, delta + 2 * epsilon) - 1, -1):
-            gram = state_gram(p, delta, k, epsilon)
-            try:
-                form = canonical_form(gram)
-            except DegenerateFormError:
-                form = None
-            key = form if form is not None else ("degenerate", gram)
-            if key in seen:
-                continue
-            seen.add(key)
-            params = BNParams(p, delta, k, epsilon)
-            q_r = Fraction(*curve_square(params).value)
-            cid = ":".join(map(str, form)) if form is not None else None
-            if q_r >= 0:
-                entries.append(CatalogEntry(epsilon, k, p, delta, gram, q_r,
-                                            False, None, cid))
-                continue
-            verdict = wall_test(curve_class(params), params.context())
-            entries.append(CatalogEntry(
-                epsilon, k, p, delta, gram, q_r, verdict.is_wall,
-                verdict.witness_ambient, cid))
-    return entries
-
-
-@pytest.mark.parametrize("epsilon", (0, 1))
-def test_streamed_catalog_matches_the_old_way(epsilon):
-    compared = 0
-    for k in range(2, 13):
-        for kwargs in ({}, *_SLICES):
-            old = _catalog_the_old_way(k, epsilon, **kwargs)
-            new = list(iter_catalog(k, epsilon, **kwargs))
-            assert len(new) == len(old), (k, kwargs)
-            for got, want in zip(new, old):
-                assert got._replace(q_curve=Fraction(*got.q_curve)) == want
-                record = entry_record(got)
-                assert record["q_R"] == _fraction_text(want.q_curve)
-                assert record["gram"] == [*want.gram[0], *want.gram[1]]
-            compared += len(new)
-    assert compared > 1500
 
 
 def test_form_id_joins_the_four_fields():
@@ -505,11 +452,10 @@ def test_first_entry_needs_constant_work(monkeypatch):
         (1, 10, 18, 0), (1, 1000, 1998, 0)]
 
 
-def test_generate_builds_params_for_walls_only(monkeypatch):
-    # No parameters are built at all: a wall is searched on its state's
-    # basis, on the context of its p, which the walls of one p share: one
-    # SurfaceContext per distinct wall p.  Every BNParams is built through
-    # `BNParams.on`.
+def test_generate_builds_no_params_and_no_context(monkeypatch):
+    # No parameters and no context are built at all: a wall is searched on
+    # its state's basis, reduced from p and h alone.  Every BNParams is
+    # built through `BNParams.on`.
     contexts, built = [], []
     new_context, on = SurfaceContext.__new__, BNParams.on.__func__
 
@@ -527,10 +473,7 @@ def test_generate_builds_params_for_walls_only(monkeypatch):
     entries = generate_catalog(12, 0)
     walls = [(e.p, e.delta) for e in entries if e.q_curve.numerator < 0]
     assert walls and len(walls) < len(entries)
-    assert built == []
-    wall_ps = sorted({p for p, _ in walls})
-    assert len(wall_ps) < len(walls)
-    assert sorted(contexts) == [(0, p, 12) for p in wall_ps]
+    assert built == [] and contexts == []
 
 
 def test_catalog_entry_shape_is_pinned():
@@ -656,14 +599,15 @@ def test_state_vector_gives_the_saturation_basis(point, t):
     ctx = SurfaceContext(eps, p, k)
     h = k - 1 + 2 * eps
     w, v = state_vector(p, delta, k, eps), moduli_vector(ctx)
+    assert v == (1, 0, -h)
     stage = span_stage(curve_class(BNParams.on(ctx, delta)), ctx)
     d = (stage.divisor.e, stage.divisor.l, stage.divisor.e * h)
     assert (w[0] * (v[1] * d[2] - v[2] * d[1])
             - w[1] * (v[0] * d[2] - v[2] * d[0])
             + w[2] * (v[0] * d[1] - v[1] * d[0])) == 0
-    span = _normal_basis(w, ctx)
+    span = _normal_basis(w, p, h)
     assert span == stage.span
     for s in (1, -1):
         for shift in (0, 1, -1, t):
             moved = tuple(s * wi + shift * vi for wi, vi in zip(w, v))
-            assert _normal_basis(moved, ctx) == span, (s, shift)
+            assert _normal_basis(moved, p, h) == span, (s, shift)

@@ -184,6 +184,38 @@ def test_package_imports_nothing_from_fractions():
             if module and module.split(".")[0] == "fractions"] == []
 
 
+def _unused_imports(source: str) -> list[str]:
+    """The names a module imports (`from __future__` aside) and never
+    references in code; a name in a docstring or a comment is no
+    reference."""
+    tree = ast.parse(source)
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                imported[name] = node.lineno
+    referenced = {node.id for node in ast.walk(tree)
+                  if isinstance(node, ast.Name)}
+    return sorted(f"{name}:{line}" for name, line in imported.items()
+                  if name not in referenced)
+
+
+def test_no_module_imports_a_name_it_never_references():
+    # `__init__.py` imports to re-export through `__all__`; every other
+    # module imports only what its code reads, so a name left behind by a
+    # deletion shows up here.
+    modules = sorted(path for path in SRC.rglob("*.py")
+                     if path.name != "__init__.py")
+    assert len(modules) >= 8
+    assert [(path.name, name) for path in modules
+            for name in _unused_imports(path.read_text())] == []
+    assert _unused_imports("from .model import Triple, moduli_vector\n"
+                           "x: Triple\n") == ["moduli_vector:1"]
+
+
 def _code_lines_script():
     path = Path(__file__).resolve().parent / "code_lines.py"
     spec = importlib.util.spec_from_file_location("code_lines", path)

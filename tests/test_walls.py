@@ -84,6 +84,20 @@ def test_witness_enumeration_requires_hyperbolic_lattice():
         enumerate_witnesses([[-2, 0], [0, 2]], (1, 0), 0)  # q(v) < 0
 
 
+def test_witness_functions_reject_malformed_grams():
+    # A gram is a symmetric 2x2 matrix: an asymmetric one would give
+    # "witnesses" of no lattice, and extra entries would be ignored.
+    for gram in ([[2, 1], [0, -2]], [[2, 1, 9], [1, -2, 9]],
+                 [[2, 1], [1, -2], [0, 0]], [[2], [1, -2]]):
+        for search in (enumerate_witnesses, box_witnesses):
+            with pytest.raises(DomainError, match="symmetric 2x2"):
+                search(gram, (1, 0), 0)
+        with pytest.raises(DomainError, match="symmetric 2x2"):
+            box_radius(gram, (1, 0))
+    # The symmetric gram next to the first one has its two witnesses.
+    assert len(enumerate_witnesses([[2, 1], [1, -2]], (1, 0), 0)) == 2
+
+
 def test_witness_order_is_sorted():
     grams = ([[2, 1], [1, -2]], [[0, 3], [3, 6]], [[-2, 1], [1, 2]],
              [[-4, 1], [1, 6]], [[0, 2], [2, 6]])
@@ -120,22 +134,14 @@ def test_box_oracle_agrees_on_small_lattices():
 
 
 def test_box_radius_is_saturating():
-    # enlarging the box beyond the default radius finds nothing new
+    # a box larger than box_radius finds nothing new
     for gram, v in (([[2, 1], [1, -2]], (1, 0)),
                     ([[0, 3], [3, 6]], (0, 1)),
                     ([[-2, 1], [1, 2]], (0, 1))):
+        assert box_radius(gram, v) < 25
         for eps in (0, 1):
             base = box_witnesses(gram, v, eps)
-            assert box_witnesses(gram, v, eps, radius=25) == base
-
-
-def test_box_witnesses_rejects_a_negative_radius():
-    # An empty box would report "no witnesses" for a span that has some.
-    gram, v = [[2, -3], [-3, 2]], (1, 0)
-    assert box_witnesses(gram, v, 0, radius=0) == []
-    assert box_witnesses(gram, v, 0, radius=2) != []
-    with pytest.raises(DomainError, match="radius must be >= 0"):
-        box_witnesses(gram, v, 0, radius=-1)
+            assert _reference_box(gram, v, eps, 25) == base
 
 
 # (gram, v, largest max-norm of a witness); epsilon = 0 throughout.  In all
@@ -211,11 +217,12 @@ def test_box_witnesses_match_the_reference_loop(span, radius, eps):
     # The drawn radius, and every radius that puts a witness on the border.
     radii = {radius} | {max(map(abs, w.coords)) for w in full}
     for r in sorted(r for r in radii if r <= 40):
-        box = box_witnesses(gram, v, eps, radius=r)
-        assert box == _reference_box(gram, v, eps, r)
-        assert box == [w for w in full if max(map(abs, w.coords)) <= r]
-    if box_radius(gram, v) <= 40:
-        assert box_witnesses(gram, v, eps) == full
+        assert (_reference_box(gram, v, eps, r)
+                == [w for w in full if max(map(abs, w.coords)) <= r])
+    r = box_radius(gram, v)
+    if r <= 40:
+        assert box_witnesses(gram, v, eps) == _reference_box(
+            gram, v, eps, r) == full
 
 
 def _reference_walk(gram, v, epsilon):
@@ -379,22 +386,6 @@ def test_wall_test_reads_the_least_witness_of_the_walk(params):
     # The oracle enumerates the full set itself, and only on a wall.
     result = _oracle(verdict, ctx.epsilon)
     assert result is None or result[1] == tuple(full)
-
-
-def test_wall_test_is_its_span_stage_then_its_witness_stage():
-    for p, delta, k, eps in ((2, 0, 2, 0), (7, 0, 2, 1), (6, 1, 4, 0),
-                             (5, 0, 300, 0), (2, 0, 5, 0)):
-        params = BNParams(p, delta, k, eps)
-        ctx = params.context()
-        stage = span_stage(curve_class(params), ctx)
-        verdict = wall_test(curve_class(params), ctx)
-        assert witness_stage(stage, eps) == verdict
-        assert (stage.divisor, stage.divisor_div, stage.q_divisor,
-                stage.span, stage.t_gram) == \
-            (verdict.divisor, verdict.divisor_div, verdict.q_divisor,
-             verdict.span, verdict.t_gram)
-        if stage.span is not None:
-            assert stage.span == saturated_span(stage.divisor, ctx)
 
 
 def _lines_to_the_least_witness(verdict, epsilon: int) -> int:
@@ -575,7 +566,8 @@ def test_saturated_span_fixed_grams():
 def test_saturated_span_invariants():
     for (p, delta, k, eps) in ((2, 0, 2, 0), (7, 0, 2, 1), (6, 0, 4, 0),
                                (6, 1, 4, 0), (3, 1, 2, 0), (8, 1, 4, 0),
-                               (12, 2, 5, 0), (9, 1, 3, 1)):
+                               (12, 2, 5, 0), (9, 1, 3, 1),
+                               (5, 0, 300, 0), (2, 0, 5, 0)):
         params = BNParams(p, delta, k, eps)
         if curve_class(params).square(params.context()).numerator >= 0:
             continue
@@ -590,7 +582,8 @@ def test_saturated_span_invariants():
         got = [[mukai_pairing(x, y, ctx.p) for y in (w3, v3)] for x in (w3, v3)]
         assert got == [[qw, b], [b, qv]]
         stage = span_stage(curve_class(params), ctx)
-        assert stage.span == span and stage.divisor_div >= 1
+        assert stage.span == span == saturated_span(stage.divisor, ctx)
+        assert stage.t_gram == span.gram and stage.divisor_div >= 1
 
 
 def _cross(x, y):
