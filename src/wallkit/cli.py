@@ -9,9 +9,8 @@ they build no dict and run no JSON encoder.  `main` owns the output: it alone
 opens `--output` (or uses stdout) and writes the records as JSON lines
 through `model.write_records`.
 
-`main` builds each parser once and keeps it: one per subcommand, declaring
-only its options (help and error text stay those of the full tree), and the
-full tree for any other argv.  Each parse gets a fresh namespace.
+`main` builds the argument parser, every subcommand with its options, once
+per process and keeps it; each parse gets a fresh namespace.
 
 All numeric output is exact: a rational is kept as an integer numerator
 over a known denominator and written as reduced "num/den" text
@@ -36,7 +35,7 @@ from .binforms import flat_gram
 from .checks import CHECKS, Point, Row, oracle_agrees
 from .curves import bn_dims, curve_square
 from .model import DomainError, Ratio, ratio_str, write_records
-from .walls import WallVerdict
+from .walls import WallVerdict, primitive_dual_divisor
 
 
 def _divisor_json(d) -> dict:
@@ -147,15 +146,16 @@ def _cmd_wall_test(args) -> list[dict]:
 
 def _cmd_class(args) -> list[dict]:
     pt = _point(args)
-    ctx, curve, span = pt.row.ctx, pt.curve, pt.span
+    ctx, curve = pt.row.ctx, pt.curve
+    divisor, divisor_div = primitive_dual_divisor(curve, ctx)
     return [{
         "epsilon": args.epsilon, "k": args.k, "p": args.p, "delta": args.delta,
         "curve": _curve_json(curve),
         # The dual of l*L + r*r_k is l*L + (r/div(e))*e.
         "dual_divisor": {"l": ratio_str(curve.l),
                          "e": ratio_str(Ratio(curve.r, ctx.ek_div))},
-        "primitive_divisor": _divisor_json(span.divisor),
-        "divisor_div": span.divisor_div,
+        "primitive_divisor": _divisor_json(divisor),
+        "divisor_div": divisor_div,
         "q_R": pt.q_r,
     }]
 
@@ -190,6 +190,8 @@ def _cmd_catalog(args) -> Iterable[str]:
 def _cmd_coisotropic(args) -> list[dict]:
     if args.family is None and args.delta is None:
         raise DomainError("coisotropic needs either --delta or --family")
+    if args.family is not None and args.delta is not None:
+        raise DomainError("coisotropic takes --delta or --family, not both")
     if args.delta is not None:
         desc = sub_mod.bundle_locus(args.p, args.delta, args.k, args.epsilon)
         return [{
@@ -345,20 +347,14 @@ _COMMANDS = (
 )
 
 
-def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The argument parser; given a subcommand name, only that subcommand's
-    subparser and options are declared."""
+def build_parser() -> argparse.ArgumentParser:
+    """The argument parser: every subcommand and its options."""
     parser = argparse.ArgumentParser(
         prog="wallkit",
         description="Exact wall-divisor decisions on Hilbert schemes of "
                     "points and generalised Kummer manifolds.")
-    commands = [spec for spec in _COMMANDS if spec[0] == command]
-    # With one subcommand declared, the metavar keeps the full usage line.
-    metavar = ("{" + ",".join(name for name, *_ in _COMMANDS) + "}"
-               if commands else None)
-    subs = parser.add_subparsers(dest="command", required=True,
-                                 metavar=metavar)
-    for name, help_text, handler, options in commands or _COMMANDS:
+    subs = parser.add_subparsers(dest="command", required=True)
+    for name, help_text, handler, options in _COMMANDS:
         sub = subs.add_parser(name, help=help_text)
         for option in options:
             flag, kwargs = (option if isinstance(option, tuple)
@@ -368,18 +364,12 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     return parser
 
 
-_COMMAND_NAMES = frozenset(name for name, *_ in _COMMANDS)
-# main passes only one of _COMMAND_NAMES or None (the full tree), so at most
-# len(_COMMANDS) + 1 parsers are kept.
 _parser = functools.cache(build_parser)
 
 
 def main(argv: list[str] | None = None) -> int:
     """Run one subcommand and write its records to --output or stdout."""
-    if argv is None:
-        argv = sys.argv[1:]
-    command = argv[0] if argv and argv[0] in _COMMAND_NAMES else None
-    args = _parser(command).parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         _write_output(args.func(args), args.output)
     except DomainError as exc:

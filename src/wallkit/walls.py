@@ -139,8 +139,7 @@ def _check_span_signature(gram: Gram, v: tuple[int, int]) -> int:
     det = gram[0][0] * gram[1][1] - gram[0][1] * gram[1][0]
     if det >= 0:
         raise DomainError(f"span lattice must be hyperbolic, det = {det}")
-    qv = (v[0] * gram[0][0] + v[1] * gram[1][0]) * v[0] + \
-         (v[0] * gram[0][1] + v[1] * gram[1][1]) * v[1]
+    qv = _q_of(gram, v)
     if qv <= 0:
         raise DomainError(f"distinguished vector must have q > 0, got {qv}")
     return qv
@@ -279,9 +278,9 @@ def box_witnesses(gram: Gram, v: tuple[int, int],
     """Brute-force witness search over the box [-r, r]^2 with
     r = box_radius, which provably contains all witnesses; serves as an
     independent oracle for enumerate_witnesses."""
-    qv = _check_span_signature(gram, v)
+    radius = box_radius(gram, v)  # checks the gram
+    qv = _q_of(gram, v)
     c0, c1 = _pairing_with(gram, v)
-    radius = box_radius(gram, v)
     (a, b), (_, c) = gram
     found = []
     coords = range(-radius, radius + 1)

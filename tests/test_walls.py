@@ -98,6 +98,22 @@ def test_witness_functions_reject_malformed_grams():
     assert len(enumerate_witnesses([[2, 1], [1, -2]], (1, 0), 0)) == 2
 
 
+def test_box_witnesses_checks_its_gram_once():
+    calls = []
+    check = walls._check_span_signature
+
+    def recording(gram, v):
+        calls.append((gram, v))
+        return check(gram, v)
+
+    with mock.patch.object(walls, "_check_span_signature", recording):
+        for gram, v in (([[2, 1], [1, -2]], (1, 0)),
+                        ([[0, 3], [3, 6]], (0, 1))):
+            calls.clear()
+            assert box_witnesses(gram, v, 0)
+            assert calls == [(gram, v)]
+
+
 def test_witness_order_is_sorted():
     grams = ([[2, 1], [1, -2]], [[0, 3], [3, 6]], [[-2, 1], [1, 2]],
              [[-4, 1], [1, 6]], [[0, 2], [2, 6]])
