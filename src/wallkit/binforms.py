@@ -53,23 +53,20 @@ def _check_gram(g: Gram) -> tuple[int, int, int, int]:
     return a, b, c, det
 
 
-def _reduce_definite(a: int, b: int, c: int) -> tuple[int, int, int]:
-    # Positive definite form (a, b, c), b even; returns the GL2-reduced
-    # triple with 0 <= b <= a <= c.
+def _reduce_definite(a: int, b: int, c: int,
+                     det: int) -> tuple[int, int, int]:
+    # Positive definite Gram [[a, b], [b, c]] with det = ac - b^2; returns
+    # the GL2-reduced form triple (a, 2|b|, c) with 0 <= 2|b| <= a <= c.
+    # A centred step x -> x - t*y with t the integer nearest b/a leaves
+    # |b| <= a/2, and c follows from det without the discriminant.
     while True:
         if c < a:
             a, b, c = c, -b, a
-            continue
-        if abs(b) > a:
-            d = b * b - 4 * a * c
-            r = b % (2 * a)
-            if r > a:
-                r -= 2 * a
-            c = (r * r - d) // (4 * a)
-            b = r
-            continue
-        break
-    return a, abs(b), c
+        elif 2 * abs(b) > a:
+            b -= (2 * b + a) // (2 * a) * a
+            c = (b * b + det) // a
+        else:
+            return a, 2 * abs(b), c
 
 
 def _indef_rho(a: int, b: int, c: int, d: int, s: int) -> tuple[int, int, int]:
@@ -179,8 +176,8 @@ def _canonical(a: int, b: int, c: int, det: int) -> tuple:
     a symmetric Gram and test det themselves."""
     if det > 0:
         if a > 0:
-            return ("posdef", *_reduce_definite(a, 2 * b, c))
-        return ("negdef", *_reduce_definite(-a, -2 * b, -c))
+            return ("posdef", *_reduce_definite(a, b, c, det))
+        return ("negdef", *_reduce_definite(-a, -b, -c, det))
     sigma = isqrt(-det)
     if sigma * sigma == -det:
         r0, r1 = sorted(_line_residue(a, b, c, u, sigma)

@@ -2,6 +2,8 @@
 
 Each entry records a Gram matrix [[q(w), b], [b, q(v)]] together with the
 parameters (p, delta) realizing it, the curve square, and the wall verdict.
+The curve square is read off the Gram: q(R) = det/2h with 2h = q(v), so
+every wall is an indefinite or isotropic state.
 Two moves reach the catalog from the seed: adding a node (delta + 1,
 top-left + 2, off-diagonal - 1) and dropping the genus (p - 1,
 off-diagonal - 1).  The state they reach at (p, delta) has the closed form
@@ -15,7 +17,6 @@ from typing import IO, Iterable, Iterator, NamedTuple
 
 from . import binforms
 from .binforms import Gram
-from .curves import _square
 from .model import DomainError, Ratio, ratio_str, write_records
 from .walls import _least_witness, _normal_basis
 
@@ -58,8 +59,8 @@ def iter_catalog(k: int, epsilon: int, p_min: int = 2,
     The moves reach every (p, delta) with 2 <= p <= seed p and
     0 <= delta <= p - 2*epsilon; the states in range are taken by delta
     ascending, then p descending.  These bounds are all that `BNParams`
-    checks, so q(R) is the unvalidated integer `curves._square`, and no
-    parameters are built.  No
+    checks, so no parameters are built, and q(R) is read off the state's
+    gram as det/2h (`state_gram`): a state with det >= 0 is no wall.  No
     state needs the pencil-existence check: p is at most the seed's
     2h + epsilon (h = k - 1 + 2*epsilon), so alpha <= 1 and the bound
     alpha*(p - delta - epsilon - (alpha+1)*h) is <= 0 <= delta.
@@ -89,17 +90,18 @@ def _entries(k: int, epsilon: int, p_low: int, p_top: int,
              d_top: int) -> Iterator[CatalogEntry]:
     # The state at (p, delta) has the `state_gram` [[a, b], [b, c]].  It is
     # classified from these integers first, so a state whose class is
-    # listed costs no Gram, no square and no wall search.  A degenerate
-    # state (det = 0) has no class and is always listed: no two states
-    # share both a (one per delta) and b (one per p in a delta row).  A
-    # nondegenerate state with b_mirror <= b < 0, where b_mirror is minus
+    # listed costs no Gram, no square and no wall search; q(R) is det/2h
+    # (`state_gram`), so only a state with det < 0 is searched.  A
+    # degenerate state (det = 0) has no class and is always listed: no two
+    # states share both a (one per delta) and b (one per p in a delta row).
+    # A nondegenerate state with b_mirror <= b < 0, where b_mirror is minus
     # the row's first b, is not classified at all: x -> -x maps it onto
     # (a, -b, c), the state at p - 2b, which this row took earlier, so its
     # class is listed.
     canonical, form_id = binforms._canonical, binforms.form_id
     h = k - 1 + 2 * epsilon
     c = 2 * h
-    seen: set[tuple] = set()
+    seen: set[str] = set()
     for delta in range(d_top + 1):
         a = 2 * delta - 2 + 2 * epsilon
         ac, b_off = a * c, delta + k - 1 + 3 * epsilon
@@ -110,16 +112,15 @@ def _entries(k: int, epsilon: int, p_low: int, p_top: int,
             if det:
                 if b_mirror <= b < 0:
                     continue
-                form = canonical(a, b, c, det)
-                if form in seen:
+                class_id = form_id(canonical(a, b, c, det))
+                if class_id in seen:
                     continue
-                seen.add(form)
-                class_id = form_id(form)
+                seen.add(class_id)
             else:
                 class_id = None
             gram = ((a, b), (b, c))
-            square = _square(p, delta, k, epsilon)
-            if square.numerator >= 0:
+            square = Ratio(det, c)
+            if det >= 0:
                 yield CatalogEntry(epsilon, k, p, delta, gram, square, False,
                                    None, class_id)
                 continue
@@ -132,7 +133,13 @@ def _entries(k: int, epsilon: int, p_low: int, p_top: int,
 
 def state_gram(p: int, delta: int, k: int, epsilon: int) -> Gram:
     """Gram [[2*delta - 2 + 2*epsilon, b], [b, 2h]] of the catalog state at
-    (p, delta), with b = p - delta - k + 1 - 3*epsilon, h = k - 1 + 2*epsilon."""
+    (p, delta), with b = p - delta - k + 1 - 3*epsilon, h = k - 1 + 2*epsilon.
+
+    Its determinant is 2h*q(R): with n = p - delta + k - 1 + epsilon,
+    det = 4(p - 1)h - n^2, the numerator of q(R) = 2(p - 1) - n^2/2h over
+    2h.  (Put x = p - delta: for epsilon = 0 and m = k - 1 both sides are
+    4*delta*m - 4m - x^2 + 2xm - m^2; for epsilon = 1 and m = k + 1 both
+    are 4*delta*m + 4xm - 4m - (x + m - 1)^2.)"""
     b = p - delta - k + 1 - 3 * epsilon
     return ((2 * delta - 2 + 2 * epsilon, b), (b, 2 * (k - 1 + 2 * epsilon)))
 

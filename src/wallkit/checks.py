@@ -82,8 +82,8 @@ from .walls import (
     SpanStage,
     WallVerdict,
     Witness,
+    _box_scan,
     box_radius,
-    box_witnesses,
     enumerate_witnesses,
     span_stage,
     witness_stage,
@@ -187,12 +187,13 @@ def _oracle(verdict: WallVerdict,
     if span is None:
         return None
     gram, v = span.gram, span.v_coords
-    if box_radius(gram, v) > ORACLE_RADIUS_LIMIT:
+    radius = box_radius(gram, v)
+    if radius > ORACLE_RADIUS_LIMIT:
         return None
     # No least witness means no witnesses: the full walk runs only on walls.
     witnesses = (() if verdict.witness is None
                  else tuple(enumerate_witnesses(gram, v, epsilon)))
-    return witnesses == tuple(box_witnesses(gram, v, epsilon)), witnesses
+    return witnesses == tuple(_box_scan(gram, v, epsilon, radius)), witnesses
 
 
 def oracle_agrees(verdict: WallVerdict, epsilon: int) -> bool | None:
@@ -236,6 +237,8 @@ def _dual_lattice(pt: Point) -> Result:
     (b/c)(v - e) + L - v in ambient coordinates.  With
     h = k - 1 + 2*epsilon and n = g + k - 1 + epsilon, b/c = n/(2h),
     v - e = (0, 0, -2h) and L - v = (-1, 1, h), so w = (-1, 1, h - n).
+    The disc<w, v> it compares is 2h*q(R), which the catalog reads as the
+    wall's square.
     """
     if pt.square.numerator >= 0:
         return None

@@ -278,7 +278,13 @@ def box_witnesses(gram: Gram, v: tuple[int, int],
     """Brute-force witness search over the box [-r, r]^2 with
     r = box_radius, which provably contains all witnesses; serves as an
     independent oracle for enumerate_witnesses."""
-    radius = box_radius(gram, v)  # checks the gram
+    return _box_scan(gram, v, epsilon, box_radius(gram, v))
+
+
+def _box_scan(gram: Gram, v: tuple[int, int], epsilon: int,
+              radius: int) -> list[Witness]:
+    # The body of `box_witnesses` over [-radius, radius]^2, for a caller
+    # that has the gram's `box_radius` (which checks the gram) already.
     qv = _q_of(gram, v)
     c0, c1 = _pairing_with(gram, v)
     (a, b), (_, c) = gram

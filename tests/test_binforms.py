@@ -6,14 +6,16 @@ import random
 from math import gcd, isqrt
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from wallkit.binforms import (
     DegenerateFormError,
     ReductionBudgetError,
+    _canonical,
     _check_gram,
     _indef_cycle,
+    _reduce_definite,
     canonical_form,
     class_id,
     rank2_isometric,
@@ -274,3 +276,61 @@ def test_class_id_is_invariant_under_gl2z_words(g, word):
               m[1][0] * x[0][1] + m[1][1] * x[1][1]]]
     # _conjugate(g, m) is m^T g m.
     assert class_id(_conjugate(g, m)) == class_id(g)
+
+
+def _doubled_middle_reduction(a, b, c):
+    """Gauss reduction of the positive definite form a x^2 + b xy + c y^2,
+    b = twice the Gram's off-diagonal, recomputing the discriminant at each
+    step: the reference for `_reduce_definite`."""
+    while True:
+        if c < a:
+            a, b, c = c, -b, a
+        elif abs(b) > a:
+            d = b * b - 4 * a * c
+            r = b % (2 * a)
+            if r > a:
+                r -= 2 * a
+            c = (r * r - d) // (4 * a)
+            b = r
+        else:
+            return a, abs(b), c
+
+
+@st.composite
+def _definite_grams(draw):
+    """Positive definite (a, b, c) with entries up to 1e30: drawn directly,
+    or a small form moved far from reduced by a word in S and T^q."""
+    if draw(st.booleans()):
+        a = draw(st.integers(1, 10**30))
+        c = draw(st.integers(1, 10**30))
+        b = draw(st.integers(-isqrt(a * c - 1), isqrt(a * c - 1)))
+        return a, b, c
+    a = draw(st.integers(1, 1000))
+    c = draw(st.integers(1, 1000))
+    b = draw(st.integers(-isqrt(a * c - 1), isqrt(a * c - 1)))
+    g = [[a, b], [b, c]]
+    for q in draw(st.lists(st.integers(-1000, 1000), max_size=4)):
+        g = _conjugate(g, ((q, -1), (1, 0)))
+    assume(max(abs(g[0][0]), abs(g[0][1]), abs(g[1][1])) <= 10**30)
+    return g[0][0], g[0][1], g[1][1]
+
+
+@_settings
+@given(_definite_grams(), st.sampled_from((1, -1)))
+@example((4, 2, 5), 1)    # 2|b| = a
+@example((4, -2, 5), -1)  # 2|b| = a with b < 0
+@example((3, 1, 3), 1)    # a = c
+@example((5, 0, 7), -1)   # b = 0
+@example((5, -4, 9), 1)   # b < 0
+@example((9, 2, 3), 1)    # a > c
+def test_reduction_matches_the_doubled_middle_reference(form, sign):
+    # The reduction on the Gram's own (a, b, c, det) gives the triple of
+    # the doubled-middle reduction, for either sign of a definite gram.
+    a, b, c = form
+    det = a * c - b * b
+    assert det > 0
+    expected = _doubled_middle_reduction(a, 2 * b, c)
+    assert _reduce_definite(a, b, c, det) == expected
+    regime = "posdef" if sign == 1 else "negdef"
+    assert (_canonical(sign * a, sign * b, sign * c, det)
+            == (regime, *expected))

@@ -611,3 +611,31 @@ def test_state_vector_gives_the_saturation_basis(point, t):
         for shift in (0, 1, -1, t):
             moved = tuple(s * wi + shift * vi for wi, vi in zip(w, v))
             assert _normal_basis(moved, p, h) == span, (s, shift)
+
+
+@st.composite
+def _states(draw):
+    """(epsilon, k, p, delta) with k up to 1e6 or 1e30, p up to 1e12 or
+    1e40 and any delta >= 0: the identity holds off the catalog's ranges
+    too."""
+    eps = draw(st.integers(0, 1))
+    k = draw(st.integers(2, 10**6) | st.integers(2, 10**30))
+    p = draw(st.integers(2, 10**12) | st.integers(2, 10**40))
+    return eps, k, p, draw(st.integers(0, p) | st.integers(min_value=0))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(_states())
+@example((0, 4, 6, 0))   # a wall: det = -21
+@example((0, 4, 4, 1))   # degenerate: det = 0
+@example((1, 3, 9, 6))   # definite: det > 0
+def test_state_gram_determinant_is_2h_times_the_square(state):
+    # det [[a, b], [b, c]] = 4(p - 1)h - n^2, the numerator of q(R) over
+    # c = 2h: the catalog reads q(R) off its gram, and a state is a wall
+    # candidate (q(R) < 0) exactly when det < 0.
+    eps, k, p, delta = state
+    (a, b), (_, c) = state_gram(p, delta, k, eps)
+    det = a * c - b * b
+    square = _square(p, delta, k, eps)
+    assert square == Ratio(det, c)
+    assert (det < 0) == (Fraction(*square) < 0)

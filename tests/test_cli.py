@@ -607,6 +607,25 @@ def test_witness_oracle_has_one_rule_in_scan_and_wall_test(capsys):
     assert _records(out)[0]["oracle_agrees"] is True
 
 
+def test_wall_test_oracle_takes_one_box_radius(capsys, monkeypatch):
+    # The oracle computes the box radius once: it applies the limit and
+    # bounds the box scan.  Both module bindings are counted, so a second
+    # call through `box_witnesses` would show.
+    calls, radius = [], walls.box_radius
+
+    def counting(*args):
+        calls.append(args)
+        return radius(*args)
+
+    monkeypatch.setattr(walls, "box_radius", counting)
+    monkeypatch.setattr(checks, "box_radius", counting)
+    rc, out, err = _run(capsys, "wall-test", "--oracle", "--epsilon", "0",
+                        "--k", "2", "--p", "2", "--delta", "0")
+    assert rc == 0 and err == ""
+    assert _records(out)[0]["oracle_agrees"] is True
+    assert len(calls) == 1
+
+
 def test_wall_test_oracle_beyond_the_limit_is_null(capsys):
     # Box radius 1164: the record is the plain wall-test record followed
     # by "oracle_agrees": null.

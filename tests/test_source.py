@@ -167,6 +167,36 @@ def test_box_oracle_shares_no_code_with_the_enumerator():
     assert sorted(reached & banned) == []
 
 
+def _imported_modules(tree: ast.Module) -> set[str]:
+    """The package modules a module imports, by bare name, whether as
+    `from .curves import x`, `from . import curves` or `import
+    wallkit.curves`."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names |= {alias.name.removeprefix("wallkit.")
+                      for alias in node.names}
+        elif isinstance(node, ast.ImportFrom):
+            module = (node.module or "").removeprefix("wallkit.")
+            if module in ("", "wallkit"):
+                names |= {alias.name for alias in node.names}
+            else:
+                names.add(module)
+    return names
+
+
+def test_catalog_imports_nothing_from_curves():
+    # The catalog builds no parameters and reads q(R) off its own gram
+    # (det/2h), so it needs nothing of the Brill-Noether module.
+    tree = ast.parse((SRC / "catalog.py").read_text())
+    imported = _imported_modules(tree)
+    assert {"binforms", "model", "walls"} <= imported
+    assert "curves" not in imported
+    assert _imported_modules(ast.parse(
+        "from . import curves\nimport wallkit.walls\n"
+        "from wallkit.model import Ratio\n")) == {"curves", "walls", "model"}
+
+
 def test_package_imports_nothing_from_fractions():
     # Every rational is an integer numerator over a known denominator
     # (`model.Ratio`), so no module imports `fractions` or names from it.
