@@ -7,7 +7,9 @@ isometric iff the forms are equivalent under GL2(Z).  Three regimes:
 * definite (det > 0): classical Gauss reduction, unique reduced triple;
 * indefinite anisotropic (det < 0, -det not a square): reduced-cycle method,
   canonical representative = lexicographic minimum over the cycles of the
-  form and its middle-sign flip, both read off one walk of the form's cycle;
+  form and its middle-sign flip, both read off one walk of the regular
+  continued fraction of the form's root, whose purely periodic part is the
+  cycle (Buchmann-Vollmer, Binary Quadratic Forms, ch. 6);
 * indefinite isotropic (-det a perfect square sigma^2): classified by the
   pair of residues q(w) mod 2*sigma attached to the two isotropic lines.
 """
@@ -30,13 +32,15 @@ class DegenerateFormError(ValueError):
 
 
 class ReductionBudgetError(DomainError, RuntimeError):
-    """An indefinite form needs more than _MAX_REDUCTION_STEPS reduction
-    steps, or has a longer reduced cycle, so no canonical form is computed.
+    """An indefinite form needs more than _MAX_REDUCTION_STEPS
+    continued-fraction steps to reach its cycle of reduced forms and walk it
+    once, so no canonical form is computed.
 
-    The canonical form needs the whole reduced cycle, whose length can grow
-    like sqrt(|disc|); at |disc| near 1e10 the cap is reached.  It is a
-    DomainError (CLI exit 2) and also a RuntimeError, so callers that catch
-    RuntimeError still catch it.
+    One budget counts the steps before the cycle and those around it.  The
+    cycle's length can grow like sqrt(|disc|); at |disc| near 1e10 the cap
+    is reached.  The message gives the discriminant's bit length, since its
+    digits may be too many to print.  It is a DomainError (CLI exit 2) and
+    also a RuntimeError, so callers that catch RuntimeError still catch it.
     """
 
 
@@ -69,46 +73,42 @@ def _reduce_definite(a: int, b: int, c: int,
             return a, 2 * abs(b), c
 
 
-def _indef_rho(a: int, b: int, c: int, d: int, s: int) -> tuple[int, int, int]:
-    # One reduction step for an indefinite form of nonsquare discriminant d
-    # (s = isqrt(d)).
-    m = 2 * abs(c)
-    r = (-b) % m
-    if abs(c) > s:
-        if r > abs(c):
-            r -= m
-    else:
-        r = s - (s - r) % m
-    return c, r, (r * r - d) // (4 * c)
-
-
-def _indef_is_reduced(a: int, b: int, c: int, s: int) -> bool:
-    # 0 < b < sqrt(d) and |sqrt(d) - 2|a|| < b, with sqrt(d) irrational.
-    return 0 < b <= s and b >= s + 1 - 2 * abs(a) and b >= 2 * abs(a) - s
-
-
-def _indef_cycle(a: int, b: int, c: int, d: int) -> list[tuple[int, int, int]]:
-    # Reduce, then walk the full cycle of reduced forms.
-    s = isqrt(d)
-    steps = 0
-    while not _indef_is_reduced(a, b, c, s):
-        a, b, c = _indef_rho(a, b, c, d, s)
-        steps += 1
-        if steps > _MAX_REDUCTION_STEPS:
-            raise ReductionBudgetError(
-                f"indefinite reduction of discriminant {d} exceeds "
-                f"{_MAX_REDUCTION_STEPS} steps")
-    first = (a, b, c)
-    cycle = [first]
-    while True:
-        a, b, c = _indef_rho(a, b, c, d, s)
-        if (a, b, c) == first:
-            return cycle
-        cycle.append((a, b, c))
-        if len(cycle) > _MAX_REDUCTION_STEPS:
-            raise ReductionBudgetError(
-                f"reduced cycle of discriminant {d} exceeds "
-                f"{_MAX_REDUCTION_STEPS} forms")
+def _indef_canonical(a: int, b: int, c: int, d: int,
+                     s: int) -> tuple[int, int, int]:
+    # The least triple (A, B, C) with A < 0 < B over the reduced forms
+    # GL2-equivalent to (a, 2b, c), a form of discriminant 4d with
+    # d = b^2 - ac not a square and s = isqrt(d).  It walks the regular
+    # continued fraction of the root (P + sqrt(d))/Q from P = -b, Q = a,
+    # R = -c (so QR = d - P^2): t is the root's floor, then P' = tQ - P,
+    # Q' = (d - P'^2)/Q and R' = Q.  The step X = tX' + Y', Y = X' has
+    # determinant -1 and maps (Q, -2P, -R) to minus (Q', -2P', -R'), so step
+    # i's form (-1)^i (Q, -2P, -R) is equivalent to (a, 2b, c).  From the
+    # first P <= s with s - P < Q <= s + P the root is reduced and the walk
+    # purely periodic; it closes when (P, Q, parity) repeats, so an odd
+    # period, whose forms change sign, is walked twice.  GL2 adds each
+    # form's middle-sign flip, which is properly equivalent to its reverse
+    # (C, B, A); a reduced form has AC < 0, so of a form and its reverse
+    # only the one that starts negative can be least: (-Q, 2P, R) at odd
+    # steps and (-R, 2P, Q) at even steps.  One budget bounds the walk.
+    p, q, r = -b, a, -c
+    odd, start, best = False, None, None
+    for _ in range(_MAX_REDUCTION_STEPS):
+        p = ((p + s) // q if q > 0 else (p + s + 1) // q) * q - p
+        q, r = (d - p * p) // q, q
+        odd = not odd
+        if start is None:
+            if not (p <= s and s - p < q <= s + p):
+                continue
+            start = (p, q, odd)
+        elif p == start[0] and q == start[1] and odd == start[2]:
+            return best
+        form = (-q, 2 * p, r) if odd else (-r, 2 * p, q)
+        if best is None or form < best:
+            best = form
+    raise ReductionBudgetError(
+        f"the continued fraction of an indefinite form of "
+        f"{(4 * d).bit_length()}-bit discriminant needs more than "
+        f"{_MAX_REDUCTION_STEPS} steps to close its cycle")
 
 
 def _primitive(x: int, y: int) -> tuple[int, int]:
@@ -183,13 +183,7 @@ def _canonical(a: int, b: int, c: int, det: int) -> tuple:
         r0, r1 = sorted(_line_residue(a, b, c, u, sigma)
                         for u in _isotropic_lines(a, b, c, sigma))
         return ("isotropic", sigma, r0, r1)
-    # The flipped form (a, -b, c) is properly equivalent to (c, b, a), and
-    # (c, b, a) is reduced exactly when (a, b, c) is; as each proper class
-    # has one cycle of reduced forms, the flipped class's cycle is this
-    # cycle with every triple read backwards.  -4*det is the discriminant
-    # (2b)^2 - 4ac of the form.
-    cycle = _indef_cycle(a, 2 * b, c, -4 * det)
-    return ("indef", *min(min(cycle), min([t[::-1] for t in cycle])))
+    return ("indef", *_indef_canonical(a, b, c, -det, sigma))
 
 
 def rank2_isometric(g1: Gram, g2: Gram) -> bool:

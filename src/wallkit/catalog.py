@@ -17,7 +17,7 @@ from typing import IO, Iterable, Iterator, NamedTuple
 
 from . import binforms
 from .binforms import Gram
-from .model import DomainError, Ratio, ratio_str, write_records
+from .model import DomainError, Ratio, _require_ints, ratio_str, write_records
 from .walls import _least_witness, _normal_basis
 
 
@@ -34,7 +34,9 @@ class CatalogEntry(NamedTuple):
 
 
 def seed_lattice(k: int, epsilon: int) -> tuple[Gram, int, int]:
-    """Seed Gram with its realizing (p, delta) = (2k-2+5*epsilon, 0)."""
+    """Seed Gram with its realizing (p, delta) = (2k-2+5*epsilon, 0).  k
+    and epsilon must be ints, as in `SurfaceContext`."""
+    _require_ints(k=k, epsilon=epsilon)
     if k < 2 or epsilon not in (0, 1):
         raise DomainError(f"need k >= 2 and epsilon in {{0, 1}}, got ({k}, {epsilon})")
     p = 2 * k - 2 + 5 * epsilon

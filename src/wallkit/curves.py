@@ -15,6 +15,7 @@ from .model import (
     Ratio,
     SurfaceContext,
     _make_through_new,
+    _require_ints,
 )
 
 
@@ -71,8 +72,7 @@ class BNParams(_BNFields):
         """The parameter set of delta on a validated context, which it
         keeps: the delta points of one (epsilon, k, p) row can share one."""
         epsilon, p, k = ctx
-        if not isinstance(delta, int):
-            raise DomainError(f"delta must be an integer (got {delta!r})")
+        _require_ints(delta=delta)
         if not 0 <= delta <= p - 2 * epsilon:
             raise DomainError(
                 "constraint violated: 0 <= delta <= p - 2*epsilon "

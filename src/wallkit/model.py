@@ -77,6 +77,14 @@ def _make_through_new(cls, iterable):
     return cls(*iterable)
 
 
+def _require_ints(**values) -> None:
+    """Raise a DomainError naming the first value that is not an int (a
+    bool is one): the package computes with no floats."""
+    for name, value in values.items():
+        if not isinstance(value, int):
+            raise DomainError(f"{name} must be an integer (got {value!r})")
+
+
 class _ContextFields(NamedTuple):
     epsilon: int
     p: int
@@ -91,10 +99,7 @@ class SurfaceContext(_ContextFields):
     hash and repr see only the three parameters."""
 
     def __new__(cls, epsilon: int, p: int, k: int) -> SurfaceContext:
-        # ints only (a bool is one): the package computes with no floats.
-        for name, value in (("epsilon", epsilon), ("k", k), ("p", p)):
-            if not isinstance(value, int):
-                raise DomainError(f"{name} must be an integer (got {value!r})")
+        _require_ints(epsilon=epsilon, k=k, p=p)
         if epsilon not in (0, 1):
             raise DomainError(f"epsilon must be 0 or 1 (got {epsilon})")
         # k before p: `lagrangian` derives p from k, so a bad k must be

@@ -9,12 +9,12 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from wallkit import binforms
 from wallkit.binforms import (
     DegenerateFormError,
     ReductionBudgetError,
     _canonical,
     _check_gram,
-    _indef_cycle,
     _reduce_definite,
     canonical_form,
     class_id,
@@ -81,6 +81,14 @@ def test_reduction_budget_is_a_typed_domain_error():
         class_id(((-3996351748, 43), (43, 1372)))
     assert isinstance(info.value, DomainError)
     assert isinstance(info.value, RuntimeError)
+
+
+def test_reduction_budget_error_names_the_bit_length(monkeypatch):
+    # Near k = 10^2200 the discriminant has about 4,400 digits, more than
+    # int-to-text conversion allows, so the message gives its bit length.
+    monkeypatch.setattr(binforms, "_MAX_REDUCTION_STEPS", 3)
+    with pytest.raises(ReductionBudgetError, match=r"\d+-bit discriminant"):
+        class_id(state_gram(3, 0, 10**2200 + 7, 0))
 
 
 def test_canonical_form_is_conjugation_invariant():
@@ -198,15 +206,43 @@ def test_xgcd_random():
         assert g == gcd(a, b) and x * a + y * b == g
 
 
+def _rho_cycle(a, b, c):
+    """The cycle of reduced forms of the indefinite form a x^2 + b xy + c y^2
+    of nonsquare discriminant d = b^2 - 4ac, walked with the reduction
+    operator rho (Buchmann-Vollmer, Binary Quadratic Forms, ch. 6): a form
+    is reduced when 0 < b < sqrt(d) and |sqrt(d) - 2|a|| < b, and rho
+    maps a reduced form to the next one of its proper class's single cycle.
+    The reference for the continued-fraction walk of `_canonical`."""
+    d = b * b - 4 * a * c
+    s = isqrt(d)
+
+    def rho(a, b, c):
+        m = 2 * abs(c)
+        r = (-b) % m
+        if abs(c) > s:
+            if r > abs(c):
+                r -= m
+        else:
+            r = s - (s - r) % m
+        return c, r, (r * r - d) // (4 * c)
+
+    while not (0 < b <= s and b >= s + 1 - 2 * abs(a)
+               and b >= 2 * abs(a) - s):
+        a, b, c = rho(a, b, c)
+    cycle = [(a, b, c)]
+    while (form := rho(*cycle[-1])) != cycle[0]:
+        cycle.append(form)
+    return cycle
+
+
 def _reference_canonical_form(g):
-    """canonical_form with the cycles of an anisotropic indefinite form and
-    of its middle-sign flip walked one after the other."""
+    """canonical_form with the rho cycles of an anisotropic indefinite form
+    and of its middle-sign flip walked one after the other."""
     a, b, c, det = _check_gram(g)
     if det > 0 or isqrt(-det) ** 2 == -det:
         return canonical_form(g)
-    d = -4 * det
-    return ("indef",) + min(min(_indef_cycle(a, 2 * b, c, d)),
-                            min(_indef_cycle(a, -2 * b, c, d)))
+    return ("indef",) + min(min(_rho_cycle(a, 2 * b, c)),
+                            min(_rho_cycle(a, -2 * b, c)))
 
 
 @st.composite
@@ -219,9 +255,33 @@ def _anisotropic_grams(draw):
     return ((a, b), (b, c))
 
 
+@st.composite
+def _indefinite_walk_grams(draw):
+    """Anisotropic indefinite (a, b, c): drawn directly, or a small form
+    moved far from reduced by a word in S and T^q, so that the entries
+    reach 1e30 and the walk's pre-period is long."""
+    if draw(st.booleans()):
+        return draw(_anisotropic_grams())
+    a, b, c = (draw(st.integers(-30, 30)) for _ in range(3))
+    assume(b * b > a * c and isqrt(b * b - a * c) ** 2 != b * b - a * c)
+    g = ((a, b), (b, c))
+    for q in draw(st.lists(st.integers(-1000, 1000), max_size=40)):
+        moved = _conjugate(g, ((q, -1), (1, 0)))
+        if max(abs(moved[0][0]), abs(moved[0][1]), abs(moved[1][1])) > 10**30:
+            break
+        g = moved
+    return g
+
+
 @_settings
-@given(_anisotropic_grams())
+@given(_indefinite_walk_grams())
+@example(((1, 0), (0, -2)))     # x^2 - 2y^2: period 1, so walked twice
+@example(((1, 0), (0, -3)))     # x^2 - 3y^2: period 2
+@example(((-3, 1), (1, 4)))     # a < 0 < c
+@example(((1, -1), (-1, -2)))   # root 1 + sqrt(3): reduced at the start
+@example(((229, 150), (150, 98)))  # four steps before the cycle
 def test_one_cycle_walk_matches_the_two_walk_reference(g):
+    # The continued-fraction walk against the two rho walks.
     assert canonical_form(g) == _reference_canonical_form(g)
 
 

@@ -102,6 +102,17 @@ def test_seed_examples():
         seed_lattice(3, 2)
 
 
+def test_k_and_epsilon_must_be_ints():
+    # As in SurfaceContext: a float is a DomainError, not a float gram or a
+    # TypeError from range, and a bool is an int.
+    for call in (lambda: seed_lattice(3, 1.0),
+                 lambda: generate_catalog(3, 1.0),
+                 lambda: generate_catalog(3.0, 0)):
+        with pytest.raises(DomainError, match="must be an integer"):
+            call()
+    assert seed_lattice(3, True) == seed_lattice(3, 1)
+
+
 def test_moves():
     gram, p, delta = seed_lattice(2, 0)
     assert delta_move(gram, p, delta) == (((0, 0), (0, 2)), 2, 1)

@@ -19,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import wallkit
-from wallkit import checks, model, walls
+from wallkit import binforms, checks, model, walls
 from wallkit.cli import _COMMANDS, _parser, main
 from wallkit.model import SurfaceContext
 from wallkit.walls import box_radius
@@ -309,6 +309,17 @@ def test_error_exit_codes(capsys):
     rc, _, err = _run(capsys, "scan", "--epsilon", "0", "--k", "abc",
                       "--p", "2..4", "--check", "all")
     assert rc == 2 and "malformed" in err
+
+
+def test_catalog_past_the_reduction_budget_exits_two(capsys, monkeypatch):
+    # The first state's discriminant has about 4,400 digits, too many to
+    # print: the budget error names its bit length, so it stays exit 2.
+    monkeypatch.setattr(binforms, "_MAX_REDUCTION_STEPS", 3)
+    rc, out, err = _run(capsys, "catalog", "--epsilon", "0",
+                        "--k", str(10**2200 + 7), "--p-max", "3",
+                        "--delta-max", "0")
+    assert rc == 2 and out == ""
+    assert err.startswith("error: ") and "-bit discriminant" in err
 
 
 @pytest.mark.parametrize("flag", ["--epsilon", "--k", "--p", "--delta"])
