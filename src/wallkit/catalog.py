@@ -13,11 +13,12 @@ rank-3 model.
 
 from __future__ import annotations
 
+from math import gcd
 from typing import IO, Iterable, Iterator, NamedTuple
 
 from . import binforms
 from .binforms import Gram
-from .model import DomainError, Ratio, _require_ints, ratio_str, write_records
+from .model import DomainError, Ratio, _require_ints, write_records
 from .walls import _least_witness, _normal_basis
 
 
@@ -158,10 +159,12 @@ def state_vector(p: int, delta: int, k: int,
 # A record has a fixed shape, so each line is one template filled from the
 # entry: the bytes of `json.dumps` of the field dict, in field order.  A
 # class id is a regime name and three integers joined by colons, so it
-# needs no JSON escaping.
+# needs no JSON escaping.  Most entries are no wall, and their is_wall and
+# witness members are one constant.
 _LINE = ('{"epsilon": %d, "k": %d, "p": %d, "delta": %d, '
-         '"gram": [%d, %d, %d, %d], "q_R": "%s", "is_wall": %s, '
-         '"witness": %s, "isometry_class_id": %s}')
+         '"gram": [%d, %d, %d, %d], "q_R": "%d/%d", %s, '
+         '"isometry_class_id": %s}')
+_NO_WALL = '"is_wall": false, "witness": null'
 
 
 def entry_line(entry: CatalogEntry) -> str:
@@ -169,12 +172,13 @@ def entry_line(entry: CatalogEntry) -> str:
     epsilon, k, p, delta, the gram's four entries in row order, q(R) as
     reduced "num/den" text, is_wall, the witness's ambient coordinates and
     the class id (null when absent)."""
-    (epsilon, k, p, delta, ((a, b), (b2, c)), square, is_wall, witness,
+    (epsilon, k, p, delta, ((a, b), (b2, c)), (num, den), is_wall, witness,
      class_id) = entry
+    g = gcd(num, den)
     return _LINE % (
-        epsilon, k, p, delta, a, b, b2, c, ratio_str(square),
-        "true" if is_wall else "false",
-        "null" if witness is None else "[%d, %d, %d]" % witness,
+        epsilon, k, p, delta, a, b, b2, c, num // g, den // g,
+        '"is_wall": true, "witness": [%d, %d, %d]' % witness if is_wall
+        else _NO_WALL,
         "null" if class_id is None else '"%s"' % class_id)
 
 

@@ -32,8 +32,8 @@ point subcommands build one per point and read none of its lazy fields.
 
 The checks own every comparison of two routes to one number: each computes
 its second route itself and reports a disagreement as a failed check, not
-as an exception.  The three `AssertionError`s left in the library (one in
-`walls`, two in `binforms`) guard invariants that no check repeats.
+as an exception.  The two `AssertionError`s left in the library (both in
+`binforms`) guard invariants that no check repeats.
 
 `_oracle` is the one comparison of a verdict's witnesses with the box
 oracle, and its one rule for where the oracle runs: on a span whose box

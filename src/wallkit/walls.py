@@ -23,6 +23,7 @@ from .model import (
     DomainError,
     SurfaceContext,
     Triple,
+    _require_ints,
     divisor_divisibility,
     mukai_square,
 )
@@ -133,10 +134,23 @@ def _pairing_with(gram: Gram, v: tuple[int, int]) -> tuple[int, int]:
 
 
 def _check_span_signature(gram: Gram, v: tuple[int, int]) -> int:
+    """q(v), after the one input rule of the witness functions: a
+    DomainError unless the gram is a symmetric 2x2 integer matrix of
+    negative determinant and v a primitive integer pair with q(v) > 0 (a
+    bool is an int, as in `_require_ints`)."""
     if (len(gram) != 2 or len(gram[0]) != 2 or len(gram[1]) != 2
             or gram[0][1] != gram[1][0]):
         raise DomainError(f"span gram must be a symmetric 2x2 matrix: {gram}")
-    det = gram[0][0] * gram[1][1] - gram[0][1] * gram[1][0]
+    if len(v) != 2:
+        raise DomainError(f"distinguished vector must be a pair, got {v}")
+    ((a, b), (b2, c)), (x, y) = gram, v
+    if not all(isinstance(z, int) for z in (a, b, b2, c, x, y)):
+        # `_require_ints` names the first value that is not an int.
+        _require_ints(**{"gram[0][0]": a, "gram[0][1]": b, "gram[1][0]": b2,
+                         "gram[1][1]": c, "v[0]": x, "v[1]": y})
+    if gcd(x, y) != 1:
+        raise DomainError(f"distinguished vector must be primitive, got {v}")
+    det = a * c - b * b2
     if det >= 0:
         raise DomainError(f"span lattice must be hyperbolic, det = {det}")
     qv = _q_of(gram, v)
@@ -175,78 +189,106 @@ def _walk_lines(qv: int, d: int, epsilon: int) -> tuple[range, range, range]:
             range(half + 1 if epsilon == 0 else 0))
 
 
-def _witness_walk(gram: Gram, v: tuple[int, int],
+def _walk_frame(a: int, b: int,
+                c: int) -> tuple[int, tuple[int, int], tuple[int, int],
+                                 int, int, int]:
+    """(d, s1, u, q(u), b(s1, u), q(s1)) of the lattice with Gram
+    [[a, b], [b, c]] and v = (0, 1), in closed form; a DomainError unless
+    det = ac - b^2 < 0 < c = q(v).
+
+    With (d, x1, y1) = xgcd(b, c), b(s, v) = d at s1 = (x1, y1), and every
+    solution line of b(s, v) = n runs along the primitive u = (-c/d, b/d)
+    spanning v-perp.  G*u = (-det/d, 0), so q(u) = (c/d)*(det/d), negative
+    as det < 0 < c, and b(s1, u) = -x1*det/d: integers, as d divides b and
+    c and so det."""
+    det = a * c - b * b
+    if det >= 0 or c <= 0:
+        raise DomainError(
+            f"walk needs det < 0 < q(v), got det = {det}, q(v) = {c}")
+    d, x1, y1 = xgcd(b, c)
+    c_d, det_d = c // d, det // d
+    return (d, (x1, y1), (-c_d, b // d), c_d * det_d, -x1 * det_d,
+            a * x1 * x1 + 2 * b * x1 * y1 + c * y1 * y1)
+
+
+def _witness_walk(a: int, b: int, c: int,
                   epsilon: int) -> Iterator[Witness]:
-    """Witnesses in `Witness.sort_key` order, one line b(s, v) = n at a time:
-    case (i) lines by ascending n, then case (ii) lines, each line sorted.
-    Each line costs an O(1) integer test; only a line with a candidate
-    point computes its exact t-range."""
-    qv = _check_span_signature(gram, v)
-    c = _pairing_with(gram, v)
-    # b(s1, v) = d = gcd(c); every solution line of b(s, v) = n runs along
-    # the same primitive u.
-    d, *s1 = xgcd(*c)
-    u = (-(c[1] // d), c[0] // d)
-    qu = _q_of(gram, u)
-    if qu >= 0:
-        raise AssertionError(f"q(u) = {qu} must be negative on v-perp")
-    # Line n = m*d starts at s0 = m*s1, so b(s0, u) = m*b1 and q(s0) = m^2*q1.
-    cu = _pairing_with(gram, u)
-    b1, q1 = s1[0] * cu[0] + s1[1] * cu[1], _q_of(gram, s1)
-
-    def line(m: int, branch: str) -> list[Witness]:
-        """Line m's witnesses, sorted: the points s0 + t*u in the window."""
-        b0, q0, n = m * b1, m * m * q1, m * d
-        if branch == "case_i":
-            lo, hi = max(0, 2 * n - qv), n - 1
-        else:
-            lo = hi = -2
-        found = []
-        for t in _ts_with_q_at_least(qu, b0, q0, lo):
-            qs = qu * t * t + 2 * b0 * t + q0
-            if qs <= hi:
-                s = (m * s1[0] + t * u[0], m * s1[1] + t * u[1])
-                found.append(Witness(s, qs, n, branch))
-        found.sort(key=Witness.sort_key)
-        return found
-
-    # With A = -q(u), line m has a t with q >= lo iff the multiple A*t
-    # nearest b0 = m*b1, at distance rho, lies within isqrt(disc) of b0 (see
-    # `_ts_with_q_at_least`), that is iff rho^2 <= disc.  Here disc =
-    # m^2*e - A*lo with e = b1^2 - q(u)*q1, written m*(m*e - f) + g for the
-    # lo of each group of lines.  Only a line that passes computes its exact
-    # t-range; on the large spans almost none do.
-    a, e = -qu, b1 * b1 - qu * q1
-    near, far, lines_ii = _walk_lines(qv, d, epsilon)
+    """Witnesses of the lattice with Gram [[a, b], [b, c]] and v = (0, 1),
+    in `Witness.sort_key` order, one line b(s, v) = n at a time: case (i)
+    lines by ascending n, then case (ii) lines, each line sorted.  Each
+    line costs an O(1) integer test; only a line with a candidate point
+    computes its exact t-range.  The lines come from `_walk_frame`, which
+    raises a DomainError unless det = ac - b^2 < 0 < c = q(v)."""
+    d, (x1, y1), (u0, u1), qu, b1, q1 = _walk_frame(a, b, c)
+    # Line n = m*d starts at s0 = m*s1, so b(s0, u) = m*b1 and
+    # q(s0) = m^2*q1.  With A = -q(u), line m has a t with q >= lo iff the
+    # multiple A*t nearest b0 = m*b1, at distance rho, lies within
+    # isqrt(disc) of b0 (see `_ts_with_q_at_least`), that is iff
+    # rho^2 <= disc.  Here disc = m^2*e - A*lo with e = b1^2 - q(u)*q1,
+    # written m*(m*e - f) + g for the lo of each group of lines.  Only a
+    # line that passes computes its exact t-range; on the large spans
+    # almost none do.
+    abs_qu, e = -qu, b1 * b1 - qu * q1
+    near, far, lines_ii = _walk_lines(c, d, epsilon)
     for lines, f, g, branch in ((near, 0, 0, "case_i"),
-                                (far, 2 * a * d, a * qv, "case_i"),
-                                (lines_ii, 0, 2 * a, "case_ii")):
+                                (far, 2 * abs_qu * d, abs_qu * c, "case_i"),
+                                (lines_ii, 0, 2 * abs_qu, "case_ii")):
         for m in lines:
-            rho = m * b1 % a
-            if rho + rho > a:
-                rho = a - rho
+            rho = m * b1 % abs_qu
+            if rho + rho > abs_qu:
+                rho = abs_qu - rho
             if rho * rho <= m * (m * e - f) + g:
-                yield from line(m, branch)
+                # Line m's witnesses, sorted: the points s0 + t*u in the
+                # window.
+                b0, q0, n = m * b1, m * m * q1, m * d
+                if branch == "case_i":
+                    lo, hi = max(0, 2 * n - c), n - 1
+                else:
+                    lo = hi = -2
+                found = []
+                for t in _ts_with_q_at_least(qu, b0, q0, lo):
+                    qs = qu * t * t + 2 * b0 * t + q0
+                    if qs <= hi:
+                        s = (m * x1 + t * u0, m * y1 + t * u1)
+                        found.append(Witness(s, qs, n, branch))
+                found.sort(key=Witness.sort_key)
+                yield from found
 
 
 def enumerate_witnesses(gram: Gram, v: tuple[int, int],
                         epsilon: int) -> list[Witness]:
     """All witnesses in the rank-2 lattice (complete, exact), sorted by
-    `Witness.sort_key`.
+    `Witness.sort_key`.  A DomainError unless the gram is a symmetric 2x2
+    integer matrix of negative determinant and v a primitive integer pair
+    with q(v) > 0.
 
-    Works line by line: for each admissible value n of b(s, v), the set
-    {s : b(s, v) = n} is s0 + Z*u with q negative on u, so q restricted to
-    the line is a downward parabola and each q-window cuts out finitely
-    many integer points.  Every line starts at a multiple of one particular
-    solution, so the walk costs O(1) per line: an integer test, one residue
-    mod |q(u)| and one comparison of squares, tells whether the line has a
-    t with q >= the window's lower end, and only a line that has one
-    computes its exact t-range and builds and sorts a list.  That is still
-    O(q(v)/d) lines in all, with d = gcd(b(-, v)).  `witness_stage` reads the
-    same walk lazily and stops at the least witness's line; non-walls and
-    walls with only case (ii) witnesses still walk all O(q(v)/d) lines.
+    The primitive v is completed to a basis (w, v) of Z^2 with
+    w[0]*v[1] - w[1]*v[0] = 1 (w = (1, 0) when v = (0, 1)), the lattice is
+    walked by `_witness_walk` in that basis, whose Gram is
+    [[q(w), b(w, v)], [b(w, v), q(v)]], and each witness x*w + y*v is
+    mapped back to the given coordinates.
+
+    The walk works line by line: for each admissible value n of b(s, v),
+    the set {s : b(s, v) = n} is s0 + Z*u with q negative on u, so q
+    restricted to the line is a downward parabola and each q-window cuts
+    out finitely many integer points.  Every line starts at a multiple of
+    one particular solution, so the walk costs O(1) per line: an integer
+    test, one residue mod |q(u)| and one comparison of squares, tells
+    whether the line has a t with q >= the window's lower end, and only a
+    line that has one computes its exact t-range and builds and sorts a
+    list.  That is still O(q(v)/d) lines in all, with d = gcd(b(-, v)).
+    `witness_stage` reads the same walk lazily, on the span's own normal
+    basis, and stops at the least witness's line; non-walls and walls with
+    only case (ii) witnesses still walk all O(q(v)/d) lines.
     """
-    return list(_witness_walk(gram, v, epsilon))
+    qv = _check_span_signature(gram, v)
+    _, w0, w1 = xgcd(v[1], -v[0])
+    c0, c1 = _pairing_with(gram, v)
+    found = [Witness((x * w0 + y * v[0], x * w1 + y * v[1]), qs, n, branch)
+             for (x, y), qs, n, branch in _witness_walk(
+                 _q_of(gram, (w0, w1)), c0 * w0 + c1 * w1, qv, epsilon)]
+    found.sort(key=Witness.sort_key)
+    return found
 
 
 def box_radius(gram: Gram, v: tuple[int, int]) -> int:
@@ -361,8 +403,13 @@ def _least_witness(span: SpanLattice,
                    epsilon: int) -> tuple[Witness | None, Triple | None]:
     """The least witness of the span, which walks its lines up to that
     witness, and the witness's ambient coordinates; (None, None) when T has
-    no witness."""
-    witness = next(_witness_walk(span.gram, span.v_coords, epsilon), None)
+    no witness.  The span is in its normal basis (w, v), so its gram's
+    three integers are the walk's; a DomainError if v is not (0, 1)."""
+    if span.v_coords != (0, 1):
+        raise DomainError(
+            f"span must carry v as (0, 1), got {span.v_coords}")
+    (a, b), (_, c) = span.gram
+    witness = next(_witness_walk(a, b, c, epsilon), None)
     if witness is None:
         return None, None
     (x, y), (w, v) = witness.coords, span.basis

@@ -160,8 +160,8 @@ def test_box_oracle_shares_no_code_with_the_enumerator():
         todo += [n for n in _called_names(functions[name])
                  if n in functions and n not in reached]
     assert "box_radius" in reached
-    banned = {"enumerate_witnesses", "_witness_walk", "_walk_lines",
-              "_ts_with_q_at_least"}
+    banned = {"enumerate_witnesses", "_witness_walk", "_walk_frame",
+              "_walk_lines", "_ts_with_q_at_least"}
     # A renamed walk helper must not slip past the guard.
     assert banned <= functions.keys()
     assert sorted(reached & banned) == []

@@ -98,6 +98,33 @@ def test_witness_functions_reject_malformed_grams():
     assert len(enumerate_witnesses([[2, 1], [1, -2]], (1, 0), 0)) == 2
 
 
+# One input rule for the three witness functions: gram entries and v are
+# ints (a bool is one), v is a pair, and v is primitive, which the basis
+# completion (w, v) of `enumerate_witnesses` needs.
+_MALFORMED = (
+    ([[2.0, 1], [1, -2]], (1, 0), r"gram\[0\]\[0\] must be an integer"),
+    ([[2, 1], [1, -2]], (1.0, 0), r"v\[0\] must be an integer"),
+    ([[2, 1], [1, -2]], (1, 0, 0), "must be a pair"),
+    ([[2, 1], [1, -2]], (2, 0), "must be primitive"),
+)
+
+
+@pytest.mark.parametrize("gram, v, match", _MALFORMED)
+def test_witness_functions_reject_malformed_inputs(gram, v, match):
+    for search in (enumerate_witnesses, box_witnesses):
+        with pytest.raises(DomainError, match=match):
+            search(gram, v, 0)
+    with pytest.raises(DomainError, match=match):
+        box_radius(gram, v)
+
+
+def test_witness_functions_take_bools_as_ints():
+    gram = [[2, 1], [1, -2]]
+    assert (enumerate_witnesses([[2, True], [True, -2]], (True, False), 0)
+            == enumerate_witnesses(gram, (1, 0), 0)
+            == box_witnesses(gram, (True, 0), 0))
+
+
 def test_box_witnesses_checks_its_gram_once():
     calls = []
     check = walls._check_span_signature
@@ -112,6 +139,70 @@ def test_box_witnesses_checks_its_gram_once():
             calls.clear()
             assert box_witnesses(gram, v, 0)
             assert calls == [(gram, v)]
+
+
+def test_witness_search_set_up_is_pinned():
+    # The least-witness search takes the span's three integers: one xgcd
+    # (the lines' frame) and no gram check.  enumerate_witnesses checks its
+    # input once and adds one xgcd, the basis completion.
+    counted = {"xgcd": 0, "_check_span_signature": 0}
+
+    def counting(name):
+        fn = getattr(walls, name)
+
+        def wrapper(*args):
+            counted[name] += 1
+            return fn(*args)
+        return wrapper
+
+    span = span_stage(DivisorClass(2, -3), SurfaceContext(0, 2, 2)).span
+    with mock.patch.object(walls, "xgcd", counting("xgcd")), \
+            mock.patch.object(walls, "_check_span_signature",
+                              counting("_check_span_signature")):
+        witness, _ = walls._least_witness(span, 0)
+        assert witness is not None
+        assert counted == {"xgcd": 1, "_check_span_signature": 0}
+        counted.update(xgcd=0)
+        assert enumerate_witnesses(span.gram, (0, 1), 0)[0] == witness
+        assert counted == {"xgcd": 2, "_check_span_signature": 1}
+
+
+def test_least_witness_needs_the_normal_basis():
+    span = span_stage(DivisorClass(2, -3), SurfaceContext(0, 2, 2)).span
+    moved = span._replace(gram=span.gram[::-1], v_coords=(1, 0))
+    with pytest.raises(DomainError, match="v as \\(0, 1\\)"):
+        walls._least_witness(moved, 0)
+
+
+def test_walk_frame_rejects_what_the_walk_cannot_search():
+    for a, b, c in ((2, 0, 2), (2, 2, 2), (-2, 0, -2), (2, 1, -2)):
+        with pytest.raises(DomainError, match="det < 0 < q\\(v\\)"):
+            walls._walk_frame(a, b, c)
+        with pytest.raises(DomainError):
+            next(walls._witness_walk(a, b, c, 0))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(st.integers(1, 10**6), st.integers(-10**6, 10**6),
+       st.integers(-10**6, 10**6))
+@example(6, -4, 0)      # b < 0
+@example(6, 5, 0)       # b > c/2
+@example(1, 0, -1)      # det = -1
+@example(12, 8, 5)      # d = gcd(b, c) = 4
+def test_walk_frame_matches_the_generic_pairings(c, b, a_draw):
+    # A normal-form gram [[a, b], [b, c]] with v = (0, 1): a is shifted
+    # below b^2/c so that det < 0.
+    a = min(a_draw, (b * b - 1) // c)
+    gram = ((a, b), (b, c))
+    d, s1, u, qu, b1, q1 = walls._walk_frame(a, b, c)
+    assert d == gcd(b, c) and walls._pairing_with(gram, (0, 1)) == (b, c)
+    assert b * s1[0] + c * s1[1] == d
+    assert b * u[0] + c * u[1] == 0 and gcd(*u) == 1
+    gu = walls._pairing_with(gram, u)
+    assert gu == (-(a * c - b * b) // d, 0)
+    assert qu == walls._q_of(gram, u) < 0
+    assert b1 == s1[0] * gu[0] + s1[1] * gu[1]
+    assert q1 == walls._q_of(gram, s1)
 
 
 def test_witness_order_is_sorted():
@@ -360,18 +451,81 @@ def _large_spans(draw):
 @example((((2, -5), (-5, 12)), (0, 1)), 0)
 def test_witness_walk_matches_the_reference_walk(span, eps):
     gram, v = span
-    calls, exact = [], walls._ts_with_q_at_least
+    calls, kernels = [], []
+    exact, walk = walls._ts_with_q_at_least, walls._witness_walk
 
     def recording(*args):
         calls.append(args)
         return exact(*args)
 
-    with mock.patch.object(walls, "_ts_with_q_at_least", recording):
+    def kernel(*args):
+        kernels.append(args[:3])
+        return walk(*args)
+
+    with mock.patch.object(walls, "_ts_with_q_at_least", recording), \
+            mock.patch.object(walls, "_witness_walk", kernel):
         got = enumerate_witnesses(gram, v, eps)
-    want, lines = _reference_walk(gram, v, eps)
+    want, _ = _reference_walk(gram, v, eps)
     assert got == want
-    # The per-line test passes exactly the lines with a candidate point.
-    assert calls == lines
+    # The walk runs once, on the gram of a basis (w, v): same q(v), same
+    # determinant.  The per-line test passes exactly the lines with a
+    # candidate point in that basis.
+    [(a, b, c)] = kernels
+    assert c == gram[0][0] * v[0] ** 2 + 2 * gram[0][1] * v[0] * v[1] \
+        + gram[1][1] * v[1] ** 2
+    assert a * c - b * b == gram[0][0] * gram[1][1] - gram[0][1] ** 2
+    assert calls == _reference_walk([[a, b], [b, c]], (0, 1), eps)[1]
+
+
+@st.composite
+def _primitive_v_spans(draw):
+    """A hyperbolic gram and a primitive v with |v_i| <= 5 and q(v) > 0: a
+    gram g0 = [[q(w), b], [b, q(v)]] drawn as `_hyperbolic_spans` draws
+    one, carried to the coordinates in which v and a w with
+    w[0]*v[1] - w[1]*v[0] = 1 are the given pairs.  w is found by search
+    and shifted by a drawn multiple of v, so it is not the completion that
+    `enumerate_witnesses` picks."""
+    v = draw(st.tuples(st.integers(-5, 5), st.integers(-5, 5))
+             .filter(lambda v: gcd(*v) == 1))
+    w = next((x, y) for x in range(-5, 6) for y in range(-5, 6)
+             if x * v[1] - y * v[0] == 1)
+    t = draw(st.integers(-3, 3))
+    w = (w[0] + t * v[0], w[1] + t * v[1])
+    qv = draw(st.integers(1, 60))
+    b = draw(st.integers(-qv, qv))
+    qw = draw((st.integers(-2, qv) | st.integers(-qv * qv, qv))
+              .filter(lambda q: q * qv < b * b))
+    # The basis matrix P = [w v] has determinant 1, so M = P^-1 is integral
+    # and G = M^T g0 M has P^T G P = g0.
+    g0, m = ((qw, b), (b, qv)), ((v[1], -v[0]), (-w[1], w[0]))
+    gram = [[sum(m[i][r] * g0[i][j] * m[j][col] for i in range(2)
+                 for j in range(2)) for col in range(2)] for r in range(2)]
+    return gram, v
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(_primitive_v_spans(), st.integers(0, 1))
+@example(([[2, 1], [1, -2]], (1, 0)), 0)   # v = (1, 0); all case (ii)
+@example(([[0, 3], [3, 6]], (1, 1)), 1)    # v = (1, 1)
+@example(([[0, 1], [1, -2]], (2, 1)), 0)   # v = (2, 1)
+@example(([[1, 0], [0, -1]], (2, 1)), 0)   # det = -1
+def test_general_v_reduction_matches_the_reference_and_the_box(span, eps):
+    gram, v = span
+    got = enumerate_witnesses(gram, v, eps)
+    assert got == _reference_walk(gram, v, eps)[0]
+    if box_radius(gram, v) <= 60:
+        assert got == box_witnesses(gram, v, eps)
+
+
+def test_general_v_examples_have_witnesses():
+    # The examples above are not vacuous: all case (ii) for v = (1, 0),
+    # and witnesses at v = (1, 1), (2, 1) and det = -1.
+    ws = enumerate_witnesses([[2, 1], [1, -2]], (1, 0), 0)
+    assert ws and {w.branch for w in ws} == {"case_ii"}
+    for gram, v, eps in (([[0, 3], [3, 6]], (1, 1), 1),
+                         ([[0, 1], [1, -2]], (2, 1), 0),
+                         ([[1, 0], [0, -1]], (2, 1), 0)):
+        assert enumerate_witnesses(gram, v, eps), (gram, v)
 
 
 @st.composite
