@@ -1,9 +1,11 @@
 """Catalog of rank-2 wall lattices reachable from the minimal-square seeds.
 
 Each entry records a Gram matrix [[q(w), b], [b, q(v)]] together with the
-parameters (p, delta) realizing it, the curve square, and the wall verdict.
-The curve square is read off the Gram: q(R) = det/2h with 2h = q(v), so
-every wall is an indefinite or isotropic state.
+parameters (p, delta) realizing it, the least witness of a wall and the
+isometry class id.  It stores nothing it can derive: the curve square is
+read off the Gram, q(R) = det/2h with 2h = q(v), so every wall is an
+indefinite or isotropic state, and an entry is a wall exactly when it has
+a witness.
 Two moves reach the catalog from the seed: adding a node (delta + 1,
 top-left + 2, off-diagonal - 1) and dropping the genus (p - 1,
 off-diagonal - 1).  The state they reach at (p, delta) has the closed form
@@ -18,28 +20,44 @@ from typing import IO, Iterable, Iterator, NamedTuple
 
 from . import binforms
 from .binforms import Gram
-from .model import DomainError, Ratio, _require_ints, write_records
+from .model import (DomainError, Ratio, _require_bounded, _require_ints,
+                    write_records)
 from .walls import _least_witness, _normal_basis
 
 
 class CatalogEntry(NamedTuple):
+    """One catalog state: its parameters, its Gram [[a, b], [b, 2h]], the
+    ambient coordinates of its least witness (None for no wall) and its
+    class id (None when the gram is degenerate).  q(R) and the verdict are
+    derived, not stored."""
+
     epsilon: int
     k: int
     p: int
     delta: int
     gram: Gram
-    q_curve: Ratio                        # q(R) over 2h, not reduced
-    is_wall: bool
-    witness: tuple[int, int, int] | None  # ambient coordinates
-    class_id: str | None                  # None when the gram is degenerate
+    witness: tuple[int, int, int] | None
+    class_id: str | None
+
+    @property
+    def q_curve(self) -> Ratio:
+        """q(R) over 2h, not reduced: det/2h (`state_gram`)."""
+        (a, b), (_, c) = self.gram
+        return Ratio(a * c - b * b, c)
+
+    @property
+    def is_wall(self) -> bool:
+        return self.witness is not None
 
 
 def seed_lattice(k: int, epsilon: int) -> tuple[Gram, int, int]:
     """Seed Gram with its realizing (p, delta) = (2k-2+5*epsilon, 0).  k
-    and epsilon must be ints, as in `SurfaceContext`."""
+    and epsilon must be ints, and k must lie in the input domain, as in
+    `SurfaceContext`."""
     _require_ints(k=k, epsilon=epsilon)
     if k < 2 or epsilon not in (0, 1):
         raise DomainError(f"need k >= 2 and epsilon in {{0, 1}}, got ({k}, {epsilon})")
+    _require_bounded(k=k)
     p = 2 * k - 2 + 5 * epsilon
     return state_gram(p, 0, k, epsilon), p, 0
 
@@ -93,7 +111,7 @@ def _entries(k: int, epsilon: int, p_low: int, p_top: int,
              d_top: int) -> Iterator[CatalogEntry]:
     # The state at (p, delta) has the `state_gram` [[a, b], [b, c]].  It is
     # classified from these integers first, so a state whose class is
-    # listed costs no Gram, no square and no wall search; q(R) is det/2h
+    # listed costs no Gram and no wall search; q(R) is det/2h
     # (`state_gram`), so only a state with det < 0 is searched.  A
     # degenerate state (det = 0) has no class and is always listed: no two
     # states share both a (one per delta) and b (one per p in a delta row).
@@ -121,17 +139,13 @@ def _entries(k: int, epsilon: int, p_low: int, p_top: int,
                 seen.add(class_id)
             else:
                 class_id = None
-            gram = ((a, b), (b, c))
-            square = Ratio(det, c)
-            if det >= 0:
-                yield CatalogEntry(epsilon, k, p, delta, gram, square, False,
-                                   None, class_id)
-                continue
-            witness, ambient = _least_witness(
-                _normal_basis(state_vector(p, delta, k, epsilon), p, h),
-                epsilon)
-            yield CatalogEntry(epsilon, k, p, delta, gram, square,
-                               witness is not None, ambient, class_id)
+            ambient = None
+            if det < 0:
+                _, ambient = _least_witness(
+                    _normal_basis(state_vector(p, delta, k, epsilon), p, h),
+                    epsilon)
+            yield CatalogEntry(epsilon, k, p, delta, ((a, b), (b, c)),
+                               ambient, class_id)
 
 
 def state_gram(p: int, delta: int, k: int, epsilon: int) -> Gram:
@@ -171,14 +185,14 @@ def entry_line(entry: CatalogEntry) -> str:
     """The entry's JSON record as one line of text, without the newline:
     epsilon, k, p, delta, the gram's four entries in row order, q(R) as
     reduced "num/den" text, is_wall, the witness's ambient coordinates and
-    the class id (null when absent)."""
-    (epsilon, k, p, delta, ((a, b), (b2, c)), (num, den), is_wall, witness,
-     class_id) = entry
-    g = gcd(num, den)
+    the class id (null when absent).  q(R) is det/2h, read off the gram."""
+    epsilon, k, p, delta, ((a, b), (b2, c)), witness, class_id = entry
+    num = a * c - b * b
+    g = gcd(num, c)
     return _LINE % (
-        epsilon, k, p, delta, a, b, b2, c, num // g, den // g,
-        '"is_wall": true, "witness": [%d, %d, %d]' % witness if is_wall
-        else _NO_WALL,
+        epsilon, k, p, delta, a, b, b2, c, num // g, c // g,
+        _NO_WALL if witness is None
+        else '"is_wall": true, "witness": [%d, %d, %d]' % witness,
         "null" if class_id is None else '"%s"' % class_id)
 
 

@@ -34,7 +34,8 @@ from . import subvarieties as sub_mod
 from .binforms import flat_gram
 from .checks import CHECKS, Point, Row, oracle_agrees
 from .curves import bn_dims, curve_square
-from .model import DomainError, Ratio, ratio_str, write_records
+from .model import (DomainError, Ratio, _require_bounded, ratio_str,
+                    write_records)
 from .walls import WallVerdict, primitive_dual_divisor
 
 
@@ -87,6 +88,7 @@ def _parse_range(text: str, name: str) -> tuple[int, int]:
     except ValueError:
         raise DomainError(f"malformed range for {name}: {text!r} "
                           "(expected N or LO..HI)") from None
+    _require_bounded(**{f"low end of {name}": lo, f"high end of {name}": hi})
     if lo > hi:
         raise DomainError(f"empty range for {name}: {text!r}")
     return lo, hi

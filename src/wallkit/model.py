@@ -85,6 +85,26 @@ def _require_ints(**values) -> None:
             raise DomainError(f"{name} must be an integer (got {value!r})")
 
 
+# Every integer k, p and scan range end lies strictly between -10^1000 and
+# 10^1000.  A printed integer has at most about three times the digits of
+# the inputs (q(D) of `wall-test` is of order k^2*p; q(R), class ids and
+# the rest are at most quadratic), so it stays below Python's default
+# limit of 4,300 digits on int <-> str conversion, which the package
+# leaves as it is.
+INPUT_DIGITS = 1000
+_INPUT_BOUND = 10 ** INPUT_DIGITS
+
+
+def _require_bounded(**values) -> None:
+    """Raise a DomainError naming the first value that lies outside the
+    input domain, and the bound."""
+    for name, value in values.items():
+        if not -_INPUT_BOUND < value < _INPUT_BOUND:
+            raise DomainError(
+                f"{name} must lie strictly between -10^{INPUT_DIGITS} and "
+                f"10^{INPUT_DIGITS} (got a {value.bit_length()}-bit value)")
+
+
 class _ContextFields(NamedTuple):
     epsilon: int
     p: int
@@ -108,6 +128,7 @@ class SurfaceContext(_ContextFields):
             raise DomainError(f"constraint violated: k >= 2 (got k={k})")
         if p < 2:
             raise DomainError(f"constraint violated: p >= 2 (got p={p})")
+        _require_bounded(k=k, p=p)
         self = super().__new__(cls, epsilon, p, k)
         self.__dict__.update(l_square=2 * p - 2,
                              ek_div=2 * (k - 1 + 2 * epsilon))

@@ -1,4 +1,4 @@
-"""Acceptance gates: eleven cross-module consistency criteria.
+"""Acceptance gates: twelve cross-module consistency criteria.
 
 Each criterion sweeps its full parameter grid with exact arithmetic,
 prints one PASS/FAIL gate line, and the wrapping test asserts the
@@ -15,6 +15,10 @@ so any drift is caught:
 * Criterion 11: the Lagrangian-plane parameters at (k, epsilon) = (2, 1)
   give chi = 3 < 4 = 4*epsilon, so the bundle-existence bound fails at
   exactly that point and nowhere else for k <= 10.
+
+Criterion 12 checks the paper's main claim in finite form: every wall
+pair (T, v) for k <= 20, found by the box oracle, is the saturation of a
+Brill-Noether curve with a pencil and q(R) < 0.
 
 Run standalone (python3 tests/test_acceptance.py) to print all gate
 lines; exit status 0 means every gate matched its expected verdict.
@@ -54,7 +58,7 @@ from wallkit import (
     seed_lattice,
 )
 from wallkit.checks import CHECKS, Point, Row
-from wallkit.walls import span_stage
+from wallkit.walls import box_witnesses, span_stage
 
 EPS_RANGE = (0, 1)
 K_RANGE = range(2, 9)
@@ -87,6 +91,9 @@ _EXPECTED = {
     11: (False, "chi == delta+k+1 and q(R) == -(k+3-2e)/2 at all 18 points, "
                 "but the bundle-existence bound fails at exactly "
                 "(k, epsilon) = (2, 1) where chi = 3 < 4"),
+    12: (True, "all 992 wall pairs (T, v) for k <= 20 (63 and 52 at k = 20 "
+               "for epsilon = 0, 1) are the saturation of a curve with a "
+               "pencil and q(R) < 0, at p <= seed p + 5"),
 }
 
 
@@ -373,6 +380,54 @@ def _criterion_11() -> tuple[bool, str]:
                    "(k, epsilon) = (2, 1) where chi = 3 < 4")
 
 
+def _wall_pairs(k: int, eps: int) -> set:
+    """Every wall pair (T, v) at (k, epsilon) in its normal form: the even
+    grams [[a, b], [b, 2h]] with 0 <= b <= h and det < 0 that have a
+    witness, as the box oracle finds it.  A witness s spans with v a
+    sublattice of T, so |det T| <= n^2 - q(s)*q(v) with n = b(s, v); case
+    (i) bounds this by ((q(v) - q(s))/2)^2 <= h^2, case (ii) by h^2 + 4h."""
+    h = k - 1 + 2 * eps
+    pairs = set()
+    for b in range(h + 1):
+        # a*2h - b^2 = det lies in [-(h^2 + 4h), -1], and a is even.
+        lo = -((h * h + 4 * h - b * b) // (2 * h))
+        for a in range(lo + lo % 2, (b * b - 1) // (2 * h) + 1, 2):
+            gram = ((a, b), (b, 2 * h))
+            if box_witnesses(gram, (0, 1), eps):
+                pairs.add(gram)
+    return pairs
+
+
+def _criterion_12() -> tuple[bool, str]:
+    # Each (p, delta) with a pencil and q(R) < 0 realises its saturation;
+    # p runs up from 2 until every pair is realised, or past seed p + 10.
+    counts, missing, reach = {}, 0, 0
+    for eps in EPS_RANGE:
+        for k in range(2, 21):
+            todo = _wall_pairs(k, eps)
+            counts[eps, k] = len(todo)
+            seed_p = 2 * k - 2 + 5 * eps
+            for p in range(2, seed_p + 11):
+                row = Row(eps, k, p)
+                for delta in range(p - 2 * eps + 1):
+                    pt = Point(row, delta)
+                    if pt.pencil and pt.square.numerator < 0:
+                        todo.discard(pt.span.t_gram)
+                if not todo:
+                    reach = max(reach, p - seed_p)
+                    break
+            missing += len(todo)
+    total = sum(counts.values())
+    assert (total, counts[0, 20], counts[1, 20]) == (992, 63, 52)
+    if missing:
+        return False, (f"{missing} of {total} wall pairs (T, v) for k <= 20 "
+                       f"are the saturation of no curve with a pencil and "
+                       f"q(R) < 0 at p <= seed p + 10")
+    return True, (f"all {total} wall pairs (T, v) for k <= 20 (63 and 52 at "
+                  f"k = 20 for epsilon = 0, 1) are the saturation of a curve "
+                  f"with a pencil and q(R) < 0, at p <= seed p + {reach}")
+
+
 def _verdict(n: int) -> tuple[bool, str]:
     ok, detail = globals()[f"_criterion_{n}"]()
     _gate(n, ok, detail)
@@ -421,6 +476,10 @@ def test_criterion_10_moduli_consistency():
 
 def test_criterion_11_lagrangian_detection():
     assert _verdict(11) == _EXPECTED[11]
+
+
+def test_criterion_12_wall_pairs_realised():
+    assert _verdict(12) == _EXPECTED[12]
 
 
 def test_standalone_run_prints_the_gate_lines():

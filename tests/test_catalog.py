@@ -310,11 +310,15 @@ def _reference_entry(gram, params):
         verdict = wall_test(curve_class(params), params.context())
         assert rank2_isometric([list(r) for r in verdict.t_gram],
                                [list(r) for r in gram]), params
-        return CatalogEntry(params.epsilon, params.k, params.p, params.delta,
-                            gram, square, verdict.is_wall,
-                            verdict.witness_ambient, cid)
-    return CatalogEntry(params.epsilon, params.k, params.p, params.delta,
-                        gram, square, False, None, cid)
+        entry = CatalogEntry(params.epsilon, params.k, params.p,
+                             params.delta, gram, verdict.witness_ambient, cid)
+        assert entry.is_wall == verdict.is_wall, params
+    else:
+        entry = CatalogEntry(params.epsilon, params.k, params.p,
+                             params.delta, gram, None, cid)
+    # The entry derives q(R) from its gram: it must be the curve square.
+    assert entry.q_curve == square, params
+    return entry
 
 
 def _reference_catalog(k, epsilon, p_min=2, p_max=None, delta_max=None):
@@ -488,25 +492,27 @@ def test_generate_builds_no_params_and_no_context(monkeypatch):
 
 
 def test_catalog_entry_shape_is_pinned():
+    # An entry stores what it cannot derive; q(R) (det/2h, not reduced)
+    # and the verdict (a witness exists) are read off the stored fields.
     assert CatalogEntry._fields == (
-        "epsilon", "k", "p", "delta", "gram", "q_curve", "is_wall",
-        "witness", "class_id")
+        "epsilon", "k", "p", "delta", "gram", "witness", "class_id")
     assert CatalogEntry._field_defaults == {}
     entries = generate_catalog(4, 0)
     wall = entries[0]
     flat = next(e for e in entries if not e.is_wall)
     assert repr(wall) == (
         "CatalogEntry(epsilon=0, k=4, p=6, delta=0, gram=((-2, 3), (3, 6)), "
-        "q_curve=Ratio(numerator=-21, denominator=6), "
-        "is_wall=True, "
         "witness=(-1, 1, -6), class_id='indef:-2:6:6')")
+    assert (wall.q_curve, wall.is_wall) == (Ratio(-21, 6), True)
     assert repr(flat) == (
         "CatalogEntry(epsilon=0, k=4, p=4, delta=1, gram=((0, 0), (0, 6)), "
-        "q_curve=Ratio(numerator=0, denominator=6), "
-        "is_wall=False, "
         "witness=None, class_id=None)")
+    assert (flat.q_curve, flat.is_wall) == (Ratio(0, 6), False)
     # A NamedTuple: iterable, and equal to the plain tuple of its fields.
     assert wall == tuple(wall) and list(flat)[-1] == flat.class_id
+    # The derived values are no fields: they cannot be replaced.
+    with pytest.raises(ValueError):
+        wall._replace(q_curve=Ratio(0, 6))
 
 
 def test_dual_lattice_check_holds_on_every_catalog_wall():

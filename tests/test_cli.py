@@ -312,11 +312,12 @@ def test_error_exit_codes(capsys):
 
 
 def test_catalog_past_the_reduction_budget_exits_two(capsys, monkeypatch):
-    # The first state's discriminant has about 4,400 digits, too many to
-    # print: the budget error names its bit length, so it stays exit 2.
+    # Near the top of the input domain the first state's discriminant has
+    # about 2,000 digits: the budget error names its bit length, and the
+    # command exits 2.
     monkeypatch.setattr(binforms, "_MAX_REDUCTION_STEPS", 3)
     rc, out, err = _run(capsys, "catalog", "--epsilon", "0",
-                        "--k", str(10**2200 + 7), "--p-max", "3",
+                        "--k", str(10**999 + 7), "--p-max", "3",
                         "--delta-max", "0")
     assert rc == 2 and out == ""
     assert err.startswith("error: ") and "-bit discriminant" in err
@@ -965,6 +966,90 @@ def test_catalog_and_scan_exit_0_or_2(argv):
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         rc = main(argv)
     assert rc in (0, 2), (argv, err.getvalue())
+
+
+_BOUND = 10 ** model.INPUT_DIGITS
+
+
+@pytest.mark.parametrize("argv", [
+    ("square", "--epsilon", "0", "--k", str(10**2160), "--p", "5",
+     "--delta", "0"),
+    ("class", "--epsilon", "0", "--k", str(10**2200), "--p", "5",
+     "--delta", "0"),
+    ("scan", "--epsilon", "0", "--k", str(10**2200), "--p", "2..3",
+     "--check", "square-forms"),
+    ("catalog", "--epsilon", "0", "--k", str(_BOUND), "--p-max", "3"),
+    ("exists", "--epsilon", "1", "--k", "3", "--p", str(_BOUND),
+     "--delta", "0"),
+    ("scan", "--epsilon", "0", "--k", "2", "--p", "2",
+     f"--delta=-{_BOUND}..0", "--check", "square-forms"),
+])
+def test_an_integer_past_the_input_bound_exits_two(capsys, argv):
+    # These printed more than 4,300 digits, which Python refuses to
+    # convert, and exited 1; now the input is refused and the error names
+    # the bound.
+    rc, out, err = _run(capsys, *argv)
+    assert (rc, out) == (2, "")
+    assert err.startswith("error: ") and "10^1000" in err, err
+
+
+@st.composite
+def _edge_argv(draw):
+    """A subcommand with one or two integers just below or just above the
+    input bound and the others small, and whether the input leaves the
+    domain.  Each draw stays cheap at any k or p: the witness line walk
+    takes O(k) lines, so `wall-test` and `scan` get points with p about k
+    or above and delta near p, where q(R) >= 0, `catalog` only its seed
+    state, and each family the loop that stays short (nodal over a small
+    p, series over a small k)."""
+    def edge():
+        return _BOUND + draw(st.sampled_from((-1000, -7, -2, -1, 0, 1, 7)))
+
+    command = draw(st.sampled_from(
+        ("wall-test", "class", "exists", "square", "coisotropic", "nodal",
+         "series", "lagrangian", "scan", "catalog")))
+    eps = draw(st.integers(0, 1))
+    small = draw(st.integers(2, 9))
+    if command in ("lagrangian", "catalog"):
+        k = edge()
+        argv = [command, "--epsilon", str(eps), "--k", str(k)]
+        if command == "catalog":
+            return argv + ["--p-min", str(2 * k - 2 + 5 * eps),
+                           "--delta-max", "0"], k >= _BOUND
+        # The derived p = 2k - 2 + 5*epsilon must lie in the domain too.
+        return argv, 2 * k - 2 + 5 * eps >= _BOUND
+    if command in ("nodal", "series"):
+        k, p = (edge(), small) if command == "nodal" else (small, edge())
+        return ["coisotropic", "--epsilon", str(eps), "--k", str(k),
+                "--p", str(p), "--family", command], max(k, p) >= _BOUND
+    pairs = [(edge(), edge()), (small, edge())]
+    if command not in ("wall-test", "scan"):
+        pairs.append((edge(), small + 2))
+    k, p = draw(st.sampled_from(pairs))
+    argv = [command, "--epsilon", str(eps), "--k", str(k)]
+    if command == "scan":
+        argv += ["--p", f"{p - 1}..{p}", "--delta", f"{p - 3}..{p}",
+                 "--check", draw(st.sampled_from((*checks.CHECKS, "all")))]
+    else:
+        argv += ["--p", str(p), "--delta", str(p - 2 * eps)]
+    return argv, max(k, p) >= _BOUND
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=120)
+@given(_edge_argv())
+def test_every_subcommand_at_the_input_bound_exits_0_or_2(case):
+    # Just below the bound every printed integer converts to text, and the
+    # command succeeds; just above it the input is refused with an error
+    # that names the bound.  Never an internal error (1).
+    argv, beyond = case
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = main(argv)
+    if beyond:
+        assert (rc, out.getvalue()) == (2, ""), argv
+        assert "10^1000" in err.getvalue(), argv
+    else:
+        assert (rc, err.getvalue()) == (0, ""), argv
 
 
 @st.composite

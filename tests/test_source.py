@@ -9,6 +9,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import wallkit
 
 SRC = Path(wallkit.__file__).resolve().parent
@@ -22,6 +24,20 @@ def _statements(kind: type[ast.stmt]) -> list[str]:
             for path in files
             for node in ast.walk(ast.parse(path.read_text(), str(path)))
             if isinstance(node, kind)]
+
+
+def test_package_parses_at_the_requires_python_floor():
+    # pyproject.toml declares requires-python >= 3.10, so no module uses
+    # syntax of a later Python, such as Python 3.11's `except*`.
+    pyproject = (SRC.parent.parent / "pyproject.toml").read_text()
+    assert 'requires-python = ">=3.10"' in pyproject
+    files = sorted(SRC.rglob("*.py"))
+    assert len(files) >= 9
+    for path in files:
+        ast.parse(path.read_text(), str(path), feature_version=(3, 10))
+    with pytest.raises(SyntaxError):
+        ast.parse("try:\n    pass\nexcept* ValueError:\n    pass\n",
+                  feature_version=(3, 10))
 
 
 def test_no_bare_assert_in_package():
