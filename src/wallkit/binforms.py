@@ -26,6 +26,13 @@ Gram = Sequence[Sequence[int]]
 
 _MAX_REDUCTION_STEPS = 100000
 
+# A class id is its canonical form's four fields joined by colons: the
+# regime's name and three integers.  A positive definite class's id is
+# `_POSDEF_ID` filled with `_reduce_definite`'s triple.
+_ID = "%s:%s:%s:%s"
+_POSDEF = "posdef"
+_POSDEF_ID = _ID % (_POSDEF, "%s", "%s", "%s")
+
 
 class DegenerateFormError(ValueError):
     """The Gram matrix is singular; no isometry class is defined."""
@@ -176,7 +183,7 @@ def _canonical(a: int, b: int, c: int, det: int) -> tuple:
     a symmetric Gram and test det themselves."""
     if det > 0:
         if a > 0:
-            return ("posdef", *_reduce_definite(a, b, c, det))
+            return (_POSDEF, *_reduce_definite(a, b, c, det))
         return ("negdef", *_reduce_definite(-a, -b, -c, det))
     sigma = isqrt(-det)
     if sigma * sigma == -det:
@@ -197,7 +204,7 @@ def rank2_isometric(g1: Gram, g2: Gram) -> bool:
 def form_id(form: tuple) -> str:
     """String identifier of a canonical form, as returned by class_id: its
     four fields joined by colons."""
-    return "%s:%s:%s:%s" % form
+    return _ID % form
 
 
 def class_id(g: Gram) -> str:

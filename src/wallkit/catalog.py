@@ -22,7 +22,7 @@ from . import binforms
 from .binforms import Gram
 from .model import (DomainError, Ratio, _require_bounded, _require_ints,
                     write_records)
-from .walls import _least_witness, _normal_basis
+from .walls import _least_witness_of, _normal_basis
 
 
 class CatalogEntry(NamedTuple):
@@ -74,8 +74,9 @@ def iter_catalog(k: int, epsilon: int, p_min: int = 2,
                  delta_max: int | None = None) -> Iterator[CatalogEntry]:
     """All move-reachable entries within the ranges, one per isometry
     class, each yielded as soon as it is built.  The arguments are checked
-    now: k and epsilon by `seed_lattice`, and an empty range (p_max below
-    max(p_min, 2), or delta_max below 0) is a DomainError.
+    now: k and epsilon by `seed_lattice`, and an empty range is a
+    DomainError: p runs over [max(p_min, 2), min(p_max, seed p)], and
+    delta_max must be at least 0.
 
     The moves reach every (p, delta) with 2 <= p <= seed p and
     0 <= delta <= p - 2*epsilon; the states in range are taken by delta
@@ -88,19 +89,20 @@ def iter_catalog(k: int, epsilon: int, p_min: int = 2,
 
     A wall (q(R) < 0) is searched on its state's own basis: `state_vector`
     and v, reduced to the saturation's normal basis by `walls._normal_basis`
-    from p and h alone, so no context, curve class, dual divisor or verdict
-    is built.  That this basis spans the saturation T of span{v, D} is the
-    `dual-lattice` check of `wallkit.checks`, which the catalog does not
-    repeat.
+    from q(w) and h alone and searched by `walls._least_witness_of`, so no
+    context, curve class, dual divisor, span or verdict is built.  That
+    this basis spans the saturation T of span{v, D} is the `dual-lattice`
+    check of `wallkit.checks`, which the catalog does not repeat.
     """
     _, seed_p, _ = seed_lattice(k, epsilon)
     p_low = max(p_min, 2)
-    if p_max is not None and p_max < p_low:
+    p_top = seed_p if p_max is None else min(p_max, seed_p)
+    if p_top < p_low:
         raise DomainError(
-            f"empty p range: p_max {p_max} < max(p_min, 2) = {p_low}")
+            f"empty p range: max(p_min, 2) = {p_low} > min(p_max, seed p) "
+            f"= {p_top}, where the seed p is {seed_p}")
     if delta_max is not None and delta_max < 0:
         raise DomainError(f"delta_max must be at least 0 (got {delta_max})")
-    p_top = seed_p if p_max is None else min(p_max, seed_p)
     d_top = p_top - 2 * epsilon
     if delta_max is not None:
         d_top = min(delta_max, d_top)
@@ -111,17 +113,22 @@ def _entries(k: int, epsilon: int, p_low: int, p_top: int,
              d_top: int) -> Iterator[CatalogEntry]:
     # The state at (p, delta) has the `state_gram` [[a, b], [b, c]].  It is
     # classified from these integers first, so a state whose class is
-    # listed costs no Gram and no wall search; q(R) is det/2h
-    # (`state_gram`), so only a state with det < 0 is searched.  A
-    # degenerate state (det = 0) has no class and is always listed: no two
-    # states share both a (one per delta) and b (one per p in a delta row).
-    # A nondegenerate state with b_mirror <= b < 0, where b_mirror is minus
-    # the row's first b, is not classified at all: x -> -x maps it onto
-    # (a, -b, c), the state at p - 2b, which this row took earlier, so its
-    # class is listed.
+    # listed costs no Gram and no wall search.  det > 0: c = 2h > 0 forces
+    # a > 0, so the state is positive definite and its id is the
+    # Gauss-reduced triple's, with no dispatch and no form tuple.  det < 0:
+    # `_canonical` classifies it, and as q(R) is det/2h (`state_gram`) it
+    # is searched on (`state_vector`, v), reduced from q(w) = a with no
+    # span built.  A degenerate state (det = 0) has no class and is always
+    # listed: no two states share both a (one per delta) and b (one per p
+    # in a delta row).  A nondegenerate state with b_mirror <= b < 0, where
+    # b_mirror is minus the row's first b, is not classified at all:
+    # x -> -x maps it onto (a, -b, c), the state at p - 2b, which this row
+    # took earlier, so its class is listed.
     canonical, form_id = binforms._canonical, binforms.form_id
+    reduce_definite, posdef_id = (binforms._reduce_definite,
+                                  binforms._POSDEF_ID)
     h = k - 1 + 2 * epsilon
-    c = 2 * h
+    c, v = 2 * h, (1, 0, -h)
     seen: set[str] = set()
     for delta in range(d_top + 1):
         a = 2 * delta - 2 + 2 * epsilon
@@ -133,7 +140,8 @@ def _entries(k: int, epsilon: int, p_low: int, p_top: int,
             if det:
                 if b_mirror <= b < 0:
                     continue
-                class_id = form_id(canonical(a, b, c, det))
+                class_id = (posdef_id % reduce_definite(a, b, c, det)
+                            if det > 0 else form_id(canonical(a, b, c, det)))
                 if class_id in seen:
                     continue
                 seen.add(class_id)
@@ -141,9 +149,9 @@ def _entries(k: int, epsilon: int, p_low: int, p_top: int,
                 class_id = None
             ambient = None
             if det < 0:
-                _, ambient = _least_witness(
-                    _normal_basis(state_vector(p, delta, k, epsilon), p, h),
-                    epsilon)
+                q_w, b_w, w = _normal_basis(
+                    state_vector(p, delta, k, epsilon), a, h)
+                ambient = _least_witness_of(q_w, b_w, c, w, v, epsilon)[1]
             yield CatalogEntry(epsilon, k, p, delta, ((a, b), (b, c)),
                                ambient, class_id)
 

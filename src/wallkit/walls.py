@@ -25,7 +25,6 @@ from .model import (
     Triple,
     _require_ints,
     divisor_divisibility,
-    mukai_square,
 )
 
 
@@ -100,32 +99,32 @@ def saturated_span(divisor: DivisorClass, ctx: SurfaceContext) -> SpanLattice:
     return stage.span
 
 
-def _normal_basis(w: Triple, p: int, h: int) -> SpanLattice:
-    """The lattice Z*w + Z*v at genus p, v = (1, 0, -h) with q(v) = 2h, in
-    the basis (w', v) that `span_stage` returns: w' = +-w + t*v with
-    0 <= b(w', v) <= q(v)/2, and at the two ties, b(w', v) = 0 (candidates
-    w', -w') and 2*b(w', v) = q(v) (candidates w', v - w'), the candidate
-    with the lexicographically smaller (w'[1], w'[0]).  w is an ambient
-    triple with (w, v) a basis of the lattice, so every s*w + t*v with
-    s = +-1 gives the same result."""
+def _normal_basis(w: Triple, q_w: int, h: int) -> tuple[int, int, Triple]:
+    """(q(w'), b(w', v), w') for the lattice Z*w + Z*v with q(w) = q_w,
+    v = (1, 0, -h) and q(v) = 2h: w' = +-w + t*v is the basis vector that
+    `span_stage` returns, with 0 <= b(w', v) <= q(v)/2, and at the two
+    ties, b(w', v) = 0 (candidates w', -w') and 2*b(w', v) = q(v)
+    (candidates w', v - w'), the candidate with the lexicographically
+    smaller (w'[1], w'[0]).  w is an ambient triple with (w, v) a basis of
+    the lattice, so every s*w + t*v with s = +-1 gives the same result.
+    q(w') follows from q(w) and b = b(w, v) alone:
+    q(w + t*v) = q(w) + 2t*b + t^2*q(v), q(v - w) = q(v) - 2b + q(w) and
+    q(-w) = q(w), so neither tie changes it."""
     qv = 2 * h
     # b(w, v) = w[0]*h - w[2]; shift by t*v into 0 <= b(w, v) < q(v).
     b_w = w[0] * h - w[2]
     b_red = b_w % qv
     t = (b_red - b_w) // qv
+    q_w += t * (2 * b_w + t * qv)
     w = (w[0] + t, w[1], w[2] - t * h)
     v_minus_w = (1 - w[0], -w[1], -h - w[2])
     if 2 * b_red > qv:
-        w, b_red = v_minus_w, qv - b_red
+        w, q_w, b_red = v_minus_w, qv - 2 * b_red + q_w, qv - b_red
     elif b_red == 0 or 2 * b_red == qv:
         alt = v_minus_w if b_red else (-w[0], -w[1], -w[2])
         if (alt[1], alt[0]) < (w[1], w[0]):
             w = alt
-    return SpanLattice(
-        gram=((mukai_square(w, p), b_red), (b_red, qv)),
-        v_coords=(0, 1),
-        basis=(w, (1, 0, -h)),
-    )
+    return q_w, b_red, w
 
 
 def _pairing_with(gram: Gram, v: tuple[int, int]) -> tuple[int, int]:
@@ -383,36 +382,49 @@ def span_stage(obj: CurveClass | DivisorClass,
     primitive D = a*L + b*e embeds as d = (b, a, b*h), so
     d - b*v = (0, a, b*q(v)).  With m = gcd(a, b*q(v)) = div(D) the
     saturation is Z*v + Z*w0 for the primitive w0 = (0, a/m, b*q(v)/m), and
-    m is the index of span{v, D} in T.  `_normal_basis` reduces (w0, v) to
-    the basis that `saturated_span` returns.  The catalog hands
-    `_normal_basis` its state's own basis vector (`catalog.state_vector`)
-    in place of w0, so it builds no divisor; that this vector and v span T
-    is the `dual-lattice` check of `wallkit.checks`.
+    m is the index of span{v, D} in T.  `_normal_basis` reduces (w0, v),
+    with q(w0) = (2p - 2)*(a/m)^2, to the basis that `saturated_span`
+    returns.  The catalog hands `_normal_basis` its state's own basis
+    vector (`catalog.state_vector`) and its q(w), the state gram's top
+    left entry, in place of w0, so it builds no divisor and no span; that
+    this vector and v span T is the `dual-lattice` check of
+    `wallkit.checks`.
     """
     if isinstance(obj, CurveClass):
         obj = (ctx.ek_div * obj.l, obj.r)
     divisor = primitive_integral_divisor(obj)
     div = divisor_divisibility(divisor, ctx)
     q_d, qv = divisor.square(ctx), ctx.ek_div
-    span = (_normal_basis((0, divisor.l // div, divisor.e * qv // div),
-                          ctx.p, qv // 2) if q_d < 0 else None)
-    return SpanStage(divisor, div, q_d, span)
+    if q_d >= 0:
+        return SpanStage(divisor, div, q_d, None)
+    h, l0 = qv // 2, divisor.l // div
+    q_w, b_w, w = _normal_basis((0, l0, divisor.e * qv // div),
+                                (2 * ctx.p - 2) * l0 * l0, h)
+    return SpanStage(divisor, div, q_d, SpanLattice(
+        ((q_w, b_w), (b_w, qv)), (0, 1), (w, (1, 0, -h))))
 
 
 def _least_witness(span: SpanLattice,
                    epsilon: int) -> tuple[Witness | None, Triple | None]:
-    """The least witness of the span, which walks its lines up to that
-    witness, and the witness's ambient coordinates; (None, None) when T has
-    no witness.  The span is in its normal basis (w, v), so its gram's
-    three integers are the walk's; a DomainError if v is not (0, 1)."""
+    """`_least_witness_of` the span's gram and basis; the span is in its
+    normal basis (w, v), a DomainError if v is not (0, 1)."""
     if span.v_coords != (0, 1):
         raise DomainError(
             f"span must carry v as (0, 1), got {span.v_coords}")
     (a, b), (_, c) = span.gram
+    return _least_witness_of(a, b, c, *span.basis, epsilon)
+
+
+def _least_witness_of(a: int, b: int, c: int, w: Triple, v: Triple,
+                      epsilon: int) -> tuple[Witness | None, Triple | None]:
+    """The least witness of the lattice with Gram [[a, b], [b, c]] and
+    v = (0, 1), which walks its lines up to that witness, and the
+    witness's ambient coordinates in the basis (w, v) of ambient triples;
+    (None, None) when it has no witness."""
     witness = next(_witness_walk(a, b, c, epsilon), None)
     if witness is None:
         return None, None
-    (x, y), (w, v) = witness.coords, span.basis
+    x, y = witness.coords
     return witness, (x * w[0] + y * v[0], x * w[1] + y * v[1],
                      x * w[2] + y * v[2])
 

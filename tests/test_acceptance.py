@@ -1,10 +1,10 @@
-"""Acceptance gates: twelve cross-module consistency criteria.
+"""Acceptance gates: thirteen cross-module consistency criteria.
 
 Each criterion sweeps its full parameter grid with exact arithmetic,
 prints one PASS/FAIL gate line, and the wrapping test asserts the
 expected verdict and the exact detail text of that line.  Criteria 1, 3-8
 and 10 run the consistency checks of `wallkit.checks`, the same ones
-`wallkit scan` runs, and keep only their own counts and pins.  Two gates
+`wallkit scan` runs, and keep only their own counts and pins.  Three gates
 are expected to FAIL, and their failure patterns are pinned down exactly
 so any drift is caught:
 
@@ -15,6 +15,9 @@ so any drift is caught:
 * Criterion 11: the Lagrangian-plane parameters at (k, epsilon) = (2, 1)
   give chi = 3 < 4 = 4*epsilon, so the bundle-existence bound fails at
   exactly that point and nowhere else for k <= 10.
+* Criterion 13: the catalog stops at the seed p = 2k-2+5e, so for k <= 20
+  it lists no wall for 65 of the isometry classes of wall lattices T that
+  criterion 12 enumerates; every wall class it lists is one of them.
 
 Criterion 12 checks the paper's main claim in finite form: every wall
 pair (T, v) for k <= 20, found by the box oracle, is the saturation of a
@@ -45,6 +48,7 @@ from wallkit import (
     bundle_bound_holds,
     bundle_locus,
     chi_value,
+    class_id,
     curve_class,
     curve_square,
     exists_pencil,
@@ -94,6 +98,10 @@ _EXPECTED = {
     12: (True, "all 992 wall pairs (T, v) for k <= 20 (63 and 52 at k = 20 "
                "for epsilon = 0, 1) are the saturation of a curve with a "
                "pencil and q(R) < 0, at p <= seed p + 5"),
+    13: (False, "the catalog lists no wall for 65 isometry classes of wall "
+                "lattices T for k <= 20 (20 for epsilon = 0, 45 for "
+                "epsilon = 1), as it stops at the seed p; every wall class "
+                "it lists is one of theirs"),
 }
 
 
@@ -428,6 +436,31 @@ def _criterion_12() -> tuple[bool, str]:
                   f"with a pencil and q(R) < 0, at p <= seed p + {reach}")
 
 
+def _criterion_13() -> tuple[bool, str]:
+    # The classes of T among criterion 12's wall pairs, which the box
+    # oracle finds, against the classes the catalog lists a wall for.
+    missing, extra = {}, 0
+    for eps in EPS_RANGE:
+        for k in range(2, 21):
+            pairs = {class_id(gram) for gram in _wall_pairs(k, eps)}
+            listed = {e.class_id for e in generate_catalog(k, eps)
+                      if e.is_wall}
+            missing[eps, k] = len(pairs - listed)
+            extra += len(listed - pairs)
+    by_eps = [[missing[eps, k] for k in range(2, 21)] for eps in EPS_RANGE]
+    assert extra == 0
+    assert by_eps == [[2] + [1] * 18,
+                      [0, 0] + [1] * 4 + [2] * 4 + [3] * 4 + [4] * 4 + [5]]
+    if not any(missing.values()):
+        return True, ("the catalog lists a wall for every isometry class of "
+                      "wall lattices T for k <= 20")
+    return False, (f"the catalog lists no wall for {sum(map(sum, by_eps))} "
+                   f"isometry classes of wall lattices T for k <= 20 "
+                   f"({sum(by_eps[0])} for epsilon = 0, {sum(by_eps[1])} for "
+                   f"epsilon = 1), as it stops at the seed p; every wall "
+                   f"class it lists is one of theirs")
+
+
 def _verdict(n: int) -> tuple[bool, str]:
     ok, detail = globals()[f"_criterion_{n}"]()
     _gate(n, ok, detail)
@@ -480,6 +513,10 @@ def test_criterion_11_lagrangian_detection():
 
 def test_criterion_12_wall_pairs_realised():
     assert _verdict(12) == _EXPECTED[12]
+
+
+def test_criterion_13_catalog_wall_classes():
+    assert _verdict(13) == _EXPECTED[13]
 
 
 def test_standalone_run_prints_the_gate_lines():

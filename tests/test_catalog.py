@@ -40,7 +40,8 @@ from wallkit.curves import (
     curve_square,
     exists_pencil,
 )
-from wallkit.model import DomainError, Ratio, SurfaceContext, moduli_vector
+from wallkit.model import (DomainError, Ratio, SurfaceContext, moduli_vector,
+                           mukai_square)
 from wallkit.walls import _normal_basis, span_stage
 
 from test_acceptance import realize_gram
@@ -366,11 +367,19 @@ def test_generate_matches_reference_catalog(epsilon):
               {"p_min": 3, "p_max": 14, "delta_max": 5},
               {"p_min": 12}, {"delta_max": 0}, {"p_max": 2},
               {"p_min": 10**6}, {"delta_max": 10**6}, *_SLICES)
-    kept = degenerate = walls = 0
+    kept = degenerate = walls = empty = 0
     for k in range(2, 13):
         for kwargs in ranges:
+            expected = _reference_catalog(k, epsilon, **kwargs)
+            if not expected:
+                # The clipped p range is empty exactly where the reference
+                # lists nothing, and there the catalog refuses the slice.
+                with pytest.raises(DomainError, match="empty p range"):
+                    iter_catalog(k, epsilon, **kwargs)
+                empty += 1
+                continue
             got = generate_catalog(k, epsilon, **kwargs)
-            assert got == _reference_catalog(k, epsilon, **kwargs) \
+            assert got == expected \
                 == list(iter_catalog(k, epsilon, **kwargs)), (k, kwargs)
             assert ([entry_line(e) for e in got]
                     == [json.dumps(entry_record(e)) for e in got]), (k, kwargs)
@@ -378,8 +387,12 @@ def test_generate_matches_reference_catalog(epsilon):
             degenerate += sum(e.class_id is None for e in got)
             walls += sum(e.is_wall for e in got)
     # walls (saturation checked) and non-walls and degenerate grams all
-    # take part in the comparison
+    # take part in the comparison, and so do the empty slices: p_min 10**6
+    # at every k, p_min 12 wherever the seed p is below 12 (k <= 6 for
+    # epsilon = 0, k <= 4 for epsilon = 1), and p_min 3 to 5 above the seed
+    # p = 2 or 4 at k = 2 and 3 for epsilon = 0
     assert kept > 1000 and walls > 500 and degenerate > 50
+    assert empty == (21, 14)[epsilon]
 
 
 def test_integer_square_matches_the_object_path():
@@ -528,27 +541,34 @@ def test_dual_lattice_check_holds_on_every_catalog_wall():
     assert walls == 2423
 
 
-def _counting_core(monkeypatch):
-    """The arguments of every call of the integer canonical form, which the
-    catalog calls on each nondegenerate state's (a, b, c, det)."""
-    core, calls = binforms._canonical, []
+def _counting_cores(monkeypatch):
+    """The arguments of every call of the two classifiers the catalog calls
+    on a nondegenerate state's (a, b, c, det): `_reduce_definite` where
+    det > 0 and the integer canonical form `_canonical` where det < 0."""
+    calls = {"_reduce_definite": [], "_canonical": []}
 
-    def counting(*args):
-        calls.append(args)
-        return core(*args)
+    def counting(name):
+        core = getattr(binforms, name)
 
-    monkeypatch.setattr(binforms, "_canonical", counting)
+        def spy(*args):
+            calls[name].append(args)
+            return core(*args)
+        return spy
+
+    for name in calls:
+        monkeypatch.setattr(binforms, name, counting(name))
     return calls
 
 
 @pytest.mark.parametrize("epsilon", (0, 1))
 def test_generate_classifies_each_state_once(monkeypatch, epsilon):
-    # One integer canonical form per nondegenerate state, except the
-    # mirrors: a state whose b is negative while -b is a b of its delta row
-    # is never classified, and its class is that of (a, -b, c), which the
-    # row classified earlier.  A degenerate state (det = 0) is never
-    # classified.
-    calls = _counting_core(monkeypatch)
+    # One classification per nondegenerate state, except the mirrors: a
+    # positive definite state (det > 0) goes through the Gauss reduction
+    # alone, any other through the integer canonical form.  A state whose b
+    # is negative while -b is a b of its delta row is never classified, and
+    # its class is that of (a, -b, c), which the row classified earlier.  A
+    # degenerate state (det = 0) is never classified.
+    calls = _counting_cores(monkeypatch)
     k = 12
     seed_p = seed_lattice(k, epsilon)[1]
     generate_catalog(k, epsilon)
@@ -561,8 +581,12 @@ def test_generate_classifies_each_state_once(monkeypatch, epsilon):
             state = (a, b, c, a * c - b * b)
             if state[3]:
                 (mirrors if b < 0 and -b in row_bs else states).append(state)
-    assert sorted(calls) == sorted(states)
-    assert mirrors and len(calls) < len(states) + len(mirrors)
+    assert sorted(calls["_reduce_definite"]) == sorted(
+        s for s in states if s[3] > 0)
+    assert sorted(calls["_canonical"]) == sorted(s for s in states if s[3] < 0)
+    assert all(calls.values())
+    assert mirrors and (sum(map(len, calls.values()))
+                        < len(states) + len(mirrors))
     for a, b, c, _ in mirrors:
         assert (canonical_form(((a, b), (b, c)))
                 == canonical_form(((a, -b), (-b, c))))
@@ -570,23 +594,26 @@ def test_generate_classifies_each_state_once(monkeypatch, epsilon):
 
 def test_catalog_work_is_pinned(monkeypatch):
     # Work counters, counted by patching the callees from the test, so the
-    # library holds no counter: one canonical form per nondegenerate state
+    # library holds no counter: one classification per nondegenerate state
     # in range that is not a mirror (39,672 states, 89 of them degenerate,
-    # 9,849 mirrors), and one least-witness search per listed entry with
-    # q(R) < 0.
-    calls = _counting_core(monkeypatch)
+    # 9,849 mirrors; 27,165 positive definite through the Gauss reduction,
+    # 2,569 through the canonical form), and one least-witness search per
+    # listed entry with q(R) < 0.
+    calls = _counting_cores(monkeypatch)
     walls = []
-    least_witness = catalog._least_witness
+    least_witness = catalog._least_witness_of
 
     def counting(*args):
         walls.append(args)
         return least_witness(*args)
 
-    monkeypatch.setattr(catalog, "_least_witness", counting)
+    monkeypatch.setattr(catalog, "_least_witness_of", counting)
     for epsilon in (0, 1):
         for k in range(2, 31):
             generate_catalog(k, epsilon)
-    assert (len(calls), len(walls)) == (39672 - 89 - 9849, 2423)
+    definite, indefinite = calls["_reduce_definite"], calls["_canonical"]
+    assert len(definite) + len(indefinite) == 39672 - 89 - 9849
+    assert (len(definite), len(indefinite), len(walls)) == (27165, 2569, 2423)
 
 
 @st.composite
@@ -622,12 +649,16 @@ def test_state_vector_gives_the_saturation_basis(point, t):
     assert (w[0] * (v[1] * d[2] - v[2] * d[1])
             - w[1] * (v[0] * d[2] - v[2] * d[0])
             + w[2] * (v[0] * d[1] - v[1] * d[0])) == 0
-    span = _normal_basis(w, p, h)
-    assert span == stage.span
+    # The kernel takes q(w) and returns (q(w'), b(w', v), w'), which
+    # `span_stage` packs as its gram and basis.
+    reduced = _normal_basis(w, mukai_square(w, p), h)
+    assert reduced == (*stage.span.gram[0], stage.span.basis[0])
+    assert stage.span.basis[1] == v and stage.span.v_coords == (0, 1)
     for s in (1, -1):
         for shift in (0, 1, -1, t):
             moved = tuple(s * wi + shift * vi for wi, vi in zip(w, v))
-            assert _normal_basis(moved, p, h) == span, (s, shift)
+            assert _normal_basis(moved, mukai_square(moved, p), h) \
+                == reduced, (s, shift)
 
 
 @st.composite

@@ -5,6 +5,7 @@ from __future__ import annotations
 import ast
 import importlib.util
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -181,6 +182,34 @@ def test_box_oracle_shares_no_code_with_the_enumerator():
     # A renamed walk helper must not slip past the guard.
     assert banned <= functions.keys()
     assert sorted(reached & banned) == []
+
+
+_REGIME = re.compile(r"\b(posdef|negdef|isotropic|indef)\b")
+
+
+def _regime_names(tree: ast.Module) -> set[str]:
+    """The regime names of class ids spelled in a module's string constants
+    other than docstrings."""
+    docstrings = {id(node.body[0].value) for node in ast.walk(tree)
+                  if isinstance(node, (ast.Module, ast.ClassDef,
+                                       ast.FunctionDef, ast.AsyncFunctionDef))
+                  and node.body and isinstance(node.body[0], ast.Expr)}
+    return {name for node in ast.walk(tree)
+            if isinstance(node, ast.Constant) and isinstance(node.value, str)
+            and id(node) not in docstrings
+            for name in _REGIME.findall(node.value)}
+
+
+def test_class_id_regimes_are_spelled_only_in_binforms():
+    # A class id starts with its regime's name.  Only binforms spells one,
+    # so a fast path that formats an id cannot fork the id format.
+    spelled = {path.name: names for path in sorted(SRC.rglob("*.py"))
+               if (names := _regime_names(ast.parse(path.read_text())))}
+    assert spelled == {
+        "binforms.py": {"posdef", "negdef", "isotropic", "indef"}}
+    assert _regime_names(ast.parse(
+        '"""posdef in a docstring"""\nID = "indef:%s"\n'
+        'f"{x}:isotropic"\n')) == {"indef", "isotropic"}
 
 
 def _imported_modules(tree: ast.Module) -> set[str]:

@@ -276,6 +276,42 @@ def test_box_radius_holds_the_witnesses_that_reach_it(gram, v, reach):
     assert box_witnesses(gram, v, 0) == full
 
 
+@st.composite
+def _hyperbolic_normal_forms(draw):
+    """Even grams [[a, b], [b, 2h]] with h <= 30, 0 <= b <= h and det < 0,
+    with |det| up to about twice h^2 + 4h."""
+    h = draw(st.integers(1, 30))
+    b = draw(st.integers(0, h))
+    # a = 2j with det = 4hj - b^2 in [-(2h^2 + 8h) - 4h, -1].
+    j_lo = -((2 * h * h + 8 * h - b * b) // (4 * h)) - 1
+    j = draw(st.integers(j_lo, (b * b - 1) // (4 * h)))
+    return ((2 * j, b), (b, 2 * h))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(_hyperbolic_normal_forms(), st.integers(0, 1))
+@example(((-2, 2), (2, 4)), 0)  # |det| = 12 = h^2 + 4h, a case (ii) wall
+@example(((-4, 2), (2, 4)), 0)  # one step of a past it: |det| = 20
+def test_a_witness_bounds_the_determinant(gram, epsilon):
+    # A witness s spans with v a sublattice of T, so
+    # |det T| <= n^2 - q(s)*q(v) with n = b(s, v): at most h^2 in case (i)
+    # and h^2 + 4h in case (ii).  Gate 12's `_wall_pairs` enumerates the
+    # wall pairs up to this bound, so it is complete only if this holds.
+    (a, b), (_, c) = gram
+    h, det = c // 2, a * c - b * b
+    assert det < 0 and 0 <= b <= h
+    if box_witnesses(gram, (0, 1), epsilon):
+        assert -det <= h * h + 4 * h, (gram, epsilon)
+
+
+def test_the_determinant_bound_is_sharp():
+    # The bound h^2 + 4h is reached by a case (ii) wall at h = 2; the next a
+    # below it gives no wall.
+    assert {w.branch for w in box_witnesses(((-2, 2), (2, 4)), (0, 1), 0)} \
+        == {"case_ii"}
+    assert box_witnesses(((-4, 2), (2, 4)), (0, 1), 0) == []
+
+
 def _reference_box(gram, v, epsilon, radius):
     """The box oracle as a plain double loop over [-radius, radius]^2, kept
     only as the reference for box_witnesses."""
