@@ -19,7 +19,7 @@ from __future__ import annotations
 from collections.abc import Sequence
 from math import gcd, isqrt
 
-from .model import DomainError
+from .model import DomainError, _require_ints
 
 # A 2x2 Gram matrix, read only as g[i][j]: rows may be tuples or lists.
 Gram = Sequence[Sequence[int]]
@@ -51,13 +51,23 @@ class ReductionBudgetError(DomainError, RuntimeError):
     """
 
 
+def _gram_entries(g: Gram) -> tuple[int, int, int]:
+    """(a, b, c) of [[a, b], [b, c]]: a DomainError unless g is a symmetric
+    2x2 matrix of ints (a bool is one, as in `_require_ints`).  The one
+    gram rule of the package."""
+    if (len(g) != 2 or len(g[0]) != 2 or len(g[1]) != 2
+            or g[0][1] != g[1][0]):
+        raise DomainError("gram must be a symmetric 2x2 matrix")
+    (a, b), (b2, c) = g
+    _require_ints(**{"gram[0][0]": a, "gram[0][1]": b, "gram[1][0]": b2,
+                     "gram[1][1]": c})
+    return a, b, c
+
+
 def _check_gram(g: Gram) -> tuple[int, int, int, int]:
-    """(a, b, c, det) of a symmetric nondegenerate [[a, b], [b, c]]."""
-    if len(g) != 2 or len(g[0]) != 2 or len(g[1]) != 2:
-        raise ValueError("expected a 2x2 Gram matrix")
-    a, b, b2, c = g[0][0], g[0][1], g[1][0], g[1][1]
-    if b != b2:
-        raise ValueError("Gram matrix must be symmetric")
+    """(a, b, c, det) of a symmetric nondegenerate [[a, b], [b, c]] of
+    ints (`_gram_entries`)."""
+    a, b, c = _gram_entries(g)
     det = a * c - b * b
     if det == 0:
         raise DegenerateFormError("Gram matrix is degenerate")

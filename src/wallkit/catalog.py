@@ -74,8 +74,9 @@ def iter_catalog(k: int, epsilon: int, p_min: int = 2,
                  delta_max: int | None = None) -> Iterator[CatalogEntry]:
     """All move-reachable entries within the ranges, one per isometry
     class, each yielded as soon as it is built.  The arguments are checked
-    now: k and epsilon by `seed_lattice`, and an empty range is a
-    DomainError: p runs over [max(p_min, 2), min(p_max, seed p)], and
+    now: k and epsilon by `seed_lattice`; p_min, p_max and delta_max, where
+    given, must be ints in the input domain, as k is; and an empty range
+    is a DomainError: p runs over [max(p_min, 2), min(p_max, seed p)], and
     delta_max must be at least 0.
 
     The moves reach every (p, delta) with 2 <= p <= seed p and
@@ -95,6 +96,12 @@ def iter_catalog(k: int, epsilon: int, p_min: int = 2,
     check of `wallkit.checks`, which the catalog does not repeat.
     """
     _, seed_p, _ = seed_lattice(k, epsilon)
+    # Checked before any message below formats them.
+    bounds = {name: value for name, value in (
+        ("p_min", p_min), ("p_max", p_max), ("delta_max", delta_max))
+        if value is not None}
+    _require_ints(**bounds)
+    _require_bounded(**bounds)
     p_low = max(p_min, 2)
     p_top = seed_p if p_max is None else min(p_max, seed_p)
     if p_top < p_low:

@@ -41,7 +41,10 @@ radius is at most `ORACLE_RADIUS_LIMIT`.  `wall-test --oracle` reads it
 through `oracle_agrees`, and the `witness-oracle` check reads it directly,
 for the witness count too, at every point with a pencil and q(R) < 0.  It
 is the one caller of `enumerate_witnesses`: a verdict holds only the least
-witness, and `_oracle` enumerates the full set once per call.
+witness, from the least walk, and `_oracle` enumerates the full set, by
+the x-scan, once per call on every span it runs on, walls or not.  It
+checks both algorithms: the set against the box oracle, and the
+verdict's witness against the set's first.
 
 `CHECKS` maps each check name to a function `point -> None | (ok, members)`:
 `None` means the check does not apply at the point, and `members` is the
@@ -180,8 +183,9 @@ class Point:
 
 def _oracle(verdict: WallVerdict,
             epsilon: int) -> tuple[bool, tuple[Witness, ...]] | None:
-    """Whether the verdict's witnesses equal those of the box oracle, and
-    the verdict's witnesses (enumerated once); None when there is no span
+    """Whether the span's witnesses equal those of the box oracle and the
+    verdict's least witness is the first of them (None when there are
+    none), and the witnesses (enumerated once); None when there is no span
     (q(D) >= 0) or its box radius exceeds ORACLE_RADIUS_LIMIT."""
     span = verdict.span
     if span is None:
@@ -190,10 +194,11 @@ def _oracle(verdict: WallVerdict,
     radius = box_radius(gram, v)
     if radius > ORACLE_RADIUS_LIMIT:
         return None
-    # No least witness means no witnesses: the full walk runs only on walls.
-    witnesses = (() if verdict.witness is None
-                 else tuple(enumerate_witnesses(gram, v, epsilon)))
-    return witnesses == tuple(_box_scan(gram, v, epsilon, radius)), witnesses
+    witnesses = tuple(enumerate_witnesses(gram, v, epsilon))
+    least = witnesses[0] if witnesses else None
+    return (verdict.witness == least
+            and witnesses == tuple(_box_scan(gram, v, epsilon, radius)),
+            witnesses)
 
 
 def oracle_agrees(verdict: WallVerdict, epsilon: int) -> bool | None:

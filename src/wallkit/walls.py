@@ -6,17 +6,20 @@ of span{v, D} inside the ambient rank-3 lattice contains a vector s with
   (i)   0 <= q(s) < b(s, v) <= (q(v) + q(s)) / 2, or
   (ii)  epsilon = 0,  q(s) = -2,  0 <= b(s, v) <= q(v) / 2.
 
-Everything below is exact integer arithmetic; the brute-force box oracle
-re-derives witness sets independently of the line-by-line enumeration.
+Both searches rest on one identity.  In a basis (w, v) with Gram
+[[A, B], [B, C]], C = q(v) and D = B^2 - AC > 0, the vector s = x*w + y*v
+has n = b(s, v) = B*x + C*y and C*q(s) = n^2 - D*x^2.  `_witness_walk`
+finds the least witness line by line in n; `enumerate_witnesses` finds
+them all by a scan over x.  Everything is exact integer arithmetic; the
+brute-force box oracle re-derives witness sets independently of both.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterator
 from math import gcd, isqrt
 from typing import NamedTuple
 
-from .binforms import Gram, xgcd
+from .binforms import Gram, _gram_entries, xgcd
 from .model import (
     CurveClass,
     DivisorClass,
@@ -134,22 +137,18 @@ def _pairing_with(gram: Gram, v: tuple[int, int]) -> tuple[int, int]:
 
 def _check_span_signature(gram: Gram, v: tuple[int, int]) -> int:
     """q(v), after the one input rule of the witness functions: a
-    DomainError unless the gram is a symmetric 2x2 integer matrix of
-    negative determinant and v a primitive integer pair with q(v) > 0 (a
-    bool is an int, as in `_require_ints`)."""
-    if (len(gram) != 2 or len(gram[0]) != 2 or len(gram[1]) != 2
-            or gram[0][1] != gram[1][0]):
-        raise DomainError(f"span gram must be a symmetric 2x2 matrix: {gram}")
+    DomainError unless the gram passes the package's gram rule
+    (`binforms._gram_entries`: a symmetric 2x2 matrix of ints) with
+    negative determinant and v is a primitive pair of ints with q(v) > 0
+    (a bool is an int, as in `_require_ints`)."""
+    a, b, c = _gram_entries(gram)
     if len(v) != 2:
         raise DomainError(f"distinguished vector must be a pair, got {v}")
-    ((a, b), (b2, c)), (x, y) = gram, v
-    if not all(isinstance(z, int) for z in (a, b, b2, c, x, y)):
-        # `_require_ints` names the first value that is not an int.
-        _require_ints(**{"gram[0][0]": a, "gram[0][1]": b, "gram[1][0]": b2,
-                         "gram[1][1]": c, "v[0]": x, "v[1]": y})
+    x, y = v
+    _require_ints(**{"v[0]": x, "v[1]": y})
     if gcd(x, y) != 1:
         raise DomainError(f"distinguished vector must be primitive, got {v}")
-    det = a * c - b * b2
+    det = a * c - b * b
     if det >= 0:
         raise DomainError(f"span lattice must be hyperbolic, det = {det}")
     qv = _q_of(gram, v)
@@ -162,96 +161,57 @@ def _q_of(gram: Gram, s: tuple[int, int]) -> int:
     return (gram[0][0] * s[0] + 2 * gram[0][1] * s[1]) * s[0] + gram[1][1] * s[1] * s[1]
 
 
-def _ts_with_q_at_least(qu: int, b0: int, q0: int, lo: int) -> range:
-    """Exactly the integers t with q(s0 + t*u) >= lo; qu < 0 so this is a
-    bounded range.
-
-    With A = -qu > 0, q(s0 + t*u) = qu*t^2 + 2*b0*t + q0 >= lo is
-    (A*t - b0)^2 <= disc = b0^2 - qu*(q0 - lo).  A*t - b0 is an integer, so
-    this holds iff |A*t - b0| <= r = isqrt(disc), that is iff
-    ceil((b0 - r)/A) <= t <= floor((b0 + r)/A).
-    """
-    disc = b0 * b0 - qu * (q0 - lo)
-    if disc < 0:
-        return range(0)
-    r, a = isqrt(disc), -qu
-    return range(-((r - b0) // a), (b0 + r) // a + 1)
-
-
-def _walk_lines(qv: int, d: int, epsilon: int) -> tuple[range, range, range]:
+def _walk_lines(qv: int, d: int, epsilon: int) -> tuple[range, range]:
     """The walk's lines, each as the m of its value n = m*d of b(s, v): the
-    case (i) lines 0 < n <= q(v)/2, whose window starts at q = 0, and
-    q(v)/2 < n < q(v), whose window starts at q = 2n - q(v); then the case
-    (ii) lines 0 <= n <= q(v)/2 (none when epsilon = 1)."""
+    case (i) lines 0 < n <= q(v)/2, then the case (ii) lines
+    0 <= n <= q(v)/2 (none when epsilon = 1)."""
     half = qv // 2 // d
-    return (range(1, half + 1), range(half + 1, (qv - 1) // d + 1),
-            range(half + 1 if epsilon == 0 else 0))
+    return range(1, half + 1), range(half + 1 if epsilon == 0 else 0)
 
 
-def _walk_frame(a: int, b: int,
-                c: int) -> tuple[int, tuple[int, int], tuple[int, int],
-                                 int, int, int]:
-    """(d, s1, u, q(u), b(s1, u), q(s1)) of the lattice with Gram
-    [[a, b], [b, c]] and v = (0, 1), in closed form; a DomainError unless
+def _witness_walk(a: int, b: int, c: int, epsilon: int) -> Witness | None:
+    """The least witness, by `Witness.sort_key`, of the lattice with Gram
+    [[a, b], [b, c]] and v = (0, 1), or None; a DomainError unless
     det = ac - b^2 < 0 < c = q(v).
 
-    With (d, x1, y1) = xgcd(b, c), b(s, v) = d at s1 = (x1, y1), and every
-    solution line of b(s, v) = n runs along the primitive u = (-c/d, b/d)
-    spanning v-perp.  G*u = (-det/d, 0), so q(u) = (c/d)*(det/d), negative
-    as det < 0 < c, and b(s1, u) = -x1*det/d: integers, as d divides b and
-    c and so det."""
-    det = a * c - b * b
-    if det >= 0 or c <= 0:
+    With D = -det, s = (x, y) has n = b(s, v) = b*x + c*y and
+    c*q(s) = n^2 - D*x^2.
+      - s -> v - s maps a case (i) witness on line n to one on line c - n,
+        so the least one has n <= c/2.  There the case (i) window is just
+        q(s) >= 0, that is D*x^2 <= n^2: then q(s) <= n^2/c <= n/2 < n and
+        2n <= c <= c + q(s).  Case (ii) is D*x^2 = n^2 + 2c.
+      - The lines n = m*d, d = gcd(b, c), are walked by ascending n, case
+        (i) first (`_walk_lines`).  With (d, x1, _) = xgcd(b, c), line m
+        holds the x = m*x1 (mod c/d).
+      - One O(1) test per line, D*rho^2 <= top with rho the distance from 0
+        to the nearest such x, tells whether the line has a point with
+        D*x^2 <= top, top = n^2 (case (i)) or n^2 + 2c (case (ii)).
+      - On a line that passes, the least point has the least q, so the
+        largest |x|: the end of its points in [-X, X], X = isqrt(top // D),
+        with the larger |x|, the negative end on a tie.  A case (ii) line
+        has a witness only if that end has D*x^2 = top.
+    """
+    disc = b * b - a * c
+    if disc <= 0 or c <= 0:
         raise DomainError(
-            f"walk needs det < 0 < q(v), got det = {det}, q(v) = {c}")
-    d, x1, y1 = xgcd(b, c)
-    c_d, det_d = c // d, det // d
-    return (d, (x1, y1), (-c_d, b // d), c_d * det_d, -x1 * det_d,
-            a * x1 * x1 + 2 * b * x1 * y1 + c * y1 * y1)
-
-
-def _witness_walk(a: int, b: int, c: int,
-                  epsilon: int) -> Iterator[Witness]:
-    """Witnesses of the lattice with Gram [[a, b], [b, c]] and v = (0, 1),
-    in `Witness.sort_key` order, one line b(s, v) = n at a time: case (i)
-    lines by ascending n, then case (ii) lines, each line sorted.  Each
-    line costs an O(1) integer test; only a line with a candidate point
-    computes its exact t-range.  The lines come from `_walk_frame`, which
-    raises a DomainError unless det = ac - b^2 < 0 < c = q(v)."""
-    d, (x1, y1), (u0, u1), qu, b1, q1 = _walk_frame(a, b, c)
-    # Line n = m*d starts at s0 = m*s1, so b(s0, u) = m*b1 and
-    # q(s0) = m^2*q1.  With A = -q(u), line m has a t with q >= lo iff the
-    # multiple A*t nearest b0 = m*b1, at distance rho, lies within
-    # isqrt(disc) of b0 (see `_ts_with_q_at_least`), that is iff
-    # rho^2 <= disc.  Here disc = m^2*e - A*lo with e = b1^2 - q(u)*q1,
-    # written m*(m*e - f) + g for the lo of each group of lines.  Only a
-    # line that passes computes its exact t-range; on the large spans
-    # almost none do.
-    abs_qu, e = -qu, b1 * b1 - qu * q1
-    near, far, lines_ii = _walk_lines(c, d, epsilon)
-    for lines, f, g, branch in ((near, 0, 0, "case_i"),
-                                (far, 2 * abs_qu * d, abs_qu * c, "case_i"),
-                                (lines_ii, 0, 2 * abs_qu, "case_ii")):
+            f"walk needs det < 0 < q(v), got det = {-disc}, q(v) = {c}")
+    d, x1, _ = xgcd(b, c)
+    period = c // d
+    lines_i, lines_ii = _walk_lines(c, d, epsilon)
+    for lines, lift, branch in ((lines_i, 0, "case_i"),
+                                (lines_ii, 2 * c, "case_ii")):
         for m in lines:
-            rho = m * b1 % abs_qu
-            if rho + rho > abs_qu:
-                rho = abs_qu - rho
-            if rho * rho <= m * (m * e - f) + g:
-                # Line m's witnesses, sorted: the points s0 + t*u in the
-                # window.
-                b0, q0, n = m * b1, m * m * q1, m * d
-                if branch == "case_i":
-                    lo, hi = max(0, 2 * n - c), n - 1
-                else:
-                    lo = hi = -2
-                found = []
-                for t in _ts_with_q_at_least(qu, b0, q0, lo):
-                    qs = qu * t * t + 2 * b0 * t + q0
-                    if qs <= hi:
-                        s = (m * x1 + t * u0, m * y1 + t * u1)
-                        found.append(Witness(s, qs, n, branch))
-                found.sort(key=Witness.sort_key)
-                yield from found
+            r, n = m * x1 % period, m * d
+            rho, top = min(r, period - r), n * n + lift
+            if disc * rho * rho <= top:
+                # The line's least and greatest x in [-big, big].
+                big = isqrt(top // disc)
+                low, high = (r + big) % period - big, big - (big - r) % period
+                x = low if -low >= high else high
+                if not lift or disc * x * x == top:
+                    return Witness((x, (n - b * x) // c),
+                                   (n * n - disc * x * x) // c, n, branch)
+    return None
 
 
 def enumerate_witnesses(gram: Gram, v: tuple[int, int],
@@ -262,30 +222,29 @@ def enumerate_witnesses(gram: Gram, v: tuple[int, int],
     with q(v) > 0.
 
     The primitive v is completed to a basis (w, v) of Z^2 with
-    w[0]*v[1] - w[1]*v[0] = 1 (w = (1, 0) when v = (0, 1)), the lattice is
-    walked by `_witness_walk` in that basis, whose Gram is
-    [[q(w), b(w, v)], [b(w, v), q(v)]], and each witness x*w + y*v is
-    mapped back to the given coordinates.
-
-    The walk works line by line: for each admissible value n of b(s, v),
-    the set {s : b(s, v) = n} is s0 + Z*u with q negative on u, so q
-    restricted to the line is a downward parabola and each q-window cuts
-    out finitely many integer points.  Every line starts at a multiple of
-    one particular solution, so the walk costs O(1) per line: an integer
-    test, one residue mod |q(u)| and one comparison of squares, tells
-    whether the line has a t with q >= the window's lower end, and only a
-    line that has one computes its exact t-range and builds and sorts a
-    list.  That is still O(q(v)/d) lines in all, with d = gcd(b(-, v)).
-    `witness_stage` reads the same walk lazily, on the span's own normal
-    basis, and stops at the least witness's line; non-walls and walls with
-    only case (ii) witnesses still walk all O(q(v)/d) lines.
+    w[0]*v[1] - w[1]*v[0] = 1 (w = (1, 0) when v = (0, 1)), whose Gram is
+    [[A, B], [B, C]] with C = q(v) and D = B^2 - AC > 0.  A witness
+    s = x*w + y*v has n = b(s, v) = B*x + C*y with 0 <= n < C, and
+    C*q(s) = n^2 - D*x^2, so D*x^2 <= C^2/4 in case (i) (from
+    q(s) < n <= (C + q(s))/2) and D*x^2 = n^2 + 2C <= C^2/4 + 2C in case
+    (ii).  So the scan runs over |x| <= isqrt((C^2 + 8C) // 4D), with one
+    candidate n = B*x mod C for each x: O(1 + q(v)/sqrt(D)) points.
+    `witness_stage` reads only the least witness, from `_witness_walk`.
     """
     qv = _check_span_signature(gram, v)
     _, w0, w1 = xgcd(v[1], -v[0])
     c0, c1 = _pairing_with(gram, v)
-    found = [Witness((x * w0 + y * v[0], x * w1 + y * v[1]), qs, n, branch)
-             for (x, y), qs, n, branch in _witness_walk(
-                 _q_of(gram, (w0, w1)), c0 * w0 + c1 * w1, qv, epsilon)]
+    b = c0 * w0 + c1 * w1
+    disc = b * b - _q_of(gram, (w0, w1)) * qv
+    radius = isqrt((qv * qv + 8 * qv) // (4 * disc))
+    found = []
+    for x in range(-radius, radius + 1):
+        n = b * x % qv
+        qs, y = (n * n - disc * x * x) // qv, (n - b * x) // qv
+        if (0 <= qs < n and 2 * n <= qv + qs
+                or qs == -2 and epsilon == 0 and 2 * n <= qv):
+            found.append(Witness((x * w0 + y * v[0], x * w1 + y * v[1]), qs,
+                                 n, "case_i" if qs >= 0 else "case_ii"))
     found.sort(key=Witness.sort_key)
     return found
 
@@ -421,7 +380,7 @@ def _least_witness_of(a: int, b: int, c: int, w: Triple, v: Triple,
     v = (0, 1), which walks its lines up to that witness, and the
     witness's ambient coordinates in the basis (w, v) of ambient triples;
     (None, None) when it has no witness."""
-    witness = next(_witness_walk(a, b, c, epsilon), None)
+    witness = _witness_walk(a, b, c, epsilon)
     if witness is None:
         return None, None
     x, y = witness.coords

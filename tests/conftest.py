@@ -8,15 +8,12 @@ from wallkit import walls
 
 
 def count_walk(mp: pytest.MonkeyPatch) -> list[int]:
-    """Patch, on `mp`, counters into the witness walk and return them:
-    [lines, t values, exact ranges], the lines b(s, v) = n the walk visits,
-    the candidate points t it is handed on them, and the lines that compute
-    their exact t-range.  The walk takes its lines from one
-    `walls._walk_lines` call, here wrapped in counting iterators, and calls
-    `walls._ts_with_q_at_least` only on the lines that pass its per-line
-    test, so the counts need no counter in the walk itself."""
-    counts = [0, 0, 0]
-    walk_lines, exact = walls._walk_lines, walls._ts_with_q_at_least
+    """Patch, on `mp`, a counter into the witness walk and return it:
+    [lines], the lines b(s, v) = n the walk visits.  The walk takes its
+    lines from one `walls._walk_lines` call, here wrapped in counting
+    iterators, so the count needs no counter in the walk itself."""
+    counts = [0]
+    walk_lines = walls._walk_lines
 
     def counted(lines):
         for m in lines:
@@ -26,20 +23,13 @@ def count_walk(mp: pytest.MonkeyPatch) -> list[int]:
     def counting_lines(*args):
         return tuple(map(counted, walk_lines(*args)))
 
-    def counting_ranges(*args):
-        ts = exact(*args)
-        counts[1] += len(ts)
-        counts[2] += 1
-        return ts
-
     mp.setattr(walls, "_walk_lines", counting_lines)
-    mp.setattr(walls, "_ts_with_q_at_least", counting_ranges)
     return counts
 
 
 @pytest.fixture
 def walked(monkeypatch):
-    """The walk's [lines, t values, exact ranges] counters (`count_walk`)."""
+    """The walk's [lines] counter (`count_walk`)."""
     return count_walk(monkeypatch)
 
 

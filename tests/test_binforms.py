@@ -74,6 +74,22 @@ def test_degenerate_raises():
         class_id([[0, 0], [0, 5]])
 
 
+@pytest.mark.parametrize("gram, match", [
+    ([[1.5, 0], [0, 1]], r"gram\[0\]\[0\] must be an integer"),
+    ([[1, 0], [0.0, 1]], r"gram\[1\]\[0\] must be an integer"),
+    ([[1, 2], [0, 1]], "symmetric 2x2"),
+    ([[1, 0, 0], [0, 1, 0]], "symmetric 2x2"),
+])
+def test_one_gram_rule(gram, match):
+    # The classifiers and the witness functions share one gram rule
+    # (`binforms._gram_entries`): a symmetric 2x2 matrix of ints, else a
+    # DomainError.  A float entry once gave the class id "posdef:1:0:1.5".
+    for classify in (canonical_form, class_id,
+                     lambda g: rank2_isometric(g, [[1, 0], [0, 1]])):
+        with pytest.raises(DomainError, match=match):
+            classify(gram)
+
+
 def test_reduction_budget_is_a_typed_domain_error():
     # The saturated span at (epsilon, k, p, delta) = (1, 685, 10029960,
     # 7683196) has a reduced cycle longer than the step cap.

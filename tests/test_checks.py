@@ -102,13 +102,16 @@ def test_context_work_is_once_per_row(monkeypatch):
 # Each defect must surface as that check's "failed" entry in a small scan,
 # never as an exception, since the checks own every two-route comparison.
 _MUTATIONS = {
-    "wall-square": ("walls.py", "rho * rho <= m * (m * e - f) + g",
-                    "rho * rho < m * (m * e - f) + g"),
+    "wall-square": ("walls.py", "if disc * rho * rho <= top:",
+                    "if disc * rho * rho < top:"),
     "exists-routes": ("curves.py", "return params.delta >= a * (",
                       "return params.delta > a * ("),
     "dual-lattice": ("catalog.py", "b = p - delta - k + 1 - 3 * epsilon",
                      "b = p - delta - k + 2 - 3 * epsilon"),
-    "witness-oracle": ("walls.py", "if qs <= hi:", "if qs < hi:"),
+    # The least walk's tie rule: only the oracle's least-witness comparison
+    # sees it, as the witness set and the verdicts do not change.
+    "witness-oracle": ("walls.py", "x = low if -low >= high else high",
+                       "x = low if -low > high else high"),
     "square-forms": ("curves.py", "- params.beta * params.beta)",
                      "- params.beta * params.beta + 2)"),
     "min-square": ("curves.py", "params.p == a * (a + 1) * h + epsilon",

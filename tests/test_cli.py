@@ -246,12 +246,11 @@ def test_scan_computes_only_what_the_check_needs(capsys, monkeypatch, walked,
         rc, _, err = _run(capsys, *argv, "--check", "wall-square")
         assert rc == 1 and "witness search called" in err
 
-    # Over the grid, only the checks that read a witness walk lines: the
-    # verdicts at points with a pencil, and the oracle's full witness sets.
-    # The 5,349 lines hold 2,957 candidate points t, on the 2,484 lines
-    # that compute their exact t-range.
+    # Over the grid, only the checks that read a verdict walk lines, at
+    # points with a pencil; the oracle's full witness sets come from the
+    # x-scan, which walks none.
     rc, _, lines, _ = grid_scan
-    assert rc == 0 and lines == (5349, 2957, 2484)
+    assert rc == 0 and lines == (1303,)
     rc, _, err = _run(capsys, "scan", "--epsilon", "0..1", "--k", "2..8",
                       "--p", "2..40", "--check", "dual-lattice")
     assert rc == 0 and err == "" and walked[0] == 0
@@ -265,10 +264,10 @@ def test_scan_computes_only_what_the_check_needs(capsys, monkeypatch, walked,
 
 
 def test_verdicts_stop_at_the_least_witness(capsys, monkeypatch):
-    # Only the oracle's full witness set (`checks._oracle` calls
-    # enumerate_witnesses) walks every line; verdicts and catalog entries
-    # stop at the least witness.  Both names are patched, so a verdict that
-    # reached the full walk through `walls` would fail too.
+    # Only the oracle reads the full witness set (`checks._oracle` calls
+    # enumerate_witnesses); verdicts and catalog entries stop at the least
+    # witness.  Both names are patched, so a verdict that reached the full
+    # set through `walls` would fail too.
     def no_full_walk(*args, **kwargs):
         raise RuntimeError("full witness walk")
 
@@ -449,8 +448,8 @@ def test_catalog_lines_bypass_the_json_encoder(capsys, monkeypatch):
 
 @pytest.fixture(scope="module")
 def grid_scan(walk_counter):
-    """(exit code, stdout, the witness walk's [lines, t values, exact
-    ranges] counts, surface contexts) of one `scan --check all` over the
+    """(exit code, stdout, the witness walk's [lines] count, surface
+    contexts) of one `scan --check all` over the
     acceptance grid, run with the walk (`conftest.count_walk`) and
     `SurfaceContext.__new__` counting.  The scan builds one `checks.Row`,
     and so one context, per (epsilon, k, p) row; the counts need no state
@@ -617,6 +616,28 @@ def test_witness_oracle_has_one_rule_in_scan_and_wall_test(capsys):
     rc, out, err = _run(capsys, "wall-test", *point, "--oracle")
     assert rc == 0 and err == ""
     assert _records(out)[0]["oracle_agrees"] is True
+
+
+def test_witness_oracle_checks_the_least_walk(capsys, monkeypatch):
+    # The least witness comes from `_witness_walk` and the set from the
+    # x-scan, so the oracle compares the two: a walk that misses the wall
+    # at one grid point, or returns a witness that is not the least, fails
+    # the check there although the set still equals the box oracle's.
+    (a, b), (_, c) = checks.Point(checks.Row(0, 14, 26), 0).verdict.t_gram
+    witnesses = walls.enumerate_witnesses(((a, b), (b, c)), (0, 1), 0)
+    assert len(witnesses) == 2
+    walk = walls._witness_walk
+    point = ("--epsilon", "0", "--k", "14", "--p", "26", "--delta", "0")
+    for wrong in (None, witnesses[1]):
+        def broken(*args, _wrong=wrong):
+            return _wrong if args[:3] == (a, b, c) else walk(*args)
+
+        monkeypatch.setattr(walls, "_witness_walk", broken)
+        rc, out, err = _run(capsys, "scan", *point, "--check",
+                            "witness-oracle")
+        assert rc == 0 and err == ""
+        (rec,) = _records(out)
+        assert rec["n_witnesses"] == 2 and rec["consistent"] is False
 
 
 def test_wall_test_oracle_takes_one_box_radius(capsys, monkeypatch):
@@ -983,14 +1004,19 @@ _BOUND = 10 ** model.INPUT_DIGITS
      "--delta", "0"),
     ("scan", "--epsilon", "0", "--k", "2", "--p", "2",
      f"--delta=-{_BOUND}..0", "--check", "square-forms"),
+    ("catalog", "--epsilon", "0", "--k", "4", "--p-min", str(10 * _BOUND)),
+    ("catalog", "--epsilon", "0", "--k", "4", f"--p-max=-{_BOUND}"),
+    ("catalog", "--epsilon", "1", "--k", "4", f"--delta-max=-{_BOUND}"),
 ])
 def test_an_integer_past_the_input_bound_exits_two(capsys, argv):
     # These printed more than 4,300 digits, which Python refuses to
-    # convert, and exited 1; now the input is refused and the error names
-    # the bound.
+    # convert, and exited 1, or echoed a 1,002-digit bound back (catalog's
+    # slice bounds); now the input is refused and the error names the
+    # bound, not the value's digits.
     rc, out, err = _run(capsys, *argv)
     assert (rc, out) == (2, "")
     assert err.startswith("error: ") and "10^1000" in err, err
+    assert len(err) < 200
 
 
 @st.composite
@@ -1010,14 +1036,18 @@ def _edge_argv(draw):
          "series", "lagrangian", "scan", "catalog")))
     eps = draw(st.integers(0, 1))
     small = draw(st.integers(2, 9))
-    if command in ("lagrangian", "catalog"):
+    if command == "catalog":
+        # --p-min is a p of the input domain: at k about half the bound the
+        # seed p = 2k - 2 + 5*epsilon, the one state listed, straddles it.
+        k = edge() // 2
+        p_min = 2 * k - 2 + 5 * eps
+        return [command, "--epsilon", str(eps), "--k", str(k), "--p-min",
+                str(p_min), "--delta-max", "0"], p_min >= _BOUND
+    if command == "lagrangian":
         k = edge()
-        argv = [command, "--epsilon", str(eps), "--k", str(k)]
-        if command == "catalog":
-            return argv + ["--p-min", str(2 * k - 2 + 5 * eps),
-                           "--delta-max", "0"], k >= _BOUND
         # The derived p = 2k - 2 + 5*epsilon must lie in the domain too.
-        return argv, 2 * k - 2 + 5 * eps >= _BOUND
+        return ([command, "--epsilon", str(eps), "--k", str(k)],
+                2 * k - 2 + 5 * eps >= _BOUND)
     if command in ("nodal", "series"):
         k, p = (edge(), small) if command == "nodal" else (small, edge())
         return ["coisotropic", "--epsilon", str(eps), "--k", str(k),

@@ -88,9 +88,9 @@ def test_wall_test_q_divisor_is_divisor_square(params):
     ctx = params.context()
     curve = curve_class(params)
     # q(D) does not depend on the witnesses; skipping the O(q(v)) line walk
-    # (wall_test reads the lazy walk itself) keeps each example O(1) at k up
+    # (a patched walk that finds no witness) keeps each example O(1) at k up
     # to 1e5.
-    with mock.patch("wallkit.walls._witness_walk", return_value=iter(())):
+    with mock.patch("wallkit.walls._witness_walk", return_value=None):
         verdict = wall_test(curve, ctx)
     assert type(verdict.q_divisor) is int
     assert verdict.q_divisor == verdict.divisor.square(ctx)
@@ -125,7 +125,7 @@ def test_scan_path_integers_match_fraction_reference(params):
         assert report.minimal == (q_r == bound)
     # As in the test above, the witness walk is skipped: it does not touch
     # the divisor or q(D).
-    with mock.patch("wallkit.walls._witness_walk", return_value=iter(())):
+    with mock.patch("wallkit.walls._witness_walk", return_value=None):
         verdict = pt.verdict
     divisor = verdict.divisor
     assert type(divisor.l) is int and type(divisor.e) is int

@@ -166,7 +166,8 @@ def _called_names(node: ast.AST) -> set[str]:
 
 def test_box_oracle_shares_no_code_with_the_enumerator():
     # box_witnesses is the independent oracle for enumerate_witnesses, so
-    # neither it nor any walls.py function it reaches may use the line walk.
+    # neither it nor any walls.py function it reaches may use the least walk
+    # or the x-scan.
     tree = ast.parse((SRC / "walls.py").read_text())
     functions = {node.name: node for node in tree.body
                  if isinstance(node, ast.FunctionDef)}
@@ -177,8 +178,7 @@ def test_box_oracle_shares_no_code_with_the_enumerator():
         todo += [n for n in _called_names(functions[name])
                  if n in functions and n not in reached]
     assert "box_radius" in reached
-    banned = {"enumerate_witnesses", "_witness_walk", "_walk_frame",
-              "_walk_lines", "_ts_with_q_at_least"}
+    banned = {"enumerate_witnesses", "_witness_walk", "_walk_lines"}
     # A renamed walk helper must not slip past the guard.
     assert banned <= functions.keys()
     assert sorted(reached & banned) == []

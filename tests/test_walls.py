@@ -143,8 +143,9 @@ def test_box_witnesses_checks_its_gram_once():
 
 def test_witness_search_set_up_is_pinned():
     # The least-witness search takes the span's three integers: one xgcd
-    # (the lines' frame) and no gram check.  enumerate_witnesses checks its
-    # input once and adds one xgcd, the basis completion.
+    # (the lines' residues) and no gram check.  enumerate_witnesses checks
+    # its input once and takes one xgcd, the basis completion; its x-scan
+    # needs none.
     counted = {"xgcd": 0, "_check_span_signature": 0}
 
     def counting(name):
@@ -164,7 +165,7 @@ def test_witness_search_set_up_is_pinned():
         assert counted == {"xgcd": 1, "_check_span_signature": 0}
         counted.update(xgcd=0)
         assert enumerate_witnesses(span.gram, (0, 1), 0)[0] == witness
-        assert counted == {"xgcd": 2, "_check_span_signature": 1}
+        assert counted == {"xgcd": 1, "_check_span_signature": 1}
 
 
 def test_least_witness_needs_the_normal_basis():
@@ -174,35 +175,10 @@ def test_least_witness_needs_the_normal_basis():
         walls._least_witness(moved, 0)
 
 
-def test_walk_frame_rejects_what_the_walk_cannot_search():
+def test_witness_walk_rejects_what_it_cannot_search():
     for a, b, c in ((2, 0, 2), (2, 2, 2), (-2, 0, -2), (2, 1, -2)):
         with pytest.raises(DomainError, match="det < 0 < q\\(v\\)"):
-            walls._walk_frame(a, b, c)
-        with pytest.raises(DomainError):
-            next(walls._witness_walk(a, b, c, 0))
-
-
-@settings(derandomize=True, database=None, deadline=None, max_examples=200)
-@given(st.integers(1, 10**6), st.integers(-10**6, 10**6),
-       st.integers(-10**6, 10**6))
-@example(6, -4, 0)      # b < 0
-@example(6, 5, 0)       # b > c/2
-@example(1, 0, -1)      # det = -1
-@example(12, 8, 5)      # d = gcd(b, c) = 4
-def test_walk_frame_matches_the_generic_pairings(c, b, a_draw):
-    # A normal-form gram [[a, b], [b, c]] with v = (0, 1): a is shifted
-    # below b^2/c so that det < 0.
-    a = min(a_draw, (b * b - 1) // c)
-    gram = ((a, b), (b, c))
-    d, s1, u, qu, b1, q1 = walls._walk_frame(a, b, c)
-    assert d == gcd(b, c) and walls._pairing_with(gram, (0, 1)) == (b, c)
-    assert b * s1[0] + c * s1[1] == d
-    assert b * u[0] + c * u[1] == 0 and gcd(*u) == 1
-    gu = walls._pairing_with(gram, u)
-    assert gu == (-(a * c - b * b) // d, 0)
-    assert qu == walls._q_of(gram, u) < 0
-    assert b1 == s1[0] * gu[0] + s1[1] * gu[1]
-    assert q1 == walls._q_of(gram, s1)
+            walls._witness_walk(a, b, c, 0)
 
 
 def test_witness_order_is_sorted():
@@ -369,11 +345,13 @@ def test_box_witnesses_match_the_reference_loop(span, radius, eps):
 
 
 def _reference_walk(gram, v, epsilon):
-    """The line walk as it was before it became lazy: one particular
-    solution per line and a global sort, kept only as the reference for
-    enumerate_witnesses.  Returns the sorted witnesses and, in walk order,
-    the lines (q(u), b0, q(s0), lo) that hold a t with q >= lo, the
-    window's lower end: the lines whose exact t-range the walk computes."""
+    """The sorted witnesses, from an independent frame: every line
+    b(s, v) = n, 0 < n < q(v) for case (i) and 0 <= n <= q(v)/2 for case
+    (ii), walked along the primitive u spanning v-perp from one particular
+    solution per line.  q on a line is a downward parabola in t, whose
+    padded range of t with q >= the window's lower end is scanned, and the
+    witnesses get one global sort.  It shares no step with the package's
+    least walk or x-scan, and is kept only as their reference."""
     def q(s):
         return (gram[0][0] * s[0] + 2 * gram[0][1] * s[1]) * s[0] \
             + gram[1][1] * s[1] * s[1]
@@ -391,58 +369,23 @@ def _reference_walk(gram, v, epsilon):
     d, x0, y0 = xgcd(c[0], c[1])
     u = (-(c[1] // d), c[0] // d)
     qu = q(u)
-    found, lines = [], []
-    windows = [(n, max(0, 2 * n - qv), n - 1, "case_i") for n in range(1, qv)]
+    found = []
+    # Only the multiples n of d are values of b(-, v).
+    windows = [(n, max(0, 2 * n - qv), n - 1, "case_i")
+               for n in range(d, qv, d)]
     if epsilon == 0:
-        windows += [(n, -2, -2, "case_ii") for n in range(qv // 2 + 1)]
+        windows += [(n, -2, -2, "case_ii") for n in range(0, qv // 2 + 1, d)]
     for n, lo, hi, branch in windows:
-        if n % d:
-            continue
         s0 = (x0 * (n // d), y0 * (n // d))
         b0 = sum(s0[i] * gram[i][j] * u[j] for i in range(2) for j in range(2))
         q0 = q(s0)
-        reached = False
         for t in ts_with_q_at_least(qu, b0, q0, lo):
             qs = qu * t * t + 2 * b0 * t + q0
-            reached = reached or qs >= lo
             if lo <= qs <= hi:
                 s = (s0[0] + t * u[0], s0[1] + t * u[1])
                 found.append(Witness(s, qs, n, branch))
-        if reached:
-            lines.append((qu, b0, q0, lo))
     found.sort(key=Witness.sort_key)
-    return found, lines
-
-
-@st.composite
-def _parabolas(draw):
-    """(qu, b0, q0, lo) of a line with q(t) = qu*t^2 + 2*b0*t + q0, qu < 0:
-    any such line, or one whose t-range is the single point t0, as
-    b0 = A*t0 and q0 = lo - A*t0^2 + e with A = -qu and 0 <= e < A make
-    disc = A*e < A^2 (e = 0 is disc == 0); lo = -2 is case (ii)."""
-    a = draw(st.integers(1, 100))
-    lo = draw(st.just(-2) | st.integers(0, 100))
-    if draw(st.booleans()):
-        t0 = draw(st.integers(-50, 50))
-        return -a, a * t0, lo - a * t0 * t0 + draw(st.integers(0, a - 1)), lo
-    return -a, draw(st.integers(-500, 500)), draw(st.integers(-5000, 5000)), lo
-
-
-@settings(derandomize=True, database=None, deadline=None, max_examples=300)
-@given(_parabolas())
-@example((-1, 0, -5, 0))        # disc < 0: no t
-@example((-3, 6, -12, 0))       # disc == 0: t = 2 only
-@example((-3, 6, -10, 0))       # disc = 6 > 0, still t = 2 only
-@example((-4, -7, 3, -2))       # case (ii): q(t) >= -2 on t = -3..0
-def test_t_range_is_exact(line):
-    # If q(t) >= lo then |A*t - b0| <= r, so |t| <= |b0|/A + r: the brute
-    # window holds the whole range.
-    qu, b0, q0, lo = line
-    a, disc = -qu, b0 * b0 - qu * (q0 - lo)
-    w = abs(b0) // a + (isqrt(disc) if disc > 0 else 0) + 3
-    want = [t for t in range(-w, w + 1) if qu * t * t + 2 * b0 * t + q0 >= lo]
-    got = walls._ts_with_q_at_least(qu, b0, q0, lo)
-    assert got.step == 1 and list(got) == want
+    return found
 
 
 # For each v, a unimodular Q with Q*v = (0, 1): the gram Q^T G0 Q in the new
@@ -467,50 +410,106 @@ def _large_spans(draw):
     return gram, v
 
 
-# Boundaries of the walk's per-line test rho^2 <= disc, where rho is the
-# distance from b0 to the nearest multiple of A = -q(u).  Both sides are
-# b0^2 mod A, so a line misses by a multiple of A; rho^2 = disc + 1 needs
-# A = 1, and then q(v) = d leaves only the line n = 0, where disc = 2.
-# rho = 0 needs q(v)/d | m, which leaves only that line n = 0 too.
+@st.composite
+def _normal_spans(draw):
+    """A normal-form gram [[a, b], [b, c]] with v = (0, 1), det < 0 and
+    c = q(v) up to 1e12.  A factor d <= 1e9 of b and c is drawn first,
+    with at most 1000 lines c/d, so the reference walks few lines.
+    D = b^2 - ac is at least (c/1000)^2, so a witness's
+    |x| <= sqrt((c^2 + 8c)/4D) leaves few of them; D is drawn either near
+    that floor or anywhere up to c^2/4 + 2c, past which no witness
+    exists."""
+    lines = draw(st.integers(1, 1000))
+    d = draw(st.integers(1, 12) | st.integers(1, 10**9)
+             | st.integers(1, 10).map(lambda f: f * 10**8))
+    c = d * lines
+    b = d * draw(st.integers(-lines, lines))
+    least = max(1, (c // 1000) ** 2)
+    disc = draw(st.integers(least, least + 4 * c)
+                | st.integers(least, max(least, c * c // 4 + 2 * c)))
+    a = (b * b - disc) // c
+    return ((a, b), (b, c)), (0, 1)
+
+
+# The walk's per-line test is D*rho^2 <= n^2 (case (i)) or <= n^2 + 2c
+# (case (ii)), with rho the distance from 0 to the nearest x on line n.
 @settings(derandomize=True, database=None, deadline=None, max_examples=150)
-@given(_large_spans(), st.integers(0, 1))
-# rho^2 = disc: one point t on line n = 1, at the window's lower end.
-@example((((2, -3), (-3, 4)), (0, 1)), 0)    # case (i), q = 0: rho = 1, A = 4
-@example((((0, -3), (-3, 4)), (0, 1)), 0)    # case (ii): rho = 9, A = 36
-# rho^2 = disc + A: line n = 1 just misses its window.
-@example((((-1, -1), (-1, 2)), (0, 1)), 1)   # case (i): 9 = 3 + 6
-@example((((-3, -1), (-1, 2)), (0, 1)), 0)   # case (ii): 49 = 35 + 14
-# b1 < 0: b0 = -1 lies just below 0, so rho = A - (b0 mod A) = 1.
-@example((((0, -1), (-1, 4)), (0, 1)), 1)    # case (i), A = 4
-@example((((-2, -1), (-1, 4)), (0, 1)), 0)   # case (ii): b0 = -9, A = 36
-# rho = 0: A = 12 divides b0 = 0 on line n = 0; q = 0 there, no witness.
+@given(_normal_spans(), st.integers(0, 1))
+# D*rho^2 = n^2 on line 1: one point, at q = 0, the window's lower end.
+@example((((2, -3), (-3, 4)), (0, 1)), 0)    # D = 1
+# D*rho^2 = n^2 + 2c on line 1: a case (ii) point, D = 9.
+@example((((0, -3), (-3, 4)), (0, 1)), 0)
+# Line n = 1 just misses: D*rho^2 = 3 > 1 in case (i), and D*rho^2 = 7 > 5
+# in case (ii).
+@example((((-1, -1), (-1, 2)), (0, 1)), 1)
+@example((((-3, -1), (-1, 2)), (0, 1)), 0)
+# b < 0: the least point is x = -1 on line 1.
+@example((((0, -1), (-1, 4)), (0, 1)), 1)    # case (i), D = 1
+@example((((-2, -1), (-1, 4)), (0, 1)), 0)   # case (ii), D = 9
+# rho = 0 on line n = 0 only, where q = 0 is no witness; x1 = -5.
 @example((((2, -5), (-5, 12)), (0, 1)), 0)
+# D = 9, a square; the least point, x = 1 on line 5, has q = 1 > 0.
+@example((((1, 5), (5, 16)), (0, 1)), 0)
+# A tie at both ends of line 5: x = -1 and x = 1 have q = 0; -1 is least.
+@example((((0, -5), (-5, 10)), (0, 1)), 0)
+# D = 1 <= 16 at q(v) = 40.
+@example((((0, 1), (1, 40)), (0, 1)), 0)
+# Only case (ii) witnesses, the least on the last line n = q(v)/2 = 15.
+@example((((-2, 15), (15, 30)), (0, 1)), 0)
+# A near wall: D = 7 < q(v) = 9, so -1 < q(R) = -D/q(v) < 0.
+@example((((1, 4), (4, 9)), (0, 1)), 1)
+# d = gcd(b, q(v)) = 2: the lines n = 2, 4, 6; the least is on n = 4.
+@example((((6, -10), (-10, 14)), (0, 1)), 0)
 def test_witness_walk_matches_the_reference_walk(span, eps):
+    # The least walk and the x-scan against the reference's t-frame walk
+    # over all lines.  In the basis w = (1, 0, 0), v = (0, 1, 0) the
+    # ambient coordinates of a witness are (x, y, 0).
     gram, v = span
-    calls, kernels = [], []
-    exact, walk = walls._ts_with_q_at_least, walls._witness_walk
+    want = _reference_walk(gram, v, eps)
+    assert enumerate_witnesses(gram, v, eps) == want
+    (a, b), (_, c) = gram
+    witness, ambient = walls._least_witness_of(a, b, c, (1, 0, 0), (0, 1, 0),
+                                               eps)
+    assert witness == (want[0] if want else None)
+    assert ambient == (None if witness is None else (*witness.coords, 0))
 
-    def recording(*args):
-        calls.append(args)
-        return exact(*args)
 
-    def kernel(*args):
-        kernels.append(args[:3])
-        return walk(*args)
+@settings(derandomize=True, database=None, deadline=None, max_examples=100)
+@given(_large_spans(), st.integers(0, 1))
+def test_witness_search_matches_the_reference_walk_at_any_v(span, eps):
+    # v need not be (0, 1): the x-scan completes v to a basis itself, and
+    # the least walk runs on the gram of a basis (w, v) found here, its
+    # least witness read back through `_least_witness_of`'s basis map.
+    # Ties in (branch, b, q) may order differently in the two coordinate
+    # systems, so the walk's witness need only be one of the least.
+    gram, v = span
+    want = _reference_walk(gram, v, eps)
+    assert enumerate_witnesses(gram, v, eps) == want
+    w = next((x, y) for x in range(-2, 3) for y in range(-2, 3)
+             if x * v[1] - y * v[0] == 1)
+    b = sum(w[i] * gram[i][j] * v[j] for i in range(2) for j in range(2))
+    witness, ambient = walls._least_witness_of(
+        walls._q_of(gram, w), b, walls._q_of(gram, v), (*w, 0), (*v, 0),
+        eps)
+    if not want:
+        assert witness is None and ambient is None
+        return
+    assert witness[1:] == want[0][1:] and ambient[2] == 0
+    assert Witness(ambient[:2], *witness[1:]) in want
 
-    with mock.patch.object(walls, "_ts_with_q_at_least", recording), \
-            mock.patch.object(walls, "_witness_walk", kernel):
-        got = enumerate_witnesses(gram, v, eps)
-    want, _ = _reference_walk(gram, v, eps)
-    assert got == want
-    # The walk runs once, on the gram of a basis (w, v): same q(v), same
-    # determinant.  The per-line test passes exactly the lines with a
-    # candidate point in that basis.
-    [(a, b, c)] = kernels
-    assert c == gram[0][0] * v[0] ** 2 + 2 * gram[0][1] * v[0] * v[1] \
-        + gram[1][1] * v[1] ** 2
-    assert a * c - b * b == gram[0][0] * gram[1][1] - gram[0][1] ** 2
-    assert calls == _reference_walk([[a, b], [b, c]], (0, 1), eps)[1]
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=100)
+@given(_normal_spans(), st.integers(0, 1))
+@example((((0, -5), (-5, 10)), (0, 1)), 0)
+def test_case_i_witnesses_are_symmetric_under_v_minus_s(span, eps):
+    # s -> v - s maps a case (i) witness on line n to one on line q(v) - n
+    # (with q(v - s) = q(v) - 2n + q(s)), which is why the least walk needs
+    # only the lines n <= q(v)/2.  With v = (0, 1) the map is
+    # (x, y) -> (-x, 1 - y).
+    gram, v = span
+    case_i = {w.coords for w in enumerate_witnesses(gram, v, eps)
+              if w.branch == "case_i"}
+    assert case_i == {(-x, 1 - y) for x, y in case_i}
 
 
 @st.composite
@@ -548,7 +547,7 @@ def _primitive_v_spans(draw):
 def test_general_v_reduction_matches_the_reference_and_the_box(span, eps):
     gram, v = span
     got = enumerate_witnesses(gram, v, eps)
-    assert got == _reference_walk(gram, v, eps)[0]
+    assert got == _reference_walk(gram, v, eps)
     if box_radius(gram, v) <= 60:
         assert got == box_witnesses(gram, v, eps)
 
@@ -589,23 +588,23 @@ def test_wall_test_reads_the_least_witness_of_the_walk(params):
     assert witness == (full[0] if full else None)
     assert verdict.is_wall == bool(full)
     assert verdict.branch == (full[0].branch if full else None)
-    # The oracle enumerates the full set itself, and only on a wall.
+    # The oracle enumerates the full set itself, on walls and non-walls.
     result = _oracle(verdict, ctx.epsilon)
     assert result is None or result[1] == tuple(full)
 
 
 def _lines_to_the_least_witness(verdict, epsilon: int) -> int:
-    """The lines the walk visits: with d = gcd(b(-, v)), the (q(v) - 1)/d
+    """The lines the walk visits: with d = gcd(b(-, v)), the q(v)/(2d)
     case (i) lines by ascending n and then, when epsilon = 0, the
     q(v)/(2d) + 1 case (ii) lines, up to the least witness's line."""
     (_, b), (_, qv) = verdict.t_gram  # v = (0, 1), so b(-, v) = (b, q(v))
     d = gcd(b, qv)
-    case_i, witness = (qv - 1) // d, verdict.witness
+    half, witness = qv // 2 // d, verdict.witness
     if witness is None:
-        return case_i + (qv // 2 // d + 1 if epsilon == 0 else 0)
+        return half + (half + 1 if epsilon == 0 else 0)
     if witness.branch == "case_i":
         return witness.b // d
-    return case_i + witness.b // d + 1
+    return half + witness.b // d + 1
 
 
 # Lines walked by wall_test on two families of walls, (epsilon, p, delta) =
@@ -613,38 +612,24 @@ def _lines_to_the_least_witness(verdict, epsilon: int) -> int:
 # (ii), and (1, 7, 0), T = [[0, h - 6], [h - 6, 2h]], whose least witness is
 # (1, 0) on line h - 6; h = k - 1 + 2*epsilon.  Both grow linearly in k.
 _FAMILY_LINES = {
-    (0, 30): 41, (0, 300): 446, (0, 3000): 4496,
+    (0, 30): 27, (0, 300): 297, (0, 3000): 2997,
     (1, 30): 25, (1, 300): 295, (1, 3000): 2995,
-}
-# The candidate points t on those lines: a line's t-range holds exactly the
-# t with q(s) at or above the window's lower end, so almost every line is
-# empty.  At epsilon = 0 one case (i) line has a point with q(s) above its
-# window, and the least witness's line has the other.
-_FAMILY_TS = {
-    (0, 30): 2, (0, 300): 2, (0, 3000): 2,
-    (1, 30): 1, (1, 300): 1, (1, 3000): 1,
-}
-# The lines that compute their exact t-range: those with a candidate point.
-_FAMILY_RANGES = {
-    (0, 30): 2, (0, 300): 2, (0, 3000): 2,
-    (1, 30): 1, (1, 300): 1, (1, 3000): 1,
 }
 
 
 def test_witness_walk_lines_on_two_wall_families(walked):
-    lines, ts, ranges = {}, {}, {}
+    lines = {}
     for eps, k in _FAMILY_LINES:
         params = BNParams(5 + 2 * eps, 0, k, eps)
         ctx = params.context()
         stage = span_stage(curve_class(params), ctx)
-        assert walked == [0, 0, 0]  # the span stage walks no line
+        assert walked == [0]  # the span stage walks no line
         verdict = witness_stage(stage, eps)
         assert verdict.is_wall
         assert walked[0] == _lines_to_the_least_witness(verdict, eps)
-        lines[eps, k], ts[eps, k], ranges[eps, k] = walked
-        walked[:] = [0, 0, 0]
-    assert lines == _FAMILY_LINES and ts == _FAMILY_TS
-    assert ranges == _FAMILY_RANGES
+        lines[eps, k] = walked[0]
+        walked[0] = 0
+    assert lines == _FAMILY_LINES
 
 
 def _tail_spans(n: int, k_max: int):
@@ -661,11 +646,9 @@ def _tail_spans(n: int, k_max: int):
 
 
 def test_witness_walk_visits_every_line_on_non_walls(walked):
-    # On a non-wall the walk visits all q(v)/d case (i) lines, plus the
-    # q(v)/(2d) case (ii) lines when epsilon = 0.  The pinned totals are the
-    # search's cost on these spans, free of machine noise: the lines, the
-    # candidate points t on them, and the lines that compute their exact
-    # t-range.
+    # On a non-wall the walk visits all q(v)/(2d) case (i) lines, plus the
+    # q(v)/(2d) + 1 case (ii) lines when epsilon = 0.  The pinned total of
+    # lines is the search's cost on these spans, free of machine noise.
     spans = non_walls = 0
     for params in _tail_spans(60, 10**4):
         ctx = params.context()
@@ -677,7 +660,7 @@ def test_witness_walk_visits_every_line_on_non_walls(walked):
         assert walked[0] - lines == _lines_to_the_least_witness(
             verdict, params.epsilon), params
         spans, non_walls = spans + 1, non_walls + (not verdict.is_wall)
-    assert (spans, non_walls, *walked) == (50, 46, 82527, 31, 31)
+    assert (spans, non_walls, *walked) == (50, 46, 51998)
 
 
 def test_list_and_tuple_grams_agree():
