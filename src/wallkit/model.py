@@ -95,6 +95,26 @@ INPUT_DIGITS = 1000
 _INPUT_BOUND = 10 ** INPUT_DIGITS
 
 
+# A message prints an int of at most this many bits (61 digits) in digits
+# and a longer one by its bit length, so no message grows with its values
+# or meets the 4,300-digit limit.
+_SHOWN_BITS = 200
+
+
+def _shown(value) -> str:
+    """`value` as a DomainError message prints it: an int in digits, or as
+    "a <n>-bit value" past _SHOWN_BITS bits; a tuple or list that holds
+    such an int, item by item; anything else as str."""
+    if isinstance(value, int):
+        bits = value.bit_length()
+        return str(value) if bits <= _SHOWN_BITS else f"a {bits}-bit value"
+    if isinstance(value, (tuple, list)) and any(
+            isinstance(item, int) and item.bit_length() > _SHOWN_BITS
+            for item in value):
+        return "(" + ", ".join(map(_shown, value)) + ")"
+    return str(value)
+
+
 def _require_bounded(**values) -> None:
     """Raise a DomainError naming the first value that lies outside the
     input domain, and the bound."""
@@ -102,7 +122,7 @@ def _require_bounded(**values) -> None:
         if not -_INPUT_BOUND < value < _INPUT_BOUND:
             raise DomainError(
                 f"{name} must lie strictly between -10^{INPUT_DIGITS} and "
-                f"10^{INPUT_DIGITS} (got a {value.bit_length()}-bit value)")
+                f"10^{INPUT_DIGITS} (got {_shown(value)})")
 
 
 class _ContextFields(NamedTuple):

@@ -9,9 +9,10 @@ of span{v, D} inside the ambient rank-3 lattice contains a vector s with
 Both searches rest on one identity.  In a basis (w, v) with Gram
 [[A, B], [B, C]], C = q(v) and D = B^2 - AC > 0, the vector s = x*w + y*v
 has n = b(s, v) = B*x + C*y and C*q(s) = n^2 - D*x^2.  `_witness_walk`
-finds the least witness line by line in n; `enumerate_witnesses` finds
-them all by a scan over x.  Everything is exact integer arithmetic; the
-brute-force box oracle re-derives witness sets independently of both.
+finds the least witness line by line in n, each line's residue one
+addition from the last; `enumerate_witnesses` finds them all by a scan
+over x.  Everything is exact integer arithmetic; the brute-force box
+oracle re-derives witness sets independently of both.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from .model import (
     SurfaceContext,
     Triple,
     _require_ints,
+    _shown,
     divisor_divisibility,
 )
 
@@ -97,8 +99,8 @@ def saturated_span(divisor: DivisorClass, ctx: SurfaceContext) -> SpanLattice:
     """
     stage = span_stage(divisor, ctx)
     if stage.span is None:
-        raise DomainError(
-            f"wall test needs q(D) < 0, got q(D) = {stage.q_divisor}")
+        raise DomainError(f"wall test needs q(D) < 0, "
+                          f"got q(D) = {_shown(stage.q_divisor)}")
     return stage.span
 
 
@@ -143,17 +145,21 @@ def _check_span_signature(gram: Gram, v: tuple[int, int]) -> int:
     (a bool is an int, as in `_require_ints`)."""
     a, b, c = _gram_entries(gram)
     if len(v) != 2:
-        raise DomainError(f"distinguished vector must be a pair, got {v}")
+        raise DomainError(
+            f"distinguished vector must be a pair, got {_shown(v)}")
     x, y = v
     _require_ints(**{"v[0]": x, "v[1]": y})
     if gcd(x, y) != 1:
-        raise DomainError(f"distinguished vector must be primitive, got {v}")
+        raise DomainError(
+            f"distinguished vector must be primitive, got {_shown(v)}")
     det = a * c - b * b
     if det >= 0:
-        raise DomainError(f"span lattice must be hyperbolic, det = {det}")
+        raise DomainError(
+            f"span lattice must be hyperbolic, det = {_shown(det)}")
     qv = _q_of(gram, v)
     if qv <= 0:
-        raise DomainError(f"distinguished vector must have q > 0, got {qv}")
+        raise DomainError(
+            f"distinguished vector must have q > 0, got {_shown(qv)}")
     return qv
 
 
@@ -164,7 +170,8 @@ def _q_of(gram: Gram, s: tuple[int, int]) -> int:
 def _walk_lines(qv: int, d: int, epsilon: int) -> tuple[range, range]:
     """The walk's lines, each as the m of its value n = m*d of b(s, v): the
     case (i) lines 0 < n <= q(v)/2, then the case (ii) lines
-    0 <= n <= q(v)/2 (none when epsilon = 1)."""
+    0 <= n <= q(v)/2 (none when epsilon = 1).  The walk reads each range's
+    first m from its `start` and takes one item per line it visits."""
     half = qv // 2 // d
     return range(1, half + 1), range(half + 1 if epsilon == 0 else 0)
 
@@ -181,11 +188,14 @@ def _witness_walk(a: int, b: int, c: int, epsilon: int) -> Witness | None:
         q(s) >= 0, that is D*x^2 <= n^2: then q(s) <= n^2/c <= n/2 < n and
         2n <= c <= c + q(s).  Case (ii) is D*x^2 = n^2 + 2c.
       - The lines n = m*d, d = gcd(b, c), are walked by ascending n, case
-        (i) first (`_walk_lines`).  With (d, x1, _) = xgcd(b, c), line m
-        holds the x = m*x1 (mod c/d).
-      - One O(1) test per line, D*rho^2 <= top with rho the distance from 0
-        to the nearest such x, tells whether the line has a point with
-        D*x^2 <= top, top = n^2 (case (i)) or n^2 + 2c (case (ii)).
+        (i) first (`_walk_lines`, whose ranges give each first m).  With
+        (d, x1, _) = xgcd(b, c), line m holds the x = m*x1 (mod c/d).
+        The walk carries r = m*x1 mod c/d and n from line to line: a step
+        adds x1 mod c/d to r, less c/d when r reaches it, and d to n.
+      - One O(1) test per line, D*rho^2 <= top with rho = min(r, c/d - r)
+        the distance from 0 to the nearest such x, tells whether the line
+        has a point with D*x^2 <= top, top = n^2 (case (i)) or n^2 + 2c
+        (case (ii)).
       - On a line that passes, the least point has the least q, so the
         largest |x|: the end of its points in [-X, X], X = isqrt(top // D),
         with the larger |x|, the negative end on a tie.  A case (ii) line
@@ -194,15 +204,23 @@ def _witness_walk(a: int, b: int, c: int, epsilon: int) -> Witness | None:
     disc = b * b - a * c
     if disc <= 0 or c <= 0:
         raise DomainError(
-            f"walk needs det < 0 < q(v), got det = {-disc}, q(v) = {c}")
+            f"walk needs det < 0 < q(v), got det = {_shown(-disc)}, "
+            f"q(v) = {_shown(c)}")
     d, x1, _ = xgcd(b, c)
     period = c // d
+    x1 %= period
     lines_i, lines_ii = _walk_lines(c, d, epsilon)
     for lines, lift, branch in ((lines_i, 0, "case_i"),
                                 (lines_ii, 2 * c, "case_ii")):
-        for m in lines:
-            r, n = m * x1 % period, m * d
-            rho, top = min(r, period - r), n * n + lift
+        # r = m*x1 mod period and n = m*d on the line before the first.
+        m = lines.start - 1
+        r, n = m * x1 % period, m * d
+        for _ in lines:
+            r += x1
+            if r >= period:
+                r -= period
+            n += d
+            rho, top = period - r if r + r > period else r, n * n + lift
             if disc * rho * rho <= top:
                 # The line's least and greatest x in [-big, big].
                 big = isqrt(top // disc)
@@ -369,7 +387,7 @@ def _least_witness(span: SpanLattice,
     normal basis (w, v), a DomainError if v is not (0, 1)."""
     if span.v_coords != (0, 1):
         raise DomainError(
-            f"span must carry v as (0, 1), got {span.v_coords}")
+            f"span must carry v as (0, 1), got {_shown(span.v_coords)}")
     (a, b), (_, c) = span.gram
     return _least_witness_of(a, b, c, *span.basis, epsilon)
 

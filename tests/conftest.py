@@ -7,21 +7,31 @@ import pytest
 from wallkit import walls
 
 
+class _CountedLines:
+    """One of the walk's ranges of lines, which adds 1 to `counts[0]` for
+    each line it yields; it keeps the range's `start`, from which the walk
+    reads the first line."""
+
+    def __init__(self, lines: range, counts: list[int]):
+        self.start, self._lines, self._counts = lines.start, lines, counts
+
+    def __iter__(self):
+        for m in self._lines:
+            self._counts[0] += 1
+            yield m
+
+
 def count_walk(mp: pytest.MonkeyPatch) -> list[int]:
     """Patch, on `mp`, a counter into the witness walk and return it:
     [lines], the lines b(s, v) = n the walk visits.  The walk takes its
     lines from one `walls._walk_lines` call, here wrapped in counting
-    iterators, so the count needs no counter in the walk itself."""
+    ranges, so the count needs no counter in the walk itself."""
     counts = [0]
     walk_lines = walls._walk_lines
 
-    def counted(lines):
-        for m in lines:
-            counts[0] += 1
-            yield m
-
     def counting_lines(*args):
-        return tuple(map(counted, walk_lines(*args)))
+        return tuple(_CountedLines(lines, counts)
+                     for lines in walk_lines(*args))
 
     mp.setattr(walls, "_walk_lines", counting_lines)
     return counts

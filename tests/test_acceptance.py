@@ -18,6 +18,9 @@ so any drift is caught:
 * Criterion 13: the catalog stops at the seed p = 2k-2+5e, so for k <= 20
   it lists no wall for 65 of the isometry classes of wall lattices T that
   criterion 12 enumerates; every wall class it lists is one of them.
+  A plain test, not a gate, pins per (k, epsilon) the wall pairs that the
+  catalog leaves out: those beyond the seed p, and those hidden by its
+  one entry per class of T.
 
 Criterion 12 checks the paper's main claim in finite form: every wall
 pair (T, v) for k <= 20, found by the box oracle, is the saturation of a
@@ -62,7 +65,8 @@ from wallkit import (
     seed_lattice,
 )
 from wallkit.checks import CHECKS, Point, Row
-from wallkit.walls import box_witnesses, span_stage
+from wallkit.catalog import state_gram, state_vector
+from wallkit.walls import _normal_basis, box_witnesses, span_stage
 
 EPS_RANGE = (0, 1)
 K_RANGE = range(2, 9)
@@ -388,7 +392,8 @@ def _criterion_11() -> tuple[bool, str]:
                    "(k, epsilon) = (2, 1) where chi = 3 < 4")
 
 
-def _wall_pairs(k: int, eps: int) -> set:
+@cache
+def _wall_pairs(k: int, eps: int) -> frozenset:
     """Every wall pair (T, v) at (k, epsilon) in its normal form: the even
     grams [[a, b], [b, 2h]] with 0 <= b <= h and det < 0 that have a
     witness, as the box oracle finds it.  A witness s spans with v a
@@ -403,7 +408,7 @@ def _wall_pairs(k: int, eps: int) -> set:
             gram = ((a, b), (b, 2 * h))
             if box_witnesses(gram, (0, 1), eps):
                 pairs.add(gram)
-    return pairs
+    return frozenset(pairs)
 
 
 def _criterion_12() -> tuple[bool, str]:
@@ -412,7 +417,7 @@ def _criterion_12() -> tuple[bool, str]:
     counts, missing, reach = {}, 0, 0
     for eps in EPS_RANGE:
         for k in range(2, 21):
-            todo = _wall_pairs(k, eps)
+            todo = set(_wall_pairs(k, eps))
             counts[eps, k] = len(todo)
             seed_p = 2 * k - 2 + 5 * eps
             for p in range(2, seed_p + 11):
@@ -459,6 +464,56 @@ def _criterion_13() -> tuple[bool, str]:
                    f"({sum(by_eps[0])} for epsilon = 0, {sum(by_eps[1])} for "
                    f"epsilon = 1), as it stops at the seed p; every wall "
                    f"class it lists is one of theirs")
+
+
+# The wall pairs (T, v) per k = 2..20 (criterion 12's) that the catalog
+# lists no entry for, by epsilon: hidden, those that a state with
+# p <= seed p realises, but whose class of T the catalog lists at another
+# pair; beyond, those that no such state realises (criterion 13 counts
+# their classes).
+_CATALOG_GAPS = {
+    0: ([0, 0, 0, 0, 0, 1, 0, 0, 0, 3, 0, 5, 0, 4, 7, 0, 0, 5, 0],
+        [2] + [1] * 18),
+    1: ([0, 0, 0, 1, 0, 0, 0, 2, 0, 3, 0, 2, 3, 0, 0, 3, 0, 5, 5],
+        [0, 0] + [1] * 4 + [2] * 4 + [3] * 4 + [4] * 4 + [5]),
+}
+
+
+def _state_pair(p: int, delta: int, k: int, eps: int):
+    """The normal form of the pair (T, v) that the catalog state at
+    (p, delta) realises, where q(R) < 0, or None: the state's basis
+    reduced by `_normal_basis`."""
+    (a, b), (_, c) = state_gram(p, delta, k, eps)
+    if a * c - b * b >= 0:
+        return None
+    q_w, b_w, _ = _normal_basis(state_vector(p, delta, k, eps), a, c // 2)
+    return (q_w, b_w), (b_w, c)
+
+
+def test_catalog_leaves_out_hidden_and_beyond_seed_wall_pairs():
+    # The catalog lists the states reachable from the seed (p <= seed p),
+    # one per isometry class of T.
+    for eps in EPS_RANGE:
+        hidden, beyond = [], []
+        for k in range(2, 21):
+            seed_p = 2 * k - 2 + 5 * eps
+            reached = {_state_pair(p, delta, k, eps)
+                       for p in range(2, seed_p + 1)
+                       for delta in range(p - 2 * eps + 1)} - {None}
+            listed = {_state_pair(e.p, e.delta, k, eps)
+                      for e in generate_catalog(k, eps) if e.is_wall}
+            pairs = _wall_pairs(k, eps)
+            assert listed <= reached <= pairs
+            ids = {class_id(gram) for gram in listed}
+            assert len(ids) == len(listed)
+            assert {class_id(gram) for gram in reached - listed} <= ids
+            # Each pair beyond the seed p is a class of T of its own that
+            # the catalog does not list.
+            far = {class_id(gram) for gram in pairs - reached}
+            assert len(far) == len(pairs - reached) and not far & ids
+            hidden.append(len(reached - listed))
+            beyond.append(len(far))
+        assert (hidden, beyond) == _CATALOG_GAPS[eps]
 
 
 def _verdict(n: int) -> tuple[bool, str]:

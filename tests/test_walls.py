@@ -118,6 +118,30 @@ def test_witness_functions_reject_malformed_inputs(gram, v, match):
         box_radius(gram, v)
 
 
+def test_domain_errors_print_long_ints_by_bit_length():
+    # Python prints no int of more than 4,300 digits; a message prints an
+    # int past 200 bits by its bit length, so each stays short.
+    big = 10 ** 3000
+    calls = (
+        lambda: enumerate_witnesses([[2, 1], [1, -2]], (2 * 10**5000, 2), 0),
+        lambda: enumerate_witnesses([[big, 0], [0, big]], (0, 1), 0),
+        lambda: box_witnesses([[big, 0], [0, big]], (0, 1), 0),
+        lambda: walls._witness_walk(big, 0, big, 0),
+        lambda: box_radius([[2, 1], [1, -2]], (1, 0, big)),
+        lambda: saturated_span(DivisorClass(big, 1), SurfaceContext(0, 5, 3)),
+        lambda: walls._least_witness(SpanLattice(
+            ((0, 1), (1, 2)), (big, 1), ((0, 1, 0), (1, 0, -1))), 0),
+    )
+    for call in calls:
+        with pytest.raises(DomainError, match="-bit value") as info:
+            call()
+        assert len(str(info.value)) < 200
+    # Short ints keep their digits.
+    with pytest.raises(DomainError) as info:
+        walls._witness_walk(2, 0, 3, 0)
+    assert str(info.value) == "walk needs det < 0 < q(v), got det = 6, q(v) = 3"
+
+
 def test_witness_functions_take_bools_as_ints():
     gram = [[2, 1], [1, -2]]
     assert (enumerate_witnesses([[2, True], [True, -2]], (True, False), 0)
@@ -460,6 +484,21 @@ def _normal_spans(draw):
 @example((((1, 4), (4, 9)), (0, 1)), 1)
 # d = gcd(b, q(v)) = 2: the lines n = 2, 4, 6; the least is on n = 4.
 @example((((6, -10), (-10, 14)), (0, 1)), 0)
+# The walk's residue r = m*x1 mod q(v)/d, stepped by one addition per line.
+# b = q(v): the period q(v)/d is 1, so r stays 0; no case (i) line, and the
+# case (ii) line n = 0 holds the least witness, x = -1.
+@example((((4, 6), (6, 6)), (0, 1)), 0)
+# b = 0, epsilon = 0: the least witness is the case (ii) one on line n = 0.
+@example((((-2, 0), (0, 6)), (0, 1)), 0)
+# x1 = -1 (mod 10): r wraps on every line but the first; a non-wall, so
+# both ranges are walked to their ends.
+@example((((-3, 9), (9, 10)), (0, 1)), 0)
+# The period is 2 and r = 1 on line n = 5: r + r = period, the fold's tie,
+# on the line of the least witness, x = -1 with q = 0.
+@example((((0, 5), (5, 10)), (0, 1)), 1)
+# 10,001 lines: the least witness, (1, 0) with q = 1, is on n = 10001,
+# near q(v)/2 = 10005, where most large-parameter walls have theirs.
+@example((((1, 10001), (10001, 20010)), (0, 1)), 1)
 def test_witness_walk_matches_the_reference_walk(span, eps):
     # The least walk and the x-scan against the reference's t-frame walk
     # over all lines.  In the basis w = (1, 0, 0), v = (0, 1, 0) the
