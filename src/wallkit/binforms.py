@@ -16,10 +16,10 @@ isometric iff the forms are equivalent under GL2(Z).  Three regimes:
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Sequence, Sized
 from math import gcd, isqrt
 
-from .model import DomainError, _require_ints
+from .model import DomainError, _require_ints, _shown
 
 # A 2x2 Gram matrix, read only as g[i][j]: rows may be tuples or lists.
 Gram = Sequence[Sequence[int]]
@@ -34,8 +34,9 @@ _POSDEF = "posdef"
 _POSDEF_ID = _ID % (_POSDEF, "%s", "%s", "%s")
 
 
-class DegenerateFormError(ValueError):
-    """The Gram matrix is singular; no isometry class is defined."""
+class DegenerateFormError(DomainError):
+    """The Gram matrix is singular; no isometry class is defined.  A
+    DomainError (CLI exit 2), so also a ValueError."""
 
 
 class ReductionBudgetError(DomainError, RuntimeError):
@@ -51,11 +52,16 @@ class ReductionBudgetError(DomainError, RuntimeError):
     """
 
 
+def _is_pair(x) -> bool:
+    """Whether x has a len, and it is 2."""
+    return isinstance(x, Sized) and len(x) == 2
+
+
 def _gram_entries(g: Gram) -> tuple[int, int, int]:
     """(a, b, c) of [[a, b], [b, c]]: a DomainError unless g is a symmetric
     2x2 matrix of ints (a bool is one, as in `_require_ints`).  The one
     gram rule of the package."""
-    if (len(g) != 2 or len(g[0]) != 2 or len(g[1]) != 2
+    if (not (_is_pair(g) and _is_pair(g[0]) and _is_pair(g[1]))
             or g[0][1] != g[1][0]):
         raise DomainError("gram must be a symmetric 2x2 matrix")
     (a, b), (b2, c) = g
@@ -124,7 +130,7 @@ def _indef_canonical(a: int, b: int, c: int, d: int,
             best = form
     raise ReductionBudgetError(
         f"the continued fraction of an indefinite form of "
-        f"{(4 * d).bit_length()}-bit discriminant needs more than "
+        f"{_shown((4 * d).bit_length())}-bit discriminant needs more than "
         f"{_MAX_REDUCTION_STEPS} steps to close its cycle")
 
 

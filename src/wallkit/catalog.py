@@ -20,8 +20,8 @@ from typing import IO, Iterable, Iterator, NamedTuple
 
 from . import binforms
 from .binforms import Gram
-from .model import (DomainError, Ratio, _require_bounded, _require_ints,
-                    write_records)
+from .model import (DomainError, Ratio, SurfaceContext, _require_bounded,
+                    _require_ints, _shown, write_records)
 from .walls import _least_witness_of, _normal_basis
 
 
@@ -52,12 +52,9 @@ class CatalogEntry(NamedTuple):
 
 def seed_lattice(k: int, epsilon: int) -> tuple[Gram, int, int]:
     """Seed Gram with its realizing (p, delta) = (2k-2+5*epsilon, 0).  k
-    and epsilon must be ints, and k must lie in the input domain, as in
-    `SurfaceContext`."""
-    _require_ints(k=k, epsilon=epsilon)
-    if k < 2 or epsilon not in (0, 1):
-        raise DomainError(f"need k >= 2 and epsilon in {{0, 1}}, got ({k}, {epsilon})")
-    _require_bounded(k=k)
+    and epsilon are checked by `SurfaceContext`, at p = 2: the derived seed
+    p may lie past the input bound."""
+    SurfaceContext(epsilon, 2, k)
     p = 2 * k - 2 + 5 * epsilon
     return state_gram(p, 0, k, epsilon), p, 0
 
@@ -106,10 +103,10 @@ def iter_catalog(k: int, epsilon: int, p_min: int = 2,
     p_top = seed_p if p_max is None else min(p_max, seed_p)
     if p_top < p_low:
         raise DomainError(
-            f"empty p range: max(p_min, 2) = {p_low} > min(p_max, seed p) "
-            f"= {p_top}, where the seed p is {seed_p}")
+            f"empty p range: max(p_min, 2) = {_shown(p_low)} > min(p_max, seed p) "
+            f"= {_shown(p_top)}, where the seed p is {_shown(seed_p)}")
     if delta_max is not None and delta_max < 0:
-        raise DomainError(f"delta_max must be at least 0 (got {delta_max})")
+        raise DomainError(f"delta_max must be at least 0 (got {_shown(delta_max)})")
     d_top = p_top - 2 * epsilon
     if delta_max is not None:
         d_top = min(delta_max, d_top)

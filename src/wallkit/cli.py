@@ -34,8 +34,8 @@ from . import subvarieties as sub_mod
 from .binforms import flat_gram
 from .checks import CHECKS, Point, Row, oracle_agrees
 from .curves import bn_dims, curve_square
-from .model import (DomainError, Ratio, _require_bounded, ratio_str,
-                    write_records)
+from .model import (DomainError, Ratio, SurfaceContext, _require_bounded,
+                    ratio_str, write_records)
 from .walls import WallVerdict, primitive_dual_divisor
 
 
@@ -233,12 +233,9 @@ def _scan_points(args) -> Iterator[Point]:
     e_lo, e_hi = _parse_range(args.epsilon, "epsilon")
     k_lo, k_hi = _parse_range(args.k, "k")
     p_lo, p_hi = _parse_range(args.p, "p")
-    if not 0 <= e_lo <= e_hi <= 1:
-        raise DomainError(f"epsilon must lie in 0..1, got {args.epsilon!r}")
-    if k_lo < 2:
-        raise DomainError(f"k must satisfy k >= 2, got {args.k!r}")
-    if p_lo < 2:
-        raise DomainError(f"p must satisfy p >= 2, got {args.p!r}")
+    # The ranges lie in the domain when both of their corners do.
+    SurfaceContext(e_lo, p_lo, k_lo)
+    SurfaceContext(e_hi, p_hi, k_hi)
     # Without --delta every delta up to p - 2*epsilon <= p_hi is scanned.
     d_lo, d_hi = (_parse_range(args.delta, "delta")
                   if args.delta is not None else (0, p_hi))

@@ -16,6 +16,7 @@ from .model import (
     SurfaceContext,
     _make_through_new,
     _require_ints,
+    _shown,
 )
 
 
@@ -76,7 +77,7 @@ class BNParams(_BNFields):
         if not 0 <= delta <= p - 2 * epsilon:
             raise DomainError(
                 "constraint violated: 0 <= delta <= p - 2*epsilon "
-                f"(got delta={delta}, p={p}, epsilon={epsilon})")
+                f"(got delta={_shown(delta)}, p={_shown(p)}, epsilon={_shown(epsilon)})")
         self = super().__new__(cls, p, delta, k, epsilon)
         h, g = k - 1 + 2 * epsilon, p - delta
         a = (g - epsilon) // (2 * h)
@@ -136,7 +137,7 @@ def bn_dims(params: BNParams) -> tuple[int, int]:
     if not exists_pencil(params):
         raise DomainError(
             f"no pencil exists for (p, delta, k, epsilon)="
-            f"({params.p}, {params.delta}, {params.k}, {params.epsilon})")
+            f"{_shown(params)}")
     locus = min(params.p - params.delta, 2 * (params.k - 1 + params.epsilon))
     pencils = max(0, 2 * (params.k - 1 + params.epsilon) - params.g)
     return locus, pencils

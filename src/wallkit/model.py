@@ -77,14 +77,6 @@ def _make_through_new(cls, iterable):
     return cls(*iterable)
 
 
-def _require_ints(**values) -> None:
-    """Raise a DomainError naming the first value that is not an int (a
-    bool is one): the package computes with no floats."""
-    for name, value in values.items():
-        if not isinstance(value, int):
-            raise DomainError(f"{name} must be an integer (got {value!r})")
-
-
 # Every integer k, p and scan range end lies strictly between -10^1000 and
 # 10^1000.  A printed integer has at most about three times the digits of
 # the inputs (q(D) of `wall-test` is of order k^2*p; q(R), class ids and
@@ -102,17 +94,28 @@ _SHOWN_BITS = 200
 
 
 def _shown(value) -> str:
-    """`value` as a DomainError message prints it: an int in digits, or as
-    "a <n>-bit value" past _SHOWN_BITS bits; a tuple or list that holds
-    such an int, item by item; anything else as str."""
+    """`value` as a DomainError message prints it, the only way a message
+    prints a caller's value: an int in digits, or as "a <n>-bit value" past
+    _SHOWN_BITS bits; a tuple or list item by item, in its brackets; any
+    other object by its type name, as its str or repr may be long, fail or
+    run the caller's code."""
     if isinstance(value, int):
         bits = value.bit_length()
         return str(value) if bits <= _SHOWN_BITS else f"a {bits}-bit value"
-    if isinstance(value, (tuple, list)) and any(
-            isinstance(item, int) and item.bit_length() > _SHOWN_BITS
-            for item in value):
-        return "(" + ", ".join(map(_shown, value)) + ")"
-    return str(value)
+    if isinstance(value, (tuple, list)):
+        items = ", ".join(map(_shown, value))
+        if isinstance(value, list):
+            return f"[{items}]"
+        return f"({items},)" if len(value) == 1 else f"({items})"
+    return type(value).__name__
+
+
+def _require_ints(**values) -> None:
+    """Raise a DomainError naming the first value that is not an int (a
+    bool is one): the package computes with no floats."""
+    for name, value in values.items():
+        if not isinstance(value, int):
+            raise DomainError(f"{name} must be an integer (got {_shown(value)})")
 
 
 def _require_bounded(**values) -> None:
@@ -141,13 +144,12 @@ class SurfaceContext(_ContextFields):
     def __new__(cls, epsilon: int, p: int, k: int) -> SurfaceContext:
         _require_ints(epsilon=epsilon, k=k, p=p)
         if epsilon not in (0, 1):
-            raise DomainError(f"epsilon must be 0 or 1 (got {epsilon})")
-        # k before p: `lagrangian` derives p from k, so a bad k must be
-        # named as such.
+            raise DomainError(f"epsilon must be 0 or 1 (got {_shown(epsilon)})")
+        # k before p: `scan` names a bad k range before a bad p range.
         if k < 2:
-            raise DomainError(f"constraint violated: k >= 2 (got k={k})")
+            raise DomainError(f"constraint violated: k >= 2 (got k={_shown(k)})")
         if p < 2:
-            raise DomainError(f"constraint violated: p >= 2 (got p={p})")
+            raise DomainError(f"constraint violated: p >= 2 (got p={_shown(p)})")
         _require_bounded(k=k, p=p)
         self = super().__new__(cls, epsilon, p, k)
         self.__dict__.update(l_square=2 * p - 2,
@@ -168,15 +170,15 @@ class _DivisorFields(NamedTuple):
 
 class DivisorClass(_DivisorFields):
     """a*L + b*e with integer coefficients; any other coefficient is a
-    DomainError.  A rational class is given as a positive integral
-    multiple of it."""
+    DomainError (`_require_ints`).  A rational class is given as a positive
+    integral multiple of it."""
 
     __slots__ = ()
 
     def __new__(cls, l: int, e: int) -> DivisorClass:
+        # The inline test is the fast path: most classes are valid.
         if not (isinstance(l, int) and isinstance(e, int)):
-            raise DomainError(
-                f"divisor coefficients must be integers (got {l!r}, {e!r})")
+            _require_ints(l=l, e=e)
         return super().__new__(cls, l, e)
 
     _make = classmethod(_make_through_new)
@@ -242,5 +244,5 @@ def moduli_dim(p: int, delta: int, k: int, epsilon: int) -> int:
     dim = 2 * p - 4 * chi + 8 * (1 - epsilon)
     if dim < 0:
         raise DomainError(
-            f"moduli space is empty: 2p - 4*chi + 8(1 - epsilon) = {dim} < 0")
+            f"moduli space is empty: 2p - 4*chi + 8(1 - epsilon) = {_shown(dim)} < 0")
     return dim

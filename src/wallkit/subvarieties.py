@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
+from .catalog import seed_lattice
 from .curves import BNParams, curve_class
 from .model import CurveClass, Ratio, SurfaceContext, moduli_dim, sheaf_vector
 
@@ -138,11 +139,12 @@ def series_family_loci(p: int, k: int,
 
 
 def lagrangian_plane(k: int, epsilon: int) -> tuple[int, int, SubvarietyDescriptor]:
-    """Parameters (p, delta) = (2(k-1)+5*epsilon, 0) where the curve class
+    """Parameters (p, delta) = (2(k-1)+5*epsilon, 0), the catalog's seed
+    (`seed_lattice`, which checks k and epsilon first), where the curve class
     attains the minimal square -(k+3-2*epsilon)/2 and moves as a line in an
     embedded P^k; the moduli space there has dimension 2*epsilon.  It is
     `bundle_locus`'s descriptor without the chi window (which fails at
     (k, epsilon) = (2, 1)): chi = k + 1 there, so the codimension
     chi - 2*delta - 1 is k."""
-    p = 2 * (k - 1) + 5 * epsilon
-    return p, 0, _proj_bundle(BNParams(p, 0, k, epsilon), k)
+    _, p, delta = seed_lattice(k, epsilon)
+    return p, delta, _proj_bundle(BNParams(p, delta, k, epsilon), k)

@@ -20,7 +20,7 @@ from __future__ import annotations
 from math import gcd, isqrt
 from typing import NamedTuple
 
-from .binforms import Gram, _gram_entries, xgcd
+from .binforms import Gram, _gram_entries, _is_pair, xgcd
 from .model import (
     CurveClass,
     DivisorClass,
@@ -144,7 +144,7 @@ def _check_span_signature(gram: Gram, v: tuple[int, int]) -> int:
     negative determinant and v is a primitive pair of ints with q(v) > 0
     (a bool is an int, as in `_require_ints`)."""
     a, b, c = _gram_entries(gram)
-    if len(v) != 2:
+    if not _is_pair(v):
         raise DomainError(
             f"distinguished vector must be a pair, got {_shown(v)}")
     x, y = v

@@ -72,6 +72,11 @@ def test_degenerate_raises():
         canonical_form([[2, 2], [2, 2]])
     with pytest.raises(DegenerateFormError):
         class_id([[0, 0], [0, 5]])
+    # Every refusal of the package is a DomainError (CLI exit 2), and so
+    # still a ValueError.
+    with pytest.raises(DomainError, match="^Gram matrix is degenerate$"):
+        canonical_form([[1, 1], [1, 1]])
+    assert issubclass(DegenerateFormError, ValueError)
 
 
 @pytest.mark.parametrize("gram, match", [

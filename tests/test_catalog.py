@@ -486,9 +486,10 @@ def test_first_entry_needs_constant_work(monkeypatch):
 
 
 def test_generate_builds_no_params_and_no_context(monkeypatch):
-    # No parameters and no context are built at all: a wall is searched on
-    # its state's basis, reduced from p and h alone.  Every BNParams is
-    # built through `BNParams.on`.
+    # No parameters and no context are built for a state: a wall is
+    # searched on its state's basis, reduced from p and h alone.  The one
+    # context is `seed_lattice`'s check of (k, epsilon), at p = 2.  Every
+    # BNParams is built through `BNParams.on`.
     contexts, built = [], []
     new_context, on = SurfaceContext.__new__, BNParams.on.__func__
 
@@ -506,7 +507,7 @@ def test_generate_builds_no_params_and_no_context(monkeypatch):
     entries = generate_catalog(12, 0)
     walls = [(e.p, e.delta) for e in entries if e.q_curve.numerator < 0]
     assert walls and len(walls) < len(entries)
-    assert built == [] and contexts == []
+    assert built == [] and contexts == [(0, 2, 12)]
 
 
 def test_catalog_entry_shape_is_pinned():

@@ -335,6 +335,26 @@ def test_scan_empty_range_is_a_user_error(capsys, flag):
                    "(expected N or LO..HI)\n")
 
 
+@pytest.mark.parametrize("flag, text, message", [
+    ("--epsilon", "0..2", "epsilon must be 0 or 1 (got 2)"),
+    ("--epsilon", "-1..0", "epsilon must be 0 or 1 (got -1)"),
+    ("--k", "1..3", "constraint violated: k >= 2 (got k=1)"),
+    ("--p", "0..3", "constraint violated: p >= 2 (got p=0)"),
+])
+def test_scan_range_outside_the_domain_is_a_user_error(capsys, monkeypatch,
+                                                       flag, text, message):
+    # The ranges are checked as the contexts of their two corners, with
+    # `SurfaceContext`'s own message, before any row is built.
+    built = []
+    monkeypatch.setattr(checks.Row, "__init__",
+                        lambda row, *args: built.append(args))
+    argv = {"--epsilon": "0..1", "--k": "2..3", "--p": "2..4", flag: text}
+    rc, out, err = _run(capsys, "scan", *(f"{f}={v}" for f, v in argv.items()),
+                        "--check", "all")
+    assert (rc, out, err) == (2, "", f"error: {message}\n")
+    assert built == []
+
+
 @pytest.mark.parametrize("bounds", [
     ("--p-max", "-5"), ("--p-max", "1"), ("--delta-max", "-1"),
     ("--p-min", "5", "--p-max", "3")])
@@ -479,9 +499,10 @@ def test_grid_scan_stdout_is_pinned(grid_scan):
 
 def test_grid_scan_builds_one_context_per_row(grid_scan):
     # The 11,466 points lie on 2 * 7 * 39 = 546 (epsilon, k, p) rows, and
-    # the points of a row share the validated context of its `checks.Row`.
+    # the points of a row share the validated context of its `checks.Row`;
+    # the two more contexts check the ranges' low and high corners.
     rc, _, _, contexts = grid_scan
-    assert rc == 0 and contexts == 546
+    assert rc == 0 and contexts == 546 + 2
 
 
 def test_point_subcommands_read_no_row_field(monkeypatch, capsys):

@@ -9,13 +9,17 @@ from fractions import Fraction
 
 import pytest
 
-from wallkit.curves import _square
+from wallkit import walls
+from wallkit.binforms import canonical_form
+from wallkit.catalog import seed_lattice
+from wallkit.curves import BNParams, _square
 from wallkit.model import (
     CurveClass,
     DivisorClass,
     DomainError,
     Ratio,
     SurfaceContext,
+    _shown,
     divisor_divisibility,
     exceptional_vector,
     moduli_dim,
@@ -26,7 +30,14 @@ from wallkit.model import (
     sheaf_vector,
     write_records,
 )
-from wallkit.walls import saturated_span
+from wallkit.subvarieties import bundle_locus, lagrangian_plane
+from wallkit.walls import (
+    SpanLattice,
+    box_radius,
+    box_witnesses,
+    enumerate_witnesses,
+    saturated_span,
+)
 
 
 def _contexts():
@@ -286,3 +297,82 @@ def test_replace_and_make_go_through_new():
         DivisorClass(1, 3)._replace(e=Fraction(4, 2))
     with pytest.raises(DomainError):
         DivisorClass._make((Fraction(6, 3), 1))
+
+
+class _Loud:
+    """An object whose text is never to be taken."""
+
+    def __str__(self):
+        raise AssertionError("str taken")
+
+    __repr__ = __str__
+
+
+def test_shown_prints_ints_sequences_and_type_names():
+    # The one formatter of a caller's value in a DomainError message.
+    assert _shown(-12) == "-12" and _shown(True) == "True"
+    assert _shown(2 ** 200 - 1) == str(2 ** 200 - 1)
+    assert _shown(-2 ** 200) == "a 201-bit value"
+    # A tuple or list keeps the bytes `str` gives when its ints are short.
+    for value in ((1, 0, 0), [2, 0], (7,), (), [], ((1, 2), [3])):
+        assert _shown(value) == str(value)
+    assert _shown([1, 2 ** 300]) == "[1, a 301-bit value]"
+    assert _shown(_Loud()) == "_Loud"
+    assert _shown((1.5, "2", None, _Loud())) == "(float, str, NoneType, _Loud)"
+
+
+_BIG = 10 ** 5000
+
+
+def test_domain_errors_print_long_ints_by_bit_length():
+    # Python prints no int of more than 4,300 digits; a message prints an
+    # int past 200 bits by its bit length and any other object but a tuple
+    # or list by its type name, so each stays short.  An input with no
+    # len, or a k that is no int, is a shape error, not a TypeError.
+    big = 10 ** 3000
+    calls = (
+        (lambda: enumerate_witnesses([[2, 1], [1, -2]], (2 * _BIG, 2), 0),
+         "-bit value"),
+        (lambda: enumerate_witnesses([[big, 0], [0, big]], (0, 1), 0),
+         "-bit value"),
+        (lambda: box_witnesses([[big, 0], [0, big]], (0, 1), 0), "-bit value"),
+        (lambda: walls._witness_walk(big, 0, big, 0), "-bit value"),
+        (lambda: box_radius([[2, 1], [1, -2]], (1, 0, big)), "-bit value"),
+        (lambda: saturated_span(DivisorClass(big, 1), SurfaceContext(0, 5, 3)),
+         "-bit value"),
+        (lambda: walls._least_witness(SpanLattice(
+            ((0, 1), (1, 2)), (big, 1), ((0, 1, 0), (1, 0, -1))), 0),
+         "-bit value"),
+        (lambda: SurfaceContext(0, 5, -_BIG), "k >= 2 .*-bit value"),
+        (lambda: SurfaceContext(0, -_BIG, 3), "p >= 2 .*-bit value"),
+        (lambda: SurfaceContext(_BIG, 5, 3), "epsilon .*-bit value"),
+        (lambda: seed_lattice(-_BIG, 0), "k >= 2 .*-bit value"),
+        (lambda: seed_lattice(3, _BIG), "epsilon .*-bit value"),
+        (lambda: BNParams(5, _BIG, 3, 0), "delta=a 16610-bit value"),
+        (lambda: BNParams(5, -_BIG, 3, 0), "delta=a 16610-bit value"),
+        (lambda: bundle_locus(5, _BIG, 3, 0), "delta=a 16610-bit value"),
+        (lambda: lagrangian_plane(-_BIG, 0), "k >= 2 .*-bit value"),
+        (lambda: DivisorClass(Fraction(_BIG), 1),
+         r"^l must be an integer \(got Fraction\)$"),
+        (lambda: enumerate_witnesses([[Fraction(_BIG), 0], [0, 1]], (0, 1), 0),
+         r"^gram\[0\]\[0\] must be an integer \(got Fraction\)$"),
+        (lambda: enumerate_witnesses([[2, 1], [1, -2]], 5, 0),
+         "^distinguished vector must be a pair, got 5$"),
+        (lambda: enumerate_witnesses(5, (0, 1), 0),
+         "^gram must be a symmetric 2x2 matrix$"),
+        (lambda: lagrangian_plane("3", 0),
+         r"^k must be an integer \(got str\)$"),
+        (lambda: canonical_form([[1, 1], [1, 1]]), "^Gram matrix is degenerate$"),
+    )
+    for call, match in calls:
+        with pytest.raises(DomainError, match=match) as info:
+            call()
+        assert len(str(info.value)) < 200
+    # Short ints keep their digits.
+    with pytest.raises(DomainError) as info:
+        walls._witness_walk(2, 0, 3, 0)
+    assert str(info.value) == "walk needs det < 0 < q(v), got det = 6, q(v) = 3"
+    with pytest.raises(DomainError) as info:
+        BNParams(4, 5, 3, 0)
+    assert str(info.value) == ("constraint violated: 0 <= delta <= p - "
+                               "2*epsilon (got delta=5, p=4, epsilon=0)")

@@ -212,6 +212,66 @@ def test_class_id_regimes_are_spelled_only_in_binforms():
         'f"{x}:isotropic"\n')) == {"indef", "isotropic"}
 
 
+# DomainError and its subclasses: every refusal of the package.
+_REFUSALS = {"DomainError", "DegenerateFormError", "ReductionBudgetError"}
+
+# What a refusal's message may print other than through `model._shown`:
+# the CLI's argv text (a range, the option's name, --check), the output
+# path and the system's reason, and constants.
+_UNSHOWN = {
+    ("binforms.py", "_MAX_REDUCTION_STEPS"),
+    ("cli.py", "', '.join([*CHECKS, 'all'])"),
+    ("cli.py", "args.check"),
+    ("cli.py", "exc.strerror"),
+    ("cli.py", "name"),
+    ("cli.py", "path"),
+    ("cli.py", "text"),
+    ("model.py", "INPUT_DIGITS"),
+    ("model.py", "name"),
+}
+
+
+def _unshown(tree: ast.AST) -> set[str]:
+    """The source of every value a refusal's message formats other than
+    through a `_shown(...)` call, and of every message that is no text."""
+    found = set()
+    for node in ast.walk(tree):
+        if not (isinstance(node, ast.Call) and _REFUSALS & {
+                getattr(node.func, "id", None),
+                getattr(node.func, "attr", None)}):
+            continue
+        for arg in [*node.args, *(kw.value for kw in node.keywords)]:
+            if isinstance(arg, ast.Constant) and isinstance(arg.value, str):
+                continue
+            if not isinstance(arg, ast.JoinedStr):
+                found.add(ast.unparse(arg))
+                continue
+            for part in arg.values:
+                if not isinstance(part, ast.FormattedValue):
+                    continue
+                value = part.value
+                if not (isinstance(value, ast.Call)
+                        and getattr(value.func, "id", None) == "_shown"
+                        and part.conversion == -1
+                        and part.format_spec is None):
+                    found.add(ast.unparse(value))
+    return found
+
+
+def test_refusals_print_values_only_through_shown():
+    # A refusal prints a caller's value through `model._shown`, which
+    # keeps every message short and takes no object's str or repr.
+    files = sorted(SRC.rglob("*.py"))
+    assert len(files) >= 9
+    assert {(path.name, text) for path in files
+            for text in _unshown(ast.parse(path.read_text()))} == _UNSHOWN
+    assert _unshown(ast.parse(
+        'raise DomainError(f"{_shown(x)} {y!r} {_shown(z)!r}")\n'
+        'raise binforms.DegenerateFormError(message)\n'
+        'raise ReductionBudgetError("fixed")\n'
+        'raise TypeError(f"{w}")\n')) == {"y", "_shown(z)", "message"}
+
+
 def _imported_modules(tree: ast.Module) -> set[str]:
     """The package modules a module imports, by bare name, whether as
     `from .curves import x`, `from . import curves` or `import
