@@ -132,7 +132,7 @@ def _entries(k: int, epsilon: int, p_low: int, p_top: int,
     reduce_definite, posdef_id = (binforms._reduce_definite,
                                   binforms._POSDEF_ID)
     h = k - 1 + 2 * epsilon
-    c, v = 2 * h, (1, 0, -h)
+    c = 2 * h
     seen: set[str] = set()
     for delta in range(d_top + 1):
         a = 2 * delta - 2 + 2 * epsilon
@@ -155,7 +155,7 @@ def _entries(k: int, epsilon: int, p_low: int, p_top: int,
             if det < 0:
                 q_w, b_w, w = _normal_basis(
                     state_vector(p, delta, k, epsilon), a, h)
-                ambient = _least_witness_of(q_w, b_w, c, w, v, epsilon)[1]
+                ambient = _least_witness_of(q_w, b_w, c, w, epsilon)[1]
             yield CatalogEntry(epsilon, k, p, delta, ((a, b), (b, c)),
                                ambient, class_id)
 

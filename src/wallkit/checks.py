@@ -187,10 +187,9 @@ def _oracle(verdict: WallVerdict,
     verdict's least witness is the first of them (None when there are
     none), and the witnesses (enumerated once); None when there is no span
     (q(D) >= 0) or its box radius exceeds ORACLE_RADIUS_LIMIT."""
-    span = verdict.span
-    if span is None:
+    if verdict.span is None:
         return None
-    gram, v = span.gram, span.v_coords
+    gram, v = verdict.span.gram, verdict.span.v_coords
     radius = box_radius(gram, v)
     if radius > ORACLE_RADIUS_LIMIT:
         return None

@@ -88,26 +88,31 @@ _INPUT_BOUND = 10 ** INPUT_DIGITS
 
 
 # A message prints an int of at most this many bits (61 digits) in digits
-# and a longer one by its bit length, so no message grows with its values
-# or meets the 4,300-digit limit.
-_SHOWN_BITS = 200
+# and a longer one by its bit length, and a tuple or list item by item only
+# when it has at most _SHOWN_ITEMS items and lies at most _SHOWN_DEPTH deep
+# (a gram's rows do), so no message grows with its values, meets the
+# 4,300-digit limit or recurses without end.
+_SHOWN_BITS, _SHOWN_ITEMS, _SHOWN_DEPTH = 200, 4, 2
 
 
-def _shown(value) -> str:
+def _shown(value, depth: int = _SHOWN_DEPTH) -> str:
     """`value` as a DomainError message prints it, the only way a message
     prints a caller's value: an int in digits, or as "a <n>-bit value" past
-    _SHOWN_BITS bits; a tuple or list item by item, in its brackets; any
-    other object by its type name, as its str or repr may be long, fail or
-    run the caller's code."""
+    _SHOWN_BITS bits; a tuple or list within the item and depth caps item
+    by item, in its brackets, and any other as "<type name> of length
+    <n>"; any other object by its type name, as its str or repr may be
+    long, fail or run the caller's code."""
     if isinstance(value, int):
         bits = value.bit_length()
         return str(value) if bits <= _SHOWN_BITS else f"a {bits}-bit value"
-    if isinstance(value, (tuple, list)):
-        items = ", ".join(map(_shown, value))
-        if isinstance(value, list):
-            return f"[{items}]"
-        return f"({items},)" if len(value) == 1 else f"({items})"
-    return type(value).__name__
+    if not isinstance(value, (tuple, list)):
+        return type(value).__name__
+    if len(value) > _SHOWN_ITEMS or not depth:
+        return f"{type(value).__name__} of length {len(value)}"
+    items = ", ".join([_shown(item, depth - 1) for item in value])
+    if isinstance(value, list):
+        return f"[{items}]"
+    return f"({items},)" if len(value) == 1 else f"({items})"
 
 
 def _require_ints(**values) -> None:

@@ -44,11 +44,15 @@ class Witness(NamedTuple):
 
 
 class SpanLattice(NamedTuple):
-    """Saturation of span{v, D}, presented in a basis (w, v)."""
+    """Saturation of span{v, D}, presented in its normal basis (w, v): the
+    Gram [[q(w), b(w, v)], [b(w, v), q(v)]] and the ambient triple w.  v
+    is the second basis vector, so its coordinates are the constant
+    `v_coords`, and its ambient triple is `model.moduli_vector`."""
 
     gram: Gram
-    v_coords: tuple[int, int]
-    basis: tuple[tuple[int, int, int], tuple[int, int, int]]
+    w: Triple
+
+    v_coords = (0, 1)
 
 
 class WallVerdict(NamedTuple):
@@ -374,41 +378,30 @@ def span_stage(obj: CurveClass | DivisorClass,
     q_d, qv = divisor.square(ctx), ctx.ek_div
     if q_d >= 0:
         return SpanStage(divisor, div, q_d, None)
-    h, l0 = qv // 2, divisor.l // div
-    q_w, b_w, w = _normal_basis((0, l0, divisor.e * qv // div),
-                                (2 * ctx.p - 2) * l0 * l0, h)
-    return SpanStage(divisor, div, q_d, SpanLattice(
-        ((q_w, b_w), (b_w, qv)), (0, 1), (w, (1, 0, -h))))
+    l0 = divisor.l // div
+    q_w, b, w = _normal_basis((0, l0, divisor.e * qv // div),
+                              (2 * ctx.p - 2) * l0 * l0, qv // 2)
+    return SpanStage(divisor, div, q_d, SpanLattice(((q_w, b), (b, qv)), w))
 
 
-def _least_witness(span: SpanLattice,
-                   epsilon: int) -> tuple[Witness | None, Triple | None]:
-    """`_least_witness_of` the span's gram and basis; the span is in its
-    normal basis (w, v), a DomainError if v is not (0, 1)."""
-    if span.v_coords != (0, 1):
-        raise DomainError(
-            f"span must carry v as (0, 1), got {_shown(span.v_coords)}")
-    (a, b), (_, c) = span.gram
-    return _least_witness_of(a, b, c, *span.basis, epsilon)
-
-
-def _least_witness_of(a: int, b: int, c: int, w: Triple, v: Triple,
+def _least_witness_of(a: int, b: int, c: int, w: Triple,
                       epsilon: int) -> tuple[Witness | None, Triple | None]:
     """The least witness of the lattice with Gram [[a, b], [b, c]] and
     v = (0, 1), which walks its lines up to that witness, and the
-    witness's ambient coordinates in the basis (w, v) of ambient triples;
+    witness's ambient coordinates x*w + y*(1, 0, -c/2), as the normal
+    basis (w, v) has the ambient v = (1, 0, -h) with q(v) = c = 2h;
     (None, None) when it has no witness."""
     witness = _witness_walk(a, b, c, epsilon)
     if witness is None:
         return None, None
     x, y = witness.coords
-    return witness, (x * w[0] + y * v[0], x * w[1] + y * v[1],
-                     x * w[2] + y * v[2])
+    return witness, (x * w[0] + y, x * w[1], x * w[2] - y * (c // 2))
 
 
 def witness_stage(stage: SpanStage, epsilon: int) -> WallVerdict:
     """The witness stage of the wall decision: the verdict on a span stage,
-    with the least witness of `_least_witness`."""
+    with the least witness of `_least_witness_of` on the span's gram."""
     if stage.span is None:
         return WallVerdict(*stage, None, None)
-    return WallVerdict(*stage, *_least_witness(stage.span, epsilon))
+    ((a, b), (_, c)), w = stage.span
+    return WallVerdict(*stage, *_least_witness_of(a, b, c, w, epsilon))

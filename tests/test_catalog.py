@@ -656,10 +656,10 @@ def test_state_vector_gives_the_saturation_basis(point, t):
             - w[1] * (v[0] * d[2] - v[2] * d[0])
             + w[2] * (v[0] * d[1] - v[1] * d[0])) == 0
     # The kernel takes q(w) and returns (q(w'), b(w', v), w'), which
-    # `span_stage` packs as its gram and basis.
+    # `span_stage` packs as its gram and w; v is moduli_vector, (0, 1).
     reduced = _normal_basis(w, mukai_square(w, p), h)
-    assert reduced == (*stage.span.gram[0], stage.span.basis[0])
-    assert stage.span.basis[1] == v and stage.span.v_coords == (0, 1)
+    assert reduced == (*stage.span.gram[0], stage.span.w)
+    assert stage.span.v_coords == (0, 1)
     for s in (1, -1):
         for shift in (0, 1, -1, t):
             moved = tuple(s * wi + shift * vi for wi, vi in zip(w, v))

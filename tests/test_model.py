@@ -32,7 +32,6 @@ from wallkit.model import (
 )
 from wallkit.subvarieties import bundle_locus, lagrangian_plane
 from wallkit.walls import (
-    SpanLattice,
     box_radius,
     box_witnesses,
     enumerate_witnesses,
@@ -124,7 +123,7 @@ def test_embed_divisor_preserves_square_and_lands_in_v_perp():
             assert mukai_pairing(x, v, ctx.p) == 0
             if d.square(ctx) >= 0:
                 continue
-            w = saturated_span(d, ctx).basis[0]
+            w = saturated_span(d, ctx).w
             (qw, bwv), (_, qv) = [[mukai_pairing(y, z, ctx.p) for z in (w, v)]
                                   for y in (w, v)]
             bxw, bxv = mukai_pairing(x, w, ctx.p), mukai_pairing(x, v, ctx.p)
@@ -317,6 +316,9 @@ def test_shown_prints_ints_sequences_and_type_names():
     for value in ((1, 0, 0), [2, 0], (7,), (), [], ((1, 2), [3])):
         assert _shown(value) == str(value)
     assert _shown([1, 2 ** 300]) == "[1, a 301-bit value]"
+    # Past four items or two levels, by its type name and length.
+    assert _shown((1, 2, 3, 4, 5)) == "tuple of length 5"
+    assert _shown([[[], [1]], ()]) == "[[list of length 0, list of length 1], ()]"
     assert _shown(_Loud()) == "_Loud"
     assert _shown((1.5, "2", None, _Loud())) == "(float, str, NoneType, _Loud)"
 
@@ -326,10 +328,13 @@ _BIG = 10 ** 5000
 
 def test_domain_errors_print_long_ints_by_bit_length():
     # Python prints no int of more than 4,300 digits; a message prints an
-    # int past 200 bits by its bit length and any other object but a tuple
-    # or list by its type name, so each stays short.  An input with no
-    # len, or a k that is no int, is a shape error, not a TypeError.
+    # int past 200 bits by its bit length, a long or deep tuple or list by
+    # its type name and length, and any other object but a tuple or list by
+    # its type name, so each stays short.  An input with no len, or a k
+    # that is no int, is a shape error, not a TypeError.
     big = 10 ** 3000
+    itself = []
+    itself.append(itself)
     calls = (
         (lambda: enumerate_witnesses([[2, 1], [1, -2]], (2 * _BIG, 2), 0),
          "-bit value"),
@@ -339,9 +344,6 @@ def test_domain_errors_print_long_ints_by_bit_length():
         (lambda: walls._witness_walk(big, 0, big, 0), "-bit value"),
         (lambda: box_radius([[2, 1], [1, -2]], (1, 0, big)), "-bit value"),
         (lambda: saturated_span(DivisorClass(big, 1), SurfaceContext(0, 5, 3)),
-         "-bit value"),
-        (lambda: walls._least_witness(SpanLattice(
-            ((0, 1), (1, 2)), (big, 1), ((0, 1, 0), (1, 0, -1))), 0),
          "-bit value"),
         (lambda: SurfaceContext(0, 5, -_BIG), "k >= 2 .*-bit value"),
         (lambda: SurfaceContext(0, -_BIG, 3), "p >= 2 .*-bit value"),
@@ -358,6 +360,10 @@ def test_domain_errors_print_long_ints_by_bit_length():
          r"^gram\[0\]\[0\] must be an integer \(got Fraction\)$"),
         (lambda: enumerate_witnesses([[2, 1], [1, -2]], 5, 0),
          "^distinguished vector must be a pair, got 5$"),
+        (lambda: enumerate_witnesses([[2, 1], [1, -2]], list(range(10**5)), 0),
+         "^distinguished vector must be a pair, got list of length 100000$"),
+        (lambda: enumerate_witnesses([[2, 1], [1, -2]], itself, 0),
+         r"^distinguished vector must be a pair, got \[\[list of length 1\]\]$"),
         (lambda: enumerate_witnesses(5, (0, 1), 0),
          "^gram must be a symmetric 2x2 matrix$"),
         (lambda: lagrangian_plane("3", 0),

@@ -107,6 +107,20 @@ def test_benchmark_binds_only_exported_names():
     assert sorted(names - set(wallkit.__all__)) == []
 
 
+def test_benchmark_reads_only_span_lattice_attributes():
+    # The traced replay reads a saturated span's attributes off `span`,
+    # and bench/test_bench.py is not among these tests: an attribute the
+    # span record lost would fail only the traced benchmark run.
+    bench = Path(__file__).resolve().parent.parent / "bench"
+    workloads = ast.parse((bench / "workloads.py").read_text())
+    reads = {node.attr for node in ast.walk(workloads)
+             if isinstance(node, ast.Attribute)
+             and isinstance(node.value, ast.Name) and node.value.id == "span"}
+    assert reads >= {"gram", "v_coords"}
+    assert sorted(name for name in reads
+                  if not hasattr(wallkit.SpanLattice, name)) == []
+
+
 def _uses(tree: ast.Module) -> set[str]:
     """The names a module uses in code: the names it imports, the names it
     calls, and the attributes it reads off a package module it imports

@@ -14,7 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from wallkit import walls
-from wallkit.binforms import canonical_form, xgcd
+from wallkit.binforms import canonical_form
 from wallkit.checks import _oracle, oracle_agrees
 from wallkit.curves import BNParams, curve_class
 from wallkit.model import (
@@ -160,7 +160,8 @@ def test_witness_search_set_up_is_pinned():
     with mock.patch.object(walls, "xgcd", counting("xgcd")), \
             mock.patch.object(walls, "_check_span_signature",
                               counting("_check_span_signature")):
-        witness, _ = walls._least_witness(span, 0)
+        (a, b), (_, c) = span.gram
+        witness, _ = walls._least_witness_of(a, b, c, span.w, 0)
         assert witness is not None
         assert counted == {"xgcd": 1, "_check_span_signature": 0}
         counted.update(xgcd=0)
@@ -168,11 +169,14 @@ def test_witness_search_set_up_is_pinned():
         assert counted == {"xgcd": 1, "_check_span_signature": 1}
 
 
-def test_least_witness_needs_the_normal_basis():
-    span = span_stage(DivisorClass(2, -3), SurfaceContext(0, 2, 2)).span
-    moved = span._replace(gram=span.gram[::-1], v_coords=(1, 0))
-    with pytest.raises(DomainError, match="v as \\(0, 1\\)"):
-        walls._least_witness(moved, 0)
+def test_span_lattice_is_its_gram_and_w():
+    # A span is its normal basis (w, v): v is always (0, 1), a constant of
+    # the class, not a field a caller could move.
+    assert SpanLattice._fields == ("gram", "w")
+    span = saturated_span(DivisorClass(2, -3), SurfaceContext(0, 2, 2))
+    assert span.v_coords == SpanLattice.v_coords == (0, 1)
+    with pytest.raises(ValueError):
+        span._replace(v_coords=(1, 0))
 
 
 def test_witness_walk_rejects_what_it_cannot_search():
@@ -344,6 +348,17 @@ def test_box_witnesses_match_the_reference_loop(span, radius, eps):
             gram, v, eps, r) == full
 
 
+def _euclid(a, b):
+    """(g, x, y) with a*x + b*y = g = gcd(a, b) >= 0: the extended
+    Euclidean algorithm, kept here so the reference walk takes no step
+    from the package."""
+    x0, y0, x1, y1 = 1, 0, 0, 1
+    while b:
+        quot, a, b = a // b, b, a % b
+        x0, y0, x1, y1 = x1, y1, x0 - quot * x1, y0 - quot * y1
+    return (a, x0, y0) if a >= 0 else (-a, -x0, -y0)
+
+
 def _reference_walk(gram, v, epsilon):
     """The sorted witnesses, from an independent frame: every line
     b(s, v) = n, 0 < n < q(v) for case (i) and 0 <= n <= q(v)/2 for case
@@ -366,7 +381,7 @@ def _reference_walk(gram, v, epsilon):
     qv = q(v)
     c = (gram[0][0] * v[0] + gram[0][1] * v[1],
          gram[1][0] * v[0] + gram[1][1] * v[1])
-    d, x0, y0 = xgcd(c[0], c[1])
+    d, x0, y0 = _euclid(c[0], c[1])
     u = (-(c[1] // d), c[0] // d)
     qu = q(u)
     found = []
@@ -477,16 +492,26 @@ def _normal_spans(draw):
 @example((((1, 10001), (10001, 20010)), (0, 1)), 1)
 def test_witness_walk_matches_the_reference_walk(span, eps):
     # The least walk and the x-scan against the reference's t-frame walk
-    # over all lines.  In the basis w = (1, 0, 0), v = (0, 1, 0) the
-    # ambient coordinates of a witness are (x, y, 0).
+    # over all lines.
     gram, v = span
     want = _reference_walk(gram, v, eps)
     assert enumerate_witnesses(gram, v, eps) == want
     (a, b), (_, c) = gram
-    witness, ambient = walls._least_witness_of(a, b, c, (1, 0, 0), (0, 1, 0),
-                                               eps)
+    witness = walls._witness_walk(a, b, c, eps)
     assert witness == (want[0] if want else None)
-    assert ambient == (None if witness is None else (*witness.coords, 0))
+    _assert_ambient_map(a, b, c, eps, witness)
+
+
+def _assert_ambient_map(a, b, c, eps, witness):
+    # `_least_witness_of` maps the walk's witness (x, y) to x*w + y*v in
+    # the ambient model, v = (1, 0, -c/2) the moduli vector.
+    w = (2, -1, 3)
+    got = walls._least_witness_of(a, b, c, w, eps)
+    if witness is None:
+        assert got == (None, None)
+        return
+    x, y = witness.coords
+    assert got == (witness, (2 * x + y, -x, 3 * x - y * (c // 2)))
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=100)
@@ -494,7 +519,7 @@ def test_witness_walk_matches_the_reference_walk(span, eps):
 def test_witness_search_matches_the_reference_walk_at_any_v(span, eps):
     # v need not be (0, 1): the x-scan completes v to a basis itself, and
     # the least walk runs on the gram of a basis (w, v) found here, its
-    # least witness read back through `_least_witness_of`'s basis map.
+    # least witness (x, y) read back as x*w + y*v.
     # Ties in (branch, b, q) may order differently in the two coordinate
     # systems, so the walk's witness need only be one of the least.
     gram, v = span
@@ -503,14 +528,16 @@ def test_witness_search_matches_the_reference_walk_at_any_v(span, eps):
     w = next((x, y) for x in range(-2, 3) for y in range(-2, 3)
              if x * v[1] - y * v[0] == 1)
     b = sum(w[i] * gram[i][j] * v[j] for i in range(2) for j in range(2))
-    witness, ambient = walls._least_witness_of(
-        walls._q_of(gram, w), b, walls._q_of(gram, v), (*w, 0), (*v, 0),
-        eps)
+    a, c = walls._q_of(gram, w), walls._q_of(gram, v)
+    witness = walls._witness_walk(a, b, c, eps)
+    _assert_ambient_map(a, b, c, eps, witness)
     if not want:
-        assert witness is None and ambient is None
+        assert witness is None
         return
-    assert witness[1:] == want[0][1:] and ambient[2] == 0
-    assert Witness(ambient[:2], *witness[1:]) in want
+    x, y = witness.coords
+    assert witness[1:] == want[0][1:]
+    assert Witness((x * w[0] + y * v[0], x * w[1] + y * v[1]),
+                   *witness[1:]) in want
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=100)
@@ -749,21 +776,21 @@ def test_saturated_span_fixed_grams():
     # tie orientation: at b(w, v) = 0 and at 2*b(w, v) = q(v) the basis vector
     # is the candidate with the lexicographically smaller (w[1], w[0])
     span, _ = _span_for(2, 0, 2, 0)
-    assert span.basis[0] == (2, -1, 1)
+    assert span.w == (2, -1, 1)
 
     span, _ = _span_for(3, 0, 2, 0)
-    assert span.basis[0] == (2, -1, 2)
+    assert span.w == (2, -1, 2)
     assert span.gram == ((-4, 0), (0, 2))
 
     ctx = SurfaceContext(0, 5, 2)
     stage = span_stage(DivisorClass(0, 1), ctx)
     assert stage.span == saturated_span(DivisorClass(0, 1), ctx)
-    assert stage.span.basis[0] == (0, 0, -1) and stage.divisor_div == 2
+    assert stage.span.w == (0, 0, -1) and stage.divisor_div == 2
 
     # D = (2, -6) is imprimitive: span{v, D} has index div(D) = 2 in T.
     ctx = SurfaceContext(0, 6, 4)
     span = saturated_span(DivisorClass(2, -6), ctx)
-    assert span.basis[0] == (3, -1, 9)
+    assert span.w == (3, -1, 9)
     assert divisor_divisibility(DivisorClass(2, -6), ctx) == 2
 
 
@@ -782,7 +809,7 @@ def test_saturated_span_invariants():
         assert 0 <= 2 * b <= qv
         assert span.v_coords == (0, 1)
         # the recorded basis really has this Gram matrix in the ambient model
-        w3, v3 = span.basis
+        w3, v3 = span.w, moduli_vector(ctx)
         got = [[mukai_pairing(x, y, ctx.p) for y in (w3, v3)] for x in (w3, v3)]
         assert got == [[qw, b], [b, qv]]
         stage = span_stage(curve_class(params), ctx)
@@ -806,11 +833,11 @@ def _check_saturation(divisor, ctx, box=0):
     (v, d).  With box > 0 every integer point of [-box, box]^3 in span_Q{v, d}
     is also checked to be an integer combination of w and v."""
     span = saturated_span(divisor, ctx)
-    w, v = span.basis
+    w, v = span.w, moduli_vector(ctx)
     # a*L + b*e embeds as (b, a, b*h) with h = k - 1 + 2*epsilon.
     h = ctx.k - 1 + 2 * ctx.epsilon
     d = (int(divisor.e), int(divisor.l), int(divisor.e) * h)
-    assert v == moduli_vector(ctx) and span.v_coords == (0, 1)
+    assert span.v_coords == (0, 1)
     normal = _cross(v, d)
     assert _dot(w, normal) == 0
     wv = _cross(w, v)
@@ -925,10 +952,9 @@ def test_wall_test_fixed_verdicts():
     amb = verdict.witness_ambient
     assert mukai_pairing(amb, amb, 2) == verdict.witness.q
     # Equality and hash are those of the tuple of fields, nested or not.
-    span = SpanLattice(gram=((-2, 1), (1, 2)), v_coords=(0, 1),
-                       basis=((2, -1, 1), (1, 0, -1)))
+    span = SpanLattice(gram=((-2, 1), (1, 2)), w=(2, -1, 1))
     assert verdict.span == span and hash(verdict.span) == hash(
-        (((-2, 1), (1, 2)), (0, 1), ((2, -1, 1), (1, 0, -1))))
+        (((-2, 1), (1, 2)), (2, -1, 1)))
     assert verdict.witness == Witness((-1, 1), -2, 1, "case_ii")
     assert hash(verdict.witness) == hash(((-1, 1), -2, 1, "case_ii"))
     again = wall_test(curve_class(params), params.context())
