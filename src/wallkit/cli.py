@@ -10,7 +10,14 @@ opens `--output` (or uses stdout) and writes the records as JSON lines
 through `model.write_records`.
 
 `main` builds the argument parser, every subcommand with its options, once
-per process and keeps it; each parse gets a fresh namespace.
+per process and keeps it with its subcommands' parsers by name; each parse
+gets a fresh namespace.  A well-formed call is parsed once, by its
+subcommand's parser, and `command` is set as the full parser sets it.  The
+full parser parses only an argv that does not start with a subcommand's
+name (none, `-h`, an unknown or abbreviated command, an option before the
+command) and one with arguments that the subcommand's parser leaves over,
+which it reports with its own usage.  A subcommand's help and errors come
+from the same parser object on either route.
 
 All numeric output is exact: a rational is kept as an integer numerator
 over a known denominator and written as reduced "num/den" text
@@ -346,8 +353,12 @@ _COMMANDS = (
 )
 
 
-def build_parser() -> argparse.ArgumentParser:
-    """The argument parser: every subcommand and its options."""
+@functools.cache
+def _parsers() -> tuple[argparse.ArgumentParser,
+                        dict[str, argparse.ArgumentParser]]:
+    """The argument parser, every subcommand and its options, kept with
+    its subcommands' parsers by name (the `choices` of its subparsers
+    action)."""
     parser = argparse.ArgumentParser(
         prog="wallkit",
         description="Exact wall-divisor decisions on Hilbert schemes of "
@@ -360,15 +371,24 @@ def build_parser() -> argparse.ArgumentParser:
                             else (option, _OPTIONS[option]))
             sub.add_argument(flag, **kwargs)
         sub.set_defaults(func=handler)
-    return parser
-
-
-_parser = functools.cache(build_parser)
+    return parser, subs.choices
 
 
 def main(argv: list[str] | None = None) -> int:
     """Run one subcommand and write its records to --output or stdout."""
-    args = _parser().parse_args(argv)
+    parser, commands = _parsers()
+    if argv is None:
+        argv = sys.argv[1:]
+    sub = commands.get(argv[0]) if argv else None
+    if sub is None:
+        args = parser.parse_args(argv)
+    else:
+        args, rest = sub.parse_known_args(
+            argv[1:], argparse.Namespace(command=argv[0]))
+        if rest:
+            # The full parser reports the arguments left over, with the
+            # top-level usage.
+            args = parser.parse_args(argv)
     try:
         _write_output(args.func(args), args.output)
     except DomainError as exc:

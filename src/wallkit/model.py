@@ -123,6 +123,14 @@ def _require_ints(**values) -> None:
             raise DomainError(f"{name} must be an integer (got {_shown(value)})")
 
 
+def _require_epsilon(epsilon) -> None:
+    """Raise a DomainError unless epsilon is 0 or 1 (an int, by
+    `_require_ints`): the package's one epsilon rule."""
+    _require_ints(epsilon=epsilon)
+    if epsilon not in (0, 1):
+        raise DomainError(f"epsilon must be 0 or 1 (got {_shown(epsilon)})")
+
+
 def _require_bounded(**values) -> None:
     """Raise a DomainError naming the first value that lies outside the
     input domain, and the bound."""
@@ -147,9 +155,8 @@ class SurfaceContext(_ContextFields):
     hash and repr see only the three parameters."""
 
     def __new__(cls, epsilon: int, p: int, k: int) -> SurfaceContext:
-        _require_ints(epsilon=epsilon, k=k, p=p)
-        if epsilon not in (0, 1):
-            raise DomainError(f"epsilon must be 0 or 1 (got {_shown(epsilon)})")
+        _require_epsilon(epsilon)
+        _require_ints(k=k, p=p)
         # k before p: `scan` names a bad k range before a bad p range.
         if k < 2:
             raise DomainError(f"constraint violated: k >= 2 (got k={_shown(k)})")

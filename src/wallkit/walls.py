@@ -27,6 +27,7 @@ from .model import (
     DomainError,
     SurfaceContext,
     Triple,
+    _require_epsilon,
     _require_ints,
     _shown,
     divisor_divisibility,
@@ -240,8 +241,8 @@ def enumerate_witnesses(gram: Gram, v: tuple[int, int],
                         epsilon: int) -> list[Witness]:
     """All witnesses in the rank-2 lattice (complete, exact), sorted by
     `Witness.sort_key`.  A DomainError unless the gram is a symmetric 2x2
-    integer matrix of negative determinant and v a primitive integer pair
-    with q(v) > 0.
+    integer matrix of negative determinant, v a primitive integer pair
+    with q(v) > 0 and epsilon 0 or 1 (`model._require_epsilon`).
 
     The primitive v is completed to a basis (w, v) of Z^2 with
     w[0]*v[1] - w[1]*v[0] = 1 (w = (1, 0) when v = (0, 1)), whose Gram is
@@ -253,6 +254,7 @@ def enumerate_witnesses(gram: Gram, v: tuple[int, int],
     candidate n = B*x mod C for each x: O(1 + q(v)/sqrt(D)) points.
     `witness_stage` reads only the least witness, from `_witness_walk`.
     """
+    _require_epsilon(epsilon)
     qv = _check_span_signature(gram, v)
     _, w0, w1 = xgcd(v[1], -v[0])
     c0, c1 = _pairing_with(gram, v)
@@ -299,7 +301,9 @@ def box_witnesses(gram: Gram, v: tuple[int, int],
                   epsilon: int) -> list[Witness]:
     """Brute-force witness search over the box [-r, r]^2 with
     r = box_radius, which provably contains all witnesses; serves as an
-    independent oracle for enumerate_witnesses."""
+    independent oracle for enumerate_witnesses.  Its input rule is that of
+    `enumerate_witnesses`."""
+    _require_epsilon(epsilon)
     return _box_scan(gram, v, epsilon, box_radius(gram, v))
 
 
@@ -328,7 +332,17 @@ def _box_scan(gram: Gram, v: tuple[int, int], epsilon: int,
 
 def primitive_integral_divisor(divisor: tuple[int, int]) -> DivisorClass:
     """Primitive integral class positively proportional to a*L + b*e, given
-    as a `DivisorClass` or as its integer pair (a, b)."""
+    as a `DivisorClass` or as its integer pair (a, b); a DomainError unless
+    it is a nonzero pair of ints."""
+    # The inline test is the fast path, as in `DivisorClass.__new__`: most
+    # pairs are tuples of two ints.
+    if not (isinstance(divisor, tuple) and len(divisor) == 2
+            and isinstance(divisor[0], int) and isinstance(divisor[1], int)):
+        if not _is_pair(divisor):
+            raise DomainError(
+                f"divisor class must be a pair, got {_shown(divisor)}")
+        x, y = divisor
+        _require_ints(**{"divisor[0]": x, "divisor[1]": y})
     x, y = divisor
     if x == 0 and y == 0:
         raise DomainError("divisor class must be nonzero")

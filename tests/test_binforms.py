@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from collections import Counter
 from math import gcd, isqrt
 
 import pytest
@@ -14,7 +15,6 @@ from wallkit.binforms import (
     DegenerateFormError,
     ReductionBudgetError,
     _canonical,
-    _check_gram,
     _reduce_definite,
     canonical_form,
     class_id,
@@ -256,12 +256,47 @@ def _rho_cycle(a, b, c):
     return cycle
 
 
+def _euclid(a, b):
+    """(g, x, y) with a*x + b*y = g = gcd(a, b) >= 0: the extended
+    Euclidean algorithm, kept here so the reference takes no step from the
+    package."""
+    x0, y0, x1, y1 = 1, 0, 0, 1
+    while b:
+        quot, a, b = a // b, b, a % b
+        x0, y0, x1, y1 = x1, y1, x0 - quot * x1, y0 - quot * y1
+    return (a, x0, y0) if a >= 0 else (-a, -x0, -y0)
+
+
+def _isotropic_residues(a, b, c, sigma):
+    """The residues q(w) mod 2*sigma, sorted, of the two isotropic lines of
+    a x^2 + 2b xy + c y^2 with b^2 - ac = sigma^2 > 0: the line's primitive
+    u is completed to a basis (u, w) by `_euclid`.  Another completion
+    w + t*u, or -u, changes q(w) by a multiple of 2*b(u, w) = +-2*sigma."""
+    lines = (((1, 0), (-c, 2 * b)) if a == 0
+             else ((sigma - b, a), (-sigma - b, a)))
+    residues = []
+    for x, y in lines:
+        g = gcd(x, y)
+        _, s, t = _euclid(x // g, y // g)
+        residues.append((a * t * t - 2 * b * t * s + c * s * s) % (2 * sigma))
+    return sorted(residues)
+
+
 def _reference_canonical_form(g):
-    """canonical_form with the rho cycles of an anisotropic indefinite form
-    and of its middle-sign flip walked one after the other."""
-    a, b, c, det = _check_gram(g)
-    if det > 0 or isqrt(-det) ** 2 == -det:
-        return canonical_form(g)
+    """canonical_form from test-local steps only: the Gauss reduction
+    `_doubled_middle_reduction` of a definite form (negated when negative
+    definite), sigma and `_isotropic_residues` of an isotropic one, and the
+    rho cycles of an anisotropic indefinite form and of its middle-sign
+    flip, walked one after the other."""
+    (a, b), (_, c) = g
+    det = a * c - b * b
+    if det > 0:
+        if a > 0:
+            return ("posdef", *_doubled_middle_reduction(a, 2 * b, c))
+        return ("negdef", *_doubled_middle_reduction(-a, -2 * b, -c))
+    sigma = isqrt(-det)
+    if sigma * sigma == -det:
+        return ("isotropic", sigma, *_isotropic_residues(a, b, c, sigma))
     return ("indef",) + min(min(_rho_cycle(a, 2 * b, c)),
                             min(_rho_cycle(a, -2 * b, c)))
 
@@ -307,7 +342,8 @@ def test_one_cycle_walk_matches_the_two_walk_reference(g):
 
 
 def test_one_cycle_walk_matches_on_every_catalog_state():
-    indefinite = 0
+    # Every regime is checked against the test-local reference.
+    regimes = Counter()
     for epsilon in (0, 1):
         for k in range(2, 31):
             for p in range(2, 2 * k - 1 + 5 * epsilon):
@@ -316,10 +352,12 @@ def test_one_cycle_walk_matches_on_every_catalog_state():
                     try:
                         form = canonical_form(g)
                     except DegenerateFormError:
+                        regimes["degenerate"] += 1
                         continue
                     assert form == _reference_canonical_form(g), g
-                    indefinite += form[0] == "indef"
-    assert indefinite > 2000
+                    regimes[form[0]] += 1
+    assert regimes == {"posdef": 34950, "isotropic": 2157, "indef": 2476,
+                       "degenerate": 89}
 
 
 # Generators of GL2(Z): S, T and the reflection diag(1, -1).
@@ -343,6 +381,14 @@ def _regime_grams(draw):
         b = (r * u + s * t) // 2
         return ((r * t, b), (b, s * u))
     return draw(_anisotropic_grams())
+
+
+@_settings
+@given(_regime_grams())
+@example(((-3, -1), (-1, -2)))  # negative definite
+@example(((0, 3), (3, 5)))      # isotropic with a = 0
+def test_canonical_form_matches_the_reference_in_every_regime(g):
+    assert canonical_form(g) == _reference_canonical_form(g)
 
 
 @_settings

@@ -19,8 +19,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import wallkit
-from wallkit import binforms, checks, model, walls
-from wallkit.cli import _COMMANDS, _parser, main
+from wallkit import binforms, checks, cli, model, walls
+from wallkit.cli import _COMMANDS, _parsers, main
 from wallkit.model import SurfaceContext
 from wallkit.walls import box_radius
 
@@ -799,8 +799,7 @@ def _outcome_digest(capsys, argv) -> str:
     return hashlib.sha256(f"{rc}\0{out}\0{err}".encode()).hexdigest()
 
 
-# Computed with COLUMNS=80 before main declared only the invoked
-# subcommand's options.
+# Computed with COLUMNS=80.
 _ARGPARSE_SHA256 = {
     "no-argv": "fbf5ff4f289bc7917f21684c5a6b60bc59455696c05b2b6eddd01992fadc343a",
     "-h": "5b3d0952c0d8edf9c9bf944f922ac2b7288b9978ce2b8111f57297aee6053470",
@@ -895,13 +894,58 @@ def test_main_reuses_the_kept_parser(capsys, monkeypatch):
 
 
 def test_parser_cache_is_bounded(capsys):
-    _parser.cache_clear()
+    _parsers.cache_clear()
     for i in range(50):
         _outcome_digest(capsys, (f"command-{i}",))
     for name, *_ in _COMMANDS:
         _outcome_digest(capsys, (name, "--bogus"))
-    # One parser, the full tree, for every argv.
-    assert _parser.cache_info().currsize == 1
+    # One kept object, the full parser with its subcommands' parsers by
+    # name, for every argv.
+    assert _parsers.cache_info().currsize == 1
+    assert list(_parsers()[1]) == [name for name, *_ in _COMMANDS]
+
+
+@pytest.fixture
+def recorded(monkeypatch):
+    """The namespaces that the subcommand handlers receive: the parsers
+    are rebuilt with each handler replaced by a recorder that returns no
+    records, and cleared again afterwards."""
+    namespaces = []
+
+    def record(args):
+        namespaces.append(args)
+        return []
+
+    monkeypatch.setattr(cli, "_COMMANDS", tuple(
+        (name, help_text, record, options)
+        for name, help_text, _, options in _COMMANDS))
+    _parsers.cache_clear()
+    yield namespaces
+    _parsers.cache_clear()
+
+
+@pytest.mark.parametrize("name", list(_FULL_OPTIONS))
+def test_a_well_formed_call_is_parsed_once(tmp_path, monkeypatch, recorded,
+                                           name):
+    # The subcommand's parser parses the argv once and the top-level
+    # parser not at all; the handler gets the namespace that the full
+    # parser gives, `command` included.
+    monkeypatch.chdir(tmp_path)
+    argv = [name, *_FULL_OPTIONS[name]]
+    parser = _parsers()[0]
+    parsed = []
+    parse_known_args = argparse.ArgumentParser.parse_known_args
+
+    def spy(self, *args, **kwargs):
+        parsed.append(self.prog)
+        return parse_known_args(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", spy)
+    assert main(argv) == 0
+    assert parsed == [f"wallkit {name}"]
+    (args,) = recorded
+    full = parser.parse_args(argv)
+    assert vars(args) == vars(full) and full.command == name
 
 
 def test_kept_parsers_hold_no_state(capsys, tmp_path, monkeypatch):
@@ -915,7 +959,7 @@ def test_kept_parsers_hold_no_state(capsys, tmp_path, monkeypatch):
         ("scan", "--k", "2", "--p", "2..6", "--check", "all"),
         ("scan", "--epsilon", "2", "--k", "2", "--p", "2", "--check", "all"),
     ]
-    _parser.cache_clear()
+    _parsers.cache_clear()
     cold = [_outcome_digest(capsys, argv) for argv in sequence]
     warm = [_outcome_digest(capsys, argv) for argv in sequence]
     assert warm == cold

@@ -79,6 +79,39 @@ def test_cli_import_loads_no_rational_machinery():
         {"fractions", "decimal", "_decimal", "numbers"}) == "[]\n"
 
 
+_ARGPARSE_INTERNALS = {"_actions", "_subparsers", "_name_parser_map"}
+
+
+def _private_argparse_reads(tree: ast.Module) -> list[str]:
+    """`line:name` of each private argparse name a module reads: an
+    `argparse._*` attribute or import, or a parser's internal tables."""
+    reads = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "argparse":
+            reads += [f"{node.lineno}:{alias.name}" for alias in node.names
+                      if alias.name.startswith("_")]
+        elif isinstance(node, ast.Attribute) and (
+                node.attr in _ARGPARSE_INTERNALS
+                or isinstance(node.value, ast.Name)
+                and node.value.id == "argparse"
+                and node.attr.startswith("_")):
+            reads.append(f"{node.lineno}:{node.attr}")
+    return sorted(reads)
+
+
+def test_cli_reads_no_private_argparse_name():
+    # requires-python is >= 3.10, and argparse's internals differ from one
+    # Python version to the next, so the CLI routes argv with public names
+    # only (a subparsers action's `choices`).
+    tree = ast.parse((SRC / "cli.py").read_text())
+    assert _private_argparse_reads(tree) == []
+    assert _private_argparse_reads(ast.parse(
+        "import argparse\nfrom argparse import _SubParsersAction\n"
+        "argparse._sys\nparser._subparsers._actions\nsub._name_parser_map\n"
+    )) == ["2:_SubParsersAction", "3:_sys", "4:_actions", "4:_subparsers",
+           "5:_name_parser_map"]
+
+
 def _bench_names() -> set[str]:
     """The wallkit names the benchmark binds: the values of `LAYERS` in
     bench/run.py and every `lib.get("...")` in bench/workloads.py."""

@@ -100,22 +100,50 @@ def test_witness_functions_reject_malformed_grams():
 
 # One input rule for the three witness functions: gram entries and v are
 # ints (a bool is one), v is a pair, and v is primitive, which the basis
-# completion (w, v) of `enumerate_witnesses` needs.
+# completion (w, v) of `enumerate_witnesses` needs.  The two searches also
+# take epsilon by the package's one epsilon rule (`SurfaceContext`'s): an
+# int, 0 or 1, so no epsilon is searched as another.  A row whose epsilon
+# is at fault gives (epsilon, message) as its match; the others search
+# with epsilon = 0.  `box_radius` takes no epsilon, so it refuses only the
+# others.
+_EPSILON_GRAM, _EPSILON_V = [[-2, 0], [0, 2]], (0, 1)
 _MALFORMED = (
     ([[2.0, 1], [1, -2]], (1, 0), r"gram\[0\]\[0\] must be an integer"),
     ([[2, 1], [1, -2]], (1.0, 0), r"v\[0\] must be an integer"),
     ([[2, 1], [1, -2]], (1, 0, 0), "must be a pair"),
     ([[2, 1], [1, -2]], (2, 0), "must be primitive"),
+    *(pytest.param(_EPSILON_GRAM, _EPSILON_V, (epsilon, f"^epsilon {rule}$"),
+                   id=f"epsilon={epsilon!r}")
+      for epsilon, rule in ((2, r"must be 0 or 1 \(got 2\)"),
+                            (-1, r"must be 0 or 1 \(got -1\)"),
+                            ("x", r"must be an integer \(got str\)"),
+                            (None, r"must be an integer \(got NoneType\)"),
+                            (0.0, r"must be an integer \(got float\)"))),
 )
 
 
 @pytest.mark.parametrize("gram, v, match", _MALFORMED)
 def test_witness_functions_reject_malformed_inputs(gram, v, match):
+    bad_epsilon = isinstance(match, tuple)
+    epsilon, match = match if bad_epsilon else (0, match)
     for search in (enumerate_witnesses, box_witnesses):
+        with pytest.raises(DomainError, match=match) as info:
+            search(gram, v, epsilon)
+        assert len(str(info.value)) < 200
+    if not bad_epsilon:
         with pytest.raises(DomainError, match=match):
-            search(gram, v, 0)
-    with pytest.raises(DomainError, match=match):
-        box_radius(gram, v)
+            box_radius(gram, v)
+
+
+def test_epsilon_rows_search_a_case_ii_lattice():
+    # The gram and v of the epsilon rows above have the case (ii)
+    # witnesses (+-1, 0) at epsilon = 0 and no witness at epsilon = 1.
+    case_ii = [Witness((-1, 0), -2, 0, "case_ii"),
+               Witness((1, 0), -2, 0, "case_ii")]
+    for search in (enumerate_witnesses, box_witnesses):
+        assert search(_EPSILON_GRAM, _EPSILON_V, 0) == case_ii
+        assert search(_EPSILON_GRAM, _EPSILON_V, 1) == []
+        assert search(_EPSILON_GRAM, _EPSILON_V, True) == []
 
 
 def test_witness_functions_take_bools_as_ints():
@@ -750,6 +778,27 @@ def test_primitive_integral_divisor():
     assert (d.l, d.e) == (-2, 3)  # direction is preserved, not flipped
     with pytest.raises(DomainError):
         primitive_integral_divisor(DivisorClass(0, 0))
+    assert primitive_integral_divisor([4, -6]) == (2, -3)
+
+
+@pytest.mark.parametrize("divisor, message", [
+    ((1.5, 2), "divisor[0] must be an integer (got float)"),
+    (("1", 2), "divisor[0] must be an integer (got str)"),
+    ((1, 2, 3), "divisor class must be a pair, got (1, 2, 3)"),
+    (5, "divisor class must be a pair, got 5"),
+    (list(range(10**5)),
+     "divisor class must be a pair, got list of length 100000"),
+])
+def test_primitive_integral_divisor_rejects_a_malformed_pair(divisor,
+                                                            message):
+    # A DomainError printed through `_shown`, not a TypeError from
+    # math.gcd or from unpacking; saturated_span reaches D through this
+    # function.
+    for call in (lambda: primitive_integral_divisor(divisor),
+                 lambda: saturated_span(divisor, SurfaceContext(0, 2, 2))):
+        with pytest.raises(DomainError) as info:
+            call()
+        assert str(info.value) == message and len(message) < 200
 
 
 def _span_for(p, delta, k, epsilon):
