@@ -27,7 +27,6 @@ from .curves import (
     BNParams,
     SquareReport,
     bn_dims,
-    bn_rho,
     curve_class,
     curve_square,
     exists_pencil,
@@ -40,18 +39,11 @@ from .model import (
     Ratio,
     SurfaceContext,
     divisor_divisibility,
-    exceptional_vector,
-    moduli_dim,
     moduli_vector,
-    mukai_pairing,
-    mukai_square,
-    sheaf_vector,
 )
 from .subvarieties import (
     SubvarietyDescriptor,
-    bundle_bound_holds,
     bundle_locus,
-    chi_value,
     lagrangian_plane,
     nodal_family_loci,
     series_family_loci,
@@ -85,29 +77,22 @@ __all__ = [
     "WallVerdict",
     "Witness",
     "bn_dims",
-    "bn_rho",
     "box_witnesses",
-    "bundle_bound_holds",
     "bundle_locus",
     "canonical_form",
-    "chi_value",
     "class_id",
     "curve_class",
     "curve_square",
     "divisor_divisibility",
     "entry_line",
     "enumerate_witnesses",
-    "exceptional_vector",
     "exists_pencil",
     "exists_pencil_via_rho",
     "export_catalog",
     "generate_catalog",
     "iter_catalog",
     "lagrangian_plane",
-    "moduli_dim",
     "moduli_vector",
-    "mukai_pairing",
-    "mukai_square",
     "nodal_family_loci",
     "primitive_dual_divisor",
     "primitive_integral_divisor",
@@ -115,5 +100,4 @@ __all__ = [
     "saturated_span",
     "seed_lattice",
     "series_family_loci",
-    "sheaf_vector",
 ]

@@ -16,7 +16,7 @@ isometric iff the forms are equivalent under GL2(Z).  Three regimes:
 
 from __future__ import annotations
 
-from collections.abc import Sequence, Sized
+from collections.abc import Sequence
 from math import gcd, isqrt
 
 from .model import DomainError, _require_ints, _shown
@@ -53,8 +53,9 @@ class ReductionBudgetError(DomainError, RuntimeError):
 
 
 def _is_pair(x) -> bool:
-    """Whether x has a len, and it is 2."""
-    return isinstance(x, Sized) and len(x) == 2
+    """Whether x is a tuple or a list of length 2: the package's one pair
+    rule.  A dict, a set, a str or bytes of length 2 is no pair."""
+    return isinstance(x, (tuple, list)) and len(x) == 2
 
 
 def _gram_entries(g: Gram) -> tuple[int, int, int]:

@@ -71,8 +71,8 @@ def iter_catalog(k: int, epsilon: int, p_min: int = 2,
                  delta_max: int | None = None) -> Iterator[CatalogEntry]:
     """All move-reachable entries within the ranges, one per isometry
     class, each yielded as soon as it is built.  The arguments are checked
-    now: k and epsilon by `seed_lattice`; p_min, p_max and delta_max, where
-    given, must be ints in the input domain, as k is; and an empty range
+    now: k and epsilon by `seed_lattice`; p_min, and p_max and delta_max
+    where given, must be ints in the input domain, as k is; and an empty range
     is a DomainError: p runs over [max(p_min, 2), min(p_max, seed p)], and
     delta_max must be at least 0.
 
@@ -94,9 +94,8 @@ def iter_catalog(k: int, epsilon: int, p_min: int = 2,
     """
     _, seed_p, _ = seed_lattice(k, epsilon)
     # Checked before any message below formats them.
-    bounds = {name: value for name, value in (
-        ("p_min", p_min), ("p_max", p_max), ("delta_max", delta_max))
-        if value is not None}
+    bounds = {"p_min": p_min, **{name: value for name, value in (
+        ("p_max", p_max), ("delta_max", delta_max)) if value is not None}}
     _require_ints(**bounds)
     _require_bounded(**bounds)
     p_low = max(p_min, 2)
@@ -197,7 +196,8 @@ def entry_line(entry: CatalogEntry) -> str:
     """The entry's JSON record as one line of text, without the newline:
     epsilon, k, p, delta, the gram's four entries in row order, q(R) as
     reduced "num/den" text, is_wall, the witness's ambient coordinates and
-    the class id (null when absent).  q(R) is det/2h, read off the gram."""
+    the class id (null when absent).  q(R) is det/2h, read off the gram.
+    It takes a `CatalogEntry`."""
     epsilon, k, p, delta, ((a, b), (b2, c)), witness, class_id = entry
     num = a * c - b * b
     g = gcd(num, c)
@@ -209,5 +209,6 @@ def entry_line(entry: CatalogEntry) -> str:
 
 
 def export_catalog(entries: Iterable[CatalogEntry], stream: IO[str]) -> int:
-    """Write each entry's `entry_line` to the stream; return the count."""
+    """Write each entry's `entry_line` to the stream; return the count.  It
+    takes an iterable of `CatalogEntry` records and a text stream."""
     return write_records(map(entry_line, entries), stream)

@@ -1,13 +1,13 @@
 """Command-line front end: single queries, catalog export, and grid scans.
 
 Every subcommand has one handler that checks its arguments and returns its
-records (`scan` returns a generator, so its records stream).  The point
-subcommands return dicts, which `model.write_records` JSON-encodes; `catalog`
-and `scan` return their records already rendered as JSON text, one
-`catalog.entry_line` per entry and one `_scan_records` line per point, so
-they build no dict and run no JSON encoder.  `main` owns the output: it alone
-opens `--output` (or uses stdout) and writes the records as JSON lines
-through `model.write_records`.
+records (`scan` and `coisotropic --family` return generators, so their
+records stream).  The point subcommands return dicts, which
+`model.write_records` JSON-encodes; `catalog` and `scan` return their
+records already rendered as JSON text, one `catalog.entry_line` per entry
+and one `_scan_records` line per point, so they build no dict and run no
+JSON encoder.  `main` owns the output: it alone opens `--output` (or uses
+stdout) and writes the records as JSON lines through `model.write_records`.
 
 `main` builds the argument parser, every subcommand with its options, once
 per process and keeps it with its subcommands' parsers by name; each parse
@@ -196,7 +196,7 @@ def _cmd_catalog(args) -> Iterable[str]:
     return map(catalog_mod.entry_line, entries)
 
 
-def _cmd_coisotropic(args) -> list[dict]:
+def _cmd_coisotropic(args) -> Iterable[dict]:
     if args.family is None and args.delta is None:
         raise DomainError("coisotropic needs either --delta or --family")
     if args.family is not None and args.delta is not None:
@@ -210,13 +210,14 @@ def _cmd_coisotropic(args) -> list[dict]:
             "bound_satisfied": desc is not None,
             "descriptor": _descriptor_json(desc) if desc else None,
         }]
+    # The family's arguments are checked here; its records follow lazily.
     if args.family == "nodal":
-        return [{"r": r, "delta": delta, "descriptor": _descriptor_json(desc)}
+        return ({"r": r, "delta": delta, "descriptor": _descriptor_json(desc)}
                 for r, delta, desc in sub_mod.nodal_family_loci(
-                    args.p, args.k, args.epsilon)]
-    return [{"r": r, "k_prime": k_prime, "descriptor": _descriptor_json(desc)}
+                    args.p, args.k, args.epsilon))
+    return ({"r": r, "k_prime": k_prime, "descriptor": _descriptor_json(desc)}
             for r, k_prime, desc in sub_mod.series_family_loci(
-                args.p, args.k, args.epsilon)]
+                args.p, args.k, args.epsilon))
 
 
 def _cmd_lagrangian(args) -> list[dict]:

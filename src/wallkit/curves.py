@@ -106,7 +106,8 @@ def _minimal_point(params: BNParams) -> bool:
 
 def exists_pencil(params: BNParams) -> bool:
     """Existence of delta-nodal curves whose normalizations carry a pencil
-    of degree k + epsilon: delta >= alpha*(p - delta - epsilon - (alpha+1)*half_div)."""
+    of degree k + epsilon: delta >= alpha*(p - delta - epsilon - (alpha+1)*half_div).
+    It takes a `BNParams`."""
     a = params.alpha
     return params.delta >= a * (params.p - params.delta - params.epsilon
                                 - (a + 1) * params.half_div)
@@ -115,7 +116,7 @@ def exists_pencil(params: BNParams) -> bool:
 def exists_pencil_via_rho(params: BNParams) -> bool:
     """Same decision through the Brill-Noether inequality
     f(l) = rho(p, l, (k+epsilon)*l + delta) + epsilon*l*(l+2) >= 0 for all
-    integers l >= 0.
+    integers l >= 0.  It takes a `BNParams`.
 
     With g = p - delta and h = k - 1 + 2*epsilon, expanding `bn_rho` gives
     f(l) = h*l^2 + (h + epsilon - g)*l + (p - g), a convex quadratic
@@ -133,7 +134,8 @@ def exists_pencil_via_rho(params: BNParams) -> bool:
 
 
 def bn_dims(params: BNParams) -> tuple[int, int]:
-    """(dimension of the nodal locus, dimension of the pencil variety)."""
+    """(dimension of the nodal locus, dimension of the pencil variety).  It
+    takes a `BNParams`, and raises a DomainError where no pencil exists."""
     if not exists_pencil(params):
         raise DomainError(
             f"no pencil exists for (p, delta, k, epsilon)="
@@ -144,7 +146,8 @@ def bn_dims(params: BNParams) -> tuple[int, int]:
 
 
 def curve_class(params: BNParams) -> CurveClass:
-    """Class L - (p - delta + k - 1 + epsilon) * r of the rational curves."""
+    """Class L - (p - delta + k - 1 + epsilon) * r of the rational curves;
+    it takes a `BNParams`."""
     return CurveClass(1, -(params.g + params.k - 1 + params.epsilon))
 
 
@@ -160,7 +163,7 @@ class SquareReport(NamedTuple):
 def curve_square(params: BNParams) -> SquareReport:
     """Exact square of curve_class(params) in its two equivalent forms,
     each computed by its own formula (`_square` and `_rewritten`), both
-    over 2*half_div."""
+    over 2*half_div.  It takes a `BNParams`."""
     value = _square(params.p, params.delta, params.k, params.epsilon)
     return SquareReport(value, Ratio(_rewritten(params), value.denominator),
                         _minimal_point(params), params.alpha, params.beta,

@@ -223,7 +223,8 @@ def mukai_square(x: Triple, p: int) -> int:
 
 
 def moduli_vector(ctx: SurfaceContext) -> Triple:
-    """The vector v cutting out H^2 of the moduli space; q(v) = ek_div."""
+    """The vector v cutting out H^2 of the moduli space; q(v) = ek_div.  It
+    takes a `SurfaceContext`."""
     return (1, 0, 1 - 2 * ctx.epsilon - ctx.k)
 
 
@@ -233,7 +234,8 @@ def exceptional_vector(ctx: SurfaceContext) -> Triple:
 
 
 def divisor_divisibility(d: DivisorClass, ctx: SurfaceContext) -> int:
-    """div(D) in the full integral H^2 of the manifold.
+    """div(D) in the full integral H^2 of the manifold; it takes a
+    `DivisorClass` and a `SurfaceContext`.
 
     The surface lattice is unimodular and L is primitive there, so the
     pairing ideal of a*L + b*e is generated by gcd(a, ek_div * b).

@@ -10,7 +10,7 @@ constructed.
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 from .catalog import seed_lattice
 from .curves import BNParams, curve_class
@@ -89,16 +89,22 @@ def _ceil_div(a: int, b: int) -> int:
     return -((-a) // b)
 
 
-def nodal_family_loci(p: int, k: int,
-                      epsilon: int) -> list[tuple[int, int, SubvarietyDescriptor]]:
+def nodal_family_loci(p: int, k: int, epsilon: int
+                      ) -> Iterator[tuple[int, int, SubvarietyDescriptor]]:
     """All (r, delta) supporting a codimension-r subvariety covered by nodal
-    curves pushed forward from a smaller Hilbert scheme; lines have class
-    L - [2(p-2*delta-2*epsilon)-r+1]*r_k."""
-    SurfaceContext(epsilon, p, k)  # validates every argument
+    curves pushed forward from a smaller Hilbert scheme, each yielded with
+    its descriptor as soon as it is built, by r and then delta ascending;
+    lines have class L - [2(p-2*delta-2*epsilon)-r+1]*r_k.  The arguments
+    are checked now, by `SurfaceContext`; the loci follow lazily."""
+    SurfaceContext(epsilon, p, k)
+    return _nodal_loci(p, k, epsilon)
+
+
+def _nodal_loci(p: int, k: int, epsilon: int
+                ) -> Iterator[tuple[int, int, SubvarietyDescriptor]]:
     m = p - 5 * epsilon
     # r <= min{2k-5-m/2, m/2+1}, resolved by exact halving
     r_top = min(2 * k - 5 - _ceil_div(m, 2), m // 2 + 1)
-    out = []
     for r in range(1, r_top + 1):
         if epsilon == 1 and r == 1 and p < 9:
             continue
@@ -110,32 +116,35 @@ def nodal_family_loci(p: int, k: int,
         d_hi = (m + 2 - 2 * r) // 4
         for delta in range(d_lo, d_hi + 1):
             coeff = 2 * (p - 2 * delta - 2 * epsilon) - r + 1
-            desc = SubvarietyDescriptor(
+            yield r, delta, SubvarietyDescriptor(
                 source="severi_family", codim=r,
                 line_class=CurveClass(1, -coeff),
                 p=p, k=k, epsilon=epsilon, delta=delta,
                 k_prime=m - 3 * delta + 2 - r)
-            out.append((r, delta, desc))
-    return out
 
 
-def series_family_loci(p: int, k: int,
-                       epsilon: int) -> list[tuple[int, int, SubvarietyDescriptor]]:
+def series_family_loci(p: int, k: int, epsilon: int
+                       ) -> Iterator[tuple[int, int, SubvarietyDescriptor]]:
     """All (r, k') supporting a codimension-r subvariety from relative
-    symmetric products; lines have class L - [2(k'+epsilon)-r-1]*r_k and the
-    rational quotient of the subvariety is the base, of dimension 2(k-r)."""
-    SurfaceContext(epsilon, p, k)  # validates every argument
-    out = []
+    symmetric products, each yielded with its descriptor as soon as it is
+    built, by r and then k' ascending; lines have class
+    L - [2(k'+epsilon)-r-1]*r_k and the rational quotient of the
+    subvariety is the base, of dimension 2(k-r).  The arguments are
+    checked now, by `SurfaceContext`; the loci follow lazily."""
+    SurfaceContext(epsilon, p, k)
+    return _series_loci(p, k, epsilon)
+
+
+def _series_loci(p: int, k: int, epsilon: int
+                 ) -> Iterator[tuple[int, int, SubvarietyDescriptor]]:
     for r in range(1, k - epsilon + 1):
         for k_prime in range(r + epsilon, min(k, p + r - epsilon) + 1):
             coeff = 2 * (k_prime + epsilon) - r - 1
-            desc = SubvarietyDescriptor(
+            yield r, k_prime, SubvarietyDescriptor(
                 source="sym_prod", codim=r,
                 line_class=CurveClass(1, -coeff),
                 p=p, k=k, epsilon=epsilon,
                 delta=p - (k_prime - r + epsilon), k_prime=k_prime)
-            out.append((r, k_prime, desc))
-    return out
 
 
 def lagrangian_plane(k: int, epsilon: int) -> tuple[int, int, SubvarietyDescriptor]:

@@ -87,16 +87,20 @@ def primitive_dual_divisor(curve: CurveClass,
     to the curve.  The curve l*L + r*r_k is the integral divisor
     div(e)*l*L + r*e over div(e), so D is `primitive_integral_divisor` of
     that divisor's pair (div(e)*l, r), which builds no class for it: the
-    divisor and div(D) of `span_stage` on the curve."""
+    divisor and div(D) of `span_stage` on the curve.  It takes a
+    `CurveClass` and a `SurfaceContext`."""
     divisor = primitive_integral_divisor((ctx.ek_div * curve.l, curve.r))
     return divisor, divisor_divisibility(divisor, ctx)
 
 
-def saturated_span(divisor: DivisorClass, ctx: SurfaceContext) -> SpanLattice:
+def saturated_span(divisor: DivisorClass | tuple[int, int],
+                   ctx: SurfaceContext) -> SpanLattice:
     """Saturation T of span{v, D} with D embedded in the rank-3 model: the
     span of `span_stage`, which first replaces D by the primitive integral
     class on its ray, so every positive integral multiple of D gives the
-    same T.  A DomainError when q(D) >= 0.
+    same T.  It takes a `SurfaceContext`, and D as
+    `primitive_integral_divisor` takes it: a `DivisorClass` or its pair of
+    ints.  A DomainError when q(D) >= 0.
 
     The result is presented in a basis (w, v) with 0 <= b(w, v) <= q(v)/2,
     which pins the Gram matrix [[q(w), b], [b, q(v)]] uniquely; `span_stage`

@@ -48,16 +48,13 @@ from wallkit import (
     BNParams,
     DomainError,
     SurfaceContext,
-    bundle_bound_holds,
     bundle_locus,
-    chi_value,
     class_id,
     curve_class,
     curve_square,
     exists_pencil,
     generate_catalog,
     lagrangian_plane,
-    moduli_dim,
     nodal_family_loci,
     primitive_dual_divisor,
     rank2_isometric,
@@ -66,6 +63,8 @@ from wallkit import (
 )
 from wallkit.checks import CHECKS, Point, Row
 from wallkit.catalog import state_gram, state_vector
+from wallkit.model import moduli_dim
+from wallkit.subvarieties import bundle_bound_holds, chi_value
 from wallkit.walls import _normal_basis, box_witnesses, span_stage
 
 EPS_RANGE = (0, 1)

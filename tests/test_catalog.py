@@ -447,7 +447,8 @@ def test_generate_catalog_returns_a_list():
     ((4, 0), {"p_max": -5}), ((4, 0), {"p_min": 0, "p_max": 1}),
     ((4, 0), {"delta_max": -1}), ((4, 0), {"p_min": 5, "p_max": 3}),
     ((4, 0), {"p_min": 10**5000}), ((4, 0), {"p_max": -10**5000}),
-    ((4, 0), {"delta_max": -10**5000}), ((4, 0), {"p_max": 3.5})])
+    ((4, 0), {"delta_max": -10**5000}), ((4, 0), {"p_max": 3.5}),
+    ((4, 0), {"p_min": None})])
 def test_bad_arguments_raise_before_the_first_entry(args, kwargs):
     # iter_catalog checks its arguments when called, not when the first
     # entry is asked for, so the CLI exits 2 before it opens --output.  A

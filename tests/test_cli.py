@@ -19,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import wallkit
-from wallkit import binforms, checks, cli, model, walls
+from wallkit import binforms, checks, cli, model, subvarieties, walls
 from wallkit.cli import _COMMANDS, _parsers, main
 from wallkit.model import SurfaceContext
 from wallkit.walls import box_radius
@@ -155,7 +155,43 @@ def test_coisotropic_bundle_record(capsys):
     assert rec["found"] is False and rec["descriptor"] is None
 
 
-def test_coisotropic_family_streams(capsys):
+class _Stop(BaseException):
+    """Raised through `main`, which turns an `Exception` into exit 1."""
+
+
+def test_coisotropic_family_streams(monkeypatch):
+    # Each family record is written as it is built: the first line of a
+    # family with billions of loci follows one descriptor, at any k.  A
+    # writer stops at the first line, and a descriptor count stops the call
+    # past 100, so a family built in full fails at once.
+    built, lines = [], []
+    descriptor = subvarieties.SubvarietyDescriptor
+
+    def counting(*args, **kwargs):
+        built.append(kwargs)
+        if len(built) > 100:
+            raise _Stop
+        return descriptor(*args, **kwargs)
+
+    class FirstLine:
+        def write(self, text):
+            lines.append((len(built), json.loads(text)))
+            raise _Stop
+
+    monkeypatch.setattr(subvarieties, "SubvarietyDescriptor", counting)
+    monkeypatch.setattr(sys, "stdout", FirstLine())
+    for family in ("nodal", "series"):
+        built.clear()
+        with pytest.raises(_Stop):
+            main(["coisotropic", "--epsilon", "0", "--k", "100000",
+                  "--p", "200000", "--family", family])
+    assert [(n, record["r"], record["descriptor"]["source"],
+             record.get("delta"), record.get("k_prime"))
+            for n, record in lines] == [
+        (1, 1, "severi_family", 33334, None), (1, 1, "sym_prod", None, 1)]
+
+
+def test_coisotropic_family_records(capsys, tmp_path):
     rc, out, _ = _run(capsys, "coisotropic", "--epsilon", "0", "--k", "8",
                       "--p", "14", "--family", "nodal")
     assert rc == 0
@@ -177,6 +213,14 @@ def test_coisotropic_family_streams(capsys):
                         "--p", "8", "--delta", "1", "--family", "nodal")
     assert (rc, out) == (2, "")
     assert err == "error: coisotropic takes --delta or --family, not both\n"
+    # A family's arguments are checked before --output is opened.
+    target = tmp_path / "family.jsonl"
+    for family in ("nodal", "series"):
+        rc, out, err = _run(capsys, "coisotropic", "--epsilon", "0", "--k",
+                            "1", "--p", "4", "--family", family,
+                            "--output", str(target))
+        assert (rc, out) == (2, "") and "k >= 2" in err
+        assert not target.exists()
 
 
 def test_lagrangian_record(capsys):

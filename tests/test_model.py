@@ -10,7 +10,7 @@ from fractions import Fraction
 import pytest
 
 from wallkit import walls
-from wallkit.binforms import canonical_form
+from wallkit.binforms import canonical_form, class_id
 from wallkit.catalog import seed_lattice
 from wallkit.curves import BNParams, _square
 from wallkit.model import (
@@ -369,6 +369,7 @@ def test_domain_errors_print_long_ints_by_bit_length():
         (lambda: lagrangian_plane("3", 0),
          r"^k must be an integer \(got str\)$"),
         (lambda: canonical_form([[1, 1], [1, 1]]), "^Gram matrix is degenerate$"),
+        (lambda: class_id({0, 1}), "^gram must be a symmetric 2x2 matrix$"),
     )
     for call, match in calls:
         with pytest.raises(DomainError, match=match) as info:

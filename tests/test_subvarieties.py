@@ -114,7 +114,7 @@ def _nodal_pairs_oracle(p, k, eps):
 
 
 def test_nodal_family_fixed_example():
-    loci = nodal_family_loci(14, 8, 0)
+    loci = list(nodal_family_loci(14, 8, 0))
     pairs = {(r, d) for r, d, _ in loci}
     assert pairs == {(1, 3), (2, 2), (2, 3), (3, 2), (4, 2)}
     top = [(r, d, desc) for r, d, desc in loci if r == 4]
@@ -128,8 +128,8 @@ def test_nodal_family_fixed_example():
 
 
 def test_nodal_family_empty_cases():
-    assert nodal_family_loci(2, 2, 0) == []
-    assert nodal_family_loci(2, 3, 0) == []
+    assert list(nodal_family_loci(2, 2, 0)) == []
+    assert list(nodal_family_loci(2, 3, 0)) == []
 
 
 def test_nodal_family_matches_oracle():
@@ -171,7 +171,7 @@ def test_series_family_ranges():
     for eps in (0, 1):
         for k in range(2, 8):
             for p in range(2, 20):
-                loci = series_family_loci(p, k, eps)
+                loci = list(series_family_loci(p, k, eps))
                 expected = 0
                 for r in range(1, k - eps + 1):
                     hi = min(k, p + r - eps)

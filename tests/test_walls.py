@@ -112,6 +112,13 @@ _MALFORMED = (
     ([[2, 1], [1, -2]], (1.0, 0), r"v\[0\] must be an integer"),
     ([[2, 1], [1, -2]], (1, 0, 0), "must be a pair"),
     ([[2, 1], [1, -2]], (2, 0), "must be primitive"),
+    # A dict, a set, a str or bytes of length 2 is no pair.
+    ([[2, 1], [1, -2]], {0, 1},
+     "^distinguished vector must be a pair, got set$"),
+    ([[2, 1], [1, -2]], {0: "a", 1: "b"}, "must be a pair, got dict$"),
+    ([[2, 1], [1, -2]], "01", "must be a pair, got str$"),
+    ({0: (1, 2), 1: (2, 3)}, (0, 1), "^gram must be a symmetric 2x2 matrix$"),
+    ([b"\x02\x01", b"\x01\x02"], (0, 1), "symmetric 2x2"),
     *(pytest.param(_EPSILON_GRAM, _EPSILON_V, (epsilon, f"^epsilon {rule}$"),
                    id=f"epsilon={epsilon!r}")
       for epsilon, rule in ((2, r"must be 0 or 1 \(got 2\)"),
@@ -788,6 +795,11 @@ def test_primitive_integral_divisor():
     (5, "divisor class must be a pair, got 5"),
     (list(range(10**5)),
      "divisor class must be a pair, got list of length 100000"),
+    ({3: 1, 4: 2}, "divisor class must be a pair, got dict"),
+    ({1: "x", -5: "y"}, "divisor class must be a pair, got dict"),
+    ({1, -5}, "divisor class must be a pair, got set"),
+    ("15", "divisor class must be a pair, got str"),
+    (b"\x01\x05", "divisor class must be a pair, got bytes"),
 ])
 def test_primitive_integral_divisor_rejects_a_malformed_pair(divisor,
                                                             message):
