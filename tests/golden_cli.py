@@ -38,18 +38,19 @@ CORPUS = ROOT / "tests" / "golden_cli.jsonl"
 # calls run in.
 OUTPUT = "out.json"
 
-_POINT = ("--epsilon", "0", "--k", "2", "--p", "2", "--delta", "0")
-# A full option set of each subcommand, in usage order.
-_FULL_OPTIONS = {
-    "wall-test": (*_POINT, "--output", OUTPUT, "--oracle"),
-    "class": (*_POINT, "--output", OUTPUT),
-    "exists": (*_POINT, "--output", OUTPUT),
-    "square": (*_POINT, "--output", OUTPUT),
+POINT = ("--epsilon", "0", "--k", "2", "--p", "2", "--delta", "0")
+# A full option set of each subcommand, in usage order (tests/test_cli.py
+# pins the argument parser's routes on these too).
+FULL_OPTIONS = {
+    "wall-test": (*POINT, "--output", OUTPUT, "--oracle"),
+    "class": (*POINT, "--output", OUTPUT),
+    "exists": (*POINT, "--output", OUTPUT),
+    "square": (*POINT, "--output", OUTPUT),
     "catalog": ("--epsilon", "0", "--k", "2", "--p-min", "2", "--p-max", "6",
                 "--delta-max", "2", "--output", OUTPUT),
-    "coisotropic": (*_POINT, "--family", "nodal", "--output", OUTPUT),
+    "coisotropic": (*POINT, "--family", "nodal", "--output", OUTPUT),
     "lagrangian": ("--epsilon", "0", "--k", "2", "--output", OUTPUT),
-    "scan": ("--epsilon", "0..1", *_POINT[2:], "--check", "all",
+    "scan": ("--epsilon", "0..1", *POINT[2:], "--check", "all",
              "--output", OUTPUT),
 }
 _CHECKS = ("wall-square", "exists-routes", "square-forms", "dual-lattice",
@@ -69,32 +70,32 @@ def _argvs():
     """The corpus's argvs other than the benchmark's, in corpus order."""
     # Every subcommand with every option it takes, then the argument
     # parser's own routes: help, usage, a call parsed by the full parser.
-    for name, options in _FULL_OPTIONS.items():
+    for name, options in FULL_OPTIONS.items():
         yield (name, *options)
     yield ()
     yield ("-h",)
     yield ("--help",)
-    for name, options in _FULL_OPTIONS.items():
+    for name, options in FULL_OPTIONS.items():
         yield (name, "--help")
         yield (name,)
         yield (name, "stray")
         yield (name, *options, "--bogus")
         yield (name, *options[:2], "-h")
     yield ("frobnicate",)
-    yield ("wall", *_POINT)
-    yield ("sqaure", *_POINT)
-    yield (" square", *_POINT)
+    yield ("wall", *POINT)
+    yield ("sqaure", *POINT)
+    yield (" square", *POINT)
     yield ("--k", "2", "scan")
-    yield ("--", "square", *_POINT)
-    yield ("square", "--", *_POINT)
-    yield ("square", *_POINT, "--")
-    yield ("square", *_POINT, "-")
+    yield ("--", "square", *POINT)
+    yield ("square", "--", *POINT)
+    yield ("square", *POINT, "--")
+    yield ("square", *POINT, "-")
     yield ("square", "--epsilon=0", "--k=2", "--p=2", "--delta=0")
-    yield ("square", *_POINT, "--epsilon", "1")
-    yield ("wall-test", *_POINT, "--ora")
-    yield ("square", "--epsilon", "3", *_POINT[2:])
+    yield ("square", *POINT, "--epsilon", "1")
+    yield ("wall-test", *POINT, "--ora")
+    yield ("square", "--epsilon", "3", *POINT[2:])
     yield ("class", "--epsilon", "0", "--k", "two", "--p", "2", "--delta", "0")
-    yield ("coisotropic", *_POINT[:6], "--family", "cusp")
+    yield ("coisotropic", *POINT[:6], "--family", "cusp")
     # The point subcommands on walls and non-walls of both surface types,
     # out to a box beyond the oracle's limit.
     for command in ("wall-test", "class", "exists", "square", "coisotropic"):
@@ -104,7 +105,7 @@ def _argvs():
         for epsilon, k, p in ((0, 2, 2), (0, 8, 14), (1, 3, 2), (1, 6, 30)):
             yield ("coisotropic", "--epsilon", str(epsilon), "--k", str(k),
                    "--p", str(p), "--family", family)
-        yield ("coisotropic", *_POINT[:6], "--family", family,
+        yield ("coisotropic", *POINT[:6], "--family", family,
                "--output", OUTPUT)
     for epsilon in ("0", "1"):
         for k in ("2", "3", "9"):
@@ -130,8 +131,8 @@ def _argvs():
     yield ("catalog", "--epsilon", "0", "--k", "3", "--p-min", "100")
     yield ("catalog", "--epsilon", "1", "--k", "3", "--p-max", "1")
     yield ("catalog", "--epsilon", "0", "--k", "3", "--delta-max", "-1")
-    yield ("coisotropic", *_POINT[:6])
-    yield ("coisotropic", *_POINT, "--family", "series")
+    yield ("coisotropic", *POINT[:6])
+    yield ("coisotropic", *POINT, "--family", "series")
     yield ("coisotropic", "--epsilon", "0", "--k", "2", "--p", "1",
            "--family", "nodal")
     for flag in ("--epsilon", "--k", "--p", "--delta"):
@@ -143,8 +144,8 @@ def _argvs():
     yield ("scan", "--epsilon", "0..2", "--k", "2", "--p", "2",
            "--check", "all")
     yield ("scan", "--k", "2", "--p", "2", "--check", "nope")
-    yield ("square", *_POINT, "--output", "absent/" + OUTPUT)
-    yield ("square", *_POINT, "--output", ".")
+    yield ("square", *POINT, "--output", "absent/" + OUTPUT)
+    yield ("square", *POINT, "--output", ".")
 
 
 def benchmark_ops() -> dict[str, list[tuple[str, ...]]]:

@@ -24,6 +24,9 @@ from wallkit.cli import _COMMANDS, _parsers, main
 from wallkit.model import SurfaceContext
 from wallkit.walls import box_radius
 
+from golden_cli import FULL_OPTIONS as _FULL_OPTIONS
+from golden_cli import POINT as _POINT
+
 
 def _run(capsys, *argv):
     rc = main(list(argv))
@@ -794,21 +797,7 @@ def test_readme_lists_every_subcommand():
                       "coisotropic", "lagrangian", "scan"}
 
 
-_POINT = ("--epsilon", "0", "--k", "2", "--p", "2", "--delta", "0")
 _SQUARE_ARGV = ("square", *_POINT)
-# A full option set of each subcommand, in usage order.
-_FULL_OPTIONS = {
-    "wall-test": (*_POINT, "--output", "out.json", "--oracle"),
-    "class": (*_POINT, "--output", "out.json"),
-    "exists": (*_POINT, "--output", "out.json"),
-    "square": (*_POINT, "--output", "out.json"),
-    "catalog": ("--epsilon", "0", "--k", "2", "--p-min", "2", "--p-max", "6",
-                "--delta-max", "2", "--output", "out.json"),
-    "coisotropic": (*_POINT, "--family", "nodal", "--output", "out.json"),
-    "lagrangian": ("--epsilon", "0", "--k", "2", "--output", "out.json"),
-    "scan": ("--epsilon", "0..1", *_POINT[2:], "--check", "all",
-             "--output", "out.json"),
-}
 
 # Help, usage and error paths of the argument parser.
 _ARGPARSE_CASES = {

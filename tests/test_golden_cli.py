@@ -4,22 +4,12 @@ exit code and the bytes it records.  tests/golden_cli.py writes it."""
 from __future__ import annotations
 
 import hashlib
-import importlib.util
 import json
-from pathlib import Path
 
 import pytest
 
+import golden_cli as golden
 
-def _generator():
-    spec = importlib.util.spec_from_file_location(
-        "golden_cli", Path(__file__).resolve().parent / "golden_cli.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-golden = _generator()
 _CORPUS = [json.loads(line) for line in
            golden.CORPUS.read_text(encoding="utf-8").splitlines()]
 
