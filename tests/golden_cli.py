@@ -199,13 +199,15 @@ def write_corpus() -> int:
     lines = []
     with tempfile.TemporaryDirectory() as directory:
         os.chdir(directory)
-        for workload, argv in corpus_lines():
-            fields, _ = outcome(argv)
-            line = {"argv": list(argv), **fields}
-            if workload is not None:
-                line["workload"] = workload
-            lines.append(json.dumps(line) + "\n")
-        os.chdir(ROOT)
+        try:
+            for workload, argv in corpus_lines():
+                fields, _ = outcome(argv)
+                line = {"argv": list(argv), **fields}
+                if workload is not None:
+                    line["workload"] = workload
+                lines.append(json.dumps(line) + "\n")
+        finally:
+            os.chdir(ROOT)
     CORPUS.write_text("".join(lines), encoding="utf-8")
     print(f"{len(lines)} calls written to {CORPUS.relative_to(ROOT)}")
     return 0
