@@ -66,8 +66,24 @@ def _points(command: str, *extra: str):
                "--p", str(p), "--delta", str(delta), *extra)
 
 
+def point_argvs(command: str, *extra: str):
+    """Every call of a point subcommand over the small box: epsilon in
+    {0, 1}, 2 <= k <= 4, 2 <= p <= 12 and 0 <= delta <= p - 2*epsilon."""
+    for epsilon in (0, 1):
+        for k in (2, 3, 4):
+            for p in range(2, 13):
+                for delta in range(p - 2 * epsilon + 1):
+                    yield (command, "--epsilon", str(epsilon), "--k", str(k),
+                           "--p", str(p), "--delta", str(delta), *extra)
+
+
 def _argvs():
-    """The corpus's argvs other than the benchmark's, in corpus order."""
+    """The corpus's argvs other than the benchmark's, in corpus order, each
+    once."""
+    return dict.fromkeys(_calls())
+
+
+def _calls():
     # Every subcommand with every option it takes, then the argument
     # parser's own routes: help, usage, a call parsed by the full parser.
     for name, options in FULL_OPTIONS.items():
@@ -146,6 +162,27 @@ def _argvs():
     yield ("scan", "--k", "2", "--p", "2", "--check", "nope")
     yield ("square", *POINT, "--output", "absent/" + OUTPUT)
     yield ("square", *POINT, "--output", ".")
+    # Each point subcommand, each family and `lagrangian` over the small box
+    # (the calls above that lie in it are not listed again).
+    for command in ("wall-test", "class", "exists", "square", "coisotropic"):
+        yield from point_argvs(command)
+    yield from point_argvs("wall-test", "--oracle")
+    for family in ("nodal", "series"):
+        for epsilon in (0, 1):
+            for k in (2, 3, 4):
+                for p in range(2, 13):
+                    yield ("coisotropic", "--epsilon", str(epsilon),
+                           "--k", str(k), "--p", str(p), "--family", family)
+    for epsilon in ("0", "1"):
+        for k in ("2", "3", "4"):
+            yield ("lagrangian", "--epsilon", epsilon, "--k", k)
+    # A scan of every check over many rows, a dual-lattice scan at k = 3000
+    # (the q(v) = 5998 lines of each span are never walked) and a command
+    # abbreviated before its options are complete.
+    yield ("scan", "--k", "2..4", "--p", "2..20", "--check", "all")
+    yield ("scan", "--epsilon", "0", "--k", "3000", "--p", "6100..6101",
+           "--delta", "0..200", "--check", "dual-lattice")
+    yield ("wall", "--epsilon", "0", "--k", "2")
 
 
 def benchmark_ops() -> dict[str, list[tuple[str, ...]]]:
