@@ -7,7 +7,9 @@ none).  A line whose argv is one of the benchmark's operations also names
 its workload.  tests/test_golden_cli.py runs every argv and compares, so a
 change that moves a byte of the CLI's output fails there; a change that
 names a byte change rewrites the corpus, and the diff lists exactly the
-argvs that moved.
+argvs that moved.  It is the one place that pins the CLI's bytes: a test
+that checks the bytes of a call inside another assertion reads the
+corpus's record of it (`recorded`).
 
 Run it from the repository root:
 
@@ -21,6 +23,7 @@ pytest does not collect it (the name does not start with "test_").
 from __future__ import annotations
 
 import contextlib
+import functools
 import hashlib
 import importlib.util
 import io
@@ -40,7 +43,7 @@ OUTPUT = "out.json"
 
 POINT = ("--epsilon", "0", "--k", "2", "--p", "2", "--delta", "0")
 # A full option set of each subcommand, in usage order (tests/test_cli.py
-# pins the argument parser's routes on these too).
+# checks that each is parsed once, by its subcommand's parser).
 FULL_OPTIONS = {
     "wall-test": (*POINT, "--output", OUTPUT, "--oracle"),
     "class": (*POINT, "--output", OUTPUT),
@@ -219,6 +222,19 @@ def outcome(argv) -> tuple[dict, str]:
     return {"exit": code, "stdout": _sha256(out.getvalue().encode()),
             "stderr": _sha256(err.getvalue().encode()),
             "output": written}, out.getvalue()
+
+
+@functools.cache
+def corpus() -> tuple[dict, ...]:
+    """The lines of the corpus as written, in order."""
+    return tuple(json.loads(line) for line in
+                 CORPUS.read_text(encoding="utf-8").splitlines())
+
+
+def recorded(argv) -> dict:
+    """The corpus line of `argv`: its exit code and sha256s."""
+    argv = list(argv)
+    return next(line for line in corpus() if line["argv"] == argv)
 
 
 def corpus_lines():
