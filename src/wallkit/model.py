@@ -87,12 +87,12 @@ INPUT_DIGITS = 1000
 _INPUT_BOUND = 10 ** INPUT_DIGITS
 
 
-# A message prints an int of at most this many bits (61 digits) in digits
+# A message prints an int of at most this many bits (20 digits) in digits
 # and a longer one by its bit length, and a tuple or list item by item only
 # when it has at most _SHOWN_ITEMS items and lies at most _SHOWN_DEPTH deep
 # (a gram's rows do), so no message grows with its values, meets the
 # 4,300-digit limit or recurses without end.
-_SHOWN_BITS, _SHOWN_ITEMS, _SHOWN_DEPTH = 200, 4, 2
+_SHOWN_BITS, _SHOWN_ITEMS, _SHOWN_DEPTH = 64, 4, 2
 
 
 def _shown(value, depth: int = _SHOWN_DEPTH) -> str:

@@ -23,9 +23,12 @@ from wallkit import (BNParams, CurveClass, DivisorClass, DomainError,
 
 _NEAR_BOUND = 10 ** 1000
 _SMALL_INTS = st.integers(-6, 12)
+# Ints near the input bound, and near 2**64 and 2**200: a message prints
+# an int past 64 bits by its bit length.
 _INTS = st.one_of(_SMALL_INTS,
-                  st.integers(_NEAR_BOUND - 2, _NEAR_BOUND + 2),
-                  st.integers(-_NEAR_BOUND - 2, -_NEAR_BOUND + 2))
+                  *(st.integers(sign * edge - 2, sign * edge + 2)
+                    for edge in (2 ** 64, 2 ** 200, _NEAR_BOUND)
+                    for sign in (1, -1)))
 
 
 def _values(ints) -> dict[str, st.SearchStrategy]:

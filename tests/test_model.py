@@ -11,7 +11,7 @@ import pytest
 
 from wallkit import walls
 from wallkit.binforms import canonical_form, class_id
-from wallkit.catalog import seed_lattice
+from wallkit.catalog import iter_catalog, seed_lattice
 from wallkit.curves import BNParams, _square
 from wallkit.model import (
     CurveClass,
@@ -310,8 +310,8 @@ class _Loud:
 def test_shown_prints_ints_sequences_and_type_names():
     # The one formatter of a caller's value in a DomainError message.
     assert _shown(-12) == "-12" and _shown(True) == "True"
-    assert _shown(2 ** 200 - 1) == str(2 ** 200 - 1)
-    assert _shown(-2 ** 200) == "a 201-bit value"
+    assert _shown(2 ** 64 - 1) == str(2 ** 64 - 1)
+    assert _shown(-2 ** 64) == "a 65-bit value"
     # A tuple or list keeps the bytes `str` gives when its ints are short.
     for value in ((1, 0, 0), [2, 0], (7,), (), [], ((1, 2), [3])):
         assert _shown(value) == str(value)
@@ -328,7 +328,7 @@ _BIG = 10 ** 5000
 
 def test_domain_errors_print_long_ints_by_bit_length():
     # Python prints no int of more than 4,300 digits; a message prints an
-    # int past 200 bits by its bit length, a long or deep tuple or list by
+    # int past 64 bits by its bit length, a long or deep tuple or list by
     # its type name and length, and any other object but a tuple or list by
     # its type name, so each stays short.  An input with no len, or a k
     # that is no int, is a shape error, not a TypeError.
@@ -354,6 +354,11 @@ def test_domain_errors_print_long_ints_by_bit_length():
         (lambda: BNParams(5, -_BIG, 3, 0), "delta=a 16610-bit value"),
         (lambda: bundle_locus(5, _BIG, 3, 0), "delta=a 16610-bit value"),
         (lambda: lagrangian_plane(-_BIG, 0), "k >= 2 .*-bit value"),
+        # Three ints of 200 bits, or two, in one message.
+        (lambda: iter_catalog(2 ** 198, 0, 2 ** 200 - 1),
+         "^empty p range: .* is a 199-bit value$"),
+        (lambda: BNParams(2 ** 200 - 1, -(2 ** 200 - 1), 2, 0),
+         "delta=a 200-bit value, p=a 200-bit value"),
         (lambda: DivisorClass(Fraction(_BIG), 1),
          r"^l must be an integer \(got Fraction\)$"),
         (lambda: enumerate_witnesses([[Fraction(_BIG), 0], [0, 1]], (0, 1), 0),
