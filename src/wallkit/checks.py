@@ -39,12 +39,12 @@ as an exception.  The two `AssertionError`s left in the library (both in
 oracle, and its one rule for where the oracle runs: on a span whose box
 radius is at most `ORACLE_RADIUS_LIMIT`.  `wall-test --oracle` reads it
 through `oracle_agrees`, and the `witness-oracle` check reads it directly,
-for the witness count too, at every point with a pencil and q(R) < 0.  It
-is the one caller of `enumerate_witnesses`: a verdict holds only the least
-witness, from the least walk, and `_oracle` enumerates the full set, by
-the x-scan, once per call on every span it runs on, walls or not.  It
-checks both algorithms: the set against the box oracle, and the
-verdict's witness against the set's first.
+for the witness count too, at every point with a pencil and q(R) < 0.  A
+verdict holds only the least witness, from the least walk, and `_oracle`
+takes the full set from the box scan, once per call on every span it runs
+on, walls or not, and checks the verdict's witness against the set's
+first.  Acceptance gate 7 checks the x-scan (`enumerate_witnesses`)
+against the box on the same spans.
 
 `CHECKS` maps each check name to a function `point -> None | (ok, members)`:
 `None` means the check does not apply at the point, and `members` is the
@@ -87,7 +87,6 @@ from .walls import (
     Witness,
     _box_scan,
     box_radius,
-    enumerate_witnesses,
     span_stage,
     witness_stage,
 )
@@ -183,21 +182,18 @@ class Point:
 
 def _oracle(verdict: WallVerdict,
             epsilon: int) -> tuple[bool, tuple[Witness, ...]] | None:
-    """Whether the span's witnesses equal those of the box oracle and the
-    verdict's least witness is the first of them (None when there are
-    none), and the witnesses (enumerated once); None when there is no span
-    (q(D) >= 0) or its box radius exceeds ORACLE_RADIUS_LIMIT."""
+    """Whether the verdict's least witness is the first of the box
+    oracle's witnesses (None when there are none), and those witnesses;
+    None when there is no span (q(D) >= 0) or its box radius exceeds
+    ORACLE_RADIUS_LIMIT."""
     if verdict.span is None:
         return None
     gram, v = verdict.span.gram, verdict.span.v_coords
     radius = box_radius(gram, v)
     if radius > ORACLE_RADIUS_LIMIT:
         return None
-    witnesses = tuple(enumerate_witnesses(gram, v, epsilon))
-    least = witnesses[0] if witnesses else None
-    return (verdict.witness == least
-            and witnesses == tuple(_box_scan(gram, v, epsilon, radius)),
-            witnesses)
+    witnesses = tuple(_box_scan(gram, v, epsilon, radius))
+    return verdict.witness == (witnesses[0] if witnesses else None), witnesses
 
 
 def oracle_agrees(verdict: WallVerdict, epsilon: int) -> bool | None:
@@ -273,7 +269,7 @@ def _min_square(pt: Point) -> Result:
 
 
 def _witness_oracle(pt: Point) -> Result:
-    """Witness enumeration == box oracle wherever the pencil exists,
+    """Least witness == box oracle's first wherever the pencil exists,
     q(R) < 0 and `_oracle` runs, the rule `wall-test --oracle` uses: the
     box radius is at most ORACLE_RADIUS_LIMIT, whatever |disc| is."""
     if not pt.pencil or pt.square.numerator >= 0:

@@ -65,7 +65,12 @@ from wallkit.checks import CHECKS, Point, Row
 from wallkit.catalog import state_gram, state_vector
 from wallkit.model import moduli_dim
 from wallkit.subvarieties import bundle_bound_holds, chi_value
-from wallkit.walls import _normal_basis, box_witnesses, span_stage
+from wallkit.walls import (
+    _normal_basis,
+    box_witnesses,
+    enumerate_witnesses,
+    span_stage,
+)
 
 EPS_RANGE = (0, 1)
 K_RANGE = range(2, 9)
@@ -283,10 +288,16 @@ def _criterion_7() -> tuple[bool, str]:
     for pt in _grid():
         if pt.verdict.span is not None:
             spans.setdefault((pt.params.epsilon, pt.verdict.t_gram), pt)
-    grams = [pt.verdict.t_gram for pt in spans.values()
-             if _applies("witness-oracle", pt)]
-    n = len(grams)
+    pts = [pt for pt in spans.values() if _applies("witness-oracle", pt)]
+    n = len(pts)
     assert n == 122
+    # The check compares the least walk with the box; the x-scan's full set
+    # is compared with the box here.
+    for pt in pts:
+        gram, v = pt.verdict.span.gram, pt.verdict.span.v_coords
+        eps = pt.params.epsilon
+        assert enumerate_witnesses(gram, v, eps) == box_witnesses(gram, v, eps)
+    grams = [pt.verdict.t_gram for pt in pts]
     # The check has no |disc| limit of its own; the line's "|disc| <= 200"
     # is checked here (the largest on the grid is 81).
     assert max(abs(a * c - b * b) for (a, b), (_, c) in grams) == 81
