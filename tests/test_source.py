@@ -398,6 +398,25 @@ def test_no_module_imports_a_name_it_never_references():
                            "x: Triple\n") == ["moduli_vector:1"]
 
 
+_HEX_DIGEST = re.compile(r"[0-9a-fA-F]{64}")
+
+
+def test_only_the_golden_corpus_test_spells_a_digest():
+    # tests/golden_cli.jsonl pins the CLI's bytes, and tests/golden_cli.py
+    # rewrites it for a named byte change; test_golden_cli.py holds the
+    # benchmark workloads' digests beside it.  A sha256 spelled in any other
+    # test file would be a second pin to edit by hand.
+    tests = Path(__file__).resolve().parent
+    digests = [f"{path.name}:{node.lineno}"
+               for path in sorted(tests.glob("*.py"))
+               for node in ast.walk(ast.parse(path.read_text(), str(path)))
+               if isinstance(node, ast.Constant)
+               and isinstance(node.value, str)
+               and _HEX_DIGEST.fullmatch(node.value)]
+    assert [d for d in digests if not d.startswith("test_golden_cli.py:")] == []
+    assert digests
+
+
 def _code_lines_script():
     path = Path(__file__).resolve().parent / "code_lines.py"
     spec = importlib.util.spec_from_file_location("code_lines", path)
