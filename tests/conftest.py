@@ -49,6 +49,15 @@ def walk_counter():
     return count_walk
 
 
+@pytest.fixture
+def in_tmp(tmp_path, monkeypatch):
+    """The setting of tests/golden_cli.py: a fresh directory, COLUMNS=80
+    and no WALLKIT_OUTPUT_DIR."""
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("COLUMNS", "80")
+    monkeypatch.delenv("WALLKIT_OUTPUT_DIR", raising=False)
+
+
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
     for name, mod in list(sys.modules.items()):
         if name.rpartition(".")[2] != "test_acceptance":

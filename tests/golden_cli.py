@@ -8,8 +8,8 @@ its workload.  tests/test_golden_cli.py runs every argv and compares, so a
 change that moves a byte of the CLI's output fails there; a change that
 names a byte change rewrites the corpus, and the diff lists exactly the
 argvs that moved.  It is the one place that pins the CLI's bytes: a test
-that checks the bytes of a call inside another assertion reads the
-corpus's record of it (`recorded`).
+that checks the bytes of a call reads the corpus's record of it
+(`recorded`, `agrees`).
 
 Run it from the repository root:
 
@@ -78,6 +78,30 @@ def point_argvs(command: str, *extra: str):
                 for delta in range(p - 2 * epsilon + 1):
                     yield (command, "--epsilon", str(epsilon), "--k", str(k),
                            "--p", str(p), "--delta", str(delta), *extra)
+
+
+def _family_argvs(family: str):
+    for epsilon in (0, 1):
+        for k in (2, 3, 4):
+            for p in range(2, 13):
+                yield ("coisotropic", "--epsilon", str(epsilon), "--k", str(k),
+                       "--p", str(p), "--family", family)
+
+
+# Each point subcommand, each family and `lagrangian` over the small box,
+# by the subcommand and option they exercise, in corpus order.
+SMALL_BOX = {
+    "wall-test": lambda: point_argvs("wall-test"),
+    "class": lambda: point_argvs("class"),
+    "exists": lambda: point_argvs("exists"),
+    "square": lambda: point_argvs("square"),
+    "coisotropic --delta": lambda: point_argvs("coisotropic"),
+    "wall-test --oracle": lambda: point_argvs("wall-test", "--oracle"),
+    "coisotropic --family nodal": lambda: _family_argvs("nodal"),
+    "coisotropic --family series": lambda: _family_argvs("series"),
+    "lagrangian": lambda: (("lagrangian", "--epsilon", epsilon, "--k", k)
+                           for epsilon in ("0", "1") for k in ("2", "3", "4")),
+}
 
 
 def _argvs():
@@ -165,20 +189,9 @@ def _calls():
     yield ("scan", "--k", "2", "--p", "2", "--check", "nope")
     yield ("square", *POINT, "--output", "absent/" + OUTPUT)
     yield ("square", *POINT, "--output", ".")
-    # Each point subcommand, each family and `lagrangian` over the small box
-    # (the calls above that lie in it are not listed again).
-    for command in ("wall-test", "class", "exists", "square", "coisotropic"):
-        yield from point_argvs(command)
-    yield from point_argvs("wall-test", "--oracle")
-    for family in ("nodal", "series"):
-        for epsilon in (0, 1):
-            for k in (2, 3, 4):
-                for p in range(2, 13):
-                    yield ("coisotropic", "--epsilon", str(epsilon),
-                           "--k", str(k), "--p", str(p), "--family", family)
-    for epsilon in ("0", "1"):
-        for k in ("2", "3", "4"):
-            yield ("lagrangian", "--epsilon", epsilon, "--k", k)
+    # The small box (the calls above that lie in it are not listed again).
+    for argvs in SMALL_BOX.values():
+        yield from argvs()
     # A scan of every check over many rows, a dual-lattice scan at k = 3000
     # (the q(v) = 5998 lines of each span are never walked) and a command
     # abbreviated before its options are complete.
@@ -231,10 +244,25 @@ def corpus() -> tuple[dict, ...]:
                  CORPUS.read_text(encoding="utf-8").splitlines())
 
 
+@functools.cache
+def _lines_by_argv() -> dict[tuple[str, ...], dict]:
+    lines = {}
+    for line in corpus():
+        lines.setdefault(tuple(line["argv"]), line)
+    return lines
+
+
 def recorded(argv) -> dict:
     """The corpus line of `argv`: its exit code and sha256s."""
-    argv = list(argv)
-    return next(line for line in corpus() if line["argv"] == argv)
+    return _lines_by_argv()[tuple(argv)]
+
+
+def agrees(argv) -> bool:
+    """Whether `main(argv)`, run in the current directory, gives the exit
+    code and the bytes that the corpus records for `argv`."""
+    fields, _ = outcome(argv)
+    line = recorded(argv)
+    return all(line[key] == value for key, value in fields.items())
 
 
 def corpus_lines():

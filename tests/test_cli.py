@@ -443,6 +443,21 @@ def test_rational_strings_roundtrip(capsys):
         assert rec["q_R"].count("/") == 1
 
 
+# A pinned call gives the exit code and the bytes that the corpus records
+# for it (`golden.agrees`), so that a speed-up cannot change a byte of
+# output; tests/golden_cli.py rewrites the corpus for a named change.
+@pytest.mark.parametrize("epsilon, k", [(epsilon, k) for epsilon in (0, 1)
+                                        for k in range(2, 13)])
+def test_catalog_stdout_is_pinned(in_tmp, epsilon, k):
+    argv = ("catalog", "--epsilon", str(epsilon), "--k", str(k))
+    assert golden.recorded(argv)["exit"] == 0 and golden.agrees(argv)
+
+
+def test_scan_stdout_is_pinned(in_tmp):
+    argv = ("scan", "--k", "2..4", "--p", "2..20", "--check", "all")
+    assert golden.recorded(argv)["exit"] == 0 and golden.agrees(argv)
+
+
 def test_catalog_lines_bypass_the_json_encoder(capsys, monkeypatch):
     # `catalog` hands `write_records` lines already rendered by
     # `catalog.entry_line`, and `scan` lines rendered by `_scan_records`
@@ -549,6 +564,13 @@ def test_scan_builds_no_row_for_an_empty_delta_range(monkeypatch, capsys):
     assert rc == 0 and len(_records(out)) == (1 + 2 + 3 + 4) + (1 + 2)
     # delta >= 6 needs p - 2*epsilon >= 6.
     assert built == [(0, 2, p) for p in (6, 7, 8, 9)] + [(1, 2, 8), (1, 2, 9)]
+
+
+@pytest.mark.parametrize("command", list(golden.SMALL_BOX))
+def test_subcommand_stdout_is_pinned(in_tmp, command):
+    moved = [argv for argv in golden.SMALL_BOX[command]()
+             if not golden.agrees(argv)]
+    assert moved == []
 
 
 def test_scan_witness_oracle_skips_a_box_beyond_the_limit(capsys):
@@ -689,6 +711,34 @@ def test_readme_lists_every_subcommand():
 
 
 _SQUARE_ARGV = ("square", *_POINT)
+
+# Help, usage and error paths of the argument parser.
+_ARGPARSE_CASES = {
+    "no-argv": (),
+    "-h": ("-h",),
+    "--help": ("--help",),
+    "unknown-command": ("frobnicate",),
+    "abbreviated-command": ("wall", "--epsilon", "0", "--k", "2"),
+    "option-before-command": ("--k", "2", "scan"),
+    **{f"{name} --help": (name, "--help") for name in _FULL_OPTIONS},
+    **{f"{name} bare": (name,) for name in _FULL_OPTIONS},
+    **{f"{name} stray": (name, "stray") for name in _FULL_OPTIONS},
+    **{f"{name} --bogus": (name, *options, "--bogus")
+       for name, options in _FULL_OPTIONS.items()},
+    "abbreviated-option": ("wall-test", *_POINT, "--ora"),
+    "bad-epsilon-choice": ("square", "--epsilon", "3", "--k", "2", "--p", "2",
+                           "--delta", "0"),
+    "bad-family": ("coisotropic", "--epsilon", "0", "--k", "2", "--p", "2",
+                   "--family", "cusp"),
+    "non-integer-k": ("class", "--epsilon", "0", "--k", "two", "--p", "2",
+                      "--delta", "0"),
+}
+
+
+@pytest.mark.parametrize("case", list(_ARGPARSE_CASES))
+def test_argparse_surface_is_pinned(in_tmp, case):
+    assert golden.agrees(_ARGPARSE_CASES[case])
+
 
 @pytest.mark.parametrize("case", ["missing-directory", "directory",
                                   "full-device"])

@@ -5,8 +5,6 @@ from __future__ import annotations
 
 import hashlib
 
-import pytest
-
 import golden_cli as golden
 
 # Each workload's output digest, as bench/run.py reports it: the sha256 of
@@ -20,15 +18,6 @@ WORKLOAD_DIGESTS = {
     "catalog-build":
         "b56f50b1f6fb5ad8e1ef3075560e055971fc6fa485685cb45b13843dbc01407f",
 }
-
-
-@pytest.fixture
-def in_tmp(tmp_path, monkeypatch):
-    """The generator's setting: a fresh directory, COLUMNS=80 and no
-    WALLKIT_OUTPUT_DIR."""
-    monkeypatch.chdir(tmp_path)
-    monkeypatch.setenv("COLUMNS", "80")
-    monkeypatch.delenv("WALLKIT_OUTPUT_DIR", raising=False)
 
 
 def test_every_call_gives_its_recorded_bytes(in_tmp):
