@@ -116,10 +116,6 @@ def _write_output(records: Iterable[dict | str], path: str | None) -> None:
             os.close(devnull)
             raise DomainError(f"cannot write stdout: {exc.strerror}") from None
         return
-    if not os.path.isabs(path):
-        base = os.environ.get("WALLKIT_OUTPUT_DIR")
-        if base:
-            path = os.path.join(base, path)
     try:
         with open(path, "w", encoding="utf-8") as out:
             write_records(records, out)

@@ -51,11 +51,10 @@ def walk_counter():
 
 @pytest.fixture
 def in_tmp(tmp_path, monkeypatch):
-    """The setting of tests/golden_cli.py: a fresh directory, COLUMNS=80
-    and no WALLKIT_OUTPUT_DIR."""
+    """The setting of tests/golden_cli.py: a fresh directory and
+    COLUMNS=80."""
     monkeypatch.chdir(tmp_path)
     monkeypatch.setenv("COLUMNS", "80")
-    monkeypatch.delenv("WALLKIT_OUTPUT_DIR", raising=False)
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

@@ -15,9 +15,9 @@ Run it from the repository root:
 
     PYTHONPATH=src python3 tests/golden_cli.py
 
-The calls run in a fresh temporary directory with COLUMNS=80 and without
-WALLKIT_OUTPUT_DIR.  It uses only the standard library and wallkit;
-pytest does not collect it (the name does not start with "test_").
+The calls run in a fresh temporary directory with COLUMNS=80.  It uses
+only the standard library and wallkit; pytest does not collect it (the
+name does not start with "test_").
 """
 
 from __future__ import annotations
@@ -276,7 +276,6 @@ def corpus_lines():
 
 def write_corpus() -> int:
     os.environ["COLUMNS"] = "80"
-    os.environ.pop("WALLKIT_OUTPUT_DIR", None)
     lines = []
     with tempfile.TemporaryDirectory() as directory:
         os.chdir(directory)

@@ -72,6 +72,8 @@ from wallkit.walls import (
     span_stage,
 )
 
+import reference
+
 EPS_RANGE = (0, 1)
 K_RANGE = range(2, 9)
 P_MAX = 40
@@ -182,7 +184,7 @@ def _criterion_2() -> tuple[bool, str]:
             assert tuple(map(tuple, gram)) == want and (p_s, d_s) == (p0, 0)
             assert _span_gram(p0, 0, k, eps) == want
             assert Fraction(*curve_square(BNParams(p0, 0, k, eps)).value) \
-                == -Fraction(k + 3 - 2 * eps, 2)
+                == reference.minimal_square_bound(k, eps)
 
     # Family 2: genus shifted down by a, 1 <= a <= h.
     domain_edges, degenerate_edges, f2_matched = [], [], 0
@@ -257,9 +259,8 @@ def _criterion_3() -> tuple[bool, str]:
     assert all(_applies("min-square", pt) for pt in _grid())
     # The check holds at every point, so q(R) meets the bound exactly at
     # the characteristic points.
-    equality = sum(Fraction(*pt.square)
-                   == -Fraction(pt.params.k + 3 - 2 * pt.params.epsilon, 2)
-                   for pt in _grid())
+    equality = sum(Fraction(*pt.square) == reference.minimal_square_bound(
+        pt.params.k, pt.params.epsilon) for pt in _grid())
     return True, (f"q(R) >= -(k+3-2e)/2 on all 446 walls; equality exactly "
                   f"at the {equality} points p=a(a+1)h+e, delta=a(a-1)h")
 
@@ -320,6 +321,22 @@ def realize_gram(target, k: int, epsilon: int) -> tuple[int, int] | None:
         return None
     gram = span_stage(curve_class(params), params.context()).t_gram
     return (p, delta) if rank2_isometric(gram, target) else None
+
+
+def test_realize_examples():
+    assert realize_gram(((-2, 1), (1, 2)), 2, 0) == (2, 0)
+    assert realize_gram(((0, 3), (3, 6)), 2, 1) == (7, 0)
+    assert realize_gram(((-2, 0), (0, 2)), 2, 0) is None  # would need p = 1
+    # a target beyond the seed genus: still invertible arithmetically
+    assert realize_gram(((0, 3), (3, 6)), 4, 0) == (7, 1)
+    assert realize_gram(((-2, 3), (3, 6)), 4, 0) == (6, 0)
+
+
+def test_realize_none_for_unrealizable_wall_shapes():
+    # negative delta decodes from top-left < -2 + 2 eps
+    assert realize_gram(((-4, 1), (1, 2)), 2, 0) is None
+    # nonnegative curve square
+    assert realize_gram(((2, 1), (1, 6)), 4, 0) is None
 
 
 def _criterion_8() -> tuple[bool, str]:
@@ -391,7 +408,7 @@ def _criterion_11() -> tuple[bool, str]:
             chi = chi_value(p, delta, k, eps)
             assert chi == delta + k + 1, (k, eps)
             assert (Fraction(*desc.line_square)
-                    == Fraction(-(k + 3 - 2 * eps), 2))
+                    == reference.minimal_square_bound(k, eps))
             assert (desc.codim, desc.total_dim) == (k, k)
             if not bundle_bound_holds(p, delta, k, eps):
                 failures.append((k, eps))

@@ -24,6 +24,8 @@ from wallkit.binforms import (
 from wallkit.catalog import state_gram
 from wallkit.model import DomainError
 
+import reference
+
 _settings = settings(derandomize=True, database=None, deadline=None,
                      max_examples=100)
 
@@ -227,80 +229,6 @@ def test_xgcd_random():
         assert g == gcd(a, b) and x * a + y * b == g
 
 
-def _rho_cycle(a, b, c):
-    """The cycle of reduced forms of the indefinite form a x^2 + b xy + c y^2
-    of nonsquare discriminant d = b^2 - 4ac, walked with the reduction
-    operator rho (Buchmann-Vollmer, Binary Quadratic Forms, ch. 6): a form
-    is reduced when 0 < b < sqrt(d) and |sqrt(d) - 2|a|| < b, and rho
-    maps a reduced form to the next one of its proper class's single cycle.
-    The reference for the continued-fraction walk of `_canonical`."""
-    d = b * b - 4 * a * c
-    s = isqrt(d)
-
-    def rho(a, b, c):
-        m = 2 * abs(c)
-        r = (-b) % m
-        if abs(c) > s:
-            if r > abs(c):
-                r -= m
-        else:
-            r = s - (s - r) % m
-        return c, r, (r * r - d) // (4 * c)
-
-    while not (0 < b <= s and b >= s + 1 - 2 * abs(a)
-               and b >= 2 * abs(a) - s):
-        a, b, c = rho(a, b, c)
-    cycle = [(a, b, c)]
-    while (form := rho(*cycle[-1])) != cycle[0]:
-        cycle.append(form)
-    return cycle
-
-
-def _euclid(a, b):
-    """(g, x, y) with a*x + b*y = g = gcd(a, b) >= 0: the extended
-    Euclidean algorithm, kept here so the reference takes no step from the
-    package."""
-    x0, y0, x1, y1 = 1, 0, 0, 1
-    while b:
-        quot, a, b = a // b, b, a % b
-        x0, y0, x1, y1 = x1, y1, x0 - quot * x1, y0 - quot * y1
-    return (a, x0, y0) if a >= 0 else (-a, -x0, -y0)
-
-
-def _isotropic_residues(a, b, c, sigma):
-    """The residues q(w) mod 2*sigma, sorted, of the two isotropic lines of
-    a x^2 + 2b xy + c y^2 with b^2 - ac = sigma^2 > 0: the line's primitive
-    u is completed to a basis (u, w) by `_euclid`.  Another completion
-    w + t*u, or -u, changes q(w) by a multiple of 2*b(u, w) = +-2*sigma."""
-    lines = (((1, 0), (-c, 2 * b)) if a == 0
-             else ((sigma - b, a), (-sigma - b, a)))
-    residues = []
-    for x, y in lines:
-        g = gcd(x, y)
-        _, s, t = _euclid(x // g, y // g)
-        residues.append((a * t * t - 2 * b * t * s + c * s * s) % (2 * sigma))
-    return sorted(residues)
-
-
-def _reference_canonical_form(g):
-    """canonical_form from test-local steps only: the Gauss reduction
-    `_doubled_middle_reduction` of a definite form (negated when negative
-    definite), sigma and `_isotropic_residues` of an isotropic one, and the
-    rho cycles of an anisotropic indefinite form and of its middle-sign
-    flip, walked one after the other."""
-    (a, b), (_, c) = g
-    det = a * c - b * b
-    if det > 0:
-        if a > 0:
-            return ("posdef", *_doubled_middle_reduction(a, 2 * b, c))
-        return ("negdef", *_doubled_middle_reduction(-a, -2 * b, -c))
-    sigma = isqrt(-det)
-    if sigma * sigma == -det:
-        return ("isotropic", sigma, *_isotropic_residues(a, b, c, sigma))
-    return ("indef",) + min(min(_rho_cycle(a, 2 * b, c)),
-                            min(_rho_cycle(a, -2 * b, c)))
-
-
 @st.composite
 def _anisotropic_grams(draw):
     a = draw(st.integers(-1000, 1000))
@@ -338,11 +266,11 @@ def _indefinite_walk_grams(draw):
 @example(((229, 150), (150, 98)))  # four steps before the cycle
 def test_one_cycle_walk_matches_the_two_walk_reference(g):
     # The continued-fraction walk against the two rho walks.
-    assert canonical_form(g) == _reference_canonical_form(g)
+    assert canonical_form(g) == reference.canonical_form(g)
 
 
 def test_one_cycle_walk_matches_on_every_catalog_state():
-    # Every regime is checked against the test-local reference.
+    # Every regime is checked against tests/reference.py.
     regimes = Counter()
     for epsilon in (0, 1):
         for k in range(2, 31):
@@ -354,7 +282,7 @@ def test_one_cycle_walk_matches_on_every_catalog_state():
                     except DegenerateFormError:
                         regimes["degenerate"] += 1
                         continue
-                    assert form == _reference_canonical_form(g), g
+                    assert form == reference.canonical_form(g), g
                     regimes[form[0]] += 1
     assert regimes == {"posdef": 34950, "isotropic": 2157, "indef": 2476,
                        "degenerate": 89}
@@ -388,7 +316,7 @@ def _regime_grams(draw):
 @example(((-3, -1), (-1, -2)))  # negative definite
 @example(((0, 3), (3, 5)))      # isotropic with a = 0
 def test_canonical_form_matches_the_reference_in_every_regime(g):
-    assert canonical_form(g) == _reference_canonical_form(g)
+    assert canonical_form(g) == reference.canonical_form(g)
 
 
 @_settings
@@ -403,24 +331,6 @@ def test_class_id_is_invariant_under_gl2z_words(g, word):
               m[1][0] * x[0][1] + m[1][1] * x[1][1]]]
     # _conjugate(g, m) is m^T g m.
     assert class_id(_conjugate(g, m)) == class_id(g)
-
-
-def _doubled_middle_reduction(a, b, c):
-    """Gauss reduction of the positive definite form a x^2 + b xy + c y^2,
-    b = twice the Gram's off-diagonal, recomputing the discriminant at each
-    step: the reference for `_reduce_definite`."""
-    while True:
-        if c < a:
-            a, b, c = c, -b, a
-        elif abs(b) > a:
-            d = b * b - 4 * a * c
-            r = b % (2 * a)
-            if r > a:
-                r -= 2 * a
-            c = (r * r - d) // (4 * a)
-            b = r
-        else:
-            return a, abs(b), c
 
 
 @st.composite
@@ -456,7 +366,7 @@ def test_reduction_matches_the_doubled_middle_reference(form, sign):
     a, b, c = form
     det = a * c - b * b
     assert det > 0
-    expected = _doubled_middle_reduction(a, 2 * b, c)
+    expected = reference.doubled_middle_reduction(a, 2 * b, c)
     assert _reduce_definite(a, b, c, det) == expected
     regime = "posdef" if sign == 1 else "negdef"
     assert (_canonical(sign * a, sign * b, sign * c, det)

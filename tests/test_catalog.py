@@ -15,13 +15,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from wallkit import binforms, catalog
-from wallkit.binforms import (
-    DegenerateFormError,
-    canonical_form,
-    class_id,
-    form_id,
-    rank2_isometric,
-)
+from wallkit.binforms import canonical_form, form_id, rank2_isometric
 from wallkit.catalog import (
     CatalogEntry,
     entry_line,
@@ -33,26 +27,12 @@ from wallkit.catalog import (
     state_vector,
 )
 from wallkit.checks import CHECKS, Point, Row
-from wallkit.curves import (
-    BNParams,
-    _square,
-    curve_class,
-    curve_square,
-    exists_pencil,
-)
+from wallkit.curves import BNParams, _square, curve_class, curve_square
 from wallkit.model import (DomainError, Ratio, SurfaceContext, moduli_vector,
                            mukai_square)
-from wallkit.walls import _normal_basis, span_stage
+from wallkit.walls import _normal_basis, span_stage, witness_stage
 
-from test_acceptance import realize_gram
-from test_walls import wall_test
-
-
-def _fraction_text(x) -> str:
-    """Reduced "num/den" text of a value with a numerator and a
-    denominator, through Fraction: the reference for `model.ratio_str`."""
-    f = Fraction(x.numerator, x.denominator)
-    return f"{f.numerator}/{f.denominator}"
+import reference
 
 
 def entry_record(entry):
@@ -64,7 +44,7 @@ def entry_record(entry):
         "p": entry.p,
         "delta": entry.delta,
         "gram": binforms.flat_gram(entry.gram),
-        "q_R": _fraction_text(entry.q_curve),
+        "q_R": reference.fraction_text(entry.q_curve),
         "is_wall": entry.is_wall,
         "witness": list(entry.witness) if entry.witness is not None else None,
         "isometry_class_id": entry.class_id,
@@ -77,19 +57,6 @@ def _dual_lattice(entry):
     result = CHECKS["dual-lattice"](
         Point(Row(entry.epsilon, entry.k, entry.p), entry.delta))
     return None if result is None else result[0]
-
-
-# The two moves, kept here as the reference for the closed-form states.
-def delta_move(gram, p, delta):
-    """One extra node: top-left + 2, off-diagonal - 1, same p."""
-    (a, b), (_, c) = gram
-    return ((a + 2, b - 1), (b - 1, c)), p, delta + 1
-
-
-def genus_move(gram, p, delta):
-    """One genus lower: off-diagonal - 1, same delta."""
-    (a, b), (_, c) = gram
-    return ((a, b - 1), (b - 1, c)), p - 1, delta
 
 
 def test_seed_examples():
@@ -116,13 +83,13 @@ def test_k_and_epsilon_must_be_ints():
 
 def test_moves():
     gram, p, delta = seed_lattice(2, 0)
-    assert delta_move(gram, p, delta) == (((0, 0), (0, 2)), 2, 1)
+    assert reference.delta_move(gram, p, delta) == (((0, 0), (0, 2)), 2, 1)
     gram, p, delta = seed_lattice(4, 0)
-    assert genus_move(gram, p, delta) == (((-2, 2), (2, 6)), 5, 0)
+    assert reference.genus_move(gram, p, delta) == (((-2, 2), (2, 6)), 5, 0)
     # the two moves commute on every component
     state = seed_lattice(5, 1)
-    a = delta_move(*genus_move(*state))
-    b = genus_move(*delta_move(*state))
+    a = reference.delta_move(*reference.genus_move(*state))
+    b = reference.genus_move(*reference.delta_move(*state))
     assert a[0] == b[0] and a[1] == b[1] and a[2] == b[2]
 
 
@@ -139,10 +106,10 @@ def test_moves_track_parameters():
         i = j = 0
         for _ in range(rng.randint(0, 8)):
             if rng.randrange(2):
-                state = delta_move(*state)
+                state = reference.delta_move(*state)
                 i += 1
             else:
-                state = genus_move(*state)
+                state = reference.genus_move(*state)
                 j += 1
         gram, p, delta = state
         assert p == p0 - j and delta == i
@@ -199,40 +166,6 @@ def test_generate_contains_flagged_positive_square_entry():
     assert (e.p, e.delta) == (6, 2)
     assert not e.is_wall and e.witness is None
     assert e.q_curve.numerator >= 0 and _dual_lattice(e) is None
-
-
-def test_realize_examples():
-    assert realize_gram(((-2, 1), (1, 2)), 2, 0) == (2, 0)
-    assert realize_gram(((0, 3), (3, 6)), 2, 1) == (7, 0)
-    assert realize_gram(((-2, 0), (0, 2)), 2, 0) is None  # would need p = 1
-    # a target beyond the seed genus: still invertible arithmetically
-    assert realize_gram(((0, 3), (3, 6)), 4, 0) == (7, 1)
-    assert realize_gram(((-2, 3), (3, 6)), 4, 0) == (6, 0)
-
-
-def test_realize_inverts_catalog_entries():
-    rng = random.Random(646)
-    pool = []
-    for k, eps in ((2, 0), (3, 0), (4, 0), (2, 1)):
-        for e in generate_catalog(k, eps):
-            if e.q_curve.numerator < 0:
-                pool.append((e, k, eps))
-    assert len(pool) >= 10
-    sample = [rng.choice(pool) for _ in range(100)]
-    for e, k, eps in sample:
-        got = realize_gram(e.gram, k, eps)
-        assert got is not None
-        p, delta = got
-        # the reconstruction certificate: realize_gram already verified the
-        # saturation at (p, delta) is isometric to the stored gram
-        assert p >= 2 and 0 <= delta <= p - 2 * eps
-
-
-def test_realize_none_for_unrealizable_wall_shapes():
-    # negative delta decodes from top-left < -2 + 2 eps
-    assert realize_gram(((-4, 1), (1, 2)), 2, 0) is None
-    # nonnegative curve square
-    assert realize_gram(((2, 1), (1, 6)), 4, 0) is None
 
 
 def test_export_format_and_field_order():
@@ -298,36 +231,41 @@ def test_catalog_grams_are_pairwise_distinct_up_to_isometry():
                 [list(r) for r in a.gram], [list(r) for r in b.gram])
 
 
-def _reference_entry(gram, params):
-    report = curve_square(params)
-    q_r, denom = Fraction(*report.value), 2 * params.half_div
-    square = Ratio((q_r * denom).numerator, denom)
-    assert Fraction(square.numerator, denom) == q_r
-    try:
-        cid = class_id([list(r) for r in gram])
-    except DegenerateFormError:
-        cid = None
+def _reference_entry(gram, p, delta, k, epsilon):
+    """The entry of the state (p, delta) with this gram, from
+    tests/reference.py: q(R), the class id and the verdict, a non-empty
+    reference witness set of the gram on v = (0, 1).  One value comes from
+    the package: a wall's ambient witness is that of the span path, which
+    the catalog's `_normal_basis` route must reproduce, so comparing it is
+    a path-agreement check.  Beside it, the ambient is checked on its own:
+    it lies in its case window with the reference's least (branch, b, q)."""
+    q_r, c = reference.curve_square(p, delta, k, epsilon), gram[1][1]
+    witnesses, ambient = [], None
     if q_r < 0:
-        verdict = wall_test(curve_class(params), params.context())
-        assert rank2_isometric([list(r) for r in verdict.t_gram],
-                               [list(r) for r in gram]), params
-        entry = CatalogEntry(params.epsilon, params.k, params.p,
-                             params.delta, gram, verdict.witness_ambient, cid)
-        assert entry.is_wall == verdict.is_wall, params
-    else:
-        entry = CatalogEntry(params.epsilon, params.k, params.p,
-                             params.delta, gram, None, cid)
-    # The entry derives q(R) from its gram: it must be the curve square.
-    assert entry.q_curve == square, params
+        params = BNParams(p, delta, k, epsilon)
+        verdict = witness_stage(
+            span_stage(curve_class(params), params.context()), epsilon)
+        assert reference.isometric(verdict.t_gram, gram), params
+        witnesses = reference.walk(gram, (0, 1), epsilon)
+        ambient = verdict.witness_ambient
+    entry = CatalogEntry(epsilon, k, p, delta, gram, ambient,
+                         reference.class_id(gram))
+    assert entry.is_wall == bool(witnesses), entry
+    if witnesses:
+        q, n = (reference.mukai_pairing(ambient, y, p)
+                for y in (ambient, (1, 0, -(c // 2))))
+        assert (reference.window(q, n, c, epsilon), n, q) \
+            == witnesses[0][:0:-1], entry
+    # The entry derives q(R) from its gram, over c = 2h: the curve square.
+    assert entry.q_curve == (q_r * c, c), entry
     return entry
 
 
 def _reference_catalog(k, epsilon, p_min=2, p_max=None, delta_max=None):
     """Reference catalog: every move-generated state with a pencil gets its
-    full entry (square, wall test, class id), each wall's saturation is
-    checked against its gram with rank2_isometric, and only then are
-    repeated isometry classes dropped."""
-    seed_gram, seed_p, _ = seed_lattice(k, epsilon)
+    `_reference_entry`, and only then are repeated isometry classes
+    dropped."""
+    seed_gram, seed_p, _ = reference.seed(k, epsilon)
     if p_max is None or p_max > seed_p:
         p_max = seed_p
     states = []
@@ -339,15 +277,14 @@ def _reference_catalog(k, epsilon, p_min=2, p_max=None, delta_max=None):
             state = (gram, p, 0)
             while state[2] <= top:
                 states.append(state)
-                state = delta_move(*state)
-        gram, p, _ = genus_move(gram, p, 0)
+                state = reference.delta_move(*state)
+        gram, p, _ = reference.genus_move(gram, p, 0)
     states.sort(key=lambda s: (s[2], -s[1]))
     entries, seen = [], set()
     for g, pp, d in states:
-        params = BNParams(pp, d, k, epsilon)
-        if not exists_pencil(params):
+        if not reference.pencil(pp, d, k, epsilon):
             continue
-        entry = _reference_entry(g, params)
+        entry = _reference_entry(g, pp, d, k, epsilon)
         key = entry.class_id if entry.class_id is not None \
             else ("degenerate", entry.gram)
         if key not in seen:
@@ -412,7 +349,7 @@ def test_integer_square_matches_the_object_path():
             assert Fraction(num, denom) == Fraction(*report.value), \
                 (k, kwargs, e)
             assert (json.loads(entry_line(e))["q_R"]
-                    == _fraction_text(report.value))
+                    == reference.fraction_text(report.value))
             checked += 1
     assert checked > 29659
 

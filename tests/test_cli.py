@@ -135,16 +135,6 @@ def test_catalog_stream_and_output_file(capsys, tmp_path):
     assert [json.loads(l) for l in target.read_text().splitlines()] == recs
 
 
-def test_output_dir_env_var(capsys, tmp_path, monkeypatch):
-    monkeypatch.setenv("WALLKIT_OUTPUT_DIR", str(tmp_path))
-    rc, out, _ = _run(capsys, "square", "--epsilon", "0", "--k", "2",
-                      "--p", "2", "--delta", "0", "--output", "sq.json")
-    assert rc == 0
-    assert (tmp_path / "sq.json").exists()
-    rec = json.loads((tmp_path / "sq.json").read_text())
-    assert rec["q_R"] == "-5/2"
-
-
 def test_coisotropic_bundle_record(capsys):
     rc, out, _ = _run(capsys, "coisotropic", "--epsilon", "0", "--k", "4",
                       "--p", "8", "--delta", "1")
@@ -693,7 +683,6 @@ def _readme_cli_examples() -> list[str]:
 @pytest.mark.parametrize("line", _readme_cli_examples())
 def test_readme_cli_example_runs(capsys, tmp_path, monkeypatch, line):
     monkeypatch.chdir(tmp_path)
-    monkeypatch.setenv("WALLKIT_OUTPUT_DIR", str(tmp_path))
     argv = shlex.split(line)[1:]
     rc, out, err = _run(capsys, *argv)
     assert rc == 0 and err == ""

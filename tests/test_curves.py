@@ -29,6 +29,8 @@ from wallkit.model import (
     ratio_str,
 )
 
+import reference
+
 
 def test_bn_rho():
     assert bn_rho(4, 1, 4) == 4 - 2 * (4 - 4 + 1)
@@ -160,14 +162,6 @@ def test_exists_routes_agree_on_grid():
                     assert exists_pencil(params) == exists_pencil_via_rho(params)
 
 
-def _rho_scan(params: BNParams, l_max: int) -> bool:
-    """Reference for the Brill-Noether route: the inequality at every
-    l = 0..l_max, each through `bn_rho`."""
-    p, delta, k, epsilon = params
-    return all(bn_rho(p, l, (k + epsilon) * l + delta) + epsilon * l * (l + 2)
-               >= 0 for l in range(l_max + 1))
-
-
 def test_exists_via_rho_matches_a_longer_scan():
     for epsilon in (0, 1):
         for k in (2, 4):
@@ -176,8 +170,9 @@ def test_exists_via_rho_matches_a_longer_scan():
                     if delta > p - 2 * epsilon:
                         continue
                     params = BNParams(p, delta, k, epsilon)
-                    assert (exists_pencil_via_rho(params)
-                            == _rho_scan(params, params.alpha + 10)), params
+                    scan = reference.pencil_scan(*params, params.alpha + 10)
+                    assert (exists_pencil_via_rho(params) == scan
+                            == reference.pencil(*params)), params
 
 
 @st.composite
@@ -198,7 +193,8 @@ def test_exists_via_rho_closed_form_at_large_parameters(params):
     exists = exists_pencil_via_rho(params)
     assert exists == exists_pencil(params)
     if params.alpha <= 10**4:
-        assert exists == _rho_scan(params, params.alpha + 10)
+        assert exists == reference.pencil_scan(*params, params.alpha + 10)
+    assert exists == reference.pencil(*params)
 
 
 def test_exists_via_rho_is_constant_work(monkeypatch):
@@ -278,12 +274,6 @@ def test_square_examples():
     assert rep.minimal
 
 
-def _minimal_square_bound(k: int, epsilon: int) -> Fraction:
-    """The lower bound -(k + 3 - 2*epsilon)/2 for squares of wall curve
-    classes, computed here apart from `curves`."""
-    return Fraction(-(k + 3 - 2 * epsilon), 2)
-
-
 def test_minimal_square_bound_values():
     # q(R) at the characteristic point alpha = 1 (p = 2h + epsilon,
     # delta = 0), which attains the bound.
@@ -293,13 +283,14 @@ def test_minimal_square_bound_values():
         h = k - 1 + 2 * epsilon
         rep = curve_square(BNParams(2 * h + epsilon, 0, k, epsilon))
         assert rep.minimal
-        assert Fraction(*rep.value) == _minimal_square_bound(k, epsilon) == value
+        assert (Fraction(*rep.value) == value
+                == reference.minimal_square_bound(k, epsilon))
 
 
 def test_square_forms_agree_and_bound_holds_on_grid():
     for epsilon in (0, 1):
         for k in range(2, 7):
-            bound = _minimal_square_bound(k, epsilon)
+            bound = reference.minimal_square_bound(k, epsilon)
             for p in range(2, 31):
                 for delta in range(0, p - 2 * epsilon + 1):
                     params = BNParams(p, delta, k, epsilon)
@@ -324,7 +315,8 @@ def test_minimal_characterization_parameters():
                 assert exists_pencil(params)
                 rep = curve_square(params)
                 assert rep.minimal
-                assert Fraction(*rep.value) == _minimal_square_bound(k, epsilon)
+                assert (Fraction(*rep.value)
+                        == reference.minimal_square_bound(k, epsilon))
 
 
 def test_is_wall_by_square():
@@ -345,6 +337,5 @@ def test_square_value_is_genus_formula():
                     if delta > p - 2 * epsilon:
                         continue
                     params = BNParams(p, delta, k, epsilon)
-                    n = p - delta + k - 1 + epsilon
-                    expected = 2 * p - 2 - Fraction(n * n, 2 * (k - 1 + 2 * epsilon))
-                    assert Fraction(*curve_square(params).value) == expected
+                    assert (Fraction(*curve_square(params).value)
+                            == reference.curve_square(p, delta, k, epsilon))

@@ -9,7 +9,6 @@ import contextlib
 import io
 import json
 from fractions import Fraction
-from math import gcd
 from unittest import mock
 
 from hypothesis import given, settings
@@ -17,17 +16,12 @@ from hypothesis import strategies as st
 
 from wallkit.checks import Point, Row
 from wallkit.cli import main
-from wallkit.curves import (
-    BNParams,
-    bn_rho,
-    curve_class,
-    curve_square,
-    exists_pencil,
-)
+from wallkit.curves import BNParams, curve_class, curve_square, exists_pencil
 from wallkit.model import DivisorClass, Ratio, divisor_divisibility
-from wallkit.walls import primitive_dual_divisor, primitive_integral_divisor
+from wallkit.walls import (primitive_dual_divisor, primitive_integral_divisor,
+                           span_stage, witness_stage)
 
-from test_walls import wall_test
+import reference
 
 K_MAX, P_MAX = 10**5, 10**10
 
@@ -65,8 +59,8 @@ def test_curve_square_matches_fraction_reference(params):
     h = k - 1 + 2 * eps
     alpha = (p - delta - eps) // (2 * h)
     beta = (2 * alpha + 1) * h - p + delta + eps
-    rho = bn_rho(p, alpha, (k + eps) * alpha + delta)
-    value = 2 * (p - 1) - Fraction((p - delta + k - 1 + eps) ** 2, 2 * h)
+    rho = reference.bn_rho(p, alpha, (k + eps) * alpha + delta)
+    value = reference.curve_square(p, delta, k, eps)
     rewritten = (2 * (rho + eps * alpha * (alpha + 2) + eps - 1)
                  - Fraction(beta * beta, 2 * h))
     minimal = (p == alpha * (alpha + 1) * h + eps
@@ -78,8 +72,8 @@ def test_curve_square_matches_fraction_reference(params):
     assert (Fraction(*report.value), Fraction(*report.rewritten),
             *report[2:]) == (value, rewritten, minimal, alpha, beta, rho)
     assert value == Fraction(*curve_class(params).square(params.context()))
-    if exists_pencil(params):
-        assert minimal == (value == Fraction(-(k + 3 - 2 * eps), 2))
+    if reference.pencil(p, delta, k, eps):
+        assert minimal == (value == reference.minimal_square_bound(k, eps))
 
 
 @_settings
@@ -91,22 +85,12 @@ def test_wall_test_q_divisor_is_divisor_square(params):
     # (a patched walk that finds no witness) keeps each example O(1) at k up
     # to 1e5.
     with mock.patch("wallkit.walls._witness_walk", return_value=None):
-        verdict = wall_test(curve, ctx)
+        verdict = witness_stage(span_stage(curve, ctx), ctx.epsilon)
     assert type(verdict.q_divisor) is int
     assert verdict.q_divisor == verdict.divisor.square(ctx)
     assert (verdict.divisor, verdict.divisor_div) == \
         primitive_dual_divisor(curve, ctx)
     assert (verdict.span is None) == (verdict.q_divisor >= 0)
-
-
-def _reference_primitive_dual_divisor(curve, ctx) -> tuple[Fraction, Fraction]:
-    """The dual divisor (l, r/q(v)) scaled to a primitive integral class
-    with Fraction arithmetic, as the library did before it used integers."""
-    a, b = Fraction(curve.l), Fraction(curve.r, ctx.ek_div)
-    m = a.denominator * b.denominator // gcd(a.denominator, b.denominator)
-    x, y = int(a * m), int(b * m)
-    g = gcd(x, y)
-    return Fraction(x, g), Fraction(y, g)
 
 
 @_settings
@@ -121,8 +105,8 @@ def test_scan_path_integers_match_fraction_reference(params):
     assert Fraction(num, den) == q_r
     assert pt.q_r == f"{q_r.numerator}/{q_r.denominator}"
     if pt.pencil:
-        bound = Fraction(-(params.k + 3 - 2 * params.epsilon), 2)
-        assert report.minimal == (q_r == bound)
+        assert report.minimal == (
+            q_r == reference.minimal_square_bound(params.k, params.epsilon))
     # As in the test above, the witness walk is skipped: it does not touch
     # the divisor or q(D).
     with mock.patch("wallkit.walls._witness_walk", return_value=None):
@@ -132,8 +116,8 @@ def test_scan_path_integers_match_fraction_reference(params):
     assert type(verdict.q_divisor) is int
     assert verdict.q_divisor == divisor.square(ctx)
     assert verdict.divisor_div == divisor_divisibility(divisor, ctx)
-    assert (divisor.l, divisor.e) == \
-        _reference_primitive_dual_divisor(pt.curve, ctx)
+    assert (divisor.l, divisor.e) == reference.primitive_dual_divisor(
+        pt.curve.l, pt.curve.r, ctx.ek_div)
     # The dual divisor l*L + (r/2h)*e, given as 2h times itself.
     curve = pt.curve
     dual = DivisorClass(2 * params.half_div * curve.l, curve.r)

@@ -398,6 +398,22 @@ def test_no_module_imports_a_name_it_never_references():
                            "x: Triple\n") == ["moduli_vector:1"]
 
 
+def test_the_reference_is_stdlib_only_and_no_test_imports_a_test():
+    # tests/reference.py is the independent side of the differentials: it
+    # imports the standard library alone, so nothing from wallkit.  A test
+    # module takes shared helpers from it, not from another test module;
+    # test_cli.py reads the workload digests that the digest guard keeps
+    # in test_golden_cli.py.
+    tests = Path(__file__).resolve().parent
+    source = (tests / "reference.py").read_text()
+    imported = _imported_modules(ast.parse(source))
+    assert imported and sorted(name for name in imported if name.split(".")[0]
+                               not in sys.stdlib_module_names) == []
+    assert [f"{path.name}:{name}" for path in sorted(tests.glob("test_*.py"))
+            for name in sorted(_imported_modules(ast.parse(path.read_text())))
+            if name.startswith("test_")] == ["test_cli.py:test_golden_cli"]
+
+
 _HEX_DIGEST = re.compile(r"[0-9a-fA-F]{64}")
 
 

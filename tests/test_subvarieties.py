@@ -24,6 +24,8 @@ from wallkit.subvarieties import (
     series_family_loci,
 )
 
+import reference
+
 
 def test_chi_examples():
     assert chi_value(8, 1, 4, 0) == 6
@@ -216,7 +218,8 @@ def test_lagrangian_plane_structure():
             assert desc.moduli_space_dim == 2 * eps
             h = k - 1 + 2 * eps
             assert desc.line_class == CurveClass(1, -3 * h)
-            assert Fraction(*desc.line_square) == Fraction(-(k + 3 - 2 * eps), 2)
+            assert (Fraction(*desc.line_square)
+                    == reference.minimal_square_bound(k, eps))
             assert curve_square(BNParams(p, delta, k, eps)).minimal
             # chi sits at the very top of the bundle window
             assert chi_value(p, delta, k, eps) == delta + k + 1

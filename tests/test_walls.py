@@ -39,6 +39,8 @@ from wallkit.walls import (
     witness_stage,
 )
 
+import reference
+
 
 def wall_test(obj, ctx):
     """The wall decision as the CLI runs it: span stage, then witness stage."""
@@ -263,7 +265,7 @@ def test_box_radius_is_saturating():
         assert box_radius(gram, v) < 25
         for eps in (0, 1):
             base = box_witnesses(gram, v, eps)
-            assert _reference_box(gram, v, eps, 25) == base
+            assert reference.box(gram, v, eps, 25) == base
 
 
 # (gram, v, largest max-norm of a witness); epsilon = 0 throughout.  In all
@@ -327,33 +329,6 @@ def test_the_determinant_bound_is_sharp():
     assert box_witnesses(((-4, 2), (2, 4)), (0, 1), 0) == []
 
 
-def _reference_box(gram, v, epsilon, radius):
-    """The box oracle as a plain double loop over [-radius, radius]^2, kept
-    only as the reference for box_witnesses."""
-    def q(s):
-        return (gram[0][0] * s[0] + 2 * gram[0][1] * s[1]) * s[0] \
-            + gram[1][1] * s[1] * s[1]
-
-    def branch(qs, n, qv):
-        if 0 <= qs < n and 2 * n <= qv + qs:
-            return "case_i"
-        if epsilon == 0 and qs == -2 and 0 <= 2 * n <= qv:
-            return "case_ii"
-        return None
-
-    qv = q(v)
-    c = (gram[0][0] * v[0] + gram[0][1] * v[1],
-         gram[1][0] * v[0] + gram[1][1] * v[1])
-    found = []
-    for x in range(-radius, radius + 1):
-        for y in range(-radius, radius + 1):
-            qs, n = q((x, y)), c[0] * x + c[1] * y
-            if (kind := branch(qs, n, qv)) is not None:
-                found.append(Witness((x, y), qs, n, kind))
-    found.sort(key=Witness.sort_key)
-    return found
-
-
 @st.composite
 def _hyperbolic_spans(draw):
     """A hyperbolic gram with v = (0, 1) or (1, 0) of positive square."""
@@ -375,67 +350,12 @@ def test_box_witnesses_match_the_reference_loop(span, radius, eps):
     # The drawn radius, and every radius that puts a witness on the border.
     radii = {radius} | {max(map(abs, w.coords)) for w in full}
     for r in sorted(r for r in radii if r <= 40):
-        assert (_reference_box(gram, v, eps, r)
+        assert (reference.box(gram, v, eps, r)
                 == [w for w in full if max(map(abs, w.coords)) <= r])
     r = box_radius(gram, v)
     if r <= 40:
-        assert box_witnesses(gram, v, eps) == _reference_box(
+        assert box_witnesses(gram, v, eps) == reference.box(
             gram, v, eps, r) == full
-
-
-def _euclid(a, b):
-    """(g, x, y) with a*x + b*y = g = gcd(a, b) >= 0: the extended
-    Euclidean algorithm, kept here so the reference walk takes no step
-    from the package."""
-    x0, y0, x1, y1 = 1, 0, 0, 1
-    while b:
-        quot, a, b = a // b, b, a % b
-        x0, y0, x1, y1 = x1, y1, x0 - quot * x1, y0 - quot * y1
-    return (a, x0, y0) if a >= 0 else (-a, -x0, -y0)
-
-
-def _reference_walk(gram, v, epsilon):
-    """The sorted witnesses, from an independent frame: every line
-    b(s, v) = n, 0 < n < q(v) for case (i) and 0 <= n <= q(v)/2 for case
-    (ii), walked along the primitive u spanning v-perp from one particular
-    solution per line.  q on a line is a downward parabola in t, whose
-    padded range of t with q >= the window's lower end is scanned, and the
-    witnesses get one global sort.  It shares no step with the package's
-    least walk or x-scan, and is kept only as their reference."""
-    def q(s):
-        return (gram[0][0] * s[0] + 2 * gram[0][1] * s[1]) * s[0] \
-            + gram[1][1] * s[1] * s[1]
-
-    def ts_with_q_at_least(qu, b0, q0, lo):
-        disc = b0 * b0 - qu * (q0 - lo)
-        if disc < 0:
-            return range(0)
-        r = isqrt(disc)
-        return range((-b0 + r) // qu - 2, (-b0 - r) // qu + 3)
-
-    qv = q(v)
-    c = (gram[0][0] * v[0] + gram[0][1] * v[1],
-         gram[1][0] * v[0] + gram[1][1] * v[1])
-    d, x0, y0 = _euclid(c[0], c[1])
-    u = (-(c[1] // d), c[0] // d)
-    qu = q(u)
-    found = []
-    # Only the multiples n of d are values of b(-, v).
-    windows = [(n, max(0, 2 * n - qv), n - 1, "case_i")
-               for n in range(d, qv, d)]
-    if epsilon == 0:
-        windows += [(n, -2, -2, "case_ii") for n in range(0, qv // 2 + 1, d)]
-    for n, lo, hi, branch in windows:
-        s0 = (x0 * (n // d), y0 * (n // d))
-        b0 = sum(s0[i] * gram[i][j] * u[j] for i in range(2) for j in range(2))
-        q0 = q(s0)
-        for t in ts_with_q_at_least(qu, b0, q0, lo):
-            qs = qu * t * t + 2 * b0 * t + q0
-            if lo <= qs <= hi:
-                s = (s0[0] + t * u[0], s0[1] + t * u[1])
-                found.append(Witness(s, qs, n, branch))
-    found.sort(key=Witness.sort_key)
-    return found
 
 
 # For each v, a unimodular Q with Q*v = (0, 1): the gram Q^T G0 Q in the new
@@ -529,7 +449,7 @@ def test_witness_walk_matches_the_reference_walk(span, eps):
     # The least walk and the x-scan against the reference's t-frame walk
     # over all lines.
     gram, v = span
-    want = _reference_walk(gram, v, eps)
+    want = reference.walk(gram, v, eps)
     assert enumerate_witnesses(gram, v, eps) == want
     (a, b), (_, c) = gram
     witness = walls._witness_walk(a, b, c, eps)
@@ -558,7 +478,7 @@ def test_witness_search_matches_the_reference_walk_at_any_v(span, eps):
     # Ties in (branch, b, q) may order differently in the two coordinate
     # systems, so the walk's witness need only be one of the least.
     gram, v = span
-    want = _reference_walk(gram, v, eps)
+    want = reference.walk(gram, v, eps)
     assert enumerate_witnesses(gram, v, eps) == want
     w = next((x, y) for x in range(-2, 3) for y in range(-2, 3)
              if x * v[1] - y * v[0] == 1)
@@ -624,7 +544,7 @@ def _primitive_v_spans(draw):
 def test_general_v_reduction_matches_the_reference_and_the_box(span, eps):
     gram, v = span
     got = enumerate_witnesses(gram, v, eps)
-    assert got == _reference_walk(gram, v, eps)
+    assert got == reference.walk(gram, v, eps)
     if box_radius(gram, v) <= 60:
         assert got == box_witnesses(gram, v, eps)
 
@@ -878,15 +798,6 @@ def test_saturated_span_invariants():
         assert stage.t_gram == span.gram and stage.divisor_div >= 1
 
 
-def _cross(x, y):
-    return (x[1] * y[2] - x[2] * y[1], x[2] * y[0] - x[0] * y[2],
-            x[0] * y[1] - x[1] * y[0])
-
-
-def _dot(x, y):
-    return sum(a * b for a, b in zip(x, y))
-
-
 def _check_saturation(divisor, ctx, box=0):
     """Independent oracle for saturated_span: T = Z*w + Z*v is the
     saturation of span{v, d} in Z^3 iff w, v lie in span_Q{v, d} and the
@@ -894,17 +805,18 @@ def _check_saturation(divisor, ctx, box=0):
     (v, d).  With box > 0 every integer point of [-box, box]^3 in span_Q{v, d}
     is also checked to be an integer combination of w and v."""
     span = saturated_span(divisor, ctx)
-    w, v = span.w, moduli_vector(ctx)
-    # a*L + b*e embeds as (b, a, b*h) with h = k - 1 + 2*epsilon.
+    # a*L + b*e embeds as (b, a, b*h) with h = k - 1 + 2*epsilon, and v is
+    # (1, 0, -h).
     h = ctx.k - 1 + 2 * ctx.epsilon
+    w, v = span.w, (1, 0, -h)
     d = (int(divisor.e), int(divisor.l), int(divisor.e) * h)
     assert span.v_coords == (0, 1)
-    normal = _cross(v, d)
-    assert _dot(w, normal) == 0
-    wv = _cross(w, v)
+    normal = reference.cross(v, d)
+    assert reference.dot(w, normal) == 0
+    wv = reference.cross(w, v)
     assert gcd(*wv) == 1
-    assert gcd(*normal) == divisor_divisibility(divisor, ctx)
-    gram = tuple(tuple(mukai_pairing(x, y, ctx.p) for y in (w, v))
+    assert gcd(*normal) == reference.divisibility(divisor.l, divisor.e, h)
+    gram = tuple(tuple(reference.mukai_pairing(x, y, ctx.p) for y in (w, v))
                  for x in (w, v))
     assert span.gram == gram
     b, qv = gram[0][1], gram[1][1]
@@ -914,7 +826,7 @@ def _check_saturation(divisor, ctx, box=0):
         (i, j), minor = next(((i, j), m) for (i, j), m
                              in zip(((1, 2), (2, 0), (0, 1)), wv) if m)
         for x in product(range(-box, box + 1), repeat=3):
-            if _dot(x, normal):
+            if reference.dot(x, normal):
                 continue
             alpha, ra = divmod(x[i] * v[j] - x[j] * v[i], minor)
             beta, rb = divmod(w[i] * x[j] - w[j] * x[i], minor)
@@ -1083,11 +995,11 @@ def test_wall_verdict_agrees_with_square_sign_on_sample():
 
 def test_mbm_bound_check():
     ctx = SurfaceContext(0, 2, 2)
-    bound = Fraction(-(2 + 3 - 2 * 0), 2)
+    bound = reference.minimal_square_bound(2, 0)
     # q(C) over div(e) = 2, not reduced.
     assert CurveClass(1, -3).square(ctx) == (-5, 2)
     assert Fraction(*CurveClass(1, -3).square(ctx)) == bound == Fraction(-5, 2)
     assert Fraction(*CurveClass(1, -50).square(ctx)) < bound
     kum = SurfaceContext(1, 7, 2)
     assert (Fraction(*CurveClass(1, -9).square(kum))
-            == Fraction(-(2 + 3 - 2 * 1), 2))
+            == reference.minimal_square_bound(2, 1))
