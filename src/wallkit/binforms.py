@@ -11,7 +11,19 @@ isometric iff the forms are equivalent under GL2(Z).  Three regimes:
   continued fraction of the form's root, whose purely periodic part is the
   cycle (Buchmann-Vollmer, Binary Quadratic Forms, ch. 6);
 * indefinite isotropic (-det a perfect square sigma^2): classified by the
-  pair of residues q(w) mod 2*sigma attached to the two isotropic lines.
+  pair of residues q(w) mod 2*sigma attached to the two isotropic lines;
+  one line is completed to a basis (u, w), and the other line's residue
+  follows from the first in closed form.
+
+`canonical_form`, `class_id` and `rank2_isometric` check a Gram by the
+package's one gram rule (`_gram_entries`): anything but a symmetric 2x2
+matrix of ints, a float entry or an object with no length among them, is
+a DomainError, and a singular Gram a `DegenerateFormError`.  The checked
+integers go to an unchecked integer core, `_canonical`, which the catalog
+calls directly.  A canonical form is a 4-tuple, the regime's name and
+three integers, and a class id joins its fields through the one template
+`_ID`, so the id format and the regime names are spelled only in this
+module (a source test checks that no other module spells a regime name).
 """
 
 from __future__ import annotations
@@ -142,38 +154,31 @@ def _indef_canonical(a: int, b: int, c: int, d: int,
         f"{_MAX_REDUCTION_STEPS} steps to close its cycle")
 
 
-def _primitive(x: int, y: int) -> tuple[int, int]:
-    g = gcd(x, y)
-    x, y = x // g, y // g
-    if x < 0 or (x == 0 and y < 0):
-        x, y = -x, -y
-    return x, y
-
-
-def _isotropic_lines(a: int, b: int, c: int, sigma: int) -> list[tuple[int, int]]:
-    # Primitive representatives of the two isotropic lines of
-    # q(x, y) = a x^2 + 2b xy + c y^2 with b^2 - ac = sigma^2 > 0.
-    if a == 0:
-        lines = [(1, 0), _primitive(-c, 2 * b)]
-    else:
-        lines = [_primitive(-b + sigma, a), _primitive(-b - sigma, a)]
-    if lines[0] == lines[1]:
-        raise AssertionError(f"isotropic lines coincide for {(a, b, c)}")
-    return lines
-
-
-def _line_residue(a: int, b: int, c: int, u: tuple[int, int],
-                  sigma: int) -> int:
-    # Complete the primitive isotropic u to a basis (u, w) of the lattice
-    # with Gram [[a, b], [b, c]]; q(w) mod 2*sigma only depends on the line
-    # spanned by u.
-    _g, x, y = xgcd(*u)
+def _isotropic_residues(a: int, b: int, c: int,
+                        sigma: int) -> tuple[int, int]:
+    # The residues q(w) mod 2*sigma, sorted, of the two isotropic lines of
+    # q(x, y) = a x^2 + 2b xy + c y^2 with b^2 - ac = sigma^2 > 0.  One
+    # primitive isotropic u, (1, 0) when a = 0 and else (sigma - b, a) over
+    # its gcd, is completed to a basis (u, w); another completion w + t*u,
+    # or -w, changes q(w) by a multiple of 2*sigma.  In the basis (u, +-w)
+    # the form is 2 sigma xy + r y^2, r = q(w) mod 2*sigma, whose other
+    # isotropic line is (r, -2 sigma)/g with g = gcd(r, 2 sigma).  A
+    # completion (gamma, delta) of that line has
+    # q = delta (r delta + 2 sigma gamma) = +-g delta, where
+    # (r/g) delta = +-1 mod 2 sigma/g, so its residue is
+    # r' = g (r/g)^-1 mod 2 sigma.  pow(0, -1, 1) is 0, so r = 0 (the
+    # modulus 2 sigma/g is 1, and r' = 0) needs no branch.
+    u0, u1 = (1, 0) if a == 0 else (sigma - b, a)
+    n = gcd(u0, u1)
+    _g, x, y = xgcd(u0 // n, u1 // n)
     w0, w1 = -y, x
-    bw = (u[0] * a + u[1] * b) * w0 + (u[0] * b + u[1] * c) * w1
+    bw = ((u0 * a + u1 * b) * w0 + (u0 * b + u1 * c) * w1) // n
     if abs(bw) != sigma:
         raise AssertionError(f"b(u, w) = {bw}, expected +-{sigma}")
-    qw = a * w0 * w0 + 2 * b * w0 * w1 + c * w1 * w1
-    return qw % (2 * sigma)
+    r = (a * w0 * w0 + 2 * b * w0 * w1 + c * w1 * w1) % (2 * sigma)
+    g = gcd(r, 2 * sigma)
+    other = g * pow(r // g, -1, 2 * sigma // g)
+    return (r, other) if r <= other else (other, r)
 
 
 def xgcd(a: int, b: int) -> tuple[int, int, int]:
@@ -211,9 +216,7 @@ def _canonical(a: int, b: int, c: int, det: int) -> tuple:
         return ("negdef", *_reduce_definite(-a, -b, -c, det))
     sigma = isqrt(-det)
     if sigma * sigma == -det:
-        r0, r1 = sorted(_line_residue(a, b, c, u, sigma)
-                        for u in _isotropic_lines(a, b, c, sigma))
-        return ("isotropic", sigma, r0, r1)
+        return ("isotropic", sigma, *_isotropic_residues(a, b, c, sigma))
     return ("indef", *_indef_canonical(a, b, c, -det, sigma))
 
 

@@ -62,7 +62,8 @@ def seed_lattice(k: int, epsilon: int) -> tuple[Gram, int, int]:
 def generate_catalog(k: int, epsilon: int, p_min: int = 2,
                      p_max: int | None = None,
                      delta_max: int | None = None) -> list[CatalogEntry]:
-    """The entries of `iter_catalog`, as a list."""
+    """The entries of `iter_catalog`, as a list: what the `catalog`
+    command writes."""
     return list(iter_catalog(k, epsilon, p_min, p_max, delta_max))
 
 
@@ -70,7 +71,8 @@ def iter_catalog(k: int, epsilon: int, p_min: int = 2,
                  p_max: int | None = None,
                  delta_max: int | None = None) -> Iterator[CatalogEntry]:
     """All move-reachable entries within the ranges, one per isometry
-    class, each yielded as soon as it is built.  The arguments are checked
+    class, each yielded as soon as it is built, so the stream keeps the
+    class ids it has seen, not the entries.  The arguments are checked
     now: k and epsilon by `seed_lattice`; p_min, and p_max and delta_max
     where given, must be ints in the input domain, as k is; and an empty range
     is a DomainError: p runs over [max(p_min, 2), min(p_max, seed p)], and

@@ -29,11 +29,12 @@ context alone: v, q(v) and the divisibility of v + e and v - e.  Its
 points build their parameters on that context (`BNParams.on`), so the
 delta points of one row share both.  `scan` builds one `Row` per row; the
 point subcommands build one per point and read none of its lazy fields.
+This module keeps no state between calls.
 
 The checks own every comparison of two routes to one number: each computes
 its second route itself and reports a disagreement as a failed check, not
-as an exception.  The two `AssertionError`s left in the library (both in
-`binforms`) guard invariants that no check repeats.
+as an exception.  The one `AssertionError` left in the library (in
+`binforms`) guards an invariant that no check repeats.
 
 `_oracle` is the one comparison of a verdict's witnesses with the box
 oracle, and its one rule for where the oracle runs: on a span whose box

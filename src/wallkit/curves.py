@@ -125,7 +125,7 @@ def exists_pencil_via_rho(params: BNParams) -> bool:
     over l >= 0 at 0 when l* < 0.  As g >= 2*epsilon, l* >= -1/2, so
     floor(l*) >= -1, and the values of f at the integers from
     max(floor(l*), 0) to floor(l*) + 1 (one or two) decide the inequality
-    for every l >= 0.
+    for every l >= 0, in O(1) at any p.
     """
     p, delta, k, epsilon = params
     l0 = (params.g - params.half_div - epsilon) // (2 * params.half_div)

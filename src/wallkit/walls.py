@@ -13,6 +13,13 @@ finds the least witness line by line in n, each line's residue one
 addition from the last; `enumerate_witnesses` finds them all by a scan
 over x.  Everything is exact integer arithmetic; the brute-force box
 oracle re-derives witness sets independently of both.
+
+The walk stops at the least witness's line, so it walks every case (i)
+line, linear in q(v), on non-walls and on walls with only case (ii)
+witnesses.  A verdict holds only the least witness, and no CLI call runs
+`enumerate_witnesses`: the box-oracle comparison in `wallkit.checks` takes
+the full set from the box scan, and acceptance gate 7 compares the
+x-scan's set with the box's.
 """
 
 from __future__ import annotations

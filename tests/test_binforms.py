@@ -315,6 +315,10 @@ def _regime_grams(draw):
 @given(_regime_grams())
 @example(((-3, -1), (-1, -2)))  # negative definite
 @example(((0, 3), (3, 5)))      # isotropic with a = 0
+@example(((0, 1), (1, 0)))      # sigma = 1
+@example(((0, 6), (6, 0)))      # r = 0, the modulus 2 sigma/g is 1: (6, 0, 0)
+@example(((0, 10), (10, 3)))    # r = 3 != r' = 7: (10, 3, 7)
+@example(((0, 2**100), (2**100, 3)))  # r' = 3^-1 mod 2^101
 def test_canonical_form_matches_the_reference_in_every_regime(g):
     assert canonical_form(g) == reference.canonical_form(g)
 

@@ -9,6 +9,7 @@ import io
 import json
 import os
 import shlex
+import signal
 import subprocess
 import sys
 from fractions import Fraction
@@ -1006,15 +1007,43 @@ def _edge_argv(draw):
     return argv, max(k, p) >= _BOUND
 
 
+class _OutOfTime(BaseException):
+    """Raised by `_cpu_bound`'s timer; no `except Exception` catches it."""
+
+
+@contextlib.contextmanager
+def _cpu_bound(seconds: float, what):
+    """Fail the test once the block has run `seconds` of the process's CPU
+    time.  Hypothesis's deadline cannot catch a draw that never returns,
+    as it times a draw only when the draw ends.  The failure is raised
+    here, outside the interrupted frames, whose line numbers pytest may
+    not be able to read."""
+    def expire(signum, frame):
+        raise _OutOfTime
+
+    old = signal.signal(signal.SIGPROF, expire)
+    signal.setitimer(signal.ITIMER_PROF, seconds)
+    try:
+        yield
+    except _OutOfTime:
+        pytest.fail(f"{what} ran past {seconds} s of CPU time", pytrace=False)
+    finally:
+        signal.setitimer(signal.ITIMER_PROF, 0)
+        signal.signal(signal.SIGPROF, old)
+
+
 @settings(derandomize=True, database=None, deadline=None, max_examples=120)
 @given(_edge_argv())
 def test_every_subcommand_at_the_input_bound_exits_0_or_2(case):
     # Just below the bound every printed integer converts to text, and the
     # command succeeds; just above it the input is refused with an error
-    # that names the bound.  Never an internal error (1).
+    # that names the bound.  Never an internal error (1).  The slowest
+    # draw takes a few ms of CPU time; one that walks O(k) lines at k near
+    # the bound would run without end, so each draw is bounded at 2 s.
     argv, beyond = case
     out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+    with (_cpu_bound(2, argv), contextlib.redirect_stdout(out),
+          contextlib.redirect_stderr(err)):
         rc = main(argv)
     if beyond:
         assert (rc, out.getvalue()) == (2, ""), argv
