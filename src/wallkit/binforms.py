@@ -238,7 +238,3 @@ def class_id(g: Gram) -> str:
     """Stable string identifier for the isometry class of a Gram matrix."""
     return form_id(canonical_form(g))
 
-
-def flat_gram(g: Gram) -> list[int]:
-    """The four entries in row order, as a JSON record lists a Gram."""
-    return [g[0][0], g[0][1], g[1][0], g[1][1]]

@@ -2,12 +2,13 @@
 
 Every subcommand has one handler that checks its arguments and returns its
 records (`scan` and `coisotropic --family` return generators, so their
-records stream).  The point subcommands return dicts, which
-`model.write_records` JSON-encodes; `catalog` and `scan` return their
-records already rendered as JSON text, one `catalog.entry_line` per entry
-and one `_scan_records` line per point, so they build no dict and run no
-JSON encoder.  `main` owns the output: it alone opens `--output` (or uses
-stdout) and writes the records as JSON lines through `model.write_records`.
+records stream).  Every record is already its JSON text, one line without
+its newline: the point subcommands fill this module's templates,
+`catalog` writes one `catalog.entry_line` per entry and `scan` one
+`_scan_records` line per point.  So no command builds a dict for its
+output or runs a JSON encoder, and no wallkit process imports `json`.
+`main` owns the output: it alone opens `--output` (or uses stdout) and
+writes the lines through `model.write_records`.
 
 `main` builds the argument parser, every subcommand with its options, once
 per process and keeps it with its subcommands' parsers by name; each parse
@@ -38,51 +39,46 @@ from typing import Iterable, Iterator
 
 from . import catalog as catalog_mod
 from . import subvarieties as sub_mod
-from .binforms import flat_gram
-from .checks import CHECKS, Point, Row, oracle_agrees
+from .checks import _JSON_BOOL, CHECKS, Point, Row, oracle_agrees
 from .curves import bn_dims, curve_square
 from .model import (DomainError, Ratio, SurfaceContext, _require_bounded,
                     ratio_str, write_records)
 from .walls import WallVerdict, primitive_dual_divisor
 
 
-def _divisor_json(d) -> dict:
-    return {"l": ratio_str(d.l), "e": ratio_str(d.e)}
+# Every record is one template filled from its values: the bytes of
+# `json.dumps` of the record's dict, in key order.  No value needs JSON
+# escaping: each is an int, a bool, null or fixed ASCII (a branch or
+# source name, or "num/den" digits).  A divisor's coefficients and q(D)
+# are ints, whose reduced "num/den" text (`model.ratio_str`) is "<n>/1".
+_CURVE = '{"l": %d, "r": %d}'
+_DIVISOR = '{"l": "%d/1", "e": "%d/1"}'
+_WITNESS = ('{"coords": [%d, %d], "ambient": [%d, %d, %d], "q": %d, "b": %d, '
+            '"branch": "%s"}')
+_DESCRIPTOR = ('{"source": "%s", "codim": %d, "fiber_dim": %d, '
+               '"base_dim": %d, "total_dim": %d, "line": {"l": %d, "r": %d}, '
+               '"q_line": "%s", "p": %d, "k": %d, "epsilon": %d, '
+               '"delta": %s, "k_prime": %s, "moduli_space_dim": %s}')
 
 
-def _curve_json(c) -> dict:
-    return {"l": c.l, "r": c.r}
+def _int_or_null(value: int | None) -> str:
+    return "null" if value is None else "%d" % value
 
 
-def _witness_json(verdict: WallVerdict) -> dict | None:
+def _witness_json(verdict: WallVerdict) -> str:
     w = verdict.witness
     if w is None:
-        return None
-    return {
-        "coords": list(w.coords),
-        "ambient": list(verdict.witness_ambient),
-        "q": w.q,
-        "b": w.b,
-        "branch": w.branch,
-    }
+        return "null"
+    return _WITNESS % (*w.coords, *verdict.witness_ambient, w.q, w.b,
+                       w.branch)
 
 
-def _descriptor_json(desc: sub_mod.SubvarietyDescriptor) -> dict:
-    return {
-        "source": desc.source,
-        "codim": desc.codim,
-        "fiber_dim": desc.fiber_dim,
-        "base_dim": desc.base_dim,
-        "total_dim": desc.total_dim,
-        "line": _curve_json(desc.line_class),
-        "q_line": ratio_str(desc.line_square),
-        "p": desc.p,
-        "k": desc.k,
-        "epsilon": desc.epsilon,
-        "delta": desc.delta,
-        "k_prime": desc.k_prime,
-        "moduli_space_dim": desc.moduli_space_dim,
-    }
+def _descriptor_json(desc: sub_mod.SubvarietyDescriptor) -> str:
+    return _DESCRIPTOR % (
+        desc.source, desc.codim, desc.fiber_dim, desc.base_dim,
+        desc.total_dim, *desc.line_class, ratio_str(desc.line_square),
+        desc.p, desc.k, desc.epsilon, _int_or_null(desc.delta),
+        _int_or_null(desc.k_prime), _int_or_null(desc.moduli_space_dim))
 
 
 def _parse_range(text: str, name: str) -> tuple[int, int]:
@@ -101,7 +97,7 @@ def _parse_range(text: str, name: str) -> tuple[int, int]:
     return lo, hi
 
 
-def _write_output(records: Iterable[dict | str], path: str | None) -> None:
+def _write_output(records: Iterable[str], path: str | None) -> None:
     """Write the records to stdout, or to the --output file; a file that
     cannot be opened, written or closed, or a closed or full stdout, is a
     user error."""
@@ -129,60 +125,61 @@ def _point(args) -> Point:
     return Point(Row(args.epsilon, args.k, args.p), args.delta)
 
 
-def _cmd_wall_test(args) -> list[dict]:
+_WALL_TEST = ('{"epsilon": %d, "k": %d, "p": %d, "delta": %d, "curve": %s, '
+              '"q_R": "%s", "is_wall": %s, "branch": %s, "divisor": %s, '
+              '"divisor_div": %d, "q_D": "%d/1", "t_gram": %s, "witness": %s')
+
+
+def _cmd_wall_test(args) -> list[str]:
     pt = _point(args)
     verdict = pt.verdict
-    record = {
-        "epsilon": args.epsilon, "k": args.k, "p": args.p, "delta": args.delta,
-        "curve": _curve_json(pt.curve),
-        "q_R": pt.q_r,
-        "is_wall": verdict.is_wall,
-        "branch": verdict.branch,
-        "divisor": _divisor_json(verdict.divisor),
-        "divisor_div": verdict.divisor_div,
-        "q_D": ratio_str(verdict.q_divisor),
-        "t_gram": flat_gram(verdict.t_gram) if verdict.t_gram else None,
-        "witness": _witness_json(verdict),
-    }
+    branch, gram = verdict.branch, verdict.t_gram
+    line = _WALL_TEST % (
+        args.epsilon, args.k, args.p, args.delta, _CURVE % pt.curve, pt.q_r,
+        _JSON_BOOL[verdict.is_wall],
+        "null" if branch is None else '"%s"' % branch,
+        _DIVISOR % verdict.divisor, verdict.divisor_div, verdict.q_divisor,
+        "null" if gram is None else "[%d, %d, %d, %d]" % (*gram[0], *gram[1]),
+        _witness_json(verdict))
     if args.oracle:
-        record["oracle_agrees"] = oracle_agrees(verdict, args.epsilon)
-    return [record]
+        agrees = oracle_agrees(verdict, args.epsilon)
+        line += ', "oracle_agrees": %s' % (
+            "null" if agrees is None else _JSON_BOOL[agrees])
+    return [line + "}"]
 
 
-def _cmd_class(args) -> list[dict]:
+# The dual of l*L + r*r_k is l*L + (r/div(e))*e.
+_CLASS = ('{"epsilon": %d, "k": %d, "p": %d, "delta": %d, "curve": %s, '
+          '"dual_divisor": {"l": "%d/1", "e": "%s"}, '
+          '"primitive_divisor": %s, "divisor_div": %d, "q_R": "%s"}')
+
+
+def _cmd_class(args) -> list[str]:
     pt = _point(args)
     ctx, curve = pt.row.ctx, pt.curve
     divisor, divisor_div = primitive_dual_divisor(curve, ctx)
-    return [{
-        "epsilon": args.epsilon, "k": args.k, "p": args.p, "delta": args.delta,
-        "curve": _curve_json(curve),
-        # The dual of l*L + r*r_k is l*L + (r/div(e))*e.
-        "dual_divisor": {"l": ratio_str(curve.l),
-                         "e": ratio_str(Ratio(curve.r, ctx.ek_div))},
-        "primitive_divisor": _divisor_json(divisor),
-        "divisor_div": divisor_div,
-        "q_R": pt.q_r,
-    }]
+    return [_CLASS % (
+        args.epsilon, args.k, args.p, args.delta, _CURVE % curve,
+        curve.l, ratio_str(Ratio(curve.r, ctx.ek_div)), _DIVISOR % divisor,
+        divisor_div, pt.q_r)]
 
 
-def _cmd_exists(args) -> list[dict]:
+def _cmd_exists(args) -> list[str]:
     pt = _point(args)
-    record = {"exists": pt.pencil, "alpha": pt.params.alpha}
+    line = '{"exists": %s, "alpha": %d' % (_JSON_BOOL[pt.pencil],
+                                           pt.params.alpha)
     if pt.pencil:
-        record["locus_dim"], record["pencil_dim"] = bn_dims(pt.params)
-    return [record]
+        line += ', "locus_dim": %d, "pencil_dim": %d' % bn_dims(pt.params)
+    return [line + "}"]
 
 
-def _cmd_square(args) -> list[dict]:
+def _cmd_square(args) -> list[str]:
     report = curve_square(_point(args).params)
-    return [{
-        "q_R": ratio_str(report.value),
-        "rewritten": ratio_str(report.rewritten),
-        "minimal": report.minimal,
-        "alpha": report.alpha,
-        "beta": report.beta,
-        "rho": report.rho,
-    }]
+    return ['{"q_R": "%s", "rewritten": "%s", "minimal": %s, "alpha": %d, '
+            '"beta": %d, "rho": %d}' % (
+                ratio_str(report.value), ratio_str(report.rewritten),
+                _JSON_BOOL[report.minimal], report.alpha, report.beta,
+                report.rho)]
 
 
 def _cmd_catalog(args) -> Iterable[str]:
@@ -192,41 +189,43 @@ def _cmd_catalog(args) -> Iterable[str]:
     return map(catalog_mod.entry_line, entries)
 
 
-def _cmd_coisotropic(args) -> Iterable[dict]:
+def _cmd_coisotropic(args) -> Iterable[str]:
     if args.family is None and args.delta is None:
         raise DomainError("coisotropic needs either --delta or --family")
     if args.family is not None and args.delta is not None:
         raise DomainError("coisotropic takes --delta or --family, not both")
     if args.delta is not None:
         desc = sub_mod.bundle_locus(args.p, args.delta, args.k, args.epsilon)
-        return [{
-            "found": desc is not None,
-            "chi": sub_mod.chi_value(args.p, args.delta, args.k, args.epsilon),
-            # bundle_locus is None exactly when the chi window fails
-            "bound_satisfied": desc is not None,
-            "descriptor": _descriptor_json(desc) if desc else None,
-        }]
+        # bundle_locus is None exactly when the chi window fails, so
+        # "found" is "bound_satisfied".
+        found = _JSON_BOOL[desc is not None]
+        return ['{"found": %s, "chi": %d, "bound_satisfied": %s, '
+                '"descriptor": %s}' % (
+                    found,
+                    sub_mod.chi_value(args.p, args.delta, args.k,
+                                      args.epsilon),
+                    found,
+                    "null" if desc is None else _descriptor_json(desc))]
     # The family's arguments are checked here; its records follow lazily.
     if args.family == "nodal":
-        return ({"r": r, "delta": delta, "descriptor": _descriptor_json(desc)}
-                for r, delta, desc in sub_mod.nodal_family_loci(
-                    args.p, args.k, args.epsilon))
-    return ({"r": r, "k_prime": k_prime, "descriptor": _descriptor_json(desc)}
-            for r, k_prime, desc in sub_mod.series_family_loci(
-                args.p, args.k, args.epsilon))
+        line, loci = ('{"r": %d, "delta": %d, "descriptor": %s}',
+                      sub_mod.nodal_family_loci)
+    else:
+        line, loci = ('{"r": %d, "k_prime": %d, "descriptor": %s}',
+                      sub_mod.series_family_loci)
+    return (line % (r, n, _descriptor_json(desc))
+            for r, n, desc in loci(args.p, args.k, args.epsilon))
 
 
-def _cmd_lagrangian(args) -> list[dict]:
+def _cmd_lagrangian(args) -> list[str]:
     p, delta, desc = sub_mod.lagrangian_plane(args.k, args.epsilon)
-    return [{
-        "p": p,
-        "delta": delta,
-        "q_R": ratio_str(desc.line_square),
-        "moduli_dim": desc.moduli_space_dim,
-        "bound_satisfied": sub_mod.bundle_bound_holds(p, delta, args.k,
-                                                      args.epsilon),
-        "descriptor": _descriptor_json(desc),
-    }]
+    return ['{"p": %d, "delta": %d, "q_R": "%s", "moduli_dim": %s, '
+            '"bound_satisfied": %s, "descriptor": %s}' % (
+                p, delta, ratio_str(desc.line_square),
+                _int_or_null(desc.moduli_space_dim),
+                _JSON_BOOL[sub_mod.bundle_bound_holds(p, delta, args.k,
+                                                      args.epsilon)],
+                _descriptor_json(desc))]
 
 
 # ---------------------------------------------------------------- scans

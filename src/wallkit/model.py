@@ -18,7 +18,6 @@ both are orthogonal to L, q(v) = 2k - 2 + 4*epsilon = -q(e) and <v, e> = 0.
 
 from __future__ import annotations
 
-import json
 from collections.abc import Iterable
 from math import gcd
 from typing import IO, NamedTuple
@@ -52,20 +51,13 @@ def ratio_str(x) -> str:
     return f"{num // g}/{den // g}"
 
 
-# `json.dumps`'s settings without its cycle check: every record is a fresh
-# tree of dicts, lists and scalars, so the bytes are those of `json.dumps`.
-_ENCODER = json.JSONEncoder(check_circular=False)
-
-
-def write_records(records: Iterable[dict | str], stream: IO[str]) -> int:
-    """Write each record as one line, as it comes; return the count.  A
-    record that is a str is already its JSON text and is written as it is;
-    any other is JSON-encoded."""
+def write_records(records: Iterable[str], stream: IO[str]) -> int:
+    """Write each record, a line of JSON text without its newline, as it
+    comes; return the count.  The records are rendered by their makers
+    (`catalog.entry_line` and the `wallkit.cli` templates), so the package
+    holds no JSON encoder."""
     count = 0
-    encode = _ENCODER.encode
     for count, record in enumerate(records, 1):
-        if not isinstance(record, str):
-            record = encode(record)
         stream.write(record + "\n")
     return count
 

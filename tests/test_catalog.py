@@ -43,7 +43,7 @@ def entry_record(entry):
         "k": entry.k,
         "p": entry.p,
         "delta": entry.delta,
-        "gram": binforms.flat_gram(entry.gram),
+        "gram": [*entry.gram[0], *entry.gram[1]],
         "q_R": reference.fraction_text(entry.q_curve),
         "is_wall": entry.is_wall,
         "witness": list(entry.witness) if entry.witness is not None else None,

@@ -449,28 +449,6 @@ def test_scan_stdout_is_pinned(in_tmp):
     assert golden.recorded(argv)["exit"] == 0 and golden.agrees(argv)
 
 
-def test_catalog_lines_bypass_the_json_encoder(capsys, monkeypatch):
-    # `catalog` hands `write_records` lines already rendered by
-    # `catalog.entry_line`, and `scan` lines rendered by `_scan_records`
-    # from the checks' members text, so nothing is JSON-encoded.  The bytes
-    # are the corpus's.
-    encoder, encoded = model._ENCODER, [0]
-
-    class Counting:
-        def encode(self, record):
-            encoded[0] += 1
-            return encoder.encode(record)
-
-    monkeypatch.setattr(model, "_ENCODER", Counting())
-    for argv in (("catalog", "--epsilon", "1", "--k", "12"),
-                 ("scan", "--k", "2..4", "--p", "2..20", "--check", "all")):
-        rc, out, err = _run(capsys, *argv)
-        assert rc == 0 and err == "" and len(out.splitlines()) > 100
-        assert (hashlib.sha256(out.encode()).hexdigest()
-                == golden.recorded(argv)["stdout"])
-    assert encoded[0] == 0
-
-
 @pytest.fixture(scope="module")
 def grid_scan(walk_counter):
     """(exit code, stdout, the witness walk's [lines] count, surface
@@ -885,6 +863,8 @@ def test_point_subcommands_exit_0_or_2(argv):
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         rc = main(argv)
     assert rc in (0, 2), (argv, err.getvalue())
+    if rc == 0:
+        _assert_canonical_lines(out.getvalue())
 
 
 @st.composite
@@ -1050,6 +1030,7 @@ def test_every_subcommand_at_the_input_bound_exits_0_or_2(case):
         assert "10^1000" in err.getvalue(), argv
     else:
         assert (rc, err.getvalue()) == (0, ""), argv
+        _assert_canonical_lines(out.getvalue())
 
 
 @st.composite

@@ -79,6 +79,16 @@ def test_cli_import_loads_no_rational_machinery():
         {"fractions", "decimal", "_decimal", "numbers"}) == "[]\n"
 
 
+def test_cli_import_loads_no_json():
+    # Every record is rendered as JSON text by its maker (`wallkit.cli`'s
+    # templates, `catalog.entry_line`, the checks' members text), so
+    # start-up loads no `json` package and no C accelerator.  The golden
+    # corpus pins the bytes those renderers write.
+    assert _loaded_by_cli_import(
+        {"json", "json.decoder", "json.encoder", "json.scanner",
+         "_json"}) == "[]\n"
+
+
 _ARGPARSE_INTERNALS = {"_actions", "_subparsers", "_name_parser_map"}
 
 
